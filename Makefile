@@ -5,6 +5,8 @@
 #   make coverage   tier-1 suite under pytest-cov with an enforced threshold
 #   make bench      benchmark harness (regenerates every figure/table)
 #   make bench-engine  engine + batch + topology benchmarks + enforced report
+#   make bench-stack  the repository benchmark (bench/run.py, see bench/README.md)
+#   make bench-compare A=a/results.json B=b/results.json  A/B verdict per metric
 #   make distributed-smoke  distributed executor vs serial: identity + crash recovery
 #   make service-smoke  HTTP sweep service end to end: submit/stream/fetch vs direct run
 #   make fuzz       bounded differential fuzz of the four engines
@@ -29,7 +31,8 @@ FUZZ_BUDGET ?= 25
 # make a failing build pass.
 COV_MIN ?= 92
 
-.PHONY: test ci coverage bench bench-engine distributed-smoke service-smoke \
+.PHONY: test ci coverage bench bench-engine bench-stack bench-compare \
+	distributed-smoke service-smoke \
 	fuzz validate validate-update lint docs-lint figures clean-cache
 
 # The trailing bench report is informational in the test flow: it runs
@@ -71,6 +74,16 @@ bench-engine:
 		benchmarks/test_perf_topologies.py \
 		benchmarks/test_perf_distributed.py
 	$(PYTHON) tools/bench_report.py
+
+# The benchmark of record (BENCHMARK.json): six workloads, end-to-end and
+# per-layer metrics, appended to bench/out/results.json.  bench/ sets its
+# own PYTHONPATH, so these run the same way the driver runs them.
+bench-stack:
+	python3 bench/run.py
+
+# A/B verdict of two result files (bench/README.md, "A/B procedure").
+bench-compare:
+	python3 bench/compare.py $(A) $(B)
 
 # Distributed execution smoke: the work-stealing executor over local
 # forked workers AND loopback TCP workers must produce byte-identical

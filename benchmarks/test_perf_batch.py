@@ -3,22 +3,22 @@
 Runs the Figure-5 load sweep — all three topologies of the figure on the
 64-core cluster, eleven injected loads each — two ways: sequentially (one
 fresh vector-engine cluster and simulation per point, exactly what the
-sweep engine does per point today) and batched (one
+sweep engine does per point) and batched (one
 :class:`repro.engine.batch.TrafficBatch` per topology advancing the whole
-load axis in lockstep).  Both produce identical results; the measured
-wall-clock ratio is the batching speedup.
+load axis in lockstep).  Both must produce identical results — that is
+what this module asserts.
 
-The sweep runs at *smoke* windows: short warm-up/measure windows and many
-points is exactly the regime the batch engine exists for — figure-grid
-regeneration and CI regression sweeps whose wall-clock is dominated by
-Python per-point overhead (topology build, path compilation, per-flit
-allocation, per-cycle loop entry) rather than steady-state transport.
-Both engines run the same windows, so the comparison is apples to apples;
-``benchmarks/BENCH_engine.json`` records the windows next to the numbers.
-
-The measured speedup is merged into ``BENCH_engine.json`` under a
-``"batch"`` key, reported by ``tools/bench_report.py`` and gated against
-the committed baseline by ``make bench-engine`` / the CI bench-smoke job.
+The sweep runs at *smoke* windows (short warm-up/measure windows, many
+points), where wall-clock is Python per-point overhead rather than
+steady-state transport.  The batch engine was introduced on a measured
+2.3-2.8x over sequential here; nearly all of that was the sequential side
+compiling every configuration once per point.  Since compiled networks are
+shared per process (:func:`repro.engine.compile.shared_network`) the
+sequential side pays one compile per topology too, and the ratio reads
+0.7-1.0x.  So the ratio is **report-only**: both timings are merged into
+``BENCH_engine.json`` under a ``"batch"`` key and ``tools/bench_report.py``
+(``make bench-engine`` / the CI bench-smoke job) gates on ``batch_seconds``
+not getting slower than the committed baseline.
 """
 
 from __future__ import annotations
@@ -45,15 +45,10 @@ RESULT_PATH = (
     Path(os.environ.get("BENCH_OUT_DIR") or Path(__file__).resolve().parent)
     / "BENCH_engine.json"
 )
-#: Minimum acceptable batch-over-sequential speedup — the ISSUE's ≥2x
-#: target, kept as a hard floor below the recorded baseline so the suite
-#: stays green on slow, noisy CI boxes while still catching a batch
-#: engine that stopped amortising anything.
-SPEEDUP_FLOOR = 2.0
 
 
 def _sequential_sweep() -> tuple[float, list]:
-    """One point at a time on fresh vector clusters (today's sweep path)."""
+    """One point at a time on fresh vector clusters (the sweep path)."""
     started = time.perf_counter()
     results = []
     for topology in FIG5_TOPOLOGIES:
@@ -141,6 +136,6 @@ def test_batch_speedup_and_append_bench(report_sink):
     report_sink.append(
         f"batch benchmark ({payload['batch']['benchmark']}): "
         f"{points} points, sequential {sequential_best:.3f}s -> batched "
-        f"{batch_best:.3f}s, speedup {speedup:.2f}x -> {RESULT_PATH.name}"
+        f"{batch_best:.3f}s, ratio {speedup:.2f}x (report-only) -> "
+        f"{RESULT_PATH.name}"
     )
-    assert speedup >= SPEEDUP_FLOOR

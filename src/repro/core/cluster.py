@@ -10,6 +10,7 @@ synthetic-traffic simulator (:mod:`repro.traffic`) operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.addressing.layout import MemoryLayout
 from repro.addressing.map import AddressMap, make_address_map
@@ -73,17 +74,25 @@ class MemPoolCluster:
         self.config = config or MemPoolConfig()
         self.engine_kind = engine
         self.address_map: AddressMap = make_address_map(self.config)
-        self.topology: ClusterTopology = build_topology(self.config)
         self.memory = SharedL1Memory(self.config)
         self.layout = MemoryLayout(self.config)
         self.tiles = self._build_tiles()
         self._next_flit_id = 0
         self._vector_network = None
-        self._compiled_network = None
 
     # ------------------------------------------------------------------ #
     # Structure
     # ------------------------------------------------------------------ #
+
+    @cached_property
+    def topology(self) -> ClusterTopology:
+        """This cluster's own built topology (built on first access).
+
+        Lazy because a SoA-engine cluster simulates on the process-shared
+        compiled topology (see :meth:`compiled_network`) and never needs one
+        of its own; the legacy engine, the energy and area models do.
+        """
+        return build_topology(self.config)
 
     def _build_tiles(self) -> tuple[Tile, ...]:
         config = self.config
@@ -122,35 +131,41 @@ class MemPoolCluster:
         """
         if self.engine_kind in ("vector", "batch", "compiled"):
             if self._vector_network is None:
-                from repro.engine import VectorStageNetwork
+                from repro.engine import (
+                    CompiledEngine,
+                    VectorEngine,
+                    VectorStageNetwork,
+                )
 
-                if self.engine_kind == "compiled":
-                    from repro.engine import CompiledEngine
-
-                    self._vector_network = VectorStageNetwork(
-                        self.topology,
-                        compiled=self.compiled_network(),
-                        engine_cls=CompiledEngine,
-                    )
-                else:
-                    self._vector_network = VectorStageNetwork(
-                        self.topology, compiled=self.compiled_network()
-                    )
+                compiled = self.compiled_network()
+                self._vector_network = VectorStageNetwork(
+                    compiled.topology,
+                    compiled=compiled,
+                    engine_cls=(
+                        CompiledEngine
+                        if self.engine_kind == "compiled"
+                        else VectorEngine
+                    ),
+                )
             return self._vector_network
         return self.topology.network
 
     def compiled_network(self):
-        """This cluster's topology compiled for the SoA engines (cached).
+        """This configuration's topology compiled for the SoA engines.
 
-        The :class:`~repro.engine.compile.CompiledNetwork` is shared by the
-        vector facade and the batched traffic driver, so a cluster never
-        compiles its path tables twice.
+        The :class:`~repro.engine.compile.CompiledNetwork` is structure
+        only and **shared per process**, not owned by this cluster: every
+        cluster with an equal :class:`MemPoolConfig` resolves to the same
+        object through :func:`repro.engine.compile.shared_network`, so a
+        sweep compiles each configuration's path tables once instead of
+        once per point.  All simulation state stays in the per-cluster
+        engine behind :attr:`network`.  The first request for a
+        configuration builds and compiles a topology of the memo's own
+        (never this cluster's :attr:`topology`); later ones build neither.
         """
-        if self._compiled_network is None:
-            from repro.engine import CompiledNetwork
+        from repro.engine.compile import shared_network
 
-            self._compiled_network = CompiledNetwork(self.topology)
-        return self._compiled_network
+        return shared_network(self.config)
 
     def tile_of_core(self, core_id: int) -> Tile:
         return self.tiles[self.config.tile_of_core(core_id)]

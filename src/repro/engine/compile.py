@@ -42,8 +42,12 @@ compilation fails loudly instead.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
+from repro.core.config import MemPoolConfig
 from repro.interconnect.resources import (
     RegisterStage,
     Resource,
@@ -61,6 +65,66 @@ BANK = -2
 
 class EngineCompileError(ValueError):
     """Raised when a topology cannot be compiled for the vector engine."""
+
+
+#: Per-process memo of compiled networks, keyed on the whole frozen
+#: :class:`~repro.core.config.MemPoolConfig`: sweeps run many points over a
+#: handful of configurations, and compiling one costs as much as simulating
+#: a short point.  Bounded FIFO like ``repro.utils.rotation._pool_cache``;
+#: the bound is tiny because an entry retains the built topology and every
+#: compiled template (about 3.5 MB at 64 cores, 27 MB at 256).  One entry
+#: serves the sweeps it was measured on — fig5 and the traffic catalogues
+#: expand topology-major, so consecutive points share a configuration.  It
+#: does not serve the full fig7 grid, whose innermost axis is scrambling (a
+#: config field): every consecutive point there is a miss.
+_network_memo: dict[MemPoolConfig, CompiledNetwork] = {}
+_NETWORK_MEMO_LIMIT = 1
+#: Serialises every *miss* — a memo insertion, a lazily compiled template
+#: row, a move-table extension — across the threads of one process (the
+#: sweep service runs concurrent jobs on one shared network).  Hits never
+#: take it.  One lock for all networks: misses are rare and hold the GIL
+#: anyway.
+_compile_lock = threading.RLock()
+
+
+def _reset_after_fork() -> None:
+    """Start a forked child with an empty memo and a fresh, unheld lock.
+
+    Another thread of the parent may have been mid-compile at the fork; the
+    child would inherit its held lock (and a half-extended network) with
+    nobody left to finish.
+    """
+    global _compile_lock
+    _network_memo.clear()
+    _compile_lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+def shared_network(config: MemPoolConfig) -> CompiledNetwork:
+    """The process-wide :class:`CompiledNetwork` of ``config``.
+
+    A miss builds ``config``'s topology and compiles it; a hit builds
+    neither.  Equal configurations always share one entry; configurations
+    differing in any field never do.
+    """
+    network = _network_memo.get(config)
+    if network is not None:
+        return network
+    with _compile_lock:
+        network = _network_memo.get(config)
+        if network is None:
+            # Looked up per miss, not bound at import: profilers wrap the
+            # module attribute (cf. ``repro.core.cluster.build_topology``).
+            from repro.interconnect.topology import build_topology
+
+            network = CompiledNetwork(build_topology(config))
+            while len(_network_memo) >= _NETWORK_MEMO_LIMIT:
+                del _network_memo[next(iter(_network_memo))]
+            _network_memo[config] = network
+    return network
 
 
 class MoveTables:
@@ -105,7 +169,8 @@ class MoveTables:
 
     def extend(self, path_moves: list, start: int) -> None:
         """Flatten the chains of paths ``start ..`` into the tables."""
-        for path in range(start, len(path_moves)):
+        num_paths = len(path_moves)
+        for path in range(start, num_paths):
             node = path_moves[path]
             index = len(self._target)
             self._path_head.append(index)
@@ -118,8 +183,10 @@ class MoveTables:
                 index += 1
                 self._next.append(index if following is not None else -1)
                 node = following
-        self.num_paths = len(path_moves)
         self._refresh()
+        # Published last: a lock-free reader that sees the new count must
+        # also see the new arrays.
+        self.num_paths = num_paths
 
     def _refresh(self) -> None:
         """Rebuild the ndarray views after an extension."""
@@ -143,6 +210,18 @@ class CompiledNetwork:
         permutation pools, so the vector engine replays the exact arbitration
         decisions the object engine would make.
 
+    Notes
+    -----
+    A compiled network holds structure only — every piece of simulation
+    state lives in the engines built on it — so one instance is shared by
+    every cluster of the same configuration in the process (see
+    :func:`shared_network`), across simulations, batches and threads.
+    Templates are compiled lazily and append-only: ids handed out stay
+    valid forever, a *hit* is a plain list or dict read, and only a *miss*
+    (a row or template not compiled yet, a move-table extension) takes the
+    module's compile lock.  Template ids therefore depend on which points
+    ran before; nothing observable does.
+
     Attributes
     ----------
     stage_depth, stage_level : list of int
@@ -151,11 +230,10 @@ class CompiledNetwork:
     bank_stage_ids : list of int
         Stage id of every bank's register stage, indexed by global bank id —
         the resolution table for the :data:`BANK` placeholder.
-    level_orders : dict
-        ``level -> tuple of permutations``, each permutation a tuple of
-        *global stage ids* in the visiting order of one pooled cycle.
     level_orders_np : dict
-        The same permutations as NumPy index arrays.
+        ``level -> tuple of permutations``, each permutation a NumPy index
+        array of *global stage ids* in the visiting order of one pooled
+        cycle.
     full_orders : tuple of numpy.ndarray
         One concatenated downstream-first visiting order per pooled cycle —
         the index array behind the engine's single per-cycle occupancy
@@ -190,24 +268,22 @@ class CompiledNetwork:
         # :mod:`repro.topologies` (mesh/torus rings allocate one level per
         # hop position, so a path's stages always sort downstream-first).
         self.levels = network.active_levels
-        self.level_orders: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.level_orders_np: dict[int, tuple[np.ndarray, ...]] = {}
         self.level_pool_size: dict[int, int] = {}
         for level in self.levels:
             level_stages = network.stages_at_level(level)
             if not level_stages:
                 continue
-            ids = [self._stage_index[id(stage)] for stage in level_stages]
+            ids = np.array(
+                [self._stage_index[id(stage)] for stage in level_stages],
+                dtype=np.intp,
+            )
             schedule = PermutationSchedule(
                 len(ids), seed=network.arbitration_seed + level
             )
-            self.level_orders[level] = tuple(
-                tuple(ids[i] for i in schedule.order(entry))
-                for entry in range(schedule.pool_size)
-            )
             self.level_orders_np[level] = tuple(
-                np.array(order, dtype=np.intp)
-                for order in self.level_orders[level]
+                ids[list(schedule.order(entry))]
+                for entry in range(schedule.pool_size)
             )
             self.level_pool_size[level] = schedule.pool_size
 
@@ -247,8 +323,11 @@ class CompiledNetwork:
         self.path_first_stage_pos: list[int] = []
         self.path_resource_len: list[int] = []
         self._template_ids: dict[tuple[int, int, bool], int] = {}
-        self._template_tables: dict[bool, list[list[int]]] = {}
-        self._move_tables: MoveTables | None = None
+        self._template_tables: dict[bool, list[list[int] | None]] = {
+            needs_response: [None] * topology.config.num_cores
+            for needs_response in (True, False)
+        }
+        self._move_tables = MoveTables()
         #: Tile of every global bank id (placeholder-resolution helper).
         self.tile_of_bank = [
             topology.config.tile_of_bank(bank)
@@ -268,10 +347,14 @@ class CompiledNetwork:
         """
         key = (core_id, self.tile_of_bank[bank_id], needs_response)
         path_id = self._template_ids.get(key)
-        if path_id is None:
-            resources = self.topology.build_path(core_id, bank_id, needs_response)
-            path_id = self._compile_path(resources, self.bank_stage_ids[bank_id])
-            self._template_ids[key] = path_id
+        if path_id is not None:
+            return path_id
+        with _compile_lock:
+            path_id = self._template_ids.get(key)
+            if path_id is None:
+                resources = self.topology.build_path(core_id, bank_id, needs_response)
+                path_id = self._compile_path(resources, self.bank_stage_ids[bank_id])
+                self._template_ids[key] = path_id
         return path_id
 
     def template_table(self, needs_response: bool) -> list[list[int] | None]:
@@ -283,25 +366,26 @@ class CompiledNetwork:
         template with two list reads instead of a dictionary lookup — and
         a batch of simulations sharing this compiled network
         (:class:`repro.engine.batch.SimBatch`) pays each compilation once
-        instead of once per simulation.  Cached per direction.
+        instead of once per simulation.  One table per direction.
         """
-        table = self._template_tables.get(needs_response)
-        if table is None:
-            table = [None] * self.topology.config.num_cores
-            self._template_tables[needs_response] = table
-        return table
+        return self._template_tables[needs_response]
 
     def template_row(self, core_id: int, needs_response: bool) -> list[int]:
         """Compile (or fetch) ``core_id``'s per-tile template-id row."""
-        table = self.template_table(needs_response)
+        table = self._template_tables[needs_response]
         row = table[core_id]
-        if row is None:
-            config = self.topology.config
-            banks_per_tile = config.banks_per_tile
-            row = table[core_id] = [
-                self.path_id(core_id, tile * banks_per_tile, needs_response)
-                for tile in range(config.num_tiles)
-            ]
+        if row is not None:
+            return row
+        with _compile_lock:
+            row = table[core_id]
+            if row is None:
+                config = self.topology.config
+                banks_per_tile = config.banks_per_tile
+                # Published only once complete: readers never lock.
+                row = table[core_id] = [
+                    self.path_id(core_id, tile * banks_per_tile, needs_response)
+                    for tile in range(config.num_tiles)
+                ]
         return row
 
     def _compile_path(self, resources: list[Resource], bank_stage: int) -> int:
@@ -369,10 +453,10 @@ class CompiledNetwork:
         instance built on this compiled network.
         """
         tables = self._move_tables
-        if tables is None:
-            tables = self._move_tables = MoveTables()
         if tables.num_paths < len(self.path_moves):
-            tables.extend(self.path_moves, tables.num_paths)
+            with _compile_lock:
+                if tables.num_paths < len(self.path_moves):
+                    tables.extend(self.path_moves, tables.num_paths)
         return tables
 
     # ------------------------------------------------------------------ #

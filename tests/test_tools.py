@@ -71,21 +71,22 @@ class TestBatchReport:
         assert bench_report.batch_report(_engine_payload(3.0), None, 0.2) is None
 
     def test_no_baseline_is_informational(self):
-        current = {"batch": {"speedup": 2.4, "points": 33}}
+        current = {"batch": {"batch_seconds": 0.3, "speedup": 2.4, "points": 33}}
         ok, report = bench_report.batch_report(current, _engine_payload(3.0), 0.2)
         assert ok
-        assert "informational" in report
+        assert "no committed batch baseline" in report
 
     def test_gated_against_baseline(self):
-        current = {"batch": {"speedup": 1.5}}
-        baseline = {"batch": {"speedup": 2.4}}
+        # Gated on the batch engine's own seconds, never on the ratio.
+        baseline = {"batch": {"batch_seconds": 0.5, "speedup": 2.4}}
+        current = {"batch": {"batch_seconds": 0.7, "speedup": 2.4}}
         ok, report = bench_report.batch_report(current, baseline, 0.2)
         assert not ok
         assert "REGRESSION" in report
         ok, _ = bench_report.batch_report(
-            {"batch": {"speedup": 2.0}}, baseline, 0.2
+            {"batch": {"batch_seconds": 0.55, "speedup": 0.9}}, baseline, 0.2
         )
-        assert ok  # floor is 2.4 * 0.8 = 1.92
+        assert ok  # ceiling is 0.5 * 1.2 = 0.6; a ratio below 1x is not a failure
 
 
 class TestCompiledReport:
@@ -294,9 +295,9 @@ class TestBenchReportMain:
         current = tmp_path / "current.json"
         baseline = tmp_path / "baseline.json"
         current_payload = _engine_payload(3.0)
-        current_payload["batch"] = {"speedup": 1.0}
+        current_payload["batch"] = {"batch_seconds": 0.9, "speedup": 2.4}
         baseline_payload = _engine_payload(3.0)
-        baseline_payload["batch"] = {"speedup": 2.4}
+        baseline_payload["batch"] = {"batch_seconds": 0.3, "speedup": 2.4}
         current.write_text(json.dumps(current_payload))
         baseline.write_text(json.dumps(baseline_payload))
         assert bench_report.main(

@@ -4,15 +4,17 @@
 ``benchmarks/test_perf_engine.py`` writes ``benchmarks/BENCH_engine.json``
 with the measured legacy-vs-vector transport speedup, and
 ``benchmarks/test_perf_batch.py`` merges the SimBatch-vs-sequential sweep
-speedup into the same file; ``benchmarks/BENCH_engine.baseline.json`` is
+timings into the same file; ``benchmarks/BENCH_engine.baseline.json`` is
 the committed reference.  This tool compares the two and fails (exit code
-1) when either measured *speedup* regressed by more than the threshold
-(default 20 %).
+1) when a gated number regressed by more than the threshold (default 20 %).
 
-The comparison is on the speedup ratio, not on raw cycles/sec: absolute
-throughput varies with the host machine, but the legacy engine runs on the
-same machine in the same process, so the ratio is the portable signal.
-Raw cycles/sec of both engines are reported for context.
+The engine comparison is on the speedup ratio, not on raw cycles/sec:
+absolute throughput varies with the host machine, but the legacy engine
+runs on the same machine in the same process, so the ratio is the portable
+signal.  Raw cycles/sec of both engines are reported for context.  The
+batch section is the exception (see :func:`batch_report`): its ratio's
+denominator is itself an optimisation target, so it gates on the batch
+engine's absolute seconds.
 
 A missing current-results file is not an error — the benchmark simply has
 not run yet — so the Makefile can wire this report into the ``test`` flow
@@ -87,35 +89,47 @@ def batch_report(
     """SimBatch-vs-sequential report and gate, or None when never benchmarked.
 
     ``benchmarks/test_perf_batch.py`` merges a ``"batch"`` section into the
-    current results file; like the engine comparison, the gated signal is
-    the *speedup ratio* (sequential vector runs execute on the same host in
-    the same process), compared against the committed baseline's batch
-    speedup when one exists.
+    current results file.  The gated signal is the batch engine's own
+    wall-clock, ``batch_seconds``, which must not be more than
+    ``threshold`` slower than the committed baseline's.  The *ratio* over
+    sequential vector runs is printed but not gated: since compiled
+    networks are shared per process the sequential side no longer
+    recompiles each point, so the ratio moves with the denominator and a
+    faster sequential path would read as a batch regression.
+
+    Host policy: absolute seconds only compare on the host that recorded
+    the baseline.  The committed ``batch`` baseline is one deliberate quiet
+    run on the reference container (its ``recorded`` field says when and
+    on what), re-recorded only the same way.  That host's speed wanders by
+    10-50 % between runs (``bench/README.md``), so one REGRESSION verdict
+    means "re-run"; a verdict that persists means the batch engine got
+    slower.  On any other host read the verdict as informational, or pass a
+    baseline recorded there with ``--baseline``.
     """
     section = current.get("batch")
     if not section:
         return None
-    speedup = section.get("speedup", 0.0)
+    seconds = section.get("batch_seconds", 0.0)
     lines = [
         f"batch benchmark : {section.get('benchmark', 'sweep batching')}",
-        f"  sweep speedup   : {speedup:.2f}x over sequential vector "
-        f"({section.get('sequential_seconds', 0)}s -> "
-        f"{section.get('batch_seconds', 0)}s, "
+        f"  sweep wall-clock: {seconds}s batched vs "
+        f"{section.get('sequential_seconds', 0)}s sequential vector "
+        f"({section.get('speedup', 0.0):.2f}x, informational; "
         f"{section.get('points', 0)} points)",
     ]
     ok = True
     base_section = (baseline or {}).get("batch")
-    if base_section and base_section.get("speedup"):
-        base_speedup = base_section["speedup"]
-        floor = base_speedup * (1.0 - threshold)
-        ok = speedup >= floor
+    if base_section and base_section.get("batch_seconds"):
+        base_seconds = base_section["batch_seconds"]
+        ceiling = base_seconds * (1.0 + threshold)
+        ok = seconds <= ceiling
         lines.append(
             "  verdict         : "
             + (
-                f"OK (baseline {base_speedup:.2f}x, floor {floor:.2f}x)"
+                f"OK (baseline {base_seconds}s, ceiling {ceiling:.4f}s)"
                 if ok
-                else f"REGRESSION (> {threshold:.0%} below baseline "
-                f"{base_speedup:.2f}x)"
+                else f"REGRESSION (> {threshold:.0%} slower than baseline "
+                f"{base_seconds}s)"
             )
         )
     else:
