@@ -4,12 +4,12 @@
 #   make ci         the full CI gate: tests + docs-lint + enforced bench report
 #   make coverage   tier-1 suite under pytest-cov with an enforced threshold
 #   make bench      benchmark harness (regenerates every figure/table)
-#   make bench-engine  engine + batch + topology benchmarks + enforced report
+#   make bench-engine  engine + workload + topology benchmarks + enforced report
 #   make bench-stack  the repository benchmark (bench/run.py, see bench/README.md)
 #   make bench-compare A=a/results.json B=b/results.json  A/B verdict per metric
 #   make distributed-smoke  distributed executor vs serial: identity + crash recovery
 #   make service-smoke  HTTP sweep service end to end: submit/stream/fetch vs direct run
-#   make fuzz       bounded differential fuzz of the four engines
+#   make fuzz       bounded differential fuzz of the three engines
 #   make validate   statistical golden-band validation (repro.validation)
 #   make validate-update  re-measure and re-commit the golden bands
 #   make lint       ruff (pyproject.toml config) when available, else docs-lint
@@ -70,7 +70,7 @@ bench:
 
 bench-engine:
 	$(PYTHON) -m pytest -q benchmarks/test_perf_engine.py \
-		benchmarks/test_perf_batch.py benchmarks/test_perf_workloads.py \
+		benchmarks/test_perf_workloads.py \
 		benchmarks/test_perf_topologies.py \
 		benchmarks/test_perf_distributed.py
 	$(PYTHON) tools/bench_report.py
@@ -105,7 +105,7 @@ service-smoke:
 	$(PYTHON) tools/service_smoke.py
 
 # Property-based differential fuzzing: FUZZ_BUDGET configurations sampled
-# from the registries' whole space, each run on all four engines and
+# from the registries' whole space, each run on all three engines and
 # compared flit for flit.  Failures shrink and print a one-line
 # `python -m repro.validation --replay '<spec>'` reproducer.
 fuzz:

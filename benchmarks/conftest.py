@@ -12,6 +12,9 @@ to run the full 256-core configuration of the paper (slower).
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.evaluation import ExperimentSettings
@@ -27,6 +30,22 @@ def pytest_configure(config):
 def settings() -> ExperimentSettings:
     """Experiment settings shared by every benchmark (honours MEMPOOL_FULL)."""
     return ExperimentSettings()
+
+
+@pytest.fixture(scope="session")
+def bench_out_path():
+    """``name -> Path`` of a measured ``BENCH_*.json`` file.
+
+    Measurements land in the git-ignored ``benchmarks/out/`` so an
+    ordinary run never touches the committed snapshots next to the
+    baselines; ``BENCH_OUT_DIR`` redirects them, and
+    ``BENCH_OUT_DIR=benchmarks`` is how a reference host deliberately
+    refreshes a committed snapshot.  ``tools/bench_report.py`` reads its
+    current results from the same place.
+    """
+    out_dir = Path(os.environ.get("BENCH_OUT_DIR") or Path(__file__).parent / "out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir.joinpath
 
 
 @pytest.fixture(scope="session")

@@ -16,8 +16,8 @@ measured on, and ``tools/bench_report.py`` only gates runs against a
 baseline from a matching core count (the same pattern as the jit-aware
 compiled-engine gate).
 
-Results land in ``benchmarks/BENCH_experiments.json`` under a
-``"distributed"`` key; ``benchmarks/BENCH_experiments.baseline.json`` is
+Results land in ``BENCH_experiments.json`` (see ``bench_out_path``) under
+a ``"distributed"`` key; ``benchmarks/BENCH_experiments.baseline.json`` is
 the committed reference.
 """
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 from repro.evaluation.settings import ExperimentSettings
 from repro.experiments.distributed import DistributedExecutor
@@ -36,10 +35,6 @@ WARMUP_CYCLES = 20
 MEASURE_CYCLES = 60
 WORKERS = 4
 
-RESULT_PATH = (
-    Path(os.environ.get("BENCH_OUT_DIR") or Path(__file__).resolve().parent)
-    / "BENCH_experiments.json"
-)
 #: Minimum acceptable 4-worker-over-1-worker speedup on a host that can
 #: physically deliver it (>= 4 cores).
 SPEEDUP_FLOOR = 3.0
@@ -61,7 +56,8 @@ def _timed_run(workers: int, specs) -> tuple[float, list]:
     return time.perf_counter() - started, results
 
 
-def test_distributed_scaling_and_write_bench(report_sink):
+def test_distributed_scaling_and_write_bench(report_sink, bench_out_path):
+    result_path = bench_out_path("BENCH_experiments.json")
     specs = _sweep_specs()
     cpus = os.cpu_count() or 1
 
@@ -79,7 +75,7 @@ def test_distributed_scaling_and_write_bench(report_sink):
 
     speedup = serial_seconds / fleet_seconds if fleet_seconds else 0.0
 
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
+    payload = json.loads(result_path.read_text()) if result_path.exists() else {}
     payload["distributed"] = {
         "benchmark": (
             f"cold-cache fig5 load sweep ({len(specs)} points, "
@@ -95,13 +91,12 @@ def test_distributed_scaling_and_write_bench(report_sink):
         "fleet_seconds": round(fleet_seconds, 4),
         "speedup_4v1": round(speedup, 2),
     }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    result_path.write_text(json.dumps(payload, indent=2) + "\n")
     report_sink.append(
         f"distributed benchmark ({payload['distributed']['benchmark']}): "
         f"1 worker {serial_seconds:.3f}s -> {WORKERS} workers "
         f"{fleet_seconds:.3f}s, speedup {speedup:.2f}x on {cpus} cpus "
-        f"-> {RESULT_PATH.name}"
+        f"-> {result_path.name}"
     )
 
     if cpus >= WORKERS:

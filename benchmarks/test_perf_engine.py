@@ -2,9 +2,9 @@
 
 Times ``advance()`` — the cycle-level transport core — of both engines on
 the same 64-core load sweep and writes the measurements to
-``benchmarks/BENCH_engine.json``: simulated cycles per second of wall time
-for each engine, the advance speedup (the headline number) and the
-end-to-end sweep speedup.  ``tools/bench_report.py`` diffs that file
+``BENCH_engine.json`` (see ``bench_out_path``): simulated cycles per second
+of wall time for each engine, the advance speedup (the headline number) and
+the end-to-end sweep speedup.  ``tools/bench_report.py`` diffs that file
 against the committed baseline (``BENCH_engine.baseline.json``) and fails
 on a >20 % speedup regression, which is what ``make bench-engine`` runs.
 
@@ -20,9 +20,7 @@ thing.
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
@@ -38,14 +36,6 @@ WARMUP_CYCLES = 300
 MEASURE_CYCLES = 1000
 SEED = 0
 
-#: Snapshot destination.  ``BENCH_OUT_DIR`` redirects the write so local
-#: re-runs do not dirty the committed snapshot, which is only refreshed
-#: deliberately from a reference host (host noise swings the per-pattern
-#: numbers by tens of percent between runs).
-RESULT_PATH = (
-    Path(os.environ.get("BENCH_OUT_DIR") or Path(__file__).resolve().parent)
-    / "BENCH_engine.json"
-)
 #: Minimum acceptable advance() speedup — a hard floor well below the
 #: recorded baseline, so the suite stays green on slow, noisy CI boxes
 #: while still catching a vector engine that stopped being faster.
@@ -113,7 +103,8 @@ def _run_sweep(engine: str, repetitions: int = 2) -> dict:
     }
 
 
-def test_engine_speedup_and_write_bench(report_sink):
+def test_engine_speedup_and_write_bench(report_sink, bench_out_path):
+    result_path = bench_out_path("BENCH_engine.json")
     # Cycle-exactness gate: both engines must compute the same sweep.
     logs = {}
     for engine in ("legacy", "vector"):
@@ -127,9 +118,9 @@ def test_engine_speedup_and_write_bench(report_sink):
     vector = _run_sweep("vector")
     advance_speedup = legacy["advance_seconds"] / vector["advance_seconds"]
     end_to_end_speedup = legacy["total_seconds"] / vector["total_seconds"]
-    # Merge-update: the batch/workload benchmarks keep their own sections
+    # Merge-update: the workload/topology benchmarks keep their own sections
     # in the same file, whichever order the suite ran in.
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
+    payload = json.loads(result_path.read_text()) if result_path.exists() else {}
     payload.update(
         {
             "benchmark": "64-core load sweep "
@@ -141,18 +132,17 @@ def test_engine_speedup_and_write_bench(report_sink):
             "end_to_end_speedup": round(end_to_end_speedup, 2),
         }
     )
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    result_path.write_text(json.dumps(payload, indent=2) + "\n")
     report_sink.append(
         f"engine benchmark ({payload['benchmark']}): "
         f"advance {advance_speedup:.2f}x, end-to-end {end_to_end_speedup:.2f}x "
         f"({legacy['advance_cycles_per_sec']} -> "
-        f"{vector['advance_cycles_per_sec']} cycles/s) -> {RESULT_PATH.name}"
+        f"{vector['advance_cycles_per_sec']} cycles/s) -> {result_path.name}"
     )
     assert advance_speedup >= SPEEDUP_FLOOR
 
 
-def test_compiled_speedup_and_write_bench(report_sink):
+def test_compiled_speedup_and_write_bench(report_sink, bench_out_path):
     """Compiled-kernel engine vs the vector engine on the same sweep.
 
     Merges a ``"compiled"`` section into ``BENCH_engine.json`` with the
@@ -160,6 +150,7 @@ def test_compiled_speedup_and_write_bench(report_sink):
     kernel backend produced it; ``tools/bench_report.py`` gates the ratio
     only against a baseline recorded in the same jit mode.
     """
+    result_path = bench_out_path("BENCH_engine.json")
     # Cycle-exactness gate first: same sweep, same flits.
     logs = {}
     for engine in ("vector", "compiled"):
@@ -172,7 +163,7 @@ def test_compiled_speedup_and_write_bench(report_sink):
     vector = _run_sweep("vector")
     compiled = _run_sweep("compiled")
     speedup = vector["advance_seconds"] / compiled["advance_seconds"]
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
+    payload = json.loads(result_path.read_text()) if result_path.exists() else {}
     payload["compiled"] = {
         "benchmark": "64-core load sweep "
                      f"({BENCH_TOPOLOGY}, loads {list(BENCH_LOADS)}, "
@@ -182,19 +173,18 @@ def test_compiled_speedup_and_write_bench(report_sink):
         "speedup_vs_vector": round(speedup, 2),
         "jit": JIT_ENABLED,
     }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    result_path.write_text(json.dumps(payload, indent=2) + "\n")
     mode = "numba JIT" if JIT_ENABLED else "pure-Python kernels"
     report_sink.append(
         f"compiled benchmark ({mode}): advance {speedup:.2f}x over vector "
         f"({vector['advance_cycles_per_sec']} -> "
-        f"{compiled['advance_cycles_per_sec']} cycles/s) -> {RESULT_PATH.name}"
+        f"{compiled['advance_cycles_per_sec']} cycles/s) -> {result_path.name}"
     )
     if JIT_ENABLED:
         assert speedup >= COMPILED_SPEEDUP_FLOOR
 
 
-def test_full_scale_smoke_sweep_and_write_bench(report_sink):
+def test_full_scale_smoke_sweep_and_write_bench(report_sink, bench_out_path):
     """Paper-scale 256-core fig5-style point: exact and CI-friendly fast.
 
     Runs one short uniform-load point on the full 256-core TopH cluster
@@ -202,6 +192,7 @@ def test_full_scale_smoke_sweep_and_write_bench(report_sink):
     records the compiled engine's wall time in the ``"compiled"`` section
     (informational — machine-dependent).
     """
+    result_path = bench_out_path("BENCH_engine.json")
     config = MemPoolConfig.full("toph")
     assert config.num_cores == 256
     logs = {}
@@ -220,7 +211,7 @@ def test_full_scale_smoke_sweep_and_write_bench(report_sink):
     assert logs["legacy"] == logs["vector"]
     assert logs["legacy"] == logs["compiled"]
 
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
+    payload = json.loads(result_path.read_text()) if result_path.exists() else {}
     section = payload.setdefault("compiled", {})
     section["full_scale"] = {
         "benchmark": "256-core toph uniform point, load 0.15, "
@@ -228,10 +219,9 @@ def test_full_scale_smoke_sweep_and_write_bench(report_sink):
         "jit": JIT_ENABLED,
         "seconds": {name: round(value, 3) for name, value in seconds.items()},
     }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    result_path.write_text(json.dumps(payload, indent=2) + "\n")
     report_sink.append(
         "full-scale smoke (256-core toph): flit-for-flit identical; "
         + ", ".join(f"{name} {value:.2f}s" for name, value in seconds.items())
-        + f" -> {RESULT_PATH.name}"
+        + f" -> {result_path.name}"
     )

@@ -11,17 +11,15 @@ For each topology the benchmark first re-asserts legacy/vector flit-log
 equivalence (the smoke gate: a family whose routing or level assignment
 drifted fails here before any timing), then times ``advance()`` on both
 engines over a small load sweep plus the one-off topology build + path
-compile, and merges a ``"topologies"`` section into
-``benchmarks/BENCH_engine.json``.  ``tools/bench_report.py`` diffs each
-family's speedup against the committed baseline.
+compile, and merges a ``"topologies"`` section into ``BENCH_engine.json``
+(see ``bench_out_path``).  ``tools/bench_report.py`` diffs each family's
+speedup against the committed baseline.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
@@ -37,10 +35,6 @@ WARMUP_CYCLES = 200
 MEASURE_CYCLES = 600
 SEED = 0
 
-RESULT_PATH = (
-    Path(os.environ.get("BENCH_OUT_DIR") or Path(__file__).resolve().parent)
-    / "BENCH_engine.json"
-)
 #: Hard floor on the vector-vs-legacy advance speedup per family — far
 #: below the committed baselines, so slow CI boxes stay green while a
 #: vector engine that stopped being faster on multi-hop paths still fails.
@@ -96,7 +90,8 @@ def _compile_seconds(name: str) -> float:
     return best
 
 
-def test_topology_speedups_and_write_bench(report_sink):
+def test_topology_speedups_and_write_bench(report_sink, bench_out_path):
+    result_path = bench_out_path("BENCH_engine.json")
     section = {}
     for name in TOPOLOGY_POINTS:
         # Smoke gate: the two engines must compute the same simulation.
@@ -127,14 +122,13 @@ def test_topology_speedups_and_write_bench(report_sink):
         )
         assert speedup >= SPEEDUP_FLOOR, name
 
-    # Merge-update: the engine/batch/workload benchmarks keep their own
+    # Merge-update: the engine/workload benchmarks keep their own
     # sections in the same file, whichever order the suite ran in.
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
+    payload = json.loads(result_path.read_text()) if result_path.exists() else {}
     payload["topologies"] = {
         "benchmark": "64-core topology sweep "
                      f"(loads {list(BENCH_LOADS)}, "
                      f"{WARMUP_CYCLES}+{MEASURE_CYCLES} cycles/point)",
         **section,
     }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    result_path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -3,8 +3,8 @@
 Sweeps every registered destination pattern (Poisson injection) through the
 64-core Top1 cluster on the vector engine and records simulated cycles per
 second of wall time per pattern.  The numbers are merged into
-``benchmarks/BENCH_engine.json`` under a ``"workloads"`` key, which
-``tools/bench_report.py`` prints next to the legacy-vs-vector engine
+``BENCH_engine.json`` (see ``bench_out_path``) under a ``"workloads"`` key,
+which ``tools/bench_report.py`` prints next to the legacy-vs-vector engine
 comparison — so a pattern whose dispatch path regresses (say, a batched
 ``destinations`` implementation that falls back to a per-flit Python loop)
 shows up in the tracked report rather than silently eating the engine
@@ -18,9 +18,7 @@ is also what the report prints.
 from __future__ import annotations
 
 import json
-import os
 import time
-from pathlib import Path
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
@@ -33,11 +31,6 @@ BENCH_LOAD = 0.25
 WARMUP_CYCLES = 100
 MEASURE_CYCLES = 500
 SEED = 0
-
-RESULT_PATH = (
-    Path(os.environ.get("BENCH_OUT_DIR") or Path(__file__).resolve().parent)
-    / "BENCH_engine.json"
-)
 
 
 def _time_pattern(pattern: str) -> dict:
@@ -59,7 +52,8 @@ def _time_pattern(pattern: str) -> dict:
     }
 
 
-def test_pattern_sweep_and_append_bench(report_sink):
+def test_pattern_sweep_and_append_bench(report_sink, bench_out_path):
+    result_path = bench_out_path("BENCH_engine.json")
     # Patterns with required parameters (trace replay needs a path) have
     # no default construction and are benchmarked by their own suites.
     measurements = {
@@ -74,7 +68,7 @@ def test_pattern_sweep_and_append_bench(report_sink):
         assert metrics["throughput"] > 0.0, pattern
         assert metrics["cycles_per_sec"] > 0, pattern
 
-    payload = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
+    payload = json.loads(result_path.read_text()) if result_path.exists() else {}
     payload["workloads"] = {
         "benchmark": (
             f"64-core pattern sweep ({BENCH_TOPOLOGY}, vector engine, load "
@@ -83,8 +77,7 @@ def test_pattern_sweep_and_append_bench(report_sink):
         ),
         "patterns": measurements,
     }
-    RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    result_path.write_text(json.dumps(payload, indent=2) + "\n")
 
     uniform = measurements["uniform"]["cycles_per_sec"]
     slowest = min(measurements, key=lambda p: measurements[p]["cycles_per_sec"])
@@ -92,5 +85,5 @@ def test_pattern_sweep_and_append_bench(report_sink):
         f"workload benchmark ({payload['workloads']['benchmark']}): "
         f"uniform {uniform} cycles/s, slowest {slowest} "
         f"{measurements[slowest]['cycles_per_sec']} cycles/s "
-        f"-> {RESULT_PATH.name}"
+        f"-> {result_path.name}"
     )

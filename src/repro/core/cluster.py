@@ -40,16 +40,14 @@ class Tile:
 
 #: Timing-engine implementations selectable per cluster: the per-object
 #: ``StageNetwork`` ("legacy"), the structure-of-arrays vector engine of
-#: :mod:`repro.engine` ("vector"), the batched multi-simulation engine
-#: ("batch", :mod:`repro.engine.batch`) that additionally advances many
-#: compatible open-loop traffic simulations in one flattened state, or the
-#: ring-buffer/typed-kernel engine ("compiled", :mod:`repro.engine.compiled`)
-#: whose advance pass runs under Numba ``@njit`` when the optional
-#: ``[perf]`` extra is installed (pure-Python reference kernels otherwise).
-#: All four are cycle-exact for fixed seeds.  This tuple is the single
-#: source of truth — the engine package and
-#: :class:`repro.evaluation.settings.ExperimentSettings` re-use it.
-ENGINES = ("legacy", "vector", "batch", "compiled")
+#: :mod:`repro.engine` ("vector"), or the ring-buffer/typed-kernel engine
+#: ("compiled", :mod:`repro.engine.compiled`) whose advance pass runs under
+#: Numba ``@njit`` when the optional ``[perf]`` extra is installed
+#: (pure-Python reference kernels otherwise).  All three are cycle-exact
+#: for fixed seeds.  This tuple is the single source of truth — the engine
+#: package and :class:`repro.evaluation.settings.ExperimentSettings`
+#: re-use it.
+ENGINES = ("legacy", "vector", "compiled")
 
 
 class MemPoolCluster:
@@ -122,14 +120,9 @@ class MemPoolCluster:
         expose the same ``advance`` / ``try_inject`` / ``drain`` interface.
         ``engine="compiled"`` gets the same facade over the ring-buffer
         :class:`~repro.engine.compiled.CompiledEngine` (the typed-array
-        kernels of :mod:`repro.engine.kernel`).  ``engine="batch"`` batches
-        at the *simulation* level (the open-loop traffic driver goes
-        through :class:`repro.engine.batch.TrafficBatch` and never touches
-        this property); object-model callers such as the execution-driven
-        simulator get the vector facade, so results stay identical
-        whichever engine name selected them.
+        kernels of :mod:`repro.engine.kernel`).
         """
-        if self.engine_kind in ("vector", "batch", "compiled"):
+        if self.engine_kind != "legacy":
             if self._vector_network is None:
                 from repro.engine import (
                     CompiledEngine,

@@ -91,9 +91,8 @@ def attach_energy(cluster, result, enabled: bool = True):
     """Attach :func:`traffic_energy` to ``result.energy`` when enabled.
 
     The one-liner every ``TrafficResult``-producing point function calls
-    on its way out (and :class:`~repro.experiments.batch.BatchRunner`
-    calls per batched member), so the attach semantics cannot drift
-    between the per-point and batched paths.  Returns ``result``.
+    on its way out, so the attach semantics cannot drift between them.
+    Returns ``result``.
     """
     if enabled:
         result.energy = traffic_energy(cluster, result)

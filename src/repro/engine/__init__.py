@@ -8,38 +8,33 @@ a row across preallocated NumPy columns (:mod:`repro.engine.soa`), and
 advances all of them with level-ordered passes over dense lists
 (:mod:`repro.engine.vector`) — several times faster than the per-object
 legacy engine, and cycle-exact with it for fixed seeds.
-:mod:`repro.engine.batch` stacks a *sim axis* on top: one
-:class:`~repro.engine.batch.SimBatch` advances many independent
-simulations (a whole load sweep) in one flattened state, amortising the
-per-point Python overhead while staying flit-for-flit identical to
-per-sim runs.  :mod:`repro.engine.compiled` goes one layer lower still:
-per-stage queues become fixed-capacity ring buffers, move chains become
-flat int32 tables, and the whole advance pass runs as one typed-array
-kernel (:mod:`repro.engine.kernel`) — JIT-compiled by Numba when the
-optional ``[perf]`` extra is installed, pure-Python reference otherwise.
+:mod:`repro.engine.compiled` goes one layer lower still: per-stage queues
+become fixed-capacity ring buffers, move chains become flat int32 tables,
+and the whole advance pass runs as one typed-array kernel
+(:mod:`repro.engine.kernel`) — JIT-compiled by Numba when the optional
+``[perf]`` extra is installed, pure-Python reference otherwise.
 
 Select an engine per cluster::
 
-    cluster = MemPoolCluster(config, engine="vector")   # "batch", "compiled"
+    cluster = MemPoolCluster(config, engine="vector")   # or "compiled"
 
 or from the command line::
 
     python -m repro.evaluation fig5 --engine vector
-    python -m repro.experiments run fig5 --engine batch
     python -m repro.experiments run fig5 --engine compiled
 
 Both the open-loop traffic simulator (through
 :mod:`repro.engine.traffic`) and the execution-driven system simulator
 (through :class:`~repro.engine.vector.VectorStageNetwork`, a drop-in
-``StageNetwork`` facade) run on it unchanged; ``engine="batch"`` batches
-the open-loop traffic sweeps and falls back to the vector facade
-everywhere else.
+``StageNetwork`` facade) run on either engine unchanged; every traffic
+point is one engine instance driven by one loop — there is no batched
+multi-simulation path (``docs/architecture.md``, "Why there is no sim
+axis").
 """
 
 from repro.core.cluster import ENGINES
-from repro.engine.batch import SimBatch, TrafficBatch
 from repro.engine.compile import CompiledNetwork, EngineCompileError, MoveTables
-from repro.engine.compiled import CompiledEngine, CompiledSimBatch
+from repro.engine.compiled import CompiledEngine
 from repro.engine.kernel import HAVE_NUMBA, JIT_ENABLED
 from repro.engine.soa import FlitTable, RingQueues
 from repro.engine.vector import VectorEngine, VectorStageNetwork
@@ -50,13 +45,10 @@ __all__ = [
     "JIT_ENABLED",
     "CompiledEngine",
     "CompiledNetwork",
-    "CompiledSimBatch",
     "EngineCompileError",
     "FlitTable",
     "MoveTables",
     "RingQueues",
-    "SimBatch",
-    "TrafficBatch",
     "VectorEngine",
     "VectorStageNetwork",
 ]

@@ -215,7 +215,7 @@ class CompiledNetwork:
     A compiled network holds structure only — every piece of simulation
     state lives in the engines built on it — so one instance is shared by
     every cluster of the same configuration in the process (see
-    :func:`shared_network`), across simulations, batches and threads.
+    :func:`shared_network`), across simulations and threads.
     Templates are compiled lazily and append-only: ids handed out stay
     valid forever, a *hit* is a plain list or dict read, and only a *miss*
     (a row or template not compiled yet, a move-table extension) takes the
@@ -364,9 +364,8 @@ class CompiledNetwork:
         :meth:`template_row`: a core's row is compiled in one go the first
         time any flit of that core needs it, so hot loops resolve a
         template with two list reads instead of a dictionary lookup — and
-        a batch of simulations sharing this compiled network
-        (:class:`repro.engine.batch.SimBatch`) pays each compilation once
-        instead of once per simulation.  One table per direction.
+        every simulation sharing this compiled network pays each
+        compilation once.  One table per direction.
         """
         return self._template_tables[needs_response]
 

@@ -22,16 +22,6 @@ Because the kernels execute the exact hop rules of
 over the exact pooled visiting orders, the engine is cycle-exact with the
 ``legacy`` and ``vector`` engines (pinned by
 ``tests/test_engine_equivalence`` and the differential fuzz harness).
-
-:class:`CompiledSimBatch` is the batched sibling — the
-:class:`~repro.engine.batch.SimBatch` API over the same kernels, advancing
-``S`` disjoint simulations through one flat ``sim * N + stage`` state.  Its
-one structural addition is a **global row numbering**: the kernel arrays
-(``row_move``, ``row_bank``, ring contents) index rows globally across all
-member sims, while each member keeps its own
-:class:`~repro.engine.soa.FlitTable` with sim-local ids (so per-member flit
-logs match per-sim runs row for row); two translation columns map between
-the numberings at injection and completion.
 """
 
 from __future__ import annotations
@@ -40,7 +30,7 @@ import numpy as np
 
 from repro.engine.compile import BANK, CompiledNetwork
 from repro.engine.kernel import advance_pass, inject_pass
-from repro.engine.soa import DEFAULT_CAPACITY, FlitTable, RingQueues
+from repro.engine.soa import FlitTable, RingQueues
 
 
 class CompiledEngine:
@@ -68,10 +58,6 @@ class CompiledEngine:
         self.accepted_cycle = np.full(num_stages, -1, dtype=np.int64)
         #: Cycle in which each arbiter last granted (one grant/cycle).
         self.granted_cycle = np.full(max(compiled.num_arbiters, 1), -1, dtype=np.int64)
-        #: Flat-slot offsets — all zero for a single simulation; the batched
-        #: engine shares the kernels by passing real sim bases here.
-        self._slot_base = np.zeros(num_stages, dtype=np.int64)
-        self._slot_arb_base = np.zeros(num_stages, dtype=np.int64)
         #: Bank id -> bank stage id (the BANK placeholder resolution table).
         self._bank_stage = np.asarray(compiled.bank_stage_ids, dtype=np.int64)
         #: Per-row move cursor / destination bank (kernel-side row state).
@@ -144,10 +130,10 @@ class CompiledEngine:
             candidates,
             rings.buffer, rings.start, rings.capacity, rings.head, rings.size,
             self.occupied, self.free_slots, self.accepted_cycle,
-            self.granted_cycle, self._slot_base, self._slot_arb_base,
-            tables.target, tables.arb_start, tables.arb_end, tables.arbs,
-            tables.next, self._row_move, self._row_bank, self._bank_stage,
-            self.flits.completed_cycle, self._completed_out, cycle,
+            self.granted_cycle, tables.target, tables.arb_start,
+            tables.arb_end, tables.arbs, tables.next, self._row_move,
+            self._row_bank, self._bank_stage, self.flits.completed_cycle,
+            self._completed_out, cycle,
         )
         if not count:
             return []
@@ -162,7 +148,7 @@ class CompiledEngine:
         return self._inject(row, cycle)
 
     def _inject(self, row: int, cycle: int) -> bool:
-        """Single-row injection hop (the non-batched facade path)."""
+        """Single-row injection hop (the object-facade path)."""
         tables = self.compiled.move_tables()
         move = int(self._row_move[row])
         target = int(tables.target[move])
@@ -276,13 +262,13 @@ class CompiledEngine:
         rings = self.rings
         flits = self.flits
         injected, entered, completed = inject_pass(
-            rows, rows, flags,
+            rows, flags,
             rings.buffer, rings.start, rings.capacity, rings.head, rings.size,
             self.occupied, self.free_slots, self.accepted_cycle,
             self.granted_cycle, tables.target, tables.arb_start,
             tables.arb_end, tables.arbs, tables.next, self._row_move,
             self._row_bank, self._bank_stage, flits.injected_cycle,
-            flits.completed_cycle, cycle, 0, 0,
+            flits.completed_cycle, cycle,
         )
         for queue, accepted in zip(queue_refs, flags.tolist()):
             if accepted:
@@ -313,265 +299,3 @@ class CompiledEngine:
             cycle += 1
         return cycle
 
-
-class CompiledSimBatch:
-    """Batched compiled engine: ``num_sims`` disjoint sims, one kernel pass.
-
-    The :class:`~repro.engine.batch.SimBatch` API (``advance`` /
-    ``new_rows`` / ``inject_rows`` / ``retire`` / ``resume`` /
-    ``occupancy`` and the per-sim counters) over the
-    :mod:`repro.engine.kernel` kernels, so
-    :class:`~repro.engine.batch.TrafficBatch` drives it unchanged.
-
-    Rows are numbered **globally** in the kernel state (``row_move``,
-    ``row_bank`` and ring contents hold global ids, valid across the whole
-    flat ``sim * N + stage`` state) but **locally** in each member's
-    :class:`~repro.engine.soa.FlitTable` (ids match the member's own
-    per-sim run, which is what keeps batched flit logs bit-identical).
-    ``_row_sim`` / ``_row_local`` translate global -> (sim, local) at
-    completion time; ``_g_of_local[sim]`` translates local -> global at
-    injection time.
-
-    Parameters
-    ----------
-    compiled : CompiledNetwork
-        The shared compiled topology.
-    num_sims : int
-        Number of member simulations (the length of the sim axis).
-    """
-
-    def __init__(self, compiled: CompiledNetwork, num_sims: int) -> None:
-        if num_sims < 1:
-            raise ValueError(f"a SimBatch needs at least one sim, got {num_sims}")
-        self.compiled = compiled
-        self.num_sims = num_sims
-        num_stages = compiled.num_stages
-        num_arbiters = compiled.num_arbiters
-        self.num_stages = num_stages
-        flat = num_sims * num_stages
-        #: Per-(sim, stage) ring buffers holding *global* flit row ids.
-        self.rings = RingQueues(compiled.stage_depth, copies=num_sims)
-        #: Flat occupancy column over every (sim, stage) slot.
-        self.occupied = np.zeros(flat, dtype=bool)
-        #: Free elastic-buffer slots per (sim, stage) slot.
-        self.free_slots = np.asarray(
-            list(compiled.stage_depth) * num_sims, dtype=np.int32
-        )
-        #: Cycle in which each (sim, stage) slot last accepted a flit.
-        self.accepted_cycle = np.full(flat, -1, dtype=np.int64)
-        #: Cycle in which each (sim, arbiter) slot last granted.
-        self.granted_cycle = np.full(
-            max(num_sims * num_arbiters, 1), -1, dtype=np.int64
-        )
-        #: Flat-slot lookup columns: stage base and arbiter base per slot.
-        self._slot_base = np.repeat(
-            np.arange(num_sims, dtype=np.int64) * num_stages, num_stages
-        )
-        self._slot_arb_base = np.repeat(
-            np.arange(num_sims, dtype=np.int64) * num_arbiters, num_stages
-        )
-        self._bank_stage = np.asarray(compiled.bank_stage_ids, dtype=np.int64)
-        #: Per-sim flit tables — row ids therefore match per-sim engine runs.
-        self.flits = [FlitTable() for _ in range(num_sims)]
-        #: Per-sim completion log (local row ids, in completion order).
-        self.completed_log: list[list[int]] = [[] for _ in range(num_sims)]
-        self.in_flight = [0] * num_sims
-        self.total_in_flight = 0
-        self.total_injected = [0] * num_sims
-        self.total_completed = [0] * num_sims
-        self._retired = [False] * num_sims
-        #: Global row state: kernel columns + the numbering translations.
-        self._row_move = np.zeros(DEFAULT_CAPACITY, dtype=np.int32)
-        self._row_bank = np.zeros(DEFAULT_CAPACITY, dtype=np.int32)
-        #: Kernel completion-stamp scratch (per-sim tables hold the real
-        #: timestamps, stamped in the completion fan-out of :meth:`advance`).
-        self._g_completed = np.zeros(DEFAULT_CAPACITY, dtype=np.int64)
-        self._row_capacity = DEFAULT_CAPACITY
-        self._num_rows = 0
-        self._row_sim: list[int] = []
-        self._row_local: list[int] = []
-        self._g_of_local: list[list[int]] = [[] for _ in range(num_sims)]
-        self._completed_out = np.empty(max(flat, 1), dtype=np.int64)
-        #: One concatenated visiting order per pooled cycle covering every
-        #: sim (each sim's internal downstream-first order preserved).
-        self.batch_orders = tuple(
-            np.concatenate(
-                [order + sim * num_stages for sim in range(num_sims)]
-            )
-            if order.size
-            else order
-            for order in compiled.full_orders
-        )
-
-    # ------------------------------------------------------------------ #
-    # Per-cycle operation
-    # ------------------------------------------------------------------ #
-
-    def _ensure_row_capacity(self, needed: int) -> None:
-        """Grow the global per-row kernel columns to ``needed`` rows."""
-        capacity = self._row_capacity
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        for name in ("_row_move", "_row_bank", "_g_completed"):
-            column = getattr(self, name)
-            grown = np.zeros(capacity, dtype=column.dtype)
-            grown[: len(column)] = column
-            setattr(self, name, grown)
-        self._row_capacity = capacity
-
-    def advance(self, cycle: int) -> None:
-        """Advance every active simulation by one cycle.
-
-        One occupancy gather over the flat ``(sim, stage)`` column, one
-        :func:`~repro.engine.kernel.advance_pass` call, then a small
-        Python fan-out over the (few) completions of the cycle translating
-        global rows back to their member sims — per-sim completion logs
-        and flit-table timestamps stay identical to per-sim runs.
-        """
-        if not self.total_in_flight:
-            return
-        compiled = self.compiled
-        order = self.batch_orders[cycle % compiled.order_pool_size]
-        candidates = order[self.occupied[order]]
-        if not candidates.size:
-            return
-        tables = compiled.move_tables()
-        rings = self.rings
-        count = advance_pass(
-            candidates,
-            rings.buffer, rings.start, rings.capacity, rings.head, rings.size,
-            self.occupied, self.free_slots, self.accepted_cycle,
-            self.granted_cycle, self._slot_base, self._slot_arb_base,
-            tables.target, tables.arb_start, tables.arb_end, tables.arbs,
-            tables.next, self._row_move, self._row_bank, self._bank_stage,
-            self._g_completed, self._completed_out, cycle,
-        )
-        if not count:
-            return
-        row_sim = self._row_sim
-        row_local = self._row_local
-        in_flight = self.in_flight
-        total_completed = self.total_completed
-        completed_log = self.completed_log
-        completed_columns = [table.completed_cycle for table in self.flits]
-        for global_row in self._completed_out[:count].tolist():
-            sim = row_sim[global_row]
-            local = row_local[global_row]
-            completed_columns[sim][local] = cycle
-            in_flight[sim] -= 1
-            total_completed[sim] += 1
-            completed_log[sim].append(local)
-        self.total_in_flight -= count
-
-    def new_rows(
-        self, sim: int, core_ids: list, bank_ids: list, cycle: int
-    ) -> range:
-        """Bulk-allocate one flit row per (core, bank) pair for ``sim``.
-
-        Local rows are allocated in the member's own flit table exactly as
-        the per-sim engine would number them; the matching global rows are
-        appended to the kernel columns with their move cursors set to the
-        path template's chain head.  Read transactions only (the open-loop
-        traffic workloads).
-        """
-        compiled = self.compiled
-        tile_of_bank = compiled.tile_of_bank
-        templates = compiled.template_table(True)
-        template_row = compiled.template_row
-        path_ids = [
-            (templates[core] or template_row(core, True))[tile_of_bank[bank]]
-            for core, bank in zip(core_ids, bank_ids)
-        ]
-        rows = self.flits[sim].allocate_batch(
-            core_ids, bank_ids, path_ids, False, cycle
-        )
-        tables = compiled.move_tables()
-        count = len(core_ids)
-        start = self._num_rows
-        self._ensure_row_capacity(start + count)
-        self._num_rows = start + count
-        self._row_move[start : start + count] = tables.path_head[path_ids]
-        self._row_bank[start : start + count] = bank_ids
-        self._row_sim.extend([sim] * count)
-        self._row_local.extend(rows)
-        self._g_of_local[sim].extend(range(start, start + count))
-        return rows
-
-    def inject_rows(self, sim: int, source_queues, order, cycle: int) -> int:
-        """Inject the head row of each non-empty source queue, in ``order``.
-
-        Source queues hold *local* row ids (they come from
-        :meth:`new_rows`); the candidate gather translates them to global
-        ids for the kernel while the per-sim flit table is stamped through
-        the local ids — the two-numbering contract of
-        :func:`~repro.engine.kernel.inject_pass`.  Returns the number of
-        injected rows.
-        """
-        g_of_local = self._g_of_local[sim]
-        heads: list[int] = []
-        queue_refs = []
-        for index in order:
-            queue = source_queues[index]
-            if queue:
-                heads.append(queue[0])
-                queue_refs.append(queue)
-        if not heads:
-            return 0
-        local_rows = np.asarray(heads, dtype=np.int64)
-        global_rows = np.fromiter(
-            (g_of_local[row] for row in heads), dtype=np.int64, count=len(heads)
-        )
-        flags = np.zeros(len(heads), dtype=bool)
-        tables = self.compiled.move_tables()
-        rings = self.rings
-        flits = self.flits[sim]
-        injected, entered, completed = inject_pass(
-            global_rows, local_rows, flags,
-            rings.buffer, rings.start, rings.capacity, rings.head, rings.size,
-            self.occupied, self.free_slots, self.accepted_cycle,
-            self.granted_cycle, tables.target, tables.arb_start,
-            tables.arb_end, tables.arbs, tables.next, self._row_move,
-            self._row_bank, self._bank_stage, flits.injected_cycle,
-            flits.completed_cycle, cycle, sim * self.num_stages,
-            sim * self.compiled.num_arbiters,
-        )
-        for queue, accepted in zip(queue_refs, flags.tolist()):
-            if accepted:
-                queue.popleft()
-        injected = int(injected)
-        entered = int(entered)
-        self.total_injected[sim] += injected
-        self.in_flight[sim] += entered
-        self.total_in_flight += entered
-        self.total_completed[sim] += int(completed)
-        return injected
-
-    # ------------------------------------------------------------------ #
-    # Member lifecycle and introspection
-    # ------------------------------------------------------------------ #
-
-    def retire(self, sim: int) -> None:
-        """Freeze ``sim``: its in-flight flits stop advancing (idempotent)."""
-        if self._retired[sim]:
-            return
-        base = sim * self.num_stages
-        self.occupied[base : base + self.num_stages] = False
-        self.total_in_flight -= self.in_flight[sim]
-        self._retired[sim] = True
-
-    def resume(self, sim: int) -> None:
-        """Reactivate a retired ``sim`` (restores its occupancy slice)."""
-        if not self._retired[sim]:
-            return
-        base = sim * self.num_stages
-        occupied_slice = self.rings.size[base : base + self.num_stages] > 0
-        self.occupied[base : base + self.num_stages] = occupied_slice
-        self.total_in_flight += self.in_flight[sim]
-        self._retired[sim] = False
-
-    def occupancy(self, sim: int) -> int:
-        """Number of flit rows buffered in ``sim``'s register stages."""
-        base = sim * self.num_stages
-        return int(self.rings.size[base : base + self.num_stages].sum())

@@ -20,8 +20,7 @@ engine behaviour — and in particular flit-for-flit equivalence with the
 The equivalence and fuzz suites run on whichever backend the environment
 provides; CI exercises both.
 
-State layout (everything indexed by *flat slot*, i.e. ``sim * N + stage``
-for a batch of ``N``-stage simulations, plain stage ids when single-sim):
+State layout (per-slot arrays are indexed by stage id):
 
 ==================  ==========  ==============================================
 array               dtype       role
@@ -72,8 +71,6 @@ def _advance_pass(
     free_slots,
     accepted,
     granted,
-    slot_base,
-    slot_arb_base,
     move_target,
     move_arb_start,
     move_arb_end,
@@ -111,22 +108,20 @@ def _advance_pass(
         if target == BANK:
             target = bank_stage[row_bank[row]]
         if target >= 0:
-            flat_target = slot_base[slot] + target
-            if free_slots[flat_target] == 0 or accepted[flat_target] == cycle:
+            if free_slots[target] == 0 or accepted[target] == cycle:
                 continue
         arb_lo = move_arb_start[move]
         arb_hi = move_arb_end[move]
         if arb_hi > arb_lo:
-            arb_base = slot_arb_base[slot]
             blocked = False
             for j in range(arb_lo, arb_hi):
-                if granted[arb_base + move_arbs[j]] == cycle:
+                if granted[move_arbs[j]] == cycle:
                     blocked = True
                     break
             if blocked:
                 continue
             for j in range(arb_lo, arb_hi):
-                granted[arb_base + move_arbs[j]] = cycle
+                granted[move_arbs[j]] = cycle
         head = qhead[slot] + 1
         if head == qcap[slot]:
             head = 0
@@ -137,15 +132,14 @@ def _advance_pass(
             occupied[slot] = False
         if target >= 0:
             row_move[row] = move_next[move]
-            flat_target = slot_base[slot] + target
-            pos = qhead[flat_target] + qlen[flat_target]
-            if pos >= qcap[flat_target]:
-                pos -= qcap[flat_target]
-            qbuf[qstart[flat_target] + pos] = row
-            qlen[flat_target] += 1
-            occupied[flat_target] = True
-            free_slots[flat_target] -= 1
-            accepted[flat_target] = cycle
+            pos = qhead[target] + qlen[target]
+            if pos >= qcap[target]:
+                pos -= qcap[target]
+            qbuf[qstart[target] + pos] = row
+            qlen[target] += 1
+            occupied[target] = True
+            free_slots[target] -= 1
+            accepted[target] = cycle
         else:
             completed_cycle[row] = cycle
             completed_out[count] = row
@@ -155,7 +149,6 @@ def _advance_pass(
 
 def _inject_pass(
     rows,
-    stamp_rows,
     flags,
     qbuf,
     qstart,
@@ -177,27 +170,16 @@ def _inject_pass(
     injected_cycle,
     completed_cycle,
     cycle,
-    base,
-    arb_base,
 ):
     """Attempt the injection hop of every candidate row, in order.
 
-    The batched sibling of the per-core injection walk: ``rows`` holds the
+    The array form of the per-core injection walk: ``rows`` holds the
     head row of each non-empty source queue in the cycle's injection
     permutation.  Each row attempts its first hop under the same
     target-space and arbitration rules as :func:`_advance_pass`; accepted
     rows get ``flags`` set (the caller pops the matching source queues),
     their injection cycle stamped, and either enter the target ring or —
     on the degenerate zero-register path — complete immediately.
-
-    ``rows`` and ``stamp_rows`` decouple the engine-global row numbering
-    (indexing ``row_move`` / ``row_bank`` and stored in the rings) from the
-    per-simulation row numbering (indexing the flit table's
-    ``injected_cycle`` / ``completed_cycle`` columns): a batch passes
-    global ids in ``rows`` and sim-local ids in ``stamp_rows``, a
-    single-sim engine passes the same array twice.  ``base`` and
-    ``arb_base`` are the flat-slot offsets of the owning simulation (zero
-    when single-sim).
 
     Returns ``(injected, entered, completed)``: total accepted rows, rows
     that entered the network, and rows that completed at injection.
@@ -212,40 +194,38 @@ def _inject_pass(
         if target == BANK:
             target = bank_stage[row_bank[row]]
         if target >= 0:
-            flat_target = base + target
-            if free_slots[flat_target] == 0 or accepted[flat_target] == cycle:
+            if free_slots[target] == 0 or accepted[target] == cycle:
                 continue
         arb_lo = move_arb_start[move]
         arb_hi = move_arb_end[move]
         if arb_hi > arb_lo:
             blocked = False
             for j in range(arb_lo, arb_hi):
-                if granted[arb_base + move_arbs[j]] == cycle:
+                if granted[move_arbs[j]] == cycle:
                     blocked = True
                     break
             if blocked:
                 continue
             for j in range(arb_lo, arb_hi):
-                granted[arb_base + move_arbs[j]] = cycle
-        injected_cycle[stamp_rows[i]] = cycle
+                granted[move_arbs[j]] = cycle
+        injected_cycle[row] = cycle
         flags[i] = True
         injected += 1
         if target >= 0:
             row_move[row] = move_next[move]
-            flat_target = base + target
-            pos = qhead[flat_target] + qlen[flat_target]
-            if pos >= qcap[flat_target]:
-                pos -= qcap[flat_target]
-            qbuf[qstart[flat_target] + pos] = row
-            qlen[flat_target] += 1
-            occupied[flat_target] = True
-            free_slots[flat_target] -= 1
-            accepted[flat_target] = cycle
+            pos = qhead[target] + qlen[target]
+            if pos >= qcap[target]:
+                pos -= qcap[target]
+            qbuf[qstart[target] + pos] = row
+            qlen[target] += 1
+            occupied[target] = True
+            free_slots[target] -= 1
+            accepted[target] = cycle
             entered += 1
         else:
             # Degenerate zero-register path: completes at injection (kept
             # for counter parity with the other engines, never logged).
-            completed_cycle[stamp_rows[i]] = cycle
+            completed_cycle[row] = cycle
             completed += 1
     return injected, entered, completed
 
@@ -292,8 +272,6 @@ def warmup_jit() -> bool:
     free_slots = np.zeros(1, dtype=np.int32)
     accepted = np.full(1, -1, dtype=np.int64)
     granted = np.full(1, -1, dtype=np.int64)
-    slot_base = np.zeros(1, dtype=np.int64)
-    slot_arb_base = np.zeros(1, dtype=np.int64)
     move_target = np.full(1, COMPLETE, dtype=np.int32)
     move_arb_start = np.zeros(1, dtype=np.int32)
     move_arb_end = np.zeros(1, dtype=np.int32)
@@ -308,9 +286,9 @@ def warmup_jit() -> bool:
     candidates = np.zeros(1, dtype=np.intp)
     advance_pass(
         candidates, qbuf, qstart, qcap, qhead, qlen, occupied, free_slots,
-        accepted, granted, slot_base, slot_arb_base, move_target,
-        move_arb_start, move_arb_end, move_arbs, move_next, row_move,
-        row_bank, bank_stage, completed, out, 0,
+        accepted, granted, move_target, move_arb_start, move_arb_end,
+        move_arbs, move_next, row_move, row_bank, bank_stage, completed,
+        out, 0,
     )
     qlen[0] = 1
     occupied[0] = True
@@ -318,9 +296,9 @@ def warmup_jit() -> bool:
     rows = np.zeros(1, dtype=np.int64)
     flags = np.zeros(1, dtype=bool)
     inject_pass(
-        rows, rows, flags, qbuf, qstart, qcap, qhead, qlen, occupied,
+        rows, flags, qbuf, qstart, qcap, qhead, qlen, occupied,
         free_slots, accepted, granted, move_target, move_arb_start,
         move_arb_end, move_arbs, move_next, row_move, row_bank, bank_stage,
-        injected, completed, 1, 0, 0,
+        injected, completed, 1,
     )
     return JIT_ENABLED

@@ -118,43 +118,6 @@ class FlitTable:
         self.path_id.append(path_id)
         return row
 
-    def allocate_batch(
-        self,
-        core_ids: list,
-        bank_ids: list,
-        path_ids: list,
-        is_write: bool,
-        cycle: int,
-    ) -> range:
-        """Append one row per entry of the parallel columns; return the row range.
-
-        The batched sibling of :meth:`allocate` used by the SimBatch traffic
-        driver (:mod:`repro.engine.batch`): one capacity check and five
-        ``list.extend`` calls allocate a whole cycle's arrivals, instead of
-        per-flit method calls.  Rows are numbered exactly as ``len(core_ids)``
-        sequential :meth:`allocate` calls would number them, which is what
-        keeps batched runs flit-for-flit identical to per-sim runs.
-
-        Examples
-        --------
-        >>> table = FlitTable(capacity=2)
-        >>> table.allocate_batch([1, 2, 3], [7, 8, 9], [0, 1, 2], False, cycle=4)
-        range(0, 3)
-        >>> table.count, table.capacity >= 3
-        (3, True)
-        """
-        start = self.count
-        count = start + len(core_ids)
-        while count > self.capacity:
-            self._grow()
-        self.count = count
-        self.core.extend(core_ids)
-        self.bank.extend(bank_ids)
-        self.created.extend([cycle] * len(core_ids))
-        self.write_flag.extend([is_write] * len(core_ids))
-        self.path_id.extend(path_ids)
-        return range(start, count)
-
     def sync(self) -> None:
         """Bulk-copy buffered creation columns into their NumPy arrays."""
         start, count = self._synced, self.count
@@ -206,10 +169,10 @@ class RingQueues:
     """Fixed-capacity int32 ring buffers replacing per-stage Python deques.
 
     The queue state of the ``compiled`` engine
-    (:mod:`repro.engine.compiled`): one ring per flat stage slot, all rings
+    (:mod:`repro.engine.compiled`): one ring per stage, all rings
     packed into a single flat ``buffer`` array so the typed-array kernels of
     :mod:`repro.engine.kernel` index them with nothing but integer
-    arithmetic.  A slot's ring capacity equals its stage's elastic-buffer
+    arithmetic.  A ring's capacity equals its stage's elastic-buffer
     depth — the engine checks ``free_slots`` (depth minus fill) before every
     push, so a ring can never overflow.
 
@@ -217,23 +180,19 @@ class RingQueues:
     ----------
     capacities : iterable of int
         Per-stage ring capacity (the compiled network's ``stage_depth``).
-    copies : int
-        Number of back-to-back copies of the capacity vector — ``S`` for a
-        batch of ``S`` simulations sharing one flat state (slot
-        ``sim * N + stage``), 1 for a single simulation.
 
     Attributes
     ----------
     capacity : numpy.ndarray of int32
-        Ring capacity per flat slot.
+        Ring capacity per stage.
     start : numpy.ndarray of int64
-        Offset of each slot's ring inside :attr:`buffer`
-        (``start[slot] .. start[slot] + capacity[slot]``); one trailing
+        Offset of each stage's ring inside :attr:`buffer`
+        (``start[stage] .. start[stage] + capacity[stage]``); one trailing
         entry holds the total size.
     buffer : numpy.ndarray of int32
         The concatenated ring storage (flit row ids).
     head, size : numpy.ndarray of int32
-        Per-slot ring cursor and fill level.
+        Per-stage ring cursor and fill level.
 
     Examples
     --------
@@ -246,10 +205,8 @@ class RingQueues:
     (12, 13)
     """
 
-    def __init__(self, capacities, copies: int = 1) -> None:
-        if copies < 1:
-            raise ValueError(f"copies must be positive, got {copies}")
-        caps = list(capacities) * copies
+    def __init__(self, capacities) -> None:
+        caps = list(capacities)
         if any(cap < 1 for cap in caps):
             raise ValueError("every ring needs a positive capacity")
         self.num_queues = len(caps)

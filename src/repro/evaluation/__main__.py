@@ -62,10 +62,9 @@ def main(argv: list[str] | None = None) -> int:
         "--engine", choices=ENGINES, default=None,
         help="timing engine for the simulating experiments (default: "
              "MEMPOOL_ENGINE or 'legacy'; 'vector' is the faster "
-             "structure-of-arrays engine, 'batch' additionally advances "
-             "compatible traffic points as one SimBatch, 'compiled' runs "
-             "the ring-buffer kernel engine, JIT-compiled when numba is "
-             "installed — results are identical for all four)",
+             "structure-of-arrays engine, 'compiled' runs the ring-buffer "
+             "kernel engine, JIT-compiled when numba is installed — "
+             "results are identical for all three)",
     )
     parser.add_argument(
         "--pattern", choices=available_patterns(), default=None,

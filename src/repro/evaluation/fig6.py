@@ -109,10 +109,9 @@ def simulate_fig6_point(
     seed : int
         Seed shared by the pattern and the injector.
     engine : str
-        Timing engine (``legacy``, ``vector`` or ``batch``); all produce
-        identical results for fixed seeds, ``vector`` is several times
-        faster and ``batch`` additionally lets the sweep engine advance
-        compatible points together (:mod:`repro.experiments.batch`).
+        Timing engine (``legacy``, ``vector`` or ``compiled``); all
+        produce identical results for fixed seeds, ``vector`` is several
+        times faster.
     injector : str
         Injection-process registry name (see :mod:`repro.workloads`);
         the paper uses ``poisson``.  The destination pattern is not a

@@ -99,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="max sweep points per shard (default: keep batch groups "
-             "whole for batching engines, else ~4 shards per worker)",
+        help="max sweep points per shard (default: ~4 shards per worker)",
     )
     run.add_argument(
         "--no-cache",
@@ -123,10 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="timing engine for the simulating experiments (default: "
              "MEMPOOL_ENGINE or 'legacy'; 'vector' is the faster "
-             "structure-of-arrays engine, 'batch' additionally advances "
-             "compatible traffic points as one SimBatch, 'compiled' runs "
-             "the ring-buffer kernel engine, JIT-compiled when numba is "
-             "installed — results are identical for all four)",
+             "structure-of-arrays engine, 'compiled' runs the ring-buffer "
+             "kernel engine, JIT-compiled when numba is installed — "
+             "results are identical for all three)",
     )
     run.add_argument(
         "--pattern",
@@ -382,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = commands.add_parser(
         "validate",
         help="validate results against the committed golden bands",
-        description="Re-measure every golden case over its seed batch and "
+        description="Re-measure every golden case once per seed and "
                     "classify each metric's deviation into severity bands "
                     "(see repro.validation).",
     )

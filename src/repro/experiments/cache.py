@@ -41,8 +41,7 @@ class CacheBackend(Protocol):
     """What the executor stack requires of a result cache.
 
     Any object with these two methods can back an
-    :class:`~repro.experiments.executor.Executor`, a
-    :class:`~repro.experiments.batch.BatchRunner` or a distributed
+    :class:`~repro.experiments.executor.Executor` or a distributed
     worker: ``get`` returns the stored value or the module-level
     :data:`MISS` sentinel, ``put`` stores a value under a content hash
     (idempotently — two writers storing the same key must both succeed).

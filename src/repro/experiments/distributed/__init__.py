@@ -4,7 +4,7 @@ This package turns the single-host sweep engine into a horizontally
 scalable one while keeping every result bit-identical to a serial run:
 
 * :mod:`~repro.experiments.distributed.shards` — cut a sweep's cache
-  misses into batch-group-aligned work units;
+  misses, in sweep order, into bounded work units;
 * :mod:`~repro.experiments.distributed.scheduler` — lease shards to
   workers with work stealing, heartbeats, and crash requeue;
 * :mod:`~repro.experiments.distributed.transport` — length-prefixed

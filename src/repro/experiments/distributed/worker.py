@@ -9,13 +9,9 @@ crashes or hangs simply goes silent, the lease expires, and the
 scheduler requeues the shard elsewhere.
 
 Shard execution reuses the exact single-host stack: a serial
-:class:`~repro.experiments.executor.Executor` fronted by a
-:class:`~repro.experiments.batch.BatchRunner` when the shard's specs run
-a batching engine — the shard planner cut shards along batch-group
-boundaries precisely so each shard still packs into one
-:class:`repro.engine.batch.SimBatch`/``CompiledSimBatch``.  Results are
-therefore flit-for-flit identical to a serial run, and they land under
-the same content-addressed spec keys.
+:class:`~repro.experiments.executor.Executor` runs the shard's specs
+point by point.  Results are therefore flit-for-flit identical to a
+serial run, and they land under the same content-addressed spec keys.
 
 Wire protocol (picklable tuples):
 
@@ -38,7 +34,6 @@ import threading
 import traceback
 from typing import Any, Sequence
 
-from repro.experiments.batch import BatchRunner
 from repro.experiments.cache import CacheBackend
 from repro.experiments.executor import Executor
 from repro.experiments.distributed.cacheserver import CacheClient, parse_cache_spec
@@ -50,27 +45,14 @@ from repro.experiments.distributed.transport import (
 )
 from repro.experiments.spec import ExperimentSpec
 
-#: Engines whose specs profit from sweep-level SimBatch packing; mirrors
-#: the dispatch in :meth:`repro.experiments.registry.ExperimentDefinition.run`.
-BATCHING_ENGINES = ("batch", "compiled")
-
-
 def run_shard_specs(
     specs: Sequence[ExperimentSpec], cache: CacheBackend | None = None
 ) -> list[Any]:
-    """Execute one shard's specs in-process, batching when the engine does.
+    """Execute one shard's specs in-process on a serial executor.
 
-    The worker-side unit of work: a serial executor (the shard *is* the
-    parallelism), fronted by a :class:`BatchRunner` when the specs carry
-    a batching engine so the whole shard advances as one ``SimBatch``.
+    The worker-side unit of work (the shard *is* the parallelism).
     """
-    executor = Executor(workers=1, cache=cache)
-    engine = next(
-        (spec.params["engine"] for spec in specs if "engine" in spec.params), None
-    )
-    if len(specs) > 1 and engine in BATCHING_ENGINES:
-        return BatchRunner(executor).run(specs)
-    return executor.run(specs)
+    return Executor(workers=1, cache=cache).run(specs)
 
 
 def _execute_into(specs, cache, box: dict) -> None:

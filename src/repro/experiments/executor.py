@@ -197,7 +197,8 @@ class Executor:
         Returns ``(results, miss_indices)``: one slot per spec, filled for
         hits and ``None`` for misses (every index, when no cache is
         attached).  Shared by :meth:`run` and by front-ends that compute
-        misses their own way (:class:`repro.experiments.batch.BatchRunner`).
+        misses their own way
+        (:class:`repro.experiments.distributed.DistributedExecutor`).
         """
         results: list[Any] = [None] * len(spec_list)
         if self.cache is None:
@@ -219,7 +220,7 @@ class Executor:
         """Compute ``specs`` unconditionally and store fresh results.
 
         The no-scan half of :meth:`run`: callers that already know these
-        specs are cache misses (:class:`repro.experiments.batch.BatchRunner`
+        specs are cache misses (the distributed executor's serial fallback
         partitioned them via :meth:`scan_cache`) skip the second round of
         cache probes.  Does not touch :attr:`last_report`.
         """

@@ -1,6 +1,6 @@
 """Simulation-as-a-service: HTTP sweep API over the experiments engine.
 
-The package turns the batch experiments engine into a long-running
+The package turns the experiments engine into a long-running
 service (ROADMAP item 2): submit sweeps over HTTP, watch NDJSON progress
 streams, fetch results by content hash, and let the content-addressed
 cache deduplicate repeated submissions.  See

@@ -55,7 +55,6 @@ from repro.experiments.executor import Executor
 from repro.experiments.distributed.cacheserver import parse_cache_spec
 from repro.experiments.distributed.dispatcher import DistributedExecutor
 from repro.experiments.distributed.transport import parse_workers
-from repro.experiments.distributed.worker import BATCHING_ENGINES
 from repro.service import http
 from repro.service.jobs import (
     Job,
@@ -66,7 +65,6 @@ from repro.service.jobs import (
     new_job_id,
     prune_finished,
     sort_queued,
-    spec_engine,
 )
 
 #: Default TCP port of ``python -m repro.experiments serve``.
@@ -83,7 +81,7 @@ class SpecError(ValueError):
 
 
 def build_specs(payload) -> tuple:
-    """Expand a submission payload into ``(title, specs, assemble, engine)``.
+    """Expand a submission payload into ``(title, specs, assemble)``.
 
     Raises
     ------
@@ -125,7 +123,7 @@ def build_specs(payload) -> tuple:
             raise SpecError(str(error)) from error
         definition = EXPERIMENTS[name]
         specs = definition.build_sweep(settings).specs()
-        return name, specs, definition.assemble, settings.engine
+        return name, specs, definition.assemble
     if "runner" in payload:
         runner = payload["runner"]
         grid = payload.get("grid", {})
@@ -148,7 +146,7 @@ def build_specs(payload) -> tuple:
             raise SpecError(str(error)) from error
         if not specs:
             raise SpecError("sweep expands to zero points")
-        return payload.get("name") or runner, specs, None, spec_engine(specs)
+        return payload.get("name") or runner, specs, None
     raise SpecError(
         "submission needs either 'experiment' (a registry name, optional "
         "'settings') or 'runner' (a 'pkg.mod:fn' path, optional "
@@ -389,7 +387,7 @@ class SweepService:
     async def _handle_submit(self, request: http.Request, writer) -> None:
         try:
             payload = request.json()
-            title, specs, assemble, engine = build_specs(payload)
+            title, specs, assemble = build_specs(payload)
         except (http.BadRequest, SpecError) as error:
             return await self._send(writer, 400, str(error))
 
@@ -416,7 +414,6 @@ class SweepService:
             specs=specs,
             cost=expected_work(specs, miss_indices),
             assemble=assemble,
-            engine=engine,
             submit_seq=self._submit_seq,
         )
         self._submit_seq += 1
@@ -550,19 +547,8 @@ class SweepService:
                     {"kind": "point", "label": spec.label, "key": spec.key},
                 )
 
-            if (
-                not distributed
-                and job.engine in BATCHING_ENGINES
-                and len(job.specs) > 1
-            ):
-                from repro.experiments.batch import BatchRunner
-
-                front = BatchRunner(executor)
-                results = front.run(job.specs, progress)
-                report = front.last_report
-            else:
-                results = executor.run(job.specs, progress)
-                report = executor.last_report
+            results = executor.run(job.specs, progress)
+            report = executor.last_report
             if job.cancel_requested.is_set():
                 raise JobCancelled()
             report_text = None

@@ -14,11 +14,10 @@ impossible lifecycle, because an impossible lifecycle means a scheduler
 bug.
 
 Queue ordering is *shortest expected work first*: :func:`expected_work`
-reuses the LPT cost estimates the distributed shard planner
-(:func:`repro.experiments.distributed.shards.plan_shards`) already
-computes, so a one-point probe submitted behind a 500-point catalogue
-sweep is answered first — the classical weighted single-machine
-scheduling result that minimises mean job turnaround.
+counts the points a job still has to compute, so a one-point probe
+submitted behind a 500-point catalogue sweep is answered first — the
+classical weighted single-machine scheduling result that minimises mean
+job turnaround.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from repro.experiments.distributed.shards import plan_shards
 from repro.experiments.spec import ExperimentSpec
 
 
@@ -105,12 +103,8 @@ def expected_work(
 ) -> int:
     """Expected compute cost of a job, in sweep points still to run.
 
-    Reuses the shard planner's cost model: the points are cut with
-    :func:`~repro.experiments.distributed.shards.plan_shards` (the same
-    LPT-ordered shards a distributed run would execute) and the shard
-    sizes are summed.  Cached points cost nothing — pass the cache
-    scan's ``miss_indices`` so a fully warm resubmission sorts ahead of
-    every cold job.
+    Cached points cost nothing — pass the cache scan's ``miss_indices``
+    so a fully warm resubmission sorts ahead of every cold job.
 
     Examples
     --------
@@ -121,8 +115,7 @@ def expected_work(
     >>> expected_work(specs, miss_indices=[2])
     1
     """
-    shards = plan_shards(list(specs), miss_indices)
-    return sum(shard.size for shard in shards)
+    return len(specs) if miss_indices is None else len(miss_indices)
 
 
 @dataclass
@@ -146,8 +139,6 @@ class Job:
         Registry assembler producing the figure result object (whose
         ``report()`` text is attached to the finished job), or ``None``
         for raw sweeps.
-    engine : str, optional
-        The engine named by the specs, used to pick a batching front-end.
     """
 
     job_id: str
@@ -156,7 +147,6 @@ class Job:
     specs: list
     cost: int = 0
     assemble: Optional[Callable] = None
-    engine: Optional[str] = None
     state: JobState = JobState.QUEUED
     submit_seq: int = 0
     created_s: float = field(default_factory=time.time)
@@ -234,14 +224,6 @@ def new_job_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-def spec_engine(specs: Sequence[ExperimentSpec]) -> Optional[str]:
-    """The engine the specs request, if any (mirrors the worker's probe)."""
-    return next(
-        (spec.params["engine"] for spec in specs if "engine" in spec.params),
-        None,
-    )
-
-
 def sort_queued(jobs: Sequence[Job]) -> list:
     """Queued jobs in dispatch order: cheapest first, FIFO on ties.
 
@@ -288,5 +270,4 @@ __all__ = [
     "new_job_id",
     "prune_finished",
     "sort_queued",
-    "spec_engine",
 ]

@@ -7,8 +7,8 @@ parameterized families, selected by name everywhere a topology appears:
 * ``MemPoolConfig(topology="mesh", topology_params={"width": 8})``
   validates the selection at construction time;
 * :func:`repro.interconnect.topology.build_topology` builds through
-  :func:`make_topology`, so clusters, the traffic layers, every engine and
-  the batched sweep runner consume any registered family with no changes;
+  :func:`make_topology`, so clusters, the traffic layers and every engine
+  consume any registered family with no changes;
 * both CLIs accept ``--topology name:k=v,k2=v2`` and the ``topologies``
   experiment sweeps the whole catalogue.
 

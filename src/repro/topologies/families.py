@@ -8,9 +8,9 @@ so one registry entry (:mod:`repro.topologies.registry`) covers a whole
 design space.  Because a topology's entire timing contract is the resource
 list returned by ``build_path``, every family runs unchanged on all three
 engines — the legacy :class:`~repro.interconnect.resources.StageNetwork`,
-the vectorized :class:`~repro.engine.vector.VectorEngine` and the batched
-:class:`~repro.engine.batch.SimBatch` — with no engine-side code per
-family.
+the vectorized :class:`~repro.engine.vector.VectorEngine` and the
+ring-buffer :class:`~repro.engine.compiled.CompiledEngine` — with no
+engine-side code per family.
 
 Pipeline levels
 ---------------

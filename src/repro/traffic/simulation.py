@@ -160,20 +160,15 @@ class TrafficSimulation:
             cluster.config.num_cores, injection_rate, seed=seed
         )
         self._queues: list[deque] = [deque() for _ in range(cluster.config.num_cores)]
-        #: Source queues of engine rows used by the vector and batch fast
-        #: paths — persistent across run() calls, mirroring ``self._queues``
-        #: on the legacy path, so back-to-back measurement windows see the
-        #: same backlog on every engine.
+        #: Source queues of engine rows used by the SoA-engine fast path —
+        #: persistent across run() calls, mirroring ``self._queues`` on the
+        #: legacy path, so back-to-back measurement windows see the same
+        #: backlog on every engine.
         self._row_queues: list[deque] | None = (
             [deque() for _ in range(cluster.config.num_cores)]
-            if getattr(cluster, "engine_kind", "legacy")
-            in ("vector", "batch", "compiled")
+            if getattr(cluster, "engine_kind", "legacy") != "legacy"
             else None
         )
-        #: Single-member batch context of the ``batch`` engine, built
-        #: lazily on the first run() and reused so repeated windows keep
-        #: the engine state, like the other engines do.
-        self._traffic_batch = None
         self._injection_schedule = PermutationSchedule(
             cluster.config.num_cores, seed=seed + 1
         )
@@ -228,28 +223,15 @@ class TrafficSimulation:
         random streams, flit-for-flit identical results, several times
         faster.  ``engine="compiled"`` runs the same loop over the
         ring-buffer kernel engine (:mod:`repro.engine.compiled`, JIT-built
-        when numba is installed).  ``engine="batch"`` runs the same loop as
-        a single-member :class:`~repro.engine.batch.TrafficBatch` (whole
-        sweeps batch their members through
-        :class:`~repro.experiments.batch.BatchRunner`).  ``record_flits``
-        attaches the per-flit completion log to the result (see
-        :attr:`TrafficResult.flit_log`).
+        when numba is installed).  ``record_flits`` attaches the per-flit
+        completion log to the result (see :attr:`TrafficResult.flit_log`).
         """
-        engine_kind = getattr(self.cluster, "engine_kind", "legacy")
-        if engine_kind in ("vector", "compiled"):
+        if getattr(self.cluster, "engine_kind", "legacy") != "legacy":
             from repro.engine.traffic import run_vector_traffic
 
             return run_vector_traffic(
                 self, warmup_cycles, measure_cycles, record_flits=record_flits
             )
-        if engine_kind == "batch":
-            from repro.engine.batch import TrafficBatch
-
-            if self._traffic_batch is None:
-                self._traffic_batch = TrafficBatch([self])
-            return self._traffic_batch.run(
-                warmup_cycles, measure_cycles, record_flits=record_flits
-            )[0]
         network = self.cluster.network
         latency = OnlineStats()
         histogram = Histogram()

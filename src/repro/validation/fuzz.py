@@ -1,11 +1,10 @@
 """Property-based differential fuzzing of the three timing engines.
 
-The enumerated cross-engine golden tests (``tests/test_engine_equivalence``
-and ``tests/test_engine_batch``) pin a grid of known configurations; this
-module samples the *whole* configuration space — topology x topology
+The enumerated cross-engine golden tests (``tests/test_engine_equivalence``)
+pin a grid of known configurations; this module samples the *whole* configuration space — topology x topology
 parameters x destination pattern x injection process x seed x measurement
 window, filtered through the topology and workload registries' own
-validators — and asserts that the ``legacy``, ``vector`` and ``batch``
+validators — and asserts that the ``legacy``, ``vector`` and ``compiled``
 engines produce flit-for-flit identical logs on every sampled point.
 
 Every failing sample is reported as a **replay spec**: a one-line
@@ -47,7 +46,7 @@ from repro.workloads.registry import (
 )
 
 #: Engines every sampled configuration is cross-checked on.
-ENGINES_CHECKED = ("legacy", "vector", "batch", "compiled")
+ENGINES_CHECKED = ("legacy", "vector", "compiled")
 
 #: Scalar result fields compared across engines (the flit log is compared
 #: separately and first — it implies most of these, but a field-level

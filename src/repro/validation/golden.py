@@ -2,8 +2,7 @@
 
 The statistical half of the validation layer: a small committed corpus of
 *golden cases* — representative (topology, workload, load) points, each
-measured over a batch of seeds via
-:meth:`repro.engine.batch.TrafficBatch.of_seeds` — pins the simulator's
+measured once per seed on the ``vector`` engine — pins the simulator's
 latency/throughput behaviour in ``benchmarks/GOLDEN_validation.json``.
 ``repro.experiments validate`` re-measures every case, computes each
 metric's relative deviation from its committed mean, attaches a bootstrap
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.cluster import MemPoolCluster
-from repro.engine.batch import TrafficBatch
+from repro.traffic.simulation import TrafficSimulation
 from repro.topologies.registry import validate_topology
 from repro.validation.bands import BandPolicy, Severity
 from repro.validation.bootstrap import BootstrapSummary, bootstrap_mean
@@ -49,10 +48,9 @@ class GoldenCase:
 
     The statistical sibling of
     :class:`repro.validation.fuzz.FuzzCase`: instead of one seed compared
-    across engines, one configuration is measured across a seed batch on
-    the ``batch`` engine, and the per-seed metric samples feed the
-    bootstrap.  Component parameters are stored as sorted ``(key, value)``
-    tuples (hashable, JSON-stable).
+    across engines, one configuration is measured once per seed, and the
+    per-seed metric samples feed the bootstrap.  Component parameters are
+    stored as sorted ``(key, value)`` tuples (hashable, JSON-stable).
     """
 
     name: str
@@ -163,25 +161,27 @@ DEFAULT_CASES = (
 
 
 def measure_case(case: GoldenCase) -> dict:
-    """Measure one golden case: seed batch in, bootstrap summaries out.
+    """Measure one golden case: seeds in, bootstrap summaries out.
 
-    Runs every seed as one :meth:`TrafficBatch.of_seeds` batch on the
-    ``batch`` engine — the whole seed sweep costs barely more than a
-    single run — then bootstraps each metric's per-seed sample.  Returns
-    ``{metric: BootstrapSummary}`` for :data:`METRICS`.
+    Runs one independent ``vector``-engine simulation per seed (the
+    configuration's compiled network is shared per process, so each extra
+    seed costs a run, not a compile), then bootstraps each metric's
+    per-seed sample.  Returns ``{metric: BootstrapSummary}`` for
+    :data:`METRICS`.
     """
     config = SCALES[case.scale](case.topology, topology_params=case.topology_params)
-    cluster = MemPoolCluster(config, engine="batch")
-    batch = TrafficBatch.of_seeds(
-        cluster,
-        case.load,
-        case.seeds,
-        pattern=case.pattern,
-        injector=case.injector,
-        pattern_params=dict(case.pattern_params) or None,
-        injector_params=dict(case.injector_params) or None,
-    )
-    results = batch.run(case.warmup, case.measure)
+    results = [
+        TrafficSimulation(
+            MemPoolCluster(config, engine="vector"),
+            case.load,
+            pattern=case.pattern,
+            seed=seed,
+            injector=case.injector,
+            pattern_params=dict(case.pattern_params) or None,
+            injector_params=dict(case.injector_params) or None,
+        ).run(case.warmup, case.measure)
+        for seed in case.seeds
+    ]
     return {
         metric: bootstrap_mean([getattr(result, metric) for result in results])
         for metric in METRICS

@@ -75,7 +75,7 @@ class TraceData:
     The three record arrays are parallel and in generation order.  The
     replay components share one :class:`TraceData` per file (see
     :func:`load_trace`) but own their per-instance replay cursors, so
-    batch members replaying the same trace never alias state.
+    simulations replaying the same trace never alias state.
     """
 
     path: str

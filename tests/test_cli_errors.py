@@ -160,6 +160,13 @@ class TestEvaluationCliTopologyErrors:
             main(["fig10", "--pattern", "nope"])
         assert excinfo.value.code == 2
 
+    def test_unknown_engine_choice_exits_two(self):
+        from repro.evaluation.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig5", "--engine", "batch"])
+        assert excinfo.value.code == 2
+
     def test_unknown_injector_choice_exits_two(self):
         from repro.evaluation.__main__ import main
 
@@ -183,6 +190,13 @@ class TestExperimentsCliTopologyErrors:
 
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "fig10", "--pattern", "nope"])
+        assert excinfo.value.code == 2
+
+    def test_unknown_engine_choice_exits_two(self):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig5", "--engine", "batch"])
         assert excinfo.value.code == 2
 
     def test_unknown_experiment_name_exits_one(self, capsys):

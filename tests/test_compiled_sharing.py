@@ -24,7 +24,7 @@ from repro.engine import compile as engine_compile
 from repro.kernels.dct import DctKernel
 from repro.traffic.simulation import TrafficSimulation
 
-SOA_ENGINES = ("vector", "batch", "compiled")
+SOA_ENGINES = ("vector", "compiled")
 #: Two different points on one configuration: they touch different
 #: (core, tile) templates in a different order.
 POINT_A = dict(load=0.3, pattern="uniform", seed=11)
@@ -184,7 +184,7 @@ def test_a_memo_hit_builds_no_topology(monkeypatch):
     _traffic(config, "vector", **POINT_A)
     assert len(calls) == 1  # the memo's own; the cluster built none
     _traffic(config, "vector", **POINT_B)
-    _traffic(config, "batch", **POINT_B)
+    _traffic(config, "compiled", **POINT_B)
     assert len(calls) == 1
 
 

@@ -26,7 +26,6 @@ from repro.experiments import (
     ResultCache,
     Sweep,
 )
-from repro.experiments.batch import BatchRunner, spec_group_key
 from repro.experiments.distributed import (
     CacheClient,
     CacheServer,
@@ -73,50 +72,21 @@ class FakeClock:
 
 
 class TestPlanShards:
-    def test_unbatchable_specs_become_singletons(self):
-        shards = plan_shards(demo_specs(4))
-        assert [shard.size for shard in shards] == [1, 1, 1, 1]
-        assert all(shard.group is None for shard in shards)
-        covered = sorted(index for shard in shards for index in shard.indices)
-        assert covered == [0, 1, 2, 3]
-
-    def test_shards_follow_batch_group_boundaries(self):
-        settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
-        )
-        specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()
-        shards = plan_shards(specs)
-        for shard in shards:
-            keys = {spec_group_key(specs[index]) for index in shard.indices}
-            assert len(keys) == 1  # one compiled network per shard
-        covered = sorted(index for shard in shards for index in shard.indices)
-        assert covered == list(range(len(specs)))
-
-    def test_max_points_splits_groups_without_mixing_them(self):
-        settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
-        )
-        specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()
-        shards = plan_shards(specs, max_points=2)
-        assert all(shard.size <= 2 for shard in shards)
-        for shard in shards:
-            keys = {spec_group_key(specs[index]) for index in shard.indices}
-            assert len(keys) == 1
-
     def test_miss_indices_restrict_the_plan(self):
-        shards = plan_shards(demo_specs(5), miss_indices=[1, 3])
-        covered = sorted(index for shard in shards for index in shard.indices)
-        assert covered == [1, 3]
+        # Every miss exactly once, in sweep order, no shard above the bound.
+        misses = [1, 3, 4, 8, 9, 10, 15]
+        for bound in (1, 2, 3, 7, 100):
+            shards = plan_shards(misses, bound)
+            assert [i for shard in shards for i in shard.indices] == misses
+            assert all(1 <= shard.size <= bound for shard in shards)
+            assert [shard.shard_id for shard in shards] == list(range(len(shards)))
 
-    def test_largest_shard_first_with_dense_ids(self):
-        settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
-        )
-        specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()
-        shards = plan_shards(specs)
-        sizes = [shard.size for shard in shards]
-        assert sizes == sorted(sizes, reverse=True)
-        assert [shard.shard_id for shard in shards] == list(range(len(shards)))
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_non_positive_bound_is_rejected(self, bound):
+        with pytest.raises(ValueError, match="positive"):
+            plan_shards([0, 1], bound)
+        with pytest.raises(ValueError, match="positive"):
+            DistributedExecutor(workers=2, max_points=bound)
 
 
 # --------------------------------------------------------------------- #
@@ -479,17 +449,6 @@ class TestRunShardSpecs:
     def test_plain_specs_run_through_the_serial_executor(self):
         assert run_shard_specs(demo_specs(3)) == [0, 3, 6]
 
-    def test_batching_engine_shards_match_per_point_execution(self):
-        settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
-        )
-        specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()
-        shard = plan_shards(specs)[0]
-        shard_specs = [specs[index] for index in shard.indices]
-        batched = run_shard_specs(shard_specs)
-        serial = Executor(workers=1).run(shard_specs)
-        assert pickle.dumps(batched) == pickle.dumps(serial)
-
 
 # --------------------------------------------------------------------- #
 # End to end: the distributed executor
@@ -509,18 +468,31 @@ class TestDistributedExecutor:
         assert report.worker_lines()
 
     def test_mixed_catalogue_is_byte_identical_to_serial(self, tmp_path):
-        # The acceptance sweep: fig5 + workloads + topologies points, a
-        # batching engine, and both a serial and a distributed run with
-        # their own caches — results AND cache contents must match bytewise.
+        # The acceptance sweep: fig5 + workloads + topologies points on a
+        # serial and a distributed run with their own caches — results
+        # AND cache contents must match bytewise.
         settings = ExperimentSettings(
-            engine="batch", warmup_cycles=50, measure_cycles=100
+            engine="vector", warmup_cycles=50, measure_cycles=100
         )
         specs = []
         for name in ("fig5", "workloads", "topologies"):
             specs.extend(EXPERIMENTS[name].build_sweep(settings).specs())
+        self.assert_distributed_matches_serial(specs, tmp_path)
+
+    def test_compiled_points_through_a_worker_match_serial(self, tmp_path):
+        # Pins the per-point compiled path (CompiledEngine under
+        # run_vector_traffic) on the worker side of the wire.
+        settings = ExperimentSettings(
+            engine="compiled", warmup_cycles=20, measure_cycles=40
+        )
+        specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()[::4]
+        self.assert_distributed_matches_serial(specs, tmp_path)
+
+    @staticmethod
+    def assert_distributed_matches_serial(specs, tmp_path):
         serial_cache = ResultCache(tmp_path / "serial")
         dist_cache = ResultCache(tmp_path / "dist")
-        serial = BatchRunner(Executor(workers=1, cache=serial_cache)).run(specs)
+        serial = Executor(workers=1, cache=serial_cache).run(specs)
         dist = DistributedExecutor(workers=2, cache=dist_cache).run(specs)
         # Point by point (a whole-list pickle would also compare pickle's
         # object-sharing memo, which legitimately differs across a wire).
@@ -659,6 +631,17 @@ class TestDistributedCLI:
         )
         assert code == 1
         assert "--workers" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_non_positive_shard_points_is_rejected(self, bound, capsys, tmp_path):
+        from repro.experiments.__main__ import main
+
+        code = main(
+            ["run", "fig10", "--dispatch", "--shard-points", bound,
+             "--cache-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "--shard-points" in capsys.readouterr().out
 
     def test_worker_command_rejects_bad_cache_spec(self, capsys):
         from repro.experiments.__main__ import main

@@ -8,7 +8,6 @@ engine selector on the cluster.
 
 from __future__ import annotations
 
-from collections import deque
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.engine import (
     CompiledNetwork,
-    CompiledSimBatch,
     EngineCompileError,
     FlitTable,
     RingQueues,
@@ -158,78 +156,9 @@ class TestRingQueues:
         assert rings.rows(0) == [10]
         assert rings.rows(2) == [30]
 
-    def test_copies_replicate_the_capacity_vector(self):
-        rings = RingQueues([2, 4], copies=3)
-        assert rings.num_queues == 6
-        assert rings.capacity.tolist() == [2, 4] * 3
-        # Slot sim * N + stage: sim 2's copy of stage 0 is slot 4.
-        rings.push(4, 99)
-        assert rings.rows(4) == [99]
-        assert all(rings.length(q) == 0 for q in (0, 1, 2, 3, 5))
-
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="positive"):
-            RingQueues([2], copies=0)
         with pytest.raises(ValueError, match="capacity"):
             RingQueues([2, 0])
-
-
-class TestCompiledSimBatchRetireResume:
-    """Retire/resume must freeze and faithfully restore a member sim."""
-
-    def _batch(self, toph_config, num_sims=2):
-        topology = MemPoolCluster(toph_config).topology
-        return CompiledSimBatch(CompiledNetwork(topology), num_sims)
-
-    def _seed_flit(self, batch, sim, cycle=0):
-        rows = batch.new_rows(sim, [0], [5], cycle=cycle)
-        queue = deque([rows[0]])
-        injected = batch.inject_rows(sim, [queue], [0], cycle)
-        assert injected == 1
-        return rows[0]
-
-    def test_retire_freezes_and_resume_restores_occupancy(self, toph_config):
-        batch = self._batch(toph_config)
-        self._seed_flit(batch, 0)
-        self._seed_flit(batch, 1)
-        assert batch.total_in_flight == 2
-        batch.retire(0)
-        base = 0 * batch.num_stages
-        assert not batch.occupied[base : base + batch.num_stages].any()
-        assert batch.total_in_flight == 1
-        # The frozen sim's flits stay buffered while the other advances.
-        frozen = batch.occupancy(0)
-        for cycle in range(1, 100):
-            batch.advance(cycle)
-            if not batch.in_flight[1]:
-                break
-        assert batch.occupancy(0) == frozen
-        assert not batch.completed_log[0]
-        assert batch.completed_log[1]
-        # Resume rebuilds the occupancy slice from the ring fill levels.
-        batch.resume(0)
-        occupied = batch.occupied[base : base + batch.num_stages]
-        assert occupied.tolist() == (
-            batch.rings.size[base : base + batch.num_stages] > 0
-        ).tolist()
-        for cycle in range(100, 200):
-            batch.advance(cycle)
-            if not batch.in_flight[0]:
-                break
-        assert batch.completed_log[0]
-        assert batch.total_in_flight == 0
-
-    def test_retire_and_resume_are_idempotent(self, toph_config):
-        batch = self._batch(toph_config)
-        self._seed_flit(batch, 0)
-        batch.resume(0)  # resuming a live sim is a no-op
-        assert batch.total_in_flight == 2 - 1
-        batch.retire(0)
-        batch.retire(0)
-        assert batch.total_in_flight == 0
-        batch.resume(0)
-        batch.resume(0)
-        assert batch.total_in_flight == 1
 
 
 class TestVectorStageNetwork:
@@ -284,8 +213,13 @@ class TestVectorStageNetwork:
 
 class TestClusterEngineSelection:
     def test_unknown_engine_rejected(self, toph_config):
-        with pytest.raises(ValueError, match="unknown engine"):
-            MemPoolCluster(toph_config, engine="warp")
+        for name in ("warp", "batch"):
+            with pytest.raises(
+                ValueError,
+                match=r"unknown engine .* expected one of "
+                      r"\('legacy', 'vector', 'compiled'\)",
+            ):
+                MemPoolCluster(toph_config, engine=name)
 
     def test_legacy_is_the_default(self, toph_config):
         cluster = MemPoolCluster(toph_config)

@@ -108,6 +108,11 @@ def test_bogus_engine_environment_fails_fast(monkeypatch):
 
     from repro.evaluation.settings import ExperimentSettings
 
-    monkeypatch.setenv("MEMPOOL_ENGINE", "Vector")
-    with pytest.raises(ValueError, match="unknown engine"):
-        ExperimentSettings()
+    for name in ("Vector", "batch"):
+        monkeypatch.setenv("MEMPOOL_ENGINE", name)
+        with pytest.raises(
+            ValueError,
+            match=r"unknown engine .* expected one of "
+                  r"\('legacy', 'vector', 'compiled'\)",
+        ):
+            ExperimentSettings()

@@ -3,7 +3,7 @@
 The CI entry point of :mod:`repro.validation.fuzz`: Hypothesis samples
 ``FUZZ_BUDGET`` configurations from the registries' full space (plus a
 degree-skewed hotspot slice) and every sample must produce flit-for-flit
-identical results on the legacy, vector and batch engines.  A failure
+identical results on the legacy, vector and compiled engines.  A failure
 shrinks deterministically and raises a
 :class:`~repro.validation.fuzz.DivergenceError` whose message embeds the
 one-line ``python -m repro.validation --replay`` reproducer (and, when
@@ -37,7 +37,7 @@ _SETTINGS = dict(
 @settings(max_examples=FUZZ_BUDGET, **_SETTINGS)
 @given(fuzz_cases())
 def test_engines_agree_on_sampled_configurations(case):
-    """legacy == vector == batch on every sampled configuration."""
+    """legacy == vector == compiled on every sampled configuration."""
     check_case(case)
 
 

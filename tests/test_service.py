@@ -146,14 +146,14 @@ class TestJobHelpers:
 
 class TestBuildSpecs:
     def test_experiment_payload_expands_registry_sweep(self):
-        title, specs, assemble, engine = build_specs(
+        title, specs, assemble = build_specs(
             {"experiment": "fig10", "settings": {}}
         )
         assert title == "fig10" and len(specs) >= 1
         assert callable(assemble)
 
     def test_raw_sweep_payload(self):
-        title, specs, assemble, engine = build_specs(sweep_payload(name="demo"))
+        title, specs, assemble = build_specs(sweep_payload(name="demo"))
         assert title == "demo" and len(specs) == 2 and assemble is None
 
     @pytest.mark.parametrize(
@@ -167,6 +167,11 @@ class TestBuildSpecs:
             ({"runner": "no.such.module:fn"}, "bad runner"),
             ({"runner": MULTIPLY, "grid": 3}, "'grid' and 'base'"),
             ({"runner": MULTIPLY, "grid": {"a": []}}, "zero points"),
+            (
+                {"experiment": "fig5", "settings": {"engine": "batch"}},
+                r"unknown engine 'batch' .* expected one of "
+                r"\('legacy', 'vector', 'compiled'\)",
+            ),
         ],
     )
     def test_bad_payloads_raise_spec_errors(self, payload, fragment):
@@ -204,6 +209,7 @@ class TestEndpoints:
             {},
             {"experiment": "nope"},
             {"experiment": "fig10", "settings": {"bogus": 1}},
+            {"experiment": "fig5", "settings": {"engine": "batch"}},
             {"runner": "no.such.module:fn"},
         ):
             with pytest.raises(ServiceError) as info:

@@ -64,31 +64,6 @@ class TestBenchReportCompare:
         assert ok
 
 
-class TestBatchReport:
-    """The SimBatch section of the report."""
-
-    def test_absent_section_is_none(self):
-        assert bench_report.batch_report(_engine_payload(3.0), None, 0.2) is None
-
-    def test_no_baseline_is_informational(self):
-        current = {"batch": {"batch_seconds": 0.3, "speedup": 2.4, "points": 33}}
-        ok, report = bench_report.batch_report(current, _engine_payload(3.0), 0.2)
-        assert ok
-        assert "no committed batch baseline" in report
-
-    def test_gated_against_baseline(self):
-        # Gated on the batch engine's own seconds, never on the ratio.
-        baseline = {"batch": {"batch_seconds": 0.5, "speedup": 2.4}}
-        current = {"batch": {"batch_seconds": 0.7, "speedup": 2.4}}
-        ok, report = bench_report.batch_report(current, baseline, 0.2)
-        assert not ok
-        assert "REGRESSION" in report
-        ok, _ = bench_report.batch_report(
-            {"batch": {"batch_seconds": 0.55, "speedup": 0.9}}, baseline, 0.2
-        )
-        assert ok  # ceiling is 0.5 * 1.2 = 0.6; a ratio below 1x is not a failure
-
-
 class TestCompiledReport:
     """The compiled-kernel section of the report (jit-mode-aware gate)."""
 
@@ -287,19 +262,6 @@ class TestBenchReportMain:
         baseline = tmp_path / "baseline.json"
         current.write_text(json.dumps(_engine_payload(2.0)))
         baseline.write_text(json.dumps(_engine_payload(3.0)))
-        assert bench_report.main(
-            ["--current", str(current), "--baseline", str(baseline)]
-        ) == 1
-
-    def test_batch_regression_alone_exits_one(self, tmp_path):
-        current = tmp_path / "current.json"
-        baseline = tmp_path / "baseline.json"
-        current_payload = _engine_payload(3.0)
-        current_payload["batch"] = {"batch_seconds": 0.9, "speedup": 2.4}
-        baseline_payload = _engine_payload(3.0)
-        baseline_payload["batch"] = {"batch_seconds": 0.3, "speedup": 2.4}
-        current.write_text(json.dumps(current_payload))
-        baseline.write_text(json.dumps(baseline_payload))
         assert bench_report.main(
             ["--current", str(current), "--baseline", str(baseline)]
         ) == 1

@@ -32,7 +32,7 @@ from repro.workloads import (
 )
 from repro.workloads.registry import injector_entry, pattern_entry
 
-ENGINES = ("legacy", "vector", "batch", "compiled")
+ENGINES = ("legacy", "vector", "compiled")
 
 
 def _run(cluster, load=0.3, pattern="uniform", injector="poisson",
@@ -69,7 +69,7 @@ def _replay(config, path, sha, engine, extra_cycles=256):
 
 
 class TestRecordReplayIdentity:
-    """A recorded trace replays identically on all four engines."""
+    """A recorded trace replays identically on all three engines."""
 
     def test_vector_recording_replays_identically_everywhere(self, tmp_path):
         config, path, sha, recording = _record(tmp_path, engine="vector")

@@ -179,7 +179,7 @@ class TestDivergenceDetection:
     def test_clean_engines_agree(self):
         case = FuzzCase.from_spec(BUSY_SPEC)
         results = check_case(case)
-        assert results["legacy"].flit_log == results["batch"].flit_log
+        assert results["legacy"].flit_log == results["compiled"].flit_log
 
     def test_injected_divergence_is_caught(self, monkeypatch):
         _tampered_vector(monkeypatch)

@@ -1,20 +1,17 @@
 #!/usr/bin/env python
 """Diff the current engine benchmarks against the committed baseline.
 
-``benchmarks/test_perf_engine.py`` writes ``benchmarks/BENCH_engine.json``
-with the measured legacy-vs-vector transport speedup, and
-``benchmarks/test_perf_batch.py`` merges the SimBatch-vs-sequential sweep
-timings into the same file; ``benchmarks/BENCH_engine.baseline.json`` is
-the committed reference.  This tool compares the two and fails (exit code
-1) when a gated number regressed by more than the threshold (default 20 %).
+``benchmarks/test_perf_engine.py`` writes ``BENCH_engine.json`` with the
+measured legacy-vs-vector transport speedup (the workload and topology
+benchmarks merge their sections into the same file);
+``benchmarks/BENCH_engine.baseline.json`` is the committed reference.  This
+tool compares the two and fails (exit code 1) when a gated number regressed
+by more than the threshold (default 20 %).
 
 The engine comparison is on the speedup ratio, not on raw cycles/sec:
 absolute throughput varies with the host machine, but the legacy engine
 runs on the same machine in the same process, so the ratio is the portable
-signal.  Raw cycles/sec of both engines are reported for context.  The
-batch section is the exception (see :func:`batch_report`): its ratio's
-denominator is itself an optimisation target, so it gates on the batch
-engine's absolute seconds.
+signal.  Raw cycles/sec of both engines are reported for context.
 
 A missing current-results file is not an error — the benchmark simply has
 not run yet — so the Makefile can wire this report into the ``test`` flow
@@ -33,10 +30,11 @@ import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
-#: Current results follow ``BENCH_OUT_DIR`` (where the benchmark modules
-#: write when the variable is set, keeping local re-runs out of the
-#: committed snapshots); baselines always come from the committed tree.
-CURRENT_DIR = Path(os.environ.get("BENCH_OUT_DIR") or BENCH_DIR)
+#: Current results come from where the benchmark modules write them (the
+#: ``bench_out_path`` fixture of ``benchmarks/conftest.py``): the ignored
+#: ``benchmarks/out/`` unless ``BENCH_OUT_DIR`` redirects it; baselines
+#: always come from the committed tree.
+CURRENT_DIR = Path(os.environ.get("BENCH_OUT_DIR") or BENCH_DIR / "out")
 DEFAULT_CURRENT = CURRENT_DIR / "BENCH_engine.json"
 DEFAULT_BASELINE = BENCH_DIR / "BENCH_engine.baseline.json"
 EXPERIMENTS_CURRENT = CURRENT_DIR / "BENCH_experiments.json"
@@ -80,60 +78,6 @@ def compare(current: dict, baseline: dict, threshold: float) -> tuple[bool, str]
         "  verdict         : "
         + ("OK" if ok else f"REGRESSION (> {threshold:.0%} below baseline)")
     )
-    return ok, "\n".join(lines)
-
-
-def batch_report(
-    current: dict, baseline: dict | None, threshold: float
-) -> tuple[bool, str] | None:
-    """SimBatch-vs-sequential report and gate, or None when never benchmarked.
-
-    ``benchmarks/test_perf_batch.py`` merges a ``"batch"`` section into the
-    current results file.  The gated signal is the batch engine's own
-    wall-clock, ``batch_seconds``, which must not be more than
-    ``threshold`` slower than the committed baseline's.  The *ratio* over
-    sequential vector runs is printed but not gated: since compiled
-    networks are shared per process the sequential side no longer
-    recompiles each point, so the ratio moves with the denominator and a
-    faster sequential path would read as a batch regression.
-
-    Host policy: absolute seconds only compare on the host that recorded
-    the baseline.  The committed ``batch`` baseline is one deliberate quiet
-    run on the reference container (its ``recorded`` field says when and
-    on what), re-recorded only the same way.  That host's speed wanders by
-    10-50 % between runs (``bench/README.md``), so one REGRESSION verdict
-    means "re-run"; a verdict that persists means the batch engine got
-    slower.  On any other host read the verdict as informational, or pass a
-    baseline recorded there with ``--baseline``.
-    """
-    section = current.get("batch")
-    if not section:
-        return None
-    seconds = section.get("batch_seconds", 0.0)
-    lines = [
-        f"batch benchmark : {section.get('benchmark', 'sweep batching')}",
-        f"  sweep wall-clock: {seconds}s batched vs "
-        f"{section.get('sequential_seconds', 0)}s sequential vector "
-        f"({section.get('speedup', 0.0):.2f}x, informational; "
-        f"{section.get('points', 0)} points)",
-    ]
-    ok = True
-    base_section = (baseline or {}).get("batch")
-    if base_section and base_section.get("batch_seconds"):
-        base_seconds = base_section["batch_seconds"]
-        ceiling = base_seconds * (1.0 + threshold)
-        ok = seconds <= ceiling
-        lines.append(
-            "  verdict         : "
-            + (
-                f"OK (baseline {base_seconds}s, ceiling {ceiling:.4f}s)"
-                if ok
-                else f"REGRESSION (> {threshold:.0%} slower than baseline "
-                f"{base_seconds}s)"
-            )
-        )
-    else:
-        lines.append("  verdict         : no committed batch baseline (informational)")
     return ok, "\n".join(lines)
 
 
@@ -387,11 +331,6 @@ def main(argv: list[str] | None = None) -> int:
             "bench_report: current results carry no engine speedup yet "
             "(run `make bench-engine` for the legacy-vs-vector comparison)"
         )
-    batch = batch_report(current, baseline, args.threshold)
-    if batch:
-        batch_ok, report = batch
-        ok = ok and batch_ok
-        print(report)
     compiled = compiled_report(current, baseline, args.threshold)
     if compiled:
         compiled_ok, report = compiled
