@@ -6,15 +6,13 @@ local worker, then four — and records the wall-clock ratio.  Both runs
 pay the same fork/IPC overhead, so the ratio isolates what distribution
 adds: work-stealing across genuinely parallel worker processes.
 
-Scaling is physically bounded by the host's core count: on a 4+-core
-machine four workers must deliver at least :data:`SPEEDUP_FLOOR`; on
-smaller hosts (CI smoke containers are often 1-2 cores) the measured
-ratio is recorded as informational and the floor is not asserted — a
-1-core machine cannot exhibit parallel speedup no matter how good the
-scheduler is.  The committed baseline records the ``cpus`` it was
-measured on, and ``tools/bench_report.py`` only gates runs against a
-baseline from a matching core count (the same pattern as the jit-aware
-compiled-engine gate).
+Scaling is physically bounded by the host's core count — a 1-core
+machine cannot exhibit parallel speedup no matter how good the scheduler
+is — so this module only records the ratio.  The committed baseline
+records the ``cpus`` it was measured on, and ``tools/bench_report.py``,
+the one gate on the ratio, only compares runs against a baseline from a
+matching core count (the same pattern as the jit-aware compiled-engine
+gate).
 
 Results land in ``BENCH_experiments.json`` (see ``bench_out_path``) under
 a ``"distributed"`` key; ``benchmarks/BENCH_experiments.baseline.json`` is
@@ -34,10 +32,6 @@ from repro.experiments.registry import EXPERIMENTS
 WARMUP_CYCLES = 20
 MEASURE_CYCLES = 60
 WORKERS = 4
-
-#: Minimum acceptable 4-worker-over-1-worker speedup on a host that can
-#: physically deliver it (>= 4 cores).
-SPEEDUP_FLOOR = 3.0
 
 
 def _sweep_specs():
@@ -98,8 +92,3 @@ def test_distributed_scaling_and_write_bench(report_sink, bench_out_path):
         f"{fleet_seconds:.3f}s, speedup {speedup:.2f}x on {cpus} cpus "
         f"-> {result_path.name}"
     )
-
-    if cpus >= WORKERS:
-        assert speedup >= SPEEDUP_FLOOR
-    # On narrower hosts the ratio is informational: parallel speedup is
-    # bounded by the core count, not by the scheduler under test.

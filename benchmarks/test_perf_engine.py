@@ -7,6 +7,8 @@ of wall time for each engine, the advance speedup (the headline number) and
 the end-to-end sweep speedup.  ``tools/bench_report.py`` diffs that file
 against the committed baseline (``BENCH_engine.baseline.json``) and fails
 on a >20 % speedup regression, which is what ``make bench-engine`` runs.
+That report is the only gate on the ratios: this module asserts what the
+engines compute, never how fast the host ran them.
 
 The workload is the Figure-5-style uniform-random load sweep on the
 64-core Top1 cluster — the topology whose congestion behaviour is the
@@ -36,16 +38,6 @@ WARMUP_CYCLES = 300
 MEASURE_CYCLES = 1000
 SEED = 0
 
-#: Minimum acceptable advance() speedup — a hard floor well below the
-#: recorded baseline, so the suite stays green on slow, noisy CI boxes
-#: while still catching a vector engine that stopped being faster.
-SPEEDUP_FLOOR = 2.0
-#: Minimum compiled-over-vector advance() speedup with the numba backend.
-#: Only asserted when the JIT is active: the pure-Python fallback runs the
-#: same kernels as interpreted bytecode and is legitimately slower than
-#: the vector engine (tools/bench_report.py gates each jit mode only
-#: against a baseline recorded in the same mode).
-COMPILED_SPEEDUP_FLOOR = 10.0
 #: Window of the paper-scale 256-core smoke sweep (short on purpose: at
 #: 256 cores the per-cycle work is the signal, not the horizon).
 FULL_SCALE_WARMUP = 50
@@ -139,7 +131,6 @@ def test_engine_speedup_and_write_bench(report_sink, bench_out_path):
         f"({legacy['advance_cycles_per_sec']} -> "
         f"{vector['advance_cycles_per_sec']} cycles/s) -> {result_path.name}"
     )
-    assert advance_speedup >= SPEEDUP_FLOOR
 
 
 def test_compiled_speedup_and_write_bench(report_sink, bench_out_path):
@@ -180,8 +171,6 @@ def test_compiled_speedup_and_write_bench(report_sink, bench_out_path):
         f"({vector['advance_cycles_per_sec']} -> "
         f"{compiled['advance_cycles_per_sec']} cycles/s) -> {result_path.name}"
     )
-    if JIT_ENABLED:
-        assert speedup >= COMPILED_SPEEDUP_FLOOR
 
 
 def test_full_scale_smoke_sweep_and_write_bench(report_sink, bench_out_path):

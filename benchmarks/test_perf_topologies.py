@@ -35,11 +35,6 @@ WARMUP_CYCLES = 200
 MEASURE_CYCLES = 600
 SEED = 0
 
-#: Hard floor on the vector-vs-legacy advance speedup per family — far
-#: below the committed baselines, so slow CI boxes stay green while a
-#: vector engine that stopped being faster on multi-hop paths still fails.
-SPEEDUP_FLOOR = 1.3
-
 
 def _config(name: str) -> MemPoolConfig:
     return MemPoolConfig.scaled(name, topology_params=TOPOLOGY_POINTS[name])
@@ -120,7 +115,6 @@ def test_topology_speedups_and_write_bench(report_sink, bench_out_path):
             f"advance {speedup:.2f}x ({legacy:.3f}s -> {vector:.3f}s), "
             f"compile {section[name]['compile_seconds']}s"
         )
-        assert speedup >= SPEEDUP_FLOOR, name
 
     # Merge-update: the engine/workload benchmarks keep their own
     # sections in the same file, whichever order the suite ran in.

@@ -387,6 +387,22 @@ class CompiledNetwork:
                 ]
         return row
 
+    def path_ids(
+        self, cores: np.ndarray, banks: np.ndarray, needs_response: bool
+    ) -> list[int]:
+        """Template ids of many ``core -> bank`` transactions, in one gather.
+
+        ``template_row(core, needs_response)[tile_of_bank[bank]]`` per
+        entry; only the rows of the cores present are compiled.  The
+        gather runs over an object array, so the result holds the template
+        rows' own int objects and boxes none per entry.
+        """
+        config = self.topology.config
+        table = np.empty((config.num_cores, config.num_tiles), dtype=object)
+        for core in np.unique(cores).tolist():
+            table[core] = self.template_row(core, needs_response)
+        return table[cores, np.asarray(self.tile_of_bank)[banks]].tolist()
+
     def _compile_path(self, resources: list[Resource], bank_stage: int) -> int:
         """Compile one resource path into a move chain; return its id."""
         stage_seq: list[int] = []

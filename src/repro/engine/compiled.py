@@ -37,9 +37,10 @@ class CompiledEngine:
     """Cycle engine advancing flit rows through the typed-array kernels.
 
     Drop-in replacement for :class:`~repro.engine.vector.VectorEngine`:
-    identical constructor shape, identical public API (``new_flit`` /
-    ``advance`` / ``try_inject`` / ``inject_new`` / ``inject_queues`` /
-    ``occupancy`` / ``drain`` and the flight counters), so the
+    identical constructor shape, identical public API (``new_flits`` and
+    its one-row form ``new_flit`` / ``advance`` / ``try_inject`` /
+    ``inject_new`` / ``inject_queues`` / ``occupancy`` / ``drain`` and the
+    flight counters), so the
     :class:`~repro.engine.vector.VectorStageNetwork` facade and the vector
     traffic driver run on it unchanged.
     """
@@ -91,16 +92,25 @@ class CompiledEngine:
 
     def new_flit(self, core_id: int, bank_id: int, is_write: bool, cycle: int) -> int:
         """Allocate a flit row for a core -> bank transaction; return its id."""
+        return self.new_flits([core_id], [bank_id], [cycle], is_write)
+
+    def new_flits(self, cores, banks, created, is_write: bool = False) -> int:
+        """Allocate one flit row per ``(core, bank, created)`` entry.
+
+        The rows are consecutive, in entry order; returns the first row id.
+        """
         compiled = self.compiled
-        path_id = compiled.template_row(core_id, not is_write)[
-            compiled.tile_of_bank[bank_id]
+        cores = np.asarray(cores, dtype=np.int64)
+        banks = np.asarray(banks, dtype=np.int64)
+        path_ids = compiled.path_ids(cores, banks, not is_write)
+        first = self.flits.allocate_block(cores, banks, path_ids, is_write, created)
+        stop = first + len(cores)
+        self._ensure_row_capacity(stop)
+        self._row_move[first:stop] = compiled.move_tables().path_head[
+            np.asarray(path_ids, dtype=np.int64)
         ]
-        row = self.flits.allocate(core_id, bank_id, path_id, is_write, cycle)
-        tables = compiled.move_tables()
-        self._ensure_row_capacity(row + 1)
-        self._row_move[row] = tables.path_head[path_id]
-        self._row_bank[row] = bank_id
-        return row
+        self._row_bank[first:stop] = banks
+        return first
 
     # ------------------------------------------------------------------ #
     # Per-cycle operation

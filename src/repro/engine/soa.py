@@ -86,9 +86,11 @@ class FlitTable:
         self.completed_cycle = np.full(capacity, -1, dtype=np.int64)
         self._synced = 0
 
-    def _grow(self) -> None:
-        """Double the preallocated capacity, preserving existing rows."""
-        new_capacity = self.capacity * 2
+    def _grow(self, needed: int) -> None:
+        """Double the preallocated capacity until it holds ``needed`` rows."""
+        new_capacity = self.capacity
+        while new_capacity < needed:
+            new_capacity *= 2
 
         def extend(column: np.ndarray, fill) -> np.ndarray:
             grown = np.full(new_capacity, fill, dtype=column.dtype)
@@ -109,7 +111,7 @@ class FlitTable:
         """Append one flit row; return its id (row index)."""
         row = self.count
         if row == self.capacity:
-            self._grow()
+            self._grow(row + 1)
         self.count = row + 1
         self.core.append(core_id)
         self.bank.append(bank_id)
@@ -117,6 +119,53 @@ class FlitTable:
         self.write_flag.append(is_write)
         self.path_id.append(path_id)
         return row
+
+    def allocate_block(
+        self,
+        core_ids: np.ndarray,
+        bank_ids: np.ndarray,
+        path_ids: list[int],
+        is_write: bool,
+        cycles: list[int],
+    ) -> int:
+        """Append one row per entry of the parallel columns; return the first id.
+
+        Leaves the table exactly as :meth:`allocate` called once per entry
+        followed by :meth:`sync` would — the rows are ``first .. first +
+        len(core_ids) - 1`` — at the cost of one ``extend`` and one slice
+        copy per column: a block arrives as arrays, so the NumPy views are
+        filled here rather than converted back from the lists later.
+        ``path_ids`` and ``cycles`` have no NumPy view; they are lists and
+        are kept as given, so rows can share int objects (one per cycle,
+        one per template) the way per-row allocation shares them.
+
+        Examples
+        --------
+        >>> table = FlitTable(capacity=2)
+        >>> cores, banks = np.array([1, 2, 3]), np.array([7, 8, 9])
+        >>> table.allocate_block(cores, banks, [0, 1, 2], False, [5, 5, 6])
+        0
+        >>> table.count, table.capacity, table.created
+        (3, 4, [5, 5, 6])
+        >>> table.created_cycle[:3].tolist()
+        [5, 5, 6]
+        """
+        self.sync()
+        first = self.count
+        count = first + len(core_ids)
+        if count > self.capacity:
+            self._grow(count)
+        self.core.extend(core_ids.tolist())
+        self.bank.extend(bank_ids.tolist())
+        self.created.extend(cycles)
+        self.write_flag.extend([is_write] * len(core_ids))
+        self.path_id.extend(path_ids)
+        self.core_id[first:count] = core_ids
+        self.bank_id[first:count] = bank_ids
+        self.created_cycle[first:count] = cycles
+        self.is_write[first:count] = is_write
+        self.count = self._synced = count
+        return first
 
     def sync(self) -> None:
         """Bulk-copy buffered creation columns into their NumPy arrays."""

@@ -1,23 +1,92 @@
-"""Open-loop traffic measurement running natively on the vector engine.
+"""Open-loop traffic measurement running natively on the SoA engines.
 
 This is the fast path behind :meth:`repro.traffic.simulation.TrafficSimulation.run`
-when the cluster was built with ``engine="vector"``: the same warm-up /
-measure loop, the same random streams (arrival process, destination
-pattern, injection permutation — drawn in exactly the legacy order, so
-results are flit-for-flit identical), but no :class:`Flit` objects anywhere.
-Workloads are consumed through their *batched* APIs
-(:meth:`~repro.workloads.base.InjectionProcess.arrivals_batch`,
-:meth:`~repro.workloads.base.DestinationPattern.destinations`), which are
-contractually draw-order-equivalent to the scalar calls the legacy loop
-makes — any registered pattern/injector pair therefore runs here unchanged.
-Requests are rows of the engine's :class:`~repro.engine.soa.FlitTable` from
-generation to completion, and each cycle's transport is the engine's
-level-ordered array passes.
+when the cluster was built with ``engine="vector"`` or ``"compiled"``: the
+same warm-up / measure window, the same random streams (arrival process,
+destination pattern, injection permutation — drawn in exactly the legacy
+order, so results are flit-for-flit identical), but no :class:`Flit`
+objects anywhere.
+
+The experiment is *open loop*: the offered traffic never observes the
+network (see :mod:`repro.workloads.base`).  The driver relies on that to
+take request generation out of the per-cycle transport loop:
+
+1. **Draw the window.**  For every cycle of the window, in order, one
+   :meth:`~repro.workloads.base.InjectionProcess.arrivals_batch` call and
+   — when anything arrived — one
+   :meth:`~repro.workloads.base.DestinationPattern.destinations` call over
+   the cycle's sources: the per-cycle call sequence of the legacy loop, so
+   every random stream is consumed identically and any registered
+   pattern/injector pair (trace replay included) runs here unchanged.
+2. **Allocate the window.**  One ``engine.new_flits`` call turns the drawn
+   requests into consecutive rows of the engine's
+   :class:`~repro.engine.soa.FlitTable`, in generation order — the row ids
+   the legacy loop's per-request allocation hands out.
+3. **Transport.**  Per cycle: the engine's level-ordered ``advance``, the
+   cycle's new rows appended to their cores' source queues, one
+   ``inject_queues`` pass.  Latency statistics are replayed once after the
+   loop, over the completions in completion order.
 """
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from repro.utils.stats import Histogram, OnlineStats
+
+
+def _allocate_window(simulation, engine, start: int, end: int):
+    """Draw cycles ``start .. end - 1`` and allocate their requests as rows.
+
+    One ``arrivals_batch(cycle)`` call per cycle and — when anything
+    arrived — one ``destinations(sources)`` call over the cycle's sources,
+    cores ascending: the legacy loop's call sequence.  Updates the
+    simulation's request counters.
+
+    Returns
+    -------
+    first : int
+        Row id of the window's first request; request ``i`` is row
+        ``first + i``.
+    sources : list of int
+        Issuing core of every request, in generation order.
+    ends : list of int
+        Per cycle, the end offset of its requests within ``sources``.
+    """
+    arrivals_batch = simulation.injector.arrivals_batch
+    destinations_of = simulation.pattern.destinations
+    sources: list[int] = []
+    drawn: list[np.ndarray] = []
+    created: list[int] = []
+    ends: list[int] = []
+    for cycle in range(start, end):
+        batch = arrivals_batch(cycle)
+        if batch:
+            cycle_sources: list[int] = []
+            for core_id, count in batch:
+                if count == 1:
+                    cycle_sources.append(core_id)
+                else:
+                    cycle_sources.extend([core_id] * count)
+            drawn.append(destinations_of(cycle_sources))
+            sources += cycle_sources
+            created += [cycle] * len(cycle_sources)
+        ends.append(len(sources))
+    cores = np.asarray(sources, dtype=np.int64)
+    banks = np.concatenate(drawn) if drawn else np.zeros(0, dtype=np.int64)
+    del drawn  # one small array per cycle: not worth holding through the allocation peak
+    config = simulation.cluster.config
+    core_tile = np.asarray(
+        [config.tile_of_core(core) for core in range(config.num_cores)]
+    )
+    bank_tile = np.asarray(engine.compiled.tile_of_bank)
+    simulation._local_requests += int(
+        np.count_nonzero(bank_tile[banks] == core_tile[cores])
+    )
+    simulation._total_requests += len(sources)
+    return engine.new_flits(cores, banks, created), sources, ends
 
 
 def run_vector_traffic(
@@ -26,15 +95,21 @@ def run_vector_traffic(
     measure_cycles: int,
     record_flits: bool = False,
 ):
-    """Run one open-loop traffic measurement on the vector engine.
+    """Run one open-loop traffic measurement on an SoA engine.
+
+    The window starts at the simulation's clock and leaves it at the
+    window's end.  Relying on the open-loop contract (patterns and
+    injectors never observe the network), the whole window is drawn before
+    its first cycle is transported — in the documented per-cycle call
+    order, so the draws are those of the legacy loop.
 
     Parameters
     ----------
     simulation : repro.traffic.simulation.TrafficSimulation
         The configured simulation; its cluster must have been built with
-        ``engine="vector"``.  The driver reuses the simulation's injector,
-        pattern and injection schedule so random draws match the legacy
-        loop call for call.
+        ``engine="vector"`` or ``"compiled"``.  The driver reuses the
+        simulation's injector, pattern, injection schedule, source queues
+        and clock so repeated windows match the legacy loop call for call.
     warmup_cycles, measure_cycles : int
         Warm-up and measurement windows.
     record_flits : bool
@@ -49,75 +124,43 @@ def run_vector_traffic(
     """
     from repro.traffic.simulation import TrafficResult
 
-    cluster = simulation.cluster
-    config = cluster.config
-    facade = cluster.network
-    engine = facade.engine
+    config = simulation.cluster.config
+    engine = simulation.cluster.network.engine
     flits = engine.flits
-    pattern = simulation.pattern
-    injector = simulation.injector
-    injection_schedule = simulation._injection_schedule
-    num_cores = config.num_cores
+    start = simulation._cycle
+    end = start + warmup_cycles + measure_cycles
+    first, sources, ends = _allocate_window(simulation, engine, start, end)
 
-    core_tile = [config.tile_of_core(core) for core in range(num_cores)]
-    bank_tile = engine.compiled.tile_of_bank
-    new_flit = engine.new_flit
+    advance = engine.advance
+    inject_queues = engine.inject_queues
+    order = simulation._injection_schedule.order
     # The simulation-owned row queues: persistent across run() calls, like
     # the legacy loop's Flit queues, so repeated windows stay cycle-exact.
     queues = simulation._row_queues
+    measure_start = start + warmup_cycles
+    #: Completed rows in completion order (packed: holds no int objects).
+    completed = array("q")
+    completed_before = injected_before = 0
+    done = 0
+    for cycle, upto in zip(range(start, end), ends):
+        if cycle == measure_start:
+            completed_before = len(completed)
+            injected_before = engine.total_injected
+        completed.extend(advance(cycle))
+        for core_id, row in zip(sources[done:upto], range(first + done, first + upto)):
+            queues[core_id].append(row)
+        done = upto
+        inject_queues(queues, order(cycle), cycle)
+    simulation._cycle = end
 
+    # Statistics, replayed in completion order (Welford's mean depends on it).
+    measured = np.frombuffer(completed, dtype=np.int64)[completed_before:]
+    flits.sync()
+    latencies = (flits.completed_cycle[measured] - flits.created_cycle[measured]).tolist()
     latency = OnlineStats()
+    latency.extend(latencies)
     histogram = Histogram()
-    flit_log: list[tuple[int, int, int, int, int, int]] = []
-    completed_in_window = 0
-    generated_in_window = 0
-    injected_in_window = 0
-    local_requests = 0
-    total_requests = 0
-
-    total_cycles = warmup_cycles + measure_cycles
-    for cycle in range(total_cycles):
-        completions = engine.advance(cycle)
-        measuring = cycle >= warmup_cycles
-        if measuring:
-            completed_in_window += len(completions)
-            created = flits.created
-            for row in completions:
-                value = cycle - created[row]
-                latency.add(value)
-                histogram.add(value)
-        if record_flits:
-            for row in completions:
-                flit_log.append(flits.row_record(row))
-
-        batch = injector.arrivals_batch(cycle)
-        generated = 0
-        if batch:
-            # One batched destination call per cycle: the pattern consumes
-            # its random draws in exactly the legacy order (cores ascending,
-            # one draw sequence per arrival), but table-backed patterns
-            # resolve the whole cycle in a single array gather.
-            sources: list[int] = []
-            for core_id, count in batch:
-                sources.extend([core_id] * count)
-            destinations = pattern.destinations(sources)
-            for core_id, bank_id in zip(sources, destinations):
-                bank_id = int(bank_id)
-                queues[core_id].append(new_flit(core_id, bank_id, False, cycle))
-                if bank_tile[bank_id] == core_tile[core_id]:
-                    local_requests += 1
-            generated = len(sources)
-        total_requests += generated
-
-        injected = engine.inject_queues(queues, injection_schedule.order(cycle), cycle)
-
-        if measuring:
-            generated_in_window += generated
-            injected_in_window += injected
-
-    # Keep the simulation object's counters consistent with the legacy loop.
-    simulation._local_requests += local_requests
-    simulation._total_requests += total_requests
+    histogram.extend(latencies)
     local_fraction = (
         simulation._local_requests / simulation._total_requests
         if simulation._total_requests
@@ -127,13 +170,13 @@ def run_vector_traffic(
         topology=config.topology,
         injected_load=simulation.injection_rate,
         measured_cycles=measure_cycles,
-        num_cores=num_cores,
-        generated_requests=generated_in_window,
-        injected_requests=injected_in_window,
-        completed_requests=completed_in_window,
+        num_cores=config.num_cores,
+        generated_requests=len(sources) - (ends[warmup_cycles - 1] if warmup_cycles else 0),
+        injected_requests=engine.total_injected - injected_before,
+        completed_requests=len(measured),
         average_latency=latency.mean,
         p95_latency=histogram.percentile(0.95),
         max_latency=int(latency.maximum) if latency.count else 0,
         local_fraction=local_fraction,
-        flit_log=flit_log if record_flits else None,
+        flit_log=[flits.row_record(row) for row in completed] if record_flits else None,
     )

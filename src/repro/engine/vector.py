@@ -110,14 +110,26 @@ class VectorEngine:
 
     def new_flit(self, core_id: int, bank_id: int, is_write: bool, cycle: int) -> int:
         """Allocate a flit row for a core -> bank transaction; return its id."""
+        return self.new_flits([core_id], [bank_id], [cycle], is_write)
+
+    def new_flits(self, cores, banks, created, is_write: bool = False) -> int:
+        """Allocate one flit row per ``(core, bank, created)`` entry.
+
+        The rows are consecutive, in entry order; returns the first row id.
+        """
         compiled = self.compiled
-        path_id = self._path_template(core_id, bank_id, is_write)
-        row = self.flits.allocate(core_id, bank_id, path_id, is_write, cycle)
-        entry = compiled.path_moves[path_id]
-        if entry[0] == BANK:
-            entry = (compiled.bank_stage_ids[bank_id], entry[1], entry[2])
-        self._next_move.append(entry)
-        return row
+        cores = np.asarray(cores, dtype=np.int64)
+        banks = np.asarray(banks, dtype=np.int64)
+        path_ids = compiled.path_ids(cores, banks, not is_write)
+        first = self.flits.allocate_block(cores, banks, path_ids, is_write, created)
+        bank_stage = compiled.bank_stage_ids
+        self._next_move.extend(
+            entry if entry[0] != BANK else (bank_stage[bank], entry[1], entry[2])
+            for entry, bank in zip(
+                map(compiled.path_moves.__getitem__, path_ids), banks.tolist()
+            )
+        )
+        return first
 
     # ------------------------------------------------------------------ #
     # Per-cycle operation
@@ -206,7 +218,7 @@ class VectorEngine:
         return self._inject(row, cycle)
 
     def _inject(self, row: int, cycle: int) -> bool:
-        """Injection hop shared by :meth:`try_inject` and :meth:`inject_queues`."""
+        """The injection hop of one row (inlined in :meth:`inject_queues`)."""
         flits = self.flits
         compiled = self.compiled
         target, arbiters, following = self._next_move[row]
@@ -307,15 +319,65 @@ class VectorEngine:
         permutation over source-queue indices, each non-empty queue's head
         row attempts the injection hop, and accepted heads are popped.
         Returns the number of injected rows.
+
+        The hop is :meth:`_inject` inlined over locally bound state — most
+        attempts of a saturated network are blocked, and a blocked attempt
+        is then two list reads instead of a method call — with the
+        counter updates deferred to one per call.
         """
-        inject = self._inject
-        injected = 0
+        next_move = self._next_move
+        free_slots = self.free_slots
+        accepted = self.accepted_cycle
+        granted = self.granted_cycle
+        queues = self.queues
+        occupied = self.occupied
+        head_move = self._head_move
+        bank_of = self.flits.bank
+        bank_stage = self.compiled.bank_stage_ids
+        # Safe to hold: rows are allocated (and columns replaced by growth)
+        # only between calls.
+        injected_cycle = self.flits.injected_cycle
+        entered = completed_at_injection = 0
         for index in order:
-            queue = source_queues[index]
-            if queue and inject(queue[0], cycle):
-                queue.popleft()
-                injected += 1
-        return injected
+            source = source_queues[index]
+            if not source:
+                continue
+            row = source[0]
+            target, arbiters, following = next_move[row]
+            if target < 0:
+                # Degenerate zero-register path: not worth a second copy.
+                if self._inject(row, cycle):
+                    source.popleft()
+                    completed_at_injection += 1
+                continue
+            if not free_slots[target] or accepted[target] == cycle:
+                continue
+            if arbiters:
+                blocked = False
+                for arbiter in arbiters:
+                    if granted[arbiter] == cycle:
+                        blocked = True
+                        break
+                if blocked:
+                    continue
+                for arbiter in arbiters:
+                    granted[arbiter] = cycle
+            source.popleft()
+            injected_cycle[row] = cycle
+            entered += 1
+            if following[0] == BANK:
+                following = (bank_stage[bank_of[row]], following[1], following[2])
+            next_move[row] = following
+            queue = queues[target]
+            if not queue:
+                occupied[target] = True
+                head_move[target] = following
+            queue.append(row)
+            free_slots[target] -= 1
+            accepted[target] = cycle
+        self.total_injected += entered
+        self.in_flight += entered
+        return entered + completed_at_injection
 
     # ------------------------------------------------------------------ #
     # Introspection

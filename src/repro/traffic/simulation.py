@@ -174,6 +174,10 @@ class TrafficSimulation:
         )
         self._local_requests = 0
         self._total_requests = 0
+        #: The simulation clock: the next cycle to simulate.  One clock for
+        #: every run() window, because source queues, stage stamps and the
+        #: injector's pending arrivals all carry absolute cycles.
+        self._cycle = 0
 
     # ------------------------------------------------------------------ #
     # Per-cycle behaviour
@@ -225,7 +229,20 @@ class TrafficSimulation:
         ring-buffer kernel engine (:mod:`repro.engine.compiled`, JIT-built
         when numba is installed).  ``record_flits`` attaches the per-flit
         completion log to the result (see :attr:`TrafficResult.flit_log`).
+
+        A second call continues where the first stopped: same clock, same
+        backlog, same random streams.
+
+        Raises
+        ------
+        ValueError
+            When ``warmup_cycles`` is negative (the window would be
+            shorter than the ``measure_cycles`` it is normalised by).
         """
+        if warmup_cycles < 0:
+            raise ValueError(
+                f"warmup_cycles must be non-negative, got {warmup_cycles}"
+            )
         if getattr(self.cluster, "engine_kind", "legacy") != "legacy":
             from repro.engine.traffic import run_vector_traffic
 
@@ -239,10 +256,11 @@ class TrafficSimulation:
         completed_in_window = 0
         generated_in_window = 0
         injected_in_window = 0
-        total_cycles = warmup_cycles + measure_cycles
-        for cycle in range(total_cycles):
+        start = self._cycle
+        end = start + warmup_cycles + measure_cycles
+        for cycle in range(start, end):
             completions = network.advance(cycle)
-            measuring = cycle >= warmup_cycles
+            measuring = cycle >= start + warmup_cycles
             if measuring:
                 completed_in_window += len(completions)
                 for flit in completions:
@@ -265,6 +283,7 @@ class TrafficSimulation:
             if measuring:
                 generated_in_window += generated
                 injected_in_window += injected
+        self._cycle = end
         local_fraction = (
             self._local_requests / self._total_requests if self._total_requests else 0.0
         )

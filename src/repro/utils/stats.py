@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 
 class OnlineStats:
@@ -30,6 +32,24 @@ class OnlineStats:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
+
+    def extend(self, values: Sequence[float]) -> None:
+        """Add many samples: :meth:`add` per sample, in order, bit for bit.
+
+        Welford's running mean depends on the order of its inputs, so a
+        replay of recorded samples must go through this loop (or
+        :meth:`add`), never through a reordered or pairwise sum.
+        """
+        count, mean, m2 = self.count, self._mean, self._m2
+        for value in values:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        if count > self.count:
+            self.count, self._mean, self._m2 = count, mean, m2
+            self.minimum = min(self.minimum, min(values))
+            self.maximum = max(self.maximum, max(values))
 
     def merge(self, other: "OnlineStats") -> None:
         """Merge another accumulator into this one (Chan's parallel variant)."""
@@ -80,6 +100,11 @@ class Histogram:
 
     def add(self, value: int, weight: int = 1) -> None:
         self.counts[value] = self.counts.get(value, 0) + weight
+
+    def extend(self, values: Iterable[int]) -> None:
+        """Add many samples of weight one."""
+        for value, count in Counter(values).items():
+            self.add(value, count)
 
     @property
     def total(self) -> int:

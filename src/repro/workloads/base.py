@@ -15,6 +15,17 @@ cores in ascending order.  The vector engine depends on this equivalence
 for cycle-exactness with the legacy engine; ``tests/test_workloads.py``
 asserts it property-style for every registered component.
 
+Both abstractions are **open loop**: patterns and injectors never observe
+the network — no call takes, and no implementation may read, anything the
+interconnect did with earlier requests.  A driver may therefore draw a
+whole window before transporting any of it
+(:func:`repro.engine.traffic.run_vector_traffic` does), as long as it
+calls in the documented per-cycle order: for each cycle ascending, the
+cycle's arrivals (cores ascending), then one destination per arrival in
+the same order.  A component that consulted network state would break
+that driver silently; closed-loop traffic belongs in the
+execution-driven simulator (:mod:`repro.workloads.agents`), not here.
+
 Randomness comes from the per-core substreams of :mod:`repro.workloads.rng`
 (see the reproducibility contract there): component- and core-disjoint
 streams derived from the single experiment seed.  The shared ``self.rng``

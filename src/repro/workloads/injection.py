@@ -16,6 +16,7 @@ keeps the vector fast path cycle-exact with the legacy loop.
 from __future__ import annotations
 
 import random
+from math import log
 
 from repro.utils.validation import check_in_range, check_non_negative
 from repro.workloads.base import InjectionProcess
@@ -62,20 +63,23 @@ class PoissonInjector(InjectionProcess):
         order — the shared random stream is consumed in exactly the same
         sequence, so mixing the two APIs across cycles is safe — but cores
         with no due arrival cost a single comparison instead of a method
-        call.  Used by the vector traffic driver (:mod:`repro.engine.traffic`).
+        call, and an interarrival time is CPython's ``expovariate``
+        formula (``-log(1.0 - random()) / rate``) computed in place.
+        Used by the vector traffic driver (:mod:`repro.engine.traffic`).
         """
-        if self.injection_rate == 0.0:
+        rate = self.injection_rate
+        if rate == 0.0:
             return []
         batch: list[tuple[int, int]] = []
         next_arrival = self._next_arrival
-        interarrival = self._interarrival
+        uniform = self.rng.random
         for core_id, due in enumerate(next_arrival):
             if due > cycle:
                 continue
             count = 0
             while due <= cycle:
                 count += 1
-                due += interarrival()
+                due += -log(1.0 - uniform()) / rate
             next_arrival[core_id] = due
             batch.append((core_id, count))
         return batch

@@ -41,6 +41,27 @@ class UniformRandomPattern(DestinationPattern):
         """A uniformly random destination bank for ``core_id``."""
         return self.rng.randrange(self.config.num_banks)
 
+    def destinations(self, core_ids) -> np.ndarray:
+        """Batched draws, bit-identical to per-request :meth:`destination`.
+
+        ``randrange`` is CPython's ``Random._randbelow_with_getrandbits``
+        rejection loop (``k = n.bit_length(); r = getrandbits(k); while
+        r >= n: redraw``) behind three Python frames; this runs the loop
+        itself, consuming exactly the same draws — the rejected ones
+        included, which for a power-of-two bank count is every other one.
+        """
+        getrandbits = self.rng.getrandbits
+        num_banks = self.config.num_banks
+        bits = num_banks.bit_length()
+        out: list[int] = []
+        append = out.append
+        for _ in core_ids:
+            draw = getrandbits(bits)
+            while draw >= num_banks:
+                draw = getrandbits(bits)
+            append(draw)
+        return np.asarray(out, dtype=np.int64)
+
 
 class LocalBiasedPattern(DestinationPattern):
     """Destination in the core's own tile with probability ``p_local`` (Figure 6).
