@@ -115,12 +115,14 @@ class MemPoolCluster:
         For ``engine="legacy"`` this is the topology's per-object
         :class:`~repro.interconnect.resources.StageNetwork`; for
         ``engine="vector"`` it is a
-        :class:`~repro.engine.vector.VectorStageNetwork` facade over the
+        :class:`~repro.engine.vector.VectorStageNetwork` over the
         structure-of-arrays engine, built lazily on first access.  Both
-        expose the same ``advance`` / ``try_inject`` / ``drain`` interface.
-        ``engine="compiled"`` gets the same facade over the ring-buffer
-        :class:`~repro.engine.compiled.CompiledEngine` (the typed-array
-        kernels of :mod:`repro.engine.kernel`).
+        expose the same ``advance`` / ``try_inject`` / ``drain`` interface
+        over ``Flit`` objects; the simulators use that interface on
+        ``legacy`` only and drive the SoA engine behind ``network.engine``
+        in rows.  ``engine="compiled"`` gets the same wrapper over the
+        ring-buffer :class:`~repro.engine.compiled.CompiledEngine` (the
+        typed-array kernels of :mod:`repro.engine.kernel`).
         """
         if self.engine_kind != "legacy":
             if self._vector_network is None:
@@ -206,19 +208,6 @@ class MemPoolCluster:
         self._next_flit_id += 1
         return flit_id
 
-    def make_flit(
-        self,
-        core_id: int,
-        address: int,
-        is_write: bool,
-        cycle: int,
-        tag: object = None,
-    ) -> Flit:
-        """Build the flit for a memory access to a program-visible address."""
-        location = self.address_map.decode(address)
-        bank_id = location.global_bank(self.config.banks_per_tile)
-        return self.make_bank_flit(core_id, bank_id, is_write, cycle, tag)
-
     def make_bank_flit(
         self,
         core_id: int,
@@ -253,10 +242,6 @@ class MemPoolCluster:
     # ------------------------------------------------------------------ #
     # Locality helpers
     # ------------------------------------------------------------------ #
-
-    def is_local_access(self, core_id: int, address: int) -> bool:
-        """True if ``address`` maps to a bank in ``core_id``'s own tile."""
-        return self.address_map.tile_of(address) == self.config.tile_of_core(core_id)
 
     def is_local_bank(self, core_id: int, bank_id: int) -> bool:
         """True if ``bank_id`` belongs to ``core_id``'s own tile."""

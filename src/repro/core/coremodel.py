@@ -58,6 +58,14 @@ class CoreStats:
     def stall_cycles(self) -> int:
         return self.dependency_stalls + self.structural_stalls + self.barrier_stalls
 
+    def accounted_cycles(self, barriers_issued: int = 0) -> int:
+        """Cycles the counters explain; equals ``finish_cycle`` on a finished core.
+
+        A single-issue core spends every cycle before it finishes on exactly
+        one compute instruction, memory issue, barrier arrival or stall.
+        """
+        return self.instructions + self.stall_cycles + barriers_issued
+
     @property
     def average_load_latency(self) -> float:
         return self.load_latency_sum / self.loads if self.loads else 0.0
@@ -78,11 +86,12 @@ class CoreStats:
         self.finish_cycle = max(self.finish_cycle, other.finish_cycle)
 
 
-@dataclass
-class _PendingOp:
-    """The operation currently blocking the core's front end, if any."""
-
-    operation: Operation | None = None
+#: What :meth:`CoreTimingModel.step` reports about the cycles to come: step
+#: the core again next cycle, or skip it until ``busy_until``
+#: (``SLEEP_TIMER``), until the response or barrier release it waits on
+#: (``SLEEP_EVENT``), or for good (``FINISHED``).  Only a core whose
+#: injection queue is empty reports anything but ``RUNNING``.
+RUNNING, SLEEP_TIMER, SLEEP_EVENT, FINISHED = range(4)
 
 
 class CoreTimingModel:
@@ -90,47 +99,82 @@ class CoreTimingModel:
 
     def __init__(self, core_id: int, cluster, agent: CoreAgent, barrier) -> None:
         self.core_id = core_id
-        self.cluster = cluster
         self.agent = agent
         self.barrier = barrier
-        self.tile_id = cluster.config.tile_of_core(core_id)
-        timing = cluster.config.timing
-        self.rob = ReorderBuffer(timing.max_outstanding_loads)
+        config = cluster.config
+        self.tile_id = config.tile_of_core(core_id)
+        self._decode = cluster.address_map.decode
+        self._banks_per_tile = config.banks_per_tile
+        self.rob = ReorderBuffer(config.timing.max_outstanding_loads)
+        #: Issued requests not yet accepted by the interconnect, oldest first:
+        #: ``(bank_id, is_write, created_cycle, sequence)`` records.
         self.injection_queue: deque = deque()
-        self.injection_depth = timing.injection_queue_depth
+        self.injection_depth = config.timing.injection_queue_depth
         self.stats = CoreStats()
         self.busy_until = 0
         self.barrier_waiting = False
         self.done = False
         self._ops = iter(agent.operations())
-        self._pending = _PendingOp()
+        #: The operation blocking the front end (a stalled load/store/use).
+        self._pending: Operation | None = None
         self._tag_to_sequence: dict[object, int] = {}
         self._sequence = 0
+        #: Cycle of the last step before a ``SLEEP_EVENT`` sleep (-1: not in
+        #: one) and the load sequence that ends it (-1: the barrier release).
+        self._asleep_since = -1
+        self._wake_sequence = -1
 
     # ------------------------------------------------------------------ #
     # Interconnect interface
     # ------------------------------------------------------------------ #
 
-    def on_response(self, flit) -> None:
-        """Called by the system when a load response returns to this core."""
-        self.rob.complete(flit.tag)
-        self.rob.retire_ready()
-        latency = flit.latency
-        self.stats.load_latency_sum += latency
-        self.stats.load_latency_max = max(self.stats.load_latency_max, latency)
+    def on_response(self, sequence: int, latency: int, cycle: int) -> bool:
+        """A load response returned; True if it wakes the sleeping core.
 
-    def release_barrier(self) -> None:
-        """Called by the system when the barrier this core waits on opens."""
+        A woken core is charged the dependency stalls of the cycles it
+        slept through — one per cycle, as if it had been stepped.
+        """
+        self.rob.complete(sequence)
+        self.rob.retire_ready()
+        stats = self.stats
+        stats.load_latency_sum += latency
+        if latency > stats.load_latency_max:
+            stats.load_latency_max = latency
+        if self._asleep_since < 0 or sequence != self._wake_sequence:
+            return False
+        stats.dependency_stalls += cycle - self._asleep_since - 1
+        self._asleep_since = -1
+        return True
+
+    def release_barrier(self, cycle: int) -> bool:
+        """The barrier opened at the end of ``cycle``; True if that wakes the core."""
         self.barrier_waiting = False
+        if self._asleep_since < 0:
+            return False
+        self.stats.barrier_stalls += cycle - self._asleep_since
+        self._asleep_since = -1
+        return True
 
     # ------------------------------------------------------------------ #
     # Per-cycle behaviour
     # ------------------------------------------------------------------ #
 
-    def step(self, cycle: int) -> None:
-        """Advance the core by one cycle."""
-        self._progress_agent(cycle)
-        self._try_inject(cycle)
+    def step(self, cycle: int, inject) -> int:
+        """Advance the core by one cycle; returns ``RUNNING`` or a sleep status.
+
+        ``inject(core_id, request, cycle)`` offers the oldest queued request
+        to the interconnect and returns whether it was accepted.
+        """
+        status = self._progress_agent(cycle)
+        queue = self.injection_queue
+        if queue:
+            if inject(self.core_id, queue[0], cycle):
+                queue.popleft()
+            if queue:
+                return RUNNING
+        if status == SLEEP_EVENT:
+            self._asleep_since = cycle
+        return status
 
     @property
     def idle(self) -> bool:
@@ -139,41 +183,26 @@ class CoreTimingModel:
 
     # -- front end -------------------------------------------------------- #
 
-    def _next_operation(self) -> Operation | None:
-        if self._pending.operation is not None:
-            return self._pending.operation
-        try:
-            operation = next(self._ops)
-        except StopIteration:
-            return None
-        self._pending.operation = operation
-        return operation
-
-    def _consume(self) -> None:
-        self._pending.operation = None
-
-    def _progress_agent(self, cycle: int) -> None:
+    def _progress_agent(self, cycle: int) -> int:
+        """Execute at most one cycle of the program; the status if nothing is queued."""
         if self.done:
-            return
+            return FINISHED
         if self.busy_until > cycle:
-            return
+            return SLEEP_TIMER if self.busy_until > cycle + 1 else RUNNING
+        stats = self.stats
         if self.barrier_waiting:
-            self.stats.barrier_stalls += 1
-            return
+            stats.barrier_stalls += 1
+            return SLEEP_EVENT
         while True:
-            operation = self._next_operation()
+            operation = self._pending
             if operation is None:
-                self.done = True
-                self.stats.finish_cycle = cycle
-                return
-            if isinstance(operation, Compute):
-                self._consume()
-                self.stats.compute_cycles += operation.cycles
-                self.stats.mul_instructions += operation.muls
-                if operation.cycles > 0:
-                    self.busy_until = cycle + operation.cycles
-                    return
-                continue
+                operation = next(self._ops, None)
+                if operation is None:
+                    self.done = True
+                    stats.finish_cycle = cycle
+                    return FINISHED
+            else:
+                self._pending = None
             if isinstance(operation, Use):
                 sequence = self._tag_to_sequence.get(operation.tag)
                 if sequence is None:
@@ -182,69 +211,54 @@ class CoreTimingModel:
                         "before any load produced it"
                     )
                 if not self.rob.is_complete(sequence):
-                    self.stats.dependency_stalls += 1
-                    return
-                self._consume()
-                continue
-            if isinstance(operation, Load):
-                if self.rob.is_full or len(self.injection_queue) >= self.injection_depth:
-                    self.stats.structural_stalls += 1
-                    return
-                self._issue_load(operation, cycle)
-                self._consume()
-                return
-            if isinstance(operation, Store):
-                if len(self.injection_queue) >= self.injection_depth:
-                    self.stats.structural_stalls += 1
-                    return
-                self._issue_store(operation, cycle)
-                self._consume()
-                return
-            if isinstance(operation, Barrier):
-                self._consume()
+                    stats.dependency_stalls += 1
+                    self._pending = operation
+                    self._wake_sequence = sequence
+                    return SLEEP_EVENT
+            elif isinstance(operation, (Load, Store)):
+                is_write = isinstance(operation, Store)
+                if len(self.injection_queue) >= self.injection_depth or (
+                    not is_write and self.rob.is_full
+                ):
+                    stats.structural_stalls += 1
+                    self._pending = operation
+                else:
+                    self._issue(operation, is_write, cycle)
+                return RUNNING
+            elif isinstance(operation, Compute):
+                stats.compute_cycles += operation.cycles
+                stats.mul_instructions += operation.muls
+                if operation.cycles > 0:
+                    self.busy_until = cycle + operation.cycles
+                    return SLEEP_TIMER if operation.cycles > 1 else RUNNING
+            elif isinstance(operation, Barrier):
                 self.barrier_waiting = True
+                self._wake_sequence = -1
                 self.barrier.arrive(self.core_id, operation.barrier_id)
-                return
-            raise TypeError(f"unknown core operation {operation!r}")
+                return SLEEP_EVENT
+            else:
+                raise TypeError(f"unknown core operation {operation!r}")
 
-    def _issue_load(self, operation: Load, cycle: int) -> None:
-        sequence = self._sequence
-        self._sequence += 1
-        if operation.tag is not None:
-            self._tag_to_sequence[operation.tag] = sequence
-        flit = self.cluster.make_flit(
-            core_id=self.core_id,
-            address=operation.address,
-            is_write=False,
-            cycle=cycle,
-            tag=sequence,
+    def _issue(self, operation: Load | Store, is_write: bool, cycle: int) -> None:
+        """Queue the request of a load or store; its address is decoded once."""
+        sequence = None
+        if not is_write:
+            sequence = self._sequence
+            self._sequence += 1
+            if operation.tag is not None:
+                self._tag_to_sequence[operation.tag] = sequence
+            self.rob.allocate(sequence)
+        location = self._decode(operation.address)
+        self.injection_queue.append(
+            (location.global_bank(self._banks_per_tile), is_write, cycle, sequence)
         )
-        self.rob.allocate(sequence)
-        self.injection_queue.append(flit)
-        if self.cluster.is_local_access(self.core_id, operation.address):
-            self.stats.local_loads += 1
+        stats = self.stats
+        if location.tile == self.tile_id:
+            if is_write:
+                stats.local_stores += 1
+            else:
+                stats.local_loads += 1
+        elif is_write:
+            stats.remote_stores += 1
         else:
-            self.stats.remote_loads += 1
-
-    def _issue_store(self, operation: Store, cycle: int) -> None:
-        flit = self.cluster.make_flit(
-            core_id=self.core_id,
-            address=operation.address,
-            is_write=True,
-            cycle=cycle,
-            tag=None,
-        )
-        self.injection_queue.append(flit)
-        if self.cluster.is_local_access(self.core_id, operation.address):
-            self.stats.local_stores += 1
-        else:
-            self.stats.remote_stores += 1
-
-    # -- back end --------------------------------------------------------- #
-
-    def _try_inject(self, cycle: int) -> None:
-        if not self.injection_queue:
-            return
-        flit = self.injection_queue[0]
-        if self.cluster.network.try_inject(flit, cycle):
-            self.injection_queue.popleft()
+            stats.remote_loads += 1

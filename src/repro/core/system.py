@@ -1,9 +1,13 @@
 """Execution-driven simulation of programs running on the MemPool cluster.
 
 :class:`MemPoolSystem` instantiates one :class:`CoreTimingModel` per core,
-connects them to the cluster's stage network, and advances everything cycle
+connects them to the cluster's timing engine, and advances everything cycle
 by cycle until every core has finished its program and the interconnect has
-drained.  The result object carries the cycle count and the activity counters
+drained.  The loop is event-driven: a core that cannot act — mid-``Compute``,
+waiting on a ``Use`` or at the barrier, or finished, with nothing left to
+inject — is not stepped again until a timer, a load response or the barrier
+release wakes it (``docs/architecture.md``, "The execution-driven loop").
+The result object carries the cycle count and the activity counters
 consumed by the energy and power models.
 """
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.core.agents import CoreAgent, IdleAgent
 from repro.core.cluster import MemPoolCluster
-from repro.core.coremodel import CoreStats, CoreTimingModel
+from repro.core.coremodel import FINISHED, SLEEP_TIMER, CoreStats, CoreTimingModel
 from repro.utils.rotation import PermutationSchedule
 
 
@@ -63,7 +67,8 @@ class GlobalBarrier:
         BarrierMismatchError
             If the participants arrived with differing ``barrier_id``s.
         """
-        if self.participants and set(self._arrived) >= self.participants:
+        # ``arrive`` admits participants only, so equal sizes mean all arrived.
+        if self.participants and len(self._arrived) == len(self.participants):
             identifiers = set(self._arrived.values())
             if len(identifiers) > 1:
                 arrivals = ", ".join(
@@ -145,8 +150,64 @@ class SystemResult:
         return self.instructions / self.cycles
 
 
+def _engine_port(cluster: MemPoolCluster):
+    """The system's two calls into the timing engine, ``(inject, advance)``.
+
+    ``inject(core_id, request, cycle)`` offers a core's oldest ``(bank_id,
+    is_write, created_cycle, sequence)`` request and returns whether it was
+    accepted; ``advance(cycle)`` moves the network one cycle and returns the
+    completed reads as ``(core_id, sequence, latency)``.  ``legacy`` gets a
+    ``Flit`` per request; the SoA engines get flit rows and no object.
+    """
+    network = cluster.network
+    if cluster.engine_kind == "legacy":
+        blocked: dict[int, object] = {}  # core -> flit of its blocked head request
+
+        def inject(core_id, request, cycle):
+            flit = blocked.pop(core_id, None)
+            if flit is None:
+                bank_id, is_write, created, sequence = request
+                flit = cluster.make_bank_flit(
+                    core_id, bank_id, is_write, created, tag=sequence
+                )
+            if network.try_inject(flit, cycle):
+                return True
+            blocked[core_id] = flit
+            return False
+
+        def advance(cycle):
+            return [
+                (flit.core_id, flit.tag, flit.latency)
+                for flit in network.advance(cycle)
+                if flit.is_read
+            ]
+    else:
+        engine = network.engine
+        sequence_of_row: dict[int, int] = {}  # loads in flight
+
+        def inject(core_id, request, cycle):
+            bank_id, is_write, created, sequence = request
+            row = engine.inject_new(core_id, bank_id, is_write, created, cycle)
+            if row is None:
+                return False
+            if not is_write:
+                sequence_of_row[row] = sequence
+            return True
+
+        def advance(cycle):
+            network.advance(cycle)
+            core, created = engine.flits.core, engine.flits.created
+            return [
+                (core[row], sequence_of_row.pop(row), cycle - created[row])
+                for row in network.completed_rows
+                if row in sequence_of_row
+            ]
+
+    return inject, advance
+
+
 class MemPoolSystem:
-    """Cycle-driven simulator of agents (programs) running on the cluster."""
+    """Event-driven cycle simulator of agents (programs) running on the cluster."""
 
     def __init__(
         self,
@@ -172,6 +233,12 @@ class MemPoolSystem:
             for core_id, agent in enumerate(self.agents)
         ]
         self._step_schedule = PermutationSchedule(len(self.cores), seed=1)
+        self._inject, self._advance = _engine_port(cluster)
+        #: Which cores the next cycle steps, how many have not finished, and
+        #: the sleeping cores to wake at a given cycle.
+        self._awake = [True] * len(self.cores)
+        self._unfinished = len(self.cores)
+        self._timers: dict[int, list[int]] = {}
         self.cycle = 0
 
     @classmethod
@@ -236,29 +303,58 @@ class MemPoolSystem:
     # ------------------------------------------------------------------ #
 
     def step(self) -> None:
-        """Advance the whole system by one cycle."""
-        network = self.cluster.network
-        completed = network.advance(self.cycle)
-        for flit in completed:
-            if flit.is_read:
-                self.cores[flit.core_id].on_response(flit)
-        for index in self._step_schedule.order(self.cycle):
-            self.cores[index].step(self.cycle)
+        """Advance the whole system by one cycle.
+
+        Network, then load responses, then timer wake-ups, then the awake
+        cores in the cycle's schedule order, then the barrier release.
+        """
+        cycle = self.cycle
+        cores = self.cores
+        awake = self._awake
+        for core_id, sequence, latency in self._advance(cycle):
+            if cores[core_id].on_response(sequence, latency, cycle):
+                awake[core_id] = True
+        for core_id in self._timers.pop(cycle, ()):
+            awake[core_id] = True
+        inject = self._inject
+        for index in self._step_schedule.order(cycle):
+            if awake[index]:
+                status = cores[index].step(cycle, inject)
+                if status:
+                    awake[index] = False
+                    if status == SLEEP_TIMER:
+                        self._timers.setdefault(cores[index].busy_until, []).append(index)
+                    elif status == FINISHED:
+                        self._unfinished -= 1
         if self.barrier.try_release():
             for core_id in self.barrier.participants:
-                self.cores[core_id].release_barrier()
-        self.cycle += 1
-
-    def _all_done(self) -> bool:
-        return all(core.idle for core in self.cores) and self.cluster.network.in_flight == 0
+                if cores[core_id].release_barrier(cycle):
+                    awake[core_id] = True
+        self.cycle = cycle + 1
 
     def run(self, max_cycles: int = 2_000_000) -> SystemResult:
-        """Run until every core finished and the network drained."""
-        while not self._all_done():
-            if self.cycle >= max_cycles:
-                raise BarrierTimeoutError(self._deadlock_report(max_cycles))
-            self.step()
+        """Run until every core finished and the network drained.
+
+        Raises
+        ------
+        BarrierTimeoutError
+            At ``max_cycles`` (a live-lock), or at once when cores are
+            unfinished but none is awake, no timer is pending and nothing
+            is in flight: nothing can wake them any more.
+        """
         network = self.cluster.network
+        while self._unfinished or network.in_flight:
+            if self.cycle >= max_cycles:
+                raise BarrierTimeoutError(
+                    self._deadlock_report(f"simulation exceeded {max_cycles} cycles")
+                )
+            if not (network.in_flight or self._timers or any(self._awake)):
+                raise BarrierTimeoutError(
+                    self._deadlock_report(
+                        f"deadlock at cycle {self.cycle}: no core can act or be woken"
+                    )
+                )
+            self.step()
         return SystemResult(
             cycles=self.cycle,
             core_stats=[core.stats for core in self.cores],
@@ -267,11 +363,11 @@ class MemPoolSystem:
             barrier_episodes=self.barrier.episodes,
         )
 
-    def _deadlock_report(self, max_cycles: int) -> str:
+    def _deadlock_report(self, reason: str) -> str:
         unfinished = [core.core_id for core in self.cores if not core.idle]
         waiting = [core.core_id for core in self.cores if core.barrier_waiting]
         return (
-            f"simulation exceeded {max_cycles} cycles; "
+            f"{reason}; "
             f"{len(unfinished)} cores unfinished (first: {unfinished[:8]}), "
             f"{len(waiting)} cores waiting at a barrier (first: {waiting[:8]}), "
             f"{self.cluster.network.in_flight} requests in flight"

@@ -25,8 +25,9 @@ or from the command line::
 
 Both the open-loop traffic simulator (through
 :mod:`repro.engine.traffic`) and the execution-driven system simulator
-(through :class:`~repro.engine.vector.VectorStageNetwork`, a drop-in
-``StageNetwork`` facade) run on either engine unchanged; every traffic
+(through the row port of :mod:`repro.core.system`) run on either engine
+unchanged; :class:`~repro.engine.vector.VectorStageNetwork` keeps the
+``StageNetwork`` object interface for tests and tracing.  Every traffic
 point is one engine instance driven by one loop — there is no batched
 multi-simulation path (``docs/architecture.md``, "Why there is no sim
 axis").

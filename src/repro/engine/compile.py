@@ -73,10 +73,10 @@ class EngineCompileError(ValueError):
 #: a short point.  Bounded FIFO like ``repro.utils.rotation._pool_cache``;
 #: the bound is tiny because an entry retains the built topology and every
 #: compiled template (about 3.5 MB at 64 cores, 27 MB at 256).  One entry
-#: serves the sweeps it was measured on — fig5 and the traffic catalogues
-#: expand topology-major, so consecutive points share a configuration.  It
-#: does not serve the full fig7 grid, whose innermost axis is scrambling (a
-#: config field): every consecutive point there is a miss.
+#: serves the sweeps it was measured on — fig5, fig7 and the traffic
+#: catalogues expand configuration-major (fig7: topology, scrambling, then
+#: kernel), so consecutive points share a configuration and a serial run
+#: compiles each one once.
 _network_memo: dict[MemPoolConfig, CompiledNetwork] = {}
 _NETWORK_MEMO_LIMIT = 1
 #: Serialises every *miss* — a memo insertion, a lazily compiled template

@@ -202,8 +202,8 @@ class CompiledEngine:
 
         Check-then-allocate, exactly like
         :meth:`VectorEngine.inject_new <repro.engine.vector.VectorEngine.inject_new>`:
-        a blocked first hop allocates nothing, so object-facade callers may
-        retry every cycle without leaking rows.
+        a blocked first hop allocates nothing, so callers may retry every
+        cycle without leaking rows.
         """
         compiled = self.compiled
         path_id = compiled.template_row(core_id, not is_write)[

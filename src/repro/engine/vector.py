@@ -42,9 +42,11 @@ extra writes per hop here.
 
 :class:`VectorStageNetwork` wraps the engine in the ``StageNetwork`` call
 interface (``advance`` / ``try_inject`` / ``drain`` over
-:class:`~repro.interconnect.resources.Flit` objects) so the execution-driven
-simulator (:class:`repro.core.system.MemPoolSystem`) and every other object
--model caller run on the vector engine unchanged.
+:class:`~repro.interconnect.resources.Flit` objects) for object-model
+callers: tests and the benchmark's tracer.  The simulators do not build
+objects — the traffic driver and the execution-driven system
+(:class:`repro.core.system.MemPoolSystem`) both talk to :attr:`engine` in
+rows.
 """
 
 from __future__ import annotations
@@ -266,9 +268,9 @@ class VectorEngine:
 
         The check-then-allocate order matters: a failed injection allocates
         nothing, so callers that retry every cycle (the execution-driven
-        core models, via the object facade) do not leak one row per failed
-        attempt.  Returns the injected row id, or ``None`` when the first
-        hop is blocked this cycle.
+        system, once per core with a queued request) do not leak one row
+        per failed attempt.  Returns the injected row id, or ``None`` when
+        the first hop is blocked this cycle.
         """
         compiled = self.compiled
         path_id = self._path_template(core_id, bank_id, is_write)
@@ -404,11 +406,11 @@ class VectorEngine:
 class VectorStageNetwork:
     """Drop-in ``StageNetwork`` facade running on the vector engine.
 
-    Object-model callers keep building :class:`Flit` instances (the
-    execution-driven core models hang response tags off them); this facade
+    Object-model callers keep building :class:`Flit` instances; this facade
     maps each injected flit onto an engine row, lets the SoA engine do the
     timing, and mirrors the lifecycle timestamps back onto the objects the
-    moment they matter (injection and completion).
+    moment they matter (injection and completion).  Row callers go to
+    :attr:`engine` directly.
     """
 
     def __init__(
@@ -425,6 +427,8 @@ class VectorStageNetwork:
         self.engine = engine_cls(self.compiled)
         #: Rows of in-flight object flits, keyed by row id.
         self._flit_of_row: dict[int, Flit] = {}
+        #: The rows the last :meth:`advance` completed, object or not.
+        self.completed_rows: list[int] = []
 
     # -- StageNetwork interface ------------------------------------------ #
 
@@ -444,22 +448,30 @@ class VectorStageNetwork:
         return self.engine.total_completed
 
     def advance(self, cycle: int) -> list[Flit]:
-        """Advance one cycle; return the completed :class:`Flit` objects."""
+        """Advance one cycle; return the completed :class:`Flit` objects.
+
+        Rows injected without an object (``engine.inject_new``, as the
+        execution-driven system does) complete into :attr:`completed_rows`
+        only.
+        """
+        rows = self.completed_rows = self.engine.advance(cycle)
         completed = []
-        path_of = self.engine.flits.path_id
-        resource_len = self.compiled.path_resource_len
-        for row in self.engine.advance(cycle):
-            flit = self._flit_of_row.pop(row)
-            flit.completed_cycle = cycle
-            flit.position = resource_len[path_of[row]]
-            completed.append(flit)
+        if self._flit_of_row:
+            path_of = self.engine.flits.path_id
+            resource_len = self.compiled.path_resource_len
+            for row in rows:
+                flit = self._flit_of_row.pop(row, None)
+                if flit is not None:
+                    flit.completed_cycle = cycle
+                    flit.position = resource_len[path_of[row]]
+                    completed.append(flit)
         return completed
 
     def try_inject(self, flit: Flit, cycle: int) -> bool:
         """Try to inject an object flit; mirrors ``StageNetwork.try_inject``.
 
         A failed attempt allocates nothing (see
-        :meth:`VectorEngine.inject_new`), so core models may retry with the
+        :meth:`VectorEngine.inject_new`), so a caller may retry with the
         same — or a different — flit object every cycle.
         """
         if flit.position != -1:

@@ -159,14 +159,18 @@ def fig7_sweep(
     topologies: tuple[str, ...] = FIG7_TOPOLOGIES,
     verify: bool = True,
 ) -> Sweep:
-    """The (kernel x topology x scrambling) grid of Figure 7 as a :class:`Sweep`."""
+    """The (topology x scrambling x kernel) grid of Figure 7 as a :class:`Sweep`.
+
+    Configuration-major, so consecutive points of a serial run share one
+    compiled network (:func:`repro.engine.compile.shared_network`).
+    """
     settings = settings or ExperimentSettings()
     return Sweep(
         runner="repro.evaluation.fig7:simulate_fig7_point",
         grid={
-            "kernel": tuple(kernels),
             "topology": tuple(topologies),
             "scrambling": (False, True),
+            "kernel": tuple(kernels),
         },
         base={
             "full_scale": settings.full_scale,

@@ -29,11 +29,14 @@ from repro.validation.fuzz import (
     ENGINES_CHECKED,
     DivergenceError,
     FuzzCase,
+    SystemCase,
     check_case,
+    check_system_case,
     degree_skewed_cases,
     fuzz_cases,
     run_case,
     run_fuzz,
+    system_cases,
     topology_selections,
 )
 from repro.validation.golden import (
@@ -61,11 +64,14 @@ __all__ = [
     "ENGINES_CHECKED",
     "DivergenceError",
     "FuzzCase",
+    "SystemCase",
     "check_case",
+    "check_system_case",
     "degree_skewed_cases",
     "fuzz_cases",
     "run_case",
     "run_fuzz",
+    "system_cases",
     "topology_selections",
     "DEFAULT_CASES",
     "GOLDEN_PATH",

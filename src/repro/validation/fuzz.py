@@ -27,10 +27,13 @@ where engine implementations are most likely to disagree.
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass
 
+from repro.core.agents import Barrier, Compute, Load, Store, TraceAgent, Use
 from repro.core.cluster import MemPoolCluster
-from repro.core.config import MemPoolConfig
+from repro.core.config import MemPoolConfig, TimingParameters
+from repro.core.system import MemPoolSystem
 from repro.topologies.registry import (
     available_topologies,
     parse_scalar,
@@ -555,6 +558,118 @@ def degree_skewed_cases(scale: str = "tiny"):
         )
 
     return cases()
+
+
+# --------------------------------------------------------------------------- #
+# The execution-driven system
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class SystemCase:
+    """One sampled :class:`~repro.core.system.MemPoolSystem` run.
+
+    A tiny cluster plus one seeded random operation stream per active
+    core: loads (tagged, re-tagged and never used), uses, stores, compute
+    gaps including zero-cycle ones, and barrier episodes that only a
+    subset of the active cores takes part in.
+    """
+
+    topology: str
+    seed: int
+    topology_params: tuple = ()
+    scrambling: bool = True
+    rob_depth: int = 8
+
+    def config(self) -> MemPoolConfig:
+        """The cluster configuration this case runs on."""
+        return MemPoolConfig.tiny(
+            self.topology,
+            topology_params=self.topology_params,
+            scrambling_enabled=self.scrambling,
+            timing=TimingParameters(max_outstanding_loads=self.rob_depth),
+        )
+
+    def programs(self) -> tuple[dict[int, list], set[int], int]:
+        """``(operations by core, barrier participants, barrier episodes)``."""
+        rng = random.Random(self.seed)
+        config = self.config()
+        active = rng.sample(range(config.num_cores), rng.randint(1, config.num_cores))
+        participants = set(rng.sample(active, rng.randint(0, len(active))))
+        episodes = rng.randint(1, 3) if participants else 0
+        programs = {}
+        for core in active:
+            operations: list = []
+            tags: set[int] = set()
+            for phase in range(episodes + 1):
+                for _ in range(rng.randint(0, 12)):
+                    kind = rng.random()
+                    address = 4 * rng.randrange(config.l1_bytes // 4)
+                    if kind < 0.35:
+                        tag = rng.choice((None, 0, 1, 2, 3, 4))
+                        if tag is not None:
+                            tags.add(tag)
+                        operations.append(Load(address, tag=tag))
+                    elif kind < 0.55 and tags:
+                        operations.append(Use(rng.choice(sorted(tags))))
+                    elif kind < 0.75:
+                        operations.append(Store(address))
+                    else:
+                        cycles = rng.randint(0, 6)
+                        operations.append(Compute(cycles, muls=rng.randint(0, cycles)))
+                if core in participants and phase < episodes:
+                    operations.append(Barrier(phase))
+            programs[core] = operations
+        return programs, participants, episodes
+
+
+def run_system_case(case: SystemCase, engine: str):
+    """Run one system case on one engine; returns its ``SystemResult``."""
+    programs, participants, _ = case.programs()
+    agents = {core: TraceAgent(operations) for core, operations in programs.items()}
+    cluster = MemPoolCluster(case.config(), engine=engine)
+    system = MemPoolSystem(cluster, agents, barrier_participants=participants)
+    return system.run(max_cycles=100_000)
+
+
+def check_system_case(case: SystemCase, engines=ENGINES_CHECKED) -> dict:
+    """Run ``case`` on every engine; assert equal results and exact accounting.
+
+    Beyond cross-engine equality of the whole ``SystemResult``, every core
+    must satisfy ``finish_cycle == CoreStats.accounted_cycles(barriers
+    issued)`` — no engine can pass that by agreeing with another.
+    """
+    results = {engine: run_system_case(case, engine) for engine in engines}
+    reference = results[engines[0]]
+    _, participants, episodes = case.programs()
+    agree = all(results[engine] == reference for engine in engines[1:])
+    accounted = all(
+        stats.finish_cycle
+        == stats.accounted_cycles(episodes if core in participants else 0)
+        for core, stats in enumerate(reference.core_stats)
+    )
+    if not (agree and accounted):
+        raise AssertionError(
+            f"system case failed (engines agree: {agree}, every cycle "
+            f"accounted for: {accounted}); reproduce with:\n"
+            f"  repro.validation.fuzz.check_system_case({case!r})"
+        )
+    return results
+
+
+def system_cases():
+    """Hypothesis strategy over small clusters x seeded random programs."""
+    import hypothesis.strategies as st
+
+    return st.builds(
+        lambda selection, seed, scrambling, rob_depth: SystemCase(
+            selection[0], seed, tuple(selection[1].items()), scrambling, rob_depth
+        ),
+        st.sampled_from(topology_selections("tiny")),
+        st.integers(0, 9999),
+        st.booleans(),
+        st.sampled_from((1, 2, 8)),
+    )
 
 
 def run_fuzz(

@@ -29,11 +29,11 @@ class TestTiles:
 
 
 class TestFlitConstruction:
-    def test_make_flit_decodes_the_address(self, toph_tiny_cluster):
+    def test_a_stack_address_decodes_to_a_bank_of_the_cores_tile(self, toph_tiny_cluster):
         cluster = toph_tiny_cluster
         address = cluster.layout.stack_pointer(0) - 4
-        flit = cluster.make_flit(0, address, is_write=False, cycle=0)
-        assert cluster.config.tile_of_bank(flit.bank_id) == 0
+        bank_id = cluster.address_map.global_bank_of(address)
+        assert cluster.config.tile_of_bank(bank_id) == 0
 
     def test_make_bank_flit_paths_end_properly(self, tiny_cluster):
         read = tiny_cluster.make_bank_flit(0, 1, is_write=False, cycle=0)
@@ -50,8 +50,9 @@ class TestFlitConstruction:
         interleaved = MemPoolCluster(MemPoolConfig.tiny("toph", scrambling_enabled=False))
         core = 5
         address = scrambled.layout.stack_pointer(core) - 4
-        assert scrambled.is_local_access(core, address)
-        assert not interleaved.is_local_access(core, address)
+        tile = scrambled.config.tile_of_core(core)
+        assert scrambled.address_map.is_local(address, tile)
+        assert not interleaved.address_map.is_local(address, tile)
 
     def test_is_local_bank(self, tiny_cluster):
         config = tiny_cluster.config

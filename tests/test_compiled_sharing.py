@@ -188,6 +188,33 @@ def test_a_memo_hit_builds_no_topology(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_serial_fig7_run_compiles_each_configuration_once(monkeypatch):
+    """fig7 expands configuration-major, so the 1-entry memo serves it.
+
+    Kernel-major (the order before PR 16) compiled all 24 points: scrambling
+    is a config field and was the innermost axis.
+    """
+    from repro.evaluation.fig7 import fig7_sweep
+    from repro.evaluation.settings import ExperimentSettings
+
+    compiles = []
+    compile_network = engine_compile.CompiledNetwork
+    monkeypatch.setattr(
+        engine_compile, "CompiledNetwork",
+        lambda topology: compiles.append(topology) or compile_network(topology),
+    )
+    settings = ExperimentSettings(full_scale=False, engine="vector")
+    specs = fig7_sweep(settings).specs()
+    for spec in specs:
+        config = settings.config(
+            spec.params["topology"], scrambling_enabled=spec.params["scrambling"]
+        )
+        MemPoolCluster(config, engine="vector").compiled_network()
+    assert len(specs) == 24
+    assert len(compiles) == 8
+    assert len({spec.key for spec in specs}) == 24
+
+
 def test_the_memo_never_holds_a_clusters_own_topology():
     cluster = MemPoolCluster(MemPoolConfig.tiny("toph"), engine="legacy")
     assert cluster.compiled_network().topology is not cluster.topology

@@ -3,7 +3,9 @@
 The CI entry point of :mod:`repro.validation.fuzz`: Hypothesis samples
 ``FUZZ_BUDGET`` configurations from the registries' full space (plus a
 degree-skewed hotspot slice) and every sample must produce flit-for-flit
-identical results on the legacy, vector and compiled engines.  A failure
+identical results on the legacy, vector and compiled engines; a third
+property runs seeded random programs through ``MemPoolSystem`` the same
+way.  A failure
 shrinks deterministically and raises a
 :class:`~repro.validation.fuzz.DivergenceError` whose message embeds the
 one-line ``python -m repro.validation --replay`` reproducer (and, when
@@ -24,7 +26,13 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 
-from repro.validation import check_case, degree_skewed_cases, fuzz_cases  # noqa: E402
+from repro.validation import (  # noqa: E402
+    check_case,
+    check_system_case,
+    degree_skewed_cases,
+    fuzz_cases,
+    system_cases,
+)
 
 FUZZ_BUDGET = int(os.environ.get("FUZZ_BUDGET", "25"))
 
@@ -46,3 +54,14 @@ def test_engines_agree_on_sampled_configurations(case):
 def test_engines_agree_under_degree_skewed_hotspots(case):
     """The scale-free hotspot regime (arxiv 0908.0976) diverges nowhere."""
     check_case(case)
+
+
+@settings(max_examples=FUZZ_BUDGET, **_SETTINGS)
+@given(system_cases())
+def test_execution_driven_system_agrees_and_accounts_for_every_cycle(case):
+    """``MemPoolSystem`` on random programs: three engines, one exact result.
+
+    Plus the per-core identity ``finish_cycle == instructions + stalls +
+    barriers issued``, which holds (or not) on each engine by itself.
+    """
+    check_system_case(case)
