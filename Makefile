@@ -7,6 +7,7 @@
 #   make bench-engine  engine + workload + topology benchmarks + enforced report
 #   make bench-stack  the repository benchmark (bench/run.py, see bench/README.md)
 #   make bench-compare A=a/results.json B=b/results.json  A/B verdict per metric
+#   make bench-ab PARENT=<rev> [WORKLOAD=a,b] [PAIRS=10]  interleaved A/B of the working tree
 #   make distributed-smoke  distributed executor vs serial: identity + crash recovery
 #   make service-smoke  HTTP sweep service end to end: submit/stream/fetch vs direct run
 #   make fuzz       bounded differential fuzz of the three engines
@@ -31,7 +32,7 @@ FUZZ_BUDGET ?= 25
 # make a failing build pass.
 COV_MIN ?= 92
 
-.PHONY: test ci coverage bench bench-engine bench-stack bench-compare \
+.PHONY: test ci coverage bench bench-engine bench-stack bench-compare bench-ab \
 	distributed-smoke service-smoke \
 	fuzz validate validate-update lint docs-lint figures clean-cache
 
@@ -84,6 +85,14 @@ bench-stack:
 # A/B verdict of two result files (bench/README.md, "A/B procedure").
 bench-compare:
 	python3 bench/compare.py $(A) $(B)
+
+# The whole A/B procedure for a claimed gain: PARENT in a git worktree
+# under bench/out/ab/, PAIRS interleaved `--trace 0` pairs (one seed per
+# pair, who-goes-first alternated), then bench/compare.py on the two sets.
+PAIRS ?= 10
+bench-ab:
+	python3 tools/bench_ab.py $(PARENT) --pairs $(PAIRS) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # Distributed execution smoke: the work-stealing executor over local
 # forked workers AND loopback TCP workers must produce byte-identical

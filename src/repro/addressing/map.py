@@ -54,6 +54,10 @@ class AddressMap:
         self._tile_shift = self._byte_bits + self._bank_bits
         self._row_shift = self._tile_shift + self._tile_bits
         self._size = config.l1_bytes
+        self._bank_mask = config.banks_per_tile - 1
+        #: The tile and bank fields are adjacent, so together they are the
+        #: global bank index ``tile * banks_per_tile + bank``.
+        self._global_bank_mask = config.num_banks - 1
 
     # -- scrambling hooks ------------------------------------------------ #
 
@@ -74,14 +78,26 @@ class AddressMap:
                 f"address {address:#x} outside the L1 region [0, {self._size:#x})"
             )
 
+    def locate(self, address: int) -> tuple[int, int]:
+        """``(global bank, tile)`` addressed by the program-visible ``address``.
+
+        The one decode implementation: everything else that maps an address
+        to a place is built on it.  It returns plain ints because the core
+        model calls it once per memory operation.
+        """
+        if not 0 <= address < self._size:  # inline: one call less per operation
+            self.check_address(address)
+        global_bank = (self.scramble(address) >> self._bank_shift) & self._global_bank_mask
+        return global_bank, global_bank >> self._bank_bits
+
     def decode(self, address: int) -> BankLocation:
         """Return the bank location addressed by the program-visible ``address``."""
-        self.check_address(address)
-        physical = self.scramble(address)
-        bank = (physical >> self._bank_shift) & (self.config.banks_per_tile - 1)
-        tile = (physical >> self._tile_shift) & (self.config.num_tiles - 1)
-        row = physical >> self._row_shift
-        return BankLocation(tile=tile, bank=bank, row=row)
+        global_bank, tile = self.locate(address)
+        return BankLocation(
+            tile=tile,
+            bank=global_bank & self._bank_mask,
+            row=self.scramble(address) >> self._row_shift,
+        )
 
     def encode(self, location: BankLocation) -> int:
         """Return the program-visible address of ``location`` (inverse of decode)."""
@@ -102,11 +118,11 @@ class AddressMap:
 
     def tile_of(self, address: int) -> int:
         """Tile index targeted by ``address``."""
-        return self.decode(address).tile
+        return self.locate(address)[1]
 
     def global_bank_of(self, address: int) -> int:
         """Global bank index targeted by ``address``."""
-        return self.decode(address).global_bank(self.config.banks_per_tile)
+        return self.locate(address)[0]
 
     def is_local(self, address: int, tile: int) -> bool:
         """True if ``address`` maps to a bank inside ``tile``."""
@@ -147,41 +163,33 @@ class HybridAddressMap(AddressMap):
     def __init__(self, config: MemPoolConfig) -> None:
         super().__init__(config)
         self._seq_total = config.seq_region_total_bytes
-        self._low_shift = self._tile_shift
-        self._s = self._seq_row_bits
-        self._t = self._tile_bits
-        self._low_mask = (1 << self._s) - 1
-        self._high_mask = (1 << self._t) - 1
-
-    def _in_sequential_region(self, address: int) -> bool:
-        return address < self._seq_total
+        # Inside the sequential region the ``s`` sequential-row bits and the
+        # ``t`` tile bits above the bank offset trade places; every other bit
+        # (byte and bank offset below, the row bits above) stays put.  The
+        # program sees rows below tiles, the banks see tiles below rows.
+        s, t, low = self._seq_row_bits, self._tile_bits, self._tile_shift
+        self._row_low = ((1 << s) - 1) << low
+        self._tile_high = ((1 << t) - 1) << (low + s)
+        self._tile_low = ((1 << t) - 1) << low
+        self._row_high = ((1 << s) - 1) << (low + t)
+        self._fixed_bits = ~(((1 << (s + t)) - 1) << low)
 
     def scramble(self, address: int) -> int:
-        if not self._in_sequential_region(address):
+        if address >= self._seq_total:
             return address
-        upper = address >> (self._low_shift + self._s + self._t)
-        seq_row = (address >> self._low_shift) & self._low_mask
-        tile = (address >> (self._low_shift + self._s)) & self._high_mask
-        lower = address & ((1 << self._low_shift) - 1)
         return (
-            (upper << (self._low_shift + self._s + self._t))
-            | (seq_row << (self._low_shift + self._t))
-            | (tile << self._low_shift)
-            | lower
+            (address & self._fixed_bits)
+            | ((address << self._tile_bits) & self._row_high)
+            | ((address >> self._seq_row_bits) & self._tile_low)
         )
 
     def unscramble(self, address: int) -> int:
-        if not self._in_sequential_region(address):
+        if address >= self._seq_total:
             return address
-        upper = address >> (self._low_shift + self._s + self._t)
-        tile = (address >> self._low_shift) & self._high_mask
-        seq_row = (address >> (self._low_shift + self._t)) & self._low_mask
-        lower = address & ((1 << self._low_shift) - 1)
         return (
-            (upper << (self._low_shift + self._s + self._t))
-            | (tile << (self._low_shift + self._s))
-            | (seq_row << self._low_shift)
-            | lower
+            (address & self._fixed_bits)
+            | ((address >> self._tile_bits) & self._row_low)
+            | ((address << self._seq_row_bits) & self._tile_high)
         )
 
     def sequential_base(self, tile: int) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from collections.abc import Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compute:
     """``cycles`` cycles of in-core computation (``muls`` of them multiplies).
 
@@ -39,7 +39,7 @@ class Compute:
             raise ValueError("muls must be between 0 and cycles")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Load:
     """A 32-bit load from ``address``; ``tag`` names the result for `Use`."""
 
@@ -47,14 +47,14 @@ class Load:
     tag: object = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Store:
     """A 32-bit store to ``address`` (posted: no response is awaited)."""
 
     address: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Use:
     """Consume the result of the load previously issued with ``tag``.
 
@@ -66,14 +66,16 @@ class Use:
     tag: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Barrier:
     """Synchronise with all other participating cores."""
 
     barrier_id: int = 0
 
 
-#: Union of every operation a core agent may yield.
+#: Union of every operation a core agent may yield.  The five classes are
+#: final: the timing model dispatches on the exact type, so an instance of a
+#: subclass is rejected with the same ``TypeError`` as any foreign object.
 Operation = Compute | Load | Store | Use | Barrier
 
 

@@ -103,8 +103,7 @@ class CoreTimingModel:
         self.barrier = barrier
         config = cluster.config
         self.tile_id = config.tile_of_core(core_id)
-        self._decode = cluster.address_map.decode
-        self._banks_per_tile = config.banks_per_tile
+        self._locate = cluster.address_map.locate
         self.rob = ReorderBuffer(config.timing.max_outstanding_loads)
         #: Issued requests not yet accepted by the interconnect, oldest first:
         #: ``(bank_id, is_write, created_cycle, sequence)`` records.
@@ -134,8 +133,9 @@ class CoreTimingModel:
         A woken core is charged the dependency stalls of the cycles it
         slept through — one per cycle, as if it had been stepped.
         """
-        self.rob.complete(sequence)
-        self.rob.retire_ready()
+        rob = self.rob
+        rob.complete(sequence)
+        rob.retire_ready()
         stats = self.stats
         stats.load_latency_sum += latency
         if latency > stats.load_latency_max:
@@ -193,17 +193,14 @@ class CoreTimingModel:
         if self.barrier_waiting:
             stats.barrier_stalls += 1
             return SLEEP_EVENT
+        operation = self._pending
+        if operation is None:
+            operation = next(self._ops, None)
+        else:
+            self._pending = None
         while True:
-            operation = self._pending
-            if operation is None:
-                operation = next(self._ops, None)
-                if operation is None:
-                    self.done = True
-                    stats.finish_cycle = cycle
-                    return FINISHED
-            else:
-                self._pending = None
-            if isinstance(operation, Use):
+            kind = type(operation)
+            if kind is Use:
                 sequence = self._tag_to_sequence.get(operation.tag)
                 if sequence is None:
                     raise ValueError(
@@ -215,8 +212,8 @@ class CoreTimingModel:
                     self._pending = operation
                     self._wake_sequence = sequence
                     return SLEEP_EVENT
-            elif isinstance(operation, (Load, Store)):
-                is_write = isinstance(operation, Store)
+            elif kind is Load or kind is Store:
+                is_write = kind is Store
                 if len(self.injection_queue) >= self.injection_depth or (
                     not is_write and self.rob.is_full
                 ):
@@ -225,22 +222,28 @@ class CoreTimingModel:
                 else:
                     self._issue(operation, is_write, cycle)
                 return RUNNING
-            elif isinstance(operation, Compute):
+            elif kind is Compute:
                 stats.compute_cycles += operation.cycles
                 stats.mul_instructions += operation.muls
                 if operation.cycles > 0:
                     self.busy_until = cycle + operation.cycles
                     return SLEEP_TIMER if operation.cycles > 1 else RUNNING
-            elif isinstance(operation, Barrier):
+            elif kind is Barrier:
                 self.barrier_waiting = True
                 self._wake_sequence = -1
                 self.barrier.arrive(self.core_id, operation.barrier_id)
                 return SLEEP_EVENT
+            elif operation is None:
+                self.done = True
+                stats.finish_cycle = cycle
+                return FINISHED
             else:
                 raise TypeError(f"unknown core operation {operation!r}")
+            operation = next(self._ops, None)
 
     def _issue(self, operation: Load | Store, is_write: bool, cycle: int) -> None:
-        """Queue the request of a load or store; its address is decoded once."""
+        """Queue the request of a load or store; its address is located once."""
+        bank_id, tile = self._locate(operation.address)
         sequence = None
         if not is_write:
             sequence = self._sequence
@@ -248,12 +251,9 @@ class CoreTimingModel:
             if operation.tag is not None:
                 self._tag_to_sequence[operation.tag] = sequence
             self.rob.allocate(sequence)
-        location = self._decode(operation.address)
-        self.injection_queue.append(
-            (location.global_bank(self._banks_per_tile), is_write, cycle, sequence)
-        )
+        self.injection_queue.append((bank_id, is_write, cycle, sequence))
         stats = self.stats
-        if location.tile == self.tile_id:
+        if tile == self.tile_id:
             if is_write:
                 stats.local_stores += 1
             else:

@@ -9,8 +9,6 @@ returned data back to the core in program order.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 
 class ReorderBuffer:
     """Bounded in-order tracking of outstanding load transactions."""
@@ -19,8 +17,8 @@ class ReorderBuffer:
         if capacity < 1:
             raise ValueError(f"ROB capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        # tag -> completed flag, in allocation (program) order.
-        self._entries: OrderedDict[object, bool] = OrderedDict()
+        # tag -> completed flag; a dict keeps allocation (program) order.
+        self._entries: dict[object, bool] = {}
         #: High-water mark of simultaneous outstanding loads (for statistics).
         self.max_occupancy = 0
 
@@ -38,18 +36,22 @@ class ReorderBuffer:
 
     def allocate(self, tag: object) -> None:
         """Reserve an entry for a newly issued load identified by ``tag``."""
-        if self.is_full:
+        entries = self._entries
+        occupancy = len(entries)
+        if occupancy >= self.capacity:
             raise RuntimeError("ROB is full; the issuing core must stall")
-        if tag in self._entries:
+        if tag in entries:
             raise ValueError(f"duplicate outstanding tag {tag!r}")
-        self._entries[tag] = False
-        self.max_occupancy = max(self.max_occupancy, len(self._entries))
+        entries[tag] = False
+        if occupancy >= self.max_occupancy:
+            self.max_occupancy = occupancy + 1
 
     def complete(self, tag: object) -> None:
         """Mark the load identified by ``tag`` as returned from memory."""
-        if tag not in self._entries:
+        completed = self._entries.get(tag)
+        if completed is None:
             raise KeyError(f"tag {tag!r} is not outstanding")
-        if self._entries[tag]:
+        if completed:
             raise ValueError(f"tag {tag!r} completed twice")
         self._entries[tag] = True
 
@@ -65,15 +67,18 @@ class ReorderBuffer:
         """Retire and return the tags of completed loads, in program order.
 
         Retirement stops at the first entry that has not completed, which is
-        what keeps responses ordered towards the core's register file.
+        what keeps responses ordered towards the core's register file.  The
+        core model retires for the side effect and does not read the tags;
+        they are returned for tests and for agents that want the order.
         """
+        entries = self._entries
         retired: list[object] = []
-        while self._entries:
-            tag, completed = next(iter(self._entries.items()))
+        for tag, completed in entries.items():
             if not completed:
                 break
-            self._entries.popitem(last=False)
             retired.append(tag)
+        for tag in retired:
+            del entries[tag]
         return retired
 
     def clear(self) -> None:

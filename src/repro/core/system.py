@@ -183,11 +183,13 @@ def _engine_port(cluster: MemPoolCluster):
             ]
     else:
         engine = network.engine
+        inject_new = engine.inject_new
         sequence_of_row: dict[int, int] = {}  # loads in flight
+        take = sequence_of_row.pop
 
         def inject(core_id, request, cycle):
             bank_id, is_write, created, sequence = request
-            row = engine.inject_new(core_id, bank_id, is_write, created, cycle)
+            row = inject_new(core_id, bank_id, is_write, created, cycle)
             if row is None:
                 return False
             if not is_write:
@@ -198,9 +200,9 @@ def _engine_port(cluster: MemPoolCluster):
             network.advance(cycle)
             core, created = engine.flits.core, engine.flits.created
             return [
-                (core[row], sequence_of_row.pop(row), cycle - created[row])
+                (core[row], sequence, cycle - created[row])
                 for row in network.completed_rows
-                if row in sequence_of_row
+                if (sequence := take(row, None)) is not None
             ]
 
     return inject, advance

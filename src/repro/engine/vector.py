@@ -95,21 +95,6 @@ class VectorEngine:
     # Request construction
     # ------------------------------------------------------------------ #
 
-    def _path_template(self, core_id: int, bank_id: int, is_write: bool) -> int:
-        """Template id for a core -> bank transaction.
-
-        Resolved through the compiled network's dense per-core template
-        rows (:meth:`~repro.engine.compile.CompiledNetwork.template_row`):
-        two list reads in steady state, with the rows — bounded at
-        ``num_cores * num_tiles`` entries per direction — shared by every
-        engine instance on the same compiled network, so large sweeps no
-        longer grow a per-instance cache dict in the inject path.
-        """
-        compiled = self.compiled
-        return compiled.template_row(core_id, not is_write)[
-            compiled.tile_of_bank[bank_id]
-        ]
-
     def new_flit(self, core_id: int, bank_id: int, is_write: bool, cycle: int) -> int:
         """Allocate a flit row for a core -> bank transaction; return its id."""
         return self.new_flits([core_id], [bank_id], [cycle], is_write)
@@ -273,7 +258,9 @@ class VectorEngine:
         the first hop is blocked this cycle.
         """
         compiled = self.compiled
-        path_id = self._path_template(core_id, bank_id, is_write)
+        path_id = compiled.template_row(core_id, not is_write)[
+            compiled.tile_of_bank[bank_id]
+        ]
         target, arbiters, following = compiled.path_moves[path_id]
         if target == BANK:
             target = compiled.bank_stage_ids[bank_id]

@@ -9,7 +9,10 @@ from repro.addressing.map import (
     InterleavedAddressMap,
     make_address_map,
 )
+from repro.core.agents import Load, Store, TraceAgent
+from repro.core.cluster import MemPoolCluster
 from repro.core.config import WORD_BYTES, MemPoolConfig
+from repro.core.system import MemPoolSystem
 
 
 @pytest.fixture
@@ -178,3 +181,62 @@ class TestFactory:
         interleaved = InterleavedAddressMap(config)
         address = hybrid.sequential_base(5) + 64
         assert hybrid.decode(address) != interleaved.decode(address)
+
+
+@pytest.fixture(
+    params=[
+        (factory, scrambling)
+        for factory in (MemPoolConfig.tiny, MemPoolConfig.scaled)
+        for scrambling in (True, False)
+    ],
+    ids=lambda param: f"{param[0].__name__}-{'hybrid' if param[1] else 'interleaved'}",
+)
+def any_map(request):
+    factory, scrambling = request.param
+    return make_address_map(factory(scrambling_enabled=scrambling))
+
+
+def out_of_range_message(address_map, address):
+    """The error every decode entry point words the same way."""
+    return (
+        f"address {address:#x} outside the L1 region "
+        f"[0, {address_map.config.l1_bytes:#x})"
+    )
+
+
+class TestLocate:
+    """``locate`` is the decode implementation; ``decode`` adds the row to it."""
+
+    def test_every_word_agrees_with_decode_and_round_trips(self, any_map):
+        banks_per_tile = any_map.config.banks_per_tile
+        for address in range(0, any_map.config.l1_bytes, WORD_BYTES):
+            location = any_map.decode(address)
+            assert any_map.locate(address) == (
+                location.global_bank(banks_per_tile),
+                location.tile,
+            ), hex(address)
+            assert any_map.encode(location) == address
+
+    def test_byte_addresses_share_their_words_location(self, any_map):
+        for address in range(0, 4096, WORD_BYTES):
+            assert {any_map.locate(address + byte) for byte in range(WORD_BYTES)} == {
+                any_map.locate(address)
+            }
+
+    @pytest.mark.parametrize("entry", ["locate", "decode", "tile_of", "global_bank_of"])
+    def test_out_of_range_error_text(self, any_map, entry):
+        for address in (-4, any_map.config.l1_bytes):
+            with pytest.raises(ValueError) as raised:
+                getattr(any_map, entry)(address)
+            assert str(raised.value) == out_of_range_message(any_map, address)
+
+    @pytest.mark.parametrize("operation", [Load, Store])
+    def test_core_model_reports_the_same_error(self, any_map, operation):
+        """A program's stray access fails in the words of the address map."""
+        for address in (-4, any_map.config.l1_bytes):
+            system = MemPoolSystem(
+                MemPoolCluster(any_map.config), {0: TraceAgent([operation(address)])}
+            )
+            with pytest.raises(ValueError) as raised:
+                system.run(max_cycles=10)
+            assert str(raised.value) == out_of_range_message(any_map, address)

@@ -176,3 +176,39 @@ class TestBarrierOperation:
         system = MemPoolSystem(cluster, agents)
         with pytest.raises(RuntimeError, match="barrier"):
             system.run(max_cycles=500)
+
+
+class TestOperationDispatch:
+    """The model dispatches on the exact operation type (``Operation`` docstring)."""
+
+    @pytest.mark.parametrize("stray", ["load", 7, ("Load", 64), Load])
+    def test_a_foreign_object_is_rejected_by_name(self, stray):
+        with pytest.raises(TypeError) as raised:
+            run_single_core([Compute(1), stray])
+        assert str(raised.value) == f"unknown core operation {stray!r}"
+
+    @pytest.mark.parametrize(
+        "base, arguments",
+        [(Load, (64,)), (Store, (64,)), (Use, ("x",)), (Compute, (1,)), (Barrier, ())],
+    )
+    def test_a_subclass_is_a_foreign_object(self, base, arguments):
+        class Derived(base):
+            pass
+
+        operation = Derived(*arguments)
+        with pytest.raises(TypeError) as raised:
+            run_single_core([Load(64, tag="x"), operation])
+        assert str(raised.value) == f"unknown core operation {operation!r}"
+
+    def test_operations_are_immutable_and_carry_no_dict(self):
+        load = Load(64, tag="x")
+        with pytest.raises(AttributeError):
+            load.address = 68
+        assert not hasattr(load, "__dict__")
+        assert load == Load(64, tag="x") and hash(load) == hash(Load(64, tag="x"))
+        assert load != Store(64)
+
+    def test_none_ends_the_program_like_exhaustion(self):
+        """``next(ops, None)`` is the end-of-program test, so a yielded None ends it."""
+        result, _ = run_single_core([Compute(2), None, Compute(50)])
+        assert result.total.compute_cycles == 2

@@ -1,5 +1,7 @@
 """Tests of the per-core reorder buffer."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,3 +108,89 @@ class TestInOrderRetirement:
             rob.complete(tag)
             retired.extend(rob.retire_ready())
         assert retired == list(range(8))
+
+
+class ListRob:
+    """Reference model: a list of ``[tag, completed]`` pairs in program order."""
+
+    def __init__(self, capacity):
+        self.capacity, self.entries, self.max_occupancy = capacity, [], 0
+
+    def find(self, tag):
+        return next((entry for entry in self.entries if entry[0] == tag), None)
+
+    def allocate(self, tag):
+        if len(self.entries) >= self.capacity:
+            raise RuntimeError
+        if self.find(tag):
+            raise ValueError
+        self.entries.append([tag, False])
+        self.max_occupancy = max(self.max_occupancy, len(self.entries))
+
+    def complete(self, tag):
+        entry = self.find(tag)
+        if entry is None:
+            raise KeyError
+        if entry[1]:
+            raise ValueError
+        entry[1] = True
+
+    def retire_ready(self):
+        retired = []
+        while self.entries and self.entries[0][1]:
+            retired.append(self.entries.pop(0)[0])
+        return retired
+
+
+class TestAgainstListModel:
+    """Seeded random allocate / complete / retire sequences, errors included."""
+
+    @staticmethod
+    def outcome(call, *arguments):
+        try:
+            return call(*arguments)
+        except (RuntimeError, ValueError, KeyError) as error:
+            return type(error)
+
+    @pytest.mark.parametrize("capacity", [1, 8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_sequences(self, capacity, seed):
+        rng = random.Random(seed)
+        rob, model = ReorderBuffer(capacity), ListRob(capacity)
+        issued = 0
+        errors = set()
+        for _ in range(2000):
+            action = rng.random()
+            if action < 0.4:
+                # A fresh tag (also when full) or, sometimes, a recent one again.
+                tag = issued if rng.random() < 0.8 else rng.randrange(issued + 1)
+                issued += tag == issued
+                got = self.outcome(rob.allocate, tag)
+                assert got == self.outcome(model.allocate, tag)
+            elif action < 0.8:
+                # Usually an entry of the buffer, oldest or not, completed or
+                # not; otherwise any tag, retired and never-issued ones included.
+                if model.entries and rng.random() < 0.8:
+                    tag = rng.choice(model.entries)[0]
+                else:
+                    tag = rng.randrange(issued + 2)
+                got = self.outcome(rob.complete, tag)
+                assert got == self.outcome(model.complete, tag)
+            else:
+                got = rob.retire_ready()
+                assert got == model.retire_ready()
+            if isinstance(got, type):
+                errors.add(("allocate" if action < 0.4 else "complete", got))
+            assert rob.occupancy == len(model.entries)
+            assert rob.is_full == (len(model.entries) >= capacity)
+            assert rob.max_occupancy == model.max_occupancy
+            for tag in range(max(0, issued - 2 * capacity), issued + 2):
+                entry = model.find(tag)
+                assert rob.is_outstanding(tag) == (entry is not None)
+                assert rob.is_complete(tag) == (entry is None or entry[1])
+        # A full buffer is reported before a duplicate tag, so a one-entry
+        # buffer can never report the duplicate.
+        duplicate = {("allocate", ValueError)} if capacity > 1 else set()
+        assert errors == duplicate | {
+            ("allocate", RuntimeError), ("complete", KeyError), ("complete", ValueError)
+        }

@@ -6,7 +6,10 @@ equality alone cannot tell whether that loop is right.  The goldens in
 per-cycle loop that preceded the event-driven one (every core stepped every
 cycle, one ``Flit`` per request, ``legacy`` engine); every engine must
 reproduce them exactly: cycle count, barrier episodes, request counts and
-every ``CoreStats`` field of every core.
+every ``CoreStats`` field of every core.  The two ``snitch-stack-spill``
+cases were added at commit f889595 (``legacy`` engine, the commit before the
+core model stopped building an object per address decode); the other fifty
+entries are byte-for-byte the original recording.
 
 ``PYTHONPATH=src python tests/test_system_golden.py --write`` re-records them
 (only when the *model* changes on purpose).
@@ -89,12 +92,21 @@ def _synthetic_case(engine):
     ).run()
 
 
-def _snitch_case(engine):
-    cluster = MemPoolCluster(MemPoolConfig.tiny("toph"), engine=engine)
+#: Spill and reload the core id through the stack: the one access of the
+#: Snitch program that the address map places (own tile when scrambled).
+SNITCH_SPILL = """
+    sw   a0, -4(sp)
+    lw   a0, -4(sp)
+"""
+
+
+def _snitch_case(engine, prologue="", scrambling=True):
+    config = MemPoolConfig.tiny("toph", scrambling_enabled=scrambling)
+    cluster = MemPoolCluster(config, engine=engine)
     buffer = cluster.layout.alloc_shared("buf", 4 * 64)
     out = cluster.layout.alloc_shared("out", 64)
     cluster.memory.write_words(buffer.base, range(64))
-    program = assemble(SNITCH_SOURCE, symbols={"buf": buffer.base, "out": out.base})
+    program = assemble(prologue + SNITCH_SOURCE, symbols={"buf": buffer.base, "out": out.base})
     agents = make_snitch_agents(
         cluster, program, argument_builder=lambda core: {10: core}
     )
@@ -114,6 +126,13 @@ CASES = {
     **{f"random-{index:02d}": _random_case(index) for index in range(24)},
     "synthetic-hotspot-bursty": _synthetic_case,
     "snitch-strided-sum": _snitch_case,
+    **{
+        f"snitch-stack-spill-{'scrambled' if scrambling else 'interleaved'}":
+            lambda engine, scrambling=scrambling: _snitch_case(
+                engine, SNITCH_SPILL, scrambling
+            )
+        for scrambling in (True, False)
+    },
 }
 
 

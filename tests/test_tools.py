@@ -11,6 +11,7 @@ the exit codes of both tools.
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +19,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-import bench_report  # noqa: E402  (tools/ is not a package)
+import bench_ab  # noqa: E402  (tools/ is not a package)
+import bench_report  # noqa: E402
 import docs_lint  # noqa: E402
 
 
@@ -440,8 +442,38 @@ class TestGeneratedTables:
         assert "tables in sync" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tool", ["bench_report", "docs_lint"])
+def test_bench_ab_runs_the_interleaved_procedure(tmp_path, capfd):
+    """``HEAD`` against the working tree, smoke-sized: the procedure, not the verdict."""
+
+    def git(*arguments):
+        return subprocess.run(
+            ["git", *arguments], cwd=bench_ab.ROOT, capture_output=True, text=True
+        )
+
+    if git("rev-parse", "HEAD").returncode:
+        pytest.skip("not a git checkout")
+    code = bench_ab.main(
+        ["HEAD", "--pairs", "2", "--workload", "sweep_warm", "--smoke",
+         "--out", str(tmp_path)]
+    )
+    printed = capfd.readouterr().out
+    # One-pass smoke timings decide nothing, so either verdict is fine.
+    assert code in (0, 1), printed
+    sides = [line.split()[2] for line in printed.splitlines() if line.startswith("pair ")]
+    assert sides == ["A", "B", "B", "A"]
+    for side in "AB":
+        runs = json.loads((tmp_path / side / "results.json").read_text())["runs"]
+        assert [(run["workload"], run["seed"]) for run in runs] == [
+            ("sweep_warm", 1), ("sweep_warm", 2)
+        ]
+        assert all(run["correct"] for run in runs)
+    assert "wall_s" in printed and "sweep_warm" in printed
+    assert not (tmp_path / "parent").exists()
+    assert str(tmp_path) not in git("worktree", "list").stdout
+
+
+@pytest.mark.parametrize("tool", ["bench_ab", "bench_report", "docs_lint"])
 def test_tools_have_module_docstrings(tool):
     """The linting tools hold themselves to their own standard."""
-    module = {"bench_report": bench_report, "docs_lint": docs_lint}[tool]
+    module = {"bench_ab": bench_ab, "bench_report": bench_report, "docs_lint": docs_lint}[tool]
     assert module.__doc__ and module.__doc__.strip()
