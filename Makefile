@@ -7,7 +7,7 @@
 #   make bench-engine  engine + workload + topology benchmarks + enforced report
 #   make bench-stack  the repository benchmark (bench/run.py, see bench/README.md)
 #   make bench-compare A=a/results.json B=b/results.json  A/B verdict per metric
-#   make bench-ab PARENT=<rev> [WORKLOAD=a,b] [PAIRS=10]  interleaved A/B of the working tree
+#   make bench-ab PARENT=<rev> [WORKLOAD=a,b] [PAIRS=10] [PROFILE=N]  interleaved A/B of the working tree
 #   make distributed-smoke  distributed executor vs serial: identity + crash recovery
 #   make service-smoke  HTTP sweep service end to end: submit/stream/fetch vs direct run
 #   make fuzz       bounded differential fuzz of the three engines
@@ -88,11 +88,12 @@ bench-compare:
 
 # The whole A/B procedure for a claimed gain: PARENT in a git worktree
 # under bench/out/ab/, PAIRS interleaved `--trace 0` pairs (one seed per
-# pair, who-goes-first alternated), then bench/compare.py on the two sets.
+# pair, who-goes-first alternated), then bench/compare.py on the two sets;
+# PROFILE=N adds N traced passes per side and the per-layer before/after table.
 PAIRS ?= 10
 bench-ab:
 	python3 tools/bench_ab.py $(PARENT) --pairs $(PAIRS) \
-		$(if $(WORKLOAD),--workload $(WORKLOAD))
+		$(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PROFILE),--profile $(PROFILE))
 
 # Distributed execution smoke: the work-stealing executor over local
 # forked workers AND loopback TCP workers must produce byte-identical

@@ -86,18 +86,38 @@ class CoreAgent:
         """Yield the operations the core executes, in program order."""
         raise NotImplementedError
 
-    def on_load_data(self, tag: object, value: int) -> None:
-        """Receive the functional data of a completed load (optional hook)."""
-
 
 class TraceAgent(CoreAgent):
-    """Wraps a generator (or iterable) of operations."""
+    """Wraps a generator (or iterable) of operations.
+
+    A list (or any re-iterable) replays on every :meth:`operations` call; a
+    generator or other one-shot iterator can be handed out once only.
+    """
 
     def __init__(self, operations: Iterator[Operation] | list[Operation]) -> None:
         self._operations = operations
 
     def operations(self) -> Iterator[Operation]:
-        return iter(self._operations)
+        """The operations, from the start.
+
+        Raises
+        ------
+        RuntimeError
+            On the second call when the agent wraps a one-shot iterator: it
+            would hand back the exhausted iterator and the core would
+            "finish" at once without running its program.
+        """
+        operations = self._operations
+        if operations is None:
+            raise RuntimeError(
+                "this TraceAgent wraps a one-shot iterator (a generator) that an "
+                "earlier operations() call already handed out; build new agents "
+                "for every system, or wrap a list"
+            )
+        iterator = iter(operations)
+        if iterator is operations:
+            self._operations = None
+        return iterator
 
 
 class IdleAgent(CoreAgent):

@@ -35,6 +35,7 @@ class SharedL1Memory:
     def __init__(self, config: MemPoolConfig) -> None:
         self.config = config
         self._words = np.zeros(config.l1_bytes // WORD_BYTES, dtype=np.uint32)
+        self._signed = self._words.view(np.int32)
 
     # ------------------------------------------------------------------ #
     # Word access (used by the ISS and by core agents)
@@ -60,6 +61,20 @@ class SharedL1Memory:
     def read_signed(self, address: int) -> int:
         """Read the word at ``address`` as a signed 32-bit integer."""
         return to_signed(self.read_word(address))
+
+    def read_signed_block(self, addresses: list[int]) -> list[int]:
+        """:meth:`read_signed` of every address, in order, in one gather.
+
+        What a kernel's loop body reads (a dozen scattered words): the checks
+        are a plain loop and raise exactly what the scalar path raises.
+        """
+        limit = self.config.l1_bytes
+        for address in addresses:
+            if address % WORD_BYTES or not 0 <= address < limit:
+                self._word_index(address)
+        return self._signed.take(
+            [address // WORD_BYTES for address in addresses]
+        ).tolist()
 
     def amo_add(self, address: int, value: int) -> int:
         """Atomic fetch-and-add; returns the previous value (unsigned)."""

@@ -87,6 +87,10 @@ class VectorEngine:
         self.granted_cycle = [-1] * compiled.num_arbiters
         #: Per-row resolved next hop (see the module docstring).
         self._next_move: list[tuple] = []
+        #: Per-core template rows of :meth:`inject_new`, by direction (a slot
+        #: is None until that core's row is compiled).
+        self._read_templates = compiled.template_table(True)
+        self._write_templates = compiled.template_table(False)
         self.in_flight = 0
         self.total_injected = 0
         self.total_completed = 0
@@ -258,9 +262,9 @@ class VectorEngine:
         the first hop is blocked this cycle.
         """
         compiled = self.compiled
-        path_id = compiled.template_row(core_id, not is_write)[
-            compiled.tile_of_bank[bank_id]
-        ]
+        templates = self._write_templates if is_write else self._read_templates
+        template_row = templates[core_id] or compiled.template_row(core_id, not is_write)
+        path_id = template_row[compiled.tile_of_bank[bank_id]]
         target, arbiters, following = compiled.path_moves[path_id]
         if target == BANK:
             target = compiled.bank_stage_ids[bank_id]
@@ -268,15 +272,24 @@ class VectorEngine:
             not self.free_slots[target] or self.accepted_cycle[target] == cycle
         ):
             return None
-        granted = self.granted_cycle
         if arbiters:
+            granted = self.granted_cycle
             for arbiter in arbiters:
                 if granted[arbiter] == cycle:
                     return None
             for arbiter in arbiters:
                 granted[arbiter] = cycle
+        # FlitTable.allocate, inlined: one call per accepted request shows here.
         flits = self.flits
-        row = flits.allocate(core_id, bank_id, path_id, is_write, created_cycle)
+        row = flits.count
+        if row == flits.capacity:
+            flits._grow(row + 1)
+        flits.count = row + 1
+        flits.core.append(core_id)
+        flits.bank.append(bank_id)
+        flits.created.append(created_cycle)
+        flits.write_flag.append(is_write)
+        flits.path_id.append(path_id)
         flits.injected_cycle[row] = cycle
         self.total_injected += 1
         if target >= 0:

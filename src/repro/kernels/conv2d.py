@@ -13,12 +13,14 @@ Figure 7.
 
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
 from repro.core.agents import Compute, Store
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import WORD_BYTES
-from repro.kernels.runtime import Kernel, load_use_block, split_evenly
+from repro.kernels.runtime import Kernel, load_use_block, mac_compute, split_evenly
 
 
 class Conv2dKernel(Kernel):
@@ -78,13 +80,10 @@ class Conv2dKernel(Kernel):
     # Addresses
     # ------------------------------------------------------------------ #
 
-    def _input_address(self, row: int, col: int) -> int:
+    def _row_address(self, slices, row: int) -> int:
+        """Address of the first pixel of image row ``row`` in ``slices``."""
         tile, local_row = divmod(row, self.rows_per_tile)
-        return self._input_slices[tile].base + (local_row * self.width + col) * WORD_BYTES
-
-    def _output_address(self, row: int, col: int) -> int:
-        tile, local_row = divmod(row, self.rows_per_tile)
-        return self._output_slices[tile].base + (local_row * self.width + col) * WORD_BYTES
+        return slices[tile].base + local_row * self.width * WORD_BYTES
 
     # ------------------------------------------------------------------ #
     # Per-core program
@@ -94,56 +93,62 @@ class Conv2dKernel(Kernel):
         """Yield the operations core ``core_id`` executes (rows of the image)."""
         config = self.config
         tile = config.tile_of_core(core_id)
-        local_core = config.local_core_index(core_id)
-        start_local, end_local = self._rows_per_core[local_core]
-        first_row = tile * self.rows_per_tile + start_local
-        last_row = tile * self.rows_per_tile + end_local
+        start_local, end_local = self._rows_per_core[config.local_core_index(core_id)]
+        tile_first_row = tile * self.rows_per_tile
         memory = self.memory
-        weights = self.WEIGHTS
+        weights = self.WEIGHTS.reshape(-1).tolist()
+        last_offset = (self.width - 1) * WORD_BYTES
+        taps = (-WORD_BYTES, 0, WORD_BYTES)
+        # Nine multiply-accumulates plus pixel-loop overhead.
+        window_compute = mac_compute(9, overhead=3)
+        overhead = Compute(2)
         # Prologue: load the nine kernel weights into registers.
         yield Compute(12)
-        for row in range(first_row, last_row):
-            for col in range(self.width):
-                if row == 0 or row == self.height - 1 or col == 0 or col == self.width - 1:
+        for row in range(tile_first_row + start_local, tile_first_row + end_local):
+            row_in = self._row_address(self._input_slices, row)
+            row_out = self._row_address(self._output_slices, row)
+            inner_row = 0 < row < self.height - 1
+            if inner_row:
+                window_rows = (
+                    self._row_address(self._input_slices, row - 1),
+                    row_in,
+                    self._row_address(self._input_slices, row + 1),
+                )
+            for offset in range(0, last_offset + WORD_BYTES, WORD_BYTES):
+                if inner_row and 0 < offset < last_offset:
+                    addresses = [
+                        base + offset + tap for base in window_rows for tap in taps
+                    ]
+                    value = sum(map(mul, weights, memory.read_signed_block(addresses)))
+                    yield from load_use_block(addresses, "win")
+                    yield window_compute
+                    memory.write_word(row_out + offset, value)
+                    yield Store(row_out + offset)
+                else:
                     # Border pixels are passed through unchanged (cheap path).
-                    value = memory.read_signed(self._input_address(row, col))
-                    yield from load_use_block([self._input_address(row, col)], "border")
-                    memory.write_word(self._output_address(row, col), value)
-                    yield Store(self._output_address(row, col))
-                    yield Compute(2)
-                    continue
-                window_addresses = [
-                    self._input_address(row + dy, col + dx)
-                    for dy in (-1, 0, 1)
-                    for dx in (-1, 0, 1)
-                ]
-                accumulator = 0
-                for (dy, dx), address in zip(
-                    ((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)),
-                    window_addresses,
-                ):
-                    accumulator += int(weights[dy + 1, dx + 1]) * memory.read_signed(
-                        address
-                    )
-                yield from load_use_block(window_addresses, "win")
-                # Nine multiply-accumulates plus pixel-loop overhead.
-                yield Compute(cycles=2 * 9 + 3, muls=9)
-                memory.write_word(self._output_address(row, col), accumulator)
-                yield Store(self._output_address(row, col))
+                    addresses = [row_in + offset]
+                    [value] = memory.read_signed_block(addresses)
+                    yield from load_use_block(addresses, "border")
+                    memory.write_word(row_out + offset, value)
+                    yield Store(row_out + offset)
+                    yield overhead
             # Row-loop bookkeeping.
-            yield Compute(2)
+            yield overhead
 
     # ------------------------------------------------------------------ #
     # Verification
     # ------------------------------------------------------------------ #
 
     def reference(self) -> np.ndarray:
-        """Numpy reference of the convolved image."""
-        output = self.image.copy()
-        for row in range(1, self.height - 1):
-            for col in range(1, self.width - 1):
-                window = self.image[row - 1 : row + 2, col - 1 : col + 2]
-                output[row, col] = int(np.sum(window * self.WEIGHTS))
+        """Numpy reference of the convolved image (nine shifted slices)."""
+        image = self.image
+        output = image.copy()
+        output[1:-1, 1:-1] = sum(
+            int(self.WEIGHTS[dy, dx])
+            * image[dy : self.height - 2 + dy, dx : self.width - 2 + dx]
+            for dy in range(3)
+            for dx in range(3)
+        )
         return output
 
     def result(self) -> np.ndarray:

@@ -28,6 +28,9 @@ from repro.kernels.runtime import Kernel, load_use_block
 BLOCK = 8
 #: Fixed-point scale of the cosine table (Q6).
 COS_SCALE = 6
+#: Bytes of one block row and of one whole block in memory.
+ROW_BYTES = BLOCK * WORD_BYTES
+BLOCK_BYTES = BLOCK * ROW_BYTES
 
 
 def _cosine_table() -> np.ndarray:
@@ -78,8 +81,7 @@ class DctKernel(Kernel):
         self.blocks = rng.integers(
             0, 256, size=(config.num_cores * blocks_per_core, BLOCK, BLOCK), dtype=np.int64
         )
-        block_bytes = BLOCK * BLOCK * WORD_BYTES
-        per_tile_bytes = config.cores_per_tile * blocks_per_core * block_bytes
+        per_tile_bytes = config.cores_per_tile * blocks_per_core * BLOCK_BYTES
         self._input_regions = []
         self._output_regions = []
         for tile in range(config.num_tiles):
@@ -89,89 +91,64 @@ class DctKernel(Kernel):
             self._output_regions.append(
                 self.layout.alloc_tile_local("dct.out", tile, per_tile_bytes)
             )
-        for block_index in range(len(self.blocks)):
-            self.memory.write_matrix(self._input_address(block_index, 0, 0), self.blocks[block_index])
+        for block_index, block in enumerate(self.blocks):
+            self.memory.write_matrix(
+                self._block_address(self._input_regions, block_index), block
+            )
 
-    # ------------------------------------------------------------------ #
-    # Addresses
-    # ------------------------------------------------------------------ #
-
-    def _block_core(self, block_index: int) -> int:
-        return block_index // self.blocks_per_core
-
-    def _block_slot(self, block_index: int) -> int:
-        """Index of the block within its tile's local region."""
-        core = self._block_core(block_index)
-        local_core = self.config.local_core_index(core)
-        return local_core * self.blocks_per_core + block_index % self.blocks_per_core
-
-    def _input_address(self, block_index: int, row: int, col: int) -> int:
-        core = self._block_core(block_index)
-        tile = self.config.tile_of_core(core)
-        base = self._input_regions[tile].base
-        offset = (self._block_slot(block_index) * BLOCK * BLOCK + row * BLOCK + col) * WORD_BYTES
-        return base + offset
-
-    def _output_address(self, block_index: int, row: int, col: int) -> int:
-        core = self._block_core(block_index)
-        tile = self.config.tile_of_core(core)
-        base = self._output_regions[tile].base
-        offset = (self._block_slot(block_index) * BLOCK * BLOCK + row * BLOCK + col) * WORD_BYTES
-        return base + offset
+    def _block_address(self, regions, block_index: int) -> int:
+        """Address of block ``block_index`` in its tile's entry of ``regions``."""
+        config = self.config
+        core, block_of_core = divmod(block_index, self.blocks_per_core)
+        slot = config.local_core_index(core) * self.blocks_per_core + block_of_core
+        return regions[config.tile_of_core(core)].base + slot * BLOCK_BYTES
 
     # ------------------------------------------------------------------ #
     # Per-core program
     # ------------------------------------------------------------------ #
 
-    def _core_blocks(self, core_id: int) -> range:
-        start = core_id * self.blocks_per_core
-        return range(start, start + self.blocks_per_core)
-
     def core_program(self, core_id: int):
         """Yield the operations core ``core_id`` executes (its 8x8 blocks)."""
         memory = self.memory
+        # The intermediate block sits on the stack row-major, growing down
+        # from slot 0; asking for its last slot raises if it does not fit.
+        stack_first = self.stack_address(core_id, 0)
+        self.stack_address(core_id, BLOCK * BLOCK - 1)
+        # Fast 8-point DCT: ~16 multiplies and ~16 additions.
+        transform_compute = Compute(cycles=32, muls=16)
         yield Compute(6)  # prologue: pointers, loop bounds
-        for block_index in self._core_blocks(core_id):
-            intermediate = np.zeros((BLOCK, BLOCK), dtype=np.int64)
+        first_block = core_id * self.blocks_per_core
+        for block_index in range(first_block, first_block + self.blocks_per_core):
+            block_in = self._block_address(self._input_regions, block_index)
+            block_out = self._block_address(self._output_regions, block_index)
             # Row pass: read each row of the input block (tile-local), write
             # the transformed row to the stack.
             for row in range(BLOCK):
-                addresses = [
-                    self._input_address(block_index, row, col) for col in range(BLOCK)
-                ]
-                values = np.array(
-                    [memory.read_signed(address) for address in addresses],
-                    dtype=np.int64,
-                )
-                intermediate[row, :] = dct_1d(values)
-                yield from load_use_block(addresses, f"row{row}")
-                # Fast 8-point DCT: ~16 multiplies and ~16 additions.
-                yield Compute(cycles=32, muls=16)
-                for col in range(BLOCK):
-                    stack_slot = row * BLOCK + col
-                    memory.write_word(
-                        self.stack_address(core_id, stack_slot),
-                        int(intermediate[row, col]),
-                    )
-                    yield Store(self.stack_address(core_id, stack_slot))
+                first = block_in + row * ROW_BYTES
+                addresses = list(range(first, first + ROW_BYTES, WORD_BYTES))
+                transformed = dct_1d(memory.read_signed_block(addresses)).tolist()
+                yield from load_use_block(addresses, "row")
+                yield transform_compute
+                first = stack_first - row * ROW_BYTES
+                for address, value in zip(
+                    range(first, first - ROW_BYTES, -WORD_BYTES), transformed
+                ):
+                    memory.write_word(address, value)
+                    yield Store(address)
             # Column pass: read the intermediates back from the stack, write
             # the final coefficients to the tile-local output block.
             for col in range(BLOCK):
-                stack_addresses = [
-                    self.stack_address(core_id, row * BLOCK + col) for row in range(BLOCK)
-                ]
-                column = np.array(
-                    [memory.read_signed(address) for address in stack_addresses],
-                    dtype=np.int64,
-                )
-                transformed = dct_1d(column)
-                yield from load_use_block(stack_addresses, f"col{col}")
-                yield Compute(cycles=32, muls=16)
-                for row in range(BLOCK):
-                    memory.write_word(
-                        self._output_address(block_index, row, col), int(transformed[row])
-                    )
-                    yield Store(self._output_address(block_index, row, col))
+                first = stack_first - col * WORD_BYTES
+                addresses = list(range(first, first - BLOCK_BYTES, -ROW_BYTES))
+                transformed = dct_1d(memory.read_signed_block(addresses)).tolist()
+                yield from load_use_block(addresses, "col")
+                yield transform_compute
+                first = block_out + col * WORD_BYTES
+                for address, value in zip(
+                    range(first, first + BLOCK_BYTES, ROW_BYTES), transformed
+                ):
+                    memory.write_word(address, value)
+                    yield Store(address)
             # Block-loop bookkeeping.
             yield Compute(2)
 
@@ -189,7 +166,7 @@ class DctKernel(Kernel):
         for block_index in range(len(self.blocks)):
             outputs.append(
                 self.memory.read_matrix(
-                    self._output_address(block_index, 0, 0), BLOCK, BLOCK
+                    self._block_address(self._output_regions, block_index), BLOCK, BLOCK
                 )
             )
         return np.stack(outputs)

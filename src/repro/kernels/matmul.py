@@ -17,7 +17,7 @@ from repro.core.agents import Compute, Store
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import WORD_BYTES
 from repro.core.memory import to_signed
-from repro.kernels.runtime import Kernel, load_use_block, split_evenly
+from repro.kernels.runtime import Kernel, load_use_block, mac_compute, split_evenly
 
 
 class MatmulKernel(Kernel):
@@ -67,74 +67,65 @@ class MatmulKernel(Kernel):
         self._block_split = split_evenly(blocks, self.config.num_cores)
 
     # ------------------------------------------------------------------ #
-    # Addresses
-    # ------------------------------------------------------------------ #
-
-    def _addr_a(self, row: int, col: int) -> int:
-        return self._a_region.base + (row * self.size + col) * WORD_BYTES
-
-    def _addr_b(self, row: int, col: int) -> int:
-        return self._b_region.base + (row * self.size + col) * WORD_BYTES
-
-    def _addr_c(self, row: int, col: int) -> int:
-        return self._c_region.base + (row * self.size + col) * WORD_BYTES
-
-    # ------------------------------------------------------------------ #
     # Per-core program
     # ------------------------------------------------------------------ #
 
     def core_program(self, core_id: int):
-        """Yield the operations core ``core_id`` executes (its rows of C)."""
+        """Yield the operations core ``core_id`` executes (its blocks of C)."""
         start, end = self._block_split[core_id]
         memory = self.memory
         size = self.size
         block = self.BLOCK
         k_unroll = self.K_UNROLL
-        blocks_per_row = size // block
+        row_bytes = size * WORD_BYTES
+        steps = range(block)
+        # Byte offsets of one body's operands from A[row][k] and B[k][col],
+        # and of a block's outputs from C[row][col].
+        a_offsets = [i * row_bytes + u * WORD_BYTES for u in range(k_unroll) for i in steps]
+        b_offsets = [u * row_bytes + j * WORD_BYTES for u in range(k_unroll) for j in steps]
+        c_offsets = [i * row_bytes + j * WORD_BYTES for i in steps for j in steps]
+        # (accumulator, A operand, B operand) positions of every MAC of a body.
+        macs = [
+            (i * block + j, u * block + i, len(a_offsets) + u * block + j)
+            for u in range(k_unroll)
+            for i in steps
+            for j in steps
+        ]
+        # mul + add per MAC, plus pointer/branch overhead.
+        body_compute = mac_compute(len(macs))
+        bookkeeping = Compute(2)
+        spill = [self.stack_address(core_id, 2)]
         # Function prologue: set up pointers and loop bounds, spill the callee-
         # saved registers used by the three matrix pointers to the stack.
         yield Compute(4)
         for slot in range(3):
             yield Store(self.stack_address(core_id, slot))
         for block_index in range(start, end):
-            block_row, block_col = divmod(block_index, blocks_per_row)
-            row = block_row * block
-            col = block_col * block
+            block_row, block_col = divmod(block_index, size // block)
+            row_offset = block_row * block * row_bytes
+            col_offset = block_col * block * WORD_BYTES
+            a_pointer = self._a_region.base + row_offset
+            b_pointer = self._b_region.base + col_offset
+            c_pointer = self._c_region.base + row_offset + col_offset
             # Reload the spilled output pointer (register pressure in the
             # blocked inner loop), as a hand-written kernel would.
-            yield from load_use_block([self.stack_address(core_id, 2)], "spill")
-            accumulators = [[0] * block for _ in range(block)]
-            for k_base in range(0, size, k_unroll):
-                a_addrs = [
-                    self._addr_a(row + i, k_base + u)
-                    for u in range(k_unroll)
-                    for i in range(block)
-                ]
-                b_addrs = [
-                    self._addr_b(k_base + u, col + j)
-                    for u in range(k_unroll)
-                    for j in range(block)
-                ]
-                # Functional evaluation of the blocked body.
-                for u in range(k_unroll):
-                    for i in range(block):
-                        a_value = memory.read_signed(self._addr_a(row + i, k_base + u))
-                        for j in range(block):
-                            b_value = memory.read_signed(
-                                self._addr_b(k_base + u, col + j)
-                            )
-                            accumulators[i][j] += a_value * b_value
-                yield from load_use_block(a_addrs + b_addrs, f"k{k_base}")
-                macs = k_unroll * block * block
-                # mul + add per MAC, plus pointer/branch overhead.
-                yield Compute(cycles=2 * macs + 2, muls=macs)
-            for i in range(block):
-                for j in range(block):
-                    address = self._addr_c(row + i, col + j)
-                    memory.write_word(address, to_signed(accumulators[i][j]))
-                    yield Store(address)
+            yield from load_use_block(spill, "spill")
+            accumulators = [0] * (block * block)
+            for _ in range(0, size, k_unroll):
+                addresses = [a_pointer + offset for offset in a_offsets]
+                addresses += [b_pointer + offset for offset in b_offsets]
+                a_pointer += k_unroll * WORD_BYTES
+                b_pointer += k_unroll * row_bytes
+                values = memory.read_signed_block(addresses)
+                for accumulator, a_operand, b_operand in macs:
+                    accumulators[accumulator] += values[a_operand] * values[b_operand]
+                yield from load_use_block(addresses, "body")
+                yield body_compute
+            for offset, value in zip(c_offsets, accumulators):
+                memory.write_word(c_pointer + offset, to_signed(value))
+                yield Store(c_pointer + offset)
             # Block-loop bookkeeping.
-            yield Compute(2)
+            yield bookkeeping
 
     # ------------------------------------------------------------------ #
     # Verification

@@ -42,21 +42,32 @@ def split_evenly(total: int, parts: int) -> list[tuple[int, int]]:
     return slices
 
 
-def load_use_block(addresses, tag_prefix: str):
-    """Yield the loads for a block of addresses followed by their uses.
+#: ``tag_prefix -> (tags, uses)`` of :func:`load_use_block`, one entry per
+#: call site of a kernel, as long as that call site's longest block.
+_BLOCK_TAGS: dict[str, tuple[list, list]] = {}
+
+
+def load_use_block(addresses: list[int], tag_prefix: str) -> list:
+    """The loads for a block of addresses followed by their uses, as a list.
 
     This is the idiom the kernels use to expose memory-level parallelism: all
     loads of one unrolled loop body are issued back to back (so the Snitch
     core's outstanding-load support can hide their latency) before any of the
     values are consumed.
+
+    The tag ``(tag_prefix, position)`` and its ``Use`` are built once and
+    shared by every block with that prefix, so a call site passes one fixed
+    prefix.  Reuse is sound because a block's uses are all consumed before
+    the next block with the same prefix issues its loads: a tag always names
+    the latest load issued under it.
     """
-    tags = []
-    for index, address in enumerate(addresses):
-        tag = (tag_prefix, index)
-        tags.append(tag)
-        yield Load(address, tag=tag)
-    for tag in tags:
-        yield Use(tag)
+    count = len(addresses)
+    shared = _BLOCK_TAGS.get(tag_prefix)
+    if shared is None or len(shared[0]) < count:
+        tags = [(tag_prefix, position) for position in range(count)]
+        shared = _BLOCK_TAGS[tag_prefix] = (tags, [Use(tag) for tag in tags])
+    tags, uses = shared
+    return [*map(Load, addresses, tags), *uses[:count]]
 
 
 @dataclass

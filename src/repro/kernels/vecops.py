@@ -13,13 +13,24 @@ useful both as library examples and as extra workloads for the interconnect:
 
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
 from repro.core.agents import Barrier, Compute, Store
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import WORD_BYTES
 from repro.core.memory import to_signed
-from repro.kernels.runtime import Kernel, load_use_block, split_evenly
+from repro.kernels.runtime import Kernel, load_use_block, mac_compute, split_evenly
+
+
+def _chunk_addresses(x_base: int, y_base: int, start: int, stop: int) -> list[int]:
+    """Addresses of elements ``start .. stop - 1`` of two vectors: x's, then y's."""
+    first, end = start * WORD_BYTES, stop * WORD_BYTES
+    return [
+        *range(x_base + first, x_base + end, WORD_BYTES),
+        *range(y_base + first, y_base + end, WORD_BYTES),
+    ]
 
 
 class AxpyKernel(Kernel):
@@ -51,31 +62,28 @@ class AxpyKernel(Kernel):
         self.memory.write_words(self._y_region.base, self.y)
         self._split = split_evenly(length, self.config.num_cores)
 
-    def _addr_x(self, index: int) -> int:
-        return self._x_region.base + index * WORD_BYTES
-
-    def _addr_y(self, index: int) -> int:
-        return self._y_region.base + index * WORD_BYTES
-
     def core_program(self, core_id: int):
         """Yield the operations core ``core_id`` executes (its slice of y)."""
         start, end = self._split[core_id]
         memory = self.memory
+        scalar = self.scalar
+        x_base, y_base = self._x_region.base, self._y_region.base
+        # One mul and one add per element plus loop overhead.
+        computes = [mac_compute(count) for count in range(self.UNROLL + 1)]
         yield Compute(3)  # prologue: pointers, scalar
         for base in range(start, end, self.UNROLL):
-            chunk = range(base, min(base + self.UNROLL, end))
-            addresses = [self._addr_x(i) for i in chunk] + [self._addr_y(i) for i in chunk]
-            results = [
-                self.scalar * memory.read_signed(self._addr_x(i))
-                + memory.read_signed(self._addr_y(i))
-                for i in chunk
-            ]
-            yield from load_use_block(addresses, f"chunk{base}")
-            # One mul and one add per element plus loop overhead.
-            yield Compute(cycles=2 * len(chunk) + 2, muls=len(chunk))
-            for index, value in zip(chunk, results):
-                memory.write_word(self._addr_y(index), to_signed(value))
-                yield Store(self._addr_y(index))
+            addresses = _chunk_addresses(
+                x_base, y_base, base, min(base + self.UNROLL, end)
+            )
+            count = len(addresses) // 2
+            values = memory.read_signed_block(addresses)
+            yield from load_use_block(addresses, "chunk")
+            yield computes[count]
+            for address, x_value, y_value in zip(
+                addresses[count:], values, values[count:]
+            ):
+                memory.write_word(address, to_signed(scalar * x_value + y_value))
+                yield Store(address)
 
     def reference(self) -> np.ndarray:
         """Numpy reference of ``a*x + y``."""
@@ -112,42 +120,38 @@ class DotProductKernel(Kernel):
         self.memory.write_words(self._b_region.base, self.b)
         self._split = split_evenly(length, self.config.num_cores)
 
-    def _addr(self, region, index: int) -> int:
-        return region.base + index * WORD_BYTES
-
     def core_program(self, core_id: int):
         """Yield the operations core ``core_id`` executes (partial dot products)."""
         start, end = self._split[core_id]
         memory = self.memory
+        a_base, b_base = self._a_region.base, self._b_region.base
+        computes = [mac_compute(count) for count in range(self.UNROLL + 1)]
         yield Compute(3)
         partial = 0
         for base in range(start, end, self.UNROLL):
-            chunk = range(base, min(base + self.UNROLL, end))
-            addresses = [self._addr(self._a_region, i) for i in chunk]
-            addresses += [self._addr(self._b_region, i) for i in chunk]
-            for index in chunk:
-                partial += memory.read_signed(
-                    self._addr(self._a_region, index)
-                ) * memory.read_signed(self._addr(self._b_region, index))
-            yield from load_use_block(addresses, f"chunk{base}")
-            yield Compute(cycles=2 * len(chunk) + 2, muls=len(chunk))
-        partial_address = self._addr(self._partials, core_id)
-        memory.write_word(partial_address, to_signed(partial))
-        yield Store(partial_address)
+            addresses = _chunk_addresses(
+                a_base, b_base, base, min(base + self.UNROLL, end)
+            )
+            count = len(addresses) // 2
+            values = memory.read_signed_block(addresses)
+            partial += sum(map(mul, values, values[count:]))
+            yield from load_use_block(addresses, "chunk")
+            yield computes[count]
+        partials = self._partials.base
+        memory.write_word(partials + core_id * WORD_BYTES, to_signed(partial))
+        yield Store(partials + core_id * WORD_BYTES)
         yield Barrier()
         if core_id == 0:
+            addresses = list(
+                range(partials, partials + self.config.num_cores * WORD_BYTES, WORD_BYTES)
+            )
             total = 0
-            for core in range(self.config.num_cores):
-                address = self._addr(self._partials, core)
-                total += memory.read_signed(address)
-            addresses = [
-                self._addr(self._partials, core) for core in range(self.config.num_cores)
-            ]
             # The reduction loads every partial sum (bounded by the ROB depth,
             # the load/use helper interleaves naturally).
             for base in range(0, len(addresses), self.UNROLL):
                 chunk = addresses[base : base + self.UNROLL]
-                yield from load_use_block(chunk, f"reduce{base}")
+                total += sum(memory.read_signed_block(chunk))
+                yield from load_use_block(chunk, "reduce")
                 yield Compute(cycles=len(chunk) + 1)
             memory.write_word(self._result_region.base, to_signed(total))
             yield Store(self._result_region.base)

@@ -12,6 +12,10 @@ from repro.core.agents import (
     TraceAgent,
     Use,
 )
+from repro.core.cluster import MemPoolCluster
+from repro.core.config import MemPoolConfig
+from repro.core.system import MemPoolSystem
+from repro.kernels import DctKernel
 
 
 class TestOperationTypes:
@@ -63,5 +67,20 @@ class TestAgents:
         with pytest.raises(NotImplementedError):
             CoreAgent().operations()
 
-    def test_on_load_data_hook_is_optional(self):
-        TraceAgent([]).on_load_data("tag", 1)
+    def test_generator_backed_agent_refuses_a_second_run(self):
+        agent = TraceAgent(operation for operation in [Compute(2), Store(4)])
+        assert len(list(agent.operations())) == 2
+        with pytest.raises(RuntimeError, match="one-shot iterator"):
+            agent.operations()
+
+    def test_kernel_agents_cannot_silently_drive_a_second_system(self):
+        cluster = MemPoolCluster(MemPoolConfig.tiny("toph"))
+        agents = DctKernel(cluster).agents()
+        assert MemPoolSystem(cluster, agents).run().instructions > 0
+        with pytest.raises(RuntimeError, match="one-shot iterator"):
+            MemPoolSystem(cluster, agents)
+
+    def test_reiterable_agents_replay_on_every_call(self):
+        for operations in ([Compute(1), Store(4)], (Compute(1), Store(4)), range(0)):
+            agent = TraceAgent(operations)
+            assert list(agent.operations()) == list(agent.operations()) == list(operations)

@@ -112,6 +112,19 @@ class TestConv2dKernel:
         kernel.run()
         assert np.array_equal(kernel.result()[0, :], kernel.image[0, :])
 
+    @pytest.mark.parametrize("seed, height, width", [(1, 16, 3), (2, 16, 7), (3, 32, 20)])
+    def test_reference_matches_the_per_pixel_loop(self, seed, height, width):
+        kernel = Conv2dKernel(tiny_cluster(), height=height, width=width, seed=seed)
+        # The oracle: the window sum spelled out pixel by pixel, borders copied.
+        expected = kernel.image.copy()
+        for row in range(1, height - 1):
+            for col in range(1, width - 1):
+                window = kernel.image[row - 1 : row + 2, col - 1 : col + 2]
+                expected[row, col] = int(np.sum(window * kernel.WEIGHTS))
+        reference = kernel.reference()
+        assert reference.dtype == expected.dtype
+        assert np.array_equal(reference, expected)
+
 
 class TestDctKernel:
     def test_dct1d_matches_direct_formula(self):

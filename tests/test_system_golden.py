@@ -8,8 +8,10 @@ cycle, one ``Flit`` per request, ``legacy`` engine); every engine must
 reproduce them exactly: cycle count, barrier episodes, request counts and
 every ``CoreStats`` field of every core.  The two ``snitch-stack-spill``
 cases were added at commit f889595 (``legacy`` engine, the commit before the
-core model stopped building an object per address decode); the other fifty
-entries are byte-for-byte the original recording.
+core model stopped building an object per address decode) and the two
+``axpy`` cases at commit 330b9a1 (``legacy`` engine, the commit before the
+kernels built their programs a loop body at a time); the fifty original
+entries are byte-for-byte the first recording.
 
 ``PYTHONPATH=src python tests/test_system_golden.py --write`` re-records them
 (only when the *model* changes on purpose).
@@ -28,7 +30,13 @@ from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.core.coremodel import CoreStats
 from repro.core.system import MemPoolSystem
-from repro.kernels import Conv2dKernel, DctKernel, DotProductKernel, MatmulKernel
+from repro.kernels import (
+    AxpyKernel,
+    Conv2dKernel,
+    DctKernel,
+    DotProductKernel,
+    MatmulKernel,
+)
 from repro.snitch import assemble
 from repro.snitch.agent import make_snitch_agents
 from repro.validation.fuzz import ENGINES_CHECKED, SystemCase, run_system_case
@@ -65,10 +73,10 @@ loop:
 """
 
 
-def _kernel_case(name, topology, scrambling):
+def _kernel_case(build, topology, scrambling):
     def run(engine):
         config = MemPoolConfig.tiny(topology, scrambling_enabled=scrambling)
-        result = KERNELS[name](MemPoolCluster(config, engine=engine)).run()
+        result = build(MemPoolCluster(config, engine=engine)).run()
         assert result.correct
         return result.system
 
@@ -118,9 +126,16 @@ def _snitch_case(engine, prologue="", scrambling=True):
 CASES = {
     **{
         f"{name}-{topology}-{'scrambled' if scrambling else 'interleaved'}":
-            _kernel_case(name, topology, scrambling)
-        for name in KERNELS
+            _kernel_case(build, topology, scrambling)
+        for name, build in KERNELS.items()
         for topology in ("top1", "toph", "topx")
+        for scrambling in (True, False)
+    },
+    # Streaming, no reuse, ragged last chunks (250 elements on 16 cores).
+    **{
+        f"axpy-{'scrambled' if scrambling else 'interleaved'}": _kernel_case(
+            lambda cluster: AxpyKernel(cluster, length=250), "toph", scrambling
+        )
         for scrambling in (True, False)
     },
     **{f"random-{index:02d}": _random_case(index) for index in range(24)},

@@ -453,21 +453,29 @@ def test_bench_ab_runs_the_interleaved_procedure(tmp_path, capfd):
     if git("rev-parse", "HEAD").returncode:
         pytest.skip("not a git checkout")
     code = bench_ab.main(
-        ["HEAD", "--pairs", "2", "--workload", "sweep_warm", "--smoke",
+        ["HEAD", "--pairs", "2", "--profile", "2", "--workload", "sweep_warm", "--smoke",
          "--out", str(tmp_path)]
     )
     printed = capfd.readouterr().out
     # One-pass smoke timings decide nothing, so either verdict is fine.
     assert code in (0, 1), printed
-    sides = [line.split()[2] for line in printed.splitlines() if line.startswith("pair ")]
-    assert sides == ["A", "B", "B", "A"]
+    for label in ("pair", "profile"):  # the traced passes interleave like the pairs
+        sides = [line.split()[2] for line in printed.splitlines() if line.startswith(label)]
+        assert sides == ["A", "B", "B", "A"], label
     for side in "AB":
-        runs = json.loads((tmp_path / side / "results.json").read_text())["runs"]
-        assert [(run["workload"], run["seed"]) for run in runs] == [
-            ("sweep_warm", 1), ("sweep_warm", 2)
-        ]
-        assert all(run["correct"] for run in runs)
+        for directory, metric in ((side, "wall_s"), (f"{side}/profile", "experiments.spec_keys")):
+            runs = json.loads((tmp_path / directory / "results.json").read_text())["runs"]
+            assert [(run["workload"], run["seed"]) for run in runs] == [
+                ("sweep_warm", 1), ("sweep_warm", 2)
+            ]
+            assert all(run["correct"] and metric in run["metrics"] for run in runs)
     assert "wall_s" in printed and "sweep_warm" in printed
+    # The per-layer table comes last: an exact count reads the same on both sides.
+    table = printed[printed.index("layer metric"):].splitlines()
+    assert table[0].split()[-3:] == ["A", "B", "B/A"]
+    [keys] = [line.split() for line in table if "experiments.spec_keys" in line]
+    assert keys[-3] == keys[-2] != "0" and keys[-1] == "1.000"
+    assert not any("engine.advance_s" in line for line in table)  # zero on both sides
     assert not (tmp_path / "parent").exists()
     assert str(tmp_path) not in git("worktree", "list").stdout
 
