@@ -10,14 +10,29 @@ tuples of stage and arbiter indices — that the transport passes of
 resource object again.
 
 Every path of every topology has the shape ``request resources + bank stage
-(+ response resources)``, where the request/response halves depend only on
-the issuing core and the *tile* of the destination bank.  The compiler
-exploits that: it compiles one **path template** per ``(core, destination
-tile, direction)`` triple — about ``num_cores * num_tiles * 2`` templates,
-versus ``num_cores * num_banks * 2`` concrete paths — and marks the bank
-stage with the :data:`BANK` placeholder.  The engine resolves the
-placeholder against the flit's destination bank at move time, so no
-per-bank instantiation ever happens.
+(+ response resources + the core's response port)``, where the
+request/response halves depend only on the *lane* of the issuing core (its
+parallel remote network: 0 everywhere but Top4 and the ``butterfly``
+family), its tile and the *tile* of the destination bank.  The compiler
+exploits that twice.  It compiles one **path template** per ``(core,
+destination tile, direction)`` triple — about ``num_cores * num_tiles * 2``
+templates, versus ``num_cores * num_banks * 2`` concrete paths — and marks
+the bank stage with the :data:`BANK` placeholder, which the engine
+resolves against the flit's destination bank at move time, so no per-bank
+instantiation ever happens.  And it *compiles* — resource lookups,
+membership and level checks — only the halves, once per ``(lane, source
+tile, destination tile)`` as keyed by
+:meth:`~repro.interconnect.topology.ClusterTopology.path_halves`; a
+template is then *linked* from its half pair's moves under the one
+per-core hop of a path, the completing hop of a load through
+``core{c}.resp`` (a store template has no per-core part).  That is about
+``lanes * num_tiles**2`` half compiles, not ``num_cores * num_tiles`` path
+compiles: 241 half pairs for the 1,024 read templates of 64-core TopH
+(961 on Top4, where every core is its own lane), 4,033 for the 16,384 of
+the 256-core cluster.  A cold configuration — ``CompiledNetwork()`` plus
+every read template — costs about 7 ms at 64 cores and 125 ms at 256 where
+per-path compilation cost about 14 and 270 ms (development host, best of
+seven, five alternations).
 
 A compiled template is a *move chain*: a singly linked chain of
 ``(target, arbiters, next)`` triples, one per hop.  ``target`` is the next
@@ -44,11 +59,13 @@ from __future__ import annotations
 
 import os
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.config import MemPoolConfig
 from repro.interconnect.resources import (
+    LEVEL_BANK,
     RegisterStage,
     Resource,
     StageNetwork,
@@ -72,7 +89,7 @@ class EngineCompileError(ValueError):
 #: handful of configurations, and compiling one costs as much as simulating
 #: a short point.  Bounded FIFO like ``repro.utils.rotation._pool_cache``;
 #: the bound is tiny because an entry retains the built topology and every
-#: compiled template (about 3.5 MB at 64 cores, 27 MB at 256).  One entry
+#: compiled template (about 3 MB at 64 cores, 25 MB at 256).  One entry
 #: serves the sweeps it was measured on — fig5, fig7 and the traffic
 #: catalogues expand configuration-major (fig7: topology, scrambling, then
 #: kernel), so consecutive points share a configuration and a serial run
@@ -198,6 +215,26 @@ class MoveTables:
         self.arbs = np.asarray(self._arbs, dtype=np.int32)
 
 
+class _HalfPair(NamedTuple):
+    """What the paths of one ``(lane, source tile, destination tile)`` share.
+
+    Everything of a template but its completing hop: a store is the first
+    ``store_hops`` moves, a load all of them and then — behind ``pending``
+    — the one per-core resource of a path, the core's response port.
+    """
+
+    #: ``(target, arbiters)`` hops: request half, :data:`BANK`, response half.
+    moves: tuple
+    #: ``moves``' targets: the register-stage sequence of a load.
+    stages: tuple
+    store_hops: int
+    #: Arbiters behind the last response stage, ahead of the core's port.
+    pending: tuple
+    #: Lengths of the whole resource lists, response port included.
+    store_len: int
+    load_len: int
+
+
 class CompiledNetwork:
     """Flat integer tables describing one built topology.
 
@@ -231,9 +268,9 @@ class CompiledNetwork:
         Stage id of every bank's register stage, indexed by global bank id —
         the resolution table for the :data:`BANK` placeholder.
     level_orders_np : dict
-        ``level -> tuple of permutations``, each permutation a NumPy index
-        array of *global stage ids* in the visiting order of one pooled
-        cycle.
+        ``level -> (pool size, stages at the level)`` NumPy index array:
+        row ``entry`` holds the *global stage ids* of the level in the
+        visiting order of pooled cycle ``entry``.
     full_orders : tuple of numpy.ndarray
         One concatenated downstream-first visiting order per pooled cycle —
         the index array behind the engine's single per-cycle occupancy
@@ -268,7 +305,7 @@ class CompiledNetwork:
         # :mod:`repro.topologies` (mesh/torus rings allocate one level per
         # hop position, so a path's stages always sort downstream-first).
         self.levels = network.active_levels
-        self.level_orders_np: dict[int, tuple[np.ndarray, ...]] = {}
+        self.level_orders_np: dict[int, np.ndarray] = {}
         self.level_pool_size: dict[int, int] = {}
         for level in self.levels:
             level_stages = network.stages_at_level(level)
@@ -281,10 +318,14 @@ class CompiledNetwork:
             schedule = PermutationSchedule(
                 len(ids), seed=network.arbitration_seed + level
             )
-            self.level_orders_np[level] = tuple(
-                ids[list(schedule.order(entry))]
-                for entry in range(schedule.pool_size)
-            )
+            # The whole pool in one gather: row ``entry`` is the level's
+            # visiting order of pooled cycle ``entry``.
+            self.level_orders_np[level] = ids[
+                np.array(
+                    [schedule.order(entry) for entry in range(schedule.pool_size)],
+                    dtype=np.intp,
+                )
+            ]
             self.level_pool_size[level] = schedule.pool_size
 
         # One concatenated visiting order per pooled cycle, covering every
@@ -302,14 +343,14 @@ class CompiledNetwork:
         self.full_orders = tuple(
             np.concatenate(
                 [
-                    self.level_orders_np[level][entry]
+                    self.level_orders_np[level]
                     for level in self.levels
                     if level in self.level_orders_np
-                ]
+                ],
+                axis=1,
             )
             if self.level_orders_np
-            else np.empty(0, dtype=np.intp)
-            for entry in range(self.order_pool_size)
+            else np.empty((self.order_pool_size, 0), dtype=np.intp)
         )
 
         # Path-template tables, appended to lazily as (core, tile,
@@ -322,17 +363,38 @@ class CompiledNetwork:
         #: without materialising resource paths per flit.
         self.path_first_stage_pos: list[int] = []
         self.path_resource_len: list[int] = []
-        self._template_ids: dict[tuple[int, int, bool], int] = {}
+        #: Compiled remote halves, keyed like the topology's own
+        #: :meth:`~repro.interconnect.topology.ClusterTopology.path_halves`.
+        self._half_pairs: dict[tuple[int, int, int] | None, _HalfPair] = {}
+        #: Arbiter id of every core's response port: the one per-core
+        #: resource of a path, crossed on a load's completing hop.
+        self._core_response = [
+            self._arbiter_index[id(port)] for port in topology.core_response_ports
+        ]
+        config = topology.config
         self._template_tables: dict[bool, list[list[int] | None]] = {
-            needs_response: [None] * topology.config.num_cores
+            needs_response: [None] * config.num_cores
+            for needs_response in (True, False)
+        }
+        #: Per direction, the ``[core, tile]`` arrays behind
+        #: :meth:`block_templates`: template ids and chain heads (object
+        #: arrays, so a gather hands out the stored objects) and whether the
+        #: head's target is the :data:`BANK` placeholder.  A core's cells
+        #: are written when its template row is compiled.
+        self._block_tables: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {
+            needs_response: (
+                np.empty((config.num_cores, config.num_tiles), dtype=object),
+                np.empty((config.num_cores, config.num_tiles), dtype=object),
+                np.zeros((config.num_cores, config.num_tiles), dtype=bool),
+            )
             for needs_response in (True, False)
         }
         self._move_tables = MoveTables()
         #: Tile of every global bank id (placeholder-resolution helper).
         self.tile_of_bank = [
-            topology.config.tile_of_bank(bank)
-            for bank in range(topology.config.num_banks)
+            config.tile_of_bank(bank) for bank in range(config.num_banks)
         ]
+        self._tile_of_bank_np = np.asarray(self.tile_of_bank, dtype=np.intp)
 
     # ------------------------------------------------------------------ #
     # Path compilation
@@ -341,21 +403,10 @@ class CompiledNetwork:
     def path_id(self, core_id: int, bank_id: int, needs_response: bool) -> int:
         """The path-template id for a ``core_id`` -> ``bank_id`` transaction.
 
-        Templates are shared by every bank of the destination tile and are
-        compiled on first use, so steady-state traffic only pays one
-        dictionary lookup per request.
+        Templates are shared by every bank of the destination tile; the
+        core's whole row is compiled on first use.
         """
-        key = (core_id, self.tile_of_bank[bank_id], needs_response)
-        path_id = self._template_ids.get(key)
-        if path_id is not None:
-            return path_id
-        with _compile_lock:
-            path_id = self._template_ids.get(key)
-            if path_id is None:
-                resources = self.topology.build_path(core_id, bank_id, needs_response)
-                path_id = self._compile_path(resources, self.bank_stage_ids[bank_id])
-                self._template_ids[key] = path_id
-        return path_id
+        return self.template_row(core_id, needs_response)[self.tile_of_bank[bank_id]]
 
     def template_table(self, needs_response: bool) -> list[list[int] | None]:
         """Per-core ``[core][tile] -> template id`` rows, compiled on demand.
@@ -378,38 +429,74 @@ class CompiledNetwork:
         with _compile_lock:
             row = table[core_id]
             if row is None:
-                config = self.topology.config
-                banks_per_tile = config.banks_per_tile
-                # Published only once complete: readers never lock.
-                row = table[core_id] = [
-                    self.path_id(core_id, tile * banks_per_tile, needs_response)
-                    for tile in range(config.num_tiles)
+                row = [
+                    self._link_template(core_id, tile, needs_response)
+                    for tile in range(self.topology.config.num_tiles)
                 ]
+                ids, heads, bank_headed = self._block_tables[needs_response]
+                ids[core_id] = row
+                for tile, template in enumerate(row):
+                    # Cell by cell: NumPy would unpack a row of tuples.
+                    head = heads[core_id, tile] = self.path_moves[template]
+                    bank_headed[core_id, tile] = head[0] == BANK
+                # Published only once complete: readers never lock.
+                table[core_id] = row
         return row
 
-    def path_ids(
+    def block_templates(
         self, cores: np.ndarray, banks: np.ndarray, needs_response: bool
-    ) -> list[int]:
-        """Template ids of many ``core -> bank`` transactions, in one gather.
+    ) -> tuple[list[int], list[tuple], np.ndarray]:
+        """Templates of many ``core -> bank`` transactions, in three gathers.
 
-        ``template_row(core, needs_response)[tile_of_bank[bank]]`` per
-        entry; only the rows of the cores present are compiled.  The
-        gather runs over an object array, so the result holds the template
-        rows' own int objects and boxes none per entry.
+        Only the rows of the cores present are compiled.  The gathers run
+        over object arrays, so the results hold the template rows' own int
+        objects and the templates' own chain heads; none is boxed or built
+        per entry.
+
+        Returns
+        -------
+        path_ids : list of int
+            ``template_row(core, needs_response)[tile_of_bank[bank]]`` per
+            entry.
+        heads : list of tuple
+            ``path_moves[path_id]`` per entry, placeholder unresolved.
+        bank_headed : numpy.ndarray of bool
+            Per entry, whether the head's target is :data:`BANK` — a
+            same-tile access, and *every* access of a topology with no
+            remote request half (TopX), so not a tile comparison.
         """
-        config = self.topology.config
-        table = np.empty((config.num_cores, config.num_tiles), dtype=object)
-        for core in np.unique(cores).tolist():
-            table[core] = self.template_row(core, needs_response)
-        return table[cores, np.asarray(self.tile_of_bank)[banks]].tolist()
+        for core in np.flatnonzero(np.bincount(cores)).tolist():
+            self.template_row(core, needs_response)
+        ids, heads, bank_headed = self._block_tables[needs_response]
+        tiles = self._tile_of_bank_np[banks]
+        return (
+            ids[cores, tiles].tolist(),
+            heads[cores, tiles].tolist(),
+            bank_headed[cores, tiles],
+        )
 
-    def _compile_path(self, resources: list[Resource], bank_stage: int) -> int:
-        """Compile one resource path into a move chain; return its id."""
-        stage_seq: list[int] = []
+    def _compile_half(
+        self, resources: list[Resource], after_bank: bool
+    ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+        """Compile the resources on one side of the bank stage into hops.
+
+        Returns ``(moves, pending)``: one ``(stage id, arbiters crossed on
+        the way in)`` pair per register stage, and the arbiters behind the
+        last stage — they belong to the hop that leaves the half (into the
+        bank for a request half, to completion for a response half).
+
+        Raises
+        ------
+        EngineCompileError
+            For a stage or arbiter that is not part of the compiled
+            network, and for stage levels that do not strictly increase
+            up to (``after_bank=False``) or on from (``after_bank=True``)
+            the bank level.
+        """
         moves: list[tuple[int, tuple[int, ...]]] = []
-        pending_arbiters: list[int] = []
-        first_stage_pos = -1
-        for position, resource in enumerate(resources):
+        pending: list[int] = []
+        levels = [LEVEL_BANK] if after_bank else []
+        for resource in resources:
             if isinstance(resource, RegisterStage):
                 stage_id = self._stage_index.get(id(resource))
                 if stage_id is None:
@@ -417,12 +504,9 @@ class CompiledNetwork:
                         f"register stage {resource.name!r} is not part of the "
                         "compiled topology's stage network"
                     )
-                target = BANK if stage_id == bank_stage else stage_id
-                moves.append((target, tuple(pending_arbiters)))
-                pending_arbiters.clear()
-                stage_seq.append(target)
-                if first_stage_pos < 0:
-                    first_stage_pos = position
+                moves.append((stage_id, tuple(pending)))
+                pending.clear()
+                levels.append(self.stage_level[stage_id])
             else:
                 arbiter_id = self._arbiter_index.get(id(resource))
                 if arbiter_id is None:
@@ -430,31 +514,55 @@ class CompiledNetwork:
                         f"arbitration point {resource.name!r} is not part of "
                         "the compiled topology's stage network"
                     )
-                pending_arbiters.append(arbiter_id)
-        moves.append((COMPLETE, tuple(pending_arbiters)))
-
-        levels = [
-            self.stage_level[bank_stage if stage == BANK else stage]
-            for stage in stage_seq
-        ]
-        if any(later <= earlier for earlier, later in zip(levels, levels[1:])):
+                pending.append(arbiter_id)
+        if not after_bank:
+            levels.append(LEVEL_BANK)
+        # Strictly increasing <=> sorted and free of repeats.
+        if levels != sorted(set(levels)):
             raise EngineCompileError(
                 "path violates the level-monotonicity invariant of the "
-                f"vector engine (stage levels {levels}); the object engine "
-                "must be used for this topology"
+                f"vector engine (stage levels {levels}, the bank's included); "
+                "the object engine must be used for this topology"
             )
+        return tuple(moves), tuple(pending)
 
-        # Link the hops back to front into the (target, arbiters, next)
-        # chain the engine walks (see the module docstring).
-        chain = None
+    def _half_pair(self, core_id: int, tile: int) -> _HalfPair:
+        """The compiled halves ``core_id``'s paths into ``tile`` share."""
+        key, request, response = self.topology.path_halves(core_id, tile)
+        pair = self._half_pairs.get(key)
+        if pair is None:
+            request_moves, into_bank = self._compile_half(request, after_bank=False)
+            response_moves, pending = self._compile_half(response, after_bank=True)
+            moves = (*request_moves, (BANK, into_bank), *response_moves)
+            pair = self._half_pairs[key] = _HalfPair(
+                moves,
+                tuple([target for target, _ in moves]),
+                len(request_moves) + 1,
+                pending,
+                len(request) + 1,
+                len(request) + 1 + len(response) + 1,
+            )
+        return pair
+
+    def _link_template(self, core_id: int, tile: int, needs_response: bool) -> int:
+        """Link one template from its shared halves; return its new id."""
+        moves, stages, store_hops, pending, resource_len, load_len = (
+            self._half_pair(core_id, tile)
+        )
+        if needs_response:
+            chain = (COMPLETE, (*pending, self._core_response[core_id]), None)
+            resource_len = load_len
+        else:
+            moves, stages = moves[:store_hops], stages[:store_hops]
+            chain = (COMPLETE, (), None)
         for target, arbiters in reversed(moves):
             chain = (target, arbiters, chain)
-
         path_id = len(self.path_moves)
         self.path_moves.append(chain)
-        self.path_stage_seq.append(tuple(stage_seq))
-        self.path_first_stage_pos.append(first_stage_pos)
-        self.path_resource_len.append(len(resources))
+        self.path_stage_seq.append(stages)
+        # As many arbiters lead into the first register stage.
+        self.path_first_stage_pos.append(len(chain[1]))
+        self.path_resource_len.append(resource_len)
         return path_id
 
     def move_tables(self) -> MoveTables:

@@ -102,7 +102,7 @@ class CompiledEngine:
         compiled = self.compiled
         cores = np.asarray(cores, dtype=np.int64)
         banks = np.asarray(banks, dtype=np.int64)
-        path_ids = compiled.path_ids(cores, banks, not is_write)
+        path_ids, _, _ = compiled.block_templates(cores, banks, not is_write)
         first = self.flits.allocate_block(cores, banks, path_ids, is_write, created)
         stop = first + len(cores)
         self._ensure_row_capacity(stop)

@@ -11,17 +11,23 @@ The experiment is *open loop*: the offered traffic never observes the
 network (see :mod:`repro.workloads.base`).  The driver relies on that to
 take request generation out of the per-cycle transport loop:
 
-1. **Draw the window.**  For every cycle of the window, in order, one
-   :meth:`~repro.workloads.base.InjectionProcess.arrivals_batch` call and
-   — when anything arrived — one
+1. **Draw the window.**  One
+   :meth:`~repro.workloads.base.InjectionProcess.arrivals_batch` call over
+   the window's cycles, then — when anything arrived — one
    :meth:`~repro.workloads.base.DestinationPattern.destinations` call over
-   the cycle's sources: the per-cycle call sequence of the legacy loop, so
-   every random stream is consumed identically and any registered
-   pattern/injector pair (trace replay included) runs here unchanged.
+   all of its sources.  A pattern and an injector never share a random
+   stream, and each batched call equals its scalar calls in sequence, so
+   every stream is consumed exactly as the legacy loop's per-cycle calls
+   consume it and any registered pattern/injector pair (trace replay
+   included) runs here unchanged.  No per-cycle call, tuple or array is
+   left: the 64-core Figure 5 sweep makes 12 + 12 workload calls where the
+   per-cycle form made 15,600 + 15,429.
 2. **Allocate the window.**  One ``engine.new_flits`` call turns the drawn
    requests into consecutive rows of the engine's
    :class:`~repro.engine.soa.FlitTable`, in generation order — the row ids
-   the legacy loop's per-request allocation hands out.
+   the legacy loop's per-request allocation hands out.  Template ids and
+   chain heads come out of three table gathers; only the rows whose
+   injection hop enters the bank stage are touched one by one.
 3. **Transport.**  Per cycle: the engine's level-ordered ``advance``, the
    cycle's new rows appended to their cores' source queues, one
    ``inject_queues`` pass.  Latency statistics are replayed once after the
@@ -40,10 +46,11 @@ from repro.utils.stats import Histogram, OnlineStats
 def _allocate_window(simulation, engine, start: int, end: int):
     """Draw cycles ``start .. end - 1`` and allocate their requests as rows.
 
-    One ``arrivals_batch(cycle)`` call per cycle and — when anything
-    arrived — one ``destinations(sources)`` call over the cycle's sources,
-    cores ascending: the legacy loop's call sequence.  Updates the
-    simulation's request counters.
+    One ``arrivals_batch(start, end)`` call and — when anything arrived —
+    one ``destinations(sources)`` call over the whole window's sources:
+    each component sees the draws of the legacy loop in the legacy order
+    (see :mod:`repro.workloads.base`).  Updates the simulation's request
+    counters.
 
     Returns
     -------
@@ -55,28 +62,17 @@ def _allocate_window(simulation, engine, start: int, end: int):
     ends : list of int
         Per cycle, the end offset of its requests within ``sources``.
     """
-    arrivals_batch = simulation.injector.arrivals_batch
-    destinations_of = simulation.pattern.destinations
-    sources: list[int] = []
-    drawn: list[np.ndarray] = []
+    sources, ends = simulation.injector.arrivals_batch(start, end)
+    if sources:
+        banks = simulation.pattern.destinations(sources)
+    else:
+        banks = np.zeros(0, dtype=np.int64)
     created: list[int] = []
-    ends: list[int] = []
-    for cycle in range(start, end):
-        batch = arrivals_batch(cycle)
-        if batch:
-            cycle_sources: list[int] = []
-            for core_id, count in batch:
-                if count == 1:
-                    cycle_sources.append(core_id)
-                else:
-                    cycle_sources.extend([core_id] * count)
-            drawn.append(destinations_of(cycle_sources))
-            sources += cycle_sources
-            created += [cycle] * len(cycle_sources)
-        ends.append(len(sources))
+    done = 0
+    for cycle, upto in zip(range(start, end), ends):
+        created += [cycle] * (upto - done)
+        done = upto
     cores = np.asarray(sources, dtype=np.int64)
-    banks = np.concatenate(drawn) if drawn else np.zeros(0, dtype=np.int64)
-    del drawn  # one small array per cycle: not worth holding through the allocation peak
     config = simulation.cluster.config
     core_tile = np.asarray(
         [config.tile_of_core(core) for core in range(config.num_cores)]
@@ -100,8 +96,8 @@ def run_vector_traffic(
     The window starts at the simulation's clock and leaves it at the
     window's end.  Relying on the open-loop contract (patterns and
     injectors never observe the network), the whole window is drawn before
-    its first cycle is transported — in the documented per-cycle call
-    order, so the draws are those of the legacy loop.
+    its first cycle is transported — each component in its documented
+    draw order, so the draws are those of the legacy loop.
 
     Parameters
     ----------

@@ -111,15 +111,18 @@ class VectorEngine:
         compiled = self.compiled
         cores = np.asarray(cores, dtype=np.int64)
         banks = np.asarray(banks, dtype=np.int64)
-        path_ids = compiled.path_ids(cores, banks, not is_write)
-        first = self.flits.allocate_block(cores, banks, path_ids, is_write, created)
-        bank_stage = compiled.bank_stage_ids
-        self._next_move.extend(
-            entry if entry[0] != BANK else (bank_stage[bank], entry[1], entry[2])
-            for entry, bank in zip(
-                map(compiled.path_moves.__getitem__, path_ids), banks.tolist()
-            )
+        path_ids, moves, bank_headed = compiled.block_templates(
+            cores, banks, not is_write
         )
+        first = self.flits.allocate_block(cores, banks, path_ids, is_write, created)
+        # Only a row that enters its bank on the injection hop resolves the
+        # placeholder now; the others carry their template's own head.
+        bank_stage = compiled.bank_stage_ids
+        bank_rows = np.flatnonzero(bank_headed)
+        for row, bank in zip(bank_rows.tolist(), banks[bank_rows].tolist()):
+            _, arbiters, following = moves[row]
+            moves[row] = (bank_stage[bank], arbiters, following)
+        self._next_move.extend(moves)
         return first
 
     # ------------------------------------------------------------------ #

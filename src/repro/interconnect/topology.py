@@ -40,6 +40,9 @@ from repro.interconnect.resources import (
 
 #: Logical names of the TopH tile ports, in routing order.
 TOPH_DIRECTIONS = ("local", "north", "northeast", "east")
+#: ``_path_cache`` key of the same-tile path, the one path with no lane or
+#: tile pair: bank stage and core response port only.
+LOCAL_PATH = None
 
 
 class ClusterTopology:
@@ -66,11 +69,51 @@ class ClusterTopology:
             self.network.add_arbiter(ArbitrationPoint(f"core{c}.resp"))
             for c in range(config.num_cores)
         ]
-        self._path_cache: dict[tuple[int, int], tuple[list[Resource], list[Resource]]] = {}
+        #: ``(lane, source tile, destination tile) -> (request, response)``
+        #: remote halves (see :meth:`path_halves`); :data:`LOCAL_PATH` keys
+        #: the one same-tile entry, which has no remote half at all.
+        self._path_cache: dict[
+            tuple[int, int, int] | None, tuple[list[Resource], list[Resource]]
+        ] = {LOCAL_PATH: ([], [])}
 
     # ------------------------------------------------------------------ #
     # Path construction
     # ------------------------------------------------------------------ #
+
+    def _lane(self, core_id: int) -> int:
+        """Which parallel remote network ``core_id``'s requests travel on.
+
+        0 for every topology whose remote halves depend on the tiles alone;
+        a family with per-core (or per-core-subset) remote resources must
+        override this, because cores of one lane share their halves.
+        """
+        return 0
+
+    def path_halves(
+        self, core_id: int, dst_tile: int
+    ) -> tuple[tuple[int, int, int] | None, list[Resource], list[Resource]]:
+        """The remote ``(key, request, response)`` halves of a path.
+
+        ``request`` is everything a request crosses before the bank stage,
+        ``response`` everything a response crosses after it up to — not
+        including — the core's own response port: the part of a path that
+        depends only on ``key = (lane, source tile, destination tile)``
+        (:data:`LOCAL_PATH` with two empty halves for a same-tile access).
+        Built once per key and shared: do not mutate the lists.
+        """
+        src_tile = self.config.tile_of_core(core_id)
+        key = (
+            LOCAL_PATH
+            if src_tile == dst_tile
+            else (self._lane(core_id), src_tile, dst_tile)
+        )
+        halves = self._path_cache.get(key)
+        if halves is None:
+            halves = self._path_cache[key] = (
+                self._remote_request_path(core_id, src_tile, dst_tile),
+                self._remote_response_path(core_id, src_tile, dst_tile),
+            )
+        return key, halves[0], halves[1]
 
     def build_path(self, core_id: int, bank_id: int, needs_response: bool) -> list[Resource]:
         """Resources crossed by a request from ``core_id`` to ``bank_id``.
@@ -79,27 +122,13 @@ class ClusterTopology:
         in traversal order; it ends at the bank for stores
         (``needs_response=False``) and continues back to the core for loads.
         """
-        config = self.config
-        src_tile = config.tile_of_core(core_id)
-        dst_tile = config.tile_of_bank(bank_id)
-        if src_tile == dst_tile:
-            request: list[Resource] = []
-            response: list[Resource] = [self.core_response_ports[core_id]]
-        else:
-            key = (core_id, dst_tile)
-            cached = self._path_cache.get(key)
-            if cached is None:
-                cached = (
-                    self._remote_request_path(core_id, src_tile, dst_tile),
-                    self._remote_response_path(core_id, src_tile, dst_tile),
-                )
-                self._path_cache[key] = cached
-            request = cached[0]
-            response = cached[1] + [self.core_response_ports[core_id]]
-        path = list(request)
-        path.append(self.bank_stages[bank_id])
+        _, request, response = self.path_halves(
+            core_id, self.config.tile_of_bank(bank_id)
+        )
+        path = [*request, self.bank_stages[bank_id]]
         if needs_response:
-            path.extend(response)
+            path += response
+            path.append(self.core_response_ports[core_id])
         return path
 
     def _remote_request_path(
@@ -297,14 +326,18 @@ class Top4Topology(ClusterTopology):
                 else:
                     self.network.add_arbiter(output)
 
+    def _lane(self, core_id: int) -> int:
+        """The core's own butterfly pair: its index within the tile."""
+        return self.config.local_core_index(core_id)
+
     def _remote_request_path(self, core_id, src_tile, dst_tile):
-        lane = self.config.local_core_index(core_id)
+        lane = self._lane(core_id)
         return [self.master_request_ports[core_id]] + self.request_butterflies[
             lane
         ].route(src_tile, dst_tile)
 
     def _remote_response_path(self, core_id, src_tile, dst_tile):
-        lane = self.config.local_core_index(core_id)
+        lane = self._lane(core_id)
         return self.response_butterflies[lane].route(dst_tile, src_tile) + [
             self.master_response_ports[core_id]
         ]

@@ -19,37 +19,36 @@ or in-process::
 
 from __future__ import annotations
 
-from repro.service.app import (
-    DEFAULT_SERVICE_PORT,
-    DEFAULT_TTL_S,
-    SpecError,
-    SweepService,
-    build_specs,
-)
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import (
-    IllegalTransition,
-    Job,
-    JobCancelled,
-    JobState,
-    LEGAL_TRANSITIONS,
-    expected_work,
-    job_key,
-)
+import importlib
 
-__all__ = [
-    "DEFAULT_SERVICE_PORT",
-    "DEFAULT_TTL_S",
-    "IllegalTransition",
-    "Job",
-    "JobCancelled",
-    "JobState",
-    "LEGAL_TRANSITIONS",
-    "ServiceClient",
-    "ServiceError",
-    "SpecError",
-    "SweepService",
-    "build_specs",
-    "expected_work",
-    "job_key",
-]
+#: Public name -> defining submodule, resolved on first access (PEP 562):
+#: ``import repro.service.client`` — all a client script needs — must not
+#: pay for the server (``asyncio``, the executors, the distributed stack).
+_EXPORTS = {
+    "DEFAULT_SERVICE_PORT": "app",
+    "DEFAULT_TTL_S": "app",
+    "IllegalTransition": "jobs",
+    "Job": "jobs",
+    "JobCancelled": "jobs",
+    "JobState": "jobs",
+    "LEGAL_TRANSITIONS": "jobs",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "SpecError": "app",
+    "SweepService": "app",
+    "build_specs": "app",
+    "expected_work": "jobs",
+    "job_key": "jobs",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and return the attribute."""
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

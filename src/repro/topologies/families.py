@@ -195,6 +195,7 @@ class ButterflyTopology(ClusterTopology):
         ]
 
     def _lane(self, core_id: int) -> int:
+        """The butterfly the core shares with every ``ports``-th sibling."""
         return self.config.local_core_index(core_id) % self.ports
 
     def _remote_request_path(self, core_id, src_tile, dst_tile):

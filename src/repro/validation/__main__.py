@@ -71,11 +71,14 @@ def _replay(spec: str) -> int:
     except DivergenceError as error:
         print(error, file=sys.stderr)
         return 1
-    reference = results[ENGINES_CHECKED[0]]
+    windows = results[ENGINES_CHECKED[0]]
     print(
-        f"engines agree ({', '.join(ENGINES_CHECKED)}): "
-        f"{reference.completed_requests} completed requests, "
-        f"average latency {reference.average_latency:.4f} cycles"
+        f"engines agree ({', '.join(ENGINES_CHECKED)}) over {len(windows)} windows: "
+        + "; ".join(
+            f"{window.completed_requests} completed requests, "
+            f"average latency {window.average_latency:.4f} cycles"
+            for window in windows
+        )
     )
     return 0
 

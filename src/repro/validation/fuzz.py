@@ -306,13 +306,17 @@ class DivergenceError(AssertionError):
         )
 
 
-def run_case(case: FuzzCase, engine: str):
-    """Run one fuzz case on one engine, flit log attached.
+def run_case(case: FuzzCase, engine: str) -> tuple:
+    """Run one fuzz case on one engine: two windows, flit logs attached.
 
-    Returns the :class:`~repro.traffic.simulation.TrafficResult` of a
-    fresh cluster/simulation pair — every engine sees identical RNG
-    substreams because the workload components are rebuilt per run from
-    the case's seed.
+    Returns the :class:`~repro.traffic.simulation.TrafficResult` of two
+    back-to-back ``run(warmup, measure)`` windows on one fresh
+    cluster/simulation pair — every engine sees identical RNG substreams
+    because the workload components are rebuilt per run from the case's
+    seed.  The second window starts on whatever the first left behind:
+    the random streams where its draws ended, the source queues' backlog,
+    the flits still in the network — the hand-over a driver that draws a
+    window at a time must get right.
     """
     from repro.traffic.simulation import TrafficSimulation
 
@@ -326,7 +330,10 @@ def run_case(case: FuzzCase, engine: str):
         pattern_params=dict(case.pattern_params) or None,
         injector_params=dict(case.injector_params) or None,
     )
-    return simulation.run(case.warmup, case.measure, record_flits=True)
+    return tuple(
+        simulation.run(case.warmup, case.measure, record_flits=True)
+        for _ in range(2)
+    )
 
 
 def _describe_mismatch(name_a: str, result_a, name_b: str, result_b) -> str | None:
@@ -360,20 +367,25 @@ def _describe_mismatch(name_a: str, result_a, name_b: str, result_b) -> str | No
 def check_case(case: FuzzCase, engines=ENGINES_CHECKED) -> dict:
     """Run ``case`` on every engine and assert their results agree.
 
-    Returns the per-engine results on success.  On divergence, appends
-    the replay spec to ``$FUZZ_REPRODUCER_FILE`` (when set — CI uploads
-    that file as an artifact) and raises :class:`DivergenceError` whose
-    message carries the ``--replay`` reproducer command.
+    Both windows of :func:`run_case` are compared, flit log and result
+    fields.  Returns the per-engine window pairs on success.  On
+    divergence, appends the replay spec to ``$FUZZ_REPRODUCER_FILE``
+    (when set — CI uploads that file as an artifact) and raises
+    :class:`DivergenceError` whose message carries the ``--replay``
+    reproducer command.
     """
     results = {engine: run_case(case, engine) for engine in engines}
     reference = engines[0]
     for other in engines[1:]:
-        detail = _describe_mismatch(
-            reference, results[reference], other, results[other]
-        )
-        if detail is not None:
-            _record_reproducer(case)
-            raise DivergenceError(case, reference, other, detail)
+        for window, (expected, actual) in enumerate(
+            zip(results[reference], results[other]), start=1
+        ):
+            detail = _describe_mismatch(reference, expected, other, actual)
+            if detail is not None:
+                _record_reproducer(case)
+                raise DivergenceError(
+                    case, reference, other, f"  in window {window} of 2:\n{detail}"
+                )
     return results
 
 

@@ -10,21 +10,31 @@ core at a time — what the legacy object engine consumes) and a batched API
 The batched APIs are contractually equivalent to the scalar ones: calling
 ``destinations(cores)`` must consume exactly the same random draws, in the
 same order, as calling ``destination(core)`` for each core in sequence, and
-``arrivals_batch(cycle)`` must match ``arrivals(core, cycle)`` over all
-cores in ascending order.  The vector engine depends on this equivalence
-for cycle-exactness with the legacy engine; ``tests/test_workloads.py``
-asserts it property-style for every registered component.
+``arrivals_batch(start, end)`` must match ``arrivals(core, cycle)`` called
+cycle-major — every cycle of ``[start, end)`` ascending, all cores
+ascending within it.  Two consequences the vector driver relies on: one
+``destinations`` call over a whole window's sources equals the per-cycle
+calls concatenated (and leaves every stream where they leave it), and the
+windows ``[a, b)`` then ``[b, c)`` equal the window ``[a, c)``.  The vector
+engine depends on this equivalence for cycle-exactness with the legacy
+engine; ``tests/test_workloads.py`` asserts it property-style for every
+registered component.
 
 Both abstractions are **open loop**: patterns and injectors never observe
 the network — no call takes, and no implementation may read, anything the
-interconnect did with earlier requests.  A driver may therefore draw a
-whole window before transporting any of it
-(:func:`repro.engine.traffic.run_vector_traffic` does), as long as it
-calls in the documented per-cycle order: for each cycle ascending, the
-cycle's arrivals (cores ascending), then one destination per arrival in
-the same order.  A component that consulted network state would break
-that driver silently; closed-loop traffic belongs in the
-execution-driven simulator (:mod:`repro.workloads.agents`), not here.
+interconnect did with earlier requests — and **a pattern and an injector
+never share a random stream** (their substreams are keyed ``"pattern"`` and
+``"injector"``, the two grandfathered shared streams are two generators), so
+the order in which a driver interleaves arrival calls with destination
+calls changes no draw.  A driver may therefore draw a whole window before
+transporting any of it (:func:`repro.engine.traffic.run_vector_traffic`
+does: one ``arrivals_batch`` call, then one ``destinations`` call), as
+long as *each* component sees its own calls in the documented order:
+arrivals cycle-major with cores ascending, one destination per arrival in
+that same order.  A component that consulted network state, or drew from
+the other component's stream, would break that driver silently;
+closed-loop traffic belongs in the execution-driven simulator
+(:mod:`repro.workloads.agents`), not here.
 
 Randomness comes from the per-core substreams of :mod:`repro.workloads.rng`
 (see the reproducibility contract there): component- and core-disjoint
@@ -162,17 +172,31 @@ class InjectionProcess:
         """Number of new requests core ``core_id`` generates during ``cycle``."""
         raise NotImplementedError
 
-    def arrivals_batch(self, cycle: int) -> list[tuple[int, int]]:
-        """Arrival counts of every core for ``cycle``, as ``(core, count)`` pairs.
+    def arrivals_batch(self, start: int, end: int) -> tuple[list[int], list[int]]:
+        """Every arrival of the window ``[start, end)``, as flat lists.
 
-        Equivalent to calling :meth:`arrivals` for every core in ascending
-        order (the contract the vector fast path depends on); only cores
-        with at least one arrival appear in the result.  Subclasses may
-        override this with a faster loop but must preserve the draw order.
+        Equivalent to calling :meth:`arrivals` cycle-major — cycles
+        ascending, every core ascending within a cycle (the contract the
+        vector fast path depends on).  Subclasses may override this with a
+        faster loop but must preserve the draw order.
+
+        Returns
+        -------
+        sources : list of int
+            Issuing core of every request, in generation order; a core with
+            ``n`` arrivals in a cycle appears ``n`` times in a row.
+        ends : list of int
+            Per cycle of the window, the end offset of its requests within
+            ``sources`` (``[0] * (end - start)`` when nothing arrives).
         """
-        batch: list[tuple[int, int]] = []
-        for core_id in range(self.num_cores):
-            count = self.arrivals(core_id, cycle)
-            if count:
-                batch.append((core_id, count))
-        return batch
+        sources: list[int] = []
+        ends: list[int] = []
+        arrivals = self.arrivals
+        cores = range(self.num_cores)
+        for cycle in range(start, end):
+            for core_id in cores:
+                count = arrivals(core_id, cycle)
+                if count:
+                    sources += [core_id] * count
+            ends.append(len(sources))
+        return sources, ends

@@ -464,8 +464,10 @@ class TraceInjectionProcess(InjectionProcess):
             counts = by_cycle.setdefault(when, {})
             counts[who] = counts.get(who, 0) + 1
         self._by_cycle = by_cycle
-        self._batches: dict[int, list[tuple[int, int]]] = {
-            when: sorted(counts.items()) for when, counts in by_cycle.items()
+        #: Per recorded cycle, its issuing cores ascending (repeats kept).
+        self._sources: dict[int, list[int]] = {
+            when: [who for who, count in sorted(counts.items()) for _ in range(count)]
+            for when, counts in by_cycle.items()
         }
 
     def arrivals(self, core_id: int, cycle: int) -> int:
@@ -473,10 +475,17 @@ class TraceInjectionProcess(InjectionProcess):
         counts = self._by_cycle.get(cycle)
         return counts.get(core_id, 0) if counts else 0
 
-    def arrivals_batch(self, cycle: int) -> list[tuple[int, int]]:
-        """The recorded ``(core, count)`` pairs of ``cycle``, cores ascending."""
-        batch = self._batches.get(cycle)
-        return list(batch) if batch else []
+    def arrivals_batch(self, start: int, end: int) -> tuple[list[int], list[int]]:
+        """The recorded arrivals of ``[start, end)``, cycle-major, cores ascending."""
+        sources: list[int] = []
+        ends: list[int] = []
+        recorded = self._sources
+        for cycle in range(start, end):
+            cycle_sources = recorded.get(cycle)
+            if cycle_sources:
+                sources += cycle_sources
+            ends.append(len(sources))
+        return sources, ends
 
 
 def _check_path(value: Any) -> None:

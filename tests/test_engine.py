@@ -21,7 +21,7 @@ from repro.engine import (
     VectorStageNetwork,
 )
 from repro.engine.compile import BANK, COMPLETE
-from repro.interconnect.resources import LEVEL_BANK
+from repro.interconnect.resources import LEVEL_BANK, RegisterStage
 
 
 @pytest.fixture
@@ -79,8 +79,30 @@ class TestCompiledNetwork:
         topology = MemPoolCluster(toph_config).topology
         other = MemPoolCluster(toph_config).topology
         compiled = CompiledNetwork(topology)
-        with pytest.raises(EngineCompileError):
-            compiled._compile_path(other.build_path(0, 0, True), 0)
+        foreign = other.build_path(0, toph_config.banks_per_tile, True)
+        for after_bank in (False, True):
+            with pytest.raises(EngineCompileError, match="register stage"):
+                compiled._compile_half(foreign, after_bank)
+        arbiters = [r for r in foreign if not isinstance(r, RegisterStage)]
+        with pytest.raises(EngineCompileError, match="arbitration point"):
+            compiled._compile_half(arbiters, after_bank=False)
+
+    def test_level_monotonicity_is_checked_per_half(self, toph_config):
+        """Strictly increasing up to the bank level, and on from it."""
+        topology = MemPoolCluster(toph_config).topology
+        compiled = CompiledNetwork(topology)
+        _, request, response = topology.path_halves(0, 1)
+        compiled._compile_half(request, after_bank=False)
+        compiled._compile_half(response, after_bank=True)
+        for resources, after_bank in (
+            (request, True),  # request levels sit below the bank's
+            (response, False),  # response levels above it
+            (request + request, False),  # a repeated level
+            ([topology.bank_stages[0]], False),  # the bank level itself
+            ([topology.bank_stages[0]], True),
+        ):
+            with pytest.raises(EngineCompileError, match="level-monotonicity"):
+                compiled._compile_half(resources, after_bank)
 
 
 class TestFlitTable:

@@ -226,14 +226,19 @@ class TestBatchedDrawsLeaveTheStreamsAlone:
     def test_poisson_arrivals_batch_mixed_with_scalar(self, rate):
         scalar = PoissonInjector(8, rate, seed=23)
         batched = PoissonInjector(8, rate, seed=23)
-        for cycle in range(60):
-            expected = [(core, scalar.arrivals(core, cycle)) for core in range(8)]
-            expected = [(core, count) for core, count in expected if count]
-            if cycle % 3:
-                assert batched.arrivals_batch(cycle) == expected
-            else:  # a scalar cycle in between
+        for cycle in range(0, 60, 2):
+            sources: list[int] = []
+            ends: list[int] = []
+            for when in (cycle, cycle + 1):
                 for core in range(8):
-                    batched.arrivals(core, cycle)
+                    sources += [core] * scalar.arrivals(core, when)
+                ends.append(len(sources))
+            if cycle % 3:
+                assert batched.arrivals_batch(cycle, cycle + 2) == (sources, ends)
+            else:  # two scalar cycles in between
+                for when in (cycle, cycle + 1):
+                    for core in range(8):
+                        batched.arrivals(core, when)
             assert batched.rng.getstate() == scalar.rng.getstate()
             assert batched._next_arrival == scalar._next_arrival
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 
@@ -45,6 +48,38 @@ def sweep_payload(runner=MULTIPLY, grid=None, base=None, name=""):
         "base": base if base is not None else {"b": 10},
         "name": name,
     }
+
+
+def test_client_import_does_not_load_the_server():
+    """A client script pays for ``http.client``, not for the service stack."""
+    import repro
+
+    script = (
+        "import sys\n"
+        "import repro.service.client\n"
+        "loaded = [name for name in ('repro.service.app', 'asyncio',\n"
+        "          'repro.experiments.distributed') if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "from repro.service import ServiceClient, SweepService\n"
+        "import repro.service\n"
+        "assert SweepService is repro.service.app.SweepService\n"
+        "assert ServiceClient is repro.service.client.ServiceClient\n"
+        "assert len(repro.service.__all__) == 14\n"
+        "assert all(hasattr(repro.service, name) for name in repro.service.__all__)\n"
+        "try:\n"
+        "    repro.service.no_such_name\n"
+        "except AttributeError as error:\n"
+        "    assert 'no_such_name' in str(error)\n"
+        "else:\n"
+        "    raise AssertionError('unknown names must raise AttributeError')\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": source_root},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture

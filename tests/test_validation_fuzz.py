@@ -155,17 +155,22 @@ class TestStrategies:
         probe()
 
 
-def _tampered_vector(monkeypatch):
-    """Patch the vector engine to corrupt its last completed flit."""
+def _tampered_vector(monkeypatch, first_window=True):
+    """Patch the vector engine to corrupt its last completed flit.
+
+    With ``first_window=False`` only windows that do not start at cycle 0
+    are corrupted: the first ``run()`` of a simulation stays clean.
+    """
     import repro.engine.traffic as traffic_module
 
     real = traffic_module.run_vector_traffic
 
     def tampered(simulation, warmup_cycles, measure_cycles, record_flits=False):
+        tamper = first_window or simulation._cycle > 0
         result = real(
             simulation, warmup_cycles, measure_cycles, record_flits=record_flits
         )
-        if record_flits and result.flit_log:
+        if tamper and record_flits and result.flit_log:
             entry = result.flit_log[-1]
             result.flit_log[-1] = entry[:-1] + (entry[-1] + 1,)
         return result
@@ -179,7 +184,14 @@ class TestDivergenceDetection:
     def test_clean_engines_agree(self):
         case = FuzzCase.from_spec(BUSY_SPEC)
         results = check_case(case)
-        assert results["legacy"].flit_log == results["compiled"].flit_log
+        legacy, compiled = results["legacy"], results["compiled"]
+        assert len(legacy) == len(compiled) == 2  # back-to-back windows
+        assert [w.flit_log for w in legacy] == [w.flit_log for w in compiled]
+        # The second window continues the first: same simulation, later cycles.
+        window = case.warmup + case.measure
+        assert legacy[0].flit_log and legacy[1].flit_log
+        assert max(entry[5] for entry in legacy[0].flit_log) < window
+        assert min(entry[5] for entry in legacy[1].flit_log) >= window
 
     def test_injected_divergence_is_caught(self, monkeypatch):
         _tampered_vector(monkeypatch)
@@ -190,6 +202,15 @@ class TestDivergenceDetection:
         assert error.engines == ("legacy", "vector")
         assert "--replay" in str(error)
         assert "flit-log entry" in str(error)
+        assert "window 1 of 2" in str(error)
+
+    def test_divergence_in_the_second_window_is_caught(self, monkeypatch):
+        """The hand-over between windows is part of the property."""
+        _tampered_vector(monkeypatch, first_window=False)
+        case = FuzzCase.from_spec(BUSY_SPEC)
+        with pytest.raises(DivergenceError, match="window 2 of 2") as excinfo:
+            check_case(case)
+        assert FuzzCase.from_spec(excinfo.value.replay_spec) == case
 
     def test_replay_spec_reproduces_the_divergence(self, monkeypatch):
         _tampered_vector(monkeypatch)
@@ -217,7 +238,7 @@ class TestDivergenceDetection:
         case = FuzzCase.from_spec(BUSY_SPEC)
         from repro.validation.fuzz import _describe_mismatch
 
-        reference = run_case(case, "vector")
+        reference = run_case(case, "vector")[0]
         assert _describe_mismatch("a", reference, "b", reference) is None
         import dataclasses
 
@@ -265,7 +286,7 @@ class TestValidationCli:
 
         assert main(["--replay", BUSY_SPEC]) == 0
         out = capsys.readouterr().out
-        assert "engines agree" in out
+        assert "engines agree" in out and "over 2 windows" in out
 
     def test_replay_bad_spec_exits_two(self, capsys):
         from repro.validation.__main__ import main

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.cluster import MemPoolCluster
@@ -20,6 +22,7 @@ from repro.workloads import (
     make_injector,
     make_pattern,
     pattern_catalogue,
+    record_trace,
     substream,
     substream_seed,
 )
@@ -34,6 +37,51 @@ DEFAULT_PATTERNS = tuple(
 DEFAULT_INJECTORS = tuple(
     name for name in available_injectors() if not injector_entry(name).required
 )
+
+
+@pytest.fixture(scope="module")
+def recording(tmp_path_factory):
+    """A recorded tiny-cluster trace: the required parameters of trace replay."""
+    config = MemPoolConfig.tiny("toph")
+    simulation = TrafficSimulation(MemPoolCluster(config, engine="vector"), 0.4, seed=3)
+    path = str(tmp_path_factory.mktemp("trace") / "window.trace.gz")
+    sha = record_trace(simulation.run(0, 90, record_flits=True), config, path)
+    return {"path": path, "sha": sha}
+
+
+def _injector(name, rate, seed, recording):
+    """A fresh tiny-cluster injector ``name``, trace replay included."""
+    params = recording if injector_entry(name).required else {}
+    return make_injector(name, MemPoolConfig.tiny("toph").num_cores, rate, seed=seed, **params)
+
+
+def _pattern(name, seed, recording):
+    params = recording if pattern_entry(name).required else {}
+    return make_pattern(name, MemPoolConfig.tiny("toph"), seed=seed, **params)
+
+
+def _scalar_window(injector, start, end):
+    """The reference: ``arrivals(core, cycle)`` cycle-major, cores ascending."""
+    sources: list[int] = []
+    ends: list[int] = []
+    for cycle in range(start, end):
+        for core in range(injector.num_cores):
+            sources += [core] * injector.arrivals(core, cycle)
+        ends.append(len(sources))
+    return sources, ends
+
+
+def _draw_state(component) -> dict:
+    """Everything a workload component carries from one draw to the next."""
+    state = {}
+    for name, value in vars(component).items():
+        if isinstance(value, random.Random):
+            state[name] = value.getstate()
+        elif isinstance(value, list) and value and isinstance(value[0], random.Random):
+            state[name] = [rng.getstate() for rng in value]
+        elif name in ("_next_arrival", "_on", "_cursor"):
+            state[name] = list(value)
+    return state
 
 
 class TestRngSubstreams:
@@ -116,6 +164,24 @@ class TestPatternSemantics:
         assert scalar == batched
         assert all(0 <= bank < config.num_banks for bank in scalar)
 
+    @pytest.mark.parametrize("name", available_patterns())
+    def test_one_call_per_window_equals_the_per_cycle_calls(self, name, recording):
+        """What the vector driver relies on: one ``destinations`` call over a
+        window's sources draws what one call per cycle draws, and what one
+        scalar call per request draws, and leaves every stream where they do."""
+        paired = "trace" if name == "trace" else "poisson"
+        sources, ends = _injector(paired, 0.4, 5, recording).arrivals_batch(0, 90)
+        assert len(set(ends)) > 20 and len(sources) > ends[0]  # many non-empty cycles
+        whole, per_cycle, scalar = (_pattern(name, 21, recording) for _ in range(3))
+        expected: list[int] = []
+        for begin, end in zip([0] + ends, ends):
+            if end > begin:
+                expected += per_cycle.destinations(sources[begin:end]).tolist()
+        assert whole.destinations(sources).tolist() == expected
+        assert [scalar.destination(core) for core in sources] == expected
+        assert _draw_state(whole) == _draw_state(per_cycle) == _draw_state(scalar)
+        assert _draw_state(whole)  # the trace cursors or at least one stream
+
     def test_bit_complement_crosses_the_machine(self):
         config = MemPoolConfig.tiny("toph")
         pattern = make_pattern("bit_complement", config)
@@ -190,24 +256,54 @@ class TestInjectionProcesses:
         core counts (satellite contract of the engine equivalence)."""
         scalar = PoissonInjector(num_cores, rate, seed=seed)
         batched = PoissonInjector(num_cores, rate, seed=seed)
-        for cycle in range(120):
-            expected = [
-                (core, scalar.arrivals(core, cycle))
-                for core in range(num_cores)
-            ]
-            expected = [(core, count) for core, count in expected if count]
-            assert batched.arrivals_batch(cycle) == expected, (rate, seed, cycle)
+        assert batched.arrivals_batch(0, 120) == _scalar_window(scalar, 0, 120)
+        assert _draw_state(batched) == _draw_state(scalar)
+
+    @pytest.mark.parametrize("name", available_injectors())
+    def test_every_injector_window_matches_scalar(self, name, recording):
+        """Cycle-major, cores ascending — and the same state afterwards."""
+        scalar = _injector(name, 0.4, 11, recording)
+        batched = _injector(name, 0.4, 11, recording)
+        sources, ends = batched.arrivals_batch(0, 100)
+        assert (sources, ends) == _scalar_window(scalar, 0, 100)
+        assert len(ends) == 100 and ends[-1] == len(sources) > 0
+        assert _draw_state(batched) == _draw_state(scalar)
+
+    @pytest.mark.parametrize("name", available_injectors())
+    def test_split_windows_equal_one_window(self, name, recording):
+        """``[a, b) + [b, c)`` is ``[a, c)``, the empty window included."""
+        whole = _injector(name, 0.4, 11, recording)
+        split = _injector(name, 0.4, 11, recording)
+        sources, ends = whole.arrivals_batch(0, 100)
+        joined_sources: list[int] = []
+        joined_ends: list[int] = []
+        for begin, end in ((0, 37), (37, 37), (37, 38), (38, 100)):
+            part_sources, part_ends = split.arrivals_batch(begin, end)
+            assert len(part_ends) == end - begin
+            joined_ends += [len(joined_sources) + offset for offset in part_ends]
+            joined_sources += part_sources
+        assert (joined_sources, joined_ends) == (sources, ends)
+        assert _draw_state(split) == _draw_state(whole)
+
+    @pytest.mark.parametrize("name", available_injectors())
+    def test_window_and_scalar_calls_mix(self, name, recording):
+        scalar = _injector(name, 0.4, 11, recording)
+        mixed = _injector(name, 0.4, 11, recording)
+        for begin in range(0, 90, 9):
+            expected = _scalar_window(scalar, begin, begin + 9)
+            if begin % 2:
+                assert mixed.arrivals_batch(begin, begin + 9) == expected
+            else:  # the same cycles through the scalar API
+                assert _scalar_window(mixed, begin, begin + 9) == expected
+            assert _draw_state(mixed) == _draw_state(scalar)
 
     @pytest.mark.parametrize("name", DEFAULT_INJECTORS)
-    def test_every_injector_batch_matches_scalar(self, name):
-        scalar = make_injector(name, 8, 0.4, seed=11)
-        batched = make_injector(name, 8, 0.4, seed=11)
-        for cycle in range(100):
-            expected = [
-                (core, scalar.arrivals(core, cycle)) for core in range(8)
-            ]
-            expected = [(core, count) for core, count in expected if count]
-            assert batched.arrivals_batch(cycle) == expected
+    def test_zero_rate_window_is_empty(self, name):
+        """Rate 0 draws nothing (trace replay takes its load from the file)."""
+        injector = make_injector(name, 4, 0.0, seed=2)
+        before = _draw_state(injector)
+        assert injector.arrivals_batch(5, 55) == ([], [0] * 50)
+        assert _draw_state(injector) == before
 
     @pytest.mark.parametrize("name", DEFAULT_INJECTORS)
     def test_zero_rate_generates_nothing(self, name):
@@ -222,10 +318,7 @@ class TestInjectionProcesses:
     def test_long_run_rate_is_respected(self, name):
         cycles, cores, rate = 4000, 4, 0.25
         injector = make_injector(name, cores, rate, seed=5)
-        total = sum(
-            count for cycle in range(cycles)
-            for _, count in injector.arrivals_batch(cycle)
-        )
+        total = len(injector.arrivals_batch(0, cycles)[0])
         assert rate * 0.85 < total / (cycles * cores) < rate * 1.15
 
     def test_bernoulli_caps_rate_at_one(self):
@@ -239,11 +332,9 @@ class TestInjectionProcesses:
     def test_bursty_at_full_duty_is_always_on(self):
         """duty = 1 must deliver the full rate, not burst_len/(burst_len+1) of it."""
         injector = BurstyInjector(2, 1.0, seed=4, burst_len=8.0)
-        total = sum(
-            count for cycle in range(500)
-            for _, count in injector.arrivals_batch(cycle)
-        )
-        assert total == 2 * 500  # burst_rate 1.0, never OFF
+        sources, ends = injector.arrivals_batch(0, 500)
+        assert ends == list(range(2, 1002, 2))  # burst_rate 1.0, never OFF
+        assert sources == [0, 1] * 500
 
     def test_injector_core_rng_is_cached_per_core(self):
         """Repeated core_rng calls continue one stream (no re-seeding trap)."""
@@ -258,14 +349,9 @@ class TestInjectionProcesses:
         """Same mean rate, higher variance of per-window arrival counts."""
 
         def window_variance(injector, windows=200, width=16):
-            counts = []
-            cycle = 0
-            for _ in range(windows):
-                count = 0
-                for _ in range(width):
-                    count += sum(n for _, n in injector.arrivals_batch(cycle))
-                    cycle += 1
-                counts.append(count)
+            _, ends = injector.arrivals_batch(0, windows * width)
+            upto = [0] + ends[width - 1 :: width]
+            counts = [after - before for before, after in zip(upto, upto[1:])]
             mean = sum(counts) / len(counts)
             return sum((c - mean) ** 2 for c in counts) / len(counts)
 
