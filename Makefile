@@ -107,9 +107,11 @@ distributed-smoke:
 
 # Sweep-service smoke: the job-layer unit tests, then the end-to-end HTTP
 # path — boot `serve` on an ephemeral port, submit the fig5 smoke sweep,
-# stream its NDJSON events to completion, byte-compare every
-# /results/{key} pickle against a direct Executor run, and prove an
-# identical resubmission is served from the cache with zero recomputes.
+# stream its NDJSON events to completion, fetch each /results/{key} pickle
+# the moment its point event arrives and byte-compare it against a direct
+# Executor run, prove an identical resubmission is served from the cache
+# with zero recomputes, then cancel a second sweep mid-run and prove its
+# resubmission reuses the points the cancelled job had reported.
 service-smoke:
 	$(PYTHON) -m pytest -x -q tests/test_service.py
 	$(PYTHON) tools/service_smoke.py

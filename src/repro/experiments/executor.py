@@ -2,15 +2,29 @@
 
 The :class:`Executor` is the single code path every evaluation driver runs
 through.  Given a list of :class:`~repro.experiments.spec.ExperimentSpec`,
-it:
+it makes **one pass** over them in which lookup, dispatch, compute and
+store overlap; there is no scan phase before the compute and no store
+phase after it.  For each spec, in input order:
 
-1. looks each spec up in the attached
-   :class:`~repro.experiments.cache.CacheBackend` (when one is attached),
-2. computes the misses — in-process when ``workers <= 1``, otherwise over a
-   ``multiprocessing`` pool (one task per point; the simulator is pure
-   Python, so process-level parallelism is the only way past the GIL), and
-3. stores fresh results back into the cache and returns everything in the
-   original spec order.
+1. *look it up* in the attached
+   :class:`~repro.experiments.cache.CacheBackend` (when one is attached);
+   a hit fills the spec's slot of the result list;
+2. *dispatch* a miss at once — executed in-process when ``workers <= 1``,
+   otherwise handed to a ``multiprocessing`` pool (one task per point; the
+   simulator is pure Python, so process-level parallelism is the only way
+   past the GIL) while the parent goes on looking up the specs behind it;
+3. *collect* whatever has finished, in completion order, after every
+   dispatch and then until nothing is pending.
+
+Two orders are contract:
+
+* **Store, then report.**  A finished point is written to its result slot,
+  then ``cache.put``, then handed to ``progress`` — so whoever is told
+  about a point (the service's ``point`` event) can already fetch it, and
+  a sweep that is interrupted, fails at a later point or is cancelled from
+  ``progress`` keeps every point collected before that.
+* **The pool is forked lazily, at the second miss.**  An all-hit sweep and
+  a sweep with a single miss (which runs in-process) fork nothing.
 
 Experiment points are independent by construction (each builds its own
 cluster and RNGs from the spec parameters), so serial and parallel
@@ -155,15 +169,26 @@ class Executor:
     ) -> list[Any]:
         """Execute every spec and return the results in input order.
 
+        One pass (see the module docstring): each spec is looked up, a
+        miss is dispatched at once, and finished points are stored and
+        reported while later specs are still being looked up or computed.
+        A sweep that lists the same spec twice may therefore report the
+        second occurrence as a cache hit (always on ``workers=1``, where
+        the first is stored before the second is looked up); the values
+        are equal either way.
+
         Parameters
         ----------
         specs : iterable of ExperimentSpec
             The points to run; a :class:`~repro.experiments.sweep.Sweep`
             works directly since it iterates over its specs.
         progress : callable, optional
-            Called as ``progress(spec, result)`` once per *computed* point
-            (cache hits are not reported; with multiple workers the call
-            order follows completion, not submission).
+            Called as ``progress(spec, result)`` once per *computed* point,
+            after the result was stored in the cache (cache hits are not
+            reported; with multiple workers the call order follows
+            completion, not submission).  If it raises, the run stops and
+            the exception propagates; the points reported so far,
+            including the one it was called for, stay cached.
 
         Returns
         -------
@@ -173,20 +198,8 @@ class Executor:
         """
         spec_list = list(specs)
         started = time.perf_counter()
-        results, miss_indices = self.scan_cache(spec_list)
-
-        if miss_indices:
-            fresh = self._compute(
-                [spec_list[index] for index in miss_indices], progress
-            )
-            for index, value in zip(miss_indices, fresh):
-                results[index] = value
-                if self.cache is not None:
-                    self.cache.put(spec_list[index].key, value)
-
-        self.last_report = self.make_report(
-            len(spec_list), len(miss_indices), started
-        )
+        results, computed = self._execute(spec_list, progress, lookup=True)
+        self.last_report = self.make_report(len(spec_list), computed, started)
         return results
 
     def scan_cache(
@@ -196,9 +209,10 @@ class Executor:
 
         Returns ``(results, miss_indices)``: one slot per spec, filled for
         hits and ``None`` for misses (every index, when no cache is
-        attached).  Shared by :meth:`run` and by front-ends that compute
-        misses their own way
-        (:class:`repro.experiments.distributed.DistributedExecutor`).
+        attached).  For front-ends that need the partition before anything
+        runs — the service costs a submission by its misses,
+        :class:`repro.experiments.distributed.DistributedExecutor` plans
+        shards over them; :meth:`run` itself looks specs up as it goes.
         """
         results: list[Any] = [None] * len(spec_list)
         if self.cache is None:
@@ -219,17 +233,13 @@ class Executor:
     ) -> list[Any]:
         """Compute ``specs`` unconditionally and store fresh results.
 
-        The no-scan half of :meth:`run`: callers that already know these
-        specs are cache misses (the distributed executor's serial fallback
-        partitioned them via :meth:`scan_cache`) skip the second round of
-        cache probes.  Does not touch :attr:`last_report`.
+        :meth:`run` with the lookup skipped, for callers that already know
+        these specs are cache misses (the distributed executor's serial
+        fallback partitioned them via :meth:`scan_cache`): the same loop,
+        the same store-then-report order.  Does not touch
+        :attr:`last_report`.
         """
-        spec_list = list(specs)
-        outputs = self._compute(spec_list, progress)
-        if self.cache is not None:
-            for spec, value in zip(spec_list, outputs):
-                self.cache.put(spec.key, value)
-        return outputs
+        return self._execute(list(specs), progress, lookup=False)[0]
 
     def make_report(
         self, total: int, computed: int, started: float
@@ -243,50 +253,86 @@ class Executor:
             elapsed_s=time.perf_counter() - started,
         )
 
-    def _compute(
+    def _execute(
         self,
-        specs: Sequence[ExperimentSpec],
+        spec_list: Sequence[ExperimentSpec],
         progress: Callable[[ExperimentSpec, Any], None] | None,
-    ) -> list[Any]:
-        """Run the cache misses, serially or on the pool.
+        lookup: bool,
+    ) -> tuple[list[Any], int]:
+        """The loop behind :meth:`run` and :meth:`compute`.
 
-        Parallel results are collected in *completion* order through the
-        pool's result callbacks — a slow first task can no longer stall
-        the ``progress`` callbacks of every faster task behind it
-        (head-of-line blocking) — while the returned list stays aligned
-        with the input order.
+        Returns ``(results, computed)``.  Completions are collected in
+        *completion* order — a slow first task cannot stall the store and
+        the ``progress`` call of every faster task behind it (head-of-line
+        blocking) — while the result list stays aligned with the input.
+        An exception from a point, from ``cache.put`` or from ``progress``
+        ends the run at once; what was collected before it stays stored.
         """
-        if self.workers <= 1 or len(specs) <= 1:
-            outputs = []
-            for spec in specs:
-                value = execute_spec(spec)
-                if progress is not None:
-                    progress(spec, value)
-                outputs.append(value)
-            return outputs
-        processes = min(self.workers, len(specs))
-        with self._mp_context.Pool(processes=processes) as pool:
-            outputs = [None] * len(specs)
-            completions: queue.Queue = queue.Queue()
-            for index, spec in enumerate(specs):
-                pool.apply_async(
-                    execute_spec,
-                    (spec,),
-                    callback=lambda value, index=index: completions.put(
-                        (index, value, None)
-                    ),
-                    error_callback=lambda error, index=index: completions.put(
-                        (index, None, error)
-                    ),
-                )
-            for _ in range(len(specs)):
-                index, value, error = completions.get()
-                if error is not None:
-                    raise error
-                outputs[index] = value
-                if progress is not None:
-                    progress(specs[index], value)
-        return outputs
+        cache = self.cache
+        lookup = lookup and cache is not None
+        results: list[Any] = [None] * len(spec_list)
+        misses: list[int] = []
+        # Dispatched, not yet collected.
+        pending: set[int] = set()
+        # (index, value, error) of every point that has run, in completion
+        # order: put by the pool's result thread, or by dispatch() itself
+        # when the point runs in this process.
+        finished: queue.SimpleQueue = queue.SimpleQueue()
+
+        def dispatch(index: int, pool=None) -> None:
+            pending.add(index)
+            if pool is None:
+                finished.put((index, execute_spec(spec_list[index]), None))
+                return
+            pool.apply_async(
+                execute_spec,
+                (spec_list[index],),
+                callback=lambda value: finished.put((index, value, None)),
+                error_callback=lambda error: finished.put((index, None, error)),
+            )
+
+        def collect() -> None:
+            index, value, error = finished.get()
+            if error is not None:
+                raise error
+            pending.remove(index)
+            results[index] = value
+            if cache is not None:
+                cache.put(spec_list[index].key, value)
+            if progress is not None:
+                progress(spec_list[index], value)
+
+        pool = None
+        try:
+            for index, spec in enumerate(spec_list):
+                if lookup:
+                    value = cache.get(spec.key)
+                    if value is not MISS:
+                        results[index] = value
+                        continue
+                misses.append(index)
+                if self.workers > 1 and pool is None:
+                    if len(misses) == 1:
+                        continue  # held back: one miss is not worth a fork
+                    # Forked between two lookups, never from inside one: a
+                    # worker must not inherit a cache backend mid-call (a
+                    # held lock, an open entry), and it is this frame an
+                    # outside-in profiler finds the workers under.
+                    pool = self._mp_context.Pool(
+                        processes=min(self.workers, len(spec_list) - index + 1)
+                    )
+                    dispatch(misses[0], pool)
+                dispatch(index, pool)
+                while not finished.empty():
+                    collect()
+            if self.workers > 1 and len(misses) == 1:
+                dispatch(misses[0])  # the only miss: run it in this process
+            while pending:
+                collect()
+        finally:
+            if pool is not None:
+                pool.terminate()
+        return results, len(misses)
 
 
 def run_sweep(

@@ -1,0 +1,204 @@
+"""The executor's one loop: store-then-report, resume, overlap, lazy fork.
+
+``Executor.run`` looks up, dispatches, collects and stores in a single pass
+(see the ``repro.experiments.executor`` module docstring).  Nothing here
+measures time: the overlap cases wait, bounded, for something that only
+happens if two of those steps really run side by side, so a design with a
+scan phase before the compute or a store phase after it times out.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+
+import pytest
+
+from executor_points import ERRORS, wait_for_files
+from repro.experiments import Executor, ExperimentSpec, MemoryCache, ResultCache
+
+#: Entry files of a ``ResultCache``, relative to its root.
+ENTRIES = "*/*.pkl"
+
+WORKERS = pytest.mark.parametrize("workers", (1, 2))
+ENTRY = pytest.mark.parametrize("entry", ("run", "compute"))
+
+
+def multiply(a, b=10):
+    return ExperimentSpec("repro.experiments.demo:multiply", {"a": a, "b": b})
+
+
+def point(function, **params):
+    return ExperimentSpec(f"executor_points:{function}", params)
+
+
+class NoPool:
+    """An ``mp_context`` whose pool cannot be created."""
+
+    def Pool(self, *args, **kwargs):
+        raise AssertionError("this sweep must not fork a pool")
+
+
+class CountingContext:
+    """The default ``mp_context``, recording the size of every pool it makes."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return multiprocessing.get_context().Pool(processes=processes)
+
+
+class TestStoreThenReport:
+    @ENTRY
+    @WORKERS
+    def test_a_reported_point_is_already_cached(self, tmp_path, workers, entry):
+        cache = ResultCache(tmp_path)
+        specs = [multiply(a) for a in (1, 2, 3, 4)]
+        fetched = []
+
+        def progress(spec, value):
+            fetched.append((cache.get(spec.key), value))
+
+        results = getattr(Executor(workers, cache), entry)(specs, progress)
+        assert results == [10, 20, 30, 40]
+        assert sorted(fetched) == [(value, value) for value in results]
+
+    @ENTRY
+    @WORKERS
+    def test_progress_raising_keeps_the_point_it_was_called_for(
+        self, tmp_path, workers, entry
+    ):
+        class Cancelled(Exception):
+            pass
+
+        cache = ResultCache(tmp_path)
+        reported = []
+
+        def progress(spec, value):
+            reported.append(spec)
+            if len(reported) == 2:
+                raise Cancelled()
+
+        with pytest.raises(Cancelled):
+            getattr(Executor(workers, cache), entry)(
+                [multiply(a) for a in (1, 2, 3, 4)], progress
+            )
+        assert len(reported) == 2 and len(cache) == 2
+        assert all(
+            cache.get(spec.key) == spec.params["a"] * 10 for spec in reported
+        )
+
+
+class TestFailedSweepKeepsItsPoints:
+    @ENTRY
+    @pytest.mark.parametrize("error", sorted(ERRORS))
+    def test_serial_failure_at_point_k_keeps_the_first_k(
+        self, tmp_path, entry, error
+    ):
+        cache = ResultCache(tmp_path)
+        executor = Executor(workers=1, cache=cache)
+        good = [multiply(a) for a in (1, 2, 3)]
+        specs = good[:2] + [point("fail", error=error)] + good[2:]
+        with pytest.raises(ERRORS[error], match="point failed"):
+            getattr(executor, entry)(specs)
+        assert len(cache) == 2
+        assert all(spec.key in cache for spec in good[:2])
+        # The rerun picks up where the failed one stopped.
+        assert executor.run(good) == [10, 20, 30]
+        report = executor.last_report
+        assert (report.cache_hits, report.computed) == (2, 1)
+
+    @ENTRY
+    def test_pool_failure_keeps_every_collected_point(self, tmp_path, entry):
+        cache = ResultCache(tmp_path)
+        # The last point fails only once the other two are on disk, so
+        # both were collected before its error was.
+        specs = [multiply(1), multiply(2), point(
+            "fail_when", directory=str(tmp_path), pattern=ENTRIES, count=2)]
+        reported = []
+        with pytest.raises(RuntimeError, match="point failed") as raised:
+            getattr(Executor(workers=2, cache=cache), entry)(
+                specs, lambda spec, value: reported.append(spec.key)
+            )
+        assert len(cache) == 2
+        assert sorted(reported) == sorted(spec.key for spec in specs[:2])
+        # The worker's own traceback travels with the exception.
+        assert "in fail_when" in str(raised.value.__cause__)
+
+
+class TestOverlap:
+    @WORKERS
+    def test_lookup_overlaps_compute(self, tmp_path, workers):
+        flag = tmp_path / "first-point-ran"
+        specs = [
+            point("multiply_and_touch", a=1, b=10, touch=str(flag)),
+            multiply(2),
+            multiply(3),
+        ]
+
+        class LastLookupWaitsForFirstPoint(MemoryCache):
+            def get(self, key):
+                if key == specs[-1].key:
+                    wait_for_files(str(tmp_path), flag.name)
+                return super().get(key)
+
+        executor = Executor(workers, LastLookupWaitsForFirstPoint())
+        assert executor.run(specs) == [10, 20, 30]
+
+    @WORKERS
+    def test_store_overlaps_compute(self, tmp_path, workers):
+        # The last point returns only once the first one's entry is on disk.
+        specs = [multiply(1), point(
+            "multiply_when", a=2, b=10, directory=str(tmp_path), pattern=ENTRIES)]
+        executor = Executor(workers, ResultCache(tmp_path))
+        assert executor.run(specs) == [10, 20]
+
+
+class TestLazyFork:
+    def test_all_hit_and_single_miss_sweeps_fork_nothing(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        specs = [multiply(a) for a in (1, 2, 3)]
+        Executor(cache=cache).run(specs[:2])
+        executor = Executor(workers=2, cache=cache, mp_context=NoPool())
+        assert executor.run(specs[:2]) == [10, 20]
+        assert executor.last_report.computed == 0
+        seen = []
+        assert executor.run(specs, lambda spec, value: seen.append(value)) == [
+            10, 20, 30]
+        assert executor.last_report.computed == 1 and seen == [30]
+        assert executor.compute(specs[:1]) == [10]
+        assert Executor(workers=2, mp_context=NoPool()).run(specs[:1]) == [10]
+
+    def test_pool_is_forked_once_and_sized_by_what_can_still_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        specs = [multiply(a) for a in (1, 2, 3, 4, 5)]
+        Executor(cache=cache).run(specs[:2])
+        context = CountingContext()
+        executor = Executor(workers=4, cache=cache, mp_context=context)
+        assert executor.run(specs) == [10, 20, 30, 40, 50]
+        # Forked at the second miss: one miss held back, two specs left.
+        assert context.sizes == [3]
+
+
+class TestResultsAndReport:
+    @WORKERS
+    def test_mixed_sweep_keeps_input_order_and_report(self, tmp_path, workers):
+        cache = ResultCache(tmp_path)
+        specs = [multiply(a) for a in range(1, 9)]
+        Executor(cache=cache).run(specs[::3])
+        executor = Executor(workers=workers, cache=cache)
+        seen = []
+        results = executor.run(specs, lambda spec, value: seen.append(value))
+        assert results == [10 * a for a in range(1, 9)]
+        assert sorted(seen) == [20, 30, 50, 60, 80]
+        report = executor.last_report
+        assert (report.total, report.cache_hits, report.computed, report.workers) == (
+            8, 3, 5, workers)
+        assert len(cache) == 8
+
+    def test_repeated_spec_is_a_hit_the_second_time_on_one_worker(self, tmp_path):
+        executor = Executor(workers=1, cache=ResultCache(tmp_path))
+        assert executor.run([multiply(3), multiply(3)]) == [30, 30]
+        report = executor.last_report
+        assert (report.cache_hits, report.computed) == (1, 1)

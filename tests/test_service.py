@@ -434,6 +434,29 @@ class TestCancellation:
         assert final["state"] == "cancelled"
         assert final["computed"] == 0  # report of a cancelled run is unset
 
+    def test_cancelled_job_keeps_the_points_it_reported(self, service):
+        instance = service()
+        client = make_client(instance)
+        payload = sweep_payload(
+            runner=SLOW,
+            grid={"a": list(range(20))},
+            base={"b": 2, "delay_s": 0.05},
+        )
+        job = client.submit(payload)["job"]
+        reported = 0
+        for event in client.events(job["id"]):
+            if event["kind"] == "point":
+                if not reported:
+                    client.cancel(job["id"])
+                reported += 1
+        assert client.job(job["id"])["state"] == "cancelled"
+        # Every reported point was stored first: the resubmission (a fresh
+        # job, cancelled ones never dedup) computes only the rest.
+        again = client.wait(client.submit(payload)["job"]["id"], timeout_s=30)
+        assert again["state"] == "done"
+        assert again["cache_hits"] >= reported >= 1
+        assert again["cache_hits"] + again["computed"] == 20
+
     def test_cancel_terminal_job_conflicts(self, service):
         instance = service()
         client = make_client(instance)
@@ -464,6 +487,24 @@ class TestEventStream:
         ]
         assert states == ["queued", "running", "done"]
         assert "summary" in events[-1]
+
+    def test_point_event_means_the_result_can_be_fetched(self, service):
+        instance = service()
+        client = make_client(instance)
+        payload = sweep_payload(
+            runner=SLOW, grid={"a": [1, 2, 3, 4]}, base={"b": 10, "delay_s": 0.05}
+        )
+        expected = {
+            spec.key: spec.params["a"] * 10 for spec in build_specs(payload)[1]
+        }
+        job = client.submit(payload)["job"]
+        fetched = {}
+        for event in client.events(job["id"]):
+            if event["kind"] == "point":
+                # Fetched while the later points still run: 404 here if a
+                # point were reported before it is stored.
+                fetched[event["key"]] = pickle.loads(client.result(event["key"]))
+        assert fetched == expected
 
     def test_stream_resumes_from_cursor_after_disconnect(self, service):
         instance = service()

@@ -5,12 +5,16 @@ throwaway disk cache, then proves the full HTTP path against a direct
 in-process run:
 
 1. submit the fig5 smoke sweep over ``POST /sweeps``;
-2. consume the NDJSON event stream to completion;
-3. fetch every result by content hash from ``GET /results/{key}`` and
-   **byte-compare** each pickle against a direct
+2. consume the NDJSON event stream to completion, fetching each result by
+   content hash from ``GET /results/{key}`` **the moment its ``point``
+   event arrives** (a reported point is a stored point) and
+   **byte-comparing** the pickle against a direct
    :class:`~repro.experiments.executor.Executor` run of the same specs;
-4. resubmit the identical sweep and assert it is served from the cache —
-   zero recomputed points, every point a cache hit.
+3. resubmit the identical sweep and assert it is served from the cache —
+   zero recomputed points, every point a cache hit;
+4. submit the same sweep under another seed, cancel it at its first
+   ``point`` event, resubmit it and assert the new job finds the cancelled
+   one's points in the cache (``cache_hits > 0``).
 
 The server runs with ``--ttl 0`` so the resubmission exercises the
 cache-hit path as a *fresh* job (the finished job is pruned immediately)
@@ -36,6 +40,10 @@ from repro.service.client import ServiceClient  # noqa: E402
 
 SMOKE_SETTINGS = {"engine": "vector", "warmup_cycles": 20, "measure_cycles": 60}
 SUBMISSION = {"experiment": "fig5", "settings": SMOKE_SETTINGS}
+#: The sweep that gets cancelled: same points, a seed nothing above cached.
+CANCELLED_SUBMISSION = {
+    "experiment": "fig5", "settings": {**SMOKE_SETTINGS, "seed": 1},
+}
 
 
 def fail(message: str) -> None:
@@ -70,10 +78,11 @@ def main() -> int:
     ).specs()
     print(f"service-smoke: direct run of {len(specs)} fig5 points ...")
     direct = Executor().run(specs)
-    direct_blobs = [
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        for value in direct
-    ]
+    keys = [spec.key for spec in specs]
+    direct_blobs = {
+        key: pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        for key, value in zip(keys, direct)
+    }
 
     with tempfile.TemporaryDirectory(prefix="service-smoke-") as cache_dir:
         process, port = start_server(cache_dir)
@@ -88,7 +97,21 @@ def main() -> int:
                 fail("first submission claimed to be a duplicate")
             job_id = reply["job"]["id"]
 
-            events = list(client.events(job_id))
+            events = []
+            fetched = set()
+            for event in client.events(job_id):
+                events.append(event)
+                if event["kind"] != "point":
+                    continue
+                # The job is still running: the event alone must make the
+                # result fetchable.
+                key = event["key"]
+                if client.result(key) != direct_blobs.get(key):
+                    fail(
+                        f"result {key[:12]}... fetched on its point event "
+                        f"differs from the direct Executor run"
+                    )
+                fetched.add(key)
             kinds = [event["kind"] for event in events]
             states = [e["state"] for e in events if e["kind"] == "state"]
             print(
@@ -97,27 +120,20 @@ def main() -> int:
             )
             if states[-1] != "done":
                 fail(f"job ended {states[-1]!r}: {client.job(job_id)}")
-            if kinds.count("point") != len(specs):
+            if kinds.count("point") != len(specs) or fetched != set(keys):
                 fail(
-                    f"stream reported {kinds.count('point')} points, "
-                    f"expected {len(specs)}"
+                    f"stream reported {kinds.count('point')} points "
+                    f"({len(fetched)} distinct keys), expected {len(specs)}"
                 )
 
             job = client.job(job_id)
             if job["computed"] != len(specs) or job["cache_hits"] != 0:
                 fail(f"cold job miscounted: {job}")
-            if job["result_keys"] != [spec.key for spec in specs]:
+            if job["result_keys"] != keys:
                 fail("service result keys differ from local spec keys")
-            for index, key in enumerate(job["result_keys"]):
-                blob = client.result(key)
-                if blob != direct_blobs[index]:
-                    fail(
-                        f"result {index} ({key[:12]}...) differs from the "
-                        f"direct Executor run"
-                    )
             print(
-                f"service-smoke: {len(specs)} results byte-identical to the "
-                f"direct run"
+                f"service-smoke: {len(specs)} results fetched on their point "
+                f"events, byte-identical to the direct run"
             )
 
             # --ttl 0 pruned the finished job, so this resubmission must
@@ -136,6 +152,37 @@ def main() -> int:
             print(
                 f"service-smoke: resubmission served from cache "
                 f"({warm['cache_hits']} hits, 0 computed)"
+            )
+
+            # A cancelled job keeps what it reported: its points were
+            # stored before their events went out.
+            cancelled_id = client.submit(CANCELLED_SUBMISSION)["job"]["id"]
+            reported = 0
+            for event in client.events(cancelled_id):
+                if event["kind"] == "point":
+                    if not reported:
+                        client.cancel(cancelled_id)
+                    reported += 1
+            state = client.job(cancelled_id)["state"]
+            if state != "cancelled":
+                fail(f"job cancelled at its first point ended {state!r}")
+            resumed = client.wait(
+                client.submit(CANCELLED_SUBMISSION)["job"]["id"], timeout_s=60
+            )
+            if resumed["state"] != "done":
+                fail(f"resubmission of the cancelled sweep ended {resumed['state']!r}")
+            if not (
+                resumed["cache_hits"] >= reported > 0
+                and resumed["cache_hits"] + resumed["computed"] == len(specs)
+            ):
+                fail(
+                    f"cancelled job reported {reported} points but its "
+                    f"resubmission found {resumed['cache_hits']} cached: {resumed}"
+                )
+            print(
+                f"service-smoke: job cancelled after {reported} points; "
+                f"resubmission reused {resumed['cache_hits']}, computed "
+                f"{resumed['computed']}"
             )
         finally:
             process.terminate()
