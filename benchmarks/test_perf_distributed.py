@@ -26,6 +26,7 @@ import os
 import time
 
 from repro.evaluation.settings import ExperimentSettings
+from repro.experiments import resolve_runner
 from repro.experiments.distributed import DistributedExecutor
 from repro.experiments.registry import EXPERIMENTS
 
@@ -54,6 +55,9 @@ def test_distributed_scaling_and_write_bench(report_sink, bench_out_path):
     result_path = bench_out_path("BENCH_experiments.json")
     specs = _sweep_specs()
     cpus = os.cpu_count() or 1
+    # Resolving the runner imports the simulator, once per process: done
+    # here so that the import is in neither leg (it would land in the first).
+    resolve_runner(specs[0].runner)
 
     serial_seconds, serial_results = _timed_run(1, specs)
     fleet_seconds, fleet_results = _timed_run(WORKERS, specs)

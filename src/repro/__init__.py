@@ -27,15 +27,18 @@ The package models the full MemPool system at the architectural level:
 * ``repro.evaluation`` — one experiment driver per figure/table.
 """
 
-from repro.core.config import MemPoolConfig
-from repro.core.cluster import MemPoolCluster
-from repro.core.system import MemPoolSystem
+from repro._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MemPoolConfig",
-    "MemPoolCluster",
-    "MemPoolSystem",
-    "__version__",
-]
+#: Public name -> defining submodule, resolved on first access: importing
+#: ``repro`` (which every ``import repro.x.y`` does first) loads nothing.
+_EXPORTS = {
+    "MemPoolConfig": "core.config",
+    "MemPoolCluster": "core.cluster",
+    "MemPoolSystem": "core.system",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,8 +14,10 @@ from functools import cached_property
 
 from repro.addressing.layout import MemoryLayout
 from repro.addressing.map import AddressMap, make_address_map
-from repro.core.config import MemPoolConfig
+from repro.core.config import ENGINES, MemPoolConfig
 from repro.core.memory import SharedL1Memory
+from repro.engine import CompiledEngine, VectorEngine, VectorStageNetwork
+from repro.engine.compile import shared_network
 from repro.interconnect.resources import Flit
 from repro.interconnect.topology import ClusterTopology, build_topology
 
@@ -36,18 +38,6 @@ class Tile:
     @property
     def num_banks(self) -> int:
         return len(self.bank_ids)
-
-
-#: Timing-engine implementations selectable per cluster: the per-object
-#: ``StageNetwork`` ("legacy"), the structure-of-arrays vector engine of
-#: :mod:`repro.engine` ("vector"), or the ring-buffer/typed-kernel engine
-#: ("compiled", :mod:`repro.engine.compiled`) whose advance pass runs under
-#: Numba ``@njit`` when the optional ``[perf]`` extra is installed
-#: (pure-Python reference kernels otherwise).  All three are cycle-exact
-#: for fixed seeds.  This tuple is the single source of truth — the engine
-#: package and :class:`repro.evaluation.settings.ExperimentSettings`
-#: re-use it.
-ENGINES = ("legacy", "vector", "compiled")
 
 
 class MemPoolCluster:
@@ -126,12 +116,6 @@ class MemPoolCluster:
         """
         if self.engine_kind != "legacy":
             if self._vector_network is None:
-                from repro.engine import (
-                    CompiledEngine,
-                    VectorEngine,
-                    VectorStageNetwork,
-                )
-
                 compiled = self.compiled_network()
                 self._vector_network = VectorStageNetwork(
                     compiled.topology,
@@ -158,8 +142,6 @@ class MemPoolCluster:
         configuration builds and compiles a topology of the memo's own
         (never this cluster's :attr:`topology`); later ones build neither.
         """
-        from repro.engine.compile import shared_network
-
         return shared_network(self.config)
 
     def tile_of_core(self, core_id: int) -> Tile:

@@ -33,7 +33,7 @@ multi-simulation path (``docs/architecture.md``, "Why there is no sim
 axis").
 """
 
-from repro.core.cluster import ENGINES
+from repro.core.config import ENGINES
 from repro.engine.compile import CompiledNetwork, EngineCompileError, MoveTables
 from repro.engine.compiled import CompiledEngine
 from repro.engine.kernel import HAVE_NUMBA, JIT_ENABLED

@@ -1,67 +1,57 @@
 """Experiment drivers reproducing every figure and table of the paper.
 
-Each ``figX``/table module contributes three layers to the shared sweep
-engine of :mod:`repro.experiments`:
+Each experiment contributes three layers to the shared sweep engine of
+:mod:`repro.experiments`:
 
 * a module-level *point function* (``simulate_*_point`` / ``compute_*``)
-  that runs one parameter combination from picklable arguments,
-* a *sweep builder* (``figX_sweep``) describing the figure's parameter
-  grid, and an *assembler* (``assemble_figX``) folding per-point results
-  back into the figure's result object, and
+  that runs one parameter combination from picklable arguments.  All nine
+  live in :mod:`repro.evaluation.points`, the one module of this package
+  that imports the simulator;
+* in its ``figX``/table module, a *sweep builder* (``figX_sweep``)
+  describing the figure's parameter grid and naming its point function as
+  ``"repro.evaluation.points:..."``, and an *assembler*
+  (``assemble_figX``) folding per-point results back into the figure's
+  result object;
 * the classic ``run_figX`` convenience entry point, which wires the three
   together on a (by default serial, uncached) executor.
+
+Building, counting and hashing a sweep therefore never loads the
+simulator; resolving a point function loads all of it, once (see "Import
+layering" in ``docs/architecture.md``).  The names below resolve on first
+access for the same reason.
 """
 
-from repro.evaluation.settings import ExperimentSettings
-from repro.evaluation.fig5 import Fig5Result, fig5_sweep, run_fig5
-from repro.evaluation.fig6 import Fig6Result, fig6_sweep, run_fig6
-from repro.evaluation.fig7 import Fig7Result, fig7_sweep, run_fig7
-from repro.evaluation.fig10 import Fig10Result, fig10_sweep, run_fig10
-from repro.evaluation.physical_tables import (
-    PhysicalTablesResult,
-    physical_sweep,
-    run_physical_tables,
-)
-from repro.evaluation.power_table import (
-    PowerTableResult,
-    power_sweep,
-    run_power_table,
-)
-from repro.evaluation.topologies import (
-    TopologyCatalogueResult,
-    run_topologies,
-    topologies_sweep,
-)
-from repro.evaluation.workloads import (
-    WorkloadCatalogueResult,
-    run_workloads,
-    workloads_sweep,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentSettings",
-    "run_fig5",
-    "Fig5Result",
-    "fig5_sweep",
-    "run_fig6",
-    "Fig6Result",
-    "fig6_sweep",
-    "run_fig7",
-    "Fig7Result",
-    "fig7_sweep",
-    "run_fig10",
-    "Fig10Result",
-    "fig10_sweep",
-    "run_power_table",
-    "PowerTableResult",
-    "power_sweep",
-    "run_physical_tables",
-    "PhysicalTablesResult",
-    "physical_sweep",
-    "run_workloads",
-    "WorkloadCatalogueResult",
-    "workloads_sweep",
-    "run_topologies",
-    "TopologyCatalogueResult",
-    "topologies_sweep",
-]
+#: Public name -> defining submodule, resolved on first access.
+_EXPORTS = {
+    "ExperimentSettings": "settings",
+    "run_fig5": "fig5",
+    "Fig5Result": "fig5",
+    "fig5_sweep": "fig5",
+    "run_fig6": "fig6",
+    "Fig6Result": "fig6",
+    "fig6_sweep": "fig6",
+    "run_fig7": "fig7",
+    "Fig7Result": "fig7",
+    "fig7_sweep": "fig7",
+    "run_fig10": "fig10",
+    "Fig10Result": "fig10",
+    "fig10_sweep": "fig10",
+    "run_power_table": "power_table",
+    "PowerTableResult": "power_table",
+    "power_sweep": "power_table",
+    "run_physical_tables": "physical_tables",
+    "PhysicalTablesResult": "physical_tables",
+    "physical_sweep": "physical_tables",
+    "run_workloads": "workloads",
+    "WorkloadCatalogueResult": "workloads",
+    "workloads_sweep": "workloads",
+    "run_topologies": "topologies",
+    "TopologyCatalogueResult": "topologies",
+    "topologies_sweep": "topologies",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

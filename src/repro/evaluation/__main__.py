@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.cluster import ENGINES
-from repro.evaluation.settings import ExperimentSettings
+from repro._lazy import LazyChoices
+from repro.core.config import ENGINES
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.executor import Executor
 from repro.experiments.registry import (
@@ -28,7 +28,6 @@ from repro.experiments.registry import (
     resolve_selection,
     run_experiments,
 )
-from repro.workloads import available_injectors, available_patterns
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -67,14 +66,16 @@ def main(argv: list[str] | None = None) -> int:
              "results are identical for all three)",
     )
     parser.add_argument(
-        "--pattern", choices=available_patterns(), default=None,
-        help="destination pattern of the synthetic-traffic experiments "
-             "(default: MEMPOOL_PATTERN or 'uniform')",
+        "--pattern", metavar="NAME", default=None,
+        choices=LazyChoices("repro.workloads:available_patterns"),
+        help="destination pattern of the synthetic-traffic experiments, by "
+             "workload registry name (default: MEMPOOL_PATTERN or 'uniform')",
     )
     parser.add_argument(
-        "--injector", choices=available_injectors(), default=None,
-        help="injection process of the synthetic-traffic experiments "
-             "(default: MEMPOOL_INJECTOR or 'poisson')",
+        "--injector", metavar="NAME", default=None,
+        choices=LazyChoices("repro.workloads:available_injectors"),
+        help="injection process of the synthetic-traffic experiments, by "
+             "workload registry name (default: MEMPOOL_INJECTOR or 'poisson')",
     )
     parser.add_argument(
         "--topology", metavar="NAME[:K=V,...]", default=None,
@@ -96,6 +97,9 @@ def main(argv: list[str] | None = None) -> int:
              "default: a small deterministic recording made on first use)",
     )
     args = parser.parse_args(argv)
+
+    # Imported once there is something to run (a bad flag exited above).
+    from repro.evaluation.settings import ExperimentSettings
 
     selected, error = resolve_selection(args.experiments)
     if error:

@@ -12,12 +12,14 @@ memory-bank contributions, plus the derived ratios the paper quotes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.cluster import MemPoolCluster
-from repro.energy import EnergyModel, InstructionEnergy
 from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import Executor, Sweep
 from repro.utils.tables import format_table
+
+if TYPE_CHECKING:
+    from repro.energy import InstructionEnergy
 
 
 @dataclass
@@ -77,43 +79,13 @@ class Fig10Result:
         return f"{table}\n{ratios}"
 
 
-def compute_fig10_point(*, topology: str = "toph") -> list[InstructionEnergy]:
-    """Compute the per-instruction energy entries for one topology.
-
-    Module-level point function of the sweep engine (see
-    :mod:`repro.experiments`).  The energy figures always refer to the
-    full 64-tile cluster (the remote-access mix depends on the cluster
-    size), so the simulation scale is not a parameter.
-
-    Parameters
-    ----------
-    topology : str
-        Interconnect topology to evaluate.
-
-    Returns
-    -------
-    list of InstructionEnergy
-        One entry per instruction class (add, mul, local/remote load).
-
-    Examples
-    --------
-    >>> entries = compute_fig10_point(topology="toph")
-    >>> any(entry.name == "remote load" for entry in entries)
-    True
-    """
-    from repro.core.config import MemPoolConfig
-
-    cluster = MemPoolCluster(MemPoolConfig.full(topology))
-    return EnergyModel(cluster).instruction_energies()
-
-
 def fig10_sweep(
     settings: ExperimentSettings | None = None, topology: str = "toph"
 ) -> Sweep:
     """The (single-point) Figure 10 sweep for ``topology``."""
     del settings  # the energy table does not depend on the simulation scale
     return Sweep(
-        runner="repro.evaluation.fig10:compute_fig10_point",
+        runner="repro.evaluation.points:compute_fig10_point",
         base={"topology": topology},
         name="fig10",
     )

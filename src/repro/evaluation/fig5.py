@@ -14,19 +14,16 @@ Paper observations this experiment reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.cluster import MemPoolCluster
 from repro.evaluation.series import collect_series
-from repro.evaluation.settings import (
-    DEFAULT_MEASURE_CYCLES,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP_CYCLES,
-    ExperimentSettings,
-)
+from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import Executor, ExperimentSpec, Sweep
-from repro.traffic import TrafficResult, TrafficSimulation
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_series
+
+if TYPE_CHECKING:
+    from repro.traffic import TrafficResult
 
 #: Injected loads swept by default (request/core/cycle).
 DEFAULT_LOADS = (0.025, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
@@ -85,87 +82,6 @@ class Fig5Result:
         )
 
 
-def simulate_fig5_point(
-    *,
-    topology: str,
-    load: float,
-    full_scale: bool = False,
-    warmup_cycles: int = DEFAULT_WARMUP_CYCLES,
-    measure_cycles: int = DEFAULT_MEASURE_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    pattern: str = "uniform",
-    injector: str = "poisson",
-    energy: bool = False,
-) -> TrafficResult:
-    """Simulate one (topology, load) point of Figure 5.
-
-    This is the sweep-engine *point function*: a module-level callable
-    taking only picklable keyword arguments, so worker processes can
-    re-import and run it (see :mod:`repro.experiments`).  Every point
-    builds its own cluster and RNGs, making points independent.
-
-    Parameters
-    ----------
-    topology : str
-        Interconnect topology (``top1``, ``top4``, ``toph`` or ``topx``).
-    load : float
-        Injected load in requests per core per cycle.
-    full_scale : bool
-        Use the full 256-core cluster instead of the scaled 64-core one.
-    warmup_cycles, measure_cycles : int
-        Warm-up and measurement windows of the traffic simulation.
-    seed : int
-        Seed of the traffic generator.
-    engine : str
-        Timing engine (``legacy``, ``vector`` or ``compiled``); all
-        produce identical results for fixed seeds, ``vector`` is several
-        times faster.
-    pattern, injector : str
-        Workload registry names (see :mod:`repro.workloads`); the paper's
-        Figure 5 is ``uniform`` x ``poisson``, but any registered pair
-        runs through either engine.
-    energy : bool
-        Attach the Figure 10 wire-energy summary to the result
-        (:func:`repro.energy.traffic.traffic_energy`); derived from the
-        result's counters, so it never changes the timing numbers.
-
-    Returns
-    -------
-    TrafficResult
-        Throughput/latency measurements of the point.
-
-    Examples
-    --------
-    >>> result = simulate_fig5_point(
-    ...     topology="toph", load=0.1, warmup_cycles=50, measure_cycles=100)
-    >>> 0.0 < result.throughput <= 0.2
-    True
-    """
-    settings = ExperimentSettings(
-        full_scale=full_scale,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        seed=seed,
-        engine=engine,
-        pattern=pattern,
-        injector=injector,
-        energy=energy,
-    )
-    cluster = MemPoolCluster(settings.config(topology), engine=settings.engine)
-    simulation = TrafficSimulation(
-        cluster, load, pattern=settings.pattern, seed=settings.seed,
-        injector=settings.injector,
-    )
-    result = simulation.run(
-        warmup_cycles=settings.warmup_cycles,
-        measure_cycles=settings.measure_cycles,
-    )
-    from repro.energy.traffic import attach_energy
-
-    return attach_energy(cluster, result, settings.energy)
-
-
 def fig5_sweep(
     settings: ExperimentSettings | None = None,
     loads: tuple[float, ...] = DEFAULT_LOADS,
@@ -174,7 +90,7 @@ def fig5_sweep(
     """The (topology x load) parameter grid of Figure 5 as a :class:`Sweep`."""
     settings = settings or ExperimentSettings()
     return Sweep(
-        runner="repro.evaluation.fig5:simulate_fig5_point",
+        runner="repro.evaluation.points:simulate_fig5_point",
         grid={"topology": tuple(topologies), "load": tuple(loads)},
         base=settings.as_params(),
         name="fig5",

@@ -14,19 +14,16 @@ bank otherwise.  The paper's observations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.cluster import MemPoolCluster
 from repro.evaluation.series import collect_series
-from repro.evaluation.settings import (
-    DEFAULT_MEASURE_CYCLES,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP_CYCLES,
-    ExperimentSettings,
-)
+from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import Executor, ExperimentSpec, Sweep
-from repro.traffic import LocalBiasedPattern, TrafficResult, TrafficSimulation
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_series
+
+if TYPE_CHECKING:
+    from repro.traffic import TrafficResult
 
 #: Local-access probabilities shown in the figure.
 DEFAULT_P_LOCAL = (0.0, 0.25, 0.5, 1.0)
@@ -78,84 +75,6 @@ class Fig6Result:
         )
 
 
-def simulate_fig6_point(
-    *,
-    p_local: float,
-    load: float,
-    full_scale: bool = False,
-    warmup_cycles: int = DEFAULT_WARMUP_CYCLES,
-    measure_cycles: int = DEFAULT_MEASURE_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    injector: str = "poisson",
-    energy: bool = False,
-) -> TrafficResult:
-    """Simulate one (p_local, load) point of Figure 6 on the TopH cluster.
-
-    Module-level point function of the sweep engine (see
-    :mod:`repro.experiments`): all arguments are picklable primitives and
-    each call builds its own cluster, pattern and RNGs.
-
-    Parameters
-    ----------
-    p_local : float
-        Probability that a request targets the issuing core's own tile.
-    load : float
-        Injected load in requests per core per cycle.
-    full_scale : bool
-        Use the full 256-core cluster instead of the scaled 64-core one.
-    warmup_cycles, measure_cycles : int
-        Warm-up and measurement windows of the traffic simulation.
-    seed : int
-        Seed shared by the pattern and the injector.
-    engine : str
-        Timing engine (``legacy``, ``vector`` or ``compiled``); all
-        produce identical results for fixed seeds, ``vector`` is several
-        times faster.
-    injector : str
-        Injection-process registry name (see :mod:`repro.workloads`);
-        the paper uses ``poisson``.  The destination pattern is not a
-        knob here — the ``local_biased`` pattern *is* the experiment.
-    energy : bool
-        Attach the Figure 10 wire-energy summary to the result
-        (:func:`repro.energy.traffic.traffic_energy`).
-
-    Returns
-    -------
-    TrafficResult
-        Throughput/latency measurements of the point.
-
-    Examples
-    --------
-    >>> result = simulate_fig6_point(
-    ...     p_local=1.0, load=0.2, warmup_cycles=50, measure_cycles=100)
-    >>> result.local_fraction
-    1.0
-    """
-    settings = ExperimentSettings(
-        full_scale=full_scale,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        seed=seed,
-        engine=engine,
-        injector=injector,
-        energy=energy,
-    )
-    cluster = MemPoolCluster(settings.config("toph"), engine=settings.engine)
-    pattern = LocalBiasedPattern(cluster.config, p_local, seed=settings.seed)
-    simulation = TrafficSimulation(
-        cluster, load, pattern=pattern, seed=settings.seed,
-        injector=settings.injector,
-    )
-    result = simulation.run(
-        warmup_cycles=settings.warmup_cycles,
-        measure_cycles=settings.measure_cycles,
-    )
-    from repro.energy.traffic import attach_energy
-
-    return attach_energy(cluster, result, settings.energy)
-
-
 def fig6_sweep(
     settings: ExperimentSettings | None = None,
     loads: tuple[float, ...] = DEFAULT_LOADS,
@@ -168,7 +87,7 @@ def fig6_sweep(
     # with the swept p_local); only the injection process is a knob.
     base.pop("pattern", None)
     return Sweep(
-        runner="repro.evaluation.fig6:simulate_fig6_point",
+        runner="repro.evaluation.points:simulate_fig6_point",
         grid={"p_local": tuple(p_locals), "load": tuple(loads)},
         base=base,
         name="fig6",

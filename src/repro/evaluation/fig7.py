@@ -17,12 +17,14 @@ here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.cluster import MemPoolCluster
-from repro.evaluation.settings import DEFAULT_SEED, ExperimentSettings
+from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import Executor, ExperimentSpec, Sweep
-from repro.kernels import Conv2dKernel, DctKernel, KernelResult, MatmulKernel
 from repro.utils.tables import format_table
+
+if TYPE_CHECKING:
+    from repro.kernels import KernelResult
 
 #: Topologies of the figure; ``topx`` is the baseline.
 FIG7_TOPOLOGIES = ("top1", "top4", "toph", "topx")
@@ -88,71 +90,6 @@ class Fig7Result:
         )
 
 
-def _build_kernel(name: str, cluster: MemPoolCluster, settings: ExperimentSettings):
-    if name == "matmul":
-        return MatmulKernel(cluster, size=settings.matmul_size, seed=settings.seed)
-    if name == "2dconv":
-        return Conv2dKernel(cluster, width=settings.conv_width, seed=settings.seed)
-    if name == "dct":
-        return DctKernel(
-            cluster, blocks_per_core=settings.dct_blocks_per_core, seed=settings.seed
-        )
-    raise ValueError(f"unknown kernel {name!r}")
-
-
-def simulate_fig7_point(
-    *,
-    kernel: str,
-    topology: str,
-    scrambling: bool,
-    full_scale: bool = False,
-    seed: int = DEFAULT_SEED,
-    verify: bool = True,
-    engine: str = "legacy",
-) -> KernelResult:
-    """Simulate one (kernel, topology, scrambling) point of Figure 7.
-
-    Module-level point function of the sweep engine (see
-    :mod:`repro.experiments`): every call builds a fresh cluster and
-    kernel from picklable primitives, so points are independent and the
-    sweep parallelises across processes.
-
-    Parameters
-    ----------
-    kernel : str
-        Benchmark name: ``matmul``, ``2dconv`` or ``dct``.
-    topology : str
-        Interconnect topology (``topx`` is the ideal-crossbar baseline).
-    scrambling : bool
-        Whether the hybrid-addressing scrambling logic is enabled.
-    full_scale : bool
-        Use the full 256-core cluster and the paper's benchmark sizes.
-    seed : int
-        Seed of the kernel's input data.
-    verify : bool
-        Check the simulated memory contents against a numpy reference.
-    engine : str
-        Timing engine (``legacy`` or ``vector``); both produce identical
-        cycle counts for fixed seeds, ``vector`` is faster.
-
-    Returns
-    -------
-    KernelResult
-        Cycle count, correctness flag and activity counters.
-
-    Examples
-    --------
-    >>> result = simulate_fig7_point(
-    ...     kernel="dct", topology="toph", scrambling=True)
-    >>> result.correct and result.cycles > 0
-    True
-    """
-    settings = ExperimentSettings(full_scale=full_scale, seed=seed, engine=engine)
-    config = settings.config(topology, scrambling_enabled=scrambling)
-    cluster = MemPoolCluster(config, engine=settings.engine)
-    return _build_kernel(kernel, cluster, settings).run(verify=verify)
-
-
 def fig7_sweep(
     settings: ExperimentSettings | None = None,
     kernels: tuple[str, ...] = FIG7_KERNELS,
@@ -166,7 +103,7 @@ def fig7_sweep(
     """
     settings = settings or ExperimentSettings()
     return Sweep(
-        runner="repro.evaluation.fig7:simulate_fig7_point",
+        runner="repro.evaluation.points:simulate_fig7_point",
         grid={
             "topology": tuple(topologies),
             "scrambling": (False, True),

@@ -14,15 +14,15 @@ Reproduces, from the analytical area/timing/floorplan models:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.cluster import MemPoolCluster
 from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import Executor, Sweep
-from repro.physical import AreaModel, FloorplanModel, TimingModel
-from repro.physical.area import ClusterAreaReport, TileAreaBreakdown
-from repro.physical.floorplan import CongestionReport
-from repro.physical.timing import CLUSTER_CRITICAL_PATH, TILE_CRITICAL_PATH
 from repro.utils.tables import format_table
+
+if TYPE_CHECKING:
+    from repro.physical.area import ClusterAreaReport, TileAreaBreakdown
+    from repro.physical.floorplan import CongestionReport
 
 #: Paper reference values used in the report (and asserted by the benches).
 PAPER_TILE_SIDE_UM = 425.0
@@ -52,6 +52,8 @@ class PhysicalTablesResult:
 
     def report(self) -> str:
         """Textual rendering of the Sections VI-B/VI-C tables."""
+        from repro.physical.timing import CLUSTER_CRITICAL_PATH, TILE_CRITICAL_PATH
+
         tile_rows = [
             ["tile macro side (um)", self.tile.macro_side_um, PAPER_TILE_SIDE_UM],
             ["tile complexity (kGE)", self.tile.total_kge, PAPER_TILE_KGE],
@@ -91,52 +93,13 @@ class PhysicalTablesResult:
         return f"{physical}\n\n{congestion}"
 
 
-def compute_physical_point(*, topology: str = "toph") -> PhysicalTablesResult:
-    """Evaluate the physical models on the full-size cluster.
-
-    Module-level point function of the sweep engine (see
-    :mod:`repro.experiments`).  Physical figures always refer to the full
-    64-tile cluster, regardless of the simulation scale used for the
-    performance experiments.
-
-    Parameters
-    ----------
-    topology : str
-        Topology whose tile/cluster macros are evaluated.
-
-    Returns
-    -------
-    PhysicalTablesResult
-        Area, timing and congestion figures.
-
-    Examples
-    --------
-    >>> result = compute_physical_point(topology="toph")
-    >>> result.congestion["toph"].feasible
-    True
-    """
-    from repro.core.config import MemPoolConfig
-
-    cluster = MemPoolCluster(MemPoolConfig.full(topology))
-    area = AreaModel(cluster)
-    timing = TimingModel()
-    floorplan = FloorplanModel(cluster)
-    return PhysicalTablesResult(
-        tile=area.tile_breakdown(),
-        cluster=area.cluster_report(),
-        frequencies_mhz=timing.cluster_frequencies(),
-        wire_fraction=timing.wire_fraction(CLUSTER_CRITICAL_PATH, "worst"),
-        congestion=floorplan.compare_topologies(),
-    )
-
-
 def physical_sweep(
     settings: ExperimentSettings | None = None, topology: str = "toph"
 ) -> Sweep:
     """The (single-point) Sections VI-B/VI-C physical sweep."""
     del settings  # the physical models do not depend on the simulation scale
     return Sweep(
-        runner="repro.evaluation.physical_tables:compute_physical_point",
+        runner="repro.evaluation.points:compute_physical_point",
         base={"topology": topology},
         name="physical",
     )

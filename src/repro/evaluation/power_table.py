@@ -11,13 +11,15 @@ prints the same breakdown rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.cluster import MemPoolCluster
-from repro.energy import PowerBreakdown, PowerModel
-from repro.evaluation.settings import DEFAULT_SEED, ExperimentSettings
+from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import Executor, Sweep
-from repro.kernels import KernelResult, MatmulKernel
 from repro.utils.tables import format_table
+
+if TYPE_CHECKING:
+    from repro.energy import PowerBreakdown
+    from repro.kernels import KernelResult
 
 #: The paper's reference rows: component -> (mW per tile, share of tile power).
 PAPER_TILE_POWER = {
@@ -69,61 +71,13 @@ class PowerTableResult:
         return f"{table}\n{summary}"
 
 
-def compute_power_point(
-    *,
-    full_scale: bool = False,
-    seed: int = DEFAULT_SEED,
-    frequency_hz: float = 500e6,
-    engine: str = "legacy",
-) -> PowerTableResult:
-    """Run matmul on TopH and evaluate the power model on its activity.
-
-    Module-level point function of the sweep engine (see
-    :mod:`repro.experiments`): a fresh cluster and kernel are built from
-    the picklable arguments, and the returned result is itself picklable.
-
-    Parameters
-    ----------
-    full_scale : bool
-        Use the full 256-core cluster and the paper's matmul size.
-    seed : int
-        Seed of the matmul input data.
-    frequency_hz : float
-        Operating frequency the power model evaluates at.
-    engine : str
-        Timing engine (``legacy`` or ``vector``); both produce identical
-        activity counters for fixed seeds, ``vector`` is faster.
-
-    Returns
-    -------
-    PowerTableResult
-        The tile/cluster power breakdown plus the kernel activity.
-
-    Examples
-    --------
-    >>> result = compute_power_point()
-    >>> result.breakdown.tile_total_mw > 0
-    True
-    """
-    settings = ExperimentSettings(full_scale=full_scale, seed=seed, engine=engine)
-    cluster = MemPoolCluster(settings.config("toph"), engine=settings.engine)
-    kernel = MatmulKernel(cluster, size=settings.matmul_size, seed=settings.seed)
-    result = kernel.run(verify=False)
-    model = PowerModel(cluster, frequency_hz=frequency_hz)
-    return PowerTableResult(
-        breakdown=model.breakdown(result.system),
-        kernel=result,
-        frequency_hz=frequency_hz,
-    )
-
-
 def power_sweep(
     settings: ExperimentSettings | None = None, frequency_hz: float = 500e6
 ) -> Sweep:
     """The (single-point) Section VI-D power sweep."""
     settings = settings or ExperimentSettings()
     return Sweep(
-        runner="repro.evaluation.power_table:compute_power_point",
+        runner="repro.evaluation.points:compute_power_point",
         base={
             "full_scale": settings.full_scale,
             "seed": settings.seed,

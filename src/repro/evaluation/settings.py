@@ -13,8 +13,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.core.cluster import ENGINES
-from repro.core.config import MemPoolConfig
+from repro.core.config import ENGINES, MemPoolConfig
+from repro.topologies.registry import parse_topology_spec, validate_topology
 from repro.workloads.registry import available_injectors, available_patterns
 
 
@@ -47,8 +47,9 @@ def _trace_from_environment() -> str | None:
 
 
 #: Default warm-up window of the synthetic-traffic measurements.  The
-#: point functions in the fig* modules reference these constants for
-#: their keyword defaults, so retuning them here retunes every path.
+#: point functions (:mod:`repro.evaluation.points`) reference these
+#: constants for their keyword defaults, so retuning them here retunes
+#: every path.
 DEFAULT_WARMUP_CYCLES = 300
 #: Default measurement window of the synthetic-traffic measurements.
 DEFAULT_MEASURE_CYCLES = 1000
@@ -126,8 +127,6 @@ class ExperimentSettings:
         # names with explicit topology_params pass through unchanged.
         # parse_topology_spec / validate_topology also reject unknown
         # names and parameters here, before any sweep expansion.
-        from repro.topologies.registry import parse_topology_spec, validate_topology
-
         if ":" in self.topology:
             if self.topology_params:
                 raise ValueError(

@@ -21,17 +21,14 @@ Run it with ``python -m repro.experiments run topologies`` (add
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.cluster import MemPoolCluster
-from repro.evaluation.settings import (
-    DEFAULT_MEASURE_CYCLES,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP_CYCLES,
-    ExperimentSettings,
-)
+from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import Executor, ExperimentSpec, Sweep
 from repro.topologies import available_topologies
-from repro.traffic import TrafficResult, TrafficSimulation
+
+if TYPE_CHECKING:
+    from repro.traffic import TrafficResult
 
 #: Injected load of the catalogue points (request/core/cycle) — inside
 #: every family's stable region at the scaled cluster size, so the table
@@ -92,73 +89,6 @@ class TopologyCatalogueResult:
         return header + "\n" + "\n".join(rows)
 
 
-def simulate_topology_point(
-    *,
-    topology: str,
-    topology_params: dict | None = None,
-    load: float = DEFAULT_CATALOGUE_LOAD,
-    full_scale: bool = False,
-    warmup_cycles: int = DEFAULT_WARMUP_CYCLES,
-    measure_cycles: int = DEFAULT_MEASURE_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    pattern: str = "uniform",
-    injector: str = "poisson",
-    energy: bool = False,
-) -> TrafficResult:
-    """Simulate one topology point of the catalogue.
-
-    Module-level point function of the sweep engine: all parameters are
-    picklable primitives (``topology_params`` a plain dict), each call
-    builds its own cluster and workload substreams.
-
-    Parameters
-    ----------
-    topology : str
-        Topology registry name (see :mod:`repro.topologies`).
-    topology_params : dict, optional
-        Family-specific knobs (e.g. ``{"width": 8, "height": 2}``).
-    load : float
-        Injected load in requests per core per cycle.
-    full_scale, warmup_cycles, measure_cycles, seed, engine, energy
-        As in :func:`repro.evaluation.fig5.simulate_fig5_point`.
-    pattern, injector : str
-        Workload registry names driving every topology identically.
-
-    Examples
-    --------
-    >>> result = simulate_topology_point(
-    ...     topology="mesh", load=0.1, warmup_cycles=50, measure_cycles=100)
-    >>> result.throughput > 0.0
-    True
-    """
-    settings = ExperimentSettings(
-        full_scale=full_scale,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        seed=seed,
-        engine=engine,
-        pattern=pattern,
-        injector=injector,
-        topology=topology,
-        topology_params=dict(topology_params or {}),
-        energy=energy,
-    )
-    config = settings.config(topology, topology_params=settings.topology_params)
-    cluster = MemPoolCluster(config, engine=settings.engine)
-    simulation = TrafficSimulation(
-        cluster, load, pattern=settings.pattern, seed=settings.seed,
-        injector=settings.injector,
-    )
-    result = simulation.run(
-        warmup_cycles=settings.warmup_cycles,
-        measure_cycles=settings.measure_cycles,
-    )
-    from repro.energy.traffic import attach_energy
-
-    return attach_energy(cluster, result, settings.energy)
-
-
 def topologies_sweep(
     settings: ExperimentSettings | None = None,
     topologies: tuple[str, ...] | None = None,
@@ -177,7 +107,7 @@ def topologies_sweep(
     settings = settings or ExperimentSettings()
     names = tuple(topologies if topologies is not None else available_topologies())
     return Sweep(
-        runner="repro.evaluation.topologies:simulate_topology_point",
+        runner="repro.evaluation.points:simulate_topology_point",
         grid={"topology": names},
         base={**settings.as_params(), "load": load},
         name="topologies",

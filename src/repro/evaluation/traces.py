@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.cluster import MemPoolCluster
-from repro.evaluation.settings import (
-    DEFAULT_SEED,
-    ExperimentSettings,
-)
+from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import Executor, ExperimentSpec, Sweep
-from repro.traffic import TrafficResult, TrafficSimulation
-from repro.workloads.trace import read_trace_header, record_trace
+from repro.experiments.cache import default_cache_dir
+from repro.workloads.trace import read_trace_header
+
+if TYPE_CHECKING:
+    from repro.traffic import TrafficResult
 
 #: The six parameterized topology families (each at its default
 #: parameters) the catalogue replays the trace on.
@@ -102,86 +102,6 @@ class TraceCatalogueResult:
         return header + "\n" + "\n".join(rows)
 
 
-def simulate_trace_point(
-    *,
-    topology: str,
-    trace: str,
-    trace_sha: str,
-    load: float,
-    topology_params: dict | None = None,
-    full_scale: bool = False,
-    warmup_cycles: int = 0,
-    measure_cycles: int = DEFAULT_TRACE_MEASURE + DEFAULT_DRAIN_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    energy: bool = True,
-) -> TrafficResult:
-    """Replay one trace on one topology family.
-
-    Module-level point function of the sweep engine: all parameters are
-    picklable primitives.  ``trace_sha`` is the content hash the sweep
-    was expanded against — the replay components verify the file still
-    matches it, so a trace modified between expansion and execution
-    fails loudly instead of silently relabelling cached results.
-
-    Parameters
-    ----------
-    topology : str
-        Topology registry name (see :mod:`repro.topologies`).
-    trace : str
-        Path of the trace file (see :mod:`repro.workloads.trace`).
-    trace_sha : str
-        Expected content sha256 of the trace.
-    load : float
-        Offered-load label of the result (the trace's mean rate).
-    topology_params : dict, optional
-        Family-specific knobs (e.g. ``{"width": 8, "height": 2}``).
-    full_scale, warmup_cycles, measure_cycles, seed, engine, energy
-        As in :func:`repro.evaluation.fig5.simulate_fig5_point`; the
-        sweep passes ``warmup_cycles=0`` and a window covering the whole
-        trace plus a drain margin, so the stats span the entire replay.
-
-    Examples
-    --------
-    >>> import tempfile, os
-    >>> from repro.evaluation.settings import ExperimentSettings
-    >>> with tempfile.TemporaryDirectory() as root:
-    ...     path = os.path.join(root, "t.trace.gz")
-    ...     sha = record_default_trace(ExperimentSettings(), path)
-    ...     result = simulate_trace_point(
-    ...         topology="mesh", trace=path, trace_sha=sha, load=0.25)
-    >>> result.completed_requests > 0 and result.energy is not None
-    True
-    """
-    settings = ExperimentSettings(
-        full_scale=full_scale,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        seed=seed,
-        engine=engine,
-        topology=topology,
-        topology_params=dict(topology_params or {}),
-        energy=energy,
-        trace=trace,
-    )
-    config = settings.config(topology, topology_params=settings.topology_params)
-    cluster = MemPoolCluster(config, engine=settings.engine)
-    replay = {"path": trace, "sha": trace_sha}
-    simulation = TrafficSimulation(
-        cluster, load,
-        pattern="trace", pattern_params=replay,
-        injector="trace", injector_params=replay,
-        seed=settings.seed,
-    )
-    result = simulation.run(
-        warmup_cycles=settings.warmup_cycles,
-        measure_cycles=settings.measure_cycles,
-    )
-    from repro.energy.traffic import attach_energy
-
-    return attach_energy(cluster, result, settings.energy)
-
-
 def default_trace_path(settings: ExperimentSettings) -> str:
     """Where the experiment's default recording lives for ``settings``.
 
@@ -190,48 +110,10 @@ def default_trace_path(settings: ExperimentSettings) -> str:
     traffic — so switching either records a sibling file instead of
     clobbering the first.
     """
-    from repro.experiments.cache import default_cache_dir
-
     scale = "full" if settings.full_scale else "scaled"
     return os.path.join(
         default_cache_dir(), "traces",
         f"default-{scale}-seed{settings.seed}.trace.gz",
-    )
-
-
-def record_default_trace(
-    settings: ExperimentSettings, path: str, force: bool = True
-) -> str:
-    """Record the deterministic default trace to ``path``; returns its sha.
-
-    A short uniform x poisson measurement on the paper's TopH cluster —
-    the flit log is engine-independent, so the recorded bytes (and the
-    content hash every cache key embeds) do not depend on which engine
-    ``settings`` selects.
-    """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    config = settings.config(DEFAULT_TRACE_TOPOLOGY)
-    cluster = MemPoolCluster(config, engine=settings.engine)
-    simulation = TrafficSimulation(
-        cluster, DEFAULT_TRACE_LOAD, pattern="uniform",
-        injector="poisson", seed=settings.seed,
-    )
-    result = simulation.run(
-        warmup_cycles=DEFAULT_TRACE_WARMUP,
-        measure_cycles=DEFAULT_TRACE_MEASURE,
-        record_flits=True,
-    )
-    return record_trace(
-        result, config, path,
-        meta={
-            "source": "default",
-            "topology": DEFAULT_TRACE_TOPOLOGY,
-            "pattern": "uniform",
-            "injector": "poisson",
-            "load": DEFAULT_TRACE_LOAD,
-            "seed": settings.seed,
-        },
-        force=force,
     )
 
 
@@ -246,6 +128,10 @@ def ensure_trace(settings: ExperimentSettings) -> str:
         return settings.trace
     path = default_trace_path(settings)
     if not os.path.exists(path):
+        # Recording simulates: the one place outside a point where this
+        # module needs the runner module, so it is imported here.
+        from repro.evaluation.points import record_default_trace
+
         record_default_trace(settings, path)
     return path
 
@@ -261,28 +147,37 @@ def traces_sweep(
     the cache keys content-addressed; the load label and the replay
     window come from the trace header (the whole horizon plus
     ``drain_cycles``), so the measurement covers every recorded request.
+
+    Everything that needs the trace file sits in the sweep's ``base``
+    callable, which :meth:`Sweep.specs` evaluates: building the sweep and
+    reading its ``size`` (``python -m repro.experiments list``) neither
+    reads nor records a trace.
     """
     settings = settings or ExperimentSettings()
-    trace = ensure_trace(settings)
-    header = read_trace_header(trace)
-    records = int(header["records"])
-    cycles = int(header["cycles"])
-    cores = int(header["num_cores"])
-    load = records / (cores * cycles) if records and cores and cycles else 0.0
-    base = settings.as_params()
-    base.pop("pattern", None)
-    base.pop("injector", None)
-    base.update(
-        trace=trace,
-        trace_sha=str(header["sha256"]),
-        load=round(load, 6),
-        warmup_cycles=0,
-        measure_cycles=cycles + drain_cycles,
-        # The catalogue's contract is latency + throughput + energy.
-        energy=True,
-    )
+
+    def base() -> dict:
+        trace = ensure_trace(settings)
+        header = read_trace_header(trace)
+        records = int(header["records"])
+        cycles = int(header["cycles"])
+        cores = int(header["num_cores"])
+        load = records / (cores * cycles) if records and cores and cycles else 0.0
+        params = settings.as_params()
+        params.pop("pattern", None)
+        params.pop("injector", None)
+        params.update(
+            trace=trace,
+            trace_sha=str(header["sha256"]),
+            load=round(load, 6),
+            warmup_cycles=0,
+            measure_cycles=cycles + drain_cycles,
+            # The catalogue's contract is latency + throughput + energy.
+            energy=True,
+        )
+        return params
+
     return Sweep(
-        runner="repro.evaluation.traces:simulate_trace_point",
+        runner="repro.evaluation.points:simulate_trace_point",
         grid={"topology": tuple(topologies)},
         base=base,
         name="traces",

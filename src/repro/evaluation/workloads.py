@@ -15,18 +15,15 @@ Run it with ``python -m repro.experiments run workloads`` (add
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.cluster import MemPoolCluster
-from repro.evaluation.settings import (
-    DEFAULT_MEASURE_CYCLES,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP_CYCLES,
-    ExperimentSettings,
-)
+from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import Executor, ExperimentSpec, Sweep
-from repro.traffic import TrafficResult, TrafficSimulation
 from repro.workloads import available_injectors, available_patterns
 from repro.workloads.registry import injector_entry, pattern_entry
+
+if TYPE_CHECKING:
+    from repro.traffic import TrafficResult
 
 
 def default_catalogue_patterns() -> tuple[str, ...]:
@@ -91,77 +88,6 @@ class WorkloadCatalogueResult:
         return header + "\n" + "\n".join(rows)
 
 
-def simulate_workload_point(
-    *,
-    pattern: str,
-    injector: str,
-    load: float = DEFAULT_CATALOGUE_LOAD,
-    topology: str = DEFAULT_CATALOGUE_TOPOLOGY,
-    topology_params: dict | None = None,
-    full_scale: bool = False,
-    warmup_cycles: int = DEFAULT_WARMUP_CYCLES,
-    measure_cycles: int = DEFAULT_MEASURE_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    energy: bool = False,
-) -> TrafficResult:
-    """Simulate one (pattern, injector) point of the workload catalogue.
-
-    Module-level point function of the sweep engine: all parameters are
-    picklable primitives, each call builds its own cluster and workload
-    substreams.
-
-    Parameters
-    ----------
-    pattern, injector : str
-        Workload registry names (see :mod:`repro.workloads`).
-    load : float
-        Injected load in requests per core per cycle.
-    topology : str
-        Interconnect topology to drive, by topology registry name
-        (see :mod:`repro.topologies`).
-    topology_params : dict, optional
-        Family-specific topology knobs (e.g. ``{"width": 8}``).
-    full_scale, warmup_cycles, measure_cycles, seed, engine, energy
-        As in :func:`repro.evaluation.fig5.simulate_fig5_point`.
-
-    Examples
-    --------
-    >>> result = simulate_workload_point(
-    ...     pattern="neighbor", injector="bernoulli", load=0.1,
-    ...     warmup_cycles=50, measure_cycles=100)
-    >>> result.throughput > 0.0
-    True
-    """
-    settings = ExperimentSettings(
-        full_scale=full_scale,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        seed=seed,
-        engine=engine,
-        pattern=pattern,
-        injector=injector,
-        topology=topology,
-        topology_params=dict(topology_params or {}),
-        energy=energy,
-    )
-    cluster = MemPoolCluster(
-        settings.config(topology, topology_params=settings.topology_params),
-        engine=settings.engine,
-    )
-    simulation = TrafficSimulation(
-        cluster, load, pattern=settings.pattern, seed=settings.seed,
-        injector=settings.injector,
-    )
-    result = simulation.run(
-        warmup_cycles=settings.warmup_cycles,
-        measure_cycles=settings.measure_cycles,
-    )
-    from repro.energy.traffic import attach_energy
-
-    return attach_energy(cluster, result, settings.energy)
-
-
 def workloads_sweep(
     settings: ExperimentSettings | None = None,
     patterns: tuple[str, ...] | None = None,
@@ -193,7 +119,7 @@ def workloads_sweep(
             topology_params = dict(settings.topology_params)
     topology_params = dict(topology_params or {})
     return Sweep(
-        runner="repro.evaluation.workloads:simulate_workload_point",
+        runner="repro.evaluation.points:simulate_workload_point",
         grid={
             "pattern": tuple(
                 patterns if patterns is not None else default_catalogue_patterns()

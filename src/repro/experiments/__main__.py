@@ -37,8 +37,13 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.cluster import ENGINES
-from repro.evaluation.settings import ExperimentSettings
+# Module level holds what building the parser needs, plus the engine
+# modules this package's `__init__` has loaded anyway; each command imports
+# what it runs.  So `--help`, `clean` and `serve` load neither NumPy nor
+# the registries, and only a simulating command loads the simulator
+# ("Import layering" in docs/architecture.md).
+from repro._lazy import LazyChoices
+from repro.core.config import ENGINES
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.executor import Executor
 from repro.experiments.registry import (
@@ -46,12 +51,11 @@ from repro.experiments.registry import (
     resolve_selection,
     run_experiments,
 )
-from repro.workloads import (
-    available_injectors,
-    available_patterns,
-    injector_catalogue,
-    pattern_catalogue,
-)
+
+#: ``--pattern`` / ``--injector`` values: the workload registry's names,
+#: read when one of the options is actually given.
+PATTERNS = LazyChoices("repro.workloads:available_patterns")
+INJECTORS = LazyChoices("repro.workloads:available_injectors")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,18 +132,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--pattern",
-        choices=available_patterns(),
+        choices=PATTERNS,
+        metavar="NAME",
         default=None,
-        help="destination pattern of the synthetic-traffic experiments "
-             "(default: MEMPOOL_PATTERN or 'uniform'; fig6 always runs "
-             "its own local_biased sweep)",
+        help="destination pattern of the synthetic-traffic experiments, "
+             "one of those the `workloads` command lists (default: "
+             "MEMPOOL_PATTERN or 'uniform'; fig6 always runs its own "
+             "local_biased sweep)",
     )
     run.add_argument(
         "--injector",
-        choices=available_injectors(),
+        choices=INJECTORS,
+        metavar="NAME",
         default=None,
-        help="injection process of the synthetic-traffic experiments "
-             "(default: MEMPOOL_INJECTOR or 'poisson')",
+        help="injection process of the synthetic-traffic experiments, "
+             "one of those the `workloads` command lists (default: "
+             "MEMPOOL_INJECTOR or 'poisson')",
     )
     run.add_argument(
         "--topology",
@@ -191,13 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument(
         "--pattern",
-        choices=available_patterns(),
+        choices=PATTERNS,
+        metavar="NAME",
         default=None,
         help="destination pattern (default: MEMPOOL_PATTERN or 'uniform')",
     )
     record.add_argument(
         "--injector",
-        choices=available_injectors(),
+        choices=INJECTORS,
+        metavar="NAME",
         default=None,
         help="injection process (default: MEMPOOL_INJECTOR or 'poisson')",
     )
@@ -294,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--host",
-        default="0.0.0.0",
-        help="bind address (default: 0.0.0.0)",
+        default="127.0.0.1",
+        help="bind address (default: 127.0.0.1; 0.0.0.0 to serve remote "
+             "dispatchers)",
     )
     worker.add_argument(
         "--port",
@@ -431,8 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_list() -> int:
+    from repro.evaluation.settings import ExperimentSettings
+
+    # A sweep's size depends on its grid alone: nothing here expands a
+    # sweep, so a listing neither simulates nor touches the cache directory.
+    settings = ExperimentSettings()
     for name, definition in EXPERIMENTS.items():
-        settings = ExperimentSettings()
         size = definition.build_sweep(settings).size
         plural = "point" if size == 1 else "points"
         print(f"{name:<10} {size:>3} {plural}  {definition.title}")
@@ -440,6 +455,8 @@ def _command_list() -> int:
 
 
 def _command_workloads() -> int:
+    from repro.workloads import injector_catalogue, pattern_catalogue
+
     print("destination patterns:")
     for entry in pattern_catalogue():
         knobs = ", ".join(sorted(entry.params)) or "-"
@@ -463,6 +480,7 @@ def _command_topologies() -> int:
 
 def _trace_record(args: argparse.Namespace) -> int:
     from repro.core.cluster import MemPoolCluster
+    from repro.evaluation.settings import ExperimentSettings
     from repro.evaluation.traces import (
         DEFAULT_TRACE_LOAD,
         DEFAULT_TRACE_MEASURE,
@@ -567,6 +585,7 @@ def _trace_info(path: str) -> int:
 
 def _trace_replay(args: argparse.Namespace) -> int:
     from repro.evaluation import traces as traces_module
+    from repro.evaluation.settings import ExperimentSettings
     from repro.workloads.trace import TraceFormatError
 
     overrides: dict = {"trace": args.path}
@@ -674,6 +693,8 @@ def _command_validate(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.evaluation.settings import ExperimentSettings
+
     selected, error = resolve_selection(args.experiments)
     if error:
         print(error)
@@ -756,6 +777,11 @@ def _command_worker(args: argparse.Namespace) -> int:
         print(error)
         return 1
     port = DEFAULT_PORT if args.port is None else args.port
+    # A worker is a simulating server: it loads the paper's runner module
+    # (and with it the whole simulator) before it listens, so the process
+    # it forks per connection inherits the import instead of repeating it.
+    import repro.evaluation.points  # noqa: F401
+
     try:
         server = WorkerServer(host=args.host, port=port, cache_spec=args.cache)
     except OSError as error:

@@ -36,7 +36,7 @@ import time
 from typing import Any, Callable, Iterable
 
 from repro.experiments.cache import CacheBackend, ResultCache
-from repro.experiments.executor import ExecutionReport, Executor
+from repro.experiments.executor import ExecutionReport, Executor, import_runners
 from repro.experiments.distributed.cacheserver import CacheServer
 from repro.experiments.distributed.scheduler import ShardScheduler
 from repro.experiments.distributed.shards import Shard, plan_shards
@@ -181,6 +181,10 @@ class DistributedExecutor:
             self.last_report = self._local.make_report(len(spec_list), 0, started)
             return results
 
+        if any(entry.local for entry in self.worker_specs):
+            # Local workers are forked per run: let them inherit the
+            # runners' imports instead of each repeating them.
+            import_runners(spec_list[index] for index in miss_indices)
         channels = self._make_channels()
         shards = plan_shards(
             miss_indices, self._resolve_max_points(len(miss_indices))

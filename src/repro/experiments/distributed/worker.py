@@ -187,7 +187,10 @@ class WorkerServer:
     Parameters
     ----------
     host, port : str, int
-        Bind address.  ``port=0`` picks an ephemeral port, published in
+        Bind address; loopback by default — a worker unpickles frames and
+        calls whatever ``module:function`` its peer names, so serving
+        remote dispatchers (``"0.0.0.0"``) is the operator's explicit
+        choice.  ``port=0`` picks an ephemeral port, published in
         :attr:`port` (and printed by the CLI) for the dispatcher.
     cache_spec : str, optional
         Worker-side cache (see :func:`parse_cache_spec`); ``None`` makes
@@ -198,7 +201,7 @@ class WorkerServer:
 
     def __init__(
         self,
-        host: str = "0.0.0.0",
+        host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         cache_spec: str | None = None,
         heartbeat_s: float = 1.0,

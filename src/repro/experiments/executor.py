@@ -26,6 +26,11 @@ Two orders are contract:
 * **The pool is forked lazily, at the second miss.**  An all-hit sweep and
   a sweep with a single miss (which runs in-process) fork nothing.
 
+Immediately before the fork the parent resolves the sweep's runners
+(:func:`import_runners`): resolving a runner imports everything its points
+execute, so the workers inherit the simulator from one parent-side import
+instead of each importing it under the clock.
+
 Experiment points are independent by construction (each builds its own
 cluster and RNGs from the spec parameters), so serial and parallel
 execution produce identical results — a property the test-suite asserts.
@@ -40,7 +45,22 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.experiments.cache import MISS, CacheBackend
-from repro.experiments.spec import ExperimentSpec, execute_spec
+from repro.experiments.spec import ExperimentSpec, execute_spec, resolve_runner
+
+
+def import_runners(specs: Iterable[ExperimentSpec]) -> None:
+    """Resolve the distinct runners of ``specs`` in this process.
+
+    Called by a parent about to fork workers for ``specs``.  Best effort:
+    a runner that does not resolve is left for its own point to report,
+    so which point fails, and after which stored results, does not depend
+    on this call.
+    """
+    for runner in dict.fromkeys(spec.runner for spec in specs):
+        try:
+            resolve_runner(runner)
+        except Exception:
+            pass  # raised again, with its traceback, where the point runs
 
 
 @dataclass
@@ -317,7 +337,9 @@ class Executor:
                     # Forked between two lookups, never from inside one: a
                     # worker must not inherit a cache backend mid-call (a
                     # held lock, an open entry), and it is this frame an
-                    # outside-in profiler finds the workers under.
+                    # outside-in profiler finds the workers under.  The
+                    # runners are imported first, for the workers to inherit.
+                    import_runners(spec_list)
                     pool = self._mp_context.Pool(
                         processes=min(self.workers, len(spec_list) - index + 1)
                     )

@@ -8,33 +8,29 @@ what both command-line entry points (``python -m repro.experiments`` and
 ``python -m repro.evaluation``) iterate over, and it is the natural place
 to register new experiments as the reproduction grows.
 
-This module imports :mod:`repro.evaluation`; the engine modules
-(:mod:`~repro.experiments.spec`, :mod:`~repro.experiments.sweep`,
-:mod:`~repro.experiments.executor`, :mod:`~repro.experiments.cache`) do
-not, so there is no import cycle.
+Importing this module imports no experiment: a definition *names* the
+:mod:`repro.evaluation` module that holds its sweep builder and
+assembler and imports it on first use, so listing names and titles
+(``--help``, the service's unknown-experiment message) costs nothing.
+The builder modules in turn only name their point functions
+(``"repro.evaluation.points:..."``), so the simulator is loaded when a
+point is about to run and not before.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from repro.evaluation import (
-    fig5,
-    fig6,
-    fig7,
-    fig10,
-    physical_tables,
-    power_table,
-    topologies,
-    traces,
-    workloads,
-)
-from repro.evaluation.settings import ExperimentSettings
 from repro.experiments.executor import Executor
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import Sweep
+
+if TYPE_CHECKING:
+    from repro.evaluation.settings import ExperimentSettings
 
 
 @dataclass(frozen=True)
@@ -47,23 +43,35 @@ class ExperimentDefinition:
         Registry key (e.g. ``"fig7"``), also used on the command line.
     title : str
         One-line description shown by ``python -m repro.experiments list``.
-    build_sweep : callable
-        Maps :class:`ExperimentSettings` to the experiment's :class:`Sweep`.
-    assemble : callable
-        Maps ``(specs, results)`` to the figure's result object; the
-        object must expose a ``report() -> str`` method.
+    module : str
+        The module defining ``<name>_sweep`` and ``assemble_<name>``,
+        imported when :attr:`build_sweep` or :attr:`assemble` is first
+        read.
     """
 
     name: str
     title: str
-    build_sweep: Callable[[ExperimentSettings], Sweep]
-    assemble: Callable[[list[ExperimentSpec], list[Any]], Any]
+    module: str
+
+    @cached_property
+    def build_sweep(self) -> Callable[..., Sweep]:
+        """Maps :class:`ExperimentSettings` to the experiment's :class:`Sweep`."""
+        return getattr(importlib.import_module(self.module), f"{self.name}_sweep")
+
+    @cached_property
+    def assemble(self) -> Callable[[list[ExperimentSpec], list[Any]], Any]:
+        """Maps ``(specs, results)`` to the figure's result object.
+
+        The object must expose a ``report() -> str`` method.
+        """
+        return getattr(importlib.import_module(self.module), f"assemble_{self.name}")
 
     def run(self, settings: ExperimentSettings, executor: Executor) -> Any:
         """Expand the sweep, run it on ``executor`` and assemble the result.
 
         Examples
         --------
+        >>> from repro.evaluation.settings import ExperimentSettings
         >>> from repro.experiments.registry import EXPERIMENTS
         >>> definition = EXPERIMENTS["fig10"]
         >>> result = definition.run(ExperimentSettings(), Executor())
@@ -127,58 +135,21 @@ def run_experiments(
 
 #: Every experiment of the paper, keyed by its CLI name.
 EXPERIMENTS: dict[str, ExperimentDefinition] = {
-    "fig5": ExperimentDefinition(
-        name="fig5",
-        title="throughput/latency of Top1/Top4/TopH vs injected load",
-        build_sweep=fig5.fig5_sweep,
-        assemble=fig5.assemble_fig5,
-    ),
-    "fig6": ExperimentDefinition(
-        name="fig6",
-        title="TopH under the hybrid addressing scheme (p_local sweep)",
-        build_sweep=fig6.fig6_sweep,
-        assemble=fig6.assemble_fig6,
-    ),
-    "fig7": ExperimentDefinition(
-        name="fig7",
-        title="benchmark performance relative to the ideal crossbar",
-        build_sweep=fig7.fig7_sweep,
-        assemble=fig7.assemble_fig7,
-    ),
-    "fig10": ExperimentDefinition(
-        name="fig10",
-        title="energy per instruction of the TopH tile",
-        build_sweep=fig10.fig10_sweep,
-        assemble=fig10.assemble_fig10,
-    ),
-    "power": ExperimentDefinition(
-        name="power",
-        title="tile/cluster power while running matmul (Section VI-D)",
-        build_sweep=power_table.power_sweep,
-        assemble=power_table.assemble_power,
-    ),
-    "physical": ExperimentDefinition(
-        name="physical",
-        title="tile/cluster area, timing and congestion (Sections VI-B/C)",
-        build_sweep=physical_tables.physical_sweep,
-        assemble=physical_tables.assemble_physical,
-    ),
-    "workloads": ExperimentDefinition(
-        name="workloads",
-        title="workload catalogue: every pattern x injector on one topology",
-        build_sweep=workloads.workloads_sweep,
-        assemble=workloads.assemble_workloads,
-    ),
-    "topologies": ExperimentDefinition(
-        name="topologies",
-        title="topology catalogue: every registered family at one load",
-        build_sweep=topologies.topologies_sweep,
-        assemble=topologies.assemble_topologies,
-    ),
-    "traces": ExperimentDefinition(
-        name="traces",
-        title="trace catalogue: one recorded trace replayed per topology family",
-        build_sweep=traces.traces_sweep,
-        assemble=traces.assemble_traces,
-    ),
+    name: ExperimentDefinition(name, title, f"repro.evaluation.{module}")
+    for name, title, module in (
+        ("fig5", "throughput/latency of Top1/Top4/TopH vs injected load", "fig5"),
+        ("fig6", "TopH under the hybrid addressing scheme (p_local sweep)", "fig6"),
+        ("fig7", "benchmark performance relative to the ideal crossbar", "fig7"),
+        ("fig10", "energy per instruction of the TopH tile", "fig10"),
+        ("power", "tile/cluster power while running matmul (Section VI-D)",
+         "power_table"),
+        ("physical", "tile/cluster area, timing and congestion (Sections VI-B/C)",
+         "physical_tables"),
+        ("workloads", "workload catalogue: every pattern x injector on one topology",
+         "workloads"),
+        ("topologies", "topology catalogue: every registered family at one load",
+         "topologies"),
+        ("traces", "trace catalogue: one recorded trace replayed per topology family",
+         "traces"),
+    )
 }

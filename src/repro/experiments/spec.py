@@ -40,7 +40,7 @@ def resolve_runner(runner: str) -> Callable[..., Any]:
     ----------
     runner : str
         Dotted module path and function name separated by a colon, e.g.
-        ``"repro.evaluation.fig5:simulate_fig5_point"``.  The function must
+        ``"repro.evaluation.points:simulate_fig5_point"``.  The function must
         be a module-level callable so worker processes can re-import it.
 
     Returns

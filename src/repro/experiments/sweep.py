@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from repro.experiments.spec import ExperimentSpec
 
@@ -30,8 +30,12 @@ class Sweep:
         product of the value sequences is taken in key order (first key
         outermost).  An empty grid yields exactly one spec (the base
         parameters alone).
-    base : Mapping
-        Parameters shared by every point (e.g. seeds and scale knobs).
+    base : Mapping or callable
+        Parameters shared by every point (e.g. seeds and scale knobs).  A
+        zero-argument callable returning the mapping is evaluated by
+        :meth:`specs`, once per expansion: a sweep whose shared parameters
+        need an input file (the ``traces`` experiment hashes its trace
+        into them) can then be built and counted without that file.
     name : str
         Display name used by the CLI and by spec labels.
 
@@ -50,7 +54,7 @@ class Sweep:
 
     runner: str
     grid: Mapping[str, Sequence] = field(default_factory=dict)
-    base: Mapping = field(default_factory=dict)
+    base: Union[Mapping, Callable[[], Mapping]] = field(default_factory=dict)
     name: str = ""
 
     @property
@@ -72,10 +76,11 @@ class Sweep:
         """
         keys = list(self.grid)
         combos = itertools.product(*(self.grid[key] for key in keys))
+        base = dict(self.base() if callable(self.base) else self.base)
         return [
             ExperimentSpec(
                 runner=self.runner,
-                params={**dict(self.base), **dict(zip(keys, combo))},
+                params={**base, **dict(zip(keys, combo))},
                 name=self.name,
             )
             for combo in combos

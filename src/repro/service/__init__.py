@@ -17,11 +17,9 @@ or in-process::
     service = SweepService(workers="1", cache="memory").start()
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-import importlib
-
-#: Public name -> defining submodule, resolved on first access (PEP 562):
+#: Public name -> defining submodule, resolved on first access:
 #: ``import repro.service.client`` — all a client script needs — must not
 #: pay for the server (``asyncio``, the executors, the distributed stack).
 _EXPORTS = {
@@ -43,12 +41,4 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str):
-    """Import the submodule that defines ``name`` and return the attribute."""
-    submodule = _EXPORTS.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

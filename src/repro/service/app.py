@@ -90,8 +90,9 @@ def build_specs(payload) -> tuple:
         mapping, names an unknown experiment/runner, carries invalid
         settings, or sweeps unhashable parameter values.
     """
-    # Imported here so the module can be imported without dragging in the
-    # full evaluation stack until a submission actually needs it.
+    # Imported here so that booting the service loads neither NumPy nor the
+    # registries (settings and the builder modules need both); no import
+    # below loads the simulator — that waits for the first point to run.
     from repro.evaluation.settings import ExperimentSettings
     from repro.experiments.registry import EXPERIMENTS
     from repro.experiments.spec import resolve_runner

@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.cluster import MemPoolCluster
+from repro.engine import traffic as engine_traffic
 from repro.traffic.generator import PoissonInjector, TrafficPattern, UniformRandomPattern
 from repro.utils.rotation import PermutationSchedule
 from repro.utils.stats import Histogram, OnlineStats
@@ -244,9 +245,8 @@ class TrafficSimulation:
                 f"warmup_cycles must be non-negative, got {warmup_cycles}"
             )
         if getattr(self.cluster, "engine_kind", "legacy") != "legacy":
-            from repro.engine.traffic import run_vector_traffic
-
-            return run_vector_traffic(
+            # Through the module: bench/spans.py wraps the function there.
+            return engine_traffic.run_vector_traffic(
                 self, warmup_cycles, measure_cycles, record_flits=record_flits
             )
         network = self.cluster.network

@@ -8,11 +8,17 @@ hanging it.
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 
 #: Upper bound of every wait below, in seconds.
 WAIT_S = 10.0
+
+#: The process that imported this module.  A forked worker reports its
+#: parent's pid here exactly when the parent imported the module before
+#: the fork; a worker that had to import it itself reports its own.
+IMPORT_PID = os.getpid()
 
 ERRORS = {"runtime": RuntimeError, "interrupt": KeyboardInterrupt}
 
@@ -26,6 +32,12 @@ def wait_for_files(directory: str, pattern: str, count: int = 1) -> None:
                 f"fewer than {count} {pattern!r} under {directory} after {WAIT_S} s"
             )
         time.sleep(0.005)
+
+
+def pids(*, index: int) -> tuple[int, int]:
+    """``(pid that imported this module, pid running this point)``."""
+    del index  # only makes the specs of one sweep distinct
+    return IMPORT_PID, os.getpid()
 
 
 def multiply_and_touch(*, a: float, b: float, touch: str) -> float:

@@ -586,6 +586,18 @@ class TestDistributedExecutor:
         finally:
             server.stop()
 
+    def test_worker_listens_on_loopback_unless_told_otherwise(self):
+        # A worker unpickles frames and calls any module:function a peer
+        # names: serving other hosts is an explicit `--host 0.0.0.0`.
+        from repro.experiments.__main__ import build_parser
+
+        server = WorkerServer(port=0)
+        try:
+            assert server.host == "127.0.0.1"
+        finally:
+            server.stop()
+        assert build_parser().parse_args(["worker"]).host == "127.0.0.1"
+
     def test_unreachable_worker_does_not_hang_the_run(self):
         # One channel points at a dead port: it retires immediately and
         # the local channel absorbs the whole sweep.

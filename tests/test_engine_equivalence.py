@@ -203,7 +203,7 @@ def test_full_scale_256_core_equivalence_smoke():
 
 def test_point_function_equivalence_via_engine_flag():
     """The ``engine`` parameter of the fig5 point function is behaviour-neutral."""
-    from repro.evaluation.fig5 import simulate_fig5_point
+    from repro.evaluation.points import simulate_fig5_point
 
     legacy = simulate_fig5_point(
         topology="toph", load=0.2, warmup_cycles=50, measure_cycles=150,

@@ -1,4 +1,4 @@
-"""The executor's one loop: store-then-report, resume, overlap, lazy fork.
+"""The executor's one loop: store-then-report, resume, overlap, lazy fork, inherited imports.
 
 ``Executor.run`` looks up, dispatches, collects and stores in a single pass
 (see the ``repro.experiments.executor`` module docstring).  Nothing here
@@ -10,11 +10,14 @@ scan phase before the compute or a store phase after it times out.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import sys
 
 import pytest
 
 from executor_points import ERRORS, wait_for_files
 from repro.experiments import Executor, ExperimentSpec, MemoryCache, ResultCache
+from repro.experiments.distributed import DistributedExecutor
 
 #: Entry files of a ``ResultCache``, relative to its root.
 ENTRIES = "*/*.pkl"
@@ -179,6 +182,62 @@ class TestLazyFork:
         assert executor.run(specs) == [10, 20, 30, 40, 50]
         # Forked at the second miss: one miss held back, two specs left.
         assert context.sizes == [3]
+
+
+class TestWorkersInheritTheRunnerImport:
+    """The parent resolves the sweep's runners before it forks workers.
+
+    ``executor_points`` records the pid that imported it.  With the module
+    gone from ``sys.modules``, only a parent-side import before the fork
+    lets a worker report the *parent's* pid there.
+    """
+
+    SPECS = [point("pids", index=index) for index in range(4)]
+
+    @pytest.fixture(autouse=True)
+    def runner_module_not_imported(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "executor_points")
+
+    @staticmethod
+    def check(results):
+        import_pids = {import_pid for import_pid, _ in results}
+        worker_pids = {worker_pid for _, worker_pid in results}
+        assert import_pids == {os.getpid()}
+        assert os.getpid() not in worker_pids
+
+    @ENTRY
+    def test_pool_workers(self, entry):
+        self.check(getattr(Executor(workers=2), entry)(self.SPECS))
+
+    def test_local_workers_of_the_distributed_executor(self):
+        executor = DistributedExecutor(workers=2, lease_s=60.0)
+        self.check(executor.run(self.SPECS))
+        assert executor.last_report.shards > 1
+
+    def test_spawned_workers_import_for_themselves(self):
+        executor = Executor(
+            workers=2, mp_context=multiprocessing.get_context("spawn")
+        )
+        results = executor.run(self.SPECS[:2])
+        assert all(
+            import_pid == worker_pid != os.getpid()
+            for import_pid, worker_pid in results
+        )
+
+    def test_unresolvable_runner_fails_at_its_own_point(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        specs = [multiply(1), multiply(2), multiply(3), point("no_such_function")]
+        reported = []
+        with pytest.raises(ValueError, match="no attribute 'no_such_function'") as raised:
+            Executor(workers=2, cache=cache).run(
+                specs, lambda spec, value: reported.append(spec.key)
+            )
+        # Raised by the point, in a worker: the parent-side resolve before
+        # the fork passed the runner over, so failure order is unchanged ...
+        assert "in resolve_runner" in str(raised.value.__cause__)
+        # ... and so is the contract: what was reported is stored.
+        assert len(cache) == len(reported)
+        assert all(key in cache for key in reported)
 
 
 class TestResultsAndReport:

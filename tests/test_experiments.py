@@ -61,7 +61,7 @@ class TestSpec:
     def test_key_covers_the_program_source(self):
         # Different programs -> different fingerprints feed the key.
         assert program_fingerprint("math:gcd") != program_fingerprint(
-            "repro.evaluation.fig5:simulate_fig5_point"
+            "repro.evaluation.points:simulate_fig5_point"
         )
 
     def test_fingerprint_covers_the_whole_package(self):
@@ -69,8 +69,8 @@ class TestSpec:
         # repro runner shares one fingerprint over the whole package tree
         # — an edit anywhere in repro/ invalidates all cached results.
         assert program_fingerprint(
-            "repro.evaluation.fig5:simulate_fig5_point"
-        ) == program_fingerprint("repro.evaluation.fig7:simulate_fig7_point")
+            "repro.evaluation.points:simulate_fig5_point"
+        ) == program_fingerprint("repro.evaluation.points:simulate_fig7_point")
 
     def test_config_objects_canonicalise_via_to_dict(self):
         tiny = MemPoolConfig.tiny()
@@ -343,7 +343,8 @@ class TestFig7SeedRegression:
     def seed_style_fig7(self, settings):
         """The pre-refactor nested loop, verbatim from the seed."""
         from repro.core.cluster import MemPoolCluster
-        from repro.evaluation.fig7 import Fig7Result, _build_kernel
+        from repro.evaluation.fig7 import Fig7Result
+        from repro.evaluation.points import _build_kernel
 
         outcome = Fig7Result()
         for kernel_name in self.KERNELS:

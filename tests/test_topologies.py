@@ -267,7 +267,7 @@ class TestCrossEngineEquivalence:
         assert logs["legacy"] == logs["vector"] == logs["compiled"], name
 
     def test_parameterized_point_is_engine_neutral(self):
-        from repro.evaluation.topologies import simulate_topology_point
+        from repro.evaluation.points import simulate_topology_point
 
         results = {
             engine: simulate_topology_point(
@@ -309,7 +309,7 @@ class TestConfigIntegration:
     def test_cache_keys_cannot_collide_across_topologies(self):
         def spec(**params):
             return ExperimentSpec(
-                runner="repro.evaluation.topologies:simulate_topology_point",
+                runner="repro.evaluation.points:simulate_topology_point",
                 params={"load": 0.2, **params},
             )
 

@@ -234,7 +234,7 @@ class TestCacheKeys:
 
         def spec_for(path, sha):
             return ExperimentSpec(
-                runner="repro.evaluation.traces:simulate_trace_point",
+                runner="repro.evaluation.points:simulate_trace_point",
                 params={"topology": "mesh", "trace": "same-label",
                         "trace_sha": sha, "load": 0.25},
             )
@@ -347,7 +347,7 @@ class TestEnergyAttach:
         assert len(totals) == 1
 
     def test_point_function_energy_flag(self):
-        from repro.evaluation.fig5 import simulate_fig5_point
+        from repro.evaluation.points import simulate_fig5_point
 
         base = dict(topology="toph", load=0.1, warmup_cycles=10,
                     measure_cycles=30)

@@ -382,7 +382,7 @@ class TestWorkloadBearingSettings:
                       "pattern": "uniform", "injector": "poisson"}
             params.update(overrides)
             return ExperimentSpec(
-                runner="repro.evaluation.fig5:simulate_fig5_point", params=params
+                runner="repro.evaluation.points:simulate_fig5_point", params=params
             )
 
         keys = {
@@ -420,7 +420,7 @@ class TestDefaultWorkloadsBitIdentical:
 
     @pytest.mark.parametrize("engine", ["legacy", "vector"])
     def test_fig5_default_point_unchanged(self, engine):
-        from repro.evaluation.fig5 import simulate_fig5_point
+        from repro.evaluation.points import simulate_fig5_point
 
         result = simulate_fig5_point(
             topology="toph", load=0.2, warmup_cycles=100, measure_cycles=300,
@@ -430,7 +430,7 @@ class TestDefaultWorkloadsBitIdentical:
 
     @pytest.mark.parametrize("engine", ["legacy", "vector"])
     def test_fig6_default_point_unchanged(self, engine):
-        from repro.evaluation.fig6 import simulate_fig6_point
+        from repro.evaluation.points import simulate_fig6_point
 
         result = simulate_fig6_point(
             p_local=0.25, load=0.3, warmup_cycles=100, measure_cycles=300,

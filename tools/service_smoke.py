@@ -20,6 +20,12 @@ The server runs with ``--ttl 0`` so the resubmission exercises the
 cache-hit path as a *fresh* job (the finished job is pruned immediately)
 rather than the in-registry dedup path, which the unit tests cover.
 Exits non-zero with a diagnostic on any mismatch.
+
+Also prints two wall-clock spans measured from the moment the server
+process is spawned — to its first ``/healthz`` answer and to the ``done``
+of the cold submit.  ``serve`` boots without the simulator and imports it
+for the first cold job, so the first span shows what booting costs and the
+second that deferring the import did not move the first result.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -52,8 +59,13 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def start_server(cache_dir: str) -> tuple[subprocess.Popen, int]:
-    """Launch the serve subcommand on an ephemeral port; return (proc, port)."""
+def start_server(cache_dir: str) -> tuple[subprocess.Popen, int, float]:
+    """Launch the serve subcommand on an ephemeral port.
+
+    Returns ``(process, port, spawned)``, ``spawned`` being the
+    ``time.perf_counter()`` reading just before the process was created.
+    """
+    spawned = time.perf_counter()
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.experiments", "serve",
@@ -68,7 +80,7 @@ def start_server(cache_dir: str) -> tuple[subprocess.Popen, int]:
     if not match:
         process.kill()
         fail(f"server did not announce a port: {line!r}")
-    return process, int(match.group(1))
+    return process, int(match.group(1)), spawned
 
 
 def main() -> int:
@@ -85,11 +97,12 @@ def main() -> int:
     }
 
     with tempfile.TemporaryDirectory(prefix="service-smoke-") as cache_dir:
-        process, port = start_server(cache_dir)
+        process, port, spawned = start_server(cache_dir)
         try:
             client = ServiceClient("127.0.0.1", port, timeout=60.0)
             if client.healthz()["status"] != "ok":
                 fail("healthz did not answer ok")
+            healthy = time.perf_counter()
 
             print(f"service-smoke: server on port {port}; submitting sweep")
             reply = client.submit(SUBMISSION)
@@ -112,6 +125,7 @@ def main() -> int:
                         f"differs from the direct Executor run"
                     )
                 fetched.add(key)
+            done = time.perf_counter()
             kinds = [event["kind"] for event in events]
             states = [e["state"] for e in events if e["kind"] == "state"]
             print(
@@ -120,6 +134,10 @@ def main() -> int:
             )
             if states[-1] != "done":
                 fail(f"job ended {states[-1]!r}: {client.job(job_id)}")
+            print(
+                f"service-smoke: spawn -> healthz {healthy - spawned:.3f} s, "
+                f"spawn -> first done {done - spawned:.3f} s"
+            )
             if kinds.count("point") != len(specs) or fetched != set(keys):
                 fail(
                     f"stream reported {kinds.count('point')} points "
