@@ -10,7 +10,7 @@
 #   make bench-ab PARENT=<rev> [WORKLOAD=a,b] [PAIRS=10] [PROFILE=N]  interleaved A/B of the working tree
 #   make distributed-smoke  distributed executor vs serial: identity + crash recovery
 #   make service-smoke  HTTP sweep service end to end: submit/stream/fetch vs direct run
-#   make fuzz       bounded differential fuzz of the three engines
+#   make fuzz       bounded differential fuzz of the two engines
 #   make validate   statistical golden-band validation (repro.validation)
 #   make validate-update  re-measure and re-commit the golden bands
 #   make lint       ruff (pyproject.toml config) when available, else docs-lint
@@ -117,7 +117,7 @@ service-smoke:
 	$(PYTHON) tools/service_smoke.py
 
 # Property-based differential fuzzing: FUZZ_BUDGET configurations sampled
-# from the registries' whole space, each run on all three engines and
+# from the registries' whole space, each run on both engines and
 # compared flit for flit.  Failures shrink and print a one-line
 # `python -m repro.validation --replay '<spec>'` reproducer.
 fuzz:

@@ -27,7 +27,6 @@ import time
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.engine import VectorStageNetwork
-from repro.engine.kernel import JIT_ENABLED
 from repro.traffic.simulation import TrafficSimulation
 
 #: Injected loads of the benchmark sweep (request/core/cycle); spans the
@@ -133,60 +132,20 @@ def test_engine_speedup_and_write_bench(report_sink, bench_out_path):
     )
 
 
-def test_compiled_speedup_and_write_bench(report_sink, bench_out_path):
-    """Compiled-kernel engine vs the vector engine on the same sweep.
-
-    Merges a ``"compiled"`` section into ``BENCH_engine.json`` with the
-    advance speedup over vector and the ``jit`` flag recording which
-    kernel backend produced it; ``tools/bench_report.py`` gates the ratio
-    only against a baseline recorded in the same jit mode.
-    """
-    result_path = bench_out_path("BENCH_engine.json")
-    # Cycle-exactness gate first: same sweep, same flits.
-    logs = {}
-    for engine in ("vector", "compiled"):
-        cluster = MemPoolCluster(MemPoolConfig.scaled(BENCH_TOPOLOGY), engine=engine)
-        logs[engine] = TrafficSimulation(cluster, 0.3, seed=SEED).run(
-            warmup_cycles=100, measure_cycles=300, record_flits=True
-        ).flit_log
-    assert logs["vector"] == logs["compiled"]
-
-    vector = _run_sweep("vector")
-    compiled = _run_sweep("compiled")
-    speedup = vector["advance_seconds"] / compiled["advance_seconds"]
-    payload = json.loads(result_path.read_text()) if result_path.exists() else {}
-    payload["compiled"] = {
-        "benchmark": "64-core load sweep "
-                     f"({BENCH_TOPOLOGY}, loads {list(BENCH_LOADS)}, "
-                     f"{WARMUP_CYCLES}+{MEASURE_CYCLES} cycles/point)",
-        "vector": vector,
-        "compiled": compiled,
-        "speedup_vs_vector": round(speedup, 2),
-        "jit": JIT_ENABLED,
-    }
-    result_path.write_text(json.dumps(payload, indent=2) + "\n")
-    mode = "numba JIT" if JIT_ENABLED else "pure-Python kernels"
-    report_sink.append(
-        f"compiled benchmark ({mode}): advance {speedup:.2f}x over vector "
-        f"({vector['advance_cycles_per_sec']} -> "
-        f"{compiled['advance_cycles_per_sec']} cycles/s) -> {result_path.name}"
-    )
-
-
 def test_full_scale_smoke_sweep_and_write_bench(report_sink, bench_out_path):
     """Paper-scale 256-core fig5-style point: exact and CI-friendly fast.
 
     Runs one short uniform-load point on the full 256-core TopH cluster
-    through all three per-sim engines, asserts flit-for-flit identity, and
-    records the compiled engine's wall time in the ``"compiled"`` section
-    (informational — machine-dependent).
+    through both engines, asserts flit-for-flit identity, and records their
+    wall times in the ``"full_scale"`` section (informational —
+    machine-dependent).
     """
     result_path = bench_out_path("BENCH_engine.json")
     config = MemPoolConfig.full("toph")
     assert config.num_cores == 256
     logs = {}
     seconds = {}
-    for engine in ("legacy", "vector", "compiled"):
+    for engine in ("legacy", "vector"):
         cluster = MemPoolCluster(config, engine=engine)
         cluster.network  # build/compile outside the timing
         started = time.perf_counter()
@@ -198,14 +157,11 @@ def test_full_scale_smoke_sweep_and_write_bench(report_sink, bench_out_path):
         seconds[engine] = time.perf_counter() - started
     assert logs["legacy"]  # the comparison must not be vacuous
     assert logs["legacy"] == logs["vector"]
-    assert logs["legacy"] == logs["compiled"]
 
     payload = json.loads(result_path.read_text()) if result_path.exists() else {}
-    section = payload.setdefault("compiled", {})
-    section["full_scale"] = {
+    payload["full_scale"] = {
         "benchmark": "256-core toph uniform point, load 0.15, "
                      f"{FULL_SCALE_WARMUP}+{FULL_SCALE_MEASURE} cycles",
-        "jit": JIT_ENABLED,
         "seconds": {name: round(value, 3) for name, value in seconds.items()},
     }
     result_path.write_text(json.dumps(payload, indent=2) + "\n")

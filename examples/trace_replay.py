@@ -95,8 +95,8 @@ def main() -> None:
         print()
 
         print("== 3. Replay is engine-independent ==")
-        compiled_cluster = MemPoolCluster(build_config("toph"), engine="compiled")
-        compiled = compiled_cluster.traffic_simulation(
+        vector_cluster = MemPoolCluster(build_config("toph"), engine="vector")
+        vector = vector_cluster.traffic_simulation(
             LOAD,
             pattern="trace", pattern_params=replay,
             injector="trace", injector_params=replay,
@@ -106,8 +106,8 @@ def main() -> None:
             measure_cycles=int(header["cycles"]) + 256,
             record_flits=True,
         )
-        identical = compiled.flit_log == logs["toph"]
-        print(f"  compiled-engine TopH replay == legacy replay: {identical}")
+        identical = vector.flit_log == logs["toph"]
+        print(f"  vector-engine TopH replay == legacy replay: {identical}")
         assert identical, "trace replay must be engine-independent"
 
 

@@ -16,7 +16,7 @@ from repro.addressing.layout import MemoryLayout
 from repro.addressing.map import AddressMap, make_address_map
 from repro.core.config import ENGINES, MemPoolConfig
 from repro.core.memory import SharedL1Memory
-from repro.engine import CompiledEngine, VectorEngine, VectorStageNetwork
+from repro.engine import VectorStageNetwork
 from repro.engine.compile import shared_network
 from repro.interconnect.resources import Flit
 from repro.interconnect.topology import ClusterTopology, build_topology
@@ -110,27 +110,19 @@ class MemPoolCluster:
         expose the same ``advance`` / ``try_inject`` / ``drain`` interface
         over ``Flit`` objects; the simulators use that interface on
         ``legacy`` only and drive the SoA engine behind ``network.engine``
-        in rows.  ``engine="compiled"`` gets the same wrapper over the
-        ring-buffer :class:`~repro.engine.compiled.CompiledEngine` (the
-        typed-array kernels of :mod:`repro.engine.kernel`).
+        in rows.
         """
         if self.engine_kind != "legacy":
             if self._vector_network is None:
                 compiled = self.compiled_network()
                 self._vector_network = VectorStageNetwork(
-                    compiled.topology,
-                    compiled=compiled,
-                    engine_cls=(
-                        CompiledEngine
-                        if self.engine_kind == "compiled"
-                        else VectorEngine
-                    ),
+                    compiled.topology, compiled=compiled
                 )
             return self._vector_network
         return self.topology.network
 
     def compiled_network(self):
-        """This configuration's topology compiled for the SoA engines.
+        """This configuration's topology compiled for the SoA engine.
 
         The :class:`~repro.engine.compile.CompiledNetwork` is structure
         only and **shared per process**, not owned by this cluster: every

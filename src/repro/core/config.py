@@ -32,16 +32,13 @@ TOPOLOGIES = ("top1", "top4", "toph", "topx")
 WORD_BYTES = 4
 
 #: Timing-engine implementations selectable per cluster: the per-object
-#: ``StageNetwork`` ("legacy"), the structure-of-arrays vector engine of
-#: :mod:`repro.engine` ("vector"), or the ring-buffer/typed-kernel engine
-#: ("compiled", :mod:`repro.engine.compiled`) whose advance pass runs under
-#: Numba ``@njit`` when the optional ``[perf]`` extra is installed
-#: (pure-Python reference kernels otherwise).  All three are cycle-exact
-#: for fixed seeds.  This tuple is the single source of truth, kept with
-#: the configuration so that naming an engine (settings, ``--engine``)
-#: does not import one; :mod:`repro.core.cluster` and :mod:`repro.engine`
-#: re-export it.
-ENGINES = ("legacy", "vector", "compiled")
+#: ``StageNetwork`` ("legacy", the readable oracle) and the
+#: structure-of-arrays vector engine of :mod:`repro.engine` ("vector").
+#: Both are cycle-exact for fixed seeds.  This tuple is the single source
+#: of truth, kept with the configuration so that naming an engine
+#: (settings, ``--engine``) does not import one; :mod:`repro.core.cluster`
+#: and :mod:`repro.engine` re-export it.
+ENGINES = ("legacy", "vector")
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ def _engine_port(cluster: MemPoolCluster):
     is_write, created_cycle, sequence)`` request and returns whether it was
     accepted; ``advance(cycle)`` moves the network one cycle and returns the
     completed reads as ``(core_id, sequence, latency)``.  ``legacy`` gets a
-    ``Flit`` per request; the SoA engines get flit rows and no object.
+    ``Flit`` per request; the SoA engine gets flit rows and no object.
     """
     network = cluster.network
     if cluster.engine_kind == "legacy":

@@ -24,12 +24,6 @@ encodes position and next move in one cell.
 Nothing outside this class needs to know the split: analytics call
 :meth:`sync` (or :meth:`latencies`, which does) and get NumPy columns; the
 engine touches the hot lists.
-
-:class:`RingQueues` extends the same philosophy to the stage buffers: the
-``compiled`` engine replaces the vector engine's per-stage deques with
-fixed-capacity ring buffers packed into one flat ``int32`` array, so the
-typed-array kernels of :mod:`repro.engine.kernel` address them with pure
-integer arithmetic.
 """
 
 from __future__ import annotations
@@ -212,102 +206,3 @@ class FlitTable:
             int(self.injected_cycle[row]),
             int(self.completed_cycle[row]),
         )
-
-
-class RingQueues:
-    """Fixed-capacity int32 ring buffers replacing per-stage Python deques.
-
-    The queue state of the ``compiled`` engine
-    (:mod:`repro.engine.compiled`): one ring per stage, all rings
-    packed into a single flat ``buffer`` array so the typed-array kernels of
-    :mod:`repro.engine.kernel` index them with nothing but integer
-    arithmetic.  A ring's capacity equals its stage's elastic-buffer
-    depth — the engine checks ``free_slots`` (depth minus fill) before every
-    push, so a ring can never overflow.
-
-    Parameters
-    ----------
-    capacities : iterable of int
-        Per-stage ring capacity (the compiled network's ``stage_depth``).
-
-    Attributes
-    ----------
-    capacity : numpy.ndarray of int32
-        Ring capacity per stage.
-    start : numpy.ndarray of int64
-        Offset of each stage's ring inside :attr:`buffer`
-        (``start[stage] .. start[stage] + capacity[stage]``); one trailing
-        entry holds the total size.
-    buffer : numpy.ndarray of int32
-        The concatenated ring storage (flit row ids).
-    head, size : numpy.ndarray of int32
-        Per-stage ring cursor and fill level.
-
-    Examples
-    --------
-    >>> rings = RingQueues([2, 3])
-    >>> rings.push(0, 11); rings.push(0, 12)
-    >>> rings.pop(0)
-    11
-    >>> rings.push(0, 13)  # wraps around the capacity-2 ring
-    >>> rings.pop(0), rings.pop(0)
-    (12, 13)
-    """
-
-    def __init__(self, capacities) -> None:
-        caps = list(capacities)
-        if any(cap < 1 for cap in caps):
-            raise ValueError("every ring needs a positive capacity")
-        self.num_queues = len(caps)
-        self.capacity = np.asarray(caps, dtype=np.int32)
-        self.start = np.zeros(self.num_queues + 1, dtype=np.int64)
-        np.cumsum(self.capacity, out=self.start[1:])
-        self.buffer = np.zeros(int(self.start[-1]), dtype=np.int32)
-        self.head = np.zeros(self.num_queues, dtype=np.int32)
-        self.size = np.zeros(self.num_queues, dtype=np.int32)
-
-    def push(self, queue: int, row: int) -> None:
-        """Append ``row`` to ``queue``'s tail; raise when the ring is full."""
-        size = int(self.size[queue])
-        capacity = int(self.capacity[queue])
-        if size == capacity:
-            raise IndexError(f"ring {queue} is full (capacity {capacity})")
-        pos = int(self.head[queue]) + size
-        if pos >= capacity:
-            pos -= capacity
-        self.buffer[int(self.start[queue]) + pos] = row
-        self.size[queue] = size + 1
-
-    def pop(self, queue: int) -> int:
-        """Pop and return ``queue``'s head row; raise when empty."""
-        size = int(self.size[queue])
-        if size == 0:
-            raise IndexError(f"ring {queue} is empty")
-        head = int(self.head[queue])
-        row = int(self.buffer[int(self.start[queue]) + head])
-        head += 1
-        if head == int(self.capacity[queue]):
-            head = 0
-        self.head[queue] = head
-        self.size[queue] = size - 1
-        return row
-
-    def peek(self, queue: int) -> int:
-        """Return ``queue``'s head row without popping; raise when empty."""
-        if self.size[queue] == 0:
-            raise IndexError(f"ring {queue} is empty")
-        return int(self.buffer[int(self.start[queue]) + int(self.head[queue])])
-
-    def length(self, queue: int) -> int:
-        """Number of rows currently buffered in ``queue``."""
-        return int(self.size[queue])
-
-    def rows(self, queue: int) -> list[int]:
-        """The rows of ``queue`` in FIFO order (introspection/tests)."""
-        capacity = int(self.capacity[queue])
-        start = int(self.start[queue])
-        head = int(self.head[queue])
-        return [
-            int(self.buffer[start + (head + offset) % capacity])
-            for offset in range(int(self.size[queue]))
-        ]

@@ -1,7 +1,7 @@
-"""Open-loop traffic measurement running natively on the SoA engines.
+"""Open-loop traffic measurement running natively on the SoA engine.
 
 This is the fast path behind :meth:`repro.traffic.simulation.TrafficSimulation.run`
-when the cluster was built with ``engine="vector"`` or ``"compiled"``: the
+when the cluster was built with ``engine="vector"``: the
 same warm-up / measure window, the same random streams (arrival process,
 destination pattern, injection permutation — drawn in exactly the legacy
 order, so results are flit-for-flit identical), but no :class:`Flit`
@@ -103,7 +103,7 @@ def run_vector_traffic(
     ----------
     simulation : repro.traffic.simulation.TrafficSimulation
         The configured simulation; its cluster must have been built with
-        ``engine="vector"`` or ``"compiled"``.  The driver reuses the
+        ``engine="vector"``.  The driver reuses the
         simulation's injector, pattern, injection schedule, source queues
         and clock so repeated windows match the legacy loop call for call.
     warmup_cycles, measure_cycles : int

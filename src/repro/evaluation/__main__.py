@@ -61,9 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engine", choices=ENGINES, default=None,
         help="timing engine for the simulating experiments (default: "
              "MEMPOOL_ENGINE or 'legacy'; 'vector' is the faster "
-             "structure-of-arrays engine, 'compiled' runs the ring-buffer "
-             "kernel engine, JIT-compiled when numba is installed — "
-             "results are identical for all three)",
+             "structure-of-arrays engine — results are identical for both)",
     )
     parser.add_argument(
         "--pattern", metavar="NAME", default=None,

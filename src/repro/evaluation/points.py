@@ -113,9 +113,8 @@ def simulate_fig5_point(
     seed : int
         Seed of the traffic generator.
     engine : str
-        Timing engine (``legacy``, ``vector`` or ``compiled``); all
-        produce identical results for fixed seeds, ``vector`` is several
-        times faster.
+        Timing engine (``legacy`` or ``vector``); both produce identical
+        results for fixed seeds, ``vector`` is several times faster.
     pattern, injector : str
         Workload registry names (see :mod:`repro.workloads`); the paper's
         Figure 5 is ``uniform`` x ``poisson``, but any registered pair
@@ -180,9 +179,8 @@ def simulate_fig6_point(
     seed : int
         Seed shared by the pattern and the injector.
     engine : str
-        Timing engine (``legacy``, ``vector`` or ``compiled``); all
-        produce identical results for fixed seeds, ``vector`` is several
-        times faster.
+        Timing engine (``legacy`` or ``vector``); both produce identical
+        results for fixed seeds, ``vector`` is several times faster.
     injector : str
         Injection-process registry name (see :mod:`repro.workloads`);
         the paper uses ``poisson``.  The destination pattern is not a

@@ -69,12 +69,9 @@ class ExperimentSettings:
     #: Random seed shared by the traffic generators and kernels.
     seed: int = DEFAULT_SEED
     #: Timing-engine implementation the simulating drivers run on:
-    #: ``"legacy"`` (per-object stage network), ``"vector"`` (the
-    #: structure-of-arrays engine of :mod:`repro.engine`) or
-    #: ``"compiled"`` (ring-buffer queues + the typed-array kernels of
-    #: :mod:`repro.engine.kernel`, JIT-built under Numba when the optional
-    #: ``[perf]`` extra is installed).  All three produce identical
-    #: results for fixed seeds; honours ``MEMPOOL_ENGINE``.
+    #: ``"legacy"`` (per-object stage network) or ``"vector"`` (the
+    #: structure-of-arrays engine of :mod:`repro.engine`).  Both produce
+    #: identical results for fixed seeds; honours ``MEMPOOL_ENGINE``.
     engine: str = field(default_factory=_engine_from_environment)
     #: Destination pattern of the synthetic-traffic experiments, by
     #: workload registry name; honours ``MEMPOOL_PATTERN``.  fig6 ignores

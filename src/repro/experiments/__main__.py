@@ -126,9 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="timing engine for the simulating experiments (default: "
              "MEMPOOL_ENGINE or 'legacy'; 'vector' is the faster "
-             "structure-of-arrays engine, 'compiled' runs the ring-buffer "
-             "kernel engine, JIT-compiled when numba is installed — "
-             "results are identical for all three)",
+             "structure-of-arrays engine — results are identical for both)",
     )
     run.add_argument(
         "--pattern",

@@ -129,19 +129,24 @@ class ResultCache:
 
         Corrupt or truncated entries (e.g. from a killed writer on a
         filesystem without atomic rename) are removed and reported as
-        misses rather than raised.
+        misses rather than raised: whatever ``pickle.load`` raises on an
+        entry's bytes, that entry is corrupt.  Failing to *open* an entry
+        for any reason but its absence (a permission error, say) still
+        raises.
         """
         path = self._path(key)
         try:
-            with path.open("rb") as handle:
-                value = pickle.load(handle)
+            handle = path.open("rb")
         except FileNotFoundError:
             self.stats.misses += 1
             return MISS
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-            path.unlink(missing_ok=True)
-            self.stats.misses += 1
-            return MISS
+        with handle:
+            try:
+                value = pickle.load(handle)
+            except Exception:
+                path.unlink(missing_ok=True)
+                self.stats.misses += 1
+                return MISS
         self.stats.hits += 1
         return value
 

@@ -226,10 +226,8 @@ class TrafficSimulation:
         On a cluster built with ``engine="vector"`` the whole loop runs on
         the structure-of-arrays engine (:mod:`repro.engine.traffic`) — same
         random streams, flit-for-flit identical results, several times
-        faster.  ``engine="compiled"`` runs the same loop over the
-        ring-buffer kernel engine (:mod:`repro.engine.compiled`, JIT-built
-        when numba is installed).  ``record_flits`` attaches the per-flit
-        completion log to the result (see :attr:`TrafficResult.flit_log`).
+        faster.  ``record_flits`` attaches the per-flit completion log to
+        the result (see :attr:`TrafficResult.flit_log`).
 
         A second call continues where the first stopped: same clock, same
         backlog, same random streams.

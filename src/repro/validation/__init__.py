@@ -8,9 +8,9 @@ the two layers between them:
 - :mod:`repro.validation.fuzz` — a property-based **differential fuzzer**
   that samples the whole configuration space (topology x parameters x
   pattern x injector x seed x window) through the production registries
-  and asserts flit-for-flit identity across the ``legacy``, ``vector``
-  and ``compiled`` engines, shrinking failures deterministically and
-  emitting a one-line ``--replay`` reproducer spec.
+  and asserts flit-for-flit identity across the ``legacy`` and
+  ``vector`` engines, shrinking failures deterministically and emitting
+  a one-line ``--replay`` reproducer spec.
 - :mod:`repro.validation.golden` + :mod:`~repro.validation.bands` +
   :mod:`~repro.validation.bootstrap` — a **statistical result validator**
   that re-measures committed golden cases once per seed, attaches bootstrap confidence intervals, and
@@ -26,7 +26,6 @@ from repro.validation.bands import ACTIONS, BandPolicy, Severity
 from repro.validation.bootstrap import BootstrapSummary, bootstrap_mean
 from repro.validation.fuzz import (
     COMPARED_FIELDS,
-    ENGINES_CHECKED,
     DivergenceError,
     FuzzCase,
     SystemCase,
@@ -61,7 +60,6 @@ __all__ = [
     "BootstrapSummary",
     "bootstrap_mean",
     "COMPARED_FIELDS",
-    "ENGINES_CHECKED",
     "DivergenceError",
     "FuzzCase",
     "SystemCase",

@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.config import ENGINES
 from repro.validation.fuzz import (
-    ENGINES_CHECKED,
     DivergenceError,
     FuzzCase,
     check_case,
@@ -71,9 +71,9 @@ def _replay(spec: str) -> int:
     except DivergenceError as error:
         print(error, file=sys.stderr)
         return 1
-    windows = results[ENGINES_CHECKED[0]]
+    windows = results[ENGINES[0]]
     print(
-        f"engines agree ({', '.join(ENGINES_CHECKED)}) over {len(windows)} windows: "
+        f"engines agree ({', '.join(ENGINES)}) over {len(windows)} windows: "
         + "; ".join(
             f"{window.completed_requests} completed requests, "
             f"average latency {window.average_latency:.4f} cycles"

@@ -1,11 +1,11 @@
-"""Property-based differential fuzzing of the three timing engines.
+"""Property-based differential fuzzing of the two timing engines.
 
 The enumerated cross-engine golden tests (``tests/test_engine_equivalence``)
 pin a grid of known configurations; this module samples the *whole* configuration space — topology x topology
 parameters x destination pattern x injection process x seed x measurement
 window, filtered through the topology and workload registries' own
-validators — and asserts that the ``legacy``, ``vector`` and ``compiled``
-engines produce flit-for-flit identical logs on every sampled point.
+validators — and asserts that the ``legacy`` and ``vector`` engines
+produce flit-for-flit identical logs on every sampled point.
 
 Every failing sample is reported as a **replay spec**: a one-line
 ``name:k=v,...`` string (the topology-spec grammar extended with the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.core.agents import Barrier, Compute, Load, Store, TraceAgent, Use
 from repro.core.cluster import MemPoolCluster
-from repro.core.config import MemPoolConfig, TimingParameters
+from repro.core.config import ENGINES, MemPoolConfig, TimingParameters
 from repro.core.system import MemPoolSystem
 from repro.topologies.registry import (
     available_topologies,
@@ -47,9 +47,6 @@ from repro.workloads.registry import (
     injector_entry,
     pattern_entry,
 )
-
-#: Engines every sampled configuration is cross-checked on.
-ENGINES_CHECKED = ("legacy", "vector", "compiled")
 
 #: Scalar result fields compared across engines (the flit log is compared
 #: separately and first — it implies most of these, but a field-level
@@ -129,7 +126,7 @@ class FuzzCase:
         # structure (mesh width*height must tile num_tiles, butterfly
         # radix must divide the tile count, ...); building the topology
         # once surfaces those as a clean ValueError instead of a
-        # traceback three engines deep into a replay.
+        # traceback two engines deep into a replay.
         from repro.interconnect.topology import build_topology
 
         build_topology(self.config())
@@ -364,7 +361,7 @@ def _describe_mismatch(name_a: str, result_a, name_b: str, result_b) -> str | No
     return None
 
 
-def check_case(case: FuzzCase, engines=ENGINES_CHECKED) -> dict:
+def check_case(case: FuzzCase, engines=ENGINES) -> dict:
     """Run ``case`` on every engine and assert their results agree.
 
     Both windows of :func:`run_case` are compared, flit log and result
@@ -644,7 +641,7 @@ def run_system_case(case: SystemCase, engine: str):
     return system.run(max_cycles=100_000)
 
 
-def check_system_case(case: SystemCase, engines=ENGINES_CHECKED) -> dict:
+def check_system_case(case: SystemCase, engines=ENGINES) -> dict:
     """Run ``case`` on every engine; assert equal results and exact accounting.
 
     Beyond cross-engine equality of the whole ``SystemResult``, every core
@@ -686,7 +683,7 @@ def system_cases():
 
 def run_fuzz(
     budget: int,
-    engines=ENGINES_CHECKED,
+    engines=ENGINES,
     scale: str = "tiny",
     strategy=None,
 ) -> int:

@@ -160,11 +160,12 @@ class TestEvaluationCliTopologyErrors:
             main(["fig10", "--pattern", "nope"])
         assert excinfo.value.code == 2
 
-    def test_unknown_engine_choice_exits_two(self):
+    @pytest.mark.parametrize("engine", ["batch", "compiled"])
+    def test_unknown_engine_choice_exits_two(self, engine):
         from repro.evaluation.__main__ import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["fig5", "--engine", "batch"])
+            main(["fig5", "--engine", engine])
         assert excinfo.value.code == 2
 
     def test_unknown_injector_choice_exits_two(self):
@@ -192,11 +193,12 @@ class TestExperimentsCliTopologyErrors:
             main(["run", "fig10", "--pattern", "nope"])
         assert excinfo.value.code == 2
 
-    def test_unknown_engine_choice_exits_two(self):
+    @pytest.mark.parametrize("engine", ["batch", "compiled"])
+    def test_unknown_engine_choice_exits_two(self, engine):
         from repro.experiments.__main__ import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "fig5", "--engine", "batch"])
+            main(["run", "fig5", "--engine", engine])
         assert excinfo.value.code == 2
 
     def test_unknown_experiment_name_exits_one(self, capsys):

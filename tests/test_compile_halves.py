@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import MemPoolConfig
-from repro.engine import CompiledEngine, CompiledNetwork, VectorEngine
+from repro.engine import CompiledNetwork, VectorEngine
 from repro.engine.compile import BANK, COMPLETE
 from repro.interconnect.resources import RegisterStage
 from repro.interconnect.topology import LOCAL_PATH, build_topology
@@ -172,35 +172,30 @@ class TestHalfCompileCounts:
 class TestBankHeadedBlocks:
     """Rows whose *injection hop* enters the bank resolve the placeholder."""
 
-    @pytest.mark.parametrize("engine_cls", [VectorEngine, CompiledEngine])
     @pytest.mark.parametrize("is_write", [False, True])
     @pytest.mark.parametrize("topology", ["topx", "toph", "top4"])
-    def test_block_equals_a_loop_of_new_flit(self, engine_cls, is_write, topology):
+    def test_block_equals_a_loop_of_new_flit(self, is_write, topology):
         config = MemPoolConfig.tiny(topology)
         network = CompiledNetwork(build_topology(config))
         rng = np.random.default_rng(7)
         cores = rng.integers(config.num_cores, size=600).tolist()
         banks = rng.integers(config.num_banks, size=600).tolist()
         created = sorted(rng.integers(50, size=600).tolist())
-        block, loop = engine_cls(network), engine_cls(network)
+        block, loop = VectorEngine(network), VectorEngine(network)
         assert block.new_flits(cores, banks, created, is_write) == 0
         for core, bank, cycle in zip(cores, banks, created):
             loop.new_flit(core, bank, is_write, cycle)
         for column in ("core", "bank", "created", "write_flag", "path_id"):
             assert getattr(block.flits, column) == getattr(loop.flits, column), column
-        if engine_cls is VectorEngine:
-            assert block._next_move == loop._next_move
-            local = [
-                config.tile_of_core(core) == config.tile_of_bank(bank)
-                for core, bank in zip(cores, banks)
-            ]
-            bank_headed = [
-                move[0] == network.bank_stage_ids[bank]
-                for move, bank in zip(block._next_move, banks)
-            ]
-            # Every access on TopX, the same-tile ones everywhere else.
-            assert bank_headed == ([True] * 600 if topology == "topx" else local)
-            assert not any(move[0] == BANK for move in block._next_move)
-        else:
-            assert np.array_equal(block._row_move[:600], loop._row_move[:600])
-            assert np.array_equal(block._row_bank[:600], loop._row_bank[:600])
+        assert block._next_move == loop._next_move
+        local = [
+            config.tile_of_core(core) == config.tile_of_bank(bank)
+            for core, bank in zip(cores, banks)
+        ]
+        bank_headed = [
+            move[0] == network.bank_stage_ids[bank]
+            for move, bank in zip(block._next_move, banks)
+        ]
+        # Every access on TopX, the same-tile ones everywhere else.
+        assert bank_headed == ([True] * 600 if topology == "topx" else local)
+        assert not any(move[0] == BANK for move in block._next_move)

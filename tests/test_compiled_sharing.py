@@ -24,7 +24,6 @@ from repro.engine import compile as engine_compile
 from repro.kernels.dct import DctKernel
 from repro.traffic.simulation import TrafficSimulation
 
-SOA_ENGINES = ("vector", "compiled")
 #: Two different points on one configuration: they touch different
 #: (core, tile) templates in a different order.
 POINT_A = dict(load=0.3, pattern="uniform", seed=11)
@@ -57,23 +56,22 @@ def _cold(function, *args, **kwargs):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("engine", SOA_ENGINES)
 @pytest.mark.parametrize("topology", ["top1", "toph"])
-def test_warm_network_gives_the_cold_flit_log_in_both_orders(engine, topology):
+def test_warm_network_gives_the_cold_flit_log_in_both_orders(topology):
     config = MemPoolConfig.tiny(topology)
     expected = {}
     for name, point in POINTS.items():
         legacy = _traffic(config, "legacy", **point).flit_log
         assert legacy  # the comparison must not be vacuous
-        assert _cold(_traffic, config, engine, **point).flit_log == legacy
+        assert _cold(_traffic, config, "vector", **point).flit_log == legacy
         expected[name] = legacy
 
     for first, second in ("AB", "BA"):
         engine_compile._network_memo.clear()
-        _traffic(config, engine, **POINTS[first])
+        _traffic(config, "vector", **POINTS[first])
         warmed = engine_compile._network_memo[config]
         templates_before = warmed.num_paths
-        result = _traffic(config, engine, **POINTS[second])
+        result = _traffic(config, "vector", **POINTS[second])
         # The second point really ran on the first one's network ...
         assert engine_compile._network_memo[config] is warmed
         assert warmed.num_paths >= templates_before > 0
@@ -95,23 +93,22 @@ def _kernel(config, engine, seed):
     )
 
 
-@pytest.mark.parametrize("engine", ["vector", "compiled"])
-def test_facade_path_on_a_network_warmed_by_traffic_and_vice_versa(engine):
+def test_facade_path_on_a_network_warmed_by_traffic_and_vice_versa():
     """The execution-driven facade shares the network with the traffic driver."""
     config = MemPoolConfig.tiny("toph")
     legacy_kernel = _kernel(config, "legacy", seed=0)
     legacy_traffic = _traffic(config, "legacy", **POINT_A).flit_log
-    assert _cold(_kernel, config, engine, seed=0) == legacy_kernel
+    assert _cold(_kernel, config, "vector", seed=0) == legacy_kernel
 
     engine_compile._network_memo.clear()
-    _traffic(config, engine, **POINT_B)
+    _traffic(config, "vector", **POINT_B)
     warmed = engine_compile._network_memo[config]
-    assert _kernel(config, engine, seed=0) == legacy_kernel
+    assert _kernel(config, "vector", seed=0) == legacy_kernel
     assert engine_compile._network_memo[config] is warmed
 
     engine_compile._network_memo.clear()
-    _kernel(config, engine, seed=3)
-    assert _traffic(config, engine, **POINT_A).flit_log == legacy_traffic
+    _kernel(config, "vector", seed=3)
+    assert _traffic(config, "vector", **POINT_A).flit_log == legacy_traffic
 
 
 # --------------------------------------------------------------------- #
@@ -159,7 +156,7 @@ def test_equal_configs_built_independently_share_one_network():
             num_tiles=4, cores_per_tile=4, banks_per_tile=16, num_groups=4,
             topology="toph",
         ),
-        engine="compiled",
+        engine="vector",
     )
     assert first.config is not second.config
     assert first.config == MemPoolConfig.tiny("toph") == second.config
@@ -184,7 +181,6 @@ def test_a_memo_hit_builds_no_topology(monkeypatch):
     _traffic(config, "vector", **POINT_A)
     assert len(calls) == 1  # the memo's own; the cluster built none
     _traffic(config, "vector", **POINT_B)
-    _traffic(config, "compiled", **POINT_B)
     assert len(calls) == 1
 
 
@@ -266,24 +262,22 @@ def test_a_cluster_outlives_the_eviction_of_its_network():
 THREADS = 4
 
 
-def _drive_every_row(config, engine, results, index, barrier):
-    cluster = MemPoolCluster(config, engine=engine)
+def _drive_every_row(config, results, index, barrier):
+    cluster = MemPoolCluster(config, engine="vector")
     network = cluster.compiled_network()
     barrier.wait()
     for core in range(config.num_cores):
         network.template_row(core, True)
         network.template_row(core, False)
-    network.move_tables()
     simulation = TrafficSimulation(cluster, 0.4, pattern="uniform", seed=index)
     results[index] = (network, simulation.run(40, 120, record_flits=True).flit_log)
 
 
-@pytest.mark.parametrize("engine", ["vector", "compiled"])
-def test_threads_compiling_one_network_concurrently(engine):
+def test_threads_compiling_one_network_concurrently():
     """More job threads than cores, all missing on one cold network."""
     config = MemPoolConfig.scaled("toph")
     expected = [
-        _cold(_traffic, config, engine, load=0.4, pattern="uniform", seed=seed)
+        _cold(_traffic, config, "vector", load=0.4, pattern="uniform", seed=seed)
         for seed in range(THREADS)
     ]
     engine_compile._network_memo.clear()
@@ -296,7 +290,7 @@ def test_threads_compiling_one_network_concurrently(engine):
         threads = [
             threading.Thread(
                 target=_drive_every_row,
-                args=(config, engine, results, index, barrier),
+                args=(config, results, index, barrier),
             )
             for index in range(THREADS)
         ]
@@ -323,8 +317,6 @@ def test_threads_compiling_one_network_concurrently(engine):
     assert len(network.path_stage_seq) == templates
     assert len(network.path_first_stage_pos) == templates
     assert len(network.path_resource_len) == templates
-    assert network.move_tables().num_paths == templates
-    assert len(network.move_tables().path_head) == templates
     for index in range(THREADS):
         assert results[index][1] == expected[index].flit_log
 

@@ -477,19 +477,6 @@ class TestDistributedExecutor:
         specs = []
         for name in ("fig5", "workloads", "topologies"):
             specs.extend(EXPERIMENTS[name].build_sweep(settings).specs())
-        self.assert_distributed_matches_serial(specs, tmp_path)
-
-    def test_compiled_points_through_a_worker_match_serial(self, tmp_path):
-        # Pins the per-point compiled path (CompiledEngine under
-        # run_vector_traffic) on the worker side of the wire.
-        settings = ExperimentSettings(
-            engine="compiled", warmup_cycles=20, measure_cycles=40
-        )
-        specs = EXPERIMENTS["fig5"].build_sweep(settings).specs()[::4]
-        self.assert_distributed_matches_serial(specs, tmp_path)
-
-    @staticmethod
-    def assert_distributed_matches_serial(specs, tmp_path):
         serial_cache = ResultCache(tmp_path / "serial")
         dist_cache = ResultCache(tmp_path / "dist")
         serial = Executor(workers=1, cache=serial_cache).run(specs)

@@ -17,7 +17,6 @@ from repro.engine import (
     CompiledNetwork,
     EngineCompileError,
     FlitTable,
-    RingQueues,
     VectorStageNetwork,
 )
 from repro.engine.compile import BANK, COMPLETE
@@ -127,62 +126,6 @@ class TestFlitTable:
             FlitTable(capacity=0)
 
 
-class TestRingQueues:
-    """Invariants of the fixed-capacity ring buffers behind ``compiled``."""
-
-    def test_fifo_order_across_wraparound(self):
-        rings = RingQueues([3])
-        popped = []
-        for row in range(10):  # 10 pushes through a capacity-3 ring
-            rings.push(0, row)
-            if rings.length(0) == 3:
-                popped.append(rings.pop(0))
-        while rings.length(0):
-            popped.append(rings.pop(0))
-        assert popped == list(range(10))
-
-    def test_push_when_full_raises(self):
-        rings = RingQueues([2])
-        rings.push(0, 1)
-        rings.push(0, 2)
-        with pytest.raises(IndexError, match="full"):
-            rings.push(0, 3)
-        # The failed push must not corrupt the ring.
-        assert rings.rows(0) == [1, 2]
-
-    def test_pop_and_peek_when_empty_raise(self):
-        rings = RingQueues([2])
-        with pytest.raises(IndexError, match="empty"):
-            rings.pop(0)
-        with pytest.raises(IndexError, match="empty"):
-            rings.peek(0)
-        rings.push(0, 7)
-        assert rings.peek(0) == 7
-        assert rings.length(0) == 1  # peek must not consume
-
-    def test_rows_reports_fifo_order_after_wrap(self):
-        rings = RingQueues([3])
-        rings.push(0, 1)
-        rings.push(0, 2)
-        rings.pop(0)
-        rings.push(0, 3)
-        rings.push(0, 4)  # tail physically wraps to the buffer start
-        assert rings.rows(0) == [2, 3, 4]
-
-    def test_queues_are_independent(self):
-        rings = RingQueues([2, 3, 1])
-        rings.push(0, 10)
-        rings.push(1, 20)
-        rings.push(2, 30)
-        assert rings.pop(1) == 20
-        assert rings.rows(0) == [10]
-        assert rings.rows(2) == [30]
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="capacity"):
-            RingQueues([2, 0])
-
-
 class TestVectorStageNetwork:
     def test_double_injection_is_rejected(self, toph_config):
         cluster = MemPoolCluster(toph_config, engine="vector")
@@ -235,11 +178,11 @@ class TestVectorStageNetwork:
 
 class TestClusterEngineSelection:
     def test_unknown_engine_rejected(self, toph_config):
-        for name in ("warp", "batch"):
+        for name in ("warp", "batch", "compiled"):
             with pytest.raises(
                 ValueError,
                 match=r"unknown engine .* expected one of "
-                      r"\('legacy', 'vector', 'compiled'\)",
+                      r"\('legacy', 'vector'\)",
             ):
                 MemPoolCluster(toph_config, engine=name)
 

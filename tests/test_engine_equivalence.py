@@ -1,12 +1,11 @@
-"""Equivalence of the SoA engines with the legacy object engine.
+"""Equivalence of the SoA engine with the legacy object engine.
 
 The contract of :mod:`repro.engine` is *cycle-exactness*: for fixed seeds,
-the structure-of-arrays engines — ``vector`` (deque + move-chain) and
-``compiled`` (ring-buffer + typed-array kernels, JIT-built when numba is
-installed) — must produce flit-for-flit identical injection and completion
-cycles, and therefore identical throughput and latency figures, on every
-topology.  These tests drive the engines through the same workloads and
-compare the complete per-flit logs against the legacy engine.
+the structure-of-arrays ``vector`` engine must produce flit-for-flit
+identical injection and completion cycles, and therefore identical
+throughput and latency figures, on every topology.  These tests drive both
+engines through the same workloads and compare the complete per-flit logs
+against the legacy engine.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import os
 import pytest
 
 from repro.core.cluster import MemPoolCluster
-from repro.core.config import MemPoolConfig
+from repro.core.config import ENGINES, MemPoolConfig
 from repro.kernels import Conv2dKernel, DctKernel, MatmulKernel
 from repro.traffic.generator import TrafficPattern
 from repro.traffic.simulation import TrafficSimulation
@@ -91,11 +90,10 @@ def test_traffic_equivalence(cores, pattern_name, topology):
     assert config.num_cores == cores
     legacy = _run(config, "legacy", pattern_name, load=0.3)
     assert legacy.flit_log  # the comparison must not be vacuous
-    for engine in ("vector", "compiled"):
-        other = _run(config, engine, pattern_name, load=0.3)
-        assert legacy.flit_log == other.flit_log, engine
-        for field in COMPARED_FIELDS:
-            assert getattr(legacy, field) == getattr(other, field), (engine, field)
+    vector = _run(config, "vector", pattern_name, load=0.3)
+    assert legacy.flit_log == vector.flit_log
+    for field in COMPARED_FIELDS:
+        assert getattr(legacy, field) == getattr(vector, field), field
 
 
 @pytest.mark.parametrize("pattern", DEFAULT_PATTERNS)
@@ -110,7 +108,7 @@ def test_workload_equivalence_every_pattern_and_injector(pattern, injector):
     """
     config = MemPoolConfig.tiny("toph")
     logs = {}
-    for engine in ("legacy", "vector", "compiled"):
+    for engine in ENGINES:
         cluster = MemPoolCluster(config, engine=engine)
         simulation = TrafficSimulation(
             cluster, 0.3, pattern=pattern, seed=13, injector=injector
@@ -121,7 +119,6 @@ def test_workload_equivalence_every_pattern_and_injector(pattern, injector):
         logs[engine] = (result.flit_log, result.local_fraction)
     assert logs["legacy"][0]  # the comparison must not be vacuous
     assert logs["legacy"] == logs["vector"]
-    assert logs["legacy"] == logs["compiled"]
 
 
 @pytest.mark.parametrize("topology", ["top1", "top4", "toph", "topx"])
@@ -129,8 +126,7 @@ def test_traffic_equivalence_every_topology_smoke(topology):
     """Short smoke run covering all four topologies, high load."""
     config = MemPoolConfig.tiny(topology)
     legacy = _run(config, "legacy", "uniform", load=0.6)
-    for engine in ("vector", "compiled"):
-        assert legacy.flit_log == _run(config, engine, "uniform", load=0.6).flit_log
+    assert legacy.flit_log == _run(config, "vector", "uniform", load=0.6).flit_log
 
 
 SYSTEM_KERNELS = {
@@ -144,19 +140,18 @@ SYSTEM_KERNELS = {
 @pytest.mark.parametrize("topology", ["top1", "toph"])
 def test_system_equivalence_on_kernel(topology, kernel):
     """The execution-driven simulator is cycle-exact across engines too."""
-    results = {}
-    for engine in ("legacy", "vector", "compiled"):
-        cluster = MemPoolCluster(MemPoolConfig.tiny(topology), engine=engine)
-        results[engine] = SYSTEM_KERNELS[kernel](cluster).run(verify=True)
-    legacy = results["legacy"]
-    for engine in ("vector", "compiled"):
-        other = results[engine]
-        assert other.correct
-        assert legacy.system.cycles == other.system.cycles, engine
-        assert legacy.system.barrier_episodes == other.system.barrier_episodes
-        assert legacy.system.injected_requests == other.system.injected_requests
-        assert legacy.system.completed_requests == other.system.completed_requests
-        assert legacy.system.core_stats == other.system.core_stats, engine
+    legacy, vector = (
+        SYSTEM_KERNELS[kernel](
+            MemPoolCluster(MemPoolConfig.tiny(topology), engine=engine)
+        ).run(verify=True)
+        for engine in ENGINES
+    )
+    assert vector.correct
+    assert legacy.system.cycles == vector.system.cycles
+    assert legacy.system.barrier_episodes == vector.system.barrier_episodes
+    assert legacy.system.injected_requests == vector.system.injected_requests
+    assert legacy.system.completed_requests == vector.system.completed_requests
+    assert legacy.system.core_stats == vector.system.core_stats
 
 
 def test_back_to_back_runs_stay_equivalent():
@@ -168,14 +163,13 @@ def test_back_to_back_runs_stay_equivalent():
     """
     config = MemPoolConfig.tiny("top1")
     results = {}
-    for engine in ("legacy", "vector", "compiled"):
+    for engine in ENGINES:
         cluster = MemPoolCluster(config, engine=engine)
         simulation = TrafficSimulation(cluster, 0.6, seed=5)
         first = simulation.run(50, 150, record_flits=True)
         second = simulation.run(50, 150, record_flits=True)
         results[engine] = (first.flit_log, second.flit_log, second.local_fraction)
     assert results["legacy"] == results["vector"]
-    assert results["legacy"] == results["compiled"]
 
 
 @pytest.mark.skipif(
@@ -184,21 +178,19 @@ def test_back_to_back_runs_stay_equivalent():
     "(set MEMPOOL_NIGHTLY=1 to run locally)",
 )
 def test_full_scale_256_core_equivalence_smoke():
-    """256-core paper-scale cluster: all three per-sim engines agree.
+    """256-core paper-scale cluster: both engines agree.
 
     A short window (the per-cycle work at 256 cores is what matters, not
-    the horizon) over the full configuration the compiled engine exists to
-    make routine; one topology keeps the nightly cost bounded.
+    the horizon); one topology keeps the nightly cost bounded.
     """
     config = MemPoolConfig.full("toph")
     assert config.num_cores == 256
     legacy = _run(config, "legacy", "uniform", load=0.2)
     assert legacy.flit_log  # the comparison must not be vacuous
-    for engine in ("vector", "compiled"):
-        other = _run(config, engine, "uniform", load=0.2)
-        assert legacy.flit_log == other.flit_log, engine
-        for field in COMPARED_FIELDS:
-            assert getattr(legacy, field) == getattr(other, field), (engine, field)
+    vector = _run(config, "vector", "uniform", load=0.2)
+    assert legacy.flit_log == vector.flit_log
+    for field in COMPARED_FIELDS:
+        assert getattr(legacy, field) == getattr(vector, field), field
 
 
 def test_point_function_equivalence_via_engine_flag():

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import MemPoolCluster
-from repro.core.config import MemPoolConfig
-from repro.engine import CompiledEngine, VectorEngine
+from repro.core.config import ENGINES, MemPoolConfig
+from repro.engine import VectorEngine
 from repro.engine.compile import shared_network
 from repro.engine.soa import DEFAULT_CAPACITY, FlitTable
 from repro.traffic.simulation import TrafficSimulation
@@ -37,7 +37,6 @@ from repro.workloads import (
 )
 from repro.workloads.registry import injector_entry, pattern_entry
 
-ENGINES = ("legacy", "vector", "compiled")
 DEFAULT_PATTERNS = tuple(
     name for name in available_patterns() if not pattern_entry(name).required
 )
@@ -59,7 +58,7 @@ def _windows(config, engine, load, windows, seed=13, **workload):
 
 def _assert_engines_agree(config, load, windows, **workload):
     legacy = _windows(config, "legacy", load, windows, **workload)
-    for engine in ("vector", "compiled"):
+    for engine in ENGINES[1:]:
         assert _windows(config, engine, load, windows, **workload) == legacy, engine
     return legacy
 
@@ -150,13 +149,12 @@ class TestBlockAllocation:
     #: Crosses DEFAULT_CAPACITY twice (4096 -> 8192 -> 16384) in one block.
     BLOCK = 2 * DEFAULT_CAPACITY + 100
 
-    @pytest.mark.parametrize("engine_cls", [VectorEngine, CompiledEngine])
     @pytest.mark.parametrize("topology", ["top1", "toph"])
-    def test_block_equals_a_loop_of_new_flit(self, engine_cls, topology):
+    def test_block_equals_a_loop_of_new_flit(self, topology):
         config = MemPoolConfig.tiny(topology)
         network = shared_network(config)
         cores, banks, created = _random_block(config, self.BLOCK)
-        block, loop = engine_cls(network), engine_cls(network)
+        block, loop = VectorEngine(network), VectorEngine(network)
         # A few rows first, so the block does not start at row 0.
         for engine in (block, loop):
             for row in range(3):
@@ -176,12 +174,7 @@ class TestBlockAllocation:
             assert np.array_equal(
                 getattr(block.flits, column), getattr(loop.flits, column)
             ), column
-        if engine_cls is VectorEngine:
-            assert block._next_move == loop._next_move
-        else:
-            count = block.flits.count
-            assert np.array_equal(block._row_move[:count], loop._row_move[:count])
-            assert np.array_equal(block._row_bank[:count], loop._row_bank[:count])
+        assert block._next_move == loop._next_move
 
     def test_write_block_takes_the_write_templates(self):
         config = MemPoolConfig.tiny("toph")

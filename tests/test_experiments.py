@@ -138,11 +138,20 @@ class TestResultCache:
         cache.put(self.KEY, None)
         assert cache.get(self.KEY) is None
 
-    def test_corrupt_entries_read_as_misses_and_are_removed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not a pickle",
+            b"\x80\x09N.",  # unsupported protocol: ValueError
+            b"X\x02\x00\x00\x00\xff\xfe.",  # bad UTF-8: UnicodeDecodeError
+        ],
+        ids=["garbage", "protocol", "utf8"],
+    )
+    def test_corrupt_entries_read_as_misses_and_are_removed(self, tmp_path, payload):
         cache = ResultCache(tmp_path)
         cache.put(self.KEY, [1, 2, 3])
         path = cache._path(self.KEY)
-        path.write_bytes(b"not a pickle")
+        path.write_bytes(payload)
         assert cache.get(self.KEY) is MISS
         assert not path.exists()
 

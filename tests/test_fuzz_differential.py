@@ -1,9 +1,9 @@
-"""Bounded differential-fuzz campaign over the three timing engines.
+"""Bounded differential-fuzz campaign over the two timing engines.
 
 The CI entry point of :mod:`repro.validation.fuzz`: Hypothesis samples
 ``FUZZ_BUDGET`` configurations from the registries' full space (plus a
 degree-skewed hotspot slice) and every sample must produce flit-for-flit
-identical results on the legacy, vector and compiled engines; a third
+identical results on the legacy and vector engines; a third
 property runs seeded random programs through ``MemPoolSystem`` the same
 way.  A failure
 shrinks deterministically and raises a
@@ -45,7 +45,7 @@ _SETTINGS = dict(
 @settings(max_examples=FUZZ_BUDGET, **_SETTINGS)
 @given(fuzz_cases())
 def test_engines_agree_on_sampled_configurations(case):
-    """legacy == vector == compiled on every sampled configuration."""
+    """legacy == vector on every sampled configuration."""
     check_case(case)
 
 
@@ -59,7 +59,7 @@ def test_engines_agree_under_degree_skewed_hotspots(case):
 @settings(max_examples=FUZZ_BUDGET, **_SETTINGS)
 @given(system_cases())
 def test_execution_driven_system_agrees_and_accounts_for_every_cycle(case):
-    """``MemPoolSystem`` on random programs: three engines, one exact result.
+    """``MemPoolSystem`` on random programs: two engines, one exact result.
 
     Plus the per-core identity ``finish_cycle == instructions + stalls +
     barriers issued``, which holds (or not) on each engine by itself.

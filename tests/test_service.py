@@ -205,7 +205,12 @@ class TestBuildSpecs:
             (
                 {"experiment": "fig5", "settings": {"engine": "batch"}},
                 r"unknown engine 'batch' .* expected one of "
-                r"\('legacy', 'vector', 'compiled'\)",
+                r"\('legacy', 'vector'\)",
+            ),
+            (
+                {"experiment": "fig5", "settings": {"engine": "compiled"}},
+                r"unknown engine 'compiled' .* expected one of "
+                r"\('legacy', 'vector'\)",
             ),
         ],
     )

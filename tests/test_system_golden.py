@@ -1,6 +1,6 @@
 """Golden ``SystemResult``s of the execution-driven simulator.
 
-All three engines run through one ``MemPoolSystem`` loop, so cross-engine
+Both engines run through one ``MemPoolSystem`` loop, so cross-engine
 equality alone cannot tell whether that loop is right.  The goldens in
 ``tests/data/system_golden.json`` were recorded at commit 71c7935 from the
 per-cycle loop that preceded the event-driven one (every core stepped every
@@ -10,8 +10,11 @@ every ``CoreStats`` field of every core.  The two ``snitch-stack-spill``
 cases were added at commit f889595 (``legacy`` engine, the commit before the
 core model stopped building an object per address decode) and the two
 ``axpy`` cases at commit 330b9a1 (``legacy`` engine, the commit before the
-kernels built their programs a loop body at a time); the fifty original
-entries are byte-for-byte the first recording.
+kernels built their programs a loop body at a time); the forty-eight
+``random-<selection>-<layout>`` cases, one random program per valid tiny
+topology selection and address layout, at commit e816df7 (``legacy`` engine;
+``vector`` and the since-deleted ``compiled`` engine reproduced every one);
+the fifty original entries are byte-for-byte the first recording.
 
 ``PYTHONPATH=src python tests/test_system_golden.py --write`` re-records them
 (only when the *model* changes on purpose).
@@ -27,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.cluster import MemPoolCluster
-from repro.core.config import MemPoolConfig
+from repro.core.config import ENGINES, MemPoolConfig
 from repro.core.coremodel import CoreStats
 from repro.core.system import MemPoolSystem
 from repro.kernels import (
@@ -39,7 +42,7 @@ from repro.kernels import (
 )
 from repro.snitch import assemble
 from repro.snitch.agent import make_snitch_agents
-from repro.validation.fuzz import ENGINES_CHECKED, SystemCase, run_system_case
+from repro.validation.fuzz import SystemCase, run_system_case, topology_selections
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "system_golden.json"
 FIELDS = [field.name for field in dataclasses.fields(CoreStats)]
@@ -92,6 +95,31 @@ def _random_case(index):
     return lambda engine: run_system_case(case, engine)
 
 
+#: Every valid tiny ``(topology, params)`` selection, scrambled and
+#: interleaved; the ROB depth cycles through the fuzz campaign's 1, 2, 8.
+SELECTION_CASES = [
+    SystemCase(
+        topology, seed=2000 + index, topology_params=tuple(params.items()),
+        scrambling=index % 2 == 0, rob_depth=(1, 2, 8)[index % 3],
+    )
+    for index, (topology, params) in enumerate(
+        selection
+        for selection in topology_selections("tiny")
+        for _ in range(2)
+    )
+]
+
+
+def _selection_name(case):
+    params = "".join(f"-{key}{value}" for key, value in case.topology_params)
+    layout = "scrambled" if case.scrambling else "interleaved"
+    return f"random-{case.topology}{params}-{layout}"
+
+
+def _selection_case(case):
+    return lambda engine: run_system_case(case, engine)
+
+
 def _synthetic_case(engine):
     cluster = MemPoolCluster(MemPoolConfig.tiny("toph"), engine=engine)
     return MemPoolSystem.synthetic(
@@ -139,6 +167,7 @@ CASES = {
         for scrambling in (True, False)
     },
     **{f"random-{index:02d}": _random_case(index) for index in range(24)},
+    **{_selection_name(case): _selection_case(case) for case in SELECTION_CASES},
     "synthetic-hotspot-bursty": _synthetic_case,
     "snitch-strided-sum": _snitch_case,
     **{
@@ -172,7 +201,7 @@ def goldens():
     return recorded["cases"]
 
 
-@pytest.mark.parametrize("engine", ENGINES_CHECKED)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_system_result_matches_golden(goldens, name, engine):
     assert encode(CASES[name](engine)) == goldens[name]

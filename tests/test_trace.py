@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import MemPoolCluster
-from repro.core.config import MemPoolConfig
+from repro.core.config import ENGINES, MemPoolConfig
 from repro.workloads import (
     ScaleFreePattern,
     TraceFormatError,
@@ -31,8 +31,6 @@ from repro.workloads import (
     write_trace,
 )
 from repro.workloads.registry import injector_entry, pattern_entry
-
-ENGINES = ("legacy", "vector", "compiled")
 
 
 def _run(cluster, load=0.3, pattern="uniform", injector="poisson",
@@ -69,7 +67,7 @@ def _replay(config, path, sha, engine, extra_cycles=256):
 
 
 class TestRecordReplayIdentity:
-    """A recorded trace replays identically on all three engines."""
+    """A recorded trace replays identically on both engines."""
 
     def test_vector_recording_replays_identically_everywhere(self, tmp_path):
         config, path, sha, recording = _record(tmp_path, engine="vector")

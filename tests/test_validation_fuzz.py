@@ -184,9 +184,9 @@ class TestDivergenceDetection:
     def test_clean_engines_agree(self):
         case = FuzzCase.from_spec(BUSY_SPEC)
         results = check_case(case)
-        legacy, compiled = results["legacy"], results["compiled"]
-        assert len(legacy) == len(compiled) == 2  # back-to-back windows
-        assert [w.flit_log for w in legacy] == [w.flit_log for w in compiled]
+        legacy, vector = results["legacy"], results["vector"]
+        assert len(legacy) == len(vector) == 2  # back-to-back windows
+        assert [w.flit_log for w in legacy] == [w.flit_log for w in vector]
         # The second window continues the first: same simulation, later cycles.
         window = case.warmup + case.measure
         assert legacy[0].flit_log and legacy[1].flit_log

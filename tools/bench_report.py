@@ -81,59 +81,6 @@ def compare(current: dict, baseline: dict, threshold: float) -> tuple[bool, str]
     return ok, "\n".join(lines)
 
 
-def compiled_report(
-    current: dict, baseline: dict | None, threshold: float
-) -> tuple[bool, str] | None:
-    """Compiled-kernel-vs-vector report and gate, or None when never run.
-
-    ``benchmarks/test_perf_engine.py`` merges a ``"compiled"`` section into
-    the current results file with the compiled engine's advance speedup
-    over the vector engine and a ``jit`` flag recording whether the numba
-    backend was active.  The gate is **jit-mode aware**: the speedup ratio
-    is only compared against the committed baseline when both runs used
-    the same kernel backend — a pure-Python fallback run (numba absent or
-    ``MEMPOOL_JIT=0``) is legitimately far slower than a JIT run and must
-    never be gated against a JIT baseline, or vice versa.
-    """
-    section = current.get("compiled")
-    if not section:
-        return None
-    speedup = section.get("speedup_vs_vector", 0.0)
-    jit = bool(section.get("jit"))
-    mode = "numba JIT" if jit else "pure-Python kernels"
-    lines = [
-        f"compiled benchmark: {section.get('benchmark', 'kernel engine')}",
-        f"  advance speedup : {speedup:.2f}x over vector ({mode})",
-    ]
-    ok = True
-    base_section = (baseline or {}).get("compiled")
-    if base_section and base_section.get("speedup_vs_vector") is not None:
-        if bool(base_section.get("jit")) != jit:
-            base_mode = "numba JIT" if base_section.get("jit") else "pure-Python"
-            lines.append(
-                f"  verdict         : jit mode differs from baseline "
-                f"({base_mode}) — not comparable, informational"
-            )
-        else:
-            base_speedup = base_section["speedup_vs_vector"]
-            floor = base_speedup * (1.0 - threshold)
-            ok = speedup >= floor
-            lines.append(
-                "  verdict         : "
-                + (
-                    f"OK (baseline {base_speedup:.2f}x, floor {floor:.2f}x)"
-                    if ok
-                    else f"REGRESSION (> {threshold:.0%} below baseline "
-                    f"{base_speedup:.2f}x)"
-                )
-            )
-    else:
-        lines.append(
-            "  verdict         : no committed compiled baseline (informational)"
-        )
-    return ok, "\n".join(lines)
-
-
 def topologies_report(
     current: dict, baseline: dict | None, threshold: float
 ) -> tuple[bool, str] | None:
@@ -185,12 +132,11 @@ def distributed_report(
     ``benchmarks/test_perf_distributed.py`` writes a ``"distributed"``
     section into ``benchmarks/BENCH_experiments.json`` with the
     4-local-workers-vs-1 wall-clock ratio of a cold-cache sweep and the
-    core count it was measured on.  The gate is **cpu-aware** (the same
-    pattern as the jit-aware compiled gate): parallel speedup is bounded
-    by the host's core count, so the ratio is only compared against the
-    committed baseline when both runs had the same number of cpus — a
-    1-core smoke container legitimately measures ~1x and must never be
-    gated against a 4-core baseline, or vice versa.
+    core count it was measured on.  The gate is **cpu-aware**: parallel
+    speedup is bounded by the host's core count, so the ratio is only
+    compared against the committed baseline when both runs had the same
+    number of cpus — a 1-core smoke container legitimately measures ~1x
+    and must never be gated against a 4-core baseline, or vice versa.
     """
     section = (current or {}).get("distributed")
     if not section:
@@ -331,11 +277,6 @@ def main(argv: list[str] | None = None) -> int:
             "bench_report: current results carry no engine speedup yet "
             "(run `make bench-engine` for the legacy-vs-vector comparison)"
         )
-    compiled = compiled_report(current, baseline, args.threshold)
-    if compiled:
-        compiled_ok, report = compiled
-        ok = ok and compiled_ok
-        print(report)
     topologies = topologies_report(current, baseline, args.threshold)
     if topologies:
         topologies_ok, report = topologies
