@@ -8,7 +8,6 @@
 #   make bench-stack  the repository benchmark (bench/run.py, see bench/README.md)
 #   make bench-compare A=a/results.json B=b/results.json  A/B verdict per metric
 #   make bench-ab PARENT=<rev> [WORKLOAD=a,b] [PAIRS=10] [PROFILE=N]  interleaved A/B of the working tree
-#   make distributed-smoke  distributed executor vs serial: identity + crash recovery
 #   make service-smoke  HTTP sweep service end to end: submit/stream/fetch vs direct run
 #   make fuzz       bounded differential fuzz of the two engines
 #   make validate   statistical golden-band validation (repro.validation)
@@ -33,8 +32,7 @@ FUZZ_BUDGET ?= 25
 COV_MIN ?= 92
 
 .PHONY: test ci coverage bench bench-engine bench-stack bench-compare bench-ab \
-	distributed-smoke service-smoke \
-	fuzz validate validate-update lint docs-lint figures clean-cache
+	service-smoke fuzz validate validate-update lint docs-lint figures clean-cache
 
 # The trailing bench report is informational in the test flow: it runs
 # whether or not pytest passed, but the target's exit status is always
@@ -72,8 +70,7 @@ bench:
 bench-engine:
 	$(PYTHON) -m pytest -q benchmarks/test_perf_engine.py \
 		benchmarks/test_perf_workloads.py \
-		benchmarks/test_perf_topologies.py \
-		benchmarks/test_perf_distributed.py
+		benchmarks/test_perf_topologies.py
 	$(PYTHON) tools/bench_report.py
 
 # The benchmark of record (BENCHMARK.json): six workloads, end-to-end and
@@ -94,16 +91,6 @@ PAIRS ?= 10
 bench-ab:
 	python3 tools/bench_ab.py $(PARENT) --pairs $(PAIRS) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PROFILE),--profile $(PROFILE))
-
-# Distributed execution smoke: the work-stealing executor over local
-# forked workers AND loopback TCP workers must produce byte-identical
-# results (same cache keys, same pickled values) to a serial run, and a
-# SIGKILLed worker's shard must requeue without losing a point; then the
-# 4-vs-1 local-worker scaling benchmark with the cpu-aware report gate.
-distributed-smoke:
-	$(PYTHON) -m pytest -x -q tests/test_distributed.py
-	$(PYTHON) -m pytest -q benchmarks/test_perf_distributed.py
-	$(PYTHON) tools/bench_report.py
 
 # Sweep-service smoke: the job-layer unit tests, then the end-to-end HTTP
 # path — boot `serve` on an ephemeral port, submit the fig5 smoke sweep,

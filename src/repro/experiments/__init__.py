@@ -7,16 +7,13 @@ nested loop.  This package replaces those loops with one engine:
   :class:`~repro.experiments.spec.ExperimentSpec` points (a runner path
   plus picklable keyword arguments);
 * :class:`~repro.experiments.executor.Executor` runs the points — serially
-  for ``workers=1``, across a ``multiprocessing`` pool otherwise — and
-  returns the results in sweep order;
+  for ``workers=1``, across a process pool otherwise — and returns the
+  results in sweep order; it is the one executor behind ``run``, the
+  classic driver and every service job;
 * :class:`~repro.experiments.cache.ResultCache` memoises results on disk
   under a content hash of the configuration *and* the program source, so
   re-running an unchanged sweep is near-instant while any code edit
-  transparently invalidates stale entries;
-* :class:`~repro.experiments.distributed.DistributedExecutor`
-  (``--dispatch``) cuts a sweep's cache misses into shards and executes
-  them on a work-stealing fleet of local processes and/or remote TCP
-  workers, all sharing one content-addressed cache.
+  transparently invalidates stale entries.
 
 Every figure/table driver in :mod:`repro.evaluation` goes through this
 engine; the registry of those drivers lives in

@@ -5,9 +5,6 @@ Usage::
     python -m repro.experiments run                 # every experiment, serial
     python -m repro.experiments run fig5 fig7 -w 8  # two sweeps on 8 workers
     python -m repro.experiments run --no-cache      # force recomputation
-    python -m repro.experiments run --dispatch -w 4 # 4 work-stealing workers
-    python -m repro.experiments run --dispatch --workers node1:2,node2:7700:4
-    python -m repro.experiments worker --port 7653  # serve shards over TCP
     python -m repro.experiments serve --port 7654   # HTTP sweep service
     python -m repro.experiments run fig5 --pattern tornado --injector bursty
     python -m repro.experiments run workloads --engine vector  # full catalogue
@@ -76,34 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "-w",
         "--workers",
-        default="1",
-        help="worker processes (1 = serial, 0 = all CPUs); with "
-             "--dispatch also accepts a fleet spec like "
-             "'node1:2,node2:7700:4' mixing forked local workers and "
-             "TCP connections to `python -m repro.experiments worker` "
-             "servers",
-    )
-    run.add_argument(
-        "--dispatch",
-        action="store_true",
-        help="distribute the sweep over a work-stealing shard scheduler "
-             "(see --workers, --lease, --shard-points); results are "
-             "identical to a serial run",
-    )
-    run.add_argument(
-        "--lease",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="shard lease: a worker silent this long is presumed dead "
-             "and its shards are requeued (default: 30)",
-    )
-    run.add_argument(
-        "--shard-points",
         type=int,
-        default=None,
-        metavar="N",
-        help="max sweep points per shard (default: ~4 shards per worker)",
+        default=1,
+        help="worker processes (1 = serial, 0 = all CPUs)",
     )
     run.add_argument(
         "--no-cache",
@@ -292,36 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cache directory (default: {default_cache_dir()})",
     )
 
-    worker = commands.add_parser(
-        "worker",
-        help="serve shards to a dispatching run over TCP",
-        description="Run a worker server for `run --dispatch --workers "
-                    "host:n,...`: each dispatcher connection is served by "
-                    "its own forked process, so n connections give n "
-                    "parallel executors on this host.",
-    )
-    worker.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default: 127.0.0.1; 0.0.0.0 to serve remote "
-             "dispatchers)",
-    )
-    worker.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="bind port (default: 7653; 0 picks an ephemeral port, "
-             "printed on startup)",
-    )
-    worker.add_argument(
-        "--cache",
-        default=None,
-        metavar="SPEC",
-        help="worker-side cache backend: none, disk[:dir], "
-             "memory[:entries] or tcp://host:port (default: adopt the "
-             "dispatcher's shared cache server)",
-    )
-
     serve = commands.add_parser(
         "serve",
         help="serve sweeps over HTTP (submit, stream progress, fetch results)",
@@ -347,19 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "-w",
         "--workers",
-        default="1",
-        help="per-job executor fleet: 1 = in-thread serial, an integer "
-             "forks that many local workers per job, and a fleet spec "
-             "like 'node1:2,node2:7700:4' fronts remote "
-             "`python -m repro.experiments worker` servers",
+        type=int,
+        default=1,
+        help="worker processes per job (1 = in the job's thread, 0 = all "
+             "CPUs)",
     )
     serve.add_argument(
         "--cache",
         default="disk",
         metavar="SPEC",
-        help="result cache backend: none, disk[:dir], memory[:entries] "
-             "or tcp://host:port (default: disk — submissions are "
-             "deduplicated against it and /results serves from it)",
+        help="result cache backend: none, disk[:dir] or memory[:n] "
+             "(default: disk — submissions are deduplicated against it "
+             "and /results serves from it)",
     )
     serve.add_argument(
         "--max-jobs",
@@ -700,29 +641,7 @@ def _command_run(args: argparse.Namespace) -> int:
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    if args.dispatch:
-        from repro.experiments.distributed import DistributedExecutor
-
-        try:
-            executor = DistributedExecutor(
-                workers=args.workers,
-                cache=cache,
-                lease_s=args.lease,
-                max_points=args.shard_points,
-            )
-        except ValueError as error:
-            print(error)
-            return 1
-    else:
-        try:
-            worker_count = int(args.workers)
-        except ValueError:
-            print(
-                f"--workers {args.workers!r} is a fleet spec; add --dispatch "
-                "to distribute the run (plain runs take an integer count)"
-            )
-            return 1
-        executor = Executor(workers=worker_count, cache=cache)
+    executor = Executor(workers=args.workers, cache=cache)
     # --full forces the paper scale; otherwise MEMPOOL_FULL still decides.
     # --engine likewise overrides MEMPOOL_ENGINE.
     overrides = {}
@@ -753,59 +672,19 @@ def _command_run(args: argparse.Namespace) -> int:
     print(f"MemPool reproduction — experiment scale: {settings.scale_label}\n")
     for name, result, _elapsed in run_experiments(selected, settings, executor):
         print(f"=== {name} ({executor.last_report.summary()}) ===")
-        for line in executor.last_report.worker_lines():
-            print(f"    {line}")
         print(result.report())
         print()
-    return 0
-
-
-def _command_worker(args: argparse.Namespace) -> int:
-    from repro.experiments.distributed import (
-        DEFAULT_PORT,
-        WorkerServer,
-        parse_cache_spec,
-    )
-
-    try:
-        # Validate the spec now, at startup; the serving processes re-parse
-        # it per connection (live backends must not cross the fork).
-        parse_cache_spec(args.cache)
-    except ValueError as error:
-        print(error)
-        return 1
-    port = DEFAULT_PORT if args.port is None else args.port
-    # A worker is a simulating server: it loads the paper's runner module
-    # (and with it the whole simulator) before it listens, so the process
-    # it forks per connection inherits the import instead of repeating it.
-    import repro.evaluation.points  # noqa: F401
-
-    try:
-        server = WorkerServer(host=args.host, port=port, cache_spec=args.cache)
-    except OSError as error:
-        print(f"cannot bind {args.host}:{port}: {error}")
-        return 1
-    print(f"worker serving shards on {args.host}:{server.port} "
-          f"(cache: {args.cache or 'dispatcher-shared'}); Ctrl-C to stop",
-          flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("stopping")
-    finally:
-        server.stop()
     return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.experiments.distributed import parse_cache_spec, parse_workers
+    from repro.experiments.cache import parse_cache_spec
     from repro.service import DEFAULT_SERVICE_PORT, DEFAULT_TTL_S, SweepService
 
     try:
-        # Validate both specs now, at startup, with CLI-grade messages.
-        parse_workers(args.workers)
+        # Validate the spec now, at startup, with a CLI-grade message.
         cache = parse_cache_spec(args.cache)
     except ValueError as error:
         print(error)
@@ -863,8 +742,6 @@ def main(argv: list[str] | None = None) -> int:
         return _command_trace(args)
     if args.command == "clean":
         return _command_clean(args.cache_dir)
-    if args.command == "worker":
-        return _command_worker(args)
     if args.command == "serve":
         return _command_serve(args)
     return _command_run(args)

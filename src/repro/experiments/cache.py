@@ -7,17 +7,16 @@ source, a cache entry can never serve stale results for edited simulation
 code: the edit changes the key, the lookup misses, and the point is
 recomputed.
 
-Three backends implement the :class:`CacheBackend` protocol:
+Two backends implement the :class:`CacheBackend` protocol:
 
 * :class:`ResultCache` — the on-disk pickle store (the default).  Writes
   are atomic (unique temporary file + :func:`os.replace`), so a crashed
   or killed run never leaves a truncated entry behind; unreadable entries
   are treated as misses and deleted.
-* :class:`MemoryCache` — a bounded in-memory LRU for ephemeral runs and
-  as the store behind a shared cache server.
-* :class:`repro.experiments.distributed.cacheserver.CacheClient` — a
-  client for a remote cache server, so distributed workers share one
-  warm cache and never recompute each other's points.
+* :class:`MemoryCache` — a bounded in-memory LRU for ephemeral runs (the
+  service's default store).
+
+:func:`parse_cache_spec` builds either from a ``--cache`` spec.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ class CacheBackend(Protocol):
     """What the executor stack requires of a result cache.
 
     Any object with these two methods can back an
-    :class:`~repro.experiments.executor.Executor` or a distributed
-    worker: ``get`` returns the stored value or the module-level
-    :data:`MISS` sentinel, ``put`` stores a value under a content hash
-    (idempotently — two writers storing the same key must both succeed).
+    :class:`~repro.experiments.executor.Executor`: ``get`` returns the
+    stored value or the module-level :data:`MISS` sentinel, ``put`` stores
+    a value under a content hash (idempotently — two writers storing the
+    same key must both succeed).
     """
 
     def get(self, key: str) -> Any:
@@ -211,9 +210,7 @@ class MemoryCache:
 
     The ephemeral counterpart of :class:`ResultCache`: nothing touches
     disk, eviction is least-recently-used once ``max_entries`` is
-    reached.  Thread-safe — it is the default store behind
-    :class:`repro.experiments.distributed.cacheserver.CacheServer`,
-    whose connection handlers run in separate threads.
+    reached.  Thread-safe: the service's concurrent jobs share one.
 
     Parameters
     ----------
@@ -272,3 +269,32 @@ class MemoryCache:
     def __contains__(self, key: str) -> bool:
         """Whether ``key`` is currently held (does not touch stats)."""
         return key in self._entries
+
+
+def parse_cache_spec(spec: str | None) -> CacheBackend | None:
+    """Build a cache backend from a ``--cache`` CLI spec.
+
+    Accepted forms: ``"none"`` (no cache), ``"disk"`` (default
+    directory), ``"disk:/path"``, ``"memory"`` and ``"memory:512"``
+    (capacity in entries).  Anything else raises a ``ValueError`` that
+    lists these forms.
+
+    Examples
+    --------
+    >>> parse_cache_spec("none") is None
+    True
+    >>> parse_cache_spec("memory:64").max_entries
+    64
+    """
+    if spec is None or spec == "none":
+        return None
+    kind, colon, argument = spec.partition(":")
+    if kind == "disk":
+        return ResultCache(Path(argument) if colon else default_cache_dir())
+    if kind == "memory" and not colon:
+        return MemoryCache()
+    if kind == "memory" and argument.isdigit():
+        return MemoryCache(max_entries=int(argument))
+    raise ValueError(
+        f"bad cache spec {spec!r}: expected none, disk[:dir] or memory[:n]"
+    )

@@ -35,8 +35,8 @@ def slow_multiply(*, a: float, b: float = 1.0, delay_s: float = 0.0) -> float:
 
     Exists for the scheduling tests: a deliberately slow point exposes
     head-of-line blocking (a fast point finishing behind a slow one must
-    still report progress first) and gives the lease/steal machinery
-    something worth stealing.
+    still report progress first) and gives a cancellation something to
+    interrupt.
 
     Examples
     --------
@@ -53,12 +53,12 @@ def slow_multiply(*, a: float, b: float = 1.0, delay_s: float = 0.0) -> float:
 def crash_once(*, flag_path: str, a: float, b: float = 1.0) -> float:
     """Return ``a * b`` — but SIGKILL the process on the first-ever call.
 
-    The crash-recovery tests run this through a distributed worker: the
-    first process to execute the point creates ``flag_path`` and kills
-    itself mid-shard (no exception, no cleanup — exactly like an OOM
-    kill), so the shard's lease expires and the scheduler requeues it.
-    The retry sees the flag file and completes normally, proving the
-    requeue lost no results and duplicated none.
+    The first process to execute the point creates ``flag_path`` and kills
+    itself (no exception, no cleanup — exactly like an OOM kill); later
+    calls see the flag and complete normally.  Run on a process pool by
+    ``tests/test_executor_loop.py::TestDeadWorker``, which checks that the
+    sweep fails in bounded time naming a lost point, and that a rerun
+    resumes from the points stored before the crash.
     """
     import os
     import signal

@@ -1,22 +1,24 @@
 """Executes experiment specs — serially or across a process pool — with caching.
 
-The :class:`Executor` is the single code path every evaluation driver runs
-through.  Given a list of :class:`~repro.experiments.spec.ExperimentSpec`,
-it makes **one pass** over them in which lookup, dispatch, compute and
-store overlap; there is no scan phase before the compute and no store
-phase after it.  For each spec, in input order:
+The :class:`Executor` is the single code path every evaluation driver and
+every service job runs through.  Given a list of
+:class:`~repro.experiments.spec.ExperimentSpec`, it makes **one pass** over
+them in which lookup, dispatch, compute and store overlap; there is no scan
+phase before the compute and no store phase after it.  For each spec, in
+input order:
 
 1. *look it up* in the attached
    :class:`~repro.experiments.cache.CacheBackend` (when one is attached);
    a hit fills the spec's slot of the result list;
 2. *dispatch* a miss at once — executed in-process when ``workers <= 1``,
-   otherwise handed to a ``multiprocessing`` pool (one task per point; the
-   simulator is pure Python, so process-level parallelism is the only way
-   past the GIL) while the parent goes on looking up the specs behind it;
+   otherwise submitted to a :class:`concurrent.futures.ProcessPoolExecutor`
+   (one task per point; the simulator is pure Python, so process-level
+   parallelism is the only way past the GIL) while the parent goes on
+   looking up the specs behind it;
 3. *collect* whatever has finished, in completion order, after every
    dispatch and then until nothing is pending.
 
-Two orders are contract:
+Three properties are contract:
 
 * **Store, then report.**  A finished point is written to its result slot,
   then ``cache.put``, then handed to ``progress`` — so whoever is told
@@ -25,6 +27,11 @@ Two orders are contract:
   ``progress`` keeps every point collected before that.
 * **The pool is forked lazily, at the second miss.**  An all-hit sweep and
   a sweep with a single miss (which runs in-process) fork nothing.
+* **A dead worker fails the sweep, in bounded time.**  A worker killed
+  mid-point (``SIGKILL``, the OOM killer) breaks the pool: every pending
+  point fails, and :meth:`Executor.run` raises a ``RuntimeError`` naming
+  the first lost point.  What was stored before stays cached, so a rerun
+  resumes from it.
 
 Immediately before the fork the parent resolves the sweep's runners
 (:func:`import_runners`): resolving a runner imports everything its points
@@ -41,7 +48,7 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.experiments.cache import MISS, CacheBackend
@@ -63,30 +70,46 @@ def import_runners(specs: Iterable[ExperimentSpec]) -> None:
             pass  # raised again, with its traceback, where the point runs
 
 
+def _submit(pool, spec: ExperimentSpec):
+    """Submit ``spec`` to ``pool``; a broken pool yields a failed future.
+
+    A worker killed mid-point breaks the pool for every later submission
+    too.  Failing the future instead of raising here queues the failure
+    behind the points that finished before it, so those are stored first.
+    """
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return pool.submit(execute_spec, spec)
+    except BrokenProcessPool as error:
+        future = Future()
+        future.set_exception(error)
+        return future
+
+
+def _pool_result(future, spec: ExperimentSpec) -> Any:
+    """The value of a pool task; a dead worker is reported as a lost point."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return future.result()
+    except BrokenProcessPool as error:
+        raise RuntimeError(
+            f"a pool worker died before point {spec.label} finished; the "
+            "points stored before it stay cached, so a rerun resumes from them"
+        ) from error
+
+
 @dataclass
 class ExecutionReport:
-    """What one :meth:`Executor.run` call did: hits, misses, timing.
-
-    Distributed runs (:class:`repro.experiments.distributed.DistributedExecutor`)
-    additionally fill the scheduler counters: how many shards the sweep
-    split into, how many leases were stolen from another worker's queue,
-    how many shards were requeued after a crash or an expired lease, and
-    the per-worker shard/point tallies.
-    """
+    """What one :meth:`Executor.run` call did: hits, misses, timing."""
 
     total: int = 0
     cache_hits: int = 0
     computed: int = 0
     workers: int = 1
     elapsed_s: float = 0.0
-    #: Work units the sweep was split into (0 for non-distributed runs).
-    shards: int = 0
-    #: Shards a worker pulled from another worker's queue.
-    steals: int = 0
-    #: Shards put back on a queue after a crash or an expired lease.
-    requeues: int = 0
-    #: Per-worker tallies: worker name -> {"shards": n, "points": m}.
-    per_worker: dict = field(default_factory=dict)
 
     def summary(self) -> str:
         """One-line summary for CLI output.
@@ -96,41 +119,13 @@ class ExecutionReport:
         >>> ExecutionReport(total=4, cache_hits=3, computed=1, workers=2,
         ...                 elapsed_s=0.5).summary()
         '4 points: 3 cached, 1 computed on 2 workers in 0.5 s'
-        >>> ExecutionReport(total=4, computed=4, workers=2, elapsed_s=1.0,
-        ...                 shards=3, steals=1, requeues=0).summary()
-        '4 points: 0 cached, 4 computed on 2 workers in 1.0 s (3 shards, 1 steal, 0 requeues)'
         """
-        line = (
+        return (
             f"{self.total} point{'s' if self.total != 1 else ''}: "
             f"{self.cache_hits} cached, {self.computed} computed on "
             f"{self.workers} worker{'s' if self.workers != 1 else ''} "
             f"in {self.elapsed_s:.1f} s"
         )
-        if self.shards:
-            line += (
-                f" ({self.shards} shard{'s' if self.shards != 1 else ''}, "
-                f"{self.steals} steal{'s' if self.steals != 1 else ''}, "
-                f"{self.requeues} requeue{'s' if self.requeues != 1 else ''})"
-            )
-        return line
-
-    def worker_lines(self) -> list[str]:
-        """Per-worker shard/point tallies for CLI output, one line each.
-
-        Examples
-        --------
-        >>> report = ExecutionReport(per_worker={
-        ...     "local-0": {"shards": 2, "points": 8}})
-        >>> report.worker_lines()
-        ['local-0: 2 shards, 8 points']
-        """
-        return [
-            f"{name}: {tally.get('shards', 0)} shard"
-            f"{'s' if tally.get('shards', 0) != 1 else ''}, "
-            f"{tally.get('points', 0)} point"
-            f"{'s' if tally.get('points', 0) != 1 else ''}"
-            for name, tally in sorted(self.per_worker.items())
-        ]
 
 
 class Executor:
@@ -146,12 +141,11 @@ class Executor:
     cache : CacheBackend, optional
         Result cache consulted before computing and updated after — any
         :class:`~repro.experiments.cache.CacheBackend` (on-disk
-        :class:`~repro.experiments.cache.ResultCache`, in-memory
-        :class:`~repro.experiments.cache.MemoryCache`, or a remote
-        :class:`~repro.experiments.distributed.cacheserver.CacheClient`).
-        ``None`` (the default) disables caching entirely.
+        :class:`~repro.experiments.cache.ResultCache` or in-memory
+        :class:`~repro.experiments.cache.MemoryCache`).  ``None`` (the
+        default) disables caching entirely.
     mp_context : multiprocessing context, optional
-        Context used to create the pool (e.g.
+        Context the pool's workers are started from (e.g.
         ``multiprocessing.get_context("spawn")``).  Defaults to the
         platform default (``fork`` on Linux, which is also the fastest).
 
@@ -178,10 +172,6 @@ class Executor:
         self._mp_context = mp_context or multiprocessing.get_context()
         self.last_report = ExecutionReport()
 
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-
     def run(
         self,
         specs: Iterable[ExperimentSpec],
@@ -192,10 +182,13 @@ class Executor:
         One pass (see the module docstring): each spec is looked up, a
         miss is dispatched at once, and finished points are stored and
         reported while later specs are still being looked up or computed.
-        A sweep that lists the same spec twice may therefore report the
-        second occurrence as a cache hit (always on ``workers=1``, where
-        the first is stored before the second is looked up); the values
-        are equal either way.
+        Completions are collected in *completion* order — a slow first
+        point cannot stall the store and the ``progress`` call of every
+        faster point behind it (head-of-line blocking) — while the result
+        list stays aligned with the input.  A sweep that lists the same
+        spec twice may therefore report the second occurrence as a cache
+        hit (always on ``workers=1``, where the first is stored before the
+        second is looked up); the values are equal either way.
 
         Parameters
         ----------
@@ -215,106 +208,41 @@ class Executor:
         list
             One result per spec, aligned with the input order regardless
             of caching or parallel completion order.
+
+        Raises
+        ------
+        RuntimeError
+            When a pool worker died mid-point (see the module docstring).
+            An exception from a point, from ``cache.put`` or from
+            ``progress`` also ends the run at once; either way, what was
+            collected before it stays stored.
         """
         spec_list = list(specs)
         started = time.perf_counter()
-        results, computed = self._execute(spec_list, progress, lookup=True)
-        self.last_report = self.make_report(len(spec_list), computed, started)
-        return results
-
-    def scan_cache(
-        self, spec_list: Sequence[ExperimentSpec]
-    ) -> tuple[list[Any], list[int]]:
-        """Partition specs into cached results and cache-miss indices.
-
-        Returns ``(results, miss_indices)``: one slot per spec, filled for
-        hits and ``None`` for misses (every index, when no cache is
-        attached).  For front-ends that need the partition before anything
-        runs — the service costs a submission by its misses,
-        :class:`repro.experiments.distributed.DistributedExecutor` plans
-        shards over them; :meth:`run` itself looks specs up as it goes.
-        """
-        results: list[Any] = [None] * len(spec_list)
-        if self.cache is None:
-            return results, list(range(len(spec_list)))
-        miss_indices: list[int] = []
-        for index, spec in enumerate(spec_list):
-            value = self.cache.get(spec.key)
-            if value is MISS:
-                miss_indices.append(index)
-            else:
-                results[index] = value
-        return results, miss_indices
-
-    def compute(
-        self,
-        specs: Sequence[ExperimentSpec],
-        progress: Callable[[ExperimentSpec, Any], None] | None = None,
-    ) -> list[Any]:
-        """Compute ``specs`` unconditionally and store fresh results.
-
-        :meth:`run` with the lookup skipped, for callers that already know
-        these specs are cache misses (the distributed executor's serial
-        fallback partitioned them via :meth:`scan_cache`): the same loop,
-        the same store-then-report order.  Does not touch
-        :attr:`last_report`.
-        """
-        return self._execute(list(specs), progress, lookup=False)[0]
-
-    def make_report(
-        self, total: int, computed: int, started: float
-    ) -> ExecutionReport:
-        """The :class:`ExecutionReport` of a run that began at ``started``."""
-        return ExecutionReport(
-            total=total,
-            cache_hits=total - computed,
-            computed=computed,
-            workers=self.workers,
-            elapsed_s=time.perf_counter() - started,
-        )
-
-    def _execute(
-        self,
-        spec_list: Sequence[ExperimentSpec],
-        progress: Callable[[ExperimentSpec, Any], None] | None,
-        lookup: bool,
-    ) -> tuple[list[Any], int]:
-        """The loop behind :meth:`run` and :meth:`compute`.
-
-        Returns ``(results, computed)``.  Completions are collected in
-        *completion* order — a slow first task cannot stall the store and
-        the ``progress`` call of every faster task behind it (head-of-line
-        blocking) — while the result list stays aligned with the input.
-        An exception from a point, from ``cache.put`` or from ``progress``
-        ends the run at once; what was collected before it stays stored.
-        """
         cache = self.cache
-        lookup = lookup and cache is not None
         results: list[Any] = [None] * len(spec_list)
         misses: list[int] = []
         # Dispatched, not yet collected.
         pending: set[int] = set()
-        # (index, value, error) of every point that has run, in completion
-        # order: put by the pool's result thread, or by dispatch() itself
-        # when the point runs in this process.
+        # (index, value, pool future or None) of every point that has run, in
+        # completion order: put by the pool's manager thread, or by
+        # dispatch() itself when the point runs in this process.
         finished: queue.SimpleQueue = queue.SimpleQueue()
 
         def dispatch(index: int, pool=None) -> None:
             pending.add(index)
+            spec = spec_list[index]
             if pool is None:
-                finished.put((index, execute_spec(spec_list[index]), None))
+                finished.put((index, execute_spec(spec), None))
                 return
-            pool.apply_async(
-                execute_spec,
-                (spec_list[index],),
-                callback=lambda value: finished.put((index, value, None)),
-                error_callback=lambda error: finished.put((index, None, error)),
+            _submit(pool, spec).add_done_callback(
+                lambda future: finished.put((index, None, future))
             )
 
         def collect() -> None:
-            index, value, error = finished.get()
-            if error is not None:
-                raise error
+            index, value, future = finished.get()
+            if future is not None:
+                value = _pool_result(future, spec_list[index])
             pending.remove(index)
             results[index] = value
             if cache is not None:
@@ -325,7 +253,7 @@ class Executor:
         pool = None
         try:
             for index, spec in enumerate(spec_list):
-                if lookup:
+                if cache is not None:
                     value = cache.get(spec.key)
                     if value is not MISS:
                         results[index] = value
@@ -340,8 +268,11 @@ class Executor:
                     # outside-in profiler finds the workers under.  The
                     # runners are imported first, for the workers to inherit.
                     import_runners(spec_list)
-                    pool = self._mp_context.Pool(
-                        processes=min(self.workers, len(spec_list) - index + 1)
+                    from concurrent.futures import ProcessPoolExecutor
+
+                    pool = ProcessPoolExecutor(
+                        max_workers=min(self.workers, len(spec_list) - index + 1),
+                        mp_context=self._mp_context,
                     )
                     dispatch(misses[0], pool)
                 dispatch(index, pool)
@@ -353,8 +284,40 @@ class Executor:
                 collect()
         finally:
             if pool is not None:
-                pool.terminate()
-        return results, len(misses)
+                # After a failure, points still queued are dropped and a
+                # point still running is left to finish in the background.
+                pool.shutdown(wait=not pending, cancel_futures=True)
+        self.last_report = ExecutionReport(
+            total=len(spec_list),
+            cache_hits=len(spec_list) - len(misses),
+            computed=len(misses),
+            workers=self.workers,
+            elapsed_s=time.perf_counter() - started,
+        )
+        return results
+
+    def scan_cache(
+        self, spec_list: Sequence[ExperimentSpec]
+    ) -> tuple[list[Any], list[int]]:
+        """Partition specs into cached results and cache-miss indices.
+
+        Returns ``(results, miss_indices)``: one slot per spec, filled for
+        hits and ``None`` for misses (every index, when no cache is
+        attached).  For front-ends that need the partition before anything
+        runs — the service costs a submission by its misses; :meth:`run`
+        itself looks specs up as it goes.
+        """
+        results: list[Any] = [None] * len(spec_list)
+        if self.cache is None:
+            return results, list(range(len(spec_list)))
+        miss_indices: list[int] = []
+        for index, spec in enumerate(spec_list):
+            value = self.cache.get(spec.key)
+            if value is MISS:
+                miss_indices.append(index)
+            else:
+                results[index] = value
+        return results, miss_indices
 
 
 def run_sweep(

@@ -196,7 +196,7 @@ class ExperimentSpec:
 
         Cached per instance (``cached_property`` writes straight into the
         instance ``__dict__``, bypassing the frozen-dataclass guard): the
-        cache scan, the shard planner and every ``cache.put`` all read the
+        lookup, the service's dedup and every ``cache.put`` all read the
         key of the same spec, and the canonical-JSON + SHA-256 round trip
         is not free.  The key is a pure function of the spec and the
         source tree, so a cached copy travelling to a worker process in

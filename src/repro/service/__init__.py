@@ -1,9 +1,10 @@
 """Simulation-as-a-service: HTTP sweep API over the experiments engine.
 
 The package turns the experiments engine into a long-running
-service (ROADMAP item 2): submit sweeps over HTTP, watch NDJSON progress
-streams, fetch results by content hash, and let the content-addressed
-cache deduplicate repeated submissions.  See
+service: submit sweeps over HTTP, watch NDJSON progress streams, fetch
+results by content hash, and let the content-addressed cache deduplicate
+repeated submissions.  Every job runs on the same
+:class:`~repro.experiments.executor.Executor` as ``run``.  See
 :mod:`repro.service.app` for the endpoint surface and
 :mod:`repro.service.jobs` for the job state machine.
 
@@ -14,14 +15,14 @@ Start one from the CLI::
 or in-process::
 
     from repro.service import SweepService
-    service = SweepService(workers="1", cache="memory").start()
+    service = SweepService(workers=1, cache="memory").start()
 """
 
 from repro._lazy import lazy_exports
 
 #: Public name -> defining submodule, resolved on first access:
 #: ``import repro.service.client`` — all a client script needs — must not
-#: pay for the server (``asyncio``, the executors, the distributed stack).
+#: pay for the server (``asyncio``, the executor, the cache).
 _EXPORTS = {
     "DEFAULT_SERVICE_PORT": "app",
     "DEFAULT_TTL_S": "app",

@@ -3,8 +3,8 @@
 :class:`SweepService` turns the experiments engine into a long-running
 queryable oracle: clients submit sweep specs over HTTP, the service
 queues them (shortest expected work first, bounded concurrency), streams
-per-point/per-shard progress as NDJSON, and serves finished results
-straight off the content-addressed cache.
+per-point progress as NDJSON, and serves finished results straight off
+the content-addressed cache.
 
 Endpoints
 ---------
@@ -16,7 +16,7 @@ method      path                       behaviour
 ``GET``     ``/sweeps/{id}``           job description + state
 ``GET``     ``/sweeps/{id}/events``    NDJSON progress stream (``?from=N``)
 ``DELETE``  ``/sweeps/{id}``           cancel (immediate when queued,
-                                       best-effort when running)
+                                       at the next point when running)
 ``GET``     ``/results/{key}``         pickled result bytes by cache key
 ``GET``     ``/healthz``               liveness + queue counters
 ==========  =========================  =======================================
@@ -32,12 +32,11 @@ registry a resubmission is served entirely from the result cache — the
 engine never computes the same point twice.
 
 The HTTP side runs on one asyncio loop (optionally on a background
-thread, for tests and embedding); jobs execute on worker threads through
-the exact executor stack every CLI run uses — a serial
-:class:`~repro.experiments.executor.Executor` for ``workers="1"``, a
-:class:`~repro.experiments.distributed.DistributedExecutor` for anything
-larger (including ``"node1:4,..."`` fleet specs), whose scheduler
-observer feeds steal/shard/requeue events into the job's stream.
+thread, for tests and embedding); each job runs on its own thread through
+the :class:`~repro.experiments.executor.Executor` every CLI run uses —
+in that thread for ``workers=1``, on a process pool of ``workers``
+otherwise.  Either way the job's ``progress`` callback sees every point
+as it is stored, so a cancel lands at the next point.
 """
 
 from __future__ import annotations
@@ -50,11 +49,8 @@ import time
 import traceback
 from typing import Optional, Union
 
-from repro.experiments.cache import MISS, CacheBackend
+from repro.experiments.cache import MISS, CacheBackend, parse_cache_spec
 from repro.experiments.executor import Executor
-from repro.experiments.distributed.cacheserver import parse_cache_spec
-from repro.experiments.distributed.dispatcher import DistributedExecutor
-from repro.experiments.distributed.transport import parse_workers
 from repro.service import http
 from repro.service.jobs import (
     Job,
@@ -163,17 +159,16 @@ class SweepService:
     host, port : str, int
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
-    workers : int or str
-        Per-job executor fleet in :func:`parse_workers` grammar.  ``"1"``
-        runs each job on an in-thread serial executor; anything larger —
-        ``"4"`` or ``"node1:2,node2:7700:4"`` — fronts a
-        :class:`DistributedExecutor` per job, so one service can drive a
-        whole worker fleet.
+    workers : int
+        Worker processes of each job's
+        :class:`~repro.experiments.executor.Executor`: ``1`` runs the job
+        in its own thread, ``0`` selects every CPU.
     cache : CacheBackend or str or None
-        Result cache: a live backend, a ``parse_cache_spec`` string
-        (``"disk:..."``/``"memory"``/``"tcp://..."``), or ``None`` for no
-        caching (disables ``/results`` and dedup-by-cache).  Default: a
-        fresh in-memory cache.
+        Result cache: a live backend, a
+        :func:`~repro.experiments.cache.parse_cache_spec` string
+        (``"disk:..."``/``"memory"``), or ``None`` for no caching
+        (disables ``/results`` and dedup-by-cache).  Default: a fresh
+        in-memory cache.
     max_jobs : int
         Bounded concurrency: how many jobs may run simultaneously.
     ttl_s : float
@@ -182,7 +177,7 @@ class SweepService:
 
     Examples
     --------
-    >>> service = SweepService(workers="1", cache="memory").start()
+    >>> service = SweepService(workers=1, cache="memory").start()
     >>> from repro.service.client import ServiceClient
     >>> client = ServiceClient("127.0.0.1", service.port)
     >>> job = client.submit({"runner": "repro.experiments.demo:multiply",
@@ -196,7 +191,7 @@ class SweepService:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: Union[int, str] = "1",
+        workers: int = 1,
         cache: Union[CacheBackend, str, None] = "memory",
         max_jobs: int = 2,
         ttl_s: float = DEFAULT_TTL_S,
@@ -206,8 +201,7 @@ class SweepService:
         self.host = host
         self.port = port  # replaced by the bound port after start()
         self._requested_port = port
-        self.workers_spec = workers
-        self._worker_entries = parse_workers(workers)
+        self.workers = workers
         self.cache = (
             parse_cache_spec(cache) if isinstance(cache, str) else cache
         )
@@ -382,7 +376,7 @@ class SweepService:
             "queued": len(self._queued),
             "running": len(self._running),
             "max_jobs": self.max_jobs,
-            "workers": str(self.workers_spec),
+            "workers": self.workers,
         }
 
     async def _handle_submit(self, request: http.Request, writer) -> None:
@@ -513,35 +507,16 @@ class SweepService:
             self._job_threads.append(thread)
             thread.start()
 
-    def _make_executor(self, job: Job) -> tuple:
-        """Fresh per-job executor: ``(executor, is_distributed)``."""
-        entries = self._worker_entries
-        if len(entries) == 1 and entries[0].local and entries[0].count == 1:
-            return Executor(workers=1, cache=self.cache), False
-        return (
-            DistributedExecutor(
-                workers=self.workers_spec,
-                cache=self.cache,
-                observer=lambda payload, job=job: self._post_event(
-                    job, payload
-                ),
-            ),
-            True,
-        )
-
     def _job_main(self, job: Job) -> None:
         """Worker-thread body: run the sweep, marshal the outcome back."""
         report = None
         try:
             if job.cancel_requested.is_set():
                 raise JobCancelled()
-            executor, distributed = self._make_executor(job)
+            executor = Executor(workers=self.workers, cache=self.cache)
 
-            def progress(spec, value, job=job, distributed=distributed):
-                # Raising from a distributed store() would kill a channel
-                # thread, not the job — cancellation there is checked at
-                # run boundaries instead.
-                if not distributed and job.cancel_requested.is_set():
+            def progress(spec, value, job=job):
+                if job.cancel_requested.is_set():
                     raise JobCancelled()
                 self._post_event(
                     job,

@@ -1,9 +1,7 @@
 """Minimal asyncio HTTP/1.1 framing for the sweep service.
 
 The service deliberately speaks plain stdlib HTTP — no web framework is
-imported, mirroring how the transport layer of the distributed executor
-speaks raw length-prefixed pickle instead of pulling in an RPC stack.
-The framing rules are kept trivial on purpose:
+imported.  The framing rules are kept trivial on purpose:
 
 * one request per connection (every response carries
   ``Connection: close``), so there is no keep-alive or pipelining state;

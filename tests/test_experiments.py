@@ -1,6 +1,8 @@
 """Tests of the repro.experiments sweep engine (specs, grids, cache, executor)."""
 
+import io
 import pickle
+import threading
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.experiments import (
     MISS,
     Executor,
     ExperimentSpec,
+    MemoryCache,
     ResultCache,
     Sweep,
     canonical_json,
@@ -16,6 +19,7 @@ from repro.experiments import (
     resolve_runner,
     run_sweep,
 )
+from repro.experiments.cache import parse_cache_spec
 from repro.experiments.registry import EXPERIMENTS
 
 
@@ -240,6 +244,74 @@ class TestResultCache:
         assert cache.get(self.KEY) == 2
 
 
+class TestMemoryCache:
+    def test_lru_eviction_order(self):
+        cache = MemoryCache(max_entries=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # refresh "a"
+        cache.put("c", 3)  # evicts "b", the least recently used
+        assert cache.get("b") is MISS
+        assert cache.get("a") == 1 and cache.get("c") == 3
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError):
+            MemoryCache(max_entries=0)
+
+    def test_concurrent_puts_stay_consistent(self):
+        cache = MemoryCache(max_entries=64)
+        threads = [
+            threading.Thread(
+                target=lambda base=base: [
+                    cache.put(f"k{base}-{i}", i) for i in range(50)
+                ]
+            )
+            for base in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(cache) == 64  # bounded, no corruption
+
+
+class TestParseCacheSpec:
+    @pytest.mark.parametrize(
+        "spec, kind, detail",
+        [
+            (None, type(None), None),
+            ("none", type(None), None),
+            ("disk", ResultCache, "default"),
+            ("disk:{tmp}", ResultCache, ""),
+            ("memory", MemoryCache, 1024),
+            ("memory:16", MemoryCache, 16),
+        ],
+    )
+    def test_forms(self, spec, kind, detail, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        if spec is not None:
+            spec = spec.format(tmp=tmp_path)
+        cache = parse_cache_spec(spec)
+        assert isinstance(cache, kind)
+        if kind is ResultCache:
+            assert cache.root == tmp_path / detail
+        if kind is MemoryCache:
+            assert cache.max_entries == detail
+
+    @pytest.mark.parametrize(
+        "bad", ["tape", "memory:x", "memory:-3", "tcp://nohost", "tcp://h:1"]
+    )
+    def test_bad_specs_are_rejected_with_the_valid_forms(self, bad):
+        with pytest.raises(
+            ValueError, match=r"expected none, disk\[:dir\] or memory\[:n\]"
+        ):
+            parse_cache_spec(bad)
+
+    def test_memory_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            parse_cache_spec("memory:0")
+
+
 class TestExecutor:
     def sweep(self):
         return Sweep(
@@ -282,6 +354,13 @@ class TestExecutor:
         executor.run(self.sweep())
         summary = executor.last_report.summary()
         assert "3 points" in summary and "3 computed" in summary
+
+    def test_report_summary_is_singular_for_one(self):
+        from repro.experiments import ExecutionReport
+
+        report = ExecutionReport(total=1, computed=1, workers=1, elapsed_s=0.2)
+        assert report.summary() == (
+            "1 point: 0 cached, 1 computed on 1 worker in 0.2 s")
 
     def test_slow_first_point_does_not_block_progress_of_fast_ones(self):
         # Head-of-line regression check: results are collected in
@@ -327,6 +406,35 @@ class TestTrafficSweepsThroughEngine:
         assert serial.throughput("toph") == parallel.throughput("toph")
         assert serial.latency("toph") == parallel.latency("toph")
 
+    def test_mixed_catalogue_is_byte_identical_to_serial(self, tmp_path):
+        # fig5 + workloads + topologies points on a serial and a two-worker
+        # run with their own caches: results AND cache files match bytewise.
+        from repro.evaluation import ExperimentSettings
+
+        settings = ExperimentSettings(
+            engine="vector", warmup_cycles=50, measure_cycles=100
+        )
+        specs = []
+        for name in ("fig5", "workloads", "topologies"):
+            specs.extend(EXPERIMENTS[name].build_sweep(settings).specs())
+        serial_cache = ResultCache(tmp_path / "serial")
+        pool_cache = ResultCache(tmp_path / "pool")
+        serial = Executor(workers=1, cache=serial_cache).run(specs)
+        pooled = Executor(workers=2, cache=pool_cache).run(specs)
+        # Point by point (a whole-list pickle would also compare pickle's
+        # object-sharing memo, which legitimately differs across processes).
+        for left, right in zip(serial, pooled):
+            assert pickle.dumps(left) == pickle.dumps(right)
+
+        def files(cache):
+            return {
+                path.relative_to(cache.root): path.read_bytes()
+                for path in cache.root.rglob("*.pkl")
+            }
+
+        assert files(serial_cache) == files(pool_cache)  # same keys, same bytes
+        assert len(files(serial_cache)) == len(specs)
+
     def test_fig7_cached_rerun_is_identical(self, tmp_path):
         from repro.evaluation import ExperimentSettings
         from repro.evaluation.fig7 import run_fig7
@@ -341,6 +449,80 @@ class TestTrafficSweepsThroughEngine:
         assert executor.last_report.cache_hits == 4
         assert first.cycles == second.cycles
         assert first.report() == second.report()
+
+
+@pytest.fixture(scope="module")
+def recorded_trace(tmp_path_factory):
+    """A recorded default trace, so that ``traces`` can expand its sweep."""
+    from repro.evaluation import ExperimentSettings
+    from repro.evaluation.points import record_default_trace
+
+    path = str(tmp_path_factory.mktemp("trace") / "default.trace.gz")
+    record_default_trace(ExperimentSettings(engine="vector"), path)
+    return path
+
+
+def unshared_pickle(value) -> bytes:
+    """``value`` pickled without the memo, so object sharing cannot differ.
+
+    A worker receives its parameters by pickle, so a string a result shares
+    with a code literal on a serial run is a copy on a pooled one: equal
+    values, different memo references in the pickle.
+    """
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(value)
+    return buffer.getvalue()
+
+
+class TestEveryExperimentOnThePool:
+    """Serial and pooled runs of every experiment store equal results.
+
+    On ``fork`` the workers inherit the parent's imports; on ``spawn``
+    they start from a fresh interpreter, so a point that depended on
+    state the parent set up outside its parameters would differ there.
+    """
+
+    #: Arguments that shrink a sweep whose default grid is a long one.
+    SHRINK = {"fig7": {"kernels": ("dct",), "topologies": ("toph", "topx")}}
+
+    @pytest.mark.parametrize("method", ("fork", "spawn"))
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_pool_results_reports_and_cache_equal_serial(
+        self, name, method, recorded_trace, tmp_path
+    ):
+        import multiprocessing
+
+        from repro.evaluation import ExperimentSettings
+
+        settings = ExperimentSettings(
+            engine="vector", warmup_cycles=5, measure_cycles=20,
+            trace=recorded_trace,
+        )
+        points = EXPERIMENTS[name].build_sweep(
+            settings, **self.SHRINK.get(name, {})).specs()
+        # A single miss runs in-process; listed twice, both copies miss
+        # before either is stored, and the pool computes them.
+        specs = points * 2 if len(points) == 1 else points
+        serial_cache = ResultCache(tmp_path / "serial")
+        pool_cache = ResultCache(tmp_path / "pool")
+        serial = Executor(workers=1, cache=serial_cache).run(specs)
+        pooled = Executor(
+            workers=2, cache=pool_cache,
+            mp_context=multiprocessing.get_context(method),
+        ).run(specs)
+        assert [unshared_pickle(value) for value in serial] == [
+            unshared_pickle(value) for value in pooled]
+        assemble = EXPERIMENTS[name].assemble
+        assert assemble(points, serial[:len(points)]).report() == assemble(
+            points, pooled[:len(points)]).report()
+        keys = {spec.key for spec in specs}
+        assert {path.stem for path in serial_cache.root.rglob("*.pkl")} == keys
+        assert {path.stem for path in pool_cache.root.rglob("*.pkl")} == keys
+        for key in keys:
+            assert unshared_pickle(serial_cache.get(key)) == unshared_pickle(
+                pool_cache.get(key))
 
 
 class TestFig7SeedRegression:
@@ -442,3 +624,34 @@ class TestExperimentsCli:
         assert main(["run", "fig10", "--no-cache"]) == 0
         capsys.readouterr()
         assert len(ResultCache(tmp_path)) == 0
+
+    def test_run_takes_a_worker_count(self, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(["run", "fig10", "-w", "2", "--no-cache"]) == 0
+        assert "computed on 2 workers" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig10", "-w", "node1:2"],
+            ["worker"],
+            ["serve", "-w", "node1:2"],
+        ],
+    )
+    def test_fleet_specs_and_the_worker_command_are_usage_errors(self, argv, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("spec", ["tcp://h:1", "tape"])
+    def test_serve_rejects_a_bad_cache_spec_with_the_valid_forms(
+        self, spec, capsys
+    ):
+        from repro.experiments.__main__ import main
+
+        assert main(["serve", "--cache", spec, "--port", "0"]) == 1
+        assert "expected none, disk[:dir] or memory[:n]" in capsys.readouterr().out

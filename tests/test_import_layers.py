@@ -77,9 +77,13 @@ ENTRY_POINTS = (
      "    main(['--help'])\n"
      "except SystemExit as stop:\n"
      "    assert stop.code == 0"),
+    ("pool-run-of-demo-points", 0,
+     "from repro.experiments import Executor, Sweep\n"
+     "sweep = Sweep('repro.experiments.demo:multiply', grid={'a': (1, 2, 3)})\n"
+     "assert Executor(workers=2).run(sweep) == [1, 2, 3]"),
     ("service-boot", 0,
      "from repro.service import SweepService\n"
-     "service = SweepService(port=0, workers='1', cache='memory').start()\n"
+     "service = SweepService(port=0, workers=1, cache='memory').start()\n"
      "service.stop()"),
     # One flat parser: its --help formats --pattern's choices, a registry read.
     ("evaluation-help", 1,

@@ -58,7 +58,7 @@ def test_client_import_does_not_load_the_server():
         "import sys\n"
         "import repro.service.client\n"
         "loaded = [name for name in ('repro.service.app', 'asyncio',\n"
-        "          'repro.experiments.distributed') if name in sys.modules]\n"
+        "          'repro.experiments.executor') if name in sys.modules]\n"
         "assert not loaded, loaded\n"
         "from repro.service import ServiceClient, SweepService\n"
         "import repro.service\n"
@@ -82,13 +82,17 @@ def test_client_import_does_not_load_the_server():
     assert done.returncode == 0, done.stderr
 
 
-@pytest.fixture
-def service():
-    """A started in-memory service; stopped (with its jobs) on teardown."""
+@pytest.fixture(params=(1, 2), ids=("1-worker", "2-workers"))
+def service(request):
+    """A started in-memory service; stopped (with its jobs) on teardown.
+
+    Every test runs on a service whose jobs compute in their own thread
+    and on one whose jobs compute on a two-process pool.
+    """
     started = []
 
     def factory(**kwargs):
-        kwargs.setdefault("workers", "1")
+        kwargs.setdefault("workers", request.param)
         kwargs.setdefault("cache", MemoryCache())
         instance = SweepService(**kwargs).start()
         started.append(instance)
@@ -241,6 +245,12 @@ class TestEndpoints:
         blob = client.result(job["result_keys"][0])
         assert blob == pickle.dumps(direct, protocol=pickle.HIGHEST_PROTOCOL)
         assert pickle.loads(blob) == 20
+
+    def test_healthz_reports_the_worker_count(self, service):
+        instance = service()
+        health = make_client(instance).healthz()
+        assert health["workers"] == instance.workers
+        assert health["queued"] == health["running"] == 0
 
     def test_malformed_submissions_return_structured_400(self, service):
         instance = service()
@@ -461,6 +471,8 @@ class TestCancellation:
         assert again["state"] == "done"
         assert again["cache_hits"] >= reported >= 1
         assert again["cache_hits"] + again["computed"] == 20
+        # The cancel landed mid-run: the cancelled job computed fewer than 20.
+        assert again["computed"] > 0
 
     def test_cancel_terminal_job_conflicts(self, service):
         instance = service()
@@ -571,3 +583,27 @@ class TestLifecycle:
         with pytest.raises(ServiceError) as info:
             client.result(job["result_keys"][0])
         assert info.value.status == 404
+
+
+class TestDeadWorker:
+    def test_killed_worker_fails_the_job_and_the_resubmission_resumes(
+        self, tmp_path
+    ):
+        # The first run of a crash_once point SIGKILLs its process: a pool
+        # worker here (on one worker it would be the service itself).
+        instance = SweepService(workers=2, cache=MemoryCache()).start()
+        try:
+            client = make_client(instance)
+            payload = sweep_payload(
+                runner="repro.experiments.demo:crash_once",
+                grid={"a": [1, 2, 3, 4]},
+                base={"b": 10, "flag_path": str(tmp_path / "crashed.flag")},
+            )
+            job = client.wait(client.submit(payload)["job"]["id"], timeout_s=30)
+            assert job["state"] == "failed"
+            assert "a pool worker died before point crash_once[" in job["error"]
+            again = client.wait(client.submit(payload)["job"]["id"], timeout_s=30)
+            assert again["state"] == "done"
+            assert again["cache_hits"] + again["computed"] == 4
+        finally:
+            instance.stop()

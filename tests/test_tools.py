@@ -66,74 +66,6 @@ class TestBenchReportCompare:
         assert ok
 
 
-def _distributed_payload(speedup, cpus=4):
-    return {
-        "distributed": {
-            "benchmark": "cold-cache fig5 sweep on 4 local workers vs 1",
-            "points": 33,
-            "workers": 4,
-            "cpus": cpus,
-            "serial_seconds": 4.0,
-            "fleet_seconds": 4.0 / speedup,
-            "speedup_4v1": speedup,
-        }
-    }
-
-
-class TestDistributedReport:
-    """The distributed-scaling section of the report (cpu-aware gate)."""
-
-    def test_absent_section_is_none(self):
-        assert bench_report.distributed_report({}, None, 0.2) is None
-        assert bench_report.distributed_report(None, None, 0.2) is None
-
-    def test_no_baseline_is_informational(self):
-        ok, report = bench_report.distributed_report(
-            _distributed_payload(3.4), None, 0.2
-        )
-        assert ok
-        assert "informational" in report
-        assert "3.40x" in report
-
-    def test_gated_against_same_cpu_count(self):
-        baseline = _distributed_payload(3.5, cpus=4)
-        ok, report = bench_report.distributed_report(
-            _distributed_payload(2.0, cpus=4), baseline, 0.2
-        )
-        assert not ok  # floor is 3.5 * 0.8 = 2.8
-        assert "REGRESSION" in report
-        ok, _ = bench_report.distributed_report(
-            _distributed_payload(2.9, cpus=4), baseline, 0.2
-        )
-        assert ok
-
-    def test_cpu_count_mismatch_is_never_gated(self):
-        # A 1-core smoke container legitimately measures ~1x: parallel
-        # speedup is bounded by the cores, not the scheduler under test.
-        baseline = _distributed_payload(3.5, cpus=4)
-        ok, report = bench_report.distributed_report(
-            _distributed_payload(0.8, cpus=1), baseline, 0.2
-        )
-        assert ok
-        assert "not comparable" in report
-
-    def test_distributed_regression_alone_exits_one(self, tmp_path, monkeypatch):
-        current_path = tmp_path / "current.json"
-        baseline_path = tmp_path / "baseline.json"
-        current_path.write_text(json.dumps(_engine_payload(3.0)))
-        baseline_path.write_text(json.dumps(_engine_payload(3.0)))
-        experiments = tmp_path / "BENCH_experiments.json"
-        experiments_base = tmp_path / "BENCH_experiments.baseline.json"
-        experiments.write_text(json.dumps(_distributed_payload(1.5, cpus=4)))
-        experiments_base.write_text(json.dumps(_distributed_payload(3.5, cpus=4)))
-        monkeypatch.setattr(bench_report, "EXPERIMENTS_CURRENT", experiments)
-        monkeypatch.setattr(bench_report, "EXPERIMENTS_BASELINE", experiments_base)
-        code = bench_report.main(
-            ["--current", str(current_path), "--baseline", str(baseline_path)]
-        )
-        assert code == 1
-
-
 class TestTopologiesReport:
     """The per-topology section of the report."""
 

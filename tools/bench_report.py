@@ -37,8 +37,6 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 CURRENT_DIR = Path(os.environ.get("BENCH_OUT_DIR") or BENCH_DIR / "out")
 DEFAULT_CURRENT = CURRENT_DIR / "BENCH_engine.json"
 DEFAULT_BASELINE = BENCH_DIR / "BENCH_engine.baseline.json"
-EXPERIMENTS_CURRENT = CURRENT_DIR / "BENCH_experiments.json"
-EXPERIMENTS_BASELINE = BENCH_DIR / "BENCH_experiments.baseline.json"
 
 
 def load_result(path: Path) -> dict | None:
@@ -121,62 +119,6 @@ def topologies_report(
         else:
             detail += " — no committed baseline (informational)"
         lines.append(detail)
-    return ok, "\n".join(lines)
-
-
-def distributed_report(
-    current: dict | None, baseline: dict | None, threshold: float
-) -> tuple[bool, str] | None:
-    """Distributed-scaling report and gate, or None when never benchmarked.
-
-    ``benchmarks/test_perf_distributed.py`` writes a ``"distributed"``
-    section into ``benchmarks/BENCH_experiments.json`` with the
-    4-local-workers-vs-1 wall-clock ratio of a cold-cache sweep and the
-    core count it was measured on.  The gate is **cpu-aware**: parallel
-    speedup is bounded by the host's core count, so the ratio is only
-    compared against the committed baseline when both runs had the same
-    number of cpus — a 1-core smoke container legitimately measures ~1x
-    and must never be gated against a 4-core baseline, or vice versa.
-    """
-    section = (current or {}).get("distributed")
-    if not section:
-        return None
-    speedup = section.get("speedup_4v1", 0.0)
-    cpus = section.get("cpus", 0)
-    workers = section.get("workers", 4)
-    lines = [
-        f"distributed benchmark: {section.get('benchmark', 'scaling sweep')}",
-        f"  fleet speedup   : {speedup:.2f}x on {workers} workers / {cpus} cpus "
-        f"({section.get('serial_seconds', 0)}s -> "
-        f"{section.get('fleet_seconds', 0)}s, "
-        f"{section.get('points', 0)} points)",
-    ]
-    ok = True
-    base_section = (baseline or {}).get("distributed")
-    if base_section and base_section.get("speedup_4v1"):
-        if base_section.get("cpus") != cpus:
-            lines.append(
-                f"  verdict         : cpu count differs from baseline "
-                f"({base_section.get('cpus')} cpus) — not comparable, "
-                "informational"
-            )
-        else:
-            base_speedup = base_section["speedup_4v1"]
-            floor = base_speedup * (1.0 - threshold)
-            ok = speedup >= floor
-            lines.append(
-                "  verdict         : "
-                + (
-                    f"OK (baseline {base_speedup:.2f}x, floor {floor:.2f}x)"
-                    if ok
-                    else f"REGRESSION (> {threshold:.0%} below baseline "
-                    f"{base_speedup:.2f}x)"
-                )
-            )
-    else:
-        lines.append(
-            "  verdict         : no committed distributed baseline (informational)"
-        )
     return ok, "\n".join(lines)
 
 
@@ -285,15 +227,6 @@ def main(argv: list[str] | None = None) -> int:
     workloads = workloads_report(current)
     if workloads:
         print(workloads)
-    distributed = distributed_report(
-        load_result(EXPERIMENTS_CURRENT),
-        load_result(EXPERIMENTS_BASELINE),
-        args.threshold,
-    )
-    if distributed:
-        distributed_ok, report = distributed
-        ok = ok and distributed_ok
-        print(report)
     validation = validation_report(BENCH_DIR / "VALIDATION_report.json")
     if validation:
         print(validation)
