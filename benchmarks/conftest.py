@@ -28,8 +28,14 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session")
 def settings() -> ExperimentSettings:
-    """Experiment settings shared by every benchmark (honours MEMPOOL_FULL)."""
-    return ExperimentSettings()
+    """Experiment settings shared by every benchmark.
+
+    ``MEMPOOL_FULL=1`` selects the paper's scale: this harness has no
+    command line of its own, so it reads the switch here (the library
+    never reads the environment).
+    """
+    full = os.environ.get("MEMPOOL_FULL", "0") not in ("", "0", "false", "False")
+    return ExperimentSettings(full_scale=full)
 
 
 @pytest.fixture(scope="session")

@@ -6,12 +6,14 @@ memory banks) and checks the paper's numbers and ratios.
 
 import pytest
 
-from repro.evaluation.fig10 import run_fig10
+from repro.experiments.registry import EXPERIMENTS
 
 
 @pytest.mark.experiment
 def test_fig10_energy_per_instruction(benchmark, settings, report_sink):
-    result = benchmark.pedantic(lambda: run_fig10(settings), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: EXPERIMENTS["fig10"].run(settings), rounds=1, iterations=1
+    )
     report_sink.append(result.report())
 
     add = result.entry("add")

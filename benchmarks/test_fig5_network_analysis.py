@@ -7,7 +7,7 @@ its average latency in the single digits at a load of 0.33 request/core/cycle.
 
 import pytest
 
-from repro.evaluation.fig5 import run_fig5
+from repro.experiments.registry import EXPERIMENTS
 
 #: Injected loads swept by the benchmark (a superset of the paper's key points).
 LOADS = (0.05, 0.1, 0.2, 0.3, 0.33, 0.4, 0.5)
@@ -16,7 +16,7 @@ LOADS = (0.05, 0.1, 0.2, 0.3, 0.33, 0.4, 0.5)
 @pytest.mark.experiment
 def test_fig5_network_analysis(benchmark, settings, report_sink):
     result = benchmark.pedantic(
-        lambda: run_fig5(settings, loads=LOADS), rounds=1, iterations=1
+        lambda: EXPERIMENTS["fig5"].run(settings, loads=LOADS), rounds=1, iterations=1
     )
     report_sink.append(result.report())
 

@@ -8,7 +8,7 @@ tens of percent without code changes.
 
 import pytest
 
-from repro.evaluation.fig6 import run_fig6
+from repro.experiments.registry import EXPERIMENTS
 
 LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 P_LOCALS = (0.0, 0.25, 0.5, 1.0)
@@ -17,7 +17,7 @@ P_LOCALS = (0.0, 0.25, 0.5, 1.0)
 @pytest.mark.experiment
 def test_fig6_hybrid_addressing(benchmark, settings, report_sink):
     result = benchmark.pedantic(
-        lambda: run_fig6(settings, loads=LOADS, p_locals=P_LOCALS),
+        lambda: EXPERIMENTS["fig6"].run(settings, loads=LOADS, p_locals=P_LOCALS),
         rounds=1,
         iterations=1,
     )

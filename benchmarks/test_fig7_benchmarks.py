@@ -12,13 +12,13 @@ ideal-crossbar baselines TopX / TopXS) and checks the paper's claims:
 
 import pytest
 
-from repro.evaluation.fig7 import run_fig7
+from repro.experiments.registry import EXPERIMENTS
 
 
 @pytest.mark.experiment
 def test_fig7_kernel_performance(benchmark, settings, report_sink):
     result = benchmark.pedantic(
-        lambda: run_fig7(settings, verify=True), rounds=1, iterations=1
+        lambda: EXPERIMENTS["fig7"].run(settings, verify=True), rounds=1, iterations=1
     )
     report_sink.append(result.report())
 

@@ -9,14 +9,14 @@ distributes its wiring.
 
 import pytest
 
-from repro.evaluation.physical_tables import run_physical_tables
+from repro.experiments.registry import EXPERIMENTS
 from repro.physical.timing import CLUSTER_CRITICAL_PATH
 
 
 @pytest.mark.experiment
 def test_cluster_implementation_table(benchmark, settings, report_sink):
     result = benchmark.pedantic(
-        lambda: run_physical_tables(settings), rounds=1, iterations=1
+        lambda: EXPERIMENTS["physical"].run(settings), rounds=1, iterations=1
     )
     report_sink.append(result.report())
 

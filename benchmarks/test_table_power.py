@@ -9,13 +9,13 @@ cluster power (86 %).
 
 import pytest
 
-from repro.evaluation.power_table import run_power_table
+from repro.experiments.registry import EXPERIMENTS
 
 
 @pytest.mark.experiment
 def test_power_breakdown_table(benchmark, settings, report_sink):
     result = benchmark.pedantic(
-        lambda: run_power_table(settings), rounds=1, iterations=1
+        lambda: EXPERIMENTS["power"].run(settings), rounds=1, iterations=1
     )
     report_sink.append(result.report())
 

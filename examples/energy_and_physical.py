@@ -16,21 +16,19 @@ Run with::
 from __future__ import annotations
 
 from repro.evaluation import ExperimentSettings
-from repro.evaluation.fig10 import run_fig10
-from repro.evaluation.physical_tables import run_physical_tables
-from repro.evaluation.power_table import run_power_table
+from repro.experiments.registry import EXPERIMENTS
 
 
 def main() -> None:
     settings = ExperimentSettings()
 
-    print(run_fig10(settings).report())
+    print(EXPERIMENTS["fig10"].run(settings).report())
     print()
 
-    print(run_power_table(settings).report())
+    print(EXPERIMENTS["power"].run(settings).report())
     print()
 
-    print(run_physical_tables(settings).report())
+    print(EXPERIMENTS["physical"].run(settings).report())
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ Run with::
 
     python examples/kernel_benchmarks.py
     python examples/kernel_benchmarks.py --topologies toph topx --kernels matmul
+    python examples/kernel_benchmarks.py --full   # full 256-core cluster
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import argparse
 
 from repro.evaluation import ExperimentSettings
-from repro.evaluation.fig7 import FIG7_KERNELS, FIG7_TOPOLOGIES, run_fig7
+from repro.evaluation.fig7 import FIG7_KERNELS, FIG7_TOPOLOGIES
+from repro.experiments.registry import EXPERIMENTS
 
 
 def main() -> None:
@@ -26,14 +28,18 @@ def main() -> None:
                         choices=list(FIG7_KERNELS))
     parser.add_argument("--topologies", nargs="+", default=list(FIG7_TOPOLOGIES),
                         choices=list(FIG7_TOPOLOGIES))
+    parser.add_argument("--full", action="store_true",
+                        help="simulate the full 256-core cluster")
     arguments = parser.parse_args()
 
     topologies = list(dict.fromkeys([*arguments.topologies, "topx"]))
-    settings = ExperimentSettings()
+    settings = ExperimentSettings(full_scale=arguments.full)
     print(f"Simulating the {settings.scale_label} cluster")
     print(f"kernels: {', '.join(arguments.kernels)}; topologies: {', '.join(topologies)}\n")
 
-    result = run_fig7(settings, kernels=tuple(arguments.kernels), topologies=tuple(topologies))
+    result = EXPERIMENTS["fig7"].run(
+        settings, kernels=tuple(arguments.kernels), topologies=tuple(topologies)
+    )
     print(result.report())
     print()
     print(f"all results functionally correct: {result.all_correct()}")

@@ -13,31 +13,31 @@ Demonstrates the pluggable topology subsystem (`repro.topologies`):
 
 Run with::
 
-    python examples/topology_tour.py                # 64-core cluster
-    MEMPOOL_FULL=1 python examples/topology_tour.py # full 256-core cluster
+    python examples/topology_tour.py         # 64-core cluster
+    python examples/topology_tour.py --full  # full 256-core cluster
 """
 
 from __future__ import annotations
 
+import sys
+
 from repro.core.config import MemPoolConfig
 from repro.evaluation import ExperimentSettings
-from repro.evaluation.topologies import run_topologies
-from repro.evaluation.workloads import run_workloads
-from repro.experiments import Executor
+from repro.experiments.registry import EXPERIMENTS
 from repro.interconnect.topology import build_topology
 from repro.topologies import topology_catalogue
 
 
-def main() -> None:
+def main(full_scale: bool = False) -> None:
     print("== Registered topologies ==")
     for entry in topology_catalogue():
         knobs = ", ".join(sorted(entry.params)) or "-"
         print(f"  {entry.name:<16} {entry.summary}  [knobs: {knobs}]")
     print()
 
-    print("== Zero-load round trips from tile 0 (scaled cluster) ==")
     settings = ExperimentSettings(warmup_cycles=150, measure_cycles=400,
-                                  engine="vector")
+                                  engine="vector", full_scale=full_scale)
+    print(f"== Zero-load round trips from tile 0 ({settings.scale_label}) ==")
     for name in ("toph", "mesh", "torus", "ring", "fully_connected"):
         config = settings.config(name)
         topology = build_topology(config)
@@ -50,16 +50,16 @@ def main() -> None:
     print()
 
     print("== Topology catalogue (vector engine, uniform x poisson) ==")
-    result = run_topologies(settings, executor=Executor())
+    result = EXPERIMENTS["topologies"].run(settings)
     print(result.report())
     print()
 
     print("== Workload catalogue on an 8x2 torus ==")
     torus_settings = ExperimentSettings(
         warmup_cycles=150, measure_cycles=400, engine="vector",
-        topology="torus:width=8,height=2",
+        full_scale=full_scale, topology="torus:width=8,height=2",
     )
-    catalogue = run_workloads(
+    catalogue = EXPERIMENTS["workloads"].run(
         torus_settings,
         patterns=("uniform", "neighbor", "bit_complement"),
         injectors=("poisson",),
@@ -74,4 +74,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(full_scale="--full" in sys.argv[1:])

@@ -16,13 +16,14 @@ Demonstrates the flit-trace subsystem (`repro.workloads.trace`):
 
 Run with::
 
-    python examples/trace_replay.py                # 64-core cluster
-    MEMPOOL_FULL=1 python examples/trace_replay.py # full 256-core cluster
+    python examples/trace_replay.py         # 64-core cluster
+    python examples/trace_replay.py --full  # full 256-core cluster
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 
 from repro.core.cluster import MemPoolCluster
@@ -34,16 +35,16 @@ LOAD = 0.25
 WARMUP, MEASURE = 50, 200
 
 
-def build_config(topology: str, **params) -> MemPoolConfig:
-    """The example's cluster configuration at the ambient scale."""
-    if os.environ.get("MEMPOOL_FULL"):
+def build_config(topology: str, full_scale: bool, **params) -> MemPoolConfig:
+    """The example's cluster configuration at the selected scale."""
+    if full_scale:
         return MemPoolConfig.full(topology, topology_params=params)
     return MemPoolConfig.scaled(topology, topology_params=params)
 
 
-def main() -> None:
+def main(full_scale: bool = False) -> None:
     print("== 1. Record: uniform x poisson on TopH (vector engine) ==")
-    config = build_config("toph")
+    config = build_config("toph", full_scale)
     cluster = MemPoolCluster(config, engine="vector")
     recording = cluster.traffic_simulation(
         LOAD, pattern="uniform", injector="poisson", seed=0
@@ -73,7 +74,7 @@ def main() -> None:
             ("mesh", {"width": 4, "height": 4}),
             ("torus", {"width": 4, "height": 4}),
         ):
-            replay_config = build_config(topology, **params)
+            replay_config = build_config(topology, full_scale, **params)
             replay_cluster = MemPoolCluster(replay_config, engine="legacy")
             result = replay_cluster.traffic_simulation(
                 LOAD,
@@ -95,7 +96,7 @@ def main() -> None:
         print()
 
         print("== 3. Replay is engine-independent ==")
-        vector_cluster = MemPoolCluster(build_config("toph"), engine="vector")
+        vector_cluster = MemPoolCluster(build_config("toph", full_scale), engine="vector")
         vector = vector_cluster.traffic_simulation(
             LOAD,
             pattern="trace", pattern_params=replay,
@@ -112,4 +113,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(full_scale="--full" in sys.argv[1:])

@@ -12,22 +12,22 @@ Demonstrates the pluggable workload subsystem (`repro.workloads`):
 
 Run with::
 
-    python examples/traffic_patterns.py                # 64-core cluster
-    MEMPOOL_FULL=1 python examples/traffic_patterns.py # full 256-core cluster
+    python examples/traffic_patterns.py         # 64-core cluster
+    python examples/traffic_patterns.py --full  # full 256-core cluster
 """
 
 from __future__ import annotations
 
+import sys
+
 from repro.core.cluster import MemPoolCluster
-from repro.core.config import MemPoolConfig
 from repro.core.system import MemPoolSystem
 from repro.evaluation import ExperimentSettings
-from repro.evaluation.workloads import run_workloads
-from repro.experiments import Executor
+from repro.experiments.registry import EXPERIMENTS
 from repro.workloads import injector_catalogue, pattern_catalogue
 
 
-def main() -> None:
+def main(full_scale: bool = False) -> None:
     print("== Registered workloads ==")
     for entry in pattern_catalogue():
         print(f"  pattern  {entry.name:<16} {entry.summary}")
@@ -37,19 +37,17 @@ def main() -> None:
 
     print("== Pattern catalogue on TopH (vector engine, Poisson injection) ==")
     settings = ExperimentSettings(
-        warmup_cycles=200, measure_cycles=600, engine="vector"
+        warmup_cycles=200, measure_cycles=600, engine="vector",
+        full_scale=full_scale,
     )
-    catalogue = run_workloads(
-        settings, injectors=("poisson",), load=0.25, executor=Executor()
+    catalogue = EXPERIMENTS["workloads"].run(
+        settings, injectors=("poisson",), load=0.25
     )
     print(catalogue.report())
     print()
 
     print("== One workload, both simulators ==")
-    config = (
-        MemPoolConfig.full("toph") if settings.full_scale
-        else MemPoolConfig.scaled("toph")
-    )
+    config = settings.config("toph")
     cluster = MemPoolCluster(config, engine="vector")
     open_loop = cluster.traffic_simulation(
         0.2, pattern="hotspot", injector="bursty", seed=0,
@@ -74,4 +72,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(full_scale="--full" in sys.argv[1:])

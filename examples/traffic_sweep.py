@@ -7,23 +7,26 @@ the effect of the hybrid addressing scheme's locality (p_local) on TopH.
 
 Run with::
 
-    python examples/traffic_sweep.py               # 64-core cluster
-    MEMPOOL_FULL=1 python examples/traffic_sweep.py  # full 256-core cluster
+    python examples/traffic_sweep.py         # 64-core cluster
+    python examples/traffic_sweep.py --full  # full 256-core cluster
 """
 
 from __future__ import annotations
 
+import sys
+
 from repro.evaluation import ExperimentSettings
-from repro.evaluation.fig5 import run_fig5
-from repro.evaluation.fig6 import run_fig6
+from repro.experiments.registry import EXPERIMENTS
 
 
-def main() -> None:
-    settings = ExperimentSettings(warmup_cycles=200, measure_cycles=600)
+def main(full_scale: bool = False) -> None:
+    settings = ExperimentSettings(
+        warmup_cycles=200, measure_cycles=600, full_scale=full_scale
+    )
     print(f"Simulating the {settings.scale_label} cluster\n")
 
     print("== Uniform random traffic (Figure 5) ==")
-    fig5 = run_fig5(settings, loads=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5))
+    fig5 = EXPERIMENTS["fig5"].run(settings, loads=(0.05, 0.1, 0.2, 0.3, 0.4, 0.5))
     print(fig5.report())
     print()
     print(fig5.plot())
@@ -36,7 +39,9 @@ def main() -> None:
     print()
 
     print("== Locality-biased traffic on TopH (Figure 6) ==")
-    fig6 = run_fig6(settings, loads=(0.2, 0.4, 0.6, 0.8), p_locals=(0.0, 0.25, 0.5, 1.0))
+    fig6 = EXPERIMENTS["fig6"].run(
+        settings, loads=(0.2, 0.4, 0.6, 0.8), p_locals=(0.0, 0.25, 0.5, 1.0)
+    )
     print(fig6.report())
     print()
     print(
@@ -47,4 +52,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(full_scale="--full" in sys.argv[1:])

@@ -15,8 +15,7 @@ Select an engine per cluster::
 
 or from the command line::
 
-    python -m repro.evaluation fig5 --engine vector
-    python -m repro.experiments run fig5 --engine legacy
+    python -m repro.experiments run fig5 --engine vector
 
 Both the open-loop traffic simulator (through
 :mod:`repro.engine.traffic`) and the execution-driven system simulator

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.evaluation.settings import ExperimentSettings
-from repro.experiments import Executor, Sweep
+from repro.experiments import Sweep
 from repro.utils.tables import format_table
 
 if TYPE_CHECKING:
@@ -96,26 +96,3 @@ def assemble_fig10(specs, results) -> Fig10Result:
     del specs
     (entries,) = results
     return Fig10Result(entries=entries)
-
-
-def run_fig10(
-    settings: ExperimentSettings | None = None,
-    topology: str = "toph",
-    executor: Executor | None = None,
-) -> Fig10Result:
-    """Compute the Figure 10 breakdown for ``topology``.
-
-    The energy figures always refer to the full 64-tile cluster (the remote
-    access mix depends on the cluster size), regardless of the simulation
-    scale used for the performance experiments.
-
-    Examples
-    --------
-    >>> result = run_fig10()
-    >>> result.remote_over_local > 1.0
-    True
-    """
-    sweep = fig10_sweep(settings, topology)
-    specs = sweep.specs()
-    results = (executor or Executor()).run(specs)
-    return assemble_fig10(specs, results)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from repro.evaluation.series import collect_series
 from repro.evaluation.settings import ExperimentSettings
-from repro.experiments import Executor, ExperimentSpec, Sweep
+from repro.experiments import ExperimentSpec, Sweep
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_series
 
@@ -103,37 +103,3 @@ def assemble_fig5(
     """Group per-point traffic results back into a :class:`Fig5Result`."""
     loads, grouped = collect_series(specs, results, "topology")
     return Fig5Result(loads=loads, results=grouped)
-
-
-def run_fig5(
-    settings: ExperimentSettings | None = None,
-    loads: tuple[float, ...] = DEFAULT_LOADS,
-    topologies: tuple[str, ...] = FIG5_TOPOLOGIES,
-    executor: Executor | None = None,
-) -> Fig5Result:
-    """Run the uniform-random traffic sweep of Figure 5.
-
-    Parameters
-    ----------
-    settings : ExperimentSettings, optional
-        Scale/window knobs; defaults honour ``MEMPOOL_FULL``.
-    loads : tuple of float
-        Injected loads to sweep.
-    topologies : tuple of str
-        Topologies to sweep.
-    executor : repro.experiments.Executor, optional
-        Sweep engine to run on.  The default is a serial, uncached
-        executor; pass ``Executor(workers=N, cache=...)`` to parallelise
-        and cache.
-
-    Examples
-    --------
-    >>> settings = ExperimentSettings(warmup_cycles=50, measure_cycles=100)
-    >>> result = run_fig5(settings, loads=(0.05,), topologies=("toph",))
-    >>> len(result.throughput("toph"))
-    1
-    """
-    sweep = fig5_sweep(settings, loads, topologies)
-    specs = sweep.specs()
-    results = (executor or Executor()).run(specs)
-    return assemble_fig5(specs, results)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from repro.evaluation.series import collect_series
 from repro.evaluation.settings import ExperimentSettings
-from repro.experiments import Executor, ExperimentSpec, Sweep
+from repro.experiments import ExperimentSpec, Sweep
 from repro.utils.ascii_plot import ascii_plot
 from repro.utils.tables import format_series
 
@@ -100,35 +100,3 @@ def assemble_fig6(
     """Group per-point traffic results back into a :class:`Fig6Result`."""
     loads, grouped = collect_series(specs, results, "p_local")
     return Fig6Result(loads=loads, results=grouped)
-
-
-def run_fig6(
-    settings: ExperimentSettings | None = None,
-    loads: tuple[float, ...] = DEFAULT_LOADS,
-    p_locals: tuple[float, ...] = DEFAULT_P_LOCAL,
-    executor: Executor | None = None,
-) -> Fig6Result:
-    """Run the locality-biased traffic sweep of Figure 6 (TopH only).
-
-    Parameters
-    ----------
-    settings : ExperimentSettings, optional
-        Scale/window knobs; defaults honour ``MEMPOOL_FULL``.
-    loads : tuple of float
-        Injected loads to sweep.
-    p_locals : tuple of float
-        Local-access probabilities to sweep.
-    executor : repro.experiments.Executor, optional
-        Sweep engine to run on; defaults to a serial, uncached executor.
-
-    Examples
-    --------
-    >>> settings = ExperimentSettings(warmup_cycles=50, measure_cycles=100)
-    >>> result = run_fig6(settings, loads=(0.2,), p_locals=(0.0, 1.0))
-    >>> result.latency(1.0)[-1] < result.latency(0.0)[-1]  # local is faster
-    True
-    """
-    sweep = fig6_sweep(settings, loads, p_locals)
-    specs = sweep.specs()
-    results = (executor or Executor()).run(specs)
-    return assemble_fig6(specs, results)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.evaluation.settings import ExperimentSettings
-from repro.experiments import Executor, ExperimentSpec, Sweep
+from repro.experiments import ExperimentSpec, Sweep
 from repro.utils.tables import format_table
 
 if TYPE_CHECKING:
@@ -129,37 +129,3 @@ def assemble_fig7(
         outcome.cycles[key] = result.cycles
         outcome.results[key] = result
     return outcome
-
-
-def run_fig7(
-    settings: ExperimentSettings | None = None,
-    kernels: tuple[str, ...] = FIG7_KERNELS,
-    topologies: tuple[str, ...] = FIG7_TOPOLOGIES,
-    verify: bool = True,
-    executor: Executor | None = None,
-) -> Fig7Result:
-    """Run every (kernel, topology, scrambling) combination of Figure 7.
-
-    Parameters
-    ----------
-    settings : ExperimentSettings, optional
-        Scale knobs; defaults honour ``MEMPOOL_FULL``.
-    kernels, topologies : tuple of str
-        Subsets of the figure's grid to run.
-    verify : bool
-        Check every kernel's memory contents against a numpy reference.
-    executor : repro.experiments.Executor, optional
-        Sweep engine to run on.  ``Executor(workers=N)`` parallelises the
-        24-point grid across N processes; a cached executor makes warm
-        re-runs near-instant.
-
-    Examples
-    --------
-    >>> result = run_fig7(kernels=("dct",), topologies=("toph", "topx"))
-    >>> result.all_correct()
-    True
-    """
-    sweep = fig7_sweep(settings, kernels, topologies, verify)
-    specs = sweep.specs()
-    results = (executor or Executor()).run(specs)
-    return assemble_fig7(specs, results)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.evaluation.settings import ExperimentSettings
-from repro.experiments import Executor, Sweep
+from repro.experiments import Sweep
 from repro.utils.tables import format_table
 
 if TYPE_CHECKING:
@@ -110,22 +110,3 @@ def assemble_physical(specs, results) -> PhysicalTablesResult:
     del specs
     (result,) = results
     return result
-
-
-def run_physical_tables(
-    settings: ExperimentSettings | None = None,
-    topology: str = "toph",
-    executor: Executor | None = None,
-) -> PhysicalTablesResult:
-    """Evaluate the physical models on the full-size cluster.
-
-    Examples
-    --------
-    >>> result = run_physical_tables()
-    >>> 400.0 < result.frequencies_mhz["typical"] < 1000.0
-    True
-    """
-    sweep = physical_sweep(settings, topology)
-    specs = sweep.specs()
-    results = (executor or Executor()).run(specs)
-    return assemble_physical(specs, results)

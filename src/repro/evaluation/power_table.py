@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.evaluation.settings import ExperimentSettings
-from repro.experiments import Executor, Sweep
+from repro.experiments import Sweep
 from repro.utils.tables import format_table
 
 if TYPE_CHECKING:
@@ -93,22 +93,3 @@ def assemble_power(specs, results) -> PowerTableResult:
     del specs
     (result,) = results
     return result
-
-
-def run_power_table(
-    settings: ExperimentSettings | None = None,
-    frequency_hz: float = 500e6,
-    executor: Executor | None = None,
-) -> PowerTableResult:
-    """Run matmul on TopH and evaluate the power model on its activity.
-
-    Examples
-    --------
-    >>> result = run_power_table()
-    >>> 0.0 < result.breakdown.tiles_fraction <= 1.0
-    True
-    """
-    sweep = power_sweep(settings, frequency_hz)
-    specs = sweep.specs()
-    results = (executor or Executor()).run(specs)
-    return assemble_power(specs, results)

@@ -3,48 +3,20 @@
 The paper evaluates a 256-core cluster.  Cycle-level simulation of that
 system in pure Python is possible but slow, so the default experiment scale
 is a 64-core cluster that preserves every architectural mechanism (four
-groups, radix-4 butterflies, 16-bank tiles).  Setting the environment
-variable ``MEMPOOL_FULL=1`` — or passing ``full_scale=True`` — switches the
-drivers to the full 256-core configuration and the paper's benchmark sizes.
+groups, radix-4 butterflies, 16-bank tiles).  Passing ``full_scale=True``
+(``--full`` on the command line) switches the drivers to the full 256-core
+configuration and the paper's benchmark sizes.  Every field comes from
+arguments alone, never from the environment, so the same settings expand
+to the same sweep points on every host.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.core.config import ENGINES, MemPoolConfig
 from repro.topologies.registry import parse_topology_spec, validate_topology
 from repro.workloads.registry import available_injectors, available_patterns
-
-
-def _full_scale_from_environment() -> bool:
-    return os.environ.get("MEMPOOL_FULL", "0") not in ("", "0", "false", "False")
-
-
-def _engine_from_environment() -> str:
-    return os.environ.get("MEMPOOL_ENGINE", "legacy") or "legacy"
-
-
-def _pattern_from_environment() -> str:
-    return os.environ.get("MEMPOOL_PATTERN", "uniform") or "uniform"
-
-
-def _injector_from_environment() -> str:
-    return os.environ.get("MEMPOOL_INJECTOR", "poisson") or "poisson"
-
-
-def _topology_from_environment() -> str:
-    return os.environ.get("MEMPOOL_TOPOLOGY", "toph") or "toph"
-
-
-def _energy_from_environment() -> bool:
-    return os.environ.get("MEMPOOL_ENERGY", "0") not in ("", "0", "false", "False")
-
-
-def _trace_from_environment() -> str | None:
-    return os.environ.get("MEMPOOL_TRACE") or None
-
 
 #: Default warm-up window of the synthetic-traffic measurements.  The
 #: point functions (:mod:`repro.evaluation.points`) reference these
@@ -61,7 +33,8 @@ DEFAULT_SEED = 0
 class ExperimentSettings:
     """Scale and simulation-length knobs shared by all experiment drivers."""
 
-    full_scale: bool = field(default_factory=_full_scale_from_environment)
+    #: Simulate the paper's 256-core cluster instead of the 64-core one.
+    full_scale: bool = False
     #: Warm-up cycles of the synthetic-traffic measurements.
     warmup_cycles: int = DEFAULT_WARMUP_CYCLES
     #: Measurement window of the synthetic-traffic measurements.
@@ -71,56 +44,57 @@ class ExperimentSettings:
     #: Timing-engine implementation the simulating drivers run on:
     #: ``"legacy"`` (per-object stage network) or ``"vector"`` (the
     #: structure-of-arrays engine of :mod:`repro.engine`).  Both produce
-    #: identical results for fixed seeds; honours ``MEMPOOL_ENGINE``.
-    engine: str = field(default_factory=_engine_from_environment)
+    #: identical results for fixed seeds.
+    engine: str = "legacy"
     #: Destination pattern of the synthetic-traffic experiments, by
-    #: workload registry name; honours ``MEMPOOL_PATTERN``.  fig6 ignores
-    #: it — its sweep *is* the ``local_biased`` pattern.
-    pattern: str = field(default_factory=_pattern_from_environment)
+    #: workload registry name.  fig6 ignores it — its sweep *is* the
+    #: ``local_biased`` pattern.
+    pattern: str = "uniform"
     #: Injection process of the synthetic-traffic experiments, by
-    #: workload registry name; honours ``MEMPOOL_INJECTOR``.
-    injector: str = field(default_factory=_injector_from_environment)
+    #: workload registry name.
+    injector: str = "poisson"
     #: Interconnect topology of the single-topology experiments (the
-    #: ``workloads`` and ``topologies`` catalogues), by topology registry
-    #: name; honours ``MEMPOOL_TOPOLOGY`` and accepts the CLI's
-    #: ``name:k=v`` spec form.  The figure experiments whose sweep *is*
-    #: a topology axis (fig5, fig7, physical) ignore it.
-    topology: str = field(default_factory=_topology_from_environment)
+    #: ``workloads`` catalogue), by topology registry name; accepts the
+    #: CLI's ``name:k=v`` spec form.  The figure experiments whose sweep
+    #: *is* a topology axis (fig5, fig7, physical) ignore it.
+    topology: str = "toph"
     #: Family-specific parameters of :attr:`topology` (e.g.
     #: ``{"width": 8}`` for ``mesh``); filled from the ``name:k=v`` spec
     #: when one is given.
     topology_params: dict = field(default_factory=dict)
     #: Attach the Figure 10 wire-energy summary to every traffic result
-    #: (:func:`repro.energy.traffic.traffic_energy`); honours
-    #: ``MEMPOOL_ENERGY`` / ``--energy``.  Free of simulation side
-    #: effects: the summary is derived from the result's counters after
-    #: the measurement, so enabling it never changes timing numbers.
-    energy: bool = field(default_factory=_energy_from_environment)
-    #: Trace file replayed by the ``traces`` experiment; honours
-    #: ``MEMPOOL_TRACE`` / ``--trace``.  ``None`` lets the experiment
-    #: record its deterministic default trace on first use.
-    trace: str | None = field(default_factory=_trace_from_environment)
+    #: (:func:`repro.energy.traffic.traffic_energy`).  Free of simulation
+    #: side effects: the summary is derived from the result's counters
+    #: after the measurement, so enabling it never changes timing numbers.
+    energy: bool = False
+    #: Trace file replayed by the ``traces`` experiment.  ``None`` lets
+    #: the experiment record its deterministic default trace on first use.
+    trace: str | None = None
 
     def __post_init__(self) -> None:
         # Validate here rather than deep inside a sweep worker: a typo'd
-        # MEMPOOL_ENGINE / MEMPOOL_PATTERN should fail before any point is
-        # expanded, hashed into a cache key, or shipped to a process pool.
+        # engine or pattern should fail before any point is expanded,
+        # hashed into a cache key, or shipped to a process pool.
+        for name in ("warmup_cycles", "measure_cycles"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r} (MEMPOOL_ENGINE/--engine); "
+                f"unknown engine {self.engine!r} (--engine); "
                 f"expected one of {ENGINES}"
             )
         if self.pattern not in available_patterns():
             raise ValueError(
-                f"unknown pattern {self.pattern!r} (MEMPOOL_PATTERN/--pattern); "
+                f"unknown pattern {self.pattern!r} (--pattern); "
                 f"expected one of {available_patterns()}"
             )
         if self.injector not in available_injectors():
             raise ValueError(
-                f"unknown injector {self.injector!r} (MEMPOOL_INJECTOR/"
-                f"--injector); expected one of {available_injectors()}"
+                f"unknown injector {self.injector!r} (--injector); "
+                f"expected one of {available_injectors()}"
             )
-        # Accept the CLI/environment "name:k=v,k2=v2" spec form; bare
+        # Accept the CLI's "name:k=v,k2=v2" spec form; bare
         # names with explicit topology_params pass through unchanged.
         # parse_topology_spec / validate_topology also reject unknown
         # names and parameters here, before any sweep expansion.
@@ -141,8 +115,8 @@ class ExperimentSettings:
         names/values, but structural constraints — a mesh whose
         ``width x height`` does not tile the cluster, a hierarchical group
         count that does not divide it — only surface when the family is
-        built over a concrete configuration.  The CLI front-ends call this
-        once after parsing ``--topology``, so a bad spec fails with one
+        built over a concrete configuration.  The CLI and the service call
+        this once after building the settings, so a bad spec fails with one
         clean message instead of a traceback inside a sweep worker.
         """
         from repro.interconnect.topology import build_topology
@@ -164,17 +138,22 @@ class ExperimentSettings:
         return MemPoolConfig.scaled(topology, **overrides)
 
     def as_params(self) -> dict:
-        """Primitive form used as sweep base parameters.
+        """Primitive form used as the traffic sweeps' base parameters.
 
         The returned dictionary contains only JSON-serialisable values, so
         it can be hashed into cache keys and pickled to worker processes
-        by the :mod:`repro.experiments` engine.
+        by the :mod:`repro.experiments` engine.  A traffic point divides by
+        its measurement window, so a zero window is refused here, before
+        any point is expanded; the kernel experiments (fig7, power) never
+        read the windows and accept zeros.
 
         Examples
         --------
         >>> ExperimentSettings(full_scale=False, seed=7).as_params()["seed"]
         7
         """
+        if self.measure_cycles == 0:
+            raise ValueError("measure_cycles must be positive for a traffic measurement")
         return {
             "full_scale": self.full_scale,
             "warmup_cycles": self.warmup_cycles,

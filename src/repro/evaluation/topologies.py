@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.evaluation.settings import ExperimentSettings
-from repro.experiments import Executor, ExperimentSpec, Sweep
+from repro.experiments import ExperimentSpec, Sweep
 from repro.topologies import available_topologies
 
 if TYPE_CHECKING:
@@ -126,24 +126,3 @@ def assemble_topologies(
     for spec, result in zip(specs, results):
         catalogue.results[spec.params["topology"]] = result
     return catalogue
-
-
-def run_topologies(
-    settings: ExperimentSettings | None = None,
-    topologies: tuple[str, ...] | None = None,
-    load: float = DEFAULT_CATALOGUE_LOAD,
-    executor: Executor | None = None,
-) -> TopologyCatalogueResult:
-    """Run the topology catalogue sweep.
-
-    Examples
-    --------
-    >>> settings = ExperimentSettings(warmup_cycles=50, measure_cycles=100)
-    >>> result = run_topologies(settings, topologies=("toph", "mesh"), load=0.1)
-    >>> result.throughput("mesh") > 0.0
-    True
-    """
-    sweep = topologies_sweep(settings, topologies, load)
-    specs = sweep.specs()
-    results = (executor or Executor()).run(specs)
-    return assemble_topologies(specs, results)

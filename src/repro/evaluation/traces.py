@@ -9,7 +9,7 @@ Because the replay is deterministic — the recorded workload asks for no
 random draws — the differences between rows are purely structural: the
 same requests, at the same cycles, routed through different networks.
 
-The trace comes from ``--trace`` / ``MEMPOOL_TRACE``; without one the
+The trace comes from ``--trace`` (``ExperimentSettings.trace``); without one the
 experiment records a small deterministic default (uniform x poisson on
 TopH) into the result-cache directory on first use.  Every sweep point
 carries the trace's content sha256 in its parameters, so cache keys are
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.evaluation.settings import ExperimentSettings
-from repro.experiments import Executor, ExperimentSpec, Sweep
+from repro.experiments import ExperimentSpec, Sweep
 from repro.experiments.cache import default_cache_dir
 from repro.workloads.trace import read_trace_header
 
@@ -205,22 +205,3 @@ def assemble_traces(
     for spec, result in zip(specs, results):
         catalogue.results[spec.params["topology"]] = result
     return catalogue
-
-
-def run_traces(
-    settings: ExperimentSettings | None = None,
-    topologies: tuple[str, ...] = DEFAULT_TRACE_TOPOLOGIES,
-    executor: Executor | None = None,
-) -> TraceCatalogueResult:
-    """Run the trace-replay catalogue sweep.
-
-    Examples
-    --------
-    >>> result = run_traces(topologies=("mesh", "torus"))
-    >>> result.latency("mesh") > 0.0 and result.energy_per_request("torus") > 0.0
-    True
-    """
-    sweep = traces_sweep(settings, topologies)
-    specs = sweep.specs()
-    results = (executor or Executor()).run(specs)
-    return assemble_traces(specs, results)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.evaluation.settings import ExperimentSettings
-from repro.experiments import Executor, ExperimentSpec, Sweep
+from repro.experiments import ExperimentSpec, Sweep
 from repro.workloads import available_injectors, available_patterns
 from repro.workloads.registry import injector_entry, pattern_entry
 
@@ -103,9 +103,9 @@ def workloads_sweep(
     ``path`` no shared grid axis can supply), so a newly registered
     workload shows up in the catalogue (and the CLI) with no further
     wiring.  ``topology`` (with ``topology_params``)
-    defaults to the settings-level selection (``MEMPOOL_TOPOLOGY`` /
-    ``--topology name:k=v``), so the catalogue runs on any registered
-    topology family — programmatic callers pass the same pair, e.g.
+    defaults to the settings-level selection (``--topology name:k=v``),
+    so the catalogue runs on any registered topology family —
+    programmatic callers pass the same pair, e.g.
     ``workloads_sweep(topology="mesh", topology_params={"width": 8})``.
     """
     settings = settings or ExperimentSettings()
@@ -149,30 +149,3 @@ def assemble_workloads(
     for spec, result in zip(specs, results):
         catalogue.results[(spec.params["pattern"], spec.params["injector"])] = result
     return catalogue
-
-
-def run_workloads(
-    settings: ExperimentSettings | None = None,
-    patterns: tuple[str, ...] | None = None,
-    injectors: tuple[str, ...] | None = None,
-    load: float = DEFAULT_CATALOGUE_LOAD,
-    topology: str | None = None,
-    topology_params: dict | None = None,
-    executor: Executor | None = None,
-) -> WorkloadCatalogueResult:
-    """Run the workload catalogue sweep.
-
-    Examples
-    --------
-    >>> settings = ExperimentSettings(warmup_cycles=50, measure_cycles=100)
-    >>> result = run_workloads(
-    ...     settings, patterns=("uniform",), injectors=("poisson",), load=0.1)
-    >>> result.throughput("uniform", "poisson") > 0.0
-    True
-    """
-    sweep = workloads_sweep(
-        settings, patterns, injectors, load, topology, topology_params
-    )
-    specs = sweep.specs()
-    results = (executor or Executor()).run(specs)
-    return assemble_workloads(specs, results)

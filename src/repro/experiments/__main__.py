@@ -27,7 +27,13 @@ sweeps go through one process pool — and prints each figure's textual
 report plus a cache/timing summary.  Results are cached on disk (see
 :mod:`repro.experiments.cache`), so a warm re-run is near-instant; cache
 keys cover the simulation source code, so edits invalidate entries
-automatically.
+automatically.  ``python -m repro.evaluation [args]`` is the same command
+as ``run [args]``.
+
+Every setting comes from a flag: nothing here (or in
+:class:`~repro.evaluation.settings.ExperimentSettings`) reads the
+environment, apart from ``REPRO_CACHE_DIR`` choosing the default cache
+directory.
 """
 
 from __future__ import annotations
@@ -43,11 +49,7 @@ from repro._lazy import LazyChoices
 from repro.core.config import ENGINES
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.executor import Executor
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    resolve_selection,
-    run_experiments,
-)
+from repro.experiments.registry import EXPERIMENTS, resolve_selection
 
 #: ``--pattern`` / ``--injector`` values: the workload registry's names,
 #: read when one of the options is actually given.
@@ -55,15 +57,96 @@ PATTERNS = LazyChoices("repro.workloads:available_patterns")
 INJECTORS = LazyChoices("repro.workloads:available_injectors")
 
 
+#: ``ExperimentSettings`` field of each settings flag, by ``argparse`` dest.
+SETTINGS_FIELDS = {
+    "full": "full_scale",
+    "engine": "engine",
+    "pattern": "pattern",
+    "injector": "injector",
+    "topology": "topology",
+    "energy": "energy",
+    "trace": "trace",
+}
+
+
+def _settings_flags() -> dict:
+    """The settings and cache flags, declared once: flag -> ``add_argument`` keywords."""
+    return {
+        "--full": dict(
+            action="store_true",
+            help="use the full 256-core cluster (default: the scaled 64-core one)",
+        ),
+        "--engine": dict(
+            choices=ENGINES,
+            default=None,
+            help="timing engine of the simulation (default: 'legacy'; "
+                 "'vector' is the faster structure-of-arrays engine — "
+                 "results are identical for both)",
+        ),
+        "--pattern": dict(
+            choices=PATTERNS,
+            metavar="NAME",
+            default=None,
+            help="destination pattern of the synthetic traffic, one of "
+                 "those the `workloads` command lists (default: 'uniform'; "
+                 "fig6 always runs its own local_biased sweep)",
+        ),
+        "--injector": dict(
+            choices=INJECTORS,
+            metavar="NAME",
+            default=None,
+            help="injection process of the synthetic traffic, one of those "
+                 "the `workloads` command lists (default: 'poisson')",
+        ),
+        "--topology": dict(
+            metavar="NAME[:K=V,...]",
+            default=None,
+            help="topology of the single-topology experiments (the workload "
+                 "catalogue) and of a recording, as a topology registry name "
+                 "with optional parameters, e.g. 'mesh:width=8,height=2' "
+                 "(default: 'toph'; figure sweeps keep their own topology axes)",
+        ),
+        "--energy": dict(
+            action="store_true",
+            help="attach the Figure 10 wire-energy summary to every traffic "
+                 "result (the traces catalogue always reports energy)",
+        ),
+        "--trace": dict(
+            metavar="PATH",
+            default=None,
+            help="trace file the traces experiment replays (default: a small "
+                 "deterministic recording made on first use)",
+        ),
+        "--no-cache": dict(
+            action="store_true",
+            help="do not read or write the on-disk result cache",
+        ),
+        "--cache-dir": dict(
+            default=None,
+            help=f"cache directory (default: {default_cache_dir()})",
+        ),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of ``python -m repro.experiments``."""
+    flags = _settings_flags()
+
+    def add_flags(command: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            command.add_argument(name, **flags[name])
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Run the paper's experiments through the sweep engine.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run = commands.add_parser("run", help="run one or more experiments")
+    # No abbreviations: the retired `python -m repro.evaluation --cache`
+    # must fail rather than read as `--cache-dir`.
+    run = commands.add_parser(
+        "run", help="run one or more experiments", allow_abbrev=False
+    )
     run.add_argument(
         "experiments",
         nargs="*",
@@ -77,72 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes (1 = serial, 0 = all CPUs)",
     )
-    run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the on-disk result cache",
-    )
-    run.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"cache directory (default: {default_cache_dir()})",
-    )
-    run.add_argument(
-        "--full",
-        action="store_true",
-        help="use the full 256-core cluster (like MEMPOOL_FULL=1)",
-    )
-    run.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="timing engine for the simulating experiments (default: "
-             "MEMPOOL_ENGINE or 'legacy'; 'vector' is the faster "
-             "structure-of-arrays engine — results are identical for both)",
-    )
-    run.add_argument(
-        "--pattern",
-        choices=PATTERNS,
-        metavar="NAME",
-        default=None,
-        help="destination pattern of the synthetic-traffic experiments, "
-             "one of those the `workloads` command lists (default: "
-             "MEMPOOL_PATTERN or 'uniform'; fig6 always runs its own "
-             "local_biased sweep)",
-    )
-    run.add_argument(
-        "--injector",
-        choices=INJECTORS,
-        metavar="NAME",
-        default=None,
-        help="injection process of the synthetic-traffic experiments, "
-             "one of those the `workloads` command lists (default: "
-             "MEMPOOL_INJECTOR or 'poisson')",
-    )
-    run.add_argument(
-        "--topology",
-        metavar="NAME[:K=V,...]",
-        default=None,
-        help="topology of the single-topology experiments (the workload "
-             "catalogue), as a topology registry name with optional "
-             "parameters, e.g. 'mesh:width=8,height=2' (default: "
-             "MEMPOOL_TOPOLOGY or 'toph'; figure sweeps keep their own "
-             "topology axes)",
-    )
-    run.add_argument(
-        "--energy",
-        action="store_true",
-        help="attach the Figure 10 wire-energy summary to every traffic "
-             "result (like MEMPOOL_ENERGY=1; the traces catalogue always "
-             "reports energy)",
-    )
-    run.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="trace file the traces experiment replays (like "
-             "MEMPOOL_TRACE; default: a small deterministic recording "
-             "made on first use)",
+    add_flags(
+        run, "--no-cache", "--cache-dir", "--full", "--engine", "--pattern",
+        "--injector", "--topology", "--energy", "--trace",
     )
 
     trace = commands.add_parser(
@@ -161,26 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="record a synthetic-traffic run as a trace file"
     )
     record.add_argument("path", help="output trace file (e.g. run.trace.gz)")
-    record.add_argument(
-        "--topology",
-        metavar="NAME[:K=V,...]",
-        default=None,
-        help="topology to record on (default: MEMPOOL_TOPOLOGY or 'toph')",
-    )
-    record.add_argument(
-        "--pattern",
-        choices=PATTERNS,
-        metavar="NAME",
-        default=None,
-        help="destination pattern (default: MEMPOOL_PATTERN or 'uniform')",
-    )
-    record.add_argument(
-        "--injector",
-        choices=INJECTORS,
-        metavar="NAME",
-        default=None,
-        help="injection process (default: MEMPOOL_INJECTOR or 'poisson')",
-    )
+    add_flags(record, "--topology", "--pattern", "--injector")
     record.add_argument(
         "--load",
         type=float,
@@ -207,18 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="workload RNG seed (default: 0)",
     )
-    record.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="engine used for the recording run (the recorded bytes are "
-             "engine-independent)",
-    )
-    record.add_argument(
-        "--full",
-        action="store_true",
-        help="record on the full 256-core cluster (like MEMPOOL_FULL=1)",
-    )
+    add_flags(record, "--engine", "--full")
     record.add_argument(
         "--force",
         action="store_true",
@@ -241,28 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="topology families to replay on (default: the six "
              "parameterized families)",
     )
-    replay.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="timing engine of the replay (results are engine-identical)",
-    )
-    replay.add_argument(
-        "--full",
-        action="store_true",
-        help="replay on the full 256-core cluster (the trace must have "
-             "been recorded at that scale)",
-    )
-    replay.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the on-disk result cache",
-    )
-    replay.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"cache directory (default: {default_cache_dir()})",
-    )
+    add_flags(replay, "--engine", "--full", "--no-cache", "--cache-dir")
 
     serve = commands.add_parser(
         "serve",
@@ -372,11 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     clean = commands.add_parser("clean", help="delete every cached result")
-    clean.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"cache directory (default: {default_cache_dir()})",
-    )
+    add_flags(clean, "--cache-dir")
     return parser
 
 
@@ -417,9 +382,37 @@ def _command_topologies() -> int:
     return 0
 
 
+def _settings(args: argparse.Namespace, **fields):
+    """``ExperimentSettings`` from ``fields`` plus the settings flags ``args`` carries.
+
+    Also builds the selected topology once, so that a spec that only fails
+    when built (a mesh that does not tile the cluster) fails here too.
+    Prints the error and returns ``None`` on an invalid value.
+    """
+    from repro.evaluation.settings import ExperimentSettings
+
+    for dest, name in SETTINGS_FIELDS.items():
+        value = getattr(args, dest, None)
+        if value:  # None or False: the flag was not given
+            fields[name] = value
+    try:
+        settings = ExperimentSettings(**fields)
+        settings.probe_topology()
+    except ValueError as error:
+        print(error)
+        return None
+    return settings
+
+
+def _cache(args: argparse.Namespace) -> ResultCache | None:
+    """The result cache ``--no-cache`` / ``--cache-dir`` select."""
+    if args.no_cache:
+        return None
+    return ResultCache(args.cache_dir or default_cache_dir())
+
+
 def _trace_record(args: argparse.Namespace) -> int:
     from repro.core.cluster import MemPoolCluster
-    from repro.evaluation.settings import ExperimentSettings
     from repro.evaluation.traces import (
         DEFAULT_TRACE_LOAD,
         DEFAULT_TRACE_MEASURE,
@@ -428,26 +421,14 @@ def _trace_record(args: argparse.Namespace) -> int:
     from repro.traffic import TrafficSimulation
     from repro.workloads.trace import record_trace
 
-    overrides = {}
-    if args.full:
-        overrides["full_scale"] = True
-    for key in ("engine", "pattern", "injector", "topology"):
-        value = getattr(args, key)
-        if value:
-            overrides[key] = value
+    fields = {
+        "warmup_cycles": DEFAULT_TRACE_WARMUP if args.warmup is None else args.warmup,
+        "measure_cycles": DEFAULT_TRACE_MEASURE if args.measure is None else args.measure,
+    }
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    overrides["warmup_cycles"] = (
-        DEFAULT_TRACE_WARMUP if args.warmup is None else args.warmup
-    )
-    overrides["measure_cycles"] = (
-        DEFAULT_TRACE_MEASURE if args.measure is None else args.measure
-    )
-    try:
-        settings = ExperimentSettings(**overrides)
-        settings.probe_topology()
-    except ValueError as error:
-        print(error)
+        fields["seed"] = args.seed
+    settings = _settings(args, **fields)
+    if settings is None:
         return 1
     load = DEFAULT_TRACE_LOAD if args.load is None else args.load
     config = settings.config(
@@ -455,22 +436,22 @@ def _trace_record(args: argparse.Namespace) -> int:
     )
     cluster = MemPoolCluster(config, engine=settings.engine)
     try:
-        simulation = TrafficSimulation(
+        result = TrafficSimulation(
             cluster,
             load,
             pattern=settings.pattern,
             injector=settings.injector,
             seed=settings.seed,
+        ).run(
+            warmup_cycles=settings.warmup_cycles,
+            measure_cycles=settings.measure_cycles,
+            record_flits=True,
         )
     except ValueError as error:
-        # e.g. --pattern trace: replay components need a source trace.
+        # e.g. --pattern trace (replay components need a source trace) or
+        # --measure 0; both fail before a cycle is simulated.
         print(error)
         return 1
-    result = simulation.run(
-        warmup_cycles=settings.warmup_cycles,
-        measure_cycles=settings.measure_cycles,
-        record_flits=True,
-    )
     try:
         sha = record_trace(
             result,
@@ -523,29 +504,17 @@ def _trace_info(path: str) -> int:
 
 
 def _trace_replay(args: argparse.Namespace) -> int:
-    from repro.evaluation import traces as traces_module
-    from repro.evaluation.settings import ExperimentSettings
+    from repro.evaluation.traces import DEFAULT_TRACE_TOPOLOGIES
     from repro.workloads.trace import TraceFormatError
 
-    overrides: dict = {"trace": args.path}
-    if args.engine:
-        overrides["engine"] = args.engine
-    if args.full:
-        overrides["full_scale"] = True
-    try:
-        settings = ExperimentSettings(**overrides)
-    except ValueError as error:
-        print(error)
+    settings = _settings(args, trace=args.path)
+    if settings is None:
         return 1
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    topologies = (
-        tuple(args.topologies) or traces_module.DEFAULT_TRACE_TOPOLOGIES
-    )
     try:
-        result = traces_module.run_traces(
-            settings, topologies=topologies, executor=Executor(cache=cache)
+        result = EXPERIMENTS["traces"].run(
+            settings,
+            Executor(cache=_cache(args)),
+            topologies=tuple(args.topologies) or DEFAULT_TRACE_TOPOLOGIES,
         )
     except (OSError, TraceFormatError, ValueError) as error:
         # Missing/corrupt trace files and unknown topology names both
@@ -572,6 +541,26 @@ def _command_clean(cache_dir: str | None) -> int:
     return 0
 
 
+def _band_policy(args: argparse.Namespace, golden_path):
+    """The golden file's band policy with the ``validate`` flags applied.
+
+    Starts from ``BandPolicy()`` when the file does not load (``--update``
+    of a new file), so a flag left out keeps what the file committed.
+    """
+    from repro.validation import BandPolicy, load_goldens
+
+    try:
+        policy = load_goldens(golden_path)[1].to_dict()
+    except ValueError:
+        policy = BandPolicy().to_dict()
+    if args.bands is not None:
+        policy["bands"] = list(BandPolicy.from_spec(args.bands).edges)
+    for key in ("warn_from", "reject_from"):
+        if getattr(args, key) is not None:
+            policy[key] = getattr(args, key)
+    return BandPolicy.from_dict(policy)
+
+
 def _command_validate(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -579,43 +568,20 @@ def _command_validate(args: argparse.Namespace) -> int:
     from repro.validation import (
         GOLDEN_PATH,
         REPORT_PATH,
-        BandPolicy,
         validate_goldens,
         write_goldens,
     )
 
     golden_path = Path(args.golden) if args.golden else GOLDEN_PATH
     try:
+        policy = _band_policy(args, golden_path)
         if args.update:
-            policy = None
-            if args.bands or args.warn_from or args.reject_from:
-                policy = BandPolicy.from_spec(
-                    args.bands, args.warn_from, args.reject_from
-                )
             document = write_goldens(golden_path, policy=policy)
             print(
                 f"committed {len(document['cases'])} golden cases to "
                 f"{golden_path}"
             )
             return 0
-        policy = None
-        if args.bands or args.warn_from or args.reject_from:
-            # Partial overrides fall back to the defaults of BandPolicy —
-            # load the file's policy first so unspecified knobs keep it.
-            from repro.validation import load_goldens
-
-            _, file_policy = load_goldens(golden_path)
-            base = file_policy.to_dict()
-            override = BandPolicy.from_spec(
-                args.bands, args.warn_from, args.reject_from
-            ).to_dict()
-            if args.bands is None:
-                override["bands"] = base["bands"]
-            if args.warn_from is None:
-                override["warn_from"] = base["warn_from"]
-            if args.reject_from is None:
-                override["reject_from"] = base["reject_from"]
-            policy = BandPolicy.from_dict(override)
         report = validate_goldens(golden_path, policy=policy)
     except ValueError as error:
         print(error)
@@ -632,45 +598,17 @@ def _command_validate(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    from repro.evaluation.settings import ExperimentSettings
-
     selected, error = resolve_selection(args.experiments)
     if error:
         print(error)
         return 1
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    executor = Executor(workers=args.workers, cache=cache)
-    # --full forces the paper scale; otherwise MEMPOOL_FULL still decides.
-    # --engine likewise overrides MEMPOOL_ENGINE.
-    overrides = {}
-    if args.full:
-        overrides["full_scale"] = True
-    if args.engine:
-        overrides["engine"] = args.engine
-    if args.pattern:
-        overrides["pattern"] = args.pattern
-    if args.injector:
-        overrides["injector"] = args.injector
-    if args.topology:
-        overrides["topology"] = args.topology
-    if args.energy:
-        overrides["energy"] = True
-    if args.trace:
-        overrides["trace"] = args.trace
-    try:
-        settings = ExperimentSettings(**overrides)
-        # Probe unconditionally: the selection may also come from
-        # MEMPOOL_TOPOLOGY, and structural errors (a mesh that does not
-        # tile the cluster) only surface when the family is built.
-        settings.probe_topology()
-    except ValueError as error:
-        # A typo'd --topology spec fails here, before any sweep expands.
-        print(error)
+    settings = _settings(args)
+    if settings is None:
         return 1
+    executor = Executor(workers=args.workers, cache=_cache(args))
     print(f"MemPool reproduction — experiment scale: {settings.scale_label}\n")
-    for name, result, _elapsed in run_experiments(selected, settings, executor):
+    for name in selected:
+        result = EXPERIMENTS[name].run(settings, executor)
         print(f"=== {name} ({executor.last_report.summary()}) ===")
         print(result.report())
         print()
@@ -680,25 +618,24 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.experiments.cache import parse_cache_spec
     from repro.service import DEFAULT_SERVICE_PORT, DEFAULT_TTL_S, SweepService
 
+    port = DEFAULT_SERVICE_PORT if args.port is None else args.port
+    ttl_s = DEFAULT_TTL_S if args.ttl is None else args.ttl
     try:
-        # Validate the spec now, at startup, with a CLI-grade message.
-        cache = parse_cache_spec(args.cache)
+        # A bad --cache spec or --max-jobs fails now, at startup, with a
+        # CLI-grade message.
+        service = SweepService(
+            host=args.host,
+            port=port,
+            workers=args.workers,
+            cache=args.cache,
+            max_jobs=args.max_jobs,
+            ttl_s=ttl_s,
+        )
     except ValueError as error:
         print(error)
         return 1
-    port = DEFAULT_SERVICE_PORT if args.port is None else args.port
-    ttl_s = DEFAULT_TTL_S if args.ttl is None else args.ttl
-    service = SweepService(
-        host=args.host,
-        port=port,
-        workers=args.workers,
-        cache=cache,
-        max_jobs=args.max_jobs,
-        ttl_s=ttl_s,
-    )
     try:
         service.start()
     except OSError as error:

@@ -3,10 +3,12 @@
 Each figure/table of the paper is registered as an
 :class:`ExperimentDefinition`: a sweep builder (settings -> :class:`Sweep`)
 plus an assembler that folds the per-point results back into the figure's
-result object (which knows how to :meth:`report` itself).  The registry is
-what both command-line entry points (``python -m repro.experiments`` and
-``python -m repro.evaluation``) iterate over, and it is the natural place
-to register new experiments as the reproduction grows.
+result object (which knows how to :meth:`report` itself).
+:meth:`ExperimentDefinition.run` is the one way to run an experiment:
+``EXPERIMENTS["fig5"].run(settings, loads=...)`` in code, and
+``python -m repro.experiments run`` (which ``python -m repro.evaluation``
+forwards to) on the command line.  It is also the place to register new
+experiments as the reproduction grows.
 
 Importing this module imports no experiment: a definition *names* the
 :mod:`repro.evaluation` module that holds its sweep builder and
@@ -20,10 +22,9 @@ point is about to run and not before.
 from __future__ import annotations
 
 import importlib
-import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.experiments.executor import Executor
 from repro.experiments.spec import ExperimentSpec
@@ -66,20 +67,39 @@ class ExperimentDefinition:
         """
         return getattr(importlib.import_module(self.module), f"assemble_{self.name}")
 
-    def run(self, settings: ExperimentSettings, executor: Executor) -> Any:
+    def run(
+        self,
+        settings: ExperimentSettings | None = None,
+        executor: Executor | None = None,
+        **sweep_args: Any,
+    ) -> Any:
         """Expand the sweep, run it on ``executor`` and assemble the result.
+
+        Parameters
+        ----------
+        settings : ExperimentSettings, optional
+            Scale, window, engine and workload knobs; the defaults when
+            omitted.
+        executor : Executor, optional
+            Sweep engine to run on.  The default is a serial, uncached
+            executor; pass ``Executor(workers=N, cache=...)`` to
+            parallelise and cache.
+        **sweep_args
+            Forwarded to the sweep builder to trim or reshape the
+            experiment's grid, e.g. ``loads=(0.1,)`` for ``fig5`` or
+            ``kernels=("dct",)`` for ``fig7``.
 
         Examples
         --------
         >>> from repro.evaluation.settings import ExperimentSettings
-        >>> from repro.experiments.registry import EXPERIMENTS
-        >>> definition = EXPERIMENTS["fig10"]
-        >>> result = definition.run(ExperimentSettings(), Executor())
-        >>> "Figure 10" in result.report()
-        True
+        >>> settings = ExperimentSettings(warmup_cycles=50, measure_cycles=100)
+        >>> result = EXPERIMENTS["fig5"].run(
+        ...     settings, loads=(0.05,), topologies=("toph",))
+        >>> len(result.throughput("toph"))
+        1
         """
-        specs = self.build_sweep(settings).specs()
-        return self.assemble(specs, executor.run(specs))
+        specs = self.build_sweep(settings, **sweep_args).specs()
+        return self.assemble(specs, (executor or Executor()).run(specs))
 
 
 def resolve_selection(names: Sequence[str]) -> tuple[list[str], str | None]:
@@ -114,23 +134,6 @@ def resolve_selection(names: Sequence[str]) -> tuple[list[str], str | None]:
             f"available: {', '.join(EXPERIMENTS)}"
         )
     return selected, None
-
-
-def run_experiments(
-    selected: Sequence[str],
-    settings: ExperimentSettings,
-    executor: Executor,
-) -> Iterator[tuple[str, Any, float]]:
-    """Run experiments one by one, yielding ``(name, result, elapsed_s)``.
-
-    The shared run loop of both command-line front-ends
-    (``python -m repro.experiments`` and ``python -m repro.evaluation``);
-    each caller formats the yielded results its own way.
-    """
-    for name in selected:
-        start = time.perf_counter()
-        result = EXPERIMENTS[name].run(settings, executor)
-        yield name, result, time.perf_counter() - start
 
 
 #: Every experiment of the paper, keyed by its CLI name.

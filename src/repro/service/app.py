@@ -111,15 +111,15 @@ def build_specs(payload) -> tuple:
                 f"'settings' must be a JSON object, got "
                 f"{type(overrides).__name__}"
             )
+        definition = EXPERIMENTS[name]
         try:
             settings = ExperimentSettings(**overrides)
             settings.probe_topology()
+            specs = definition.build_sweep(settings).specs()
         except TypeError as error:
             raise SpecError(f"bad settings: {error}") from error
         except ValueError as error:
             raise SpecError(str(error)) from error
-        definition = EXPERIMENTS[name]
-        specs = definition.build_sweep(settings).specs()
         return name, specs, definition.assemble
     if "runner" in payload:
         runner = payload["runner"]

@@ -9,7 +9,7 @@ parameterized families, selected by name everywhere a topology appears:
 * :func:`repro.interconnect.topology.build_topology` builds through
   :func:`make_topology`, so clusters, the traffic layers and every engine
   consume any registered family with no changes;
-* both CLIs accept ``--topology name:k=v,k2=v2`` and the ``topologies``
+* the CLI accepts ``--topology name:k=v,k2=v2`` and the ``topologies``
   experiment sweeps the whole catalogue.
 
 See :mod:`repro.topologies.registry` for the catalogue and

@@ -4,7 +4,7 @@ The registry is what makes topologies *pluggable*, exactly like the
 workload registry (:mod:`repro.workloads.registry`) made traffic patterns
 pluggable: every consumer — :class:`~repro.core.config.MemPoolConfig`
 validation, :func:`repro.interconnect.topology.build_topology`, the
-evaluation drivers, the sweep builders and both CLIs — selects a topology
+evaluation drivers, the sweep builders and the CLI — selects a topology
 by name and passes parameters as plain primitives, so a family registered
 here is immediately buildable through every engine, the experiment grid
 and the cached sweep infrastructure without touching any of those layers.

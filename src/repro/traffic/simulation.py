@@ -236,11 +236,18 @@ class TrafficSimulation:
         ------
         ValueError
             When ``warmup_cycles`` is negative (the window would be
-            shorter than the ``measure_cycles`` it is normalised by).
+            shorter than the ``measure_cycles`` it is normalised by) or
+            ``measure_cycles`` is not positive (nothing to normalise by);
+            raised before any cycle is simulated.
         """
         if warmup_cycles < 0:
             raise ValueError(
                 f"warmup_cycles must be non-negative, got {warmup_cycles}"
+            )
+        if measure_cycles < 1:
+            raise ValueError(
+                "measure_cycles must be positive (the measurement window "
+                f"normalises throughput), got {measure_cycles}"
             )
         if getattr(self.cluster, "engine_kind", "legacy") != "legacy":
             # Through the module: bench/spans.py wraps the function there.

@@ -6,7 +6,7 @@ injection processes (when they are generated), each exposing both a scalar
 API (consumed by the legacy object engine) and a batched API (consumed by
 the vector engine's fast path).  Every consumer — the open-loop traffic
 simulation, the vector fast path, the execution-driven system, the
-evaluation drivers and both CLIs — selects workloads by name through
+evaluation drivers and the CLI — selects workloads by name through
 :func:`make_pattern` / :func:`make_injector`, so registering a new
 component here makes it runnable everywhere at once.
 

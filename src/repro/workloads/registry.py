@@ -2,7 +2,7 @@
 
 The registry is what makes workloads *pluggable*: every consumer — the
 traffic simulation, the vector fast path, the evaluation drivers, the
-sweep builders and both CLIs — selects workloads by name and passes
+sweep builders and the CLI — selects workloads by name and passes
 parameters as plain primitives, so a new pattern registered here is
 immediately runnable through every engine and the cached experiment grid
 without touching any of those layers.

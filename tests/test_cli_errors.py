@@ -1,10 +1,11 @@
-"""Malformed-spec error paths of both CLIs and the registries behind them.
+"""Malformed-input error paths of the CLI and the registries behind it.
 
-Every bad ``--topology`` spec, pattern/injector name or parameter value
-must fail with a message that names the offending key and lists the valid
-choices — at spec-parse time on the CLIs (exit code 1, no sweep
-expansion), and with the same contextual wording from the registry
-helpers that every other layer routes through.
+Every bad ``--topology`` spec, pattern/injector name, parameter value or
+out-of-range number must fail with a message that names the offending key
+(and, for names, lists the valid choices) — at parse time on the CLI
+(exit code 1, no sweep expansion, no traceback), and with the same
+contextual wording from the registry helpers that every other layer
+routes through.
 """
 
 from __future__ import annotations
@@ -136,73 +137,73 @@ BAD_TOPOLOGY_SPECS = (
 )
 
 
-class TestEvaluationCliTopologyErrors:
-    """``python -m repro.evaluation --topology <bad>`` exits 1 with context."""
-
-    @pytest.mark.parametrize("spec, fragment", BAD_TOPOLOGY_SPECS)
-    def test_bad_spec_fails_before_running(self, capsys, spec, fragment):
-        from repro.evaluation.__main__ import main
-
-        assert main(["fig10", "--topology", spec]) == 1
-        assert fragment in capsys.readouterr().out
-
-    def test_structurally_invalid_spec_fails_at_probe(self, capsys):
-        from repro.evaluation.__main__ import main
-
-        # width*height misses the tile count — only buildable checks catch it.
-        assert main(["fig10", "--topology", "mesh:width=3,height=3"]) == 1
-        assert "mesh" in capsys.readouterr().out
-
-    def test_unknown_pattern_choice_exits_two(self):
-        from repro.evaluation.__main__ import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig10", "--pattern", "nope"])
-        assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("engine", ["batch", "compiled"])
-    def test_unknown_engine_choice_exits_two(self, engine):
-        from repro.evaluation.__main__ import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig5", "--engine", engine])
-        assert excinfo.value.code == 2
-
-    def test_unknown_injector_choice_exits_two(self):
-        from repro.evaluation.__main__ import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig10", "--injector", "nope"])
-        assert excinfo.value.code == 2
+@pytest.fixture(params=["run", "trace-record"])
+def command(request, tmp_path):
+    """The argv prefix of each command that takes the settings flags."""
+    if request.param == "run":
+        return ["run", "fig10", "--no-cache"]
+    return ["trace", "record", str(tmp_path / "t.trace.gz")]
 
 
 class TestExperimentsCliTopologyErrors:
-    """``python -m repro.experiments run --topology <bad>`` mirrors it."""
+    """``run`` / ``trace record`` with a bad settings flag exit with context."""
 
     @pytest.mark.parametrize("spec, fragment", BAD_TOPOLOGY_SPECS)
-    def test_bad_spec_fails_before_running(self, capsys, spec, fragment):
+    def test_bad_spec_fails_before_running(self, capsys, command, spec, fragment):
         from repro.experiments.__main__ import main
 
-        assert main(["run", "fig10", "--no-cache", "--topology", spec]) == 1
+        assert main([*command, "--topology", spec]) == 1
         assert fragment in capsys.readouterr().out
 
-    def test_unknown_pattern_choice_exits_two(self):
+    def test_structurally_invalid_spec_fails_at_probe(self, capsys, command):
+        from repro.experiments.__main__ import main
+
+        # width*height misses the tile count — only buildable checks catch it.
+        assert main([*command, "--topology", "mesh:width=3,height=3"]) == 1
+        assert "mesh" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--pattern", "nope"), ("--injector", "nope"),
+         ("--engine", "batch"), ("--engine", "compiled")],
+        ids=["pattern", "injector", "engine-batch", "engine-compiled"],
+    )
+    def test_unknown_choice_exits_two(self, command, flag, value, capsys):
         from repro.experiments.__main__ import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "fig10", "--pattern", "nope"])
+            main([*command, flag, value])
         assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("engine", ["batch", "compiled"])
-    def test_unknown_engine_choice_exits_two(self, engine):
-        from repro.experiments.__main__ import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "fig5", "--engine", engine])
-        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_unknown_experiment_name_exits_one(self, capsys):
         from repro.experiments.__main__ import main
 
         assert main(["run", "fig99", "--no-cache"]) == 1
         assert "fig99" in capsys.readouterr().out
+
+
+#: Out-of-range numbers and the one-line message each must exit 1 with.
+BAD_NUMBERS = (
+    (["trace", "record", "{trace}", "--warmup", "-3"],
+     "warmup_cycles must be a non-negative integer, got -3"),
+    (["trace", "record", "{trace}", "--measure", "0"],
+     "measure_cycles must be positive"),
+    (["trace", "record", "{trace}", "--measure", "-3"],
+     "measure_cycles must be a non-negative integer, got -3"),
+    (["serve", "--max-jobs", "0", "--port", "0"],
+     "max_jobs must be positive, got 0"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_NUMBERS,
+    ids=["warmup-negative", "measure-zero", "measure-negative", "max-jobs-zero"],
+)
+def test_bad_number_exits_one_with_a_message(argv, message, capsys, tmp_path):
+    from repro.experiments.__main__ import main
+
+    trace = tmp_path / "t.trace.gz"
+    assert main([arg.format(trace=trace) for arg in argv]) == 1
+    assert message in capsys.readouterr().out
+    assert not trace.exists()

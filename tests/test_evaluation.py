@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.evaluation import (
-    ExperimentSettings,
-    run_fig5,
-    run_fig6,
-    run_fig10,
-    run_physical_tables,
-    run_power_table,
-)
+from repro.evaluation import ExperimentSettings
 from repro.evaluation.fig7 import Fig7Result
+from repro.experiments.registry import EXPERIMENTS
 
 
 @pytest.fixture(scope="module")
@@ -31,18 +25,40 @@ class TestSettings:
     def test_scale_label(self):
         assert "64" in ExperimentSettings(full_scale=False).scale_label
 
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv("MEMPOOL_FULL", "1")
-        assert ExperimentSettings().full_scale
-        monkeypatch.setenv("MEMPOOL_FULL", "0")
-        assert not ExperimentSettings().full_scale
+    @pytest.mark.parametrize("engine", ["Vector", "batch", "compiled"])
+    def test_unknown_engine_fails_fast(self, engine):
+        with pytest.raises(
+            ValueError,
+            match=r"unknown engine .* expected one of \('legacy', 'vector'\)",
+        ):
+            ExperimentSettings(engine=engine)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("warmup_cycles", -1),
+            ("warmup_cycles", 2.5),
+            ("measure_cycles", -5),
+            ("measure_cycles", "x"),
+            ("measure_cycles", True),
+        ],
+    )
+    def test_windows_must_be_non_negative_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
+            ExperimentSettings(**{field: value})
+
+    def test_zero_window_is_refused_by_the_traffic_sweeps_only(self):
+        settings = ExperimentSettings(warmup_cycles=0, measure_cycles=0)
+        assert EXPERIMENTS["fig7"].build_sweep(settings).size == 24
+        with pytest.raises(ValueError, match="measure_cycles must be positive"):
+            EXPERIMENTS["fig5"].build_sweep(settings)
 
 
 class TestFig5Driver:
     @pytest.fixture(scope="class")
     def result(self):
         settings = ExperimentSettings(full_scale=False, warmup_cycles=100, measure_cycles=300)
-        return run_fig5(settings, loads=(0.05, 0.3), topologies=("top1", "toph"))
+        return EXPERIMENTS["fig5"].run(settings, loads=(0.05, 0.3), topologies=("top1", "toph"))
 
     def test_series_shapes(self, result):
         assert set(result.results) == {"top1", "toph"}
@@ -68,7 +84,7 @@ class TestFig6Driver:
     @pytest.fixture(scope="class")
     def result(self):
         settings = ExperimentSettings(full_scale=False, warmup_cycles=100, measure_cycles=300)
-        return run_fig6(settings, loads=(0.2, 0.5), p_locals=(0.0, 1.0))
+        return EXPERIMENTS["fig6"].run(settings, loads=(0.2, 0.5), p_locals=(0.0, 1.0))
 
     def test_local_traffic_increases_throughput(self, result):
         assert result.saturation_throughput(1.0) > result.saturation_throughput(0.0)
@@ -86,31 +102,31 @@ class TestFig6Driver:
 
 class TestFig10Driver:
     def test_paper_ratios(self, settings):
-        result = run_fig10(settings)
+        result = EXPERIMENTS["fig10"].run(settings)
         assert result.remote_over_local == pytest.approx(2.0, abs=0.3)
         assert result.local_over_add == pytest.approx(2.3, abs=0.3)
         assert result.remote_over_add == pytest.approx(4.5, abs=0.6)
         assert result.interconnect_remote_over_local == pytest.approx(2.9, abs=0.4)
 
     def test_report_lists_all_instructions(self, settings):
-        text = run_fig10(settings).report()
+        text = EXPERIMENTS["fig10"].run(settings).report()
         for name in ("add", "mul", "local load", "remote load"):
             assert name in text
 
     def test_unknown_entry_rejected(self, settings):
         with pytest.raises(KeyError):
-            run_fig10(settings).entry("fdiv")
+            EXPERIMENTS["fig10"].run(settings).entry("fdiv")
 
 
 class TestPhysicalDriver:
     def test_report_contains_paper_quantities(self, settings):
-        result = run_physical_tables(settings)
+        result = EXPERIMENTS["physical"].run(settings)
         text = result.report()
         assert "tile macro side" in text
         assert "top4" in text
 
     def test_congestion_verdicts(self, settings):
-        result = run_physical_tables(settings)
+        result = EXPERIMENTS["physical"].run(settings)
         assert not result.congestion["top4"].feasible
         assert result.congestion["toph"].feasible
 
@@ -135,6 +151,6 @@ class TestFig7Result:
 class TestPowerDriver:
     def test_power_table_runs_on_a_small_matmul(self):
         settings = ExperimentSettings(full_scale=False)
-        result = run_power_table(settings)
+        result = EXPERIMENTS["power"].run(settings)
         assert result.breakdown.tile_total_mw > 0
         assert "Section VI-D" in result.report()

@@ -1,7 +1,10 @@
 """Tests of the repro.experiments sweep engine (specs, grids, cache, executor)."""
 
 import io
+import os
 import pickle
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -393,15 +396,12 @@ class TestTrafficSweepsThroughEngine:
 
     def test_fig5_parallel_equals_serial(self):
         from repro.evaluation import ExperimentSettings
-        from repro.evaluation.fig5 import run_fig5
 
         settings = ExperimentSettings(warmup_cycles=50, measure_cycles=100)
-        serial = run_fig5(settings, loads=(0.05, 0.2), topologies=("toph",))
-        parallel = run_fig5(
-            settings,
-            loads=(0.05, 0.2),
-            topologies=("toph",),
-            executor=Executor(workers=2),
+        fig5 = EXPERIMENTS["fig5"]
+        serial = fig5.run(settings, loads=(0.05, 0.2), topologies=("toph",))
+        parallel = fig5.run(
+            settings, Executor(workers=2), loads=(0.05, 0.2), topologies=("toph",)
         )
         assert serial.throughput("toph") == parallel.throughput("toph")
         assert serial.latency("toph") == parallel.latency("toph")
@@ -437,15 +437,13 @@ class TestTrafficSweepsThroughEngine:
 
     def test_fig7_cached_rerun_is_identical(self, tmp_path):
         from repro.evaluation import ExperimentSettings
-        from repro.evaluation.fig7 import run_fig7
 
         settings = ExperimentSettings()
         executor = Executor(workers=1, cache=ResultCache(tmp_path))
-        first = run_fig7(settings, kernels=("dct",), topologies=("toph", "topx"),
-                         executor=executor)
+        grid = {"kernels": ("dct",), "topologies": ("toph", "topx")}
+        first = EXPERIMENTS["fig7"].run(settings, executor, **grid)
         assert executor.last_report.computed == 4
-        second = run_fig7(settings, kernels=("dct",), topologies=("toph", "topx"),
-                          executor=executor)
+        second = EXPERIMENTS["fig7"].run(settings, executor, **grid)
         assert executor.last_report.cache_hits == 4
         assert first.cycles == second.cycles
         assert first.report() == second.report()
@@ -552,11 +550,10 @@ class TestFig7SeedRegression:
 
     def test_cycles_and_report_are_byte_identical(self):
         from repro.evaluation import ExperimentSettings
-        from repro.evaluation.fig7 import run_fig7
 
         settings = ExperimentSettings()
         seed_result = self.seed_style_fig7(settings)
-        engine_result = run_fig7(
+        engine_result = EXPERIMENTS["fig7"].run(
             settings, kernels=self.KERNELS, topologies=self.TOPOLOGIES
         )
         assert engine_result.cycles == seed_result.cycles
@@ -585,6 +582,20 @@ class TestRegistry:
 
         result = EXPERIMENTS["fig10"].run(ExperimentSettings(), Executor())
         assert "Figure 10" in result.report()
+
+
+class _FakeDefinition:
+    """Stands in for an ExperimentDefinition (and its result); records the runs."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def run(self, settings, executor):
+        self.calls.append((settings, executor))
+        return self
+
+    def report(self) -> str:
+        return "fake report"
 
 
 class TestExperimentsCli:
@@ -630,6 +641,64 @@ class TestExperimentsCli:
 
         assert main(["run", "fig10", "-w", "2", "--no-cache"]) == 0
         assert "computed on 2 workers" in capsys.readouterr().out
+
+    def test_workers_and_engine_reach_the_executor_and_the_settings(
+        self, monkeypatch, capsys
+    ):
+        from repro.experiments import __main__ as cli
+
+        calls = []
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig10", _FakeDefinition(calls))
+        argv = ["run", "fig10", "-w", "3", "--engine", "vector", "--no-cache"]
+        assert cli.main(argv) == 0
+        [(settings, executor)] = calls
+        assert executor.workers == 3 and executor.cache is None
+        assert settings.engine == "vector"
+        assert "fake report" in capsys.readouterr().out
+
+    def test_run_without_names_runs_every_experiment(self, monkeypatch, capsys):
+        from repro.experiments import __main__ as cli
+
+        calls = []
+        for name in list(cli.EXPERIMENTS):
+            monkeypatch.setitem(cli.EXPERIMENTS, name, _FakeDefinition(calls))
+        assert cli.main(["run", "--no-cache"]) == 0
+        assert len(calls) == len(EXPERIMENTS)
+        assert capsys.readouterr().out.count("fake report") == len(EXPERIMENTS)
+
+    def test_evaluation_module_forwards_to_run(self, tmp_path):
+        """``python -m repro.evaluation ARGS`` prints what ``run ARGS`` prints."""
+        import repro
+
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+        def report(*module_argv):
+            done = subprocess.run(
+                [sys.executable, "-m", *module_argv, "fig10", "--no-cache"],
+                env={**os.environ, "PYTHONPATH": source_root,
+                     "REPRO_CACHE_DIR": str(tmp_path)},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            # The `=== fig10 (...) ===` header carries the wall-clock time.
+            return [line for line in done.stdout.splitlines() if not line.startswith("===")]
+
+        forwarded = report("repro.evaluation")
+        assert "Figure 10" in "\n".join(forwarded)
+        assert forwarded == report("repro.experiments", "run")
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "--cache"], ["run", "--cache", "fig10"]], ids=["bare", "with-a-name"]
+    )
+    def test_retired_cache_flag_is_a_usage_error(self, argv, capsys):
+        # `python -m repro.evaluation --cache` forwards here; it must not
+        # read as an abbreviation of --cache-dir.
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "argv",

@@ -85,11 +85,19 @@ ENTRY_POINTS = (
      "from repro.service import SweepService\n"
      "service = SweepService(port=0, workers=1, cache='memory').start()\n"
      "service.stop()"),
-    # One flat parser: its --help formats --pattern's choices, a registry read.
-    ("evaluation-help", 1,
-     "from repro.evaluation.__main__ import main\n"
+    # `run --help` formats --pattern's choices, a registry read; the
+    # `python -m repro.evaluation` forwarder prints the same help.
+    ("run-help", 1,
+     "from repro.experiments.__main__ import main\n"
      "try:\n"
-     "    main(['--help'])\n"
+     "    main(['run', '--help'])\n"
+     "except SystemExit as stop:\n"
+     "    assert stop.code == 0"),
+    ("evaluation-help", 1,
+     "import runpy\n"
+     "sys.argv[1:] = ['--help']\n"
+     "try:\n"
+     "    runpy.run_module('repro.evaluation', run_name='__main__')\n"
      "except SystemExit as stop:\n"
      "    assert stop.code == 0"),
     ("settings", 1,
@@ -159,7 +167,7 @@ def test_list_neither_simulates_nor_writes(trace, tmp_path):
         f"found = loaded({HEAVY!r})\n"
         "assert not found, found\n",
         trace, str(tmp_path),
-        env={"REPRO_CACHE_DIR": str(tmp_path), "MEMPOOL_TRACE": ""},
+        env={"REPRO_CACHE_DIR": str(tmp_path)},
     )
     assert [tuple(line.split()[:2]) for line in output.splitlines()] == expected
     assert len(expected) == 9 and list(tmp_path.iterdir()) == []
@@ -169,7 +177,7 @@ def test_list_neither_simulates_nor_writes(trace, tmp_path):
 LAZY_PACKAGES = {
     "repro": (4, "MemPoolCluster", "repro.core.cluster"),
     "repro.core": (5, "Tile", "repro.core.cluster"),
-    "repro.evaluation": (25, "run_fig5", "repro.evaluation.fig5"),
+    "repro.evaluation": (17, "fig5_sweep", "repro.evaluation.fig5"),
     "repro.service": (14, "SweepService", "repro.service.app"),
 }
 

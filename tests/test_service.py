@@ -191,6 +191,17 @@ class TestBuildSpecs:
         assert title == "fig10" and len(specs) >= 1
         assert callable(assemble)
 
+    def test_experiment_points_do_not_depend_on_the_environment(self, monkeypatch):
+        """The same submission expands to the same points on every server."""
+        def keys():
+            _, specs, _ = build_specs({"experiment": "fig5"})
+            return [spec.key for spec in specs]
+
+        plain = keys()
+        monkeypatch.setenv("MEMPOOL_PATTERN", "tornado")
+        monkeypatch.setenv("MEMPOOL_FULL", "1")
+        assert keys() == plain
+
     def test_raw_sweep_payload(self):
         title, specs, assemble = build_specs(sweep_payload(name="demo"))
         assert title == "demo" and len(specs) == 2 and assemble is None
@@ -267,6 +278,18 @@ class TestEndpoints:
             assert info.value.status == 400
             assert info.value.payload["error"] == "bad_request"
             assert info.value.payload["detail"]
+
+    def test_bad_measurement_window_is_a_400_not_a_failed_job(self, service):
+        instance = service()
+        client = make_client(instance)
+        for measure in (0, -5, "x"):
+            with pytest.raises(ServiceError) as info:
+                client.submit(
+                    {"experiment": "fig5", "settings": {"measure_cycles": measure}}
+                )
+            assert info.value.status == 400
+            assert "measure_cycles must be" in info.value.payload["detail"]
+        assert client.healthz()["queued"] == 0
 
     def test_non_json_body_is_a_structured_400(self, service):
         instance = service()

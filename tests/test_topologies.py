@@ -323,11 +323,11 @@ class TestConfigIntegration:
 
 
 class TestSettingsAndCLI:
-    def test_settings_honour_environment_topology(self, monkeypatch):
-        from repro.evaluation.settings import ExperimentSettings
+    def test_topology_flag_reaches_the_settings(self):
+        from repro.experiments.__main__ import _settings, build_parser
 
-        monkeypatch.setenv("MEMPOOL_TOPOLOGY", "ring")
-        assert ExperimentSettings().topology == "ring"
+        args = build_parser().parse_args(["run", "--topology", "ring"])
+        assert _settings(args).topology == "ring"
 
     def test_settings_parse_spec_form(self):
         from repro.evaluation.settings import ExperimentSettings
@@ -364,21 +364,23 @@ class TestSettingsAndCLI:
         assert main(["run", "workloads", "--topology", "warp", "--no-cache"]) == 1
         assert "unknown topology" in capsys.readouterr().out
 
-    def test_environment_topology_is_probed_too(self, capsys, monkeypatch):
-        # The structural probe must also cover MEMPOOL_TOPOLOGY, not just
-        # the --topology flag.
+    def test_recording_topology_is_probed_too(self, capsys, tmp_path):
+        # The structural probe covers every command that takes --topology,
+        # not just `run`.
         from repro.experiments.__main__ import main
 
-        monkeypatch.setenv("MEMPOOL_TOPOLOGY", "mesh:width=5,height=5")
-        assert main(["run", "workloads", "--no-cache"]) == 1
+        path = tmp_path / "t.trace.gz"
+        argv = ["trace", "record", str(path), "--topology", "mesh:width=5,height=5"]
+        assert main(argv) == 1
         assert "do not tile" in capsys.readouterr().out
+        assert not path.exists()
 
     def test_run_workloads_accepts_explicit_topology_params(self):
         from repro.evaluation.settings import ExperimentSettings
-        from repro.evaluation.workloads import run_workloads
+        from repro.experiments.registry import EXPERIMENTS
 
         settings = ExperimentSettings(warmup_cycles=30, measure_cycles=60)
-        result = run_workloads(
+        result = EXPERIMENTS["workloads"].run(
             settings, patterns=("uniform",), injectors=("poisson",), load=0.1,
             topology="mesh", topology_params={"width": 8, "height": 2},
         )
@@ -409,10 +411,12 @@ class TestTopologiesExperiment:
 
     def test_run_topologies_reports_every_family(self):
         from repro.evaluation.settings import ExperimentSettings
-        from repro.evaluation.topologies import run_topologies
+        from repro.experiments.registry import EXPERIMENTS
 
         settings = ExperimentSettings(warmup_cycles=30, measure_cycles=60)
-        result = run_topologies(settings, topologies=("toph", "mesh"), load=0.1)
+        result = EXPERIMENTS["topologies"].run(
+            settings, topologies=("toph", "mesh"), load=0.1
+        )
         report = result.report()
         assert "toph" in report and "mesh" in report
         assert result.throughput("mesh") > 0.0
@@ -420,13 +424,13 @@ class TestTopologiesExperiment:
 
     def test_workload_catalogue_runs_on_a_registered_family(self):
         from repro.evaluation.settings import ExperimentSettings
-        from repro.evaluation.workloads import run_workloads
+        from repro.experiments.registry import EXPERIMENTS
 
         settings = ExperimentSettings(
             warmup_cycles=30, measure_cycles=60,
             topology="mesh:width=8,height=2",
         )
-        result = run_workloads(
+        result = EXPERIMENTS["workloads"].run(
             settings, patterns=("uniform",), injectors=("poisson",), load=0.1
         )
         assert result.topology == "mesh"

@@ -345,6 +345,29 @@ class TestValidateCli:
         records, _ = load_goldens(target)
         assert records[0][0].name == FAST_CASES[0].name
 
+    @pytest.mark.parametrize(
+        "flags, warn_from",
+        [([], "moderate"), (["--warn-from", "severe"], "severe")],
+        ids=["plain", "warn-from"],
+    )
+    def test_validate_update_keeps_the_committed_policy(
+        self, tmp_path, capsys, monkeypatch, flags, warn_from
+    ):
+        """``--update`` re-measures; the flags left out keep the file's bands."""
+        from repro.experiments.__main__ import main
+        from repro.validation import golden as golden_module
+
+        mesh = FAST_CASES[1]
+        monkeypatch.setattr(golden_module, "DEFAULT_CASES", (mesh,))
+        target = tmp_path / "golden.json"
+        committed = BandPolicy(ok=0.02, minor=0.05, moderate=0.1, severe=0.3)
+        write_goldens(target, cases=(mesh,), policy=committed)
+        assert main(["validate", "--golden", str(target), "--update", *flags]) == 0
+        capsys.readouterr()
+        _, policy = load_goldens(target)
+        assert policy.edges == committed.edges
+        assert policy.warn_from is Severity.from_name(warn_from)
+
     def test_validate_missing_golden_exits_one(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 

@@ -368,11 +368,11 @@ class TestWorkloadBearingSettings:
         assert ExperimentSettings(**settings.as_params()) == settings
 
     def test_unknown_pattern_rejected_early(self):
-        with pytest.raises(ValueError, match="MEMPOOL_PATTERN"):
+        with pytest.raises(ValueError, match="--pattern"):
             ExperimentSettings(pattern="nope")
 
     def test_unknown_injector_rejected_early(self):
-        with pytest.raises(ValueError, match="MEMPOOL_INJECTOR"):
+        with pytest.raises(ValueError, match="--injector"):
             ExperimentSettings(injector="nope")
 
     def test_cache_keys_cannot_collide_across_workloads(self):
@@ -493,10 +493,10 @@ class TestWorkloadsThroughEverySurface:
             MemPoolSystem.synthetic(cluster, 0.0)
 
     def test_workload_catalogue_runs_through_sweep_engine(self):
-        from repro.evaluation.workloads import run_workloads
+        from repro.experiments.registry import EXPERIMENTS
 
         settings = ExperimentSettings(warmup_cycles=30, measure_cycles=80)
-        result = run_workloads(
+        result = EXPERIMENTS["workloads"].run(
             settings, patterns=("uniform", "tornado"), injectors=("bernoulli",),
             load=0.1,
         )
