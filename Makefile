@@ -136,23 +136,18 @@ lint:
 # offline machines that have neither.  Either way the generated catalogue
 # tables of README.md / docs/architecture.md are checked against the live
 # registries (`tools/docs_lint.py --tables --write` regenerates them).
+DOCS_LINT_DIRS := src/repro/experiments src/repro/evaluation src/repro/traffic \
+	src/repro/kernels src/repro/engine src/repro/workloads src/repro/topologies \
+	src/repro/interconnect src/repro/validation src/repro/service tools
+
 docs-lint:
 	@$(PYTHON) tools/docs_lint.py --tables
 	@if $(PYTHON) -c "import ruff" >/dev/null 2>&1; then \
-		$(PYTHON) -m ruff check --select D100,D101,D102,D103,D104 \
-			src/repro/experiments src/repro/evaluation \
-			src/repro/engine src/repro/workloads src/repro/topologies \
-			src/repro/validation src/repro/service tools; \
+		$(PYTHON) -m ruff check --select D100,D101,D102,D103,D104 $(DOCS_LINT_DIRS); \
 	elif $(PYTHON) -c "import pydocstyle" >/dev/null 2>&1; then \
-		$(PYTHON) -m pydocstyle --select D100,D101,D102,D103,D104 \
-			src/repro/experiments src/repro/evaluation src/repro/engine \
-			src/repro/workloads src/repro/topologies \
-			src/repro/validation src/repro/service tools; \
+		$(PYTHON) -m pydocstyle --select D100,D101,D102,D103,D104 $(DOCS_LINT_DIRS); \
 	else \
-		$(PYTHON) tools/docs_lint.py src/repro/experiments src/repro/evaluation \
-			src/repro/traffic src/repro/kernels src/repro/engine \
-			src/repro/workloads src/repro/topologies \
-			src/repro/validation src/repro/service tools; \
+		$(PYTHON) tools/docs_lint.py $(DOCS_LINT_DIRS); \
 	fi
 
 figures:

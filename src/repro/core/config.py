@@ -22,12 +22,6 @@ from repro.utils.validation import (
     log2_int,
 )
 
-#: The paper's four topology identifiers (Section III-C).  The full
-#: catalogue — these four plus the parameterized families — lives in the
-#: topology registry (:mod:`repro.topologies.registry`), which is what
-#: configuration validation checks against.
-TOPOLOGIES = ("top1", "top4", "toph", "topx")
-
 #: Number of bytes per 32-bit word.
 WORD_BYTES = 4
 

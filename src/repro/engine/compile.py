@@ -223,7 +223,6 @@ class CompiledNetwork:
         self.num_arbiters = len(arbiters)
         self.stage_depth = [stage.depth for stage in stages]
         self.stage_level = [stage.level for stage in stages]
-        self.stage_names = [stage.name for stage in stages]
         self.bank_stage_ids = [
             self._stage_index[id(stage)] for stage in topology.bank_stages
         ]

@@ -9,14 +9,7 @@ from repro.interconnect.resources import (
 )
 from repro.interconnect.crossbar import CrossbarSwitch
 from repro.interconnect.butterfly import ButterflyNetwork
-from repro.interconnect.topology import (
-    ClusterTopology,
-    IdealTopology,
-    Top1Topology,
-    Top4Topology,
-    TopHTopology,
-    build_topology,
-)
+from repro.interconnect.topology import ClusterTopology, IdealTopology, build_topology
 
 __all__ = [
     "Resource",
@@ -27,9 +20,6 @@ __all__ = [
     "CrossbarSwitch",
     "ButterflyNetwork",
     "ClusterTopology",
-    "Top1Topology",
-    "Top4Topology",
-    "TopHTopology",
     "IdealTopology",
     "build_topology",
 ]

@@ -126,14 +126,17 @@ class ButterflyNetwork:
 
     @property
     def num_switches(self) -> int:
+        """Number of radix x radix switches over all layers."""
         return sum(len(layer) for layer in self.switches)
 
     @property
     def crosspoints(self) -> int:
+        """Total crosspoints of every switch (area proxy)."""
         return sum(switch.crosspoints for layer in self.switches for switch in layer)
 
     @property
     def all_switches(self) -> list[CrossbarSwitch]:
+        """Every switch, layer by layer."""
         return [switch for layer in self.switches for switch in layer]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -64,6 +64,7 @@ class CrossbarSwitch:
 
     @property
     def outputs(self) -> tuple[Resource, ...]:
+        """The timing resource of every output port, in port order."""
         return tuple(self._outputs)
 
     # ------------------------------------------------------------------ #

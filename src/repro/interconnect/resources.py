@@ -177,6 +177,7 @@ class Flit:
 
     @property
     def is_read(self) -> bool:
+        """True for a load: the flit travels back to its core."""
         return not self.is_write
 
     @property
@@ -245,10 +246,12 @@ class StageNetwork:
 
     @property
     def stages(self) -> tuple[RegisterStage, ...]:
+        """Every registered stage, in registration order."""
         return tuple(self._all_stages)
 
     @property
     def arbiters(self) -> tuple[ArbitrationPoint, ...]:
+        """Every registered arbitration point, in registration order."""
         return tuple(self._all_arbiters)
 
     @property

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.cluster import MemPoolCluster
-from repro.interconnect.topology import Top1Topology, Top4Topology, TopHTopology
+from repro.topologies.families import ButterflyTopology, HierarchicalTopology
 
 
 @dataclass(frozen=True)
@@ -194,21 +194,18 @@ class AreaModel:
     def _global_interconnect_crosspoints(self) -> int:
         """Crosspoints of the cluster-level networks (outside the tiles)."""
         topology = self.cluster.topology
-        crosspoints = 0
-        if isinstance(topology, Top1Topology):
-            crosspoints += topology.request_butterfly.crosspoints
-            crosspoints += topology.response_butterfly.crosspoints
-        elif isinstance(topology, Top4Topology):
-            for butterfly in topology.request_butterflies + topology.response_butterflies:
-                crosspoints += butterfly.crosspoints
-        elif isinstance(topology, TopHTopology):
-            for xbar in topology.local_request_xbars + topology.local_response_xbars:
-                crosspoints += xbar.crosspoints
-            for butterfly in list(topology.group_request_butterflies.values()) + list(
-                topology.group_response_butterflies.values()
-            ):
-                crosspoints += butterfly.crosspoints
-        return crosspoints
+        if isinstance(topology, ButterflyTopology):
+            networks = topology.request_butterflies + topology.response_butterflies
+        elif isinstance(topology, HierarchicalTopology):
+            networks = [
+                *topology.local_request_xbars,
+                *topology.local_response_xbars,
+                *topology.group_request_butterflies.values(),
+                *topology.group_response_butterflies.values(),
+            ]
+        else:
+            networks = []
+        return sum(network.crosspoints for network in networks)
 
     def cluster_report(self) -> ClusterAreaReport:
         parameters = self.parameters

@@ -1,8 +1,12 @@
-"""Pluggable interconnect topologies: registry, paper entries, new families.
+"""Pluggable interconnect topologies: registry, paper entries, families.
 
-This package turns the interconnect topology — previously a hardcoded
-four-way choice in :mod:`repro.interconnect.topology` — into a registry of
-parameterized families, selected by name everywhere a topology appears:
+This package makes the interconnect topology a registry of parameterized
+families, selected by name everywhere a topology appears.  The paper's
+Top1, Top4 and TopH are named points of these families (``top1``/``top4``
+of ``butterfly``, ``toph`` of ``hierarchical``); TopX is the one paper
+entry with a class of its own
+(:class:`~repro.interconnect.topology.IdealTopology`).  Every consumer
+goes through the registry:
 
 * ``MemPoolConfig(topology="mesh", topology_params={"width": 8})``
   validates the selection at construction time;

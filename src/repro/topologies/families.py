@@ -1,11 +1,14 @@
-"""Parameterized interconnect topology families beyond the paper's four.
+"""Parameterized interconnect topology families.
 
-The paper evaluates four fixed interconnects (Top1, Top4, TopH, TopX —
-:mod:`repro.interconnect.topology`).  This module generalises them into
-*families*: every class below is a :class:`~repro.interconnect.topology.
+Every class below is a :class:`~repro.interconnect.topology.
 ClusterTopology` whose structure is a function of constructor parameters,
 so one registry entry (:mod:`repro.topologies.registry`) covers a whole
-design space.  Because a topology's entire timing contract is the resource
+design space.  Three of the paper's four interconnects are named points
+of these families: Top1 is ``butterfly`` with one port per tile, Top4 is
+``butterfly`` with one port per core, and TopH is ``hierarchical`` at its
+default group count.  Only the ideal TopX
+(:class:`~repro.interconnect.topology.IdealTopology`) has no family.
+Because a topology's entire timing contract is the resource
 list returned by ``build_path``, every family runs unchanged on both
 engines — the legacy :class:`~repro.interconnect.resources.StageNetwork`
 and the vectorized :class:`~repro.engine.vector.VectorEngine` — with no
@@ -15,9 +18,10 @@ Pipeline levels
 ---------------
 The engines process register stages downstream-first, and the vector
 engine requires stage levels to *strictly increase* along every path (the
-level-monotonicity invariant of :mod:`repro.engine.compile`).  The paper
-topologies use the five classic levels; the multi-hop families here
-allocate one level per *hop position* instead:
+level-monotonicity invariant of :mod:`repro.engine.compile`).  The
+butterfly, hierarchical and fully connected families — and so the paper
+topologies — use the five classic levels; the multi-hop families (mesh,
+torus, ring) allocate one level per *hop position* instead:
 
 * request-side hop registers take levels strictly below
   :data:`~repro.interconnect.resources.LEVEL_BANK`, one per ring/row
@@ -64,8 +68,20 @@ from repro.interconnect.resources import (
     LEVEL_MASTER_RESP,
     RegisterStage,
 )
-from repro.interconnect.topology import ClusterTopology, Top1Topology
+from repro.interconnect.topology import ClusterTopology
 from repro.utils.validation import is_power_of
+
+
+def _middle_layer(num_ports: int, radix: int) -> tuple[int, ...]:
+    """The single pipelined layer 'midway through' an NxN butterfly."""
+    if num_ports <= 1:
+        return ()
+    layers = 0
+    ports = num_ports
+    while ports > 1:
+        ports //= radix
+        layers += 1
+    return ((layers - 1) // 2,)
 
 
 def _register_switch_outputs(topology: ClusterTopology, butterfly: ButterflyNetwork) -> None:
@@ -130,14 +146,17 @@ def default_grid_dims(num_tiles: int) -> tuple[int, int]:
 class ButterflyTopology(ClusterTopology):
     """``butterfly``: K parallel NxN radix-R butterflies between the tiles.
 
-    The family that subsumes Top1 (``ports=1``) and Top4
-    (``ports=cores_per_tile``): ``ports`` parallel butterflies connect the
-    tiles, and each core uses the lane ``local_core_index % ports``, so
-    intermediate values share one tile port between subsets of a tile's
-    cores.  ``radix`` selects the switch degree (more, smaller layers for
-    radix 2; fewer, larger switches for higher radices); like the paper's
-    64x64 networks, exactly one middle layer is registered, so the remote
-    round-trip latency is 5 cycles regardless of radix.
+    The paper's Top1 and Top4 (Section III-C) are points of this family,
+    registered as ``top1`` and ``top4``: Top1 (``ports=1``, K=1) is one
+    64x64 radix-4 butterfly per direction whose single tile port the
+    tile's four cores share; Top4 (``ports=cores_per_tile``, K=4) is four
+    parallel butterflies, one dedicated port per core.  In general
+    ``ports`` parallel butterflies connect the tiles and each core uses
+    the lane ``local_core_index % ports``, so intermediate values share
+    one tile port between subsets of a tile's cores.  ``radix`` selects
+    the switch degree (more, smaller layers for radix 2; fewer, larger
+    switches for higher radices); exactly one middle layer is registered,
+    so the remote round-trip latency is 5 cycles regardless of radix.
     """
 
     name = "butterfly"
@@ -160,7 +179,7 @@ class ButterflyTopology(ClusterTopology):
             )
         tiles = config.num_tiles
         depth = config.timing.elastic_buffer_depth
-        middle_layer = Top1Topology._middle_layer(tiles, self.radix)
+        middle_layer = _middle_layer(tiles, self.radix)
         self.request_butterflies: list[ButterflyNetwork] = []
         self.response_butterflies: list[ButterflyNetwork] = []
         for lane in range(self.ports):
@@ -614,16 +633,17 @@ class RingTopology(TorusTopology):
 
 
 class HierarchicalTopology(ClusterTopology):
-    """``hierarchical``: the TopH construction with a configurable shape.
+    """``hierarchical``: local group crossbars plus per-group-pair butterflies.
 
-    The generalisation of the paper's TopH (which is the
-    ``groups=4, radix=4`` point): tiles are split into ``groups``
-    contiguous groups, every group has a fully connected intra-group
-    crossbar (3-cycle round trips), and every *ordered pair* of groups is
-    joined by a dedicated radix-``radix`` butterfly behind one register
-    boundary (5-cycle round trips).  Unlike the fixed TopH, each tile has
-    one directional port per remote group — no four-port cap — so the
-    family scales to any group count that divides the tile count.
+    The paper's TopH (Figure 3) is this family at its defaults
+    (``groups=num_groups=4, radix=4``), registered as ``toph``: tiles are
+    split into ``groups`` contiguous groups, every group has a fully
+    connected intra-group crossbar (3-cycle round trips), and every
+    *ordered pair* of groups is joined by a dedicated radix-``radix``
+    butterfly behind one register boundary (5-cycle round trips).  Each
+    tile has one local port plus one directional port per remote group
+    (K=4 for TopH), so the family scales to any group count that divides
+    the tile count.
     """
 
     name = "hierarchical"

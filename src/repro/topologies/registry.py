@@ -10,12 +10,14 @@ here is immediately buildable through every engine, the experiment grid
 and the cached sweep infrastructure without touching any of those layers.
 
 The four paper topologies (``top1``, ``top4``, ``toph``, ``topx``) are
-registered entries like any other; the parameterized families of
-:mod:`repro.topologies.families` extend the catalogue.  Each entry carries
-per-parameter validators: :func:`make_topology` rejects unknown names
-(listing the catalogue) and unknown or invalid parameters *before*
-constructing anything, so a typo'd ``--topology`` or sweep grid fails at
-expansion time rather than deep inside a worker process.
+parameterless entries like any other.  Three of them are named points of
+the families in :mod:`repro.topologies.families`: ``top1`` and ``top4``
+build a ``butterfly`` with one port per tile or per core, ``toph`` builds
+a default ``hierarchical``; only ``topx`` has a class of its own.  Each
+entry carries per-parameter validators: :func:`make_topology` rejects
+unknown names (listing the catalogue) and unknown or invalid parameters
+*before* constructing anything, so a typo'd ``--topology`` or sweep grid
+fails at expansion time rather than deep inside a worker process.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.core.config import MemPoolConfig
-from repro.interconnect.topology import (
-    ClusterTopology,
-    IdealTopology,
-    Top1Topology,
-    Top4Topology,
-    TopHTopology,
-)
+from repro.interconnect.topology import ClusterTopology, IdealTopology
 from repro.topologies.families import (
     ButterflyTopology,
     FullyConnectedTopology,
@@ -270,8 +266,9 @@ def parse_scalar(text: str) -> Any:
     return text
 
 
-#: Backwards-compatible private alias of :func:`parse_scalar`.
-_parse_value = parse_scalar
+def _top4(config: MemPoolConfig) -> ButterflyTopology:
+    """Top4: the butterfly family with one port per core."""
+    return ButterflyTopology(config, ports=config.cores_per_tile)
 
 
 # --------------------------------------------------------------------------- #
@@ -279,17 +276,17 @@ _parse_value = parse_scalar
 # --------------------------------------------------------------------------- #
 
 register_topology(
-    "top1", Top1Topology,
+    "top1", ButterflyTopology,
     "paper Top1: one shared NxN radix-4 butterfly per direction (K=1)",
     round_trip="5 cycles",
 )
 register_topology(
-    "top4", Top4Topology,
+    "top4", _top4,
     "paper Top4: four parallel NxN butterflies, one per core lane (K=4)",
     round_trip="5 cycles",
 )
 register_topology(
-    "toph", TopHTopology,
+    "toph", HierarchicalTopology,
     "paper TopH: local 16x16 group crossbars + per-group-pair butterflies",
     round_trip="3 in-group / 5 cross-group",
 )

@@ -61,6 +61,21 @@ class TestClusterArea:
         report = AreaModel(full_cluster).cluster_report()
         assert report.global_interconnect_um2 > 0
 
+    @pytest.mark.parametrize(
+        "paper, family, params",
+        [
+            ("top1", "butterfly", {"ports": 1}),
+            ("top4", "butterfly", {"ports": 4}),
+            ("toph", "hierarchical", {}),
+        ],
+    )
+    def test_family_point_prices_like_its_paper_entry(self, paper, family, params):
+        def global_um2(name, topology_params):
+            config = MemPoolConfig.full(name, topology_params=topology_params)
+            return AreaModel(MemPoolCluster(config)).cluster_report().global_interconnect_um2
+
+        assert global_um2(family, params) == pytest.approx(global_um2(paper, {}))
+
 
 class TestTiming:
     def test_paper_path_shapes(self):

@@ -211,27 +211,6 @@ class TestGridFamilies:
 
 
 class TestFamilyStructure:
-    def test_butterfly_ports_generalise_top1_and_top4(self):
-        config = MemPoolConfig.tiny("butterfly")
-        shared = make_topology("butterfly", config, ports=1)
-        dedicated = make_topology(
-            "butterfly", config, ports=config.cores_per_tile
-        )
-        assert shared.remote_ports_per_tile() == 1
-        assert dedicated.remote_ports_per_tile() == config.cores_per_tile
-        # With one lane, a tile's cores share the master port (like Top1).
-        paths = [
-            shared.build_path(core, 3 * config.banks_per_tile, True)
-            for core in range(config.cores_per_tile)
-        ]
-        assert len({path[0] for path in paths}) == 1
-        # With a lane per core, ports are dedicated (like Top4).
-        paths = [
-            dedicated.build_path(core, 3 * config.banks_per_tile, True)
-            for core in range(config.cores_per_tile)
-        ]
-        assert len({path[0] for path in paths}) == config.cores_per_tile
-
     def test_hierarchical_group_count_is_configurable(self):
         config = MemPoolConfig.scaled("hierarchical")  # 16 tiles
         # 8 tiles per group needs a radix-2 inter-group butterfly.

@@ -4,13 +4,8 @@ import pytest
 
 from repro.core.config import MemPoolConfig
 from repro.interconnect.resources import RegisterStage
-from repro.interconnect.topology import (
-    IdealTopology,
-    Top1Topology,
-    Top4Topology,
-    TopHTopology,
-    build_topology,
-)
+from repro.interconnect.topology import IdealTopology, build_topology
+from repro.topologies import ButterflyTopology, HierarchicalTopology
 
 
 def topology_for(name, size="tiny"):
@@ -20,15 +15,17 @@ def topology_for(name, size="tiny"):
 
 class TestFactory:
     def test_factory_builds_the_right_class(self):
-        classes = {
-            "top1": Top1Topology,
-            "top4": Top4Topology,
-            "toph": TopHTopology,
-            "topx": IdealTopology,
-        }
-        for name, expected in classes.items():
-            topology, _ = topology_for(name)
-            assert isinstance(topology, expected)
+        config = MemPoolConfig.tiny()
+        top1, _ = topology_for("top1")
+        top4, _ = topology_for("top4")
+        toph, _ = topology_for("toph")
+        topx, _ = topology_for("topx")
+        assert isinstance(top1, ButterflyTopology) and top1.ports == 1
+        assert isinstance(top4, ButterflyTopology)
+        assert top4.ports == config.cores_per_tile
+        assert isinstance(toph, HierarchicalTopology)
+        assert toph.groups == config.num_groups
+        assert isinstance(topx, IdealTopology)
 
     def test_unknown_topology_rejected(self):
         # Sneak an unregistered name past construction-time validation;
@@ -128,8 +125,9 @@ class TestPathStructure:
         topology, config = topology_for("toph", size="scaled")
         local_group_path = topology.build_path(0, 2 * config.banks_per_tile, True)
         remote_group_path = topology.build_path(0, 8 * config.banks_per_tile, True)
-        assert local_group_path[0].name.endswith("local")
-        assert not remote_group_path[0].name.endswith("local")
+        local_port = topology.master_request_ports[0][0]
+        assert local_group_path[0] is local_port
+        assert remote_group_path[0] is not local_port
 
     def test_toph_different_destination_groups_use_different_ports(self):
         topology, config = topology_for("toph", size="scaled")

@@ -403,7 +403,12 @@ class TestDefaultWorkloadsBitIdentical:
     grandfathered uniform / local_biased / poisson workloads.
     """
 
-    GOLDEN_FIG5 = (3870, 3868, 3865, 4.894178525226403, 7, 12, 0.0646921278254092)
+    #: One row per paper topology: the same point pins all three builds.
+    GOLDEN_FIG5 = {
+        "top1": (3870, 2651, 2638, 72.83017437452634, 144, 262, 0.0646921278254092),
+        "top4": (3870, 3871, 3870, 5.263824289405692, 7, 13, 0.0646921278254092),
+        "toph": (3870, 3868, 3865, 4.894178525226403, 7, 12, 0.0646921278254092),
+    }
     GOLDEN_FIG6 = (5718, 5716, 5712, 4.184348739495811, 7, 14, 0.3008033715264059)
 
     @staticmethod
@@ -418,15 +423,16 @@ class TestDefaultWorkloadsBitIdentical:
             result.local_fraction,
         )
 
+    @pytest.mark.parametrize("topology", sorted(GOLDEN_FIG5))
     @pytest.mark.parametrize("engine", ["legacy", "vector"])
-    def test_fig5_default_point_unchanged(self, engine):
+    def test_fig5_default_point_unchanged(self, engine, topology):
         from repro.evaluation.points import simulate_fig5_point
 
         result = simulate_fig5_point(
-            topology="toph", load=0.2, warmup_cycles=100, measure_cycles=300,
+            topology=topology, load=0.2, warmup_cycles=100, measure_cycles=300,
             engine=engine,
         )
-        assert self._signature(result) == self.GOLDEN_FIG5
+        assert self._signature(result) == self.GOLDEN_FIG5[topology]
 
     @pytest.mark.parametrize("engine", ["legacy", "vector"])
     def test_fig6_default_point_unchanged(self, engine):
