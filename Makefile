@@ -136,7 +136,7 @@ lint:
 # offline machines that have neither.  Either way the generated catalogue
 # tables of README.md / docs/architecture.md are checked against the live
 # registries (`tools/docs_lint.py --tables --write` regenerates them).
-DOCS_LINT_DIRS := src/repro/experiments src/repro/evaluation src/repro/traffic \
+DOCS_LINT_DIRS := src/repro/core src/repro/experiments src/repro/evaluation src/repro/traffic \
 	src/repro/kernels src/repro/engine src/repro/workloads src/repro/topologies \
 	src/repro/interconnect src/repro/validation src/repro/service tools
 

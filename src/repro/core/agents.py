@@ -124,4 +124,5 @@ class IdleAgent(CoreAgent):
     """An agent that performs no work (used for inactive cores)."""
 
     def operations(self) -> Iterator[Operation]:
+        """No operations: the core finishes at once."""
         return iter(())

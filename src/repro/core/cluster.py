@@ -33,10 +33,12 @@ class Tile:
 
     @property
     def num_cores(self) -> int:
+        """Number of cores in the tile."""
         return len(self.core_ids)
 
     @property
     def num_banks(self) -> int:
+        """Number of SPM banks in the tile."""
         return len(self.bank_ids)
 
 
@@ -137,6 +139,7 @@ class MemPoolCluster:
         return shared_network(self.config)
 
     def tile_of_core(self, core_id: int) -> Tile:
+        """The tile that hosts global core ``core_id``."""
         return self.tiles[self.config.tile_of_core(core_id)]
 
     # ------------------------------------------------------------------ #

@@ -56,6 +56,7 @@ class TimingParameters:
     icache_refill_cycles: int = 20
 
     def validate(self) -> None:
+        """Raise ``ValueError`` unless every depth and latency is positive."""
         check_positive("elastic_buffer_depth", self.elastic_buffer_depth)
         check_positive("max_outstanding_loads", self.max_outstanding_loads)
         check_positive("injection_queue_depth", self.injection_queue_depth)

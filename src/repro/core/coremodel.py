@@ -3,10 +3,11 @@
 The core is single-issue: every cycle it either executes one compute
 instruction, issues one memory operation, or stalls.  Loads are non-blocking
 (Section III-B: *"Snitch supports a configurable number of outstanding load
-instructions, which is useful to hide the SPM access latency"*) and tracked
-by a reorder buffer; the core only stalls when an instruction *uses* a value
-that has not returned yet, when the ROB is full, or when the interconnect
-back-pressures its request port.
+instructions, which is useful to hide the SPM access latency"*) and retire
+in program order through a reorder buffer (*"ensure their proper ordering by
+the Reorder Buffer (ROB)"*); the core only stalls when an instruction *uses*
+a value that has not returned yet, when the reorder buffer is full, or when
+the interconnect back-pressures its request port.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.agents import Barrier, Compute, CoreAgent, Load, Operation, Store, Use
-from repro.core.rob import ReorderBuffer
 
 
 @dataclass
@@ -48,14 +48,17 @@ class CoreStats:
 
     @property
     def loads(self) -> int:
+        """Loads issued (local + remote)."""
         return self.local_loads + self.remote_loads
 
     @property
     def stores(self) -> int:
+        """Stores issued (local + remote)."""
         return self.local_stores + self.remote_stores
 
     @property
     def stall_cycles(self) -> int:
+        """Cycles stalled on a dependency, a full structure or the barrier."""
         return self.dependency_stalls + self.structural_stalls + self.barrier_stalls
 
     def accounted_cycles(self, barriers_issued: int = 0) -> int:
@@ -68,6 +71,7 @@ class CoreStats:
 
     @property
     def average_load_latency(self) -> float:
+        """Mean round-trip latency of the returned loads (0 without loads)."""
         return self.load_latency_sum / self.loads if self.loads else 0.0
 
     def merge(self, other: "CoreStats") -> None:
@@ -95,7 +99,16 @@ RUNNING, SLEEP_TIMER, SLEEP_EVENT, FINISHED = range(4)
 
 
 class CoreTimingModel:
-    """Cycle-level model of one core executing an agent's operation stream."""
+    """Cycle-level model of one core executing an agent's operation stream.
+
+    The reorder buffer is a window over the core's own load sequence
+    numbers: loads ``_retired`` … ``_sequence - 1`` hold an entry, and
+    ``_returned`` holds those of them that came back ahead of an older one.
+    The window is full at ``max_outstanding_loads`` entries; a load has
+    returned when it is below ``_retired`` or in ``_returned``; and the
+    response of load ``_retired`` retires it and every returned load behind
+    it, so loads retire in program order.
+    """
 
     def __init__(self, core_id: int, cluster, agent: CoreAgent, barrier) -> None:
         self.core_id = core_id
@@ -104,11 +117,11 @@ class CoreTimingModel:
         config = cluster.config
         self.tile_id = config.tile_of_core(core_id)
         self._locate = cluster.address_map.locate
-        self.rob = ReorderBuffer(config.timing.max_outstanding_loads)
         #: Issued requests not yet accepted by the interconnect, oldest first:
         #: ``(bank_id, is_write, created_cycle, sequence)`` records.
         self.injection_queue: deque = deque()
         self.injection_depth = config.timing.injection_queue_depth
+        self.rob_depth = config.timing.max_outstanding_loads
         self.stats = CoreStats()
         self.busy_until = 0
         self.barrier_waiting = False
@@ -117,7 +130,11 @@ class CoreTimingModel:
         #: The operation blocking the front end (a stalled load/store/use).
         self._pending: Operation | None = None
         self._tag_to_sequence: dict[object, int] = {}
+        #: The load window: the next sequence number, the oldest load not
+        #: retired, and the returned loads waiting on an older one.
         self._sequence = 0
+        self._retired = 0
+        self._returned: set[int] = set()
         #: Cycle of the last step before a ``SLEEP_EVENT`` sleep (-1: not in
         #: one) and the load sequence that ends it (-1: the barrier release).
         self._asleep_since = -1
@@ -130,12 +147,33 @@ class CoreTimingModel:
     def on_response(self, sequence: int, latency: int, cycle: int) -> bool:
         """A load response returned; True if it wakes the sleeping core.
 
+        The load retires, with every returned load behind it, if it is the
+        oldest in the window; otherwise it waits there for the older ones.
         A woken core is charged the dependency stalls of the cycles it
         slept through — one per cycle, as if it had been stepped.
+
+        Raises
+        ------
+        KeyError
+            If load ``sequence`` is not in the window (never issued, or
+            already retired).
+        ValueError
+            If load ``sequence`` already returned.
         """
-        rob = self.rob
-        rob.complete(sequence)
-        rob.retire_ready()
+        retired = self._retired
+        if not retired <= sequence < self._sequence:
+            raise KeyError(f"load {sequence} of core {self.core_id} is not outstanding")
+        returned = self._returned
+        if sequence == retired:
+            retired += 1
+            while retired in returned:
+                returned.remove(retired)
+                retired += 1
+            self._retired = retired
+        elif sequence in returned:
+            raise ValueError(f"load {sequence} of core {self.core_id} returned twice")
+        else:
+            returned.add(sequence)
         stats = self.stats
         stats.load_latency_sum += latency
         if latency > stats.load_latency_max:
@@ -162,11 +200,98 @@ class CoreTimingModel:
     def step(self, cycle: int, inject) -> int:
         """Advance the core by one cycle; returns ``RUNNING`` or a sleep status.
 
-        ``inject(core_id, request, cycle)`` offers the oldest queued request
-        to the interconnect and returns whether it was accepted.
+        Executes at most one cycle of the program — a ``Use`` of a returned
+        load and a zero-cycle ``Compute`` take none, so the next operation
+        follows in the same step — then ``inject(core_id, request, cycle)``
+        offers the oldest queued request to the interconnect and returns
+        whether it was accepted.  A load or store locates its address once
+        and queues its request; a load also takes the next sequence number
+        and stalls while the window is full.
         """
-        status = self._progress_agent(cycle)
         queue = self.injection_queue
+        if self.done:
+            status = FINISHED
+        elif self.busy_until > cycle:
+            status = SLEEP_TIMER if self.busy_until > cycle + 1 else RUNNING
+        elif self.barrier_waiting:
+            self.stats.barrier_stalls += 1
+            status = SLEEP_EVENT
+        else:
+            stats = self.stats
+            operation = self._pending
+            if operation is None:
+                operation = next(self._ops, None)
+            else:
+                self._pending = None
+            while True:
+                kind = type(operation)
+                if kind is Load:
+                    sequence = self._sequence
+                    if (
+                        len(queue) >= self.injection_depth
+                        or sequence - self._retired >= self.rob_depth
+                    ):
+                        stats.structural_stalls += 1
+                        self._pending = operation
+                    else:
+                        bank_id, tile = self._locate(operation.address)
+                        self._sequence = sequence + 1
+                        if operation.tag is not None:
+                            self._tag_to_sequence[operation.tag] = sequence
+                        queue.append((bank_id, False, cycle, sequence))
+                        if tile == self.tile_id:
+                            stats.local_loads += 1
+                        else:
+                            stats.remote_loads += 1
+                    status = RUNNING
+                    break
+                if kind is Use:
+                    sequence = self._tag_to_sequence.get(operation.tag)
+                    if sequence is None:
+                        raise ValueError(
+                            f"core {self.core_id} uses tag {operation.tag!r} "
+                            "before any load produced it"
+                        )
+                    if sequence >= self._retired and sequence not in self._returned:
+                        stats.dependency_stalls += 1
+                        self._pending = operation
+                        self._wake_sequence = sequence
+                        status = SLEEP_EVENT
+                        break
+                elif kind is Compute:
+                    stats.compute_cycles += operation.cycles
+                    stats.mul_instructions += operation.muls
+                    if operation.cycles > 0:
+                        self.busy_until = cycle + operation.cycles
+                        status = SLEEP_TIMER if operation.cycles > 1 else RUNNING
+                        break
+                elif kind is Store:
+                    if len(queue) >= self.injection_depth:
+                        stats.structural_stalls += 1
+                        self._pending = operation
+                    else:
+                        bank_id, tile = self._locate(operation.address)
+                        queue.append((bank_id, True, cycle, None))
+                        if tile == self.tile_id:
+                            stats.local_stores += 1
+                        else:
+                            stats.remote_stores += 1
+                    status = RUNNING
+                    break
+                elif kind is Barrier:
+                    self.barrier_waiting = True
+                    self._wake_sequence = -1
+                    self.barrier.arrive(self.core_id, operation.barrier_id)
+                    status = SLEEP_EVENT
+                    break
+                elif operation is None:
+                    self.done = True
+                    stats.finish_cycle = cycle
+                    status = FINISHED
+                    break
+                else:
+                    raise TypeError(f"unknown core operation {operation!r}")
+                operation = next(self._ops, None)
         if queue:
             if inject(self.core_id, queue[0], cycle):
                 queue.popleft()
@@ -180,85 +305,3 @@ class CoreTimingModel:
     def idle(self) -> bool:
         """True once the core finished its program and drained its requests."""
         return self.done and not self.injection_queue
-
-    # -- front end -------------------------------------------------------- #
-
-    def _progress_agent(self, cycle: int) -> int:
-        """Execute at most one cycle of the program; the status if nothing is queued."""
-        if self.done:
-            return FINISHED
-        if self.busy_until > cycle:
-            return SLEEP_TIMER if self.busy_until > cycle + 1 else RUNNING
-        stats = self.stats
-        if self.barrier_waiting:
-            stats.barrier_stalls += 1
-            return SLEEP_EVENT
-        operation = self._pending
-        if operation is None:
-            operation = next(self._ops, None)
-        else:
-            self._pending = None
-        while True:
-            kind = type(operation)
-            if kind is Use:
-                sequence = self._tag_to_sequence.get(operation.tag)
-                if sequence is None:
-                    raise ValueError(
-                        f"core {self.core_id} uses tag {operation.tag!r} "
-                        "before any load produced it"
-                    )
-                if not self.rob.is_complete(sequence):
-                    stats.dependency_stalls += 1
-                    self._pending = operation
-                    self._wake_sequence = sequence
-                    return SLEEP_EVENT
-            elif kind is Load or kind is Store:
-                is_write = kind is Store
-                if len(self.injection_queue) >= self.injection_depth or (
-                    not is_write and self.rob.is_full
-                ):
-                    stats.structural_stalls += 1
-                    self._pending = operation
-                else:
-                    self._issue(operation, is_write, cycle)
-                return RUNNING
-            elif kind is Compute:
-                stats.compute_cycles += operation.cycles
-                stats.mul_instructions += operation.muls
-                if operation.cycles > 0:
-                    self.busy_until = cycle + operation.cycles
-                    return SLEEP_TIMER if operation.cycles > 1 else RUNNING
-            elif kind is Barrier:
-                self.barrier_waiting = True
-                self._wake_sequence = -1
-                self.barrier.arrive(self.core_id, operation.barrier_id)
-                return SLEEP_EVENT
-            elif operation is None:
-                self.done = True
-                stats.finish_cycle = cycle
-                return FINISHED
-            else:
-                raise TypeError(f"unknown core operation {operation!r}")
-            operation = next(self._ops, None)
-
-    def _issue(self, operation: Load | Store, is_write: bool, cycle: int) -> None:
-        """Queue the request of a load or store; its address is located once."""
-        bank_id, tile = self._locate(operation.address)
-        sequence = None
-        if not is_write:
-            sequence = self._sequence
-            self._sequence += 1
-            if operation.tag is not None:
-                self._tag_to_sequence[operation.tag] = sequence
-            self.rob.allocate(sequence)
-        self.injection_queue.append((bank_id, is_write, cycle, sequence))
-        stats = self.stats
-        if tile == self.tile_id:
-            if is_write:
-                stats.local_stores += 1
-            else:
-                stats.local_loads += 1
-        elif is_write:
-            stats.remote_stores += 1
-        else:
-            stats.remote_loads += 1

@@ -129,6 +129,7 @@ class SystemResult:
 
     @property
     def instructions(self) -> int:
+        """Instructions executed by all cores together."""
         return self.total.instructions
 
     @property

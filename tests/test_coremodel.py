@@ -1,11 +1,16 @@
 """Tests of the core timing model (operation semantics, stalls, latency hiding)."""
 
+import random
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.agents import Barrier, Compute, Load, Store, TraceAgent, Use
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig, TimingParameters
-from repro.core.system import MemPoolSystem
+from repro.core.coremodel import RUNNING, SLEEP_EVENT, CoreTimingModel
+from repro.core.system import GlobalBarrier, MemPoolSystem
 
 
 def run_single_core(operations, topology="toph", config=None, core_id=0, max_cycles=10_000):
@@ -212,3 +217,256 @@ class TestOperationDispatch:
         """``next(ops, None)`` is the end-of-program test, so a yielded None ends it."""
         result, _ = run_single_core([Compute(2), None, Compute(50)])
         assert result.total.compute_cycles == 2
+
+
+class WindowDriver:
+    """One core of a tiny cluster whose program and responses come from the test.
+
+    Load ``n`` carries tag ``n``, so a tag is also the load's sequence
+    number; the interconnect accepts every request at once, and the clock
+    moves one cycle per step.
+    """
+
+    def __init__(self, capacity):
+        timing = TimingParameters(max_outstanding_loads=capacity)
+        cluster = MemPoolCluster(MemPoolConfig.tiny("toph", timing=timing))
+        self.address = local_address(cluster)
+        self.program = deque()
+        agent = TraceAgent(iter(self.program.popleft, None))
+        self.core = CoreTimingModel(0, cluster, agent, GlobalBarrier({0}))
+        self.cycle = 0
+        self.issued = 0
+
+    def step(self, *operations):
+        """Append ``operations`` to the program and step the core one cycle."""
+        self.program.extend(operations)
+        status = self.core.step(self.cycle, lambda core_id, request, cycle: True)
+        self.cycle += 1
+        return status
+
+    def respond(self, sequence):
+        """Deliver the response of load ``sequence``; True if it woke the core."""
+        return self.core.on_response(sequence, 1, self.cycle)
+
+
+class ListRob:
+    """Reference model: ``[sequence, returned]`` pairs in program order."""
+
+    def __init__(self, capacity):
+        self.capacity, self.entries = capacity, []
+
+    def find(self, sequence):
+        return next((entry for entry in self.entries if entry[0] == sequence), None)
+
+    def allocate(self, sequence):
+        if len(self.entries) >= self.capacity:
+            raise RuntimeError
+        self.entries.append([sequence, False])
+
+    def complete(self, sequence):
+        entry = self.find(sequence)
+        if entry is None:
+            raise KeyError
+        if entry[1]:
+            raise ValueError
+        entry[1] = True
+        while self.entries and self.entries[0][1]:
+            self.entries.pop(0)
+
+
+class TestLoadWindow:
+    """The reorder buffer: a window over the core's load sequence numbers."""
+
+    @staticmethod
+    def outcome(call, *arguments):
+        try:
+            call(*arguments)
+        except (RuntimeError, ValueError, KeyError) as error:
+            return type(error)
+        return None
+
+    @staticmethod
+    def assert_window_is(core, model):
+        assert list(range(core._retired, core._sequence)) == [
+            sequence for sequence, _ in model.entries
+        ]
+        assert core._returned == {sequence for sequence, done in model.entries if done}
+
+    def load(self, driver, tag):
+        return driver.step(Load(driver.address, tag=tag))
+
+    def test_invalid_capacity_rejected(self):
+        with pytest.raises(ValueError, match="max_outstanding_loads"):
+            WindowDriver(0)
+
+    def test_a_full_window_stalls_the_next_load_until_one_retires(self):
+        driver = WindowDriver(2)
+        core = driver.core
+        self.load(driver, 0)
+        self.load(driver, 1)
+        assert self.load(driver, 2) == RUNNING
+        assert (core.stats.structural_stalls, core._sequence) == (1, 2)
+        driver.step()
+        assert (core.stats.structural_stalls, core._sequence) == (2, 2)
+        driver.respond(0)
+        driver.step()
+        assert (core.stats.structural_stalls, core._sequence) == (2, 3)
+
+    def test_stores_take_no_window_entry(self):
+        driver = WindowDriver(1)
+        self.load(driver, 0)
+        driver.step(Store(driver.address))
+        assert driver.core.stats.structural_stalls == 0
+        assert (driver.core._retired, driver.core._sequence) == (0, 1)
+
+    def test_occupancy_falls_as_loads_retire(self):
+        driver = WindowDriver(4)
+        core = driver.core
+        self.load(driver, 0)
+        self.load(driver, 1)
+        assert core._sequence - core._retired == 2
+        driver.respond(0)
+        assert core._sequence - core._retired == 1
+
+    def test_a_response_before_any_load_raises(self):
+        with pytest.raises(KeyError, match="not outstanding"):
+            WindowDriver(2).respond(0)
+
+    def test_a_use_of_a_retired_load_does_not_stall(self):
+        driver = WindowDriver(2)
+        stats = driver.core.stats
+        self.load(driver, 0)
+        assert driver.step(Use(0)) == SLEEP_EVENT
+        assert driver.respond(0)
+        assert driver.step(Compute(1)) == RUNNING
+        stalls = stats.dependency_stalls
+        assert driver.step(Use(0), Compute(1)) == RUNNING
+        assert stats.dependency_stalls == stalls
+
+    def test_a_load_returned_ahead_of_an_older_one_is_usable(self):
+        driver = WindowDriver(4)
+        self.load(driver, 0)
+        self.load(driver, 1)
+        driver.respond(1)
+        assert driver.step(Use(1), Compute(1)) == RUNNING
+        assert driver.core.stats.dependency_stalls == 0
+        assert (driver.core._retired, driver.core._returned) == (0, {1})
+
+    def test_only_the_awaited_response_wakes_the_core(self):
+        driver = WindowDriver(4)
+        self.load(driver, 0)
+        self.load(driver, 1)
+        assert driver.step(Use(1)) == SLEEP_EVENT
+        assert not driver.respond(0)
+        assert driver.respond(1)
+
+    def test_retirement_stops_at_the_oldest_outstanding_load(self):
+        driver = WindowDriver(4)
+        core = driver.core
+        for tag in range(3):
+            self.load(driver, tag)
+        driver.respond(1)
+        driver.respond(2)
+        assert (core._retired, core._returned) == (0, {1, 2})
+        driver.respond(0)
+        assert (core._retired, core._returned) == (3, set())
+
+    def test_reverse_order_responses_retire_in_program_order(self):
+        driver = WindowDriver(4)
+        core = driver.core
+        for tag in range(4):
+            self.load(driver, tag)
+        for sequence in (3, 2, 1):
+            driver.respond(sequence)
+            assert core._retired == 0
+        driver.respond(0)
+        assert (core._retired, core._returned) == (4, set())
+
+    def test_responses_outside_the_window_or_twice_raise(self):
+        driver = WindowDriver(4)
+        for tag in range(3):
+            driver.step(Load(driver.address, tag=tag))
+        with pytest.raises(KeyError):
+            driver.respond(3)  # never issued
+        driver.respond(1)
+        with pytest.raises(ValueError):
+            driver.respond(1)  # returned, waiting on load 0
+        driver.respond(0)  # retires 0 and 1
+        with pytest.raises(KeyError):
+            driver.respond(1)  # retired
+        assert (driver.core._retired, driver.core._returned) == (2, set())
+
+    @pytest.mark.parametrize("capacity", [1, 8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_sequences_match_a_list_model(self, capacity, seed):
+        """Seeded random issue / respond / use sequences, errors included."""
+        rng = random.Random(seed)
+        driver, model = WindowDriver(capacity), ListRob(capacity)
+        core, stats = driver.core, driver.core.stats
+        stalled = False  # the last load found the window full
+        seen = set()
+        for _ in range(2000):
+            action = rng.random()
+            if action < 0.4:
+                # The next load, or a retry of the one a full window stalled.
+                got = self.outcome(model.allocate, driver.issued)
+                operations = () if stalled else (Load(driver.address, tag=driver.issued),)
+                before = stats.structural_stalls
+                assert driver.step(*operations) == RUNNING
+                stalled = got is RuntimeError
+                assert stats.structural_stalls - before == stalled
+                driver.issued += not stalled
+                seen.add(("issue", got))
+            elif action < 0.8:
+                # Usually a load in the window, returned or not; otherwise any
+                # sequence, retired and never-issued ones included.
+                if model.entries and rng.random() < 0.8:
+                    sequence = rng.choice(model.entries)[0]
+                else:
+                    sequence = rng.randrange(driver.issued + 2)
+                got = self.outcome(driver.respond, sequence)
+                assert got == self.outcome(model.complete, sequence)
+                seen.add(("respond", got))
+            elif driver.issued and not stalled:
+                # A recent load's value: the use passes iff the load returned.
+                sequence = rng.randrange(max(0, driver.issued - 2 * capacity), driver.issued)
+                entry = model.find(sequence)
+                returned = entry is None or entry[1]
+                computed = stats.compute_cycles
+                status = driver.step(Use(sequence), Compute(1))
+                if not returned:
+                    # Asleep until exactly that response, then the use passes.
+                    assert status == SLEEP_EVENT
+                    assert driver.respond(sequence)
+                    model.complete(sequence)
+                    assert driver.step() == RUNNING
+                assert stats.compute_cycles == computed + 1
+                seen.add(("use", returned))
+            self.assert_window_is(core, model)
+        # A one-entry window retires a load on its response, so only a deeper
+        # one holds a returned load that a second response can hit.
+        twice = {("respond", ValueError)} if capacity > 1 else set()
+        assert seen == twice | {
+            ("issue", None), ("issue", RuntimeError), ("respond", None),
+            ("respond", KeyError), ("use", True), ("use", False),
+        }
+
+    @given(
+        completion_order=st.permutations(list(range(8))),
+        capacity=st.integers(min_value=8, max_value=16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_completion_order_retires_in_program_order(self, completion_order, capacity):
+        driver = WindowDriver(capacity)
+        core = driver.core
+        for tag in range(8):
+            driver.step(Load(driver.address, tag=tag))
+        returned = set()
+        for sequence in completion_order:
+            driver.respond(sequence)
+            returned.add(sequence)
+            oldest = min(set(range(9)) - returned)
+            assert core._retired == oldest
+            assert core._returned == {done for done in returned if done > oldest}
+        assert driver.step(*(Use(tag) for tag in range(8)), Compute(1)) == RUNNING
+        assert core.stats.dependency_stalls == 0

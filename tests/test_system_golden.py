@@ -14,7 +14,10 @@ kernels built their programs a loop body at a time); the forty-eight
 ``random-<selection>-<layout>`` cases, one random program per valid tiny
 topology selection and address layout, at commit e816df7 (``legacy`` engine;
 ``vector`` and the since-deleted ``compiled`` engine reproduced every one);
-the fifty original entries are byte-for-byte the first recording.
+the three ``fig7-*`` cases, the benchmark's own Figure 7 configuration, at
+commit 9cd151e (``legacy`` engine, the commit before the core model folded
+its reorder buffer into a window of sequence numbers); the fifty original
+entries are byte-for-byte the first recording.
 
 ``PYTHONPATH=src python tests/test_system_golden.py --write`` re-records them
 (only when the *model* changes on purpose).
@@ -33,6 +36,8 @@ from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig
 from repro.core.coremodel import CoreStats
 from repro.core.system import MemPoolSystem
+from repro.evaluation.fig7 import FIG7_KERNELS
+from repro.evaluation.points import simulate_fig7_point
 from repro.kernels import (
     AxpyKernel,
     Conv2dKernel,
@@ -180,6 +185,23 @@ CASES = {
 }
 
 
+def _fig7_case(kernel):
+    def run(engine):
+        result = simulate_fig7_point(
+            kernel=kernel, topology="toph", scrambling=True, engine=engine
+        )
+        assert result.correct
+        return result.system
+
+    return run
+
+
+#: The ``kernels_exec_64`` benchmark's points: Figure 7's default (64-core)
+#: sizes on TopH with scrambling on.  Checked on ``vector``, the engine the
+#: benchmark runs, only: the ``legacy`` leg would cost ~2 s of tier-1.
+BENCH_CASES = {f"fig7-{kernel}-toph-scrambled": _fig7_case(kernel) for kernel in FIG7_KERNELS}
+
+
 def encode(result) -> dict:
     """The whole ``SystemResult`` as JSON-ready plain data."""
     return {
@@ -197,7 +219,7 @@ def encode(result) -> dict:
 def goldens():
     recorded = json.loads(GOLDEN_PATH.read_text())
     assert recorded["fields"] == FIELDS
-    assert sorted(recorded["cases"]) == sorted(CASES)
+    assert sorted(recorded["cases"]) == sorted({**CASES, **BENCH_CASES})
     return recorded["cases"]
 
 
@@ -205,6 +227,11 @@ def goldens():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_system_result_matches_golden(goldens, name, engine):
     assert encode(CASES[name](engine)) == goldens[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CASES))
+def test_benchmark_configuration_matches_golden(goldens, name):
+    assert encode(BENCH_CASES[name]("vector")) == goldens[name]
 
 
 def test_goldens_exercise_every_stall_kind(goldens):
@@ -221,7 +248,10 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    cases = {name: encode(run("legacy")) for name, run in sorted(CASES.items())}
+    cases = {
+        name: encode(run("legacy"))
+        for name, run in sorted({**CASES, **BENCH_CASES}.items())
+    }
     GOLDEN_PATH.write_text(
         json.dumps({"fields": FIELDS, "cases": cases}, separators=(",", ":")) + "\n"
     )
