@@ -135,10 +135,11 @@ lint:
 # fall back to the bundled AST checker (same missing-docstring subset) on
 # offline machines that have neither.  Either way the generated catalogue
 # tables of README.md / docs/architecture.md are checked against the live
-# registries (`tools/docs_lint.py --tables --write` regenerates them).
+# catalogue (`tools/docs_lint.py --tables --write` regenerates them).
 DOCS_LINT_DIRS := src/repro/core src/repro/experiments src/repro/evaluation src/repro/traffic \
 	src/repro/kernels src/repro/engine src/repro/workloads src/repro/topologies \
-	src/repro/interconnect src/repro/validation src/repro/service tools
+	src/repro/interconnect src/repro/validation src/repro/service tools \
+	src/repro/catalogue.py src/repro/tracefile.py
 
 docs-lint:
 	@$(PYTHON) tools/docs_lint.py --tables

@@ -20,11 +20,10 @@ from __future__ import annotations
 import json
 import time
 
+from repro.catalogue import PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.traffic.simulation import TrafficSimulation
-from repro.workloads import available_patterns
-from repro.workloads.registry import pattern_entry
 
 BENCH_TOPOLOGY = "top1"
 BENCH_LOAD = 0.25
@@ -56,12 +55,8 @@ def test_pattern_sweep_and_append_bench(report_sink, bench_out_path):
     result_path = bench_out_path("BENCH_engine.json")
     # Patterns with required parameters (trace replay needs a path) have
     # no default construction and are benchmarked by their own suites.
-    measurements = {
-        pattern: _time_pattern(pattern)
-        for pattern in available_patterns()
-        if not pattern_entry(pattern).required
-    }
-    # Every registered pattern must actually move traffic through the
+    measurements = {pattern: _time_pattern(pattern) for pattern in PATTERNS.defaults()}
+    # Every catalogued pattern must actually move traffic through the
     # engine — a pattern that deadlocks or never completes a request
     # would otherwise still "benchmark" fine.
     for pattern, metrics in measurements.items():

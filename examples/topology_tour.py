@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import sys
 
+from repro.catalogue import TOPOLOGIES
 from repro.core.config import MemPoolConfig
 from repro.evaluation import ExperimentSettings
 from repro.experiments.registry import EXPERIMENTS
 from repro.interconnect.topology import build_topology
-from repro.topologies import topology_catalogue
 
 
 def main(full_scale: bool = False) -> None:
     print("== Registered topologies ==")
-    for entry in topology_catalogue():
+    for entry in TOPOLOGIES.values():
         knobs = ", ".join(sorted(entry.params)) or "-"
         print(f"  {entry.name:<16} {entry.summary}  [knobs: {knobs}]")
     print()

@@ -20,18 +20,18 @@ from __future__ import annotations
 
 import sys
 
+from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.system import MemPoolSystem
 from repro.evaluation import ExperimentSettings
 from repro.experiments.registry import EXPERIMENTS
-from repro.workloads import injector_catalogue, pattern_catalogue
 
 
 def main(full_scale: bool = False) -> None:
     print("== Registered workloads ==")
-    for entry in pattern_catalogue():
+    for entry in PATTERNS.values():
         print(f"  pattern  {entry.name:<16} {entry.summary}")
-    for entry in injector_catalogue():
+    for entry in INJECTORS.values():
         print(f"  injector {entry.name:<16} {entry.summary}")
     print()
 

@@ -11,17 +11,13 @@ resolve it on first access (PEP 562)::
     _EXPORTS = {"MemPoolCluster": "core.cluster"}
     __all__ = list(_EXPORTS)
     __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-:class:`LazyChoices` does the same for an argparse ``choices=`` that comes
-from a registry: the CLI's parser is built for every command, the
-registry is only needed by the command that takes the option.
 """
 
 from __future__ import annotations
 
 import importlib
 import sys
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping
 
 
 def lazy_exports(
@@ -67,30 +63,3 @@ def lazy_exports(
         return sorted({*vars(sys.modules[package]), *exports})
 
     return __getattr__, __dir__
-
-
-class LazyChoices:
-    """An argparse ``choices=`` container whose values load on first use.
-
-    ``source`` names a zero-argument function the way a spec names its
-    runner (``"repro.workloads:available_patterns"``).  argparse tests
-    membership when the option is given and iterates for the ``invalid
-    choice ... (choose from ...)`` error; the module is not imported
-    before that, so building the parser — for whichever command — costs
-    nothing.  Give the option a ``metavar``: ``add_argument`` formats the
-    choices of a metavar-less option at once.
-    """
-
-    def __init__(self, source: str) -> None:
-        self._source = source
-
-    def _values(self) -> Sequence[str]:
-        from repro.experiments.spec import resolve_runner
-
-        return resolve_runner(self._source)()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._values())
-
-    def __contains__(self, value: object) -> bool:
-        return value in self._values()

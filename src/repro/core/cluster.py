@@ -21,6 +21,10 @@ from repro.engine.compile import shared_network
 from repro.interconnect.resources import Flit
 from repro.interconnect.topology import ClusterTopology, build_topology
 
+# The families the topology rows of repro.catalogue name, loaded with the
+# cluster so that resolving a runner imports everything its points build.
+import repro.topologies  # noqa: F401
+
 
 @dataclass(frozen=True)
 class Tile:

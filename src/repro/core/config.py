@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 
+from repro.catalogue import TOPOLOGIES
 from repro.utils.validation import (
     check_in_range,
     check_positive,
@@ -84,9 +85,9 @@ class MemPoolConfig:
     banks_per_tile: int = 16
     #: Number of local groups used by the hierarchical TopH topology.
     num_groups: int = 4
-    #: Interconnect topology, by registry name: one of the paper's four
-    #: (``top1``, ``top4``, ``toph``, ``topx``) or any family registered in
-    #: :mod:`repro.topologies.registry` (``mesh``, ``torus``, ``ring``,
+    #: Interconnect topology, by catalogue name: one of the paper's four
+    #: (``top1``, ``top4``, ``toph``, ``topx``) or any family of
+    #: :data:`repro.catalogue.TOPOLOGIES` (``mesh``, ``torus``, ``ring``,
     #: ``butterfly``, ``fully_connected``, ``hierarchical``, ...).
     topology: str = "toph"
     #: Family-specific topology parameters (e.g. ``{"width": 8}`` for
@@ -129,12 +130,7 @@ class MemPoolConfig:
         pairs = raw.items() if hasattr(raw, "items") else raw
         params = tuple(sorted((str(key), value) for key, value in pairs))
         object.__setattr__(self, "topology_params", params)
-        # Validate the (name, params) selection against the topology
-        # registry.  Imported lazily: the registry's family modules import
-        # this one.
-        from repro.topologies.registry import validate_topology
-
-        validate_topology(self.topology, dict(params))
+        TOPOLOGIES.lookup(self.topology).validate(dict(params))
         if self.butterfly_radix < 2:
             raise ValueError("butterfly_radix must be at least 2")
         if self.num_tiles % self.num_groups != 0:

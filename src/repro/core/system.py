@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.agents import CoreAgent, IdleAgent
 from repro.core.cluster import MemPoolCluster
 from repro.core.coremodel import FINISHED, SLEEP_TIMER, CoreStats, CoreTimingModel
@@ -256,14 +257,14 @@ class MemPoolSystem:
         pattern_params: dict | None = None,
         injector_params: dict | None = None,
     ) -> "MemPoolSystem":
-        """A system whose cores run a registered workload closed-loop.
+        """A system whose cores run a catalogued workload closed-loop.
 
         Builds one :class:`repro.workloads.agents.WorkloadAgent` per core
         from the named destination pattern and injection process, so any
-        workload from the :mod:`repro.workloads` registry also runs
-        through the execution-driven simulator — reorder buffers,
-        outstanding-load limits and barriers included — on either timing
-        engine.  Imported lazily because the workload layer sits above
+        workload of :mod:`repro.catalogue` also runs through the
+        execution-driven simulator — reorder buffers, outstanding-load
+        limits and barriers included — on either timing engine.  The
+        agents are imported lazily because the workload layer sits above
         the core layer.
 
         Parameters
@@ -273,25 +274,22 @@ class MemPoolSystem:
         injection_rate : float
             Offered load in requests per core per cycle (must be > 0).
         pattern, injector : str
-            Workload registry names (see
-            :func:`repro.workloads.available_patterns` /
-            :func:`~repro.workloads.available_injectors`).
+            Catalogue names (:data:`repro.catalogue.PATTERNS` /
+            :data:`~repro.catalogue.INJECTORS`).
         requests_per_core : int
             Loads each core issues before finishing.
         seed : int
             Experiment seed the workload substreams derive from.
         pattern_params, injector_params : dict, optional
-            Registry parameters (e.g. ``{"p_local": 0.25}``).
+            Catalogue parameters (e.g. ``{"p_local": 0.25}``).
         """
         from repro.workloads.agents import build_synthetic_agents
-        from repro.workloads.registry import make_injector, make_pattern
 
         config = cluster.config
         agents = build_synthetic_agents(
             cluster,
-            make_pattern(pattern, config, seed=seed, **(pattern_params or {})),
-            make_injector(
-                injector,
+            PATTERNS.lookup(pattern).build(config, seed=seed, **(pattern_params or {})),
+            INJECTORS.lookup(injector).build(
                 config.num_cores,
                 injection_rate,
                 seed=seed,

@@ -55,7 +55,8 @@ from repro.evaluation.workloads import (
 from repro.kernels import Conv2dKernel, DctKernel, KernelResult, MatmulKernel
 from repro.physical import AreaModel, FloorplanModel, TimingModel
 from repro.physical.timing import CLUSTER_CRITICAL_PATH
-from repro.traffic import LocalBiasedPattern, TrafficResult, TrafficSimulation
+from repro.traffic import TrafficResult, TrafficSimulation
+from repro.workloads import LocalBiasedPattern
 from repro.workloads.trace import record_trace
 
 

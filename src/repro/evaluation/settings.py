@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES, split_spec
 from repro.core.config import ENGINES, MemPoolConfig
-from repro.topologies.registry import parse_topology_spec, validate_topology
-from repro.workloads.registry import available_injectors, available_patterns
 
 #: Default warm-up window of the synthetic-traffic measurements.  The
 #: point functions (:mod:`repro.evaluation.points`) reference these
@@ -47,14 +46,14 @@ class ExperimentSettings:
     #: identical results for fixed seeds.
     engine: str = "legacy"
     #: Destination pattern of the synthetic-traffic experiments, by
-    #: workload registry name.  fig6 ignores it — its sweep *is* the
-    #: ``local_biased`` pattern.
+    #: catalogue name (:data:`repro.catalogue.PATTERNS`).  fig6 ignores
+    #: it — its sweep *is* the ``local_biased`` pattern.
     pattern: str = "uniform"
     #: Injection process of the synthetic-traffic experiments, by
-    #: workload registry name.
+    #: catalogue name (:data:`repro.catalogue.INJECTORS`).
     injector: str = "poisson"
     #: Interconnect topology of the single-topology experiments (the
-    #: ``workloads`` catalogue), by topology registry name; accepts the
+    #: ``workloads`` catalogue), by catalogue name; accepts the
     #: CLI's ``name:k=v`` spec form.  The figure experiments whose sweep
     #: *is* a topology axis (fig5, fig7, physical) ignore it.
     topology: str = "toph"
@@ -84,29 +83,25 @@ class ExperimentSettings:
                 f"unknown engine {self.engine!r} (--engine); "
                 f"expected one of {ENGINES}"
             )
-        if self.pattern not in available_patterns():
-            raise ValueError(
-                f"unknown pattern {self.pattern!r} (--pattern); "
-                f"expected one of {available_patterns()}"
-            )
-        if self.injector not in available_injectors():
-            raise ValueError(
-                f"unknown injector {self.injector!r} (--injector); "
-                f"expected one of {available_injectors()}"
-            )
-        # Accept the CLI's "name:k=v,k2=v2" spec form; bare
-        # names with explicit topology_params pass through unchanged.
-        # parse_topology_spec / validate_topology also reject unknown
-        # names and parameters here, before any sweep expansion.
+        for flag, value, table in (
+            ("pattern", self.pattern, PATTERNS), ("injector", self.injector, INJECTORS),
+        ):
+            if value not in table:
+                raise ValueError(
+                    f"unknown {flag} {value!r} (--{flag}); "
+                    f"expected one of {tuple(table)}"
+                )
+        # Accept the CLI's "name:k=v,k2=v2" spec form; bare names with
+        # explicit topology_params pass through unchanged.  Either way
+        # unknown names and parameters fail here, before sweep expansion.
         if ":" in self.topology:
             if self.topology_params:
                 raise ValueError(
                     "pass topology parameters either in the spec "
                     f"({self.topology!r}) or as topology_params, not both"
                 )
-            self.topology, self.topology_params = parse_topology_spec(self.topology)
-        else:
-            validate_topology(self.topology, self.topology_params)
+            self.topology, self.topology_params = split_spec(self.topology)
+        TOPOLOGIES.lookup(self.topology).validate(self.topology_params)
 
     def probe_topology(self) -> None:
         """Build the selected topology once to surface structural errors early.
@@ -118,7 +113,14 @@ class ExperimentSettings:
         built over a concrete configuration.  The CLI and the service call
         this once after building the settings, so a bad spec fails with one
         clean message instead of a traceback inside a sweep worker.
+
+        Every catalogue row builds at its default parameters on both
+        experiment scales (the ``topologies`` experiment runs them all), so
+        only given parameters can fail here; without any, nothing is built
+        and NumPy stays unloaded.
         """
+        if not self.topology_params:
+            return
         from repro.interconnect.topology import build_topology
 
         build_topology(

@@ -1,15 +1,15 @@
-"""Topology catalogue sweep: every registered topology at one fixed load.
+"""Topology catalogue sweep: every catalogued topology at one fixed load.
 
 Not a figure of the paper — the structural companion of the workload
-catalogue (:mod:`repro.evaluation.workloads`): every topology family
-registered in :mod:`repro.topologies.registry` is driven with the same
+catalogue (:mod:`repro.evaluation.workloads`): every topology of
+:data:`repro.catalogue.TOPOLOGIES` is driven with the same
 open-loop workload at one injected load, which separates the families by
 the thing that actually distinguishes them — network structure.  The four
 paper topologies anchor the table to Figure 5's known ordering; the new
 families (mesh, torus, ring, fully connected, generalised hierarchical and
 butterfly) extend it across the design space the paper never swept.
 
-It doubles as the end-to-end proof that the topology registry is wired
+It doubles as the end-to-end proof that the topology catalogue is wired
 through the whole stack: every point goes through the sweep engine, the
 result cache, config validation and the selected timing engine exactly
 like the paper's figures do.
@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.catalogue import TOPOLOGIES
 from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import ExperimentSpec, Sweep
-from repro.topologies import available_topologies
 
 if TYPE_CHECKING:
     from repro.traffic import TrafficResult
@@ -94,18 +94,17 @@ def topologies_sweep(
     topologies: tuple[str, ...] | None = None,
     load: float = DEFAULT_CATALOGUE_LOAD,
 ) -> Sweep:
-    """The registry-driven topology grid of the catalogue as a :class:`Sweep`.
+    """The topology grid of the catalogue as a :class:`Sweep`.
 
-    ``topologies`` defaults to the *entire* registry, so a newly
-    registered family shows up in the catalogue (and the CLI) with no
-    further wiring.  Every point runs its family's *default* parameters
-    (parameters are per-family, so they cannot ride along a shared grid
-    axis); the settings-level ``--topology name:k=v`` selection instead
+    ``topologies`` defaults to the *entire* catalogue, so a new row shows
+    up here (and in the CLI) with no further wiring.  Every point runs its
+    family's *default* parameters (parameters are per-family, so they
+    cannot ride along a shared grid axis); the settings-level ``--topology name:k=v`` selection instead
     parameterises the single-topology experiments such as the workload
     catalogue.
     """
     settings = settings or ExperimentSettings()
-    names = tuple(topologies if topologies is not None else available_topologies())
+    names = tuple(topologies if topologies is not None else TOPOLOGIES)
     return Sweep(
         runner="repro.evaluation.points:simulate_topology_point",
         grid={"topology": names},

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import ExperimentSpec, Sweep
 from repro.experiments.cache import default_cache_dir
-from repro.workloads.trace import read_trace_header
+from repro.tracefile import read_trace_header
 
 if TYPE_CHECKING:
     from repro.traffic import TrafficResult

@@ -4,7 +4,7 @@ Not a figure of the paper — this is the scenario grid the ROADMAP's
 "as many scenarios as you can imagine" goal asks for: the full cartesian
 product of registered destination patterns and injection processes, each
 measured open-loop on the TopH cluster at one injected load.  It doubles
-as the end-to-end proof that the workload registry is wired through the
+as the end-to-end proof that the workload catalogue is wired through the
 whole stack: every point goes through the sweep engine, the result cache
 and the selected timing engine exactly like the paper's figures do.
 
@@ -17,32 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.catalogue import INJECTORS, PATTERNS
 from repro.evaluation.settings import ExperimentSettings
 from repro.experiments import ExperimentSpec, Sweep
-from repro.workloads import available_injectors, available_patterns
-from repro.workloads.registry import injector_entry, pattern_entry
 
 if TYPE_CHECKING:
     from repro.traffic import TrafficResult
-
-
-def default_catalogue_patterns() -> tuple[str, ...]:
-    """Every registered pattern the catalogue can run with defaults.
-
-    Entries with *required* parameters (``trace`` needs a ``path``) have
-    no meaning on a shared grid axis and are skipped; everything else
-    rides along automatically when registered.
-    """
-    return tuple(
-        name for name in available_patterns() if not pattern_entry(name).required
-    )
-
-
-def default_catalogue_injectors() -> tuple[str, ...]:
-    """Every registered injector the catalogue can run with defaults."""
-    return tuple(
-        name for name in available_injectors() if not injector_entry(name).required
-    )
 
 
 #: Injected load of the catalogue points (request/core/cycle) — high
@@ -98,13 +78,12 @@ def workloads_sweep(
 ) -> Sweep:
     """The (pattern x injector) grid of the workload catalogue as a :class:`Sweep`.
 
-    ``patterns`` / ``injectors`` default to the entire registry *minus*
+    ``patterns`` / ``injectors`` default to the whole catalogue *minus*
     entries with required parameters (the trace replay pair needs a
-    ``path`` no shared grid axis can supply), so a newly registered
-    workload shows up in the catalogue (and the CLI) with no further
-    wiring.  ``topology`` (with ``topology_params``)
-    defaults to the settings-level selection (``--topology name:k=v``),
-    so the catalogue runs on any registered topology family —
+    ``path`` no shared grid axis can supply), so a new catalogue row
+    shows up here (and in the CLI) with no further wiring.  ``topology``
+    (with ``topology_params``) defaults to the settings-level selection
+    (``--topology name:k=v``), so the catalogue runs on any topology —
     programmatic callers pass the same pair, e.g.
     ``workloads_sweep(topology="mesh", topology_params={"width": 8})``.
     """
@@ -122,10 +101,10 @@ def workloads_sweep(
         runner="repro.evaluation.points:simulate_workload_point",
         grid={
             "pattern": tuple(
-                patterns if patterns is not None else default_catalogue_patterns()
+                patterns if patterns is not None else PATTERNS.defaults()
             ),
             "injector": tuple(
-                injectors if injectors is not None else default_catalogue_injectors()
+                injectors if injectors is not None else INJECTORS.defaults()
             ),
         },
         base={

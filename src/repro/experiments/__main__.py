@@ -40,21 +40,16 @@ from __future__ import annotations
 
 import argparse
 
-# Module level holds what building the parser needs, plus the engine
-# modules this package's `__init__` has loaded anyway; each command imports
-# what it runs.  So `--help`, `clean` and `serve` load neither NumPy nor
-# the registries, and only a simulating command loads the simulator
-# ("Import layering" in docs/architecture.md).
-from repro._lazy import LazyChoices
+# Module level holds what building the parser needs (the NumPy-free
+# catalogue included), plus the engine modules this package's `__init__`
+# has loaded anyway; each command imports what it runs.  So no command
+# loads NumPy before it simulates ("Import layering" in
+# docs/architecture.md).
+from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES
 from repro.core.config import ENGINES
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.executor import Executor
 from repro.experiments.registry import EXPERIMENTS, resolve_selection
-
-#: ``--pattern`` / ``--injector`` values: the workload registry's names,
-#: read when one of the options is actually given.
-PATTERNS = LazyChoices("repro.workloads:available_patterns")
-INJECTORS = LazyChoices("repro.workloads:available_injectors")
 
 
 #: ``ExperimentSettings`` field of each settings flag, by ``argparse`` dest.
@@ -102,7 +97,7 @@ def _settings_flags() -> dict:
             metavar="NAME[:K=V,...]",
             default=None,
             help="topology of the single-topology experiments (the workload "
-                 "catalogue) and of a recording, as a topology registry name "
+                 "catalogue) and of a recording, as a topology catalogue name "
                  "with optional parameters, e.g. 'mesh:width=8,height=2' "
                  "(default: 'toph'; figure sweeps keep their own topology axes)",
         ),
@@ -290,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("list", help="list the registered experiments")
     commands.add_parser(
-        "workloads", help="list the registered workload patterns and injectors"
+        "workloads", help="list the catalogued workload patterns and injectors"
     )
     commands.add_parser(
-        "topologies", help="list the registered interconnect topology families"
+        "topologies", help="list the catalogued interconnect topology families"
     )
 
     validate = commands.add_parser(
@@ -358,27 +353,13 @@ def _command_list() -> int:
     return 0
 
 
-def _command_workloads() -> int:
-    from repro.workloads import injector_catalogue, pattern_catalogue
-
-    print("destination patterns:")
-    for entry in pattern_catalogue():
-        knobs = ", ".join(sorted(entry.params)) or "-"
-        print(f"  {entry.name:<16} {entry.summary}  [knobs: {knobs}]")
-    print("injection processes:")
-    for entry in injector_catalogue():
-        knobs = ", ".join(sorted(entry.params)) or "-"
-        print(f"  {entry.name:<16} {entry.summary}  [knobs: {knobs}]")
-    return 0
-
-
-def _command_topologies() -> int:
-    from repro.topologies import topology_catalogue
-
-    print("interconnect topologies:")
-    for entry in topology_catalogue():
-        knobs = ", ".join(sorted(entry.params)) or "-"
-        print(f"  {entry.name:<16} {entry.summary}  [knobs: {knobs}]")
+def _print_tables(*titled_tables: tuple) -> int:
+    """Print ``(title, catalogue table)`` pairs, one row per line."""
+    for title, table in titled_tables:
+        print(f"{title}:")
+        for entry in table.values():
+            knobs = ", ".join(sorted(entry.params)) or "-"
+            print(f"  {entry.name:<16} {entry.summary}  [knobs: {knobs}]")
     return 0
 
 
@@ -505,7 +486,7 @@ def _trace_info(path: str) -> int:
 
 def _trace_replay(args: argparse.Namespace) -> int:
     from repro.evaluation.traces import DEFAULT_TRACE_TOPOLOGIES
-    from repro.workloads.trace import TraceFormatError
+    from repro.tracefile import TraceFormatError
 
     settings = _settings(args, trace=args.path)
     if settings is None:
@@ -670,9 +651,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         return _command_list()
     if args.command == "workloads":
-        return _command_workloads()
+        return _print_tables(
+            ("destination patterns", PATTERNS), ("injection processes", INJECTORS)
+        )
     if args.command == "topologies":
-        return _command_topologies()
+        return _print_tables(("interconnect topologies", TOPOLOGIES))
     if args.command == "validate":
         return _command_validate(args)
     if args.command == "trace":

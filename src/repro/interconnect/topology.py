@@ -10,7 +10,7 @@ The paper's other three networks are named points of the families in
 :mod:`repro.topologies.families`: Top1 and Top4 are the ``butterfly``
 family with one port per tile (K=1) or one per core (K=4), and TopH is the
 ``hierarchical`` family at its default four groups.  :func:`build_topology`
-resolves any of them through the registry.
+builds any of them from its :mod:`repro.catalogue` row.
 
 Every topology exposes :meth:`ClusterTopology.build_path`, which returns the
 ordered list of timing resources a request crosses from a given core to a
@@ -21,6 +21,7 @@ banks, 3 cycles inside a TopH group, 5 cycles for everything else remote.
 
 from __future__ import annotations
 
+from repro.catalogue import TOPOLOGIES
 from repro.core.config import MemPoolConfig
 from repro.interconnect.resources import (
     LEVEL_BANK,
@@ -143,10 +144,10 @@ class ClusterTopology:
     def analytic_round_trip_latency(self, core_id: int, bank_id: int) -> int:
         """Closed-form zero-load round-trip latency of an uncontended load.
 
-        Every registered topology implements this from coordinates alone
+        Every catalogued topology implements this from coordinates alone
         (no path construction); the test suite asserts it equals
         :meth:`zero_load_latency` — the register count of the built path —
-        for every topology in the registry, which pins the paper's
+        for every topology in the catalogue, which pins the paper's
         1/3/5-cycle invariants and the distance formulas of the new
         families alike.
         """
@@ -196,16 +197,12 @@ class IdealTopology(ClusterTopology):
 def build_topology(config: MemPoolConfig) -> ClusterTopology:
     """Instantiate the topology selected by ``config.topology``.
 
-    Resolution goes through the topology registry
-    (:mod:`repro.topologies.registry`), so any registered entry — the
-    four paper topologies or the parameterized families of
-    :mod:`repro.topologies.families` — builds here, with
+    Builds the catalogue row of that name (:data:`repro.catalogue.TOPOLOGIES`),
+    so any of them — the four paper topologies or the parameterized
+    families of :mod:`repro.topologies.families` — builds here, with
     ``config.topology_params`` forwarded as the family's constructor
-    parameters.  Imported lazily: the registry and the families import
-    this module for :class:`ClusterTopology`.
+    parameters.
     """
-    from repro.topologies.registry import make_topology
-
-    return make_topology(
-        config.topology, config, **dict(config.topology_params)
+    return TOPOLOGIES.lookup(config.topology).build(
+        config, **dict(config.topology_params)
     )

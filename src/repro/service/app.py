@@ -86,9 +86,9 @@ def build_specs(payload) -> tuple:
         mapping, names an unknown experiment/runner, carries invalid
         settings, or sweeps unhashable parameter values.
     """
-    # Imported here so that booting the service loads neither NumPy nor the
-    # registries (settings and the builder modules need both); no import
-    # below loads the simulator — that waits for the first point to run.
+    # Imported here so that booting the service loads only what serving
+    # needs; no import below loads NumPy or the simulator — that waits for
+    # the first point to run.
     from repro.evaluation.settings import ExperimentSettings
     from repro.experiments.registry import EXPERIMENTS
     from repro.experiments.spec import resolve_runner

@@ -1,24 +1,24 @@
-"""Pluggable interconnect topologies: registry, paper entries, families.
+"""Pluggable interconnect topologies: the parameterized families.
 
-This package makes the interconnect topology a registry of parameterized
-families, selected by name everywhere a topology appears.  The paper's
-Top1, Top4 and TopH are named points of these families (``top1``/``top4``
-of ``butterfly``, ``toph`` of ``hierarchical``); TopX is the one paper
-entry with a class of its own
+The interconnect topology is selected by name everywhere a topology
+appears, from the ``TOPOLOGIES`` table of :mod:`repro.catalogue`.  The
+paper's Top1, Top4 and TopH are named points of the families here
+(``top1``/``top4`` of ``butterfly``, ``toph`` of ``hierarchical``); TopX
+is the one paper entry with a class of its own
 (:class:`~repro.interconnect.topology.IdealTopology`).  Every consumer
-goes through the registry:
+goes through the catalogue:
 
 * ``MemPoolConfig(topology="mesh", topology_params={"width": 8})``
   validates the selection at construction time;
-* :func:`repro.interconnect.topology.build_topology` builds through
-  :func:`make_topology`, so clusters, the traffic layers and every engine
-  consume any registered family with no changes;
+* :func:`repro.interconnect.topology.build_topology` builds the selected
+  row, so clusters, the traffic layers and every engine consume any
+  family with no changes;
 * the CLI accepts ``--topology name:k=v,k2=v2`` and the ``topologies``
   experiment sweeps the whole catalogue.
 
-See :mod:`repro.topologies.registry` for the catalogue and
-:mod:`repro.topologies.families` for the routing and pipeline-level
-construction of each family.
+To add a family, write its class in :mod:`repro.topologies.families`
+(routing and pipeline-level construction) and add a row to
+``repro/catalogue.py``.
 """
 
 from repro.topologies.families import (
@@ -30,15 +30,6 @@ from repro.topologies.families import (
     TorusTopology,
     default_grid_dims,
 )
-from repro.topologies.registry import (
-    TopologyEntry,
-    available_topologies,
-    make_topology,
-    parse_topology_spec,
-    register_topology,
-    topology_catalogue,
-    validate_topology,
-)
 
 __all__ = [
     "ButterflyTopology",
@@ -47,12 +38,5 @@ __all__ = [
     "MeshTopology",
     "RingTopology",
     "TorusTopology",
-    "TopologyEntry",
-    "available_topologies",
     "default_grid_dims",
-    "make_topology",
-    "parse_topology_spec",
-    "register_topology",
-    "topology_catalogue",
-    "validate_topology",
 ]

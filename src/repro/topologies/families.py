@@ -2,7 +2,7 @@
 
 Every class below is a :class:`~repro.interconnect.topology.
 ClusterTopology` whose structure is a function of constructor parameters,
-so one registry entry (:mod:`repro.topologies.registry`) covers a whole
+so one catalogue row (:data:`repro.catalogue.TOPOLOGIES`) covers a whole
 design space.  Three of the paper's four interconnects are named points
 of these families: Top1 is ``butterfly`` with one port per tile, Top4 is
 ``butterfly`` with one port per core, and TopH is ``hierarchical`` at its
@@ -147,10 +147,11 @@ class ButterflyTopology(ClusterTopology):
     """``butterfly``: K parallel NxN radix-R butterflies between the tiles.
 
     The paper's Top1 and Top4 (Section III-C) are points of this family,
-    registered as ``top1`` and ``top4``: Top1 (``ports=1``, K=1) is one
-    64x64 radix-4 butterfly per direction whose single tile port the
-    tile's four cores share; Top4 (``ports=cores_per_tile``, K=4) is four
-    parallel butterflies, one dedicated port per core.  In general
+    catalogued as ``top1`` and ``top4`` (:func:`top4`): Top1
+    (``ports=1``, K=1) is one 64x64 radix-4 butterfly per direction whose
+    single tile port the tile's four cores share; Top4
+    (``ports=cores_per_tile``, K=4) is four parallel butterflies, one
+    dedicated port per core.  In general
     ``ports`` parallel butterflies connect the tiles and each core uses
     the lane ``local_core_index % ports``, so intermediate values share
     one tile port between subsets of a tile's cores.  ``radix`` selects
@@ -238,6 +239,11 @@ class ButterflyTopology(ClusterTopology):
         if config.tile_of_core(core_id) == config.tile_of_bank(bank_id):
             return 1
         return 5
+
+
+def top4(config: MemPoolConfig) -> ButterflyTopology:
+    """The paper's Top4: the butterfly family with one port per core."""
+    return ButterflyTopology(config, ports=config.cores_per_tile)
 
 
 class FullyConnectedTopology(ClusterTopology):

@@ -1,24 +1,14 @@
-"""Synthetic traffic generation and measurement (Section V-A / V-B).
+"""Synthetic traffic measurement (Section V-A / V-B).
 
 Workload selection (destination patterns, injection processes) lives in
-:mod:`repro.workloads`; this package drives a selected workload through a
-cluster open-loop and measures throughput and latency.
+:mod:`repro.workloads` and :mod:`repro.catalogue`; this package drives a
+selected workload through a cluster open-loop and measures throughput and
+latency.
 """
 
-from repro.traffic.generator import (
-    LocalBiasedPattern,
-    PoissonInjector,
-    TrafficPattern,
-    UniformRandomPattern,
-)
-from repro.traffic.simulation import TrafficResult, TrafficSimulation, run_load_sweep
+from repro.traffic.simulation import TrafficResult, TrafficSimulation
 
 __all__ = [
-    "TrafficPattern",
-    "UniformRandomPattern",
-    "LocalBiasedPattern",
-    "PoissonInjector",
     "TrafficSimulation",
     "TrafficResult",
-    "run_load_sweep",
 ]

@@ -13,13 +13,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.engine import traffic as engine_traffic
-from repro.traffic.generator import PoissonInjector, TrafficPattern, UniformRandomPattern
 from repro.utils.rotation import PermutationSchedule
 from repro.utils.stats import Histogram, OnlineStats
-from repro.workloads.base import InjectionProcess
-from repro.workloads.registry import make_injector, make_pattern
+from repro.workloads.base import DestinationPattern, InjectionProcess
+from repro.workloads.injection import PoissonInjector
+from repro.workloads.patterns import UniformRandomPattern
 
 
 @dataclass
@@ -98,20 +99,19 @@ class TrafficSimulation:
         The cluster under test (either engine).
     injection_rate : float
         Offered load in requests per core per cycle.
-    pattern : TrafficPattern or str, optional
-        The destination pattern, as an instance or a registry name from
-        :func:`repro.workloads.available_patterns`; uniform random by
-        default.
+    pattern : DestinationPattern or str, optional
+        The destination pattern, as an instance or a name from
+        :data:`repro.catalogue.PATTERNS`; uniform random by default.
     seed : int
         Experiment seed shared by pattern, injector and injection
         schedule (workload components derive disjoint substreams from
         it, see :mod:`repro.workloads.rng`).
     injector : InjectionProcess or str, optional
-        The injection process, as an instance or a registry name from
-        :func:`repro.workloads.available_injectors`; Poisson (the
-        paper's process) by default.
+        The injection process, as an instance or a name from
+        :data:`repro.catalogue.INJECTORS`; Poisson (the paper's process)
+        by default.
     pattern_params, injector_params : dict, optional
-        Registry parameters (e.g. ``{"p_local": 0.25}``) applied when
+        Catalogue parameters (e.g. ``{"p_local": 0.25}``) applied when
         the corresponding component is given by name; rejected with an
         instance, which is already fully constructed.
     """
@@ -120,7 +120,7 @@ class TrafficSimulation:
         self,
         cluster: MemPoolCluster,
         injection_rate: float,
-        pattern: TrafficPattern | str | None = None,
+        pattern: DestinationPattern | str | None = None,
         seed: int = 0,
         injector: InjectionProcess | str | None = None,
         pattern_params: dict | None = None,
@@ -128,8 +128,8 @@ class TrafficSimulation:
     ) -> None:
         self.cluster = cluster
         if isinstance(pattern, str):
-            pattern = make_pattern(
-                pattern, cluster.config, seed=seed, **(pattern_params or {})
+            pattern = PATTERNS.lookup(pattern).build(
+                cluster.config, seed=seed, **(pattern_params or {})
             )
         elif pattern_params:
             raise ValueError(
@@ -139,8 +139,7 @@ class TrafficSimulation:
         self.pattern = pattern or UniformRandomPattern(cluster.config, seed=seed)
         self.injection_rate = injection_rate
         if isinstance(injector, str):
-            injector = make_injector(
-                injector,
+            injector = INJECTORS.lookup(injector).build(
                 cluster.config.num_cores,
                 injection_rate,
                 seed=seed,
@@ -306,37 +305,3 @@ class TrafficSimulation:
             local_fraction=local_fraction,
             flit_log=flit_log if record_flits else None,
         )
-
-
-def run_load_sweep(
-    make_cluster,
-    loads,
-    pattern_factory=None,
-    warmup_cycles: int = 500,
-    measure_cycles: int = 1500,
-    seed: int = 0,
-    pattern: str | None = None,
-    injector: str | None = None,
-) -> list[TrafficResult]:
-    """Run one traffic simulation per injected load value.
-
-    ``make_cluster`` is a zero-argument callable building a fresh cluster for
-    each point (the stage network keeps state, so points must not share one).
-    ``pattern_factory`` maps a cluster to a :class:`TrafficPattern`; the
-    default is uniform random traffic.  Alternatively ``pattern`` /
-    ``injector`` select registered workloads by name (mutually exclusive
-    with ``pattern_factory``).
-    """
-    if pattern_factory is not None and pattern is not None:
-        raise ValueError("pass either pattern_factory or pattern, not both")
-    results = []
-    for load in loads:
-        cluster = make_cluster()
-        chosen = pattern_factory(cluster) if pattern_factory else pattern
-        simulation = TrafficSimulation(
-            cluster, load, pattern=chosen, seed=seed, injector=injector
-        )
-        results.append(
-            simulation.run(warmup_cycles=warmup_cycles, measure_cycles=measure_cycles)
-        )
-    return results

@@ -7,7 +7,7 @@ the two layers between them:
 
 - :mod:`repro.validation.fuzz` — a property-based **differential fuzzer**
   that samples the whole configuration space (topology x parameters x
-  pattern x injector x seed x window) through the production registries
+  pattern x injector x seed x window) through the production catalogue
   and asserts flit-for-flit identity across the ``legacy`` and
   ``vector`` engines, shrinking failures deterministically and emitting
   a one-line ``--replay`` reproducer spec.

@@ -1,11 +1,12 @@
 """Property-based differential fuzzing of the two timing engines.
 
 The enumerated cross-engine golden tests (``tests/test_engine_equivalence``)
-pin a grid of known configurations; this module samples the *whole* configuration space — topology x topology
-parameters x destination pattern x injection process x seed x measurement
-window, filtered through the topology and workload registries' own
-validators — and asserts that the ``legacy`` and ``vector`` engines
-produce flit-for-flit identical logs on every sampled point.
+pin a grid of known configurations; this module samples the *whole*
+configuration space — topology x topology parameters x destination
+pattern x injection process x seed x measurement window, filtered through
+the catalogue's own validators — and asserts that the ``legacy`` and
+``vector`` engines produce flit-for-flit identical logs on every sampled
+point.
 
 Every failing sample is reported as a **replay spec**: a one-line
 ``name:k=v,...`` string (the topology-spec grammar extended with the
@@ -34,19 +35,8 @@ from repro.core.agents import Barrier, Compute, Load, Store, TraceAgent, Use
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig, TimingParameters
 from repro.core.system import MemPoolSystem
-from repro.topologies.registry import (
-    available_topologies,
-    parse_scalar,
-    topology_entry,
-    validate_topology,
-)
+from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES, split_spec
 from repro.utils.validation import is_power_of
-from repro.workloads.registry import (
-    available_injectors,
-    available_patterns,
-    injector_entry,
-    pattern_entry,
-)
 
 #: Scalar result fields compared across engines (the flit log is compared
 #: separately and first — it implies most of these, but a field-level
@@ -116,12 +106,12 @@ class FuzzCase:
                 f"windows must satisfy warmup >= 0 and measure >= 1; got "
                 f"warmup={self.warmup}, measure={self.measure}"
             )
-        # Filter the case through the registries' own validators: a spec
+        # Filter the case through the catalogue's own validators: a spec
         # (or a strategy bug) with an unknown name or bad parameter fails
-        # here with the registry's message, before any engine runs.
-        validate_topology(self.topology, dict(self.topology_params))
-        pattern_entry(self.pattern).validate(dict(self.pattern_params))
-        injector_entry(self.injector).validate(dict(self.injector_params))
+        # here with the catalogue's message, before any engine runs.
+        TOPOLOGIES.lookup(self.topology).validate(dict(self.topology_params))
+        PATTERNS.lookup(self.pattern).validate(dict(self.pattern_params))
+        INJECTORS.lookup(self.injector).validate(dict(self.injector_params))
         # Per-parameter validation above cannot see cross-parameter
         # structure (mesh width*height must tile num_tiles, butterfly
         # radix must divide the tile count, ...); building the topology
@@ -142,7 +132,7 @@ class FuzzCase:
         keys ``pattern``/``injector``/``seed``/``load``/``warmup``/
         ``measure`` (and ``scale`` when not ``tiny``); component
         parameters ride along flat, routed back to their owner by
-        :meth:`from_spec` via the registries' accepted-parameter names.
+        :meth:`from_spec` via the catalogue's accepted-parameter names.
         """
         owners = {
             "topology": dict(self.topology_params),
@@ -178,9 +168,10 @@ class FuzzCase:
     def from_spec(cls, spec: str) -> "FuzzCase":
         """Parse a replay spec back into a :class:`FuzzCase`.
 
-        Inverse of :meth:`to_spec`; every error names the offending key
-        and lists the valid choices (the registries' own messages are
-        reused for component parameters).
+        Inverse of :meth:`to_spec`, through the ``--topology`` grammar's
+        own splitter (:func:`repro.catalogue.split_spec`); every error
+        names the offending key and lists the valid choices (the
+        catalogue's own messages are reused for component parameters).
 
         Examples
         --------
@@ -192,31 +183,7 @@ class FuzzCase:
         >>> FuzzCase.from_spec(case.to_spec()) == case
         True
         """
-        name, _, raw = spec.partition(":")
-        name = name.strip()
-        if not name:
-            raise ValueError(
-                f"replay spec {spec!r} is missing the topology name before "
-                f"':'; available: {', '.join(available_topologies())}"
-            )
-        values: dict[str, object] = {}
-        if raw.strip():
-            for item in raw.split(","):
-                key, separator, value = item.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if not key or not separator or not value:
-                    missing = "key" if not key else "'='" if not separator else "value"
-                    raise ValueError(
-                        f"malformed parameter {item.strip()!r} in replay "
-                        f"spec {spec!r} (missing the {missing}); expected "
-                        "name:key=value,key=value"
-                    )
-                if key in values:
-                    raise ValueError(
-                        f"duplicate parameter {key!r} in replay spec {spec!r}"
-                    )
-                values[key] = parse_scalar(value)
+        name, values = split_spec(spec, "replay spec", _RESERVED_KEYS)
         pattern = str(values.pop("pattern", "uniform"))
         injector = str(values.pop("injector", "poisson"))
         seed = values.pop("seed", 0)
@@ -225,9 +192,9 @@ class FuzzCase:
         measure = values.pop("measure", 150)
         scale = str(values.pop("scale", "tiny"))
         owners = (
-            ("topology", set(topology_entry(name).params)),
-            ("pattern", set(pattern_entry(pattern).params)),
-            ("injector", set(injector_entry(injector).params)),
+            ("topology", set(TOPOLOGIES.lookup(name).params)),
+            ("pattern", set(PATTERNS.lookup(pattern).params)),
+            ("injector", set(INJECTORS.lookup(injector).params)),
         )
         routed: dict[str, dict] = {owner: {} for owner, _ in owners}
         for key, value in values.items():
@@ -268,7 +235,7 @@ class FuzzCase:
 
 
 def _format_scalar(value) -> str:
-    """Format one spec value so :func:`parse_scalar` round-trips it."""
+    """Format one spec value so :func:`repro.catalogue.parse_scalar` round-trips it."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -440,28 +407,8 @@ def topology_selections(scale: str = "tiny") -> list:
                 continue
             selections.append(("hierarchical", {"groups": groups, "radix": radix}))
     for name, params in selections:
-        validate_topology(name, params)
+        TOPOLOGIES.lookup(name).validate(params)
     return selections
-
-
-def fuzzable_patterns() -> list[str]:
-    """Catalogue patterns the fuzzer can instantiate from scratch.
-
-    Entries with required parameters (the trace replay components, which
-    need an existing trace file) cannot be sampled out of thin air; they
-    have their own dedicated differential tests (``tests/test_trace``).
-    """
-    return [
-        name for name in available_patterns() if not pattern_entry(name).required
-    ]
-
-
-def fuzzable_injectors() -> list[str]:
-    """Catalogue injectors the fuzzer can instantiate from scratch."""
-    return [
-        name for name in available_injectors()
-        if not injector_entry(name).required
-    ]
 
 
 def _pattern_strategy(st):
@@ -481,7 +428,7 @@ def _pattern_strategy(st):
             )
         return st.just({})
 
-    return st.sampled_from(fuzzable_patterns()).flatmap(
+    return st.sampled_from(PATTERNS.defaults()).flatmap(
         lambda name: st.tuples(st.just(name), params_for(name))
     )
 
@@ -492,7 +439,7 @@ def fuzz_cases(scale: str = "tiny"):
     Samples (topology x topology_params x pattern x pattern_params x
     injector x injector_params x seed x load x window) with every
     component drawn from — and validated against — the production
-    registries, so the fuzzer explores exactly the space users can
+    catalogue, so the fuzzer explores exactly the space users can
     configure.  Shrinking is Hypothesis's usual deterministic shrink
     towards the first/smallest choices.
     """
@@ -504,7 +451,7 @@ def fuzz_cases(scale: str = "tiny"):
             st.sampled_from(topology_selections(scale))
         )
         pattern, pattern_params = draw(_pattern_strategy(st))
-        injector = draw(st.sampled_from(fuzzable_injectors()))
+        injector = draw(st.sampled_from(INJECTORS.defaults()))
         load = draw(st.floats(0.05, 0.85))
         injector_params = {}
         if injector == "bursty":
@@ -553,7 +500,7 @@ def degree_skewed_cases(scale: str = "tiny"):
         return FuzzCase(
             topology=topology,
             pattern="hotspot",
-            injector=draw(st.sampled_from(fuzzable_injectors())),
+            injector=draw(st.sampled_from(INJECTORS.defaults())),
             seed=draw(st.integers(0, 9999)),
             load=draw(st.floats(0.3, 0.85)),
             warmup=draw(st.integers(10, 40)),

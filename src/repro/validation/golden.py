@@ -23,13 +23,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES
 from repro.core.cluster import MemPoolCluster
 from repro.traffic.simulation import TrafficSimulation
-from repro.topologies.registry import validate_topology
 from repro.validation.bands import BandPolicy, Severity
 from repro.validation.bootstrap import BootstrapSummary, bootstrap_mean
 from repro.validation.fuzz import SCALES
-from repro.workloads.registry import injector_entry, pattern_entry
 
 #: Result metrics the validator pins for every golden case.
 METRICS = ("average_latency", "throughput", "p95_latency")
@@ -83,9 +82,9 @@ class GoldenCase:
                 f"unknown scale {self.scale!r} in golden case {self.name!r}; "
                 f"valid: {', '.join(sorted(SCALES))}"
             )
-        validate_topology(self.topology, dict(self.topology_params))
-        pattern_entry(self.pattern).validate(dict(self.pattern_params))
-        injector_entry(self.injector).validate(dict(self.injector_params))
+        TOPOLOGIES.lookup(self.topology).validate(dict(self.topology_params))
+        PATTERNS.lookup(self.pattern).validate(dict(self.pattern_params))
+        INJECTORS.lookup(self.injector).validate(dict(self.injector_params))
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (round-trips via :meth:`from_dict`)."""

@@ -116,8 +116,8 @@ def build_synthetic_agents(
     cluster : MemPoolCluster
         The cluster to run on.
     pattern, injector
-        The shared workload components (built via
-        :mod:`repro.workloads.registry` or directly).
+        The shared workload components (built from a
+        :mod:`repro.catalogue` row or directly).
     num_requests : int
         Loads each core issues.
     cores : iterable of int, optional

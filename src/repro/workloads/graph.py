@@ -34,7 +34,6 @@ import numpy as np
 from repro.core.config import MemPoolConfig
 from repro.utils.validation import check_in_range, check_positive
 from repro.workloads.base import DestinationPattern
-from repro.workloads.registry import register_pattern
 from repro.workloads.rng import substream
 
 
@@ -182,18 +181,3 @@ class DegreeSkewedPattern(DestinationPattern):
         tile = min(tile, len(self._cdf) - 1)
         config = self.config
         return tile * config.banks_per_tile + rng.randrange(config.banks_per_tile)
-
-
-register_pattern(
-    "scale_free", ScaleFreePattern,
-    "power-law bank popularity P(rank r) ~ (r+1)^-exponent, tile-interleaved",
-    params={"exponent": lambda v: check_in_range("exponent", v, 0.0, 16.0)},
-)
-register_pattern(
-    "degree_skewed", DegreeSkewedPattern,
-    "tiles targeted ~ degree^beta of a deterministic preferential-attachment graph",
-    params={
-        "m": lambda v: check_positive("m", v),
-        "beta": lambda v: check_in_range("beta", v, 0.0, 8.0),
-    },
-)

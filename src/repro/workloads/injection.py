@@ -25,7 +25,6 @@ from math import log
 
 from repro.utils.validation import check_in_range, check_non_negative
 from repro.workloads.base import InjectionProcess
-from repro.workloads.registry import register_injector
 
 
 class PoissonInjector(InjectionProcess):
@@ -192,21 +191,3 @@ class BurstyInjector(InjectionProcess):
         if rng.random() < self._on_prob:
             self._on[core_id] = True
         return 0
-
-
-register_injector(
-    "poisson", PoissonInjector,
-    "memoryless Poisson arrivals (the paper's Section V-A process)",
-)
-register_injector(
-    "bernoulli", BernoulliInjector,
-    "at most one arrival per cycle, probability = rate (constant-rate)",
-)
-register_injector(
-    "bursty", BurstyInjector,
-    "on-off bursts (mean length burst_len) averaging the requested rate",
-    params={
-        "burst_len": lambda v: check_in_range("burst_len", v, 1.0, 1e9),
-        "burst_rate": lambda v: check_in_range("burst_rate", v, 1e-9, 1.0),
-    },
-)

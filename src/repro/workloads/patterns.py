@@ -29,7 +29,6 @@ import numpy as np
 from repro.core.config import MemPoolConfig
 from repro.utils.validation import check_in_range, check_positive, log2_int
 from repro.workloads.base import DestinationPattern
-from repro.workloads.registry import register_pattern
 
 
 class UniformRandomPattern(DestinationPattern):
@@ -344,46 +343,3 @@ class HotspotPattern(DestinationPattern):
                     draw = rng.getrandbits(global_bits)
                 append(draw)
         return np.asarray(out, dtype=np.int64)
-
-
-register_pattern(
-    "uniform", UniformRandomPattern,
-    "uniformly random bank over the whole cluster (Figure 5)",
-)
-register_pattern(
-    "local_biased", LocalBiasedPattern,
-    "own-tile bank with probability p_local, else uniform (Figure 6)",
-    params={"p_local": lambda v: check_in_range("p_local", v, 0.0, 1.0)},
-)
-register_pattern(
-    "bit_complement", BitComplementPattern,
-    "tile t -> tile ~t: every request crosses the whole machine",
-)
-register_pattern(
-    "bit_reverse", BitReversePattern,
-    "tile t -> bit-reversed tile index",
-)
-register_pattern(
-    "transpose", TransposePattern,
-    "tile t -> high/low halves of the index swapped (2D transpose)",
-)
-register_pattern(
-    "shuffle", ShufflePattern,
-    "tile t -> index rotated left by one bit (perfect shuffle)",
-)
-register_pattern(
-    "tornado", TornadoPattern,
-    "tile t -> (t + ceil(T/2) - 1) mod T: constant long-distance offset",
-)
-register_pattern(
-    "neighbor", NearestNeighbourPattern,
-    "tile t -> tile t+1: nearest-neighbour, best case for TopH groups",
-)
-register_pattern(
-    "hotspot", HotspotPattern,
-    "p_hot of the traffic converges on num_hotspots fixed hot banks",
-    params={
-        "p_hot": lambda v: check_in_range("p_hot", v, 0.0, 1.0),
-        "num_hotspots": lambda v: check_positive("num_hotspots", v),
-    },
-)

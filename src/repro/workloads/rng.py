@@ -8,7 +8,7 @@ process) needs randomness that is
   bit-for-bit against committed references;
 * **non-aliasing** — two components in the same run must never consume
   the same underlying stream.  The seed state of the repository had
-  exactly this bug: every :class:`TrafficPattern` wrapped one shared
+  exactly this bug: every traffic pattern wrapped one shared
   ``random.Random(seed)``, so two patterns built from the same seed drew
   interleaved values from *identical* streams.
 

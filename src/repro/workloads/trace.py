@@ -14,7 +14,7 @@ reproduces the same flit log from the same file.
 Only flits that **completed** within the recorded run appear in its flit
 log, so a trace is the completed subset of the original offered load;
 requests still in flight when the recording window closed are not part
-of the trace.  Both replay components are registered under the name
+of the trace.  Both replay components are catalogued under the name
 ``"trace"`` with a *required* ``path`` parameter and must be paired:
 the injector re-injects the recorded per-``(cycle, core)`` counts and
 the pattern pops that core's recorded destinations in order, so using
@@ -34,8 +34,10 @@ followed by one compact JSON line ``[cycle,core,bank]`` per record, in
 generation order.  ``sha256`` is the hex digest of the newline-joined
 record lines — the trace's *content hash*, used both to detect a file
 modified after recording and as the content-addressed component of
-experiment cache keys (:func:`trace_sha` reads it from the header alone,
-without parsing the payload).
+experiment cache keys (:func:`~repro.tracefile.trace_sha` reads it from
+the header alone, without parsing the payload).  The header reader lives
+in the NumPy-free :mod:`repro.tracefile`, so that expanding a sweep over
+a trace stays off the simulator's import path.
 """
 
 from __future__ import annotations
@@ -50,22 +52,14 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.config import MemPoolConfig
+from repro.tracefile import (
+    TRACE_FORMAT,
+    TRACE_VERSION,
+    TraceFormatError,
+    parse_trace_header,
+    read_trace_lines,
+)
 from repro.workloads.base import DestinationPattern, InjectionProcess
-from repro.workloads.registry import register_injector, register_pattern
-
-#: Magic string of the header's ``format`` field.
-TRACE_FORMAT = "mempool-trace"
-#: Newest schema version this module writes and reads.
-TRACE_VERSION = 1
-
-
-class TraceFormatError(ValueError):
-    """A trace file is missing, malformed, truncated or corrupt.
-
-    Every instance names the offending path and says what was expected,
-    so a bad ``--trace`` argument reads as a correction, not a stack
-    trace from deep inside a worker process.
-    """
 
 
 @dataclass(frozen=True)
@@ -193,68 +187,6 @@ def record_trace(
     )
 
 
-def _read_lines(path: str) -> list[str]:
-    try:
-        with gzip.open(path, "rt", encoding="utf-8") as stream:
-            return stream.read().split("\n")
-    except FileNotFoundError:
-        raise TraceFormatError(f"trace file {path!r} does not exist") from None
-    except (OSError, EOFError, UnicodeDecodeError) as error:
-        raise TraceFormatError(
-            f"trace file {path!r} is not a readable gzip trace "
-            f"({error}); expected the {TRACE_FORMAT!r} format written by "
-            "'python -m repro.experiments trace record'"
-        ) from None
-
-
-def _parse_header(path: str, line: str) -> dict:
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as error:
-        raise TraceFormatError(
-            f"trace file {path!r} has a malformed header line ({error}); "
-            f"expected a JSON object with format={TRACE_FORMAT!r}"
-        ) from None
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        raise TraceFormatError(
-            f"trace file {path!r} is not a {TRACE_FORMAT!r} file "
-            f"(header format field: {header.get('format') if isinstance(header, dict) else header!r})"
-        )
-    version = header.get("version")
-    if version != TRACE_VERSION:
-        raise TraceFormatError(
-            f"trace file {path!r} has schema version {version!r}; this "
-            f"build reads version {TRACE_VERSION}"
-        )
-    for key in ("num_cores", "num_banks", "records", "cycles", "sha256"):
-        if key not in header:
-            raise TraceFormatError(
-                f"trace file {path!r} header is missing the {key!r} field"
-            )
-    return header
-
-
-def read_trace_header(path: str) -> dict:
-    """The parsed, validated header of a trace file (payload left unread).
-
-    Cheap enough for sweep expansion: the ``traces`` experiment derives
-    its load label and replay window from ``records``/``cycles``/
-    ``num_cores`` without parsing a single record line.
-    """
-    lines = _read_lines(path)
-    return _parse_header(path, lines[0] if lines else "")
-
-
-def trace_sha(path: str) -> str:
-    """The content sha256 of a trace, read from the header alone.
-
-    Experiment cache keys embed this hash so a re-recorded trace re-runs
-    every point that consumed it.  The full payload is verified against
-    the hash by :func:`load_trace` when the trace is actually replayed.
-    """
-    return str(read_trace_header(path)["sha256"])
-
-
 #: Small LRU of loaded traces keyed on (realpath, mtime_ns, size): the
 #: pattern and injector of one replay — and every member of a batched
 #: sweep over the same file — share one immutable TraceData.
@@ -281,8 +213,8 @@ def load_trace(path: str) -> TraceData:
     if cached is not None:
         return cached
 
-    lines = _read_lines(path)
-    header = _parse_header(path, lines[0] if lines else "")
+    lines = read_trace_lines(path)
+    header = parse_trace_header(path, lines[0] if lines else "")
     payload = lines[1:]
     # A trailing newline (e.g. from a hand-edited file) would read as one
     # empty record; tolerate exactly one trailing empty line.
@@ -434,7 +366,7 @@ class TracePattern(DestinationPattern):
 class TraceInjectionProcess(InjectionProcess):
     """Re-injects the recorded per-``(cycle, core)`` arrival counts.
 
-    ``injection_rate`` is accepted for registry-signature compatibility
+    ``injection_rate`` is accepted for catalogue-signature compatibility
     (the sweep's load axis labels the result) but the offered load is
     defined by the file; :attr:`TraceData.mean_rate` is the honest
     label and is what the ``traces`` experiment passes as the load.
@@ -486,27 +418,3 @@ class TraceInjectionProcess(InjectionProcess):
                 sources += cycle_sources
             ends.append(len(sources))
         return sources, ends
-
-
-def _check_path(value: Any) -> None:
-    if not isinstance(value, str) or not value:
-        raise ValueError("must be a non-empty trace file path string")
-
-
-def _check_sha_param(value: Any) -> None:
-    if not isinstance(value, str) or len(value) != 64:
-        raise ValueError("must be a 64-character hex sha256 string")
-
-
-register_pattern(
-    "trace", TracePattern,
-    "replays recorded per-core destination sequences from a trace file",
-    params={"path": _check_path, "sha": _check_sha_param},
-    required=("path",),
-)
-register_injector(
-    "trace", TraceInjectionProcess,
-    "replays recorded per-(cycle, core) arrival counts from a trace file",
-    params={"path": _check_path, "sha": _check_sha_param},
-    required=("path",),
-)

@@ -1,58 +1,58 @@
-"""Malformed-input error paths of the CLI and the registries behind it.
+"""Malformed-input error paths of the CLI and the catalogue behind it.
 
 Every bad ``--topology`` spec, pattern/injector name, parameter value or
 out-of-range number must fail with a message that names the offending key
 (and, for names, lists the valid choices) — at parse time on the CLI
 (exit code 1, no sweep expansion, no traceback), and with the same
-contextual wording from the registry helpers that every other layer
-routes through.
+contextual wording from the catalogue that every other layer routes
+through.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES
 from repro.core.config import MemPoolConfig
-from repro.topologies.registry import parse_topology_spec
-from repro.workloads.registry import make_injector, make_pattern
+from repro.evaluation.settings import ExperimentSettings
 
 
 class TestTopologySpecParsing:
-    """Registry-level ``name[:k=v,...]`` parsing errors."""
+    """``name[:k=v,...]`` parsing errors, through ``ExperimentSettings``."""
 
     def test_empty_name_lists_catalogue(self):
         with pytest.raises(
             ValueError, match="missing the topology name.*toph"
         ):
-            parse_topology_spec(":width=2")
+            ExperimentSettings(topology=":width=2")
 
     def test_unknown_name_lists_catalogue(self):
         with pytest.raises(ValueError, match="unknown topology 'warp'.*mesh"):
-            parse_topology_spec("warp")
+            ExperimentSettings(topology="warp")
 
     def test_item_missing_equals_names_the_part(self):
         with pytest.raises(
             ValueError, match="malformed parameter 'width'.*missing the '='"
         ):
-            parse_topology_spec("mesh:width")
+            ExperimentSettings(topology="mesh:width")
 
     def test_item_missing_value_names_the_part(self):
         with pytest.raises(
             ValueError, match="malformed parameter 'width='.*missing the value"
         ):
-            parse_topology_spec("mesh:width=")
+            ExperimentSettings(topology="mesh:width=")
 
     def test_item_missing_key_names_the_part(self):
         with pytest.raises(ValueError, match="missing the key"):
-            parse_topology_spec("mesh:=2")
+            ExperimentSettings(topology="mesh:=2")
 
     def test_malformed_item_lists_accepted_params(self):
         with pytest.raises(ValueError, match="accepted parameters for 'mesh'"):
-            parse_topology_spec("mesh:width")
+            ExperimentSettings(topology="mesh:width")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate parameter 'width'"):
-            parse_topology_spec("mesh:width=2,width=4")
+            ExperimentSettings(topology="mesh:width=2,width=4")
 
     def test_unknown_param_names_key_and_lists_accepted(self):
         with pytest.raises(
@@ -60,36 +60,36 @@ class TestTopologySpecParsing:
             match="unknown parameter\\(s\\) depth for topology 'mesh'; "
                   "accepted: height, width",
         ):
-            parse_topology_spec("mesh:depth=2")
+            ExperimentSettings(topology="mesh:depth=2")
 
     def test_invalid_value_names_key_and_family(self):
         with pytest.raises(
             ValueError,
             match="invalid value for parameter 'width' of topology 'mesh'",
         ):
-            parse_topology_spec("mesh:width=0,height=2")
+            ExperimentSettings(topology="mesh:width=0,height=2")
 
     def test_parameterless_family_rejects_any_param(self):
         with pytest.raises(
             ValueError, match="for topology 'ring'; accepted: none"
         ):
-            parse_topology_spec("ring:width=2")
+            ExperimentSettings(topology="ring:width=2")
 
 
-class TestWorkloadRegistryErrors:
-    """``make_pattern`` / ``make_injector`` contextual error messages."""
+class TestWorkloadCatalogueErrors:
+    """``PATTERNS`` / ``INJECTORS`` contextual error messages."""
 
     def test_unknown_pattern_lists_catalogue(self):
         with pytest.raises(
             ValueError, match="unknown destination pattern 'nope'.*uniform"
         ):
-            make_pattern("nope", MemPoolConfig.tiny())
+            PATTERNS.lookup("nope").build(MemPoolConfig.tiny())
 
     def test_unknown_injector_lists_catalogue(self):
         with pytest.raises(
             ValueError, match="unknown injection process 'nope'.*poisson"
         ):
-            make_injector("nope", 4, 0.3)
+            INJECTORS.lookup("nope").build(4, 0.3)
 
     def test_unknown_pattern_param_names_key(self):
         with pytest.raises(
@@ -97,7 +97,7 @@ class TestWorkloadRegistryErrors:
             match="unknown parameter\\(s\\) p_local for workload 'uniform'; "
                   "accepted: none",
         ):
-            make_pattern("uniform", MemPoolConfig.tiny(), p_local=0.5)
+            PATTERNS.lookup("uniform").build(MemPoolConfig.tiny(), p_local=0.5)
 
     def test_invalid_pattern_value_names_key_and_workload(self):
         with pytest.raises(
@@ -105,7 +105,7 @@ class TestWorkloadRegistryErrors:
             match="invalid value for parameter 'p_local' of workload "
                   "'local_biased'",
         ):
-            make_pattern("local_biased", MemPoolConfig.tiny(), p_local=2.0)
+            PATTERNS.lookup("local_biased").build(MemPoolConfig.tiny(), p_local=2.0)
 
     def test_invalid_hotspot_count_names_key(self):
         with pytest.raises(
@@ -113,7 +113,7 @@ class TestWorkloadRegistryErrors:
             match="invalid value for parameter 'num_hotspots' of workload "
                   "'hotspot'",
         ):
-            make_pattern("hotspot", MemPoolConfig.tiny(), num_hotspots=0)
+            PATTERNS.lookup("hotspot").build(MemPoolConfig.tiny(), num_hotspots=0)
 
     def test_invalid_injector_value_names_key_and_workload(self):
         with pytest.raises(
@@ -121,7 +121,46 @@ class TestWorkloadRegistryErrors:
             match="invalid value for parameter 'burst_rate' of workload "
                   "'bursty'",
         ):
-            make_injector("bursty", 4, 0.3, burst_rate=1.5)
+            INJECTORS.lookup("bursty").build(4, 0.3, burst_rate=1.5)
+
+
+#: Every catalogue parameter by type; a new parameter must join one.
+INT_PARAMS = {"groups", "height", "m", "num_hotspots", "ports", "radix", "width"}
+REAL_PARAMS = {"beta", "burst_len", "burst_rate", "exponent", "p_hot", "p_local"}
+TEXT_PARAMS = {"path", "sha"}
+
+
+def _wrongly_typed_values():
+    """``(entry, parameter, value)`` for every value of the wrong type.
+
+    str, None and bool everywhere a string is not expected; a float where
+    an int is.
+    """
+    for label, table in (
+        ("topology", TOPOLOGIES), ("pattern", PATTERNS), ("injector", INJECTORS)
+    ):
+        for entry in table.values():
+            for param in sorted(entry.params):
+                assert param in INT_PARAMS | REAL_PARAMS | TEXT_PARAMS, param
+                values = [None, True] + ([2.5] if param not in REAL_PARAMS else [])
+                if param not in TEXT_PARAMS:
+                    values.append("x")
+                for value in values:
+                    yield pytest.param(
+                        entry, param, value,
+                        id=f"{label}-{entry.name}-{param}-{value!r}",
+                    )
+
+
+@pytest.mark.parametrize("entry, param, value", _wrongly_typed_values())
+def test_wrongly_typed_parameter_names_the_parameter(entry, param, value):
+    params = {name: "t.trace.gz" for name in entry.required}
+    params[param] = value
+    with pytest.raises(
+        ValueError,
+        match=f"invalid value for parameter '{param}' of {entry.kind} '{entry.name}'",
+    ):
+        entry.validate(params)
 
 
 #: Malformed --topology specs and a fragment their error must contain.

@@ -14,23 +14,18 @@ import os
 
 import pytest
 
+from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig
 from repro.kernels import Conv2dKernel, DctKernel, MatmulKernel
-from repro.traffic.generator import TrafficPattern
 from repro.traffic.simulation import TrafficSimulation
-from repro.workloads import available_injectors, available_patterns
-from repro.workloads.registry import injector_entry, pattern_entry
+from repro.workloads import DestinationPattern
 
 # Entries with required parameters (trace replay needs a recorded file)
 # have no default construction; their equivalence is pinned by
 # tests/test_trace.py over real recordings instead.
-DEFAULT_PATTERNS = tuple(
-    name for name in available_patterns() if not pattern_entry(name).required
-)
-DEFAULT_INJECTORS = tuple(
-    name for name in available_injectors() if not injector_entry(name).required
-)
+DEFAULT_PATTERNS = PATTERNS.defaults()
+DEFAULT_INJECTORS = INJECTORS.defaults()
 
 COMPARED_FIELDS = (
     "topology",
@@ -47,7 +42,7 @@ COMPARED_FIELDS = (
 )
 
 
-class FixedPermutationPattern(TrafficPattern):
+class FixedPermutationPattern(DestinationPattern):
     """Every core always targets one fixed bank (a random permutation).
 
     Unlike uniform traffic this creates *persistent* contention pairs —

@@ -18,6 +18,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig
 from repro.engine import VectorEngine
@@ -29,20 +30,13 @@ from repro.utils.stats import Histogram, OnlineStats
 from repro.workloads import (
     PoissonInjector,
     UniformRandomPattern,
-    available_injectors,
-    available_patterns,
     read_trace_header,
     record_trace,
     records_from_flit_log,
 )
-from repro.workloads.registry import injector_entry, pattern_entry
 
-DEFAULT_PATTERNS = tuple(
-    name for name in available_patterns() if not pattern_entry(name).required
-)
-DEFAULT_INJECTORS = tuple(
-    name for name in available_injectors() if not injector_entry(name).required
-)
+DEFAULT_PATTERNS = PATTERNS.defaults()
+DEFAULT_INJECTORS = INJECTORS.defaults()
 
 
 def _windows(config, engine, load, windows, seed=13, **workload):

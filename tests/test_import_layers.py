@@ -1,13 +1,13 @@
 """The import layering: what each entry point may load, and the runner rule.
 
-Three tiers (``docs/architecture.md``, "Import layering"):
+Two tiers (``docs/architecture.md``, "Import layering"):
 
-* **tier 0** — configuration, the experiments engine, the registry's names
-  and titles, CLI parsing, ``clean``, the service client and a booted
-  service: no NumPy, no workload/topology registry, no simulator;
-* **tier 1** — settings, sweep building, spec keys, ``list`` and the
-  service's spec expansion: NumPy and the registries, still no simulator;
-* **tier 2** — resolving a runner: everything its points execute.
+* **light** — configuration, the catalogue, the experiments engine, CLI
+  parsing and every command that does not simulate (``--help``, ``list``,
+  ``clean``), settings, sweep building, spec keys, the service client, a
+  booted service and its spec expansion: no NumPy, no workload or
+  topology class, no simulator;
+* **heavy** — resolving a runner: everything its points execute.
 
 Every case runs in a fresh interpreter and asserts on ``sys.modules``;
 nothing here reads a clock.
@@ -27,15 +27,14 @@ from repro.experiments.registry import EXPERIMENTS
 
 SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-#: The heavy path: no tier-0 or tier-1 entry point may load any of these.
+#: The heavy path: no light entry point may load any of these.
 HEAVY = (
+    "numpy", "repro.workloads", "repro.topologies", "repro.interconnect",
     "repro.core.cluster", "repro.core.system", "repro.core.memory",
     "repro.addressing", "repro.engine", "repro.traffic", "repro.kernels",
     "repro.energy", "repro.physical", "repro.snitch", "repro.validation",
     "repro.evaluation.points",
 )
-#: What tier 0 may not load on top of that.
-REGISTRIES = ("numpy", "repro.workloads", "repro.topologies")
 
 #: Defines ``loaded(prefixes)``; ``TRACE`` and ``SCRATCH`` come from argv.
 PRELUDE = """
@@ -56,61 +55,74 @@ SETTINGS = (
     "trace=TRACE)"
 )
 
-#: ``(id, tier, statements)`` — the statements run after ``PRELUDE``.
+#: ``(id, statements)`` — the statements run after ``PRELUDE``.
 ENTRY_POINTS = (
-    ("import-repro", 0, "import repro"),
-    ("config", 0, "from repro.core.config import ENGINES, MemPoolConfig"),
-    ("experiments", 0, "from repro.experiments import Executor, ResultCache, Sweep"),
-    ("registry-names-and-titles", 0,
+    ("import-repro", "import repro"),
+    ("config", "from repro.core.config import ENGINES, MemPoolConfig"),
+    ("catalogue",
+     "from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES\n"
+     "assert PATTERNS.lookup('hotspot').params and TOPOLOGIES.defaults()"),
+    ("experiments", "from repro.experiments import Executor, ResultCache, Sweep"),
+    ("registry-names-and-titles",
      "from repro.experiments.registry import EXPERIMENTS\n"
      "assert len({(name, entry.title) for name, entry in EXPERIMENTS.items()}) == 9"),
-    ("service-client", 0, "import repro.service.client"),
-    ("build-parser", 0,
+    ("service-client", "import repro.service.client"),
+    ("build-parser",
      "from repro.experiments.__main__ import build_parser\n"
      "build_parser()"),
-    ("clean", 0,
+    ("clean",
      "from repro.experiments.__main__ import main\n"
      "assert main(['clean', '--cache-dir', SCRATCH]) == 0"),
-    ("help", 0,
+    ("help",
      "from repro.experiments.__main__ import main\n"
      "try:\n"
      "    main(['--help'])\n"
      "except SystemExit as stop:\n"
      "    assert stop.code == 0"),
-    ("pool-run-of-demo-points", 0,
+    ("pool-run-of-demo-points",
      "from repro.experiments import Executor, Sweep\n"
      "sweep = Sweep('repro.experiments.demo:multiply', grid={'a': (1, 2, 3)})\n"
      "assert Executor(workers=2).run(sweep) == [1, 2, 3]"),
-    ("service-boot", 0,
+    ("service-boot",
      "from repro.service import SweepService\n"
      "service = SweepService(port=0, workers=1, cache='memory').start()\n"
      "service.stop()"),
-    # `run --help` formats --pattern's choices, a registry read; the
-    # `python -m repro.evaluation` forwarder prints the same help.
-    ("run-help", 1,
+    # The `python -m repro.evaluation` forwarder prints `run --help`.
+    ("run-help",
      "from repro.experiments.__main__ import main\n"
      "try:\n"
      "    main(['run', '--help'])\n"
      "except SystemExit as stop:\n"
      "    assert stop.code == 0"),
-    ("evaluation-help", 1,
+    # argparse reads the choices straight from the catalogue tables.
+    ("run-with-an-unknown-pattern",
+     "import contextlib, io\n"
+     "from repro.experiments.__main__ import main\n"
+     "stderr = io.StringIO()\n"
+     "try:\n"
+     "    with contextlib.redirect_stderr(stderr):\n"
+     "        main(['run', '--pattern', 'bogus'])\n"
+     "except SystemExit as stop:\n"
+     "    assert stop.code == 2\n"
+     "assert \"'bogus'\" in stderr.getvalue() and \"'uniform'\" in stderr.getvalue()"),
+    ("evaluation-help",
      "import runpy\n"
      "sys.argv[1:] = ['--help']\n"
      "try:\n"
      "    runpy.run_module('repro.evaluation', run_name='__main__')\n"
      "except SystemExit as stop:\n"
      "    assert stop.code == 0"),
-    ("settings", 1,
+    ("settings",
      "from repro.evaluation.settings import ExperimentSettings\n"
      + SETTINGS),
-    ("specs-and-keys-of-every-experiment", 1,
+    ("specs-and-keys-of-every-experiment",
      "from repro.evaluation.settings import ExperimentSettings\n"
      "from repro.experiments.registry import EXPERIMENTS\n"
      f"settings = {SETTINGS}\n"
      "for entry in EXPERIMENTS.values():\n"
      "    specs = entry.build_sweep(settings).specs()\n"
      "    assert len(specs[0].key) == 64 and callable(entry.assemble)"),
-    ("service-build-specs", 1,
+    ("service-build-specs",
      "from repro.service.app import build_specs\n"
      "title, specs, assemble = build_specs(\n"
      "    {'experiment': 'fig5', 'settings': {'engine': 'vector'}})\n"
@@ -140,14 +152,13 @@ def trace(tmp_path_factory) -> str:
 
 
 @pytest.mark.parametrize(
-    "tier, statements",
-    [pytest.param(tier, statements, id=name) for name, tier, statements in ENTRY_POINTS],
+    "statements",
+    [pytest.param(statements, id=name) for name, statements in ENTRY_POINTS],
 )
-def test_entry_point_stays_in_its_tier(tier, statements, trace, tmp_path):
-    forbidden = HEAVY + (REGISTRIES if tier == 0 else ())
+def test_entry_point_stays_light(statements, trace, tmp_path):
     run_python(
         f"{PRELUDE}\n{statements}\n"
-        f"found = loaded({forbidden!r})\n"
+        f"found = loaded({HEAVY!r})\n"
         "assert not found, found\n",
         trace, str(tmp_path),
     )

@@ -11,7 +11,8 @@ import pytest
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.kernels import DctKernel, MatmulKernel
-from repro.traffic import LocalBiasedPattern, TrafficSimulation
+from repro.traffic import TrafficSimulation
+from repro.workloads import LocalBiasedPattern
 
 
 def scaled(topology, **overrides):

@@ -240,21 +240,22 @@ class TestDocsLint:
 
 
 class TestGeneratedTables:
-    """The registry-generated docs tables and their drift check."""
+    """The catalogue-generated docs tables and their drift check."""
 
     def test_committed_docs_are_in_sync(self):
-        """The acceptance gate: README/architecture match the registries."""
+        """The acceptance gate: README/architecture match the catalogue."""
         assert docs_lint.check_tables() == []
 
-    def test_new_registry_entry_is_flagged_as_drift(self, monkeypatch):
-        # Registering a pattern without regenerating the docs must fail
+    def test_new_catalogue_row_is_flagged_as_drift(self, monkeypatch):
+        # Adding a pattern row without regenerating the docs must fail
         # the check — that is the whole point of the generated regions.
-        from repro.workloads import registry
+        from repro.catalogue import PATTERNS, Entry
 
-        entry = registry.WorkloadEntry(
-            "zz_fake", object, "a pattern the docs have never heard of"
+        entry = Entry(
+            "workload", "zz_fake", "builtins:object",
+            "a pattern the docs have never heard of",
         )
-        monkeypatch.setitem(registry._PATTERNS, "zz_fake", entry)
+        monkeypatch.setitem(PATTERNS, "zz_fake", entry)
         violations = docs_lint.check_tables()
         assert violations, "adding a pattern must make the tables stale"
         assert any("workload-patterns" in v for v in violations)

@@ -18,20 +18,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalogue import TOPOLOGIES, split_spec
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig
 from repro.engine import CompiledNetwork
+from repro.evaluation.settings import ExperimentSettings
 from repro.experiments.spec import ExperimentSpec
 from repro.interconnect.topology import build_topology
 from repro.topologies import (
     MeshTopology,
     RingTopology,
     TorusTopology,
-    available_topologies,
     default_grid_dims,
-    make_topology,
-    parse_topology_spec,
-    topology_catalogue,
 )
 
 PAPER_TOPOLOGIES = ("top1", "top4", "toph", "topx")
@@ -40,73 +38,75 @@ PAPER_TOPOLOGIES = ("top1", "top4", "toph", "topx")
 class TestRegistry:
     def test_catalogue_minimum_size(self):
         # The four paper topologies plus at least five new families.
-        names = available_topologies()
+        names = tuple(TOPOLOGIES)
         assert set(PAPER_TOPOLOGIES) <= set(names)
         assert len(set(names) - set(PAPER_TOPOLOGIES)) >= 5
 
     def test_unknown_topology_lists_available(self):
         with pytest.raises(ValueError, match="available:.*mesh"):
-            make_topology("warp", MemPoolConfig.tiny())
+            TOPOLOGIES.lookup("warp").build(MemPoolConfig.tiny())
 
     def test_unknown_parameter_rejected_by_name(self):
         with pytest.raises(ValueError, match="unknown parameter"):
-            make_topology("mesh", MemPoolConfig.tiny("mesh"), depth=3)
+            TOPOLOGIES.lookup("mesh").build(MemPoolConfig.tiny("mesh"), depth=3)
 
     def test_invalid_parameter_value_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
-            make_topology("mesh", MemPoolConfig.tiny("mesh"), width=-4)
+            TOPOLOGIES.lookup("mesh").build(MemPoolConfig.tiny("mesh"), width=-4)
         with pytest.raises(ValueError, match=">= 2"):
-            make_topology("butterfly", MemPoolConfig.tiny("butterfly"), radix=1)
+            TOPOLOGIES.lookup("butterfly").build(MemPoolConfig.tiny("butterfly"), radix=1)
 
     def test_parameterless_family_rejects_any_parameter(self):
         with pytest.raises(ValueError, match="unknown parameter"):
-            make_topology("ring", MemPoolConfig.tiny("ring"), width=4)
+            TOPOLOGIES.lookup("ring").build(MemPoolConfig.tiny("ring"), width=4)
 
     def test_catalogue_entries_carry_summaries(self):
-        for entry in topology_catalogue():
+        for entry in TOPOLOGIES.values():
             assert entry.summary
             assert entry.name
 
     def test_structural_mismatch_rejected_at_build(self):
         # Parameter values can be individually valid but not tile the grid.
         with pytest.raises(ValueError, match="do not tile"):
-            make_topology("mesh", MemPoolConfig.tiny("mesh"), width=3, height=2)
+            TOPOLOGIES.lookup("mesh").build(MemPoolConfig.tiny("mesh"), width=3, height=2)
         with pytest.raises(ValueError, match="must divide"):
-            make_topology(
-                "hierarchical", MemPoolConfig.tiny("hierarchical"), groups=3
+            TOPOLOGIES.lookup("hierarchical").build(
+                MemPoolConfig.tiny("hierarchical"), groups=3
             )
 
 
 class TestParseSpec:
     def test_bare_name(self):
-        assert parse_topology_spec("toph") == ("toph", {})
+        assert split_spec("toph") == ("toph", {})
 
     def test_name_with_parameters(self):
-        name, params = parse_topology_spec("mesh:width=8,height=2")
+        name, params = split_spec("mesh:width=8,height=2")
         assert name == "mesh"
         assert params == {"width": 8, "height": 2}
 
     def test_values_parse_as_scalars(self):
-        _, params = parse_topology_spec("torus:width=4,height=4")
+        _, params = split_spec("torus:width=4,height=4")
         assert all(isinstance(value, int) for value in params.values())
 
     def test_malformed_parameter_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
-            parse_topology_spec("mesh:width")
+            split_spec("mesh:width")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown topology"):
-            parse_topology_spec("warp:x=1")
+            split_spec("warp:x=1")
 
     def test_unknown_parameter_rejected(self):
+        # Splitting leaves validation to the caller; the settings validate.
+        assert split_spec("toph:x=1") == ("toph", {"x": 1})
         with pytest.raises(ValueError, match="unknown parameter"):
-            parse_topology_spec("toph:x=1")
+            ExperimentSettings(topology="toph:x=1")
 
 
 class TestAnalyticZeroLoadLatency:
     """build_path register counts must equal the closed-form latencies."""
 
-    @pytest.mark.parametrize("name", available_topologies())
+    @pytest.mark.parametrize("name", tuple(TOPOLOGIES))
     def test_every_pair_matches_the_analytic_form_tiny(self, name):
         config = MemPoolConfig.tiny(name)
         topology = build_topology(config)
@@ -116,7 +116,7 @@ class TestAnalyticZeroLoadLatency:
                     topology.analytic_round_trip_latency(core, bank)
                 ), (name, core, bank)
 
-    @pytest.mark.parametrize("name", available_topologies())
+    @pytest.mark.parametrize("name", tuple(TOPOLOGIES))
     def test_sampled_pairs_match_at_the_scaled_size(self, name):
         config = MemPoolConfig.scaled(name)
         topology = build_topology(config)
@@ -214,7 +214,7 @@ class TestFamilyStructure:
     def test_hierarchical_group_count_is_configurable(self):
         config = MemPoolConfig.scaled("hierarchical")  # 16 tiles
         # 8 tiles per group needs a radix-2 inter-group butterfly.
-        two_groups = make_topology("hierarchical", config, groups=2, radix=2)
+        two_groups = TOPOLOGIES.lookup("hierarchical").build(config, groups=2, radix=2)
         assert two_groups.remote_ports_per_tile() == 2
         banks = config.banks_per_tile
         # Tiles 0..7 now share a group: 3-cycle round trips within it.
@@ -232,7 +232,7 @@ class TestFamilyStructure:
 class TestCrossEngineEquivalence:
     """Legacy and vector engines agree flit-for-flit per family."""
 
-    @pytest.mark.parametrize("name", available_topologies())
+    @pytest.mark.parametrize("name", tuple(TOPOLOGIES))
     def test_flit_logs_identical_across_engines(self, name):
         logs = {}
         for engine in ENGINES:
@@ -334,7 +334,7 @@ class TestSettingsAndCLI:
 
         assert main(["topologies"]) == 0
         out = capsys.readouterr().out
-        for name in available_topologies():
+        for name in TOPOLOGIES:
             assert name in out
 
     def test_run_rejects_bad_topology_spec(self, capsys):
@@ -386,7 +386,7 @@ class TestTopologiesExperiment:
         from repro.evaluation.topologies import topologies_sweep
 
         sweep = topologies_sweep(ExperimentSettings())
-        assert sweep.size == len(available_topologies())
+        assert sweep.size == len(TOPOLOGIES)
 
     def test_run_topologies_reports_every_family(self):
         from repro.evaluation.settings import ExperimentSettings

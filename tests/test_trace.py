@@ -18,19 +18,18 @@ import json
 import numpy as np
 import pytest
 
+from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig
 from repro.workloads import (
     ScaleFreePattern,
     TraceFormatError,
-    make_pattern,
     read_trace_header,
     record_trace,
     records_from_flit_log,
     trace_sha,
     write_trace,
 )
-from repro.workloads.registry import injector_entry, pattern_entry
 
 
 def _run(cluster, load=0.3, pattern="uniform", injector="poisson",
@@ -136,7 +135,7 @@ class TestTraceFormatErrors:
         with gzip.open(path, "wt") as stream:
             stream.write("\n".join(lines[:-3]) + "\n")
         with pytest.raises(TraceFormatError, match="header promises"):
-            make_pattern("trace", config, path=str(path))
+            PATTERNS.lookup("trace").build(config, path=str(path))
 
     def test_modified_payload_fails_verification(self, tmp_path):
         config, path, sha, _ = _record(tmp_path)
@@ -145,7 +144,7 @@ class TestTraceFormatErrors:
         with gzip.open(path, "wt") as stream:
             stream.write("\n".join(lines) + "\n")
         with pytest.raises(TraceFormatError, match="failed content verification"):
-            make_pattern("trace", config, path=str(path))
+            PATTERNS.lookup("trace").build(config, path=str(path))
 
     def test_non_integer_record(self, tmp_path):
         path = str(tmp_path / "r.trace.gz")
@@ -157,7 +156,7 @@ class TestTraceFormatErrors:
         with gzip.open(path, "wt") as stream:
             stream.write(json.dumps(header) + "\n" + bad + "\n")
         with pytest.raises(TraceFormatError, match="record 0 must be a"):
-            make_pattern("trace", MemPoolConfig.tiny("toph"), path=path)
+            PATTERNS.lookup("trace").build(MemPoolConfig.tiny("toph"), path=path)
 
     def test_sha_pin_detects_rerecorded_file(self, tmp_path):
         config, path, sha, _ = _record(tmp_path, seed=3)
@@ -165,17 +164,17 @@ class TestTraceFormatErrors:
         other_cluster = MemPoolCluster(other_config, engine="vector")
         record_trace(_run(other_cluster, seed=4), other_config, path, force=True)
         with pytest.raises(ValueError, match="the file changed since"):
-            make_pattern("trace", config, path=path, sha=sha)
+            PATTERNS.lookup("trace").build(config, path=path, sha=sha)
 
     def test_cluster_size_mismatch(self, tmp_path):
         config, path, sha, _ = _record(tmp_path)
         scaled = MemPoolConfig.scaled("toph")
         with pytest.raises(ValueError, match="sizes may not"):
-            make_pattern("trace", scaled, path=path)
+            PATTERNS.lookup("trace").build(scaled, path=path)
 
     def test_exhaustion_names_the_pairing_contract(self, tmp_path):
         config, path, sha, _ = _record(tmp_path)
-        pattern = make_pattern("trace", config, path=path)
+        pattern = PATTERNS.lookup("trace").build(config, path=path)
         with pytest.raises(ValueError, match="pair pattern='trace'"):
             while True:
                 pattern.destination(0)
@@ -192,36 +191,33 @@ class TestTraceFormatErrors:
         assert trace_sha(path) == sha
 
 
-class TestRegistryIntegration:
+class TestCatalogueIntegration:
     """The replay components are catalogue citizens with required params."""
 
     def test_trace_pattern_requires_path(self):
-        entry = pattern_entry("trace")
+        entry = PATTERNS.lookup("trace")
         assert entry.required == ("path",)
         with pytest.raises(ValueError, match="requires parameter"):
             entry.validate({})
-        assert injector_entry("trace").required == ("path",)
+        assert INJECTORS.lookup("trace").required == ("path",)
 
-    def test_make_pattern_without_path_raises(self):
+    def test_build_pattern_without_path_raises(self):
         with pytest.raises(ValueError, match="requires parameter"):
-            make_pattern("trace", MemPoolConfig.tiny("toph"))
+            PATTERNS.lookup("trace").build(MemPoolConfig.tiny("toph"))
 
     def test_catalogue_sweeps_skip_required_entries(self):
-        from repro.evaluation.workloads import (
-            default_catalogue_injectors,
-            default_catalogue_patterns,
-        )
+        from repro.evaluation.workloads import workloads_sweep
 
-        assert "trace" not in default_catalogue_patterns()
-        assert "trace" not in default_catalogue_injectors()
-        assert "scale_free" in default_catalogue_patterns()
+        grid = workloads_sweep().grid
+        assert "trace" not in grid["pattern"]
+        assert "trace" not in grid["injector"]
+        assert "scale_free" in grid["pattern"]
 
     def test_fuzz_strategies_skip_required_entries(self):
-        from repro.validation.fuzz import fuzzable_injectors, fuzzable_patterns
-
-        assert "trace" not in fuzzable_patterns()
-        assert "trace" not in fuzzable_injectors()
-        assert "degree_skewed" in fuzzable_patterns()
+        # The fuzzer samples exactly the tables' defaults().
+        assert "trace" not in PATTERNS.defaults()
+        assert "trace" not in INJECTORS.defaults()
+        assert "degree_skewed" in PATTERNS.defaults()
 
 
 class TestCacheKeys:
@@ -311,8 +307,8 @@ class TestGraphPatterns:
 
     def test_degree_skewed_graph_is_seed_deterministic(self):
         config = MemPoolConfig.tiny("toph")
-        first = make_pattern("degree_skewed", config, seed=5, m=2, beta=1.0)
-        second = make_pattern("degree_skewed", config, seed=5, m=2, beta=1.0)
+        first = PATTERNS.lookup("degree_skewed").build(config, seed=5, m=2, beta=1.0)
+        second = PATTERNS.lookup("degree_skewed").build(config, seed=5, m=2, beta=1.0)
         draws_a = [first.destination(core % 16) for core in range(64)]
         draws_b = [second.destination(core % 16) for core in range(64)]
         assert draws_a == draws_b

@@ -4,13 +4,8 @@ import pytest
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
-from repro.traffic import (
-    LocalBiasedPattern,
-    PoissonInjector,
-    TrafficSimulation,
-    UniformRandomPattern,
-    run_load_sweep,
-)
+from repro.traffic import TrafficSimulation
+from repro.workloads import LocalBiasedPattern, PoissonInjector, UniformRandomPattern
 
 
 class TestPatterns:
@@ -106,16 +101,6 @@ class TestTrafficSimulation:
         row = result.as_row()
         assert len(row) == 4
         assert row[0] == 0.1
-
-    def test_run_load_sweep_builds_fresh_clusters(self):
-        results = run_load_sweep(
-            lambda: MemPoolCluster(MemPoolConfig.tiny("toph")),
-            loads=[0.05, 0.1],
-            warmup_cycles=50,
-            measure_cycles=200,
-        )
-        assert [result.injected_load for result in results] == [0.05, 0.1]
-        assert results[1].throughput > results[0].throughput
 
 
 class TestTrafficResultValidation:

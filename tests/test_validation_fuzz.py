@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalogue import INJECTORS
 from repro.traffic.simulation import TrafficSimulation
 from repro.validation import (
     DivergenceError,
@@ -20,7 +21,6 @@ from repro.validation import (
     topology_selections,
 )
 from repro.validation.fuzz import REPRODUCER_FILE_ENV
-from repro.validation.fuzz import fuzzable_injectors
 
 #: A configuration with plenty of traffic — divergence-injection tests
 #: need a non-empty flit log to tamper with.
@@ -122,7 +122,7 @@ class TestStrategies:
         }
 
     def test_scaled_selections_are_valid_too(self):
-        # validate_topology runs inside topology_selections; reaching the
+        # Validation runs inside topology_selections; reaching the
         # return is the assertion.
         assert topology_selections("scaled")
 
@@ -261,7 +261,7 @@ class TestSeedSensitivity:
     # The fuzzable set: seed sensitivity is exactly the fuzzer's seed
     # axis, and the trace injector is deliberately seed-free (it replays
     # a file and draws no RNG at all).
-    @pytest.mark.parametrize("injector", fuzzable_injectors())
+    @pytest.mark.parametrize("injector", INJECTORS.defaults())
     def test_two_seeds_differ(self, injector):
         from repro.core.cluster import MemPoolCluster
         from repro.core.config import MemPoolConfig

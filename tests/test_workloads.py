@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.core.system import MemPoolSystem
@@ -16,27 +17,16 @@ from repro.workloads import (
     BurstyInjector,
     HotspotPattern,
     PoissonInjector,
-    available_injectors,
-    available_patterns,
-    injector_catalogue,
-    make_injector,
-    make_pattern,
-    pattern_catalogue,
     record_trace,
     substream,
     substream_seed,
 )
-from repro.workloads.registry import injector_entry, pattern_entry
 
 # The default-constructible catalogue: entries with required parameters
 # (trace replay needs a recorded file) are exercised by tests/test_trace.py
 # over real recordings instead of the generic contracts below.
-DEFAULT_PATTERNS = tuple(
-    name for name in available_patterns() if not pattern_entry(name).required
-)
-DEFAULT_INJECTORS = tuple(
-    name for name in available_injectors() if not injector_entry(name).required
-)
+DEFAULT_PATTERNS = PATTERNS.defaults()
+DEFAULT_INJECTORS = INJECTORS.defaults()
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +41,13 @@ def recording(tmp_path_factory):
 
 def _injector(name, rate, seed, recording):
     """A fresh tiny-cluster injector ``name``, trace replay included."""
-    params = recording if injector_entry(name).required else {}
-    return make_injector(name, MemPoolConfig.tiny("toph").num_cores, rate, seed=seed, **params)
+    params = recording if INJECTORS.lookup(name).required else {}
+    return INJECTORS.lookup(name).build(MemPoolConfig.tiny("toph").num_cores, rate, seed=seed, **params)
 
 
 def _pattern(name, seed, recording):
-    params = recording if pattern_entry(name).required else {}
-    return make_pattern(name, MemPoolConfig.tiny("toph"), seed=seed, **params)
+    params = recording if PATTERNS.lookup(name).required else {}
+    return PATTERNS.lookup(name).build(MemPoolConfig.tiny("toph"), seed=seed, **params)
 
 
 def _scalar_window(injector, start, end):
@@ -119,35 +109,35 @@ class TestRegistry:
     def test_catalogue_minimum_size(self):
         # The acceptance criteria: >= 8 destination patterns and >= 3
         # injection processes runnable end to end.
-        assert len(available_patterns()) >= 8
-        assert len(available_injectors()) >= 3
+        assert len(PATTERNS) >= 8
+        assert len(INJECTORS) >= 3
 
     def test_unknown_pattern_lists_available(self):
         with pytest.raises(ValueError, match="unknown destination pattern"):
-            make_pattern("nope", MemPoolConfig.tiny())
+            PATTERNS.lookup("nope").build(MemPoolConfig.tiny())
 
     def test_unknown_injector_lists_available(self):
         with pytest.raises(ValueError, match="unknown injection process"):
-            make_injector("nope", 4, 0.1)
+            INJECTORS.lookup("nope").build(4, 0.1)
 
     def test_unknown_parameter_rejected_by_name(self):
         with pytest.raises(ValueError, match="unknown parameter"):
-            make_pattern("local_biased", MemPoolConfig.tiny(), p_locl=0.5)
+            PATTERNS.lookup("local_biased").build(MemPoolConfig.tiny(), p_locl=0.5)
 
     def test_parameterless_pattern_rejects_any_parameter(self):
         with pytest.raises(ValueError, match="accepted: none"):
-            make_pattern("uniform", MemPoolConfig.tiny(), p_local=0.5)
+            PATTERNS.lookup("uniform").build(MemPoolConfig.tiny(), p_local=0.5)
 
     def test_invalid_parameter_value_rejected(self):
         with pytest.raises(ValueError):
-            make_pattern("local_biased", MemPoolConfig.tiny(), p_local=1.5)
+            PATTERNS.lookup("local_biased").build(MemPoolConfig.tiny(), p_local=1.5)
         with pytest.raises(ValueError):
-            make_pattern("hotspot", MemPoolConfig.tiny(), p_hot=-0.1)
+            PATTERNS.lookup("hotspot").build(MemPoolConfig.tiny(), p_hot=-0.1)
         with pytest.raises(ValueError):
-            make_injector("bursty", 4, 0.1, burst_len=0.5)
+            INJECTORS.lookup("bursty").build(4, 0.1, burst_len=0.5)
 
     def test_catalogue_entries_carry_summaries(self):
-        for entry in pattern_catalogue() + injector_catalogue():
+        for entry in [*PATTERNS.values(), *INJECTORS.values()]:
             assert entry.summary
 
 
@@ -157,14 +147,14 @@ class TestPatternSemantics:
         """Scalar and batched APIs are draw-order equivalent for every pattern."""
         config = MemPoolConfig.tiny("toph")
         core_ids = [core % config.num_cores for core in range(3 * config.num_cores)]
-        scalar_pattern = make_pattern(name, config, seed=21)
-        batched_pattern = make_pattern(name, config, seed=21)
+        scalar_pattern = PATTERNS.lookup(name).build(config, seed=21)
+        batched_pattern = PATTERNS.lookup(name).build(config, seed=21)
         scalar = [scalar_pattern.destination(core) for core in core_ids]
         batched = list(batched_pattern.destinations(core_ids))
         assert scalar == batched
         assert all(0 <= bank < config.num_banks for bank in scalar)
 
-    @pytest.mark.parametrize("name", available_patterns())
+    @pytest.mark.parametrize("name", tuple(PATTERNS))
     def test_one_call_per_window_equals_the_per_cycle_calls(self, name, recording):
         """What the vector driver relies on: one ``destinations`` call over a
         window's sources draws what one call per cycle draws, and what one
@@ -184,7 +174,7 @@ class TestPatternSemantics:
 
     def test_bit_complement_crosses_the_machine(self):
         config = MemPoolConfig.tiny("toph")
-        pattern = make_pattern("bit_complement", config)
+        pattern = PATTERNS.lookup("bit_complement").build(config)
         for core in range(config.num_cores):
             src = config.tile_of_core(core)
             dest = config.tile_of_bank(pattern.destination(core))
@@ -192,7 +182,7 @@ class TestPatternSemantics:
 
     def test_bit_reverse_is_an_involution_on_tiles(self):
         config = MemPoolConfig.scaled("toph")  # 16 tiles
-        pattern = make_pattern("bit_reverse", config)
+        pattern = PATTERNS.lookup("bit_reverse").build(config)
         for core in range(0, config.num_cores, config.cores_per_tile):
             src = config.tile_of_core(core)
             once = config.tile_of_bank(pattern.destination(core))
@@ -201,7 +191,7 @@ class TestPatternSemantics:
 
     def test_tornado_offset(self):
         config = MemPoolConfig.scaled("toph")  # 16 tiles -> offset 7
-        pattern = make_pattern("tornado", config)
+        pattern = PATTERNS.lookup("tornado").build(config)
         offset = (config.num_tiles + 1) // 2 - 1
         for core in (0, 5, 63):
             src = config.tile_of_core(core)
@@ -210,7 +200,7 @@ class TestPatternSemantics:
 
     def test_neighbor_targets_next_tile(self):
         config = MemPoolConfig.tiny("toph")
-        pattern = make_pattern("neighbor", config)
+        pattern = PATTERNS.lookup("neighbor").build(config)
         for core in range(config.num_cores):
             src = config.tile_of_core(core)
             dest = config.tile_of_bank(pattern.destination(core))
@@ -218,7 +208,7 @@ class TestPatternSemantics:
 
     def test_deterministic_patterns_are_load_free_of_rng(self):
         config = MemPoolConfig.tiny("toph")
-        pattern = make_pattern("transpose", config, seed=1)
+        pattern = PATTERNS.lookup("transpose").build(config, seed=1)
         first = [pattern.destination(core) for core in range(config.num_cores)]
         second = [pattern.destination(core) for core in range(config.num_cores)]
         assert first == second  # no stream consumed, no drift
@@ -226,7 +216,7 @@ class TestPatternSemantics:
     def test_hotspot_rejects_more_hotspots_than_banks(self):
         config = MemPoolConfig.tiny("toph")
         with pytest.raises(ValueError, match="cannot exceed"):
-            make_pattern("hotspot", config, num_hotspots=config.num_banks + 1)
+            PATTERNS.lookup("hotspot").build(config, num_hotspots=config.num_banks + 1)
 
     def test_hotspot_concentrates_traffic(self):
         config = MemPoolConfig.tiny("toph")
@@ -259,7 +249,7 @@ class TestInjectionProcesses:
         assert batched.arrivals_batch(0, 120) == _scalar_window(scalar, 0, 120)
         assert _draw_state(batched) == _draw_state(scalar)
 
-    @pytest.mark.parametrize("name", available_injectors())
+    @pytest.mark.parametrize("name", tuple(INJECTORS))
     def test_every_injector_window_matches_scalar(self, name, recording):
         """Cycle-major, cores ascending — and the same state afterwards."""
         scalar = _injector(name, 0.4, 11, recording)
@@ -269,7 +259,7 @@ class TestInjectionProcesses:
         assert len(ends) == 100 and ends[-1] == len(sources) > 0
         assert _draw_state(batched) == _draw_state(scalar)
 
-    @pytest.mark.parametrize("name", available_injectors())
+    @pytest.mark.parametrize("name", tuple(INJECTORS))
     def test_split_windows_equal_one_window(self, name, recording):
         """``[a, b) + [b, c)`` is ``[a, c)``, the empty window included."""
         whole = _injector(name, 0.4, 11, recording)
@@ -285,7 +275,7 @@ class TestInjectionProcesses:
         assert (joined_sources, joined_ends) == (sources, ends)
         assert _draw_state(split) == _draw_state(whole)
 
-    @pytest.mark.parametrize("name", available_injectors())
+    @pytest.mark.parametrize("name", tuple(INJECTORS))
     def test_window_and_scalar_calls_mix(self, name, recording):
         scalar = _injector(name, 0.4, 11, recording)
         mixed = _injector(name, 0.4, 11, recording)
@@ -300,14 +290,14 @@ class TestInjectionProcesses:
     @pytest.mark.parametrize("name", DEFAULT_INJECTORS)
     def test_zero_rate_window_is_empty(self, name):
         """Rate 0 draws nothing (trace replay takes its load from the file)."""
-        injector = make_injector(name, 4, 0.0, seed=2)
+        injector = INJECTORS.lookup(name).build(4, 0.0, seed=2)
         before = _draw_state(injector)
         assert injector.arrivals_batch(5, 55) == ([], [0] * 50)
         assert _draw_state(injector) == before
 
     @pytest.mark.parametrize("name", DEFAULT_INJECTORS)
     def test_zero_rate_generates_nothing(self, name):
-        injector = make_injector(name, 4, 0.0, seed=2)
+        injector = INJECTORS.lookup(name).build(4, 0.0, seed=2)
         assert all(
             injector.arrivals(core, cycle) == 0
             for core in range(4)
@@ -317,13 +307,13 @@ class TestInjectionProcesses:
     @pytest.mark.parametrize("name", DEFAULT_INJECTORS)
     def test_long_run_rate_is_respected(self, name):
         cycles, cores, rate = 4000, 4, 0.25
-        injector = make_injector(name, cores, rate, seed=5)
+        injector = INJECTORS.lookup(name).build(cores, rate, seed=5)
         total = len(injector.arrivals_batch(0, cycles)[0])
         assert rate * 0.85 < total / (cycles * cores) < rate * 1.15
 
     def test_bernoulli_caps_rate_at_one(self):
         with pytest.raises(ValueError):
-            make_injector("bernoulli", 4, 1.5)
+            INJECTORS.lookup("bernoulli").build(4, 1.5)
 
     def test_bursty_rate_cannot_exceed_burst_rate(self):
         with pytest.raises(ValueError, match="cannot exceed burst_rate"):
@@ -355,8 +345,8 @@ class TestInjectionProcesses:
             mean = sum(counts) / len(counts)
             return sum((c - mean) ** 2 for c in counts) / len(counts)
 
-        bursty = make_injector("bursty", 4, 0.2, seed=9, burst_len=16.0)
-        bernoulli = make_injector("bernoulli", 4, 0.2, seed=9)
+        bursty = INJECTORS.lookup("bursty").build(4, 0.2, seed=9, burst_len=16.0)
+        bernoulli = INJECTORS.lookup("bernoulli").build(4, 0.2, seed=9)
         assert window_variance(bursty) > 1.5 * window_variance(bernoulli)
 
 
@@ -457,13 +447,13 @@ class TestWorkloadsThroughEverySurface:
 
     def test_mismatched_injector_rate_rejected(self):
         cluster = MemPoolCluster(MemPoolConfig.tiny("toph"))
-        injector = make_injector("poisson", cluster.config.num_cores, 0.5)
+        injector = INJECTORS.lookup("poisson").build(cluster.config.num_cores, 0.5)
         with pytest.raises(ValueError, match="disagrees"):
             TrafficSimulation(cluster, 0.2, injector=injector)
 
     def test_pattern_params_with_instance_rejected(self):
         cluster = MemPoolCluster(MemPoolConfig.tiny("toph"))
-        pattern = make_pattern("uniform", cluster.config)
+        pattern = PATTERNS.lookup("uniform").build(cluster.config)
         with pytest.raises(ValueError, match="registry name"):
             TrafficSimulation(
                 cluster, 0.2, pattern=pattern, pattern_params={"p_local": 1.0}

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Docs linter: docstring coverage + registry-generated catalogue tables.
+"""Docs linter: docstring coverage + generated catalogue tables.
 
 Two independent checks, selectable from the command line:
 
@@ -18,10 +18,10 @@ back to this checker.  It enforces the missing-docstring subset
 **Generated catalogue tables** (``--tables``): the workload and topology
 tables of README.md and docs/architecture.md live between
 ``<!-- BEGIN GENERATED: name -->`` / ``<!-- END GENERATED: name -->``
-markers and are rendered from the live registries
-(:mod:`repro.workloads.registry`, :mod:`repro.topologies.registry`).
-``--tables`` fails when a file's table drifts from its registry — e.g. a
-pattern was registered without regenerating the docs — and
+markers and are rendered from the live tables of :mod:`repro.catalogue`
+(and the experiment registry).  ``--tables`` fails when a file's table
+drifts from its source — e.g. a pattern row was added without
+regenerating the docs — and
 ``--tables --write`` rewrites the regions in place.  Deleting the
 markers does not silence the check: every known region must appear in at
 least one documentation file.
@@ -29,7 +29,7 @@ least one documentation file.
 Usage::
 
     python tools/docs_lint.py src/repro/experiments src/repro/evaluation
-    python tools/docs_lint.py --tables            # check docs vs registries
+    python tools/docs_lint.py --tables            # check docs vs catalogue
     python tools/docs_lint.py --tables --write    # regenerate the tables
 """
 
@@ -93,7 +93,7 @@ def check_file(path: Path) -> list[str]:
 
 
 # --------------------------------------------------------------------------- #
-# Registry-generated catalogue tables
+# Generated catalogue tables
 # --------------------------------------------------------------------------- #
 
 
@@ -108,11 +108,11 @@ def _markdown_table(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> st
 
 
 def _knob_cell(entry) -> str:
-    """The knobs column of one registry entry: sorted, required-annotated."""
+    """The knobs column of one catalogue row: sorted, required-annotated."""
     names = sorted(entry.params)
     if not names:
         return "—"
-    required = set(getattr(entry, "required", ()))
+    required = set(entry.required)
     return ", ".join(
         f"`{name}`" + (" (required)" if name in required else "")
         for name in names
@@ -120,37 +120,37 @@ def _knob_cell(entry) -> str:
 
 
 def _table_workload_patterns() -> str:
-    from repro.workloads import pattern_catalogue
+    from repro.catalogue import PATTERNS
 
     return _markdown_table(
         ("pattern", "destination semantics", "knobs"),
         [
             (f"`{entry.name}`", entry.summary, _knob_cell(entry))
-            for entry in pattern_catalogue()
+            for entry in PATTERNS.values()
         ],
     )
 
 
 def _table_workload_injectors() -> str:
-    from repro.workloads import injector_catalogue
+    from repro.catalogue import INJECTORS
 
     return _markdown_table(
         ("injector", "arrival process per core", "knobs"),
         [
             (f"`{entry.name}`", entry.summary, _knob_cell(entry))
-            for entry in injector_catalogue()
+            for entry in INJECTORS.values()
         ],
     )
 
 
 def _table_topologies() -> str:
-    from repro.topologies import topology_catalogue
+    from repro.catalogue import TOPOLOGIES
 
     return _markdown_table(
         ("topology", "structure", "remote zero-load round trip", "knobs"),
         [
             (f"`{entry.name}`", entry.summary, entry.round_trip, _knob_cell(entry))
-            for entry in topology_catalogue()
+            for entry in TOPOLOGIES.values()
         ],
     )
 
@@ -214,7 +214,7 @@ def check_tables(write: bool = False, root: Path = REPO_ROOT) -> list[str]:
                 else:
                     violations.append(
                         f"{relative}: generated table {name!r} is out of date "
-                        "with its registry; run `python tools/docs_lint.py "
+                        "with its source; run `python tools/docs_lint.py "
                         "--tables --write` and commit the result"
                     )
         if write and rewritten != text:
