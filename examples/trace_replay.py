@@ -29,6 +29,7 @@ import tempfile
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.energy.traffic import attach_energy
+from repro.traffic import TrafficSimulation
 from repro.workloads import read_trace_header, record_trace
 
 LOAD = 0.25
@@ -46,8 +47,8 @@ def main(full_scale: bool = False) -> None:
     print("== 1. Record: uniform x poisson on TopH (vector engine) ==")
     config = build_config("toph", full_scale)
     cluster = MemPoolCluster(config, engine="vector")
-    recording = cluster.traffic_simulation(
-        LOAD, pattern="uniform", injector="poisson", seed=0
+    recording = TrafficSimulation(
+        cluster, LOAD, pattern="uniform", injector="poisson", seed=0
     ).run(warmup_cycles=WARMUP, measure_cycles=MEASURE, record_flits=True)
 
     with tempfile.TemporaryDirectory() as root:
@@ -76,7 +77,8 @@ def main(full_scale: bool = False) -> None:
         ):
             replay_config = build_config(topology, full_scale, **params)
             replay_cluster = MemPoolCluster(replay_config, engine="legacy")
-            result = replay_cluster.traffic_simulation(
+            result = TrafficSimulation(
+                replay_cluster,
                 LOAD,
                 pattern="trace", pattern_params=replay,
                 injector="trace", injector_params=replay,
@@ -97,7 +99,8 @@ def main(full_scale: bool = False) -> None:
 
         print("== 3. Replay is engine-independent ==")
         vector_cluster = MemPoolCluster(build_config("toph", full_scale), engine="vector")
-        vector = vector_cluster.traffic_simulation(
+        vector = TrafficSimulation(
+            vector_cluster,
             LOAD,
             pattern="trace", pattern_params=replay,
             injector="trace", injector_params=replay,

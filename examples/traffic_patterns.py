@@ -25,6 +25,7 @@ from repro.core.cluster import MemPoolCluster
 from repro.core.system import MemPoolSystem
 from repro.evaluation import ExperimentSettings
 from repro.experiments.registry import EXPERIMENTS
+from repro.traffic import TrafficSimulation
 
 
 def main(full_scale: bool = False) -> None:
@@ -49,8 +50,8 @@ def main(full_scale: bool = False) -> None:
     print("== One workload, both simulators ==")
     config = settings.config("toph")
     cluster = MemPoolCluster(config, engine="vector")
-    open_loop = cluster.traffic_simulation(
-        0.2, pattern="hotspot", injector="bursty", seed=0,
+    open_loop = TrafficSimulation(
+        cluster, 0.2, pattern="hotspot", injector="bursty", seed=0,
         pattern_params={"p_hot": 0.3, "num_hotspots": 4},
     ).run(warmup_cycles=200, measure_cycles=600)
     print(

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from repro.addressing.layout import MemoryLayout
 from repro.addressing.map import AddressMap, make_address_map
-from repro.core.config import ENGINES, MemPoolConfig
+from repro.core.config import DEFAULT_ENGINE, ENGINES, MemPoolConfig
 from repro.core.memory import SharedL1Memory
 from repro.engine import VectorStageNetwork
 from repro.engine.compile import shared_network
@@ -54,14 +54,16 @@ class MemPoolCluster:
     config : MemPoolConfig, optional
         Cluster configuration; the paper's full system by default.
     engine : str
-        Timing-engine implementation, one of :data:`ENGINES`.  ``"vector"``
-        runs the cycle-level transport on the structure-of-arrays engine of
-        :mod:`repro.engine` (same completion cycles, several times faster);
-        ``"legacy"`` keeps the original per-object stage network.
+        Timing-engine implementation, one of :data:`ENGINES`.  The default
+        ``"vector"`` runs the cycle-level transport on the
+        structure-of-arrays engine of :mod:`repro.engine`; ``"legacy"``
+        keeps the original per-object stage network, the oracle the
+        differential checks compare it with (same completion cycles,
+        several times slower).
     """
 
     def __init__(
-        self, config: MemPoolConfig | None = None, engine: str = "legacy"
+        self, config: MemPoolConfig | None = None, engine: str = DEFAULT_ENGINE
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -145,40 +147,6 @@ class MemPoolCluster:
     def tile_of_core(self, core_id: int) -> Tile:
         """The tile that hosts global core ``core_id``."""
         return self.tiles[self.config.tile_of_core(core_id)]
-
-    # ------------------------------------------------------------------ #
-    # Workload entry point
-    # ------------------------------------------------------------------ #
-
-    def traffic_simulation(
-        self,
-        injection_rate: float,
-        pattern: str | object | None = None,
-        injector: str | object | None = None,
-        seed: int = 0,
-        pattern_params: dict | None = None,
-        injector_params: dict | None = None,
-    ):
-        """Build an open-loop traffic simulation of this cluster.
-
-        Thin entry point over
-        :class:`repro.traffic.simulation.TrafficSimulation` accepting
-        workload registry names (``pattern="tornado"``,
-        ``injector="bursty"``) or pre-built components; runs on whichever
-        timing engine this cluster was constructed with.  Imported lazily
-        because the traffic layer sits above the core layer.
-        """
-        from repro.traffic.simulation import TrafficSimulation
-
-        return TrafficSimulation(
-            self,
-            injection_rate,
-            pattern=pattern,
-            seed=seed,
-            injector=injector,
-            pattern_params=pattern_params,
-            injector_params=injector_params,
-        )
 
     # ------------------------------------------------------------------ #
     # Request construction

@@ -34,6 +34,10 @@ WORD_BYTES = 4
 #: (settings, ``--engine``) does not import one; :mod:`repro.core.cluster`
 #: and :mod:`repro.engine` re-export it.
 ENGINES = ("legacy", "vector")
+#: The engine every entry point runs unless told otherwise (settings,
+#: ``--engine``, the service, ``MemPoolCluster``): the fast one.
+#: ``legacy`` stays the oracle the differential checks name explicitly.
+DEFAULT_ENGINE = "vector"
 
 
 @dataclass(frozen=True)

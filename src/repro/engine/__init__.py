@@ -9,13 +9,13 @@ advances all of them with level-ordered passes over dense lists
 (:mod:`repro.engine.vector`) — several times faster than the per-object
 legacy engine, and cycle-exact with it for fixed seeds.
 
-Select an engine per cluster::
+``vector`` is the default engine of every entry point
+(:data:`repro.core.config.DEFAULT_ENGINE`); the per-object ``legacy``
+engine stays selectable as the oracle behind ``validate``, ``make fuzz``,
+the system goldens and cross-checks::
 
-    cluster = MemPoolCluster(config, engine="vector")   # or "legacy"
-
-or from the command line::
-
-    python -m repro.experiments run fig5 --engine vector
+    cluster = MemPoolCluster(config, engine="legacy")
+    python -m repro.experiments run fig5 --engine legacy
 
 Both the open-loop traffic simulator (through
 :mod:`repro.engine.traffic`) and the execution-driven system simulator

@@ -32,12 +32,7 @@ from repro.energy import EnergyModel, InstructionEnergy, PowerModel
 from repro.energy.traffic import attach_energy
 from repro.evaluation.physical_tables import PhysicalTablesResult
 from repro.evaluation.power_table import PowerTableResult
-from repro.evaluation.settings import (
-    DEFAULT_MEASURE_CYCLES,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP_CYCLES,
-    ExperimentSettings,
-)
+from repro.evaluation.settings import ExperimentSettings
 from repro.evaluation.topologies import (
     DEFAULT_CATALOGUE_LOAD as DEFAULT_TOPOLOGY_CATALOGUE_LOAD,
 )
@@ -59,6 +54,30 @@ from repro.traffic import TrafficResult, TrafficSimulation
 from repro.workloads import LocalBiasedPattern
 from repro.workloads.trace import record_trace
 
+#: The :class:`ExperimentSettings` fields a kernel point (fig7, power)
+#: takes as keywords.
+KERNEL_FIELDS = ("full_scale", "seed", "engine")
+#: The fields every synthetic-traffic point takes; each adds the workload
+#: knobs that are not its own axes.
+TRAFFIC_FIELDS = KERNEL_FIELDS + ("warmup_cycles", "measure_cycles", "energy")
+
+
+def _settings(given: dict, takes: tuple[str, ...], **fields) -> ExperimentSettings:
+    """The settings of one point: ``fields`` overridden by ``given``.
+
+    A point forwards its settings keywords here instead of re-declaring
+    the defaults of :class:`ExperimentSettings`, which validates every
+    value.  ``takes`` names the fields the point reads; any other keyword
+    is refused like an unknown one, with a ``TypeError``.
+    """
+    for name in given:
+        if name not in takes:
+            raise TypeError(
+                f"unexpected keyword argument {name!r}; this point takes "
+                f"the settings {takes}"
+            )
+    return ExperimentSettings(**{**fields, **given})
+
 
 def _measure_traffic(
     settings: ExperimentSettings,
@@ -69,7 +88,7 @@ def _measure_traffic(
 ) -> TrafficResult:
     """The shared tail of the traffic points: cluster, run, energy.
 
-    ``pattern`` is a workload registry name or a built pattern;
+    ``pattern`` is a workload catalogue name or a built pattern;
     ``components`` are the remaining workload arguments of
     :class:`~repro.traffic.simulation.TrafficSimulation` (``injector``,
     ``pattern_params``, ``injector_params``).  Engine, seed, windows and
@@ -86,19 +105,17 @@ def _measure_traffic(
     return attach_energy(cluster, result, settings.energy)
 
 
-def simulate_fig5_point(
-    *,
-    topology: str,
-    load: float,
-    full_scale: bool = False,
-    warmup_cycles: int = DEFAULT_WARMUP_CYCLES,
-    measure_cycles: int = DEFAULT_MEASURE_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    pattern: str = "uniform",
-    injector: str = "poisson",
-    energy: bool = False,
-) -> TrafficResult:
+def _measure_catalogue(settings: ExperimentSettings, load: float) -> TrafficResult:
+    """A catalogue point: the settings' workload on the settings' topology."""
+    config = settings.config(
+        settings.topology, topology_params=settings.topology_params
+    )
+    return _measure_traffic(
+        settings, config, load, settings.pattern, injector=settings.injector
+    )
+
+
+def simulate_fig5_point(*, topology: str, load: float, **settings) -> TrafficResult:
     """Simulate one (topology, load) point of Figure 5.
 
     Parameters
@@ -107,23 +124,13 @@ def simulate_fig5_point(
         Interconnect topology (``top1``, ``top4``, ``toph`` or ``topx``).
     load : float
         Injected load in requests per core per cycle.
-    full_scale : bool
-        Use the full 256-core cluster instead of the scaled 64-core one.
-    warmup_cycles, measure_cycles : int
-        Warm-up and measurement windows of the traffic simulation.
-    seed : int
-        Seed of the traffic generator.
-    engine : str
-        Timing engine (``legacy`` or ``vector``); both produce identical
-        results for fixed seeds, ``vector`` is several times faster.
-    pattern, injector : str
-        Workload registry names (see :mod:`repro.workloads`); the paper's
-        Figure 5 is ``uniform`` x ``poisson``, but any registered pair
-        runs through either engine.
-    energy : bool
-        Attach the Figure 10 wire-energy summary to the result
-        (:func:`repro.energy.traffic.traffic_energy`); derived from the
-        result's counters, so it never changes the timing numbers.
+    **settings
+        The :class:`ExperimentSettings` fields of :data:`TRAFFIC_FIELDS`
+        plus ``pattern`` and ``injector``, with its defaults.  The paper's
+        Figure 5 is ``uniform`` x ``poisson``, but any catalogue pair runs
+        through either engine; ``energy`` attaches the Figure 10
+        wire-energy summary, derived from the result's counters, so it
+        never changes the timing numbers.
 
     Returns
     -------
@@ -137,34 +144,14 @@ def simulate_fig5_point(
     >>> 0.0 < result.throughput <= 0.2
     True
     """
-    settings = ExperimentSettings(
-        full_scale=full_scale,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        seed=seed,
-        engine=engine,
-        pattern=pattern,
-        injector=injector,
-        energy=energy,
-    )
+    settings = _settings(settings, TRAFFIC_FIELDS + ("pattern", "injector"))
     return _measure_traffic(
         settings, settings.config(topology), load, settings.pattern,
         injector=settings.injector,
     )
 
 
-def simulate_fig6_point(
-    *,
-    p_local: float,
-    load: float,
-    full_scale: bool = False,
-    warmup_cycles: int = DEFAULT_WARMUP_CYCLES,
-    measure_cycles: int = DEFAULT_MEASURE_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    injector: str = "poisson",
-    energy: bool = False,
-) -> TrafficResult:
+def simulate_fig6_point(*, p_local: float, load: float, **settings) -> TrafficResult:
     """Simulate one (p_local, load) point of Figure 6 on the TopH cluster.
 
     Parameters
@@ -173,22 +160,11 @@ def simulate_fig6_point(
         Probability that a request targets the issuing core's own tile.
     load : float
         Injected load in requests per core per cycle.
-    full_scale : bool
-        Use the full 256-core cluster instead of the scaled 64-core one.
-    warmup_cycles, measure_cycles : int
-        Warm-up and measurement windows of the traffic simulation.
-    seed : int
-        Seed shared by the pattern and the injector.
-    engine : str
-        Timing engine (``legacy`` or ``vector``); both produce identical
-        results for fixed seeds, ``vector`` is several times faster.
-    injector : str
-        Injection-process registry name (see :mod:`repro.workloads`);
-        the paper uses ``poisson``.  The destination pattern is not a
-        knob here — the ``local_biased`` pattern *is* the experiment.
-    energy : bool
-        Attach the Figure 10 wire-energy summary to the result
-        (:func:`repro.energy.traffic.traffic_energy`).
+    **settings
+        The :class:`ExperimentSettings` fields of :data:`TRAFFIC_FIELDS`
+        plus ``injector``, with its defaults.  The destination pattern is
+        not a knob here — the ``local_biased`` pattern *is* the
+        experiment.
 
     Returns
     -------
@@ -202,15 +178,7 @@ def simulate_fig6_point(
     >>> result.local_fraction
     1.0
     """
-    settings = ExperimentSettings(
-        full_scale=full_scale,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        seed=seed,
-        engine=engine,
-        injector=injector,
-        energy=energy,
-    )
+    settings = _settings(settings, TRAFFIC_FIELDS + ("injector",))
     config = settings.config("toph")
     pattern = LocalBiasedPattern(config, p_local, seed=settings.seed)
     return _measure_traffic(
@@ -231,14 +199,7 @@ def _build_kernel(name: str, cluster: MemPoolCluster, settings: ExperimentSettin
 
 
 def simulate_fig7_point(
-    *,
-    kernel: str,
-    topology: str,
-    scrambling: bool,
-    full_scale: bool = False,
-    seed: int = DEFAULT_SEED,
-    verify: bool = True,
-    engine: str = "legacy",
+    *, kernel: str, topology: str, scrambling: bool, verify: bool = True, **settings
 ) -> KernelResult:
     """Simulate one (kernel, topology, scrambling) point of Figure 7.
 
@@ -250,15 +211,12 @@ def simulate_fig7_point(
         Interconnect topology (``topx`` is the ideal-crossbar baseline).
     scrambling : bool
         Whether the hybrid-addressing scrambling logic is enabled.
-    full_scale : bool
-        Use the full 256-core cluster and the paper's benchmark sizes.
-    seed : int
-        Seed of the kernel's input data.
     verify : bool
         Check the simulated memory contents against a numpy reference.
-    engine : str
-        Timing engine (``legacy`` or ``vector``); both produce identical
-        cycle counts for fixed seeds, ``vector`` is faster.
+    **settings
+        The :class:`ExperimentSettings` fields of :data:`KERNEL_FIELDS`,
+        with its defaults; ``full_scale`` also selects the paper's
+        benchmark sizes, and ``seed`` seeds the kernel's input data.
 
     Returns
     -------
@@ -272,7 +230,7 @@ def simulate_fig7_point(
     >>> result.correct and result.cycles > 0
     True
     """
-    settings = ExperimentSettings(full_scale=full_scale, seed=seed, engine=engine)
+    settings = _settings(settings, KERNEL_FIELDS)
     config = settings.config(topology, scrambling_enabled=scrambling)
     cluster = MemPoolCluster(config, engine=settings.engine)
     return _build_kernel(kernel, cluster, settings).run(verify=verify)
@@ -306,25 +264,18 @@ def compute_fig10_point(*, topology: str = "toph") -> list[InstructionEnergy]:
 
 
 def compute_power_point(
-    *,
-    full_scale: bool = False,
-    seed: int = DEFAULT_SEED,
-    frequency_hz: float = 500e6,
-    engine: str = "legacy",
+    *, frequency_hz: float = 500e6, **settings
 ) -> PowerTableResult:
     """Run matmul on TopH and evaluate the power model on its activity.
 
     Parameters
     ----------
-    full_scale : bool
-        Use the full 256-core cluster and the paper's matmul size.
-    seed : int
-        Seed of the matmul input data.
     frequency_hz : float
         Operating frequency the power model evaluates at.
-    engine : str
-        Timing engine (``legacy`` or ``vector``); both produce identical
-        activity counters for fixed seeds, ``vector`` is faster.
+    **settings
+        The :class:`ExperimentSettings` fields of :data:`KERNEL_FIELDS`,
+        with its defaults; ``full_scale`` also selects the paper's matmul
+        size, and ``seed`` seeds the matmul input data.
 
     Returns
     -------
@@ -337,7 +288,7 @@ def compute_power_point(
     >>> result.breakdown.tile_total_mw > 0
     True
     """
-    settings = ExperimentSettings(full_scale=full_scale, seed=seed, engine=engine)
+    settings = _settings(settings, KERNEL_FIELDS)
     cluster = MemPoolCluster(settings.config("toph"), engine=settings.engine)
     kernel = MatmulKernel(cluster, size=settings.matmul_size, seed=settings.seed)
     result = kernel.run(verify=False)
@@ -390,29 +341,23 @@ def simulate_workload_point(
     injector: str,
     load: float = DEFAULT_CATALOGUE_LOAD,
     topology: str = DEFAULT_CATALOGUE_TOPOLOGY,
-    topology_params: dict | None = None,
-    full_scale: bool = False,
-    warmup_cycles: int = DEFAULT_WARMUP_CYCLES,
-    measure_cycles: int = DEFAULT_MEASURE_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    energy: bool = False,
+    **settings,
 ) -> TrafficResult:
     """Simulate one (pattern, injector) point of the workload catalogue.
 
     Parameters
     ----------
     pattern, injector : str
-        Workload registry names (see :mod:`repro.workloads`).
+        Workload catalogue names (see :mod:`repro.workloads`).
     load : float
         Injected load in requests per core per cycle.
     topology : str
-        Interconnect topology to drive, by topology registry name
+        Interconnect topology to drive, by topology catalogue name
         (see :mod:`repro.topologies`).
-    topology_params : dict, optional
-        Family-specific topology knobs (e.g. ``{"width": 8}``).
-    full_scale, warmup_cycles, measure_cycles, seed, engine, energy
-        As in :func:`simulate_fig5_point`.
+    **settings
+        The :class:`ExperimentSettings` fields of :data:`TRAFFIC_FIELDS`
+        plus ``topology_params`` (family-specific topology knobs, e.g.
+        ``{"width": 8}``), with its defaults.
 
     Examples
     --------
@@ -422,52 +367,32 @@ def simulate_workload_point(
     >>> result.throughput > 0.0
     True
     """
-    settings = ExperimentSettings(
-        full_scale=full_scale,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        seed=seed,
-        engine=engine,
-        pattern=pattern,
-        injector=injector,
-        topology=topology,
-        topology_params=dict(topology_params or {}),
-        energy=energy,
+    settings = _settings(
+        settings, TRAFFIC_FIELDS + ("topology_params",),
+        pattern=pattern, injector=injector, topology=topology,
     )
-    config = settings.config(topology, topology_params=settings.topology_params)
-    return _measure_traffic(
-        settings, config, load, settings.pattern, injector=settings.injector
-    )
+    return _measure_catalogue(settings, load)
 
 
 def simulate_topology_point(
-    *,
-    topology: str,
-    topology_params: dict | None = None,
-    load: float = DEFAULT_TOPOLOGY_CATALOGUE_LOAD,
-    full_scale: bool = False,
-    warmup_cycles: int = DEFAULT_WARMUP_CYCLES,
-    measure_cycles: int = DEFAULT_MEASURE_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    pattern: str = "uniform",
-    injector: str = "poisson",
-    energy: bool = False,
+    *, topology: str, load: float = DEFAULT_TOPOLOGY_CATALOGUE_LOAD, **settings
 ) -> TrafficResult:
     """Simulate one topology point of the catalogue.
+
+    The same point as the workload catalogue's, under this catalogue's
+    defaults: there the workload is the axis, here the topology.
 
     Parameters
     ----------
     topology : str
-        Topology registry name (see :mod:`repro.topologies`).
-    topology_params : dict, optional
-        Family-specific knobs (e.g. ``{"width": 8, "height": 2}``).
+        Topology catalogue name (see :mod:`repro.topologies`).
     load : float
         Injected load in requests per core per cycle.
-    full_scale, warmup_cycles, measure_cycles, seed, engine, energy
-        As in :func:`simulate_fig5_point`.
-    pattern, injector : str
-        Workload registry names driving every topology identically.
+    **settings
+        The :class:`ExperimentSettings` fields of :data:`TRAFFIC_FIELDS`
+        plus ``pattern``, ``injector`` (the workload driving every
+        topology identically) and ``topology_params`` (family-specific
+        knobs, e.g. ``{"width": 8, "height": 2}``), with its defaults.
 
     Examples
     --------
@@ -476,29 +401,15 @@ def simulate_topology_point(
     >>> result.throughput > 0.0
     True
     """
-    # The same point as the workload catalogue's, under this catalogue's
-    # defaults: there the workload is the axis, here the topology.
-    return simulate_workload_point(
-        pattern=pattern, injector=injector, load=load, topology=topology,
-        topology_params=topology_params, full_scale=full_scale,
-        warmup_cycles=warmup_cycles, measure_cycles=measure_cycles, seed=seed,
-        engine=engine, energy=energy,
+    settings = _settings(
+        settings, TRAFFIC_FIELDS + ("pattern", "injector", "topology_params"),
+        topology=topology,
     )
+    return _measure_catalogue(settings, load)
 
 
 def simulate_trace_point(
-    *,
-    topology: str,
-    trace: str,
-    trace_sha: str,
-    load: float,
-    topology_params: dict | None = None,
-    full_scale: bool = False,
-    warmup_cycles: int = 0,
-    measure_cycles: int = DEFAULT_TRACE_MEASURE + DEFAULT_DRAIN_CYCLES,
-    seed: int = DEFAULT_SEED,
-    engine: str = "legacy",
-    energy: bool = True,
+    *, topology: str, trace: str, trace_sha: str, load: float, **settings
 ) -> TrafficResult:
     """Replay one trace on one topology family.
 
@@ -510,19 +421,19 @@ def simulate_trace_point(
     Parameters
     ----------
     topology : str
-        Topology registry name (see :mod:`repro.topologies`).
+        Topology catalogue name (see :mod:`repro.topologies`).
     trace : str
         Path of the trace file (see :mod:`repro.workloads.trace`).
     trace_sha : str
         Expected content sha256 of the trace.
     load : float
         Offered-load label of the result (the trace's mean rate).
-    topology_params : dict, optional
-        Family-specific knobs (e.g. ``{"width": 8, "height": 2}``).
-    full_scale, warmup_cycles, measure_cycles, seed, engine, energy
-        As in :func:`simulate_fig5_point`; the sweep passes
-        ``warmup_cycles=0`` and a window covering the whole trace plus a
-        drain margin, so the stats span the entire replay.
+    **settings
+        The :class:`ExperimentSettings` fields of :data:`TRAFFIC_FIELDS`
+        plus ``topology_params``.  The defaults differ from the settings'
+        where a replay needs it: ``warmup_cycles=0``, a window covering the
+        default trace plus a drain margin (so the stats span the entire
+        replay), and ``energy=True``.
 
     Examples
     --------
@@ -535,18 +446,14 @@ def simulate_trace_point(
     >>> result.completed_requests > 0 and result.energy is not None
     True
     """
-    settings = ExperimentSettings(
-        full_scale=full_scale,
-        warmup_cycles=warmup_cycles,
-        measure_cycles=measure_cycles,
-        seed=seed,
-        engine=engine,
-        topology=topology,
-        topology_params=dict(topology_params or {}),
-        energy=energy,
-        trace=trace,
+    settings = _settings(
+        settings, TRAFFIC_FIELDS + ("topology_params",),
+        topology=topology, trace=trace, warmup_cycles=0,
+        measure_cycles=DEFAULT_TRACE_MEASURE + DEFAULT_DRAIN_CYCLES, energy=True,
     )
-    config = settings.config(topology, topology_params=settings.topology_params)
+    config = settings.config(
+        settings.topology, topology_params=settings.topology_params
+    )
     replay = {"path": trace, "sha": trace_sha}
     return _measure_traffic(
         settings, config, load, "trace",

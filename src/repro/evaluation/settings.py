@@ -15,36 +15,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES, split_spec
-from repro.core.config import ENGINES, MemPoolConfig
-
-#: Default warm-up window of the synthetic-traffic measurements.  The
-#: point functions (:mod:`repro.evaluation.points`) reference these
-#: constants for their keyword defaults, so retuning them here retunes
-#: every path.
-DEFAULT_WARMUP_CYCLES = 300
-#: Default measurement window of the synthetic-traffic measurements.
-DEFAULT_MEASURE_CYCLES = 1000
-#: Default random seed shared by the traffic generators and kernels.
-DEFAULT_SEED = 0
+from repro.core.config import DEFAULT_ENGINE, ENGINES, MemPoolConfig
 
 
 @dataclass
 class ExperimentSettings:
-    """Scale and simulation-length knobs shared by all experiment drivers."""
+    """Scale and simulation-length knobs shared by all experiment drivers.
+
+    The one declaration of every experiment default: the point functions
+    (:mod:`repro.evaluation.points`) build their settings from this class
+    and re-declare only the defaults where they differ, so retuning a
+    default here retunes every path.
+    """
 
     #: Simulate the paper's 256-core cluster instead of the 64-core one.
     full_scale: bool = False
     #: Warm-up cycles of the synthetic-traffic measurements.
-    warmup_cycles: int = DEFAULT_WARMUP_CYCLES
+    warmup_cycles: int = 300
     #: Measurement window of the synthetic-traffic measurements.
-    measure_cycles: int = DEFAULT_MEASURE_CYCLES
+    measure_cycles: int = 1000
     #: Random seed shared by the traffic generators and kernels.
-    seed: int = DEFAULT_SEED
+    seed: int = 0
     #: Timing-engine implementation the simulating drivers run on:
-    #: ``"legacy"`` (per-object stage network) or ``"vector"`` (the
-    #: structure-of-arrays engine of :mod:`repro.engine`).  Both produce
-    #: identical results for fixed seeds.
-    engine: str = "legacy"
+    #: ``"vector"`` (the structure-of-arrays engine of :mod:`repro.engine`,
+    #: the default) or ``"legacy"`` (the per-object stage network, the
+    #: oracle).  Both produce identical results for fixed seeds.
+    engine: str = DEFAULT_ENGINE
     #: Destination pattern of the synthetic-traffic experiments, by
     #: catalogue name (:data:`repro.catalogue.PATTERNS`).  fig6 ignores
     #: it — its sweep *is* the ``local_biased`` pattern.
@@ -94,6 +90,8 @@ class ExperimentSettings:
         # Accept the CLI's "name:k=v,k2=v2" spec form; bare names with
         # explicit topology_params pass through unchanged.  Either way
         # unknown names and parameters fail here, before sweep expansion.
+        # ``None`` is no parameters, as the catalogue points always took it.
+        self.topology_params = dict(self.topology_params or {})
         if ":" in self.topology:
             if self.topology_params:
                 raise ValueError(
@@ -147,7 +145,11 @@ class ExperimentSettings:
         by the :mod:`repro.experiments` engine.  A traffic point divides by
         its measurement window, so a zero window is refused here, before
         any point is expanded; the kernel experiments (fig7, power) never
-        read the windows and accept zeros.
+        read the windows and accept zeros.  ``engine`` stays in the
+        parameters, and so in every cache key, although both engines give
+        identical results: a non-default ``--engine`` run is a
+        cross-check, so it must compute rather than read the other
+        engine's entry.
 
         Examples
         --------

@@ -14,8 +14,7 @@ through the whole stack: every point goes through the sweep engine, the
 result cache, config validation and the selected timing engine exactly
 like the paper's figures do.
 
-Run it with ``python -m repro.experiments run topologies`` (add
-``--engine vector`` for the fast path).
+Run it with ``python -m repro.experiments run topologies``.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ as the end-to-end proof that the workload catalogue is wired through the
 whole stack: every point goes through the sweep engine, the result cache
 and the selected timing engine exactly like the paper's figures do.
 
-Run it with ``python -m repro.experiments run workloads`` (add
-``--engine vector`` for the fast path).
+Run it with ``python -m repro.experiments run workloads``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ Usage::
     python -m repro.experiments run --no-cache      # force recomputation
     python -m repro.experiments serve --port 7654   # HTTP sweep service
     python -m repro.experiments run fig5 --pattern tornado --injector bursty
-    python -m repro.experiments run workloads --engine vector  # full catalogue
+    python -m repro.experiments run workloads       # full workload catalogue
+    python -m repro.experiments run fig5 --engine legacy  # cross-check on the oracle
     python -m repro.experiments run topologies      # every topology family
     python -m repro.experiments run workloads --topology mesh:width=8,height=2
     python -m repro.experiments run traces --trace my.trace.gz --energy
@@ -46,7 +47,7 @@ import argparse
 # loads NumPy before it simulates ("Import layering" in
 # docs/architecture.md).
 from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES
-from repro.core.config import ENGINES
+from repro.core.config import DEFAULT_ENGINE, ENGINES
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.executor import Executor
 from repro.experiments.registry import EXPERIMENTS, resolve_selection
@@ -74,9 +75,9 @@ def _settings_flags() -> dict:
         "--engine": dict(
             choices=ENGINES,
             default=None,
-            help="timing engine of the simulation (default: 'legacy'; "
-                 "'vector' is the faster structure-of-arrays engine — "
-                 "results are identical for both)",
+            help=f"timing engine of the simulation (default: '{DEFAULT_ENGINE}', "
+                 "the structure-of-arrays engine; 'legacy' is the per-object "
+                 "oracle, for cross-checks — results are identical for both)",
         ),
         "--pattern": dict(
             choices=PATTERNS,

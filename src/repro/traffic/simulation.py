@@ -134,7 +134,7 @@ class TrafficSimulation:
         elif pattern_params:
             raise ValueError(
                 "pattern_params only apply when the pattern is given by "
-                "registry name; got an already-built pattern instance"
+                "catalogue name; got an already-built pattern instance"
             )
         self.pattern = pattern or UniformRandomPattern(cluster.config, seed=seed)
         self.injection_rate = injection_rate
@@ -148,7 +148,7 @@ class TrafficSimulation:
         elif injector_params:
             raise ValueError(
                 "injector_params only apply when the injector is given by "
-                "registry name; got an already-built injector instance"
+                "catalogue name; got an already-built injector instance"
             )
         if injector is not None and injector.injection_rate != injection_rate:
             raise ValueError(
@@ -166,7 +166,7 @@ class TrafficSimulation:
         #: backlog on every engine.
         self._row_queues: list[deque] | None = (
             [deque() for _ in range(cluster.config.num_cores)]
-            if getattr(cluster, "engine_kind", "legacy") != "legacy"
+            if cluster.engine_kind != "legacy"
             else None
         )
         self._injection_schedule = PermutationSchedule(
@@ -248,7 +248,7 @@ class TrafficSimulation:
                 "measure_cycles must be positive (the measurement window "
                 f"normalises throughput), got {measure_cycles}"
             )
-        if getattr(self.cluster, "engine_kind", "legacy") != "legacy":
+        if self.cluster.engine_kind != "legacy":
             # Through the module: bench/spans.py wraps the function there.
             return engine_traffic.run_vector_traffic(
                 self, warmup_cycles, measure_cycles, record_flits=record_flits

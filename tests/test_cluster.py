@@ -35,9 +35,11 @@ class TestFlitConstruction:
         bank_id = cluster.address_map.global_bank_of(address)
         assert cluster.config.tile_of_bank(bank_id) == 0
 
-    def test_make_bank_flit_paths_end_properly(self, tiny_cluster):
-        read = tiny_cluster.make_bank_flit(0, 1, is_write=False, cycle=0)
-        write = tiny_cluster.make_bank_flit(0, 1, is_write=True, cycle=0)
+    def test_make_bank_flit_paths_end_properly(self, tiny_config):
+        # Only the legacy engine materialises a flit's resource path.
+        cluster = MemPoolCluster(tiny_config, engine="legacy")
+        read = cluster.make_bank_flit(0, 1, is_write=False, cycle=0)
+        write = cluster.make_bank_flit(0, 1, is_write=True, cycle=0)
         assert len(read.path) >= len(write.path)
         assert isinstance(write.path[-1], RegisterStage)
 

@@ -186,10 +186,12 @@ class TestClusterEngineSelection:
             ):
                 MemPoolCluster(toph_config, engine=name)
 
-    def test_legacy_is_the_default(self, toph_config):
+    def test_vector_is_the_default(self, toph_config):
         cluster = MemPoolCluster(toph_config)
-        assert cluster.engine_kind == "legacy"
-        assert cluster.network is cluster.topology.network
+        assert cluster.engine_kind == "vector"
+        assert isinstance(cluster.network, VectorStageNetwork)
+        legacy = MemPoolCluster(toph_config, engine="legacy")
+        assert legacy.network is legacy.topology.network
 
     def test_vector_network_is_lazy_and_cached(self, toph_config):
         cluster = MemPoolCluster(toph_config, engine="vector")

@@ -54,6 +54,57 @@ class TestSettings:
             EXPERIMENTS["fig5"].build_sweep(settings)
 
 
+class TestPointKeywords:
+    """A point takes its axes and the settings it reads, and nothing else."""
+
+    @pytest.mark.parametrize(
+        "point, kwargs",
+        [
+            ("simulate_fig5_point", {"topology": "toph", "load": 0.1, "trace": "t"}),
+            ("simulate_fig6_point", {"p_local": 0.5, "load": 0.1, "pattern": "uniform"}),
+            (
+                "simulate_fig7_point",
+                {"kernel": "dct", "topology": "toph", "scrambling": True,
+                 "measure_cycles": 10},
+            ),
+            ("compute_power_point", {"topology": "toph"}),
+            (
+                "simulate_workload_point",
+                {"pattern": "uniform", "injector": "poisson", "trace": "t"},
+            ),
+            ("simulate_topology_point", {"topology": "mesh", "colour": "red"}),
+            (
+                "simulate_trace_point",
+                {"topology": "mesh", "trace": "t", "trace_sha": "0", "load": 0.1,
+                 "injector": "poisson"},
+            ),
+        ],
+    )
+    def test_an_unused_or_unknown_keyword_is_a_type_error(self, point, kwargs):
+        from repro.evaluation import points
+
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            getattr(points, point)(**kwargs)
+
+    def test_topology_params_none_means_no_parameters(self):
+        from repro.evaluation.points import simulate_topology_point
+
+        results = [
+            simulate_topology_point(
+                topology="mesh", topology_params=params,
+                warmup_cycles=10, measure_cycles=20,
+            )
+            for params in (None, {})
+        ]
+        assert results[0].completed_requests == results[1].completed_requests > 0
+
+    def test_settings_keywords_are_validated_by_the_settings(self):
+        from repro.evaluation.points import simulate_fig5_point
+
+        with pytest.raises(ValueError, match="unknown engine 'warp'"):
+            simulate_fig5_point(topology="toph", load=0.1, engine="warp")
+
+
 class TestFig5Driver:
     @pytest.fixture(scope="class")
     def result(self):

@@ -448,6 +448,23 @@ class TestTrafficSweepsThroughEngine:
         assert first.cycles == second.cycles
         assert first.report() == second.report()
 
+    def test_a_legacy_cross_check_computes_instead_of_reading_the_vector_entries(
+        self, tmp_path
+    ):
+        from repro.evaluation import ExperimentSettings
+
+        executor = Executor(workers=1, cache=ResultCache(tmp_path))
+        grid = {"loads": (0.05, 0.3), "topologies": ("top1", "toph")}
+        reports = {}
+        for engine in ("vector", "legacy"):
+            settings = ExperimentSettings(
+                engine=engine, warmup_cycles=50, measure_cycles=100
+            )
+            reports[engine] = EXPERIMENTS["fig5"].run(settings, executor, **grid).report()
+            assert executor.last_report.cache_hits == 0
+            assert executor.last_report.computed == 4
+        assert reports["legacy"] == reports["vector"]
+
 
 @pytest.fixture(scope="module")
 def recorded_trace(tmp_path_factory):
@@ -524,7 +541,12 @@ class TestEveryExperimentOnThePool:
 
 
 class TestFig7SeedRegression:
-    """The engine-driven fig7 reproduces the seed's hand-rolled loop exactly."""
+    """The engine-driven fig7 reproduces the seed's hand-rolled loop exactly.
+
+    The seed loop runs on the ``legacy`` engine and the sweep on the default
+    ``vector`` one, so this is also a legacy-vs-vector differential over
+    the twelve points.
+    """
 
     KERNELS = ("dct", "2dconv")
     TOPOLOGIES = ("top1", "toph", "topx")
@@ -540,7 +562,7 @@ class TestFig7SeedRegression:
             for topology in self.TOPOLOGIES:
                 for scrambling in (False, True):
                     config = settings.config(topology, scrambling_enabled=scrambling)
-                    cluster = MemPoolCluster(config)
+                    cluster = MemPoolCluster(config, engine="legacy")
                     kernel = _build_kernel(kernel_name, cluster, settings)
                     result = kernel.run(verify=True)
                     key = (kernel_name, topology, scrambling)
@@ -548,13 +570,18 @@ class TestFig7SeedRegression:
                     outcome.results[key] = result
         return outcome
 
-    def test_cycles_and_report_are_byte_identical(self):
+    def test_cycles_and_report_are_byte_identical(self, fig7_result):
         from repro.evaluation import ExperimentSettings
+        from repro.evaluation.fig7 import Fig7Result
 
         settings = ExperimentSettings()
+        assert settings.engine == "vector"
         seed_result = self.seed_style_fig7(settings)
-        engine_result = EXPERIMENTS["fig7"].run(
-            settings, kernels=self.KERNELS, topologies=self.TOPOLOGIES
+        # This test's twelve points of the session's whole Figure 7.
+        figure = fig7_result(settings)
+        engine_result = Fig7Result(
+            cycles={key: figure.cycles[key] for key in seed_result.cycles},
+            results={key: figure.results[key] for key in seed_result.cycles},
         )
         assert engine_result.cycles == seed_result.cycles
         assert engine_result.report() == seed_result.report()
@@ -647,14 +674,19 @@ class TestExperimentsCli:
     ):
         from repro.experiments import __main__ as cli
 
-        calls = []
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig10", _FakeDefinition(calls))
-        argv = ["run", "fig10", "-w", "3", "--engine", "vector", "--no-cache"]
-        assert cli.main(argv) == 0
-        [(settings, executor)] = calls
-        assert executor.workers == 3 and executor.cache is None
-        assert settings.engine == "vector"
-        assert "fake report" in capsys.readouterr().out
+        for flags, engine in (
+            (["--engine", "vector"], "vector"),
+            (["--engine", "legacy"], "legacy"),
+            ([], "vector"),
+        ):
+            calls = []
+            monkeypatch.setitem(cli.EXPERIMENTS, "fig10", _FakeDefinition(calls))
+            argv = ["run", "fig10", "-w", "3", *flags, "--no-cache"]
+            assert cli.main(argv) == 0
+            [(settings, executor)] = calls
+            assert executor.workers == 3 and executor.cache is None
+            assert settings.engine == engine
+            assert "fake report" in capsys.readouterr().out
 
     def test_run_without_names_runs_every_experiment(self, monkeypatch, capsys):
         from repro.experiments import __main__ as cli

@@ -31,6 +31,7 @@ from repro.topologies import (
     TorusTopology,
     default_grid_dims,
 )
+from repro.traffic import TrafficSimulation
 
 PAPER_TOPOLOGIES = ("top1", "top4", "toph", "topx")
 
@@ -237,7 +238,7 @@ class TestCrossEngineEquivalence:
         logs = {}
         for engine in ENGINES:
             cluster = MemPoolCluster(MemPoolConfig.tiny(name), engine=engine)
-            simulation = cluster.traffic_simulation(0.3, seed=11)
+            simulation = TrafficSimulation(cluster, 0.3, seed=11)
             result = simulation.run(
                 warmup_cycles=60, measure_cycles=200, record_flits=True
             )

@@ -21,6 +21,7 @@ import pytest
 from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig
+from repro.traffic import TrafficSimulation
 from repro.workloads import (
     ScaleFreePattern,
     TraceFormatError,
@@ -35,8 +36,8 @@ from repro.workloads import (
 def _run(cluster, load=0.3, pattern="uniform", injector="poisson",
          pattern_params=None, injector_params=None, seed=3,
          warmup=10, measure=40):
-    simulation = cluster.traffic_simulation(
-        load, pattern=pattern, injector=injector, seed=seed,
+    simulation = TrafficSimulation(
+        cluster, load, pattern=pattern, injector=injector, seed=seed,
         pattern_params=pattern_params, injector_params=injector_params,
     )
     return simulation.run(

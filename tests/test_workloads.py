@@ -454,15 +454,15 @@ class TestWorkloadsThroughEverySurface:
     def test_pattern_params_with_instance_rejected(self):
         cluster = MemPoolCluster(MemPoolConfig.tiny("toph"))
         pattern = PATTERNS.lookup("uniform").build(cluster.config)
-        with pytest.raises(ValueError, match="registry name"):
+        with pytest.raises(ValueError, match="catalogue name"):
             TrafficSimulation(
                 cluster, 0.2, pattern=pattern, pattern_params={"p_local": 1.0}
             )
 
-    def test_cluster_traffic_simulation_entry_point(self):
+    def test_string_workloads_on_a_vector_cluster(self):
         cluster = MemPoolCluster(MemPoolConfig.tiny("top1"), engine="vector")
-        result = cluster.traffic_simulation(
-            0.2, pattern="shuffle", injector="poisson", seed=4
+        result = TrafficSimulation(
+            cluster, 0.2, pattern="shuffle", injector="poisson", seed=4
         ).run(50, 150)
         assert result.completed_requests > 0
 
