@@ -32,7 +32,7 @@ The package models the full MemPool system at the architectural level:
 
 from repro._lazy import lazy_exports
 
-__version__ = "0.1.0"
+__version__ = "0.5.0"
 
 #: Public name -> defining submodule, resolved on first access: importing
 #: ``repro`` (which every ``import repro.x.y`` does first) loads nothing.

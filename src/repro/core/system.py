@@ -373,13 +373,3 @@ class MemPoolSystem:
             f"{len(waiting)} cores waiting at a barrier (first: {waiting[:8]}), "
             f"{self.cluster.network.in_flight} requests in flight"
         )
-
-
-def run_program(
-    cluster: MemPoolCluster,
-    agents: dict[int, CoreAgent],
-    max_cycles: int = 2_000_000,
-) -> SystemResult:
-    """Convenience wrapper: build a system, run it, return the result."""
-    system = MemPoolSystem(cluster, agents)
-    return system.run(max_cycles=max_cycles)

@@ -31,13 +31,11 @@ Examples
 
 from repro.experiments.cache import (
     MISS,
-    CacheBackend,
     CacheStats,
-    MemoryCache,
     ResultCache,
     default_cache_dir,
 )
-from repro.experiments.executor import ExecutionReport, Executor, run_sweep
+from repro.experiments.executor import ExecutionReport, Executor
 from repro.experiments.spec import (
     ExperimentSpec,
     canonical_json,
@@ -49,14 +47,11 @@ from repro.experiments.sweep import Sweep
 
 __all__ = [
     "MISS",
-    "CacheBackend",
     "CacheStats",
-    "MemoryCache",
     "ResultCache",
     "default_cache_dir",
     "ExecutionReport",
     "Executor",
-    "run_sweep",
     "ExperimentSpec",
     "canonical_json",
     "execute_spec",

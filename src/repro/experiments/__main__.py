@@ -48,7 +48,7 @@ import argparse
 # docs/architecture.md).
 from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES
 from repro.core.config import DEFAULT_ENGINE, ENGINES
-from repro.experiments.cache import ResultCache, default_cache_dir
+from repro.experiments.cache import ResultCache, default_cache_dir, parse_cache_spec
 from repro.experiments.executor import Executor
 from repro.experiments.registry import EXPERIMENTS, resolve_selection
 
@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default="disk",
         metavar="SPEC",
-        help="result cache backend: none, disk[:dir] or memory[:n] "
-             "(default: disk — submissions are deduplicated against it "
-             "and /results serves from it)",
+        help="result cache: none or disk[:dir] (default: disk — "
+             "submissions are deduplicated against it and /results "
+             "serves from it)",
     )
     serve.add_argument(
         "--max-jobs",
@@ -611,7 +611,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=port,
             workers=args.workers,
-            cache=args.cache,
+            cache=parse_cache_spec(args.cache),
             max_jobs=args.max_jobs,
             ttl_s=ttl_s,
         )

@@ -1,4 +1,4 @@
-"""Pluggable result-cache backends keyed by content-addressed spec hashes.
+"""The result cache: an on-disk store keyed by content-addressed spec hashes.
 
 Results are stored under the spec's cache key (a SHA-256 digest over the
 runner, its parameters, and the source of the runner's whole package —
@@ -7,16 +7,11 @@ source, a cache entry can never serve stale results for edited simulation
 code: the edit changes the key, the lookup misses, and the point is
 recomputed.
 
-Two backends implement the :class:`CacheBackend` protocol:
-
-* :class:`ResultCache` — the on-disk pickle store (the default).  Writes
-  are atomic (unique temporary file + :func:`os.replace`), so a crashed
-  or killed run never leaves a truncated entry behind; unreadable entries
-  are treated as misses and deleted.
-* :class:`MemoryCache` — a bounded in-memory LRU for ephemeral runs (the
-  service's default store).
-
-:func:`parse_cache_spec` builds either from a ``--cache`` spec.
+:class:`ResultCache` is the on-disk pickle store.  Writes are atomic
+(unique temporary file + :func:`os.replace`), so a crashed or killed run
+never leaves a truncated entry behind; unreadable entries are treated as
+misses and deleted.  :func:`parse_cache_spec` builds one from a
+``--cache`` spec.
 """
 
 from __future__ import annotations
@@ -24,35 +19,13 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
-#: Sentinel returned by :meth:`CacheBackend.get` on a miss (``None`` is a
+#: Sentinel returned by :meth:`ResultCache.get` on a miss (``None`` is a
 #: legitimate cached value, so a dedicated object is needed).
 MISS = object()
-
-
-@runtime_checkable
-class CacheBackend(Protocol):
-    """What the executor stack requires of a result cache.
-
-    Any object with these two methods can back an
-    :class:`~repro.experiments.executor.Executor`: ``get`` returns the
-    stored value or the module-level :data:`MISS` sentinel, ``put`` stores
-    a value under a content hash (idempotently — two writers storing the
-    same key must both succeed).
-    """
-
-    def get(self, key: str) -> Any:
-        """Return the cached value for ``key``, or :data:`MISS`."""
-        ...
-
-    def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key``."""
-        ...
 
 
 def default_cache_dir() -> Path:
@@ -69,7 +42,7 @@ def default_cache_dir() -> Path:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/store counters of one cache-backend instance."""
+    """Hit/miss/store counters of one :class:`ResultCache`."""
 
     hits: int = 0
     misses: int = 0
@@ -205,96 +178,23 @@ class ResultCache:
         return self._path(key).exists()
 
 
-class MemoryCache:
-    """Bounded in-memory LRU cache implementing :class:`CacheBackend`.
-
-    The ephemeral counterpart of :class:`ResultCache`: nothing touches
-    disk, eviction is least-recently-used once ``max_entries`` is
-    reached.  Thread-safe: the service's concurrent jobs share one.
-
-    Parameters
-    ----------
-    max_entries : int
-        Capacity; storing beyond it evicts the least recently used
-        entry.  Must be positive.
-
-    Examples
-    --------
-    >>> cache = MemoryCache(max_entries=2)
-    >>> cache.put("a" * 64, 1); cache.put("b" * 64, 2); cache.put("c" * 64, 3)
-    >>> cache.get("a" * 64) is MISS  # evicted as least recently used
-    True
-    >>> cache.get("c" * 64)
-    3
-    """
-
-    def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
-        self.stats = CacheStats()
-        self._entries: OrderedDict[str, Any] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Any:
-        """Return the cached value for ``key``, or :data:`MISS`."""
-        with self._lock:
-            if key not in self._entries:
-                self.stats.misses += 1
-                return MISS
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return self._entries[key]
-
-    def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key``, evicting the LRU entry if full."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-            self.stats.stores += 1
-
-    def clear(self) -> int:
-        """Drop every entry; return the number removed."""
-        with self._lock:
-            removed = len(self._entries)
-            self._entries.clear()
-        return removed
-
-    def __len__(self) -> int:
-        """Number of entries currently held."""
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        """Whether ``key`` is currently held (does not touch stats)."""
-        return key in self._entries
-
-
-def parse_cache_spec(spec: str | None) -> CacheBackend | None:
-    """Build a cache backend from a ``--cache`` CLI spec.
+def parse_cache_spec(spec: str | None) -> ResultCache | None:
+    """Build the result cache a ``--cache`` CLI spec names.
 
     Accepted forms: ``"none"`` (no cache), ``"disk"`` (default
-    directory), ``"disk:/path"``, ``"memory"`` and ``"memory:512"``
-    (capacity in entries).  Anything else raises a ``ValueError`` that
-    lists these forms.
+    directory) and ``"disk:/path"``.  Anything else raises a
+    ``ValueError`` that lists these forms.
 
     Examples
     --------
     >>> parse_cache_spec("none") is None
     True
-    >>> parse_cache_spec("memory:64").max_entries
-    64
+    >>> parse_cache_spec("disk:/tmp/results").root.name
+    'results'
     """
     if spec is None or spec == "none":
         return None
     kind, colon, argument = spec.partition(":")
     if kind == "disk":
         return ResultCache(Path(argument) if colon else default_cache_dir())
-    if kind == "memory" and not colon:
-        return MemoryCache()
-    if kind == "memory" and argument.isdigit():
-        return MemoryCache(max_entries=int(argument))
-    raise ValueError(
-        f"bad cache spec {spec!r}: expected none, disk[:dir] or memory[:n]"
-    )
+    raise ValueError(f"bad cache spec {spec!r}: expected none or disk[:dir]")

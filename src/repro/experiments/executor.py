@@ -8,7 +8,7 @@ phase before the compute and no store phase after it.  For each spec, in
 input order:
 
 1. *look it up* in the attached
-   :class:`~repro.experiments.cache.CacheBackend` (when one is attached);
+   :class:`~repro.experiments.cache.ResultCache` (when one is attached);
    a hit fills the spec's slot of the result list;
 2. *dispatch* a miss at once — executed in-process when ``workers <= 1``,
    otherwise submitted to a :class:`concurrent.futures.ProcessPoolExecutor`
@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.experiments.cache import MISS, CacheBackend
+from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.spec import ExperimentSpec, execute_spec, resolve_runner
 
 
@@ -138,12 +138,9 @@ class Executor:
         in-process with no ``multiprocessing`` involvement at all — the
         serial fallback used by tests and library callers.  ``0`` or a
         negative value selects ``os.cpu_count()``.
-    cache : CacheBackend, optional
-        Result cache consulted before computing and updated after — any
-        :class:`~repro.experiments.cache.CacheBackend` (on-disk
-        :class:`~repro.experiments.cache.ResultCache` or in-memory
-        :class:`~repro.experiments.cache.MemoryCache`).  ``None`` (the
-        default) disables caching entirely.
+    cache : ResultCache, optional
+        Result cache consulted before computing and updated after.
+        ``None`` (the default) disables caching entirely.
     mp_context : multiprocessing context, optional
         Context the pool's workers are started from (e.g.
         ``multiprocessing.get_context("spawn")``).  Defaults to the
@@ -162,7 +159,7 @@ class Executor:
     def __init__(
         self,
         workers: int = 1,
-        cache: CacheBackend | None = None,
+        cache: ResultCache | None = None,
         mp_context=None,
     ) -> None:
         if workers <= 0:
@@ -263,9 +260,9 @@ class Executor:
                     if len(misses) == 1:
                         continue  # held back: one miss is not worth a fork
                     # Forked between two lookups, never from inside one: a
-                    # worker must not inherit a cache backend mid-call (a
-                    # held lock, an open entry), and it is this frame an
-                    # outside-in profiler finds the workers under.  The
+                    # worker must not inherit the cache mid-call (an open
+                    # entry), and it is this frame an outside-in profiler
+                    # finds the workers under.  The
                     # runners are imported first, for the workers to inherit.
                     import_runners(spec_list)
                     from concurrent.futures import ProcessPoolExecutor
@@ -318,20 +315,3 @@ class Executor:
             else:
                 results[index] = value
         return results, miss_indices
-
-
-def run_sweep(
-    sweep,
-    workers: int = 1,
-    cache: CacheBackend | None = None,
-) -> list[Any]:
-    """Convenience wrapper: expand ``sweep`` and run it on a fresh executor.
-
-    Examples
-    --------
-    >>> from repro.experiments import Sweep
-    >>> run_sweep(Sweep("repro.experiments.demo:multiply",
-    ...                 grid={"a": (4, 9)}, base={"b": 6}))
-    [24, 54]
-    """
-    return Executor(workers=workers, cache=cache).run(sweep)

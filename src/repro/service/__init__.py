@@ -12,17 +12,18 @@ Start one from the CLI::
 
     python -m repro.experiments serve --port 7654 --workers 4 --cache disk
 
-or in-process::
+or in-process, on the standard library's threading HTTP server::
 
+    from repro.experiments.cache import ResultCache
     from repro.service import SweepService
-    service = SweepService(workers=1, cache="memory").start()
+    service = SweepService(workers=1, cache=ResultCache("results")).start()
 """
 
 from repro._lazy import lazy_exports
 
 #: Public name -> defining submodule, resolved on first access:
 #: ``import repro.service.client`` — all a client script needs — must not
-#: pay for the server (``asyncio``, the executor, the cache).
+#: pay for the server (``http.server``, the executor, the cache).
 _EXPORTS = {
     "DEFAULT_SERVICE_PORT": "app",
     "DEFAULT_TTL_S": "app",

@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: the asyncio HTTP application around the engine.
+"""Simulation-as-a-service: the HTTP application around the engine.
 
 :class:`SweepService` turns the experiments engine into a long-running
 queryable oracle: clients submit sweep specs over HTTP, the service
@@ -31,27 +31,31 @@ the dedup identity: resubmitting an identical sweep joins the live job
 registry a resubmission is served entirely from the result cache — the
 engine never computes the same point twice.
 
-The HTTP side runs on one asyncio loop (optionally on a background
-thread, for tests and embedding); each job runs on its own thread through
-the :class:`~repro.experiments.executor.Executor` every CLI run uses —
-in that thread for ``workers=1``, on a process pool of ``workers``
+The HTTP side is the standard library's
+:class:`~http.server.ThreadingHTTPServer`: one thread per connection, one
+request per connection.  All service state sits behind one
+:class:`threading.Condition`, which event streams wait on.  Each job runs
+on its own thread through the
+:class:`~repro.experiments.executor.Executor` every CLI run uses — in
+that thread for ``workers=1``, on a process pool of ``workers``
 otherwise.  Either way the job's ``progress`` callback sees every point
 as it is stored, so a cancel lands at the next point.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import pickle
+import socket
 import threading
 import time
 import traceback
-from typing import Optional, Union
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Iterator, Optional
+from urllib.parse import parse_qsl, urlsplit
 
-from repro.experiments.cache import MISS, CacheBackend, parse_cache_spec
+from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.executor import Executor
-from repro.service import http
 from repro.service.jobs import (
     Job,
     JobCancelled,
@@ -67,13 +71,25 @@ from repro.service.jobs import (
 DEFAULT_SERVICE_PORT = 7654
 
 #: How long a finished job stays in the registry before it is pruned.
-#: Results live on in the cache backend regardless — expiry only means a
+#: Results live on in the result cache regardless — expiry only means a
 #: resubmission becomes a fresh (all-cache-hits) job instead of a dedup.
 DEFAULT_TTL_S = 3600.0
+
+#: Upper bound on a request body; sweep submissions are small JSON
+#: documents, so anything bigger is a client error, not a workload.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class SpecError(ValueError):
     """A submission payload that cannot be turned into a valid sweep."""
+
+
+class _Refusal(Exception):
+    """An error reply: its status and the ``detail`` of its JSON body."""
+
+    def __init__(self, status: int, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
 
 
 def build_specs(payload) -> tuple:
@@ -151,6 +167,169 @@ def build_specs(payload) -> tuple:
     )
 
 
+class _Handler(BaseHTTPRequestHandler):
+    """One request per connection: check, route to the service, reply, close."""
+
+    protocol_version = "HTTP/1.1"
+    # Also the version of a reply sent before the request line is parsed,
+    # so that every error reply carries a status line.
+    default_request_version = "HTTP/1.1"
+
+    def __getattr__(self, name: str):
+        # Every method reaches the router, which answers 404/405 itself.
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
+
+    def version_string(self) -> str:
+        """The ``Server`` header."""
+        return "repro-sweep-service"
+
+    def log_message(self, format, *args) -> None:
+        """Log nothing: the service writes no per-request lines."""
+
+    def handle(self) -> None:
+        """Serve the connection; a client that went away gets no reply."""
+        try:
+            super().handle()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+    def parse_request(self) -> bool:
+        """The stdlib's parse, minus HTTP/0.9's two-word request line."""
+        if not super().parse_request():
+            return False
+        if len(self.requestline.split()) != 3:
+            self.send_error(400, f"malformed request line {self.requestline!r}")
+            return False
+        return True
+
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        """Answer every error, the stdlib's parse failures too, as JSON."""
+        phrase = self.responses[code][0]
+        self._send_json(code, {
+            "error": phrase.lower().replace(" ", "_"),
+            "detail": message or explain or phrase,
+        })
+
+    def _serve(self) -> None:
+        try:
+            self._route(self.server.service)
+        except _Refusal as refusal:
+            self.send_error(refusal.status, str(refusal))
+        except SpecError as error:
+            self.send_error(400, str(error))
+        except (ConnectionResetError, BrokenPipeError):
+            raise  # nobody is left to answer; see handle()
+        except Exception:
+            self.send_error(500, traceback.format_exc(limit=4))
+
+    def _route(self, service: "SweepService") -> None:
+        body = self._read_body()
+        target = urlsplit(self.path)
+        parts = [part for part in target.path.split("/") if part]
+        method = self.command
+        if parts == ["healthz"]:
+            self._allow("GET")
+            return self._send_json(200, service._health())
+        if parts == ["sweeps"]:
+            self._allow("POST")
+            try:
+                payload = json.loads(body.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as error:
+                raise _Refusal(
+                    400, f"request body is not valid JSON: {error}"
+                ) from error
+            return self._send_json(*service._submit(payload))
+        if len(parts) == 2 and parts[0] == "sweeps":
+            job = service._find(parts[1])
+            if method == "GET":
+                return self._send_json(200, {"job": service._describe(job)})
+            if method == "DELETE":
+                return self._send_json(*service._cancel(job))
+            raise _Refusal(405, "use GET or DELETE")
+        if len(parts) == 3 and parts[0] == "sweeps" and parts[2] == "events":
+            self._allow("GET")
+            job = service._find(parts[1])
+            query = dict(parse_qsl(target.query, keep_blank_values=True))
+            cursor = query.get("from", "0")
+            try:
+                index = int(cursor)
+                if index < 0:
+                    raise ValueError(index)
+            except ValueError:
+                raise _Refusal(400, f"bad 'from' value {cursor!r}") from None
+            return self._stream(service._event_lines(job, index))
+        if len(parts) == 2 and parts[0] == "results":
+            self._allow("GET")
+            return self._send(
+                200, service._result(parts[1]), "application/octet-stream"
+            )
+        raise _Refusal(404, f"no route for {method} {target.path}")
+
+    def _allow(self, method: str) -> None:
+        if self.command != method:
+            raise _Refusal(405, f"use {method}")
+
+    def _read_body(self) -> bytes:
+        """The request body: ``Content-Length`` bytes, at most 8 MiB."""
+        length = self.headers.get("Content-Length")
+        if length is None:
+            if self.headers.get("Transfer-Encoding"):
+                raise _Refusal(
+                    400,
+                    "chunked request bodies are not supported; send "
+                    "Content-Length",
+                )
+            return b""
+        try:
+            size = int(length)
+        except ValueError:
+            raise _Refusal(400, f"bad Content-Length {length!r}") from None
+        if not 0 <= size <= MAX_BODY_BYTES:
+            raise _Refusal(
+                400, f"Content-Length {size} outside [0, {MAX_BODY_BYTES}]"
+            )
+        body = self.rfile.read(size)
+        if len(body) < size:
+            raise _Refusal(400, "truncated request body")
+        return body
+
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: dict) -> None:
+        body = json.dumps(payload, sort_keys=True) + "\n"
+        self._send(status, body.encode("utf-8"), "application/json")
+
+    def _stream(self, lines: Iterator[bytes]) -> None:
+        """A body without a length: it ends when the connection closes."""
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Cache-Control", "no-store")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        for line in lines:
+            self.wfile.write(line)
+
+
+class _Server(ThreadingHTTPServer):
+    """The stdlib threading server, holding the service its handler routes to."""
+
+    #: Listen backlog (the stdlib's is 5): a burst of clients queues
+    #: instead of waiting out a SYN retry.
+    request_queue_size = 128
+
+    def __init__(self, service: "SweepService") -> None:
+        self.service = service
+        super().__init__((service.host, service.port), _Handler)
+
+
 class SweepService:
     """The HTTP sweep service: queue, state machine, event streams, cache.
 
@@ -163,12 +342,10 @@ class SweepService:
         Worker processes of each job's
         :class:`~repro.experiments.executor.Executor`: ``1`` runs the job
         in its own thread, ``0`` selects every CPU.
-    cache : CacheBackend or str or None
-        Result cache: a live backend, a
-        :func:`~repro.experiments.cache.parse_cache_spec` string
-        (``"disk:..."``/``"memory"``), or ``None`` for no caching
-        (disables ``/results`` and dedup-by-cache).  Default: a fresh
-        in-memory cache.
+    cache : ResultCache or None
+        Result store that dedups submissions against earlier points and
+        that ``/results`` serves from.  ``None`` (the default) disables
+        both.
     max_jobs : int
         Bounded concurrency: how many jobs may run simultaneously.
     ttl_s : float
@@ -177,7 +354,7 @@ class SweepService:
 
     Examples
     --------
-    >>> service = SweepService(workers=1, cache="memory").start()
+    >>> service = SweepService(workers=1).start()
     >>> from repro.service.client import ServiceClient
     >>> client = ServiceClient("127.0.0.1", service.port)
     >>> job = client.submit({"runner": "repro.experiments.demo:multiply",
@@ -192,7 +369,7 @@ class SweepService:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 1,
-        cache: Union[CacheBackend, str, None] = "memory",
+        cache: Optional[ResultCache] = None,
         max_jobs: int = 2,
         ttl_s: float = DEFAULT_TTL_S,
     ) -> None:
@@ -200,11 +377,8 @@ class SweepService:
             raise ValueError(f"max_jobs must be positive, got {max_jobs}")
         self.host = host
         self.port = port  # replaced by the bound port after start()
-        self._requested_port = port
         self.workers = workers
-        self.cache = (
-            parse_cache_spec(cache) if isinstance(cache, str) else cache
-        )
+        self.cache = cache
         self.max_jobs = max_jobs
         self.ttl_s = ttl_s
         self._jobs: dict = {}
@@ -212,282 +386,169 @@ class SweepService:
         self._queued: list = []
         self._running: set = set()
         self._submit_seq = 0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server = None
-        self._thread: Optional[threading.Thread] = None
+        self._stopping = False
+        #: Guards the registry above and every job's state and events;
+        #: notified on every event, which is what event streams wait for.
+        self._changed = threading.Condition()
+        self._server: Optional[_Server] = None
         self._job_threads: list = []
-        self._started = threading.Event()
-        self._boot_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
     def start(self) -> "SweepService":
-        """Boot the HTTP server on a background loop thread; returns self.
+        """Bind, then serve on a background thread; returns self.
 
-        Raises the bind error (e.g. ``OSError`` for a taken port) in the
-        calling thread.
+        A bind error (e.g. ``OSError`` for a taken port) raises here, in
+        the calling thread.
         """
-        self._thread = threading.Thread(
-            target=self._loop_main, name="sweep-service", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-        if self._boot_error is not None:
-            raise self._boot_error
+        self._server = _Server(self)
+        self.port = self._server.server_address[1]
+        threading.Thread(
+            target=self._server.serve_forever, name="sweep-service",
+            daemon=True,
+        ).start()
         return self
 
     def stop(self) -> None:
-        """Cancel running jobs, close the server, and stop the loop."""
-        loop = self._loop
-        if loop is None or not loop.is_running():
+        """Cancel running jobs, end the event streams, close the server."""
+        server, self._server = self._server, None
+        if server is None:
             return
-
-        def _shutdown() -> None:
-            for job_id in list(self._running):
+        with self._changed:
+            self._stopping = True
+            for job_id in self._running:
                 self._jobs[job_id].cancel_requested.set()
-            if self._server is not None:
-                self._server.close()
-            loop.stop()
-
-        loop.call_soon_threadsafe(_shutdown)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
+            self._changed.notify_all()
+        try:
+            # Wakes serve_forever at once; shutdown() alone waits out
+            # its poll interval.
+            server.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # refused by the platform: stop waits the interval out
+        server.shutdown()
+        server.server_close()
         for thread in self._job_threads:
             thread.join(timeout=1.0)
 
-    def _loop_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            boot = asyncio.start_server(
-                self._handle, self.host, self._requested_port
-            )
-            self._server = loop.run_until_complete(boot)
-            self.port = self._server.sockets[0].getsockname()[1]
-        except BaseException as error:  # surface bind failures to start()
-            self._boot_error = error
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True)
-                )
-            loop.run_until_complete(self._server.wait_closed())
-            loop.close()
-
     # ------------------------------------------------------------------ #
-    # HTTP plumbing
-    # ------------------------------------------------------------------ #
-
-    async def _handle(self, reader, writer) -> None:
-        """Serve one connection: parse, dispatch, close."""
-        try:
-            try:
-                request = await http.read_request(reader)
-            except http.BadRequest as error:
-                writer.write(http.error_response(400, str(error)))
-                await writer.drain()
-                return
-            if request is None:
-                return
-            await self._dispatch(request, writer)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-response
-        except asyncio.CancelledError:
-            raise
-        except Exception:
-            try:
-                writer.write(
-                    http.error_response(500, traceback.format_exc(limit=4))
-                )
-                await writer.drain()
-            except OSError:
-                pass
-        finally:
-            try:
-                writer.close()
-            except OSError:
-                pass
-
-    async def _dispatch(self, request: http.Request, writer) -> None:
-        parts = request.parts
-        if parts == ["healthz"]:
-            if request.method != "GET":
-                return await self._send(writer, 405, "use GET")
-            return await self._reply(writer, 200, self._health())
-        if parts == ["sweeps"]:
-            if request.method != "POST":
-                return await self._send(writer, 405, "use POST")
-            return await self._handle_submit(request, writer)
-        if len(parts) == 2 and parts[0] == "sweeps":
-            job = self._jobs.get(parts[1])
-            if job is None:
-                return await self._send(writer, 404, f"no job {parts[1]!r}")
-            if request.method == "GET":
-                return await self._reply(writer, 200, {"job": job.to_dict()})
-            if request.method == "DELETE":
-                return await self._handle_cancel(job, writer)
-            return await self._send(writer, 405, "use GET or DELETE")
-        if len(parts) == 3 and parts[0] == "sweeps" and parts[2] == "events":
-            if request.method != "GET":
-                return await self._send(writer, 405, "use GET")
-            job = self._jobs.get(parts[1])
-            if job is None:
-                return await self._send(writer, 404, f"no job {parts[1]!r}")
-            return await self._handle_events(request, job, writer)
-        if len(parts) == 2 and parts[0] == "results":
-            if request.method != "GET":
-                return await self._send(writer, 405, "use GET")
-            return await self._handle_result(parts[1], writer)
-        return await self._send(
-            writer, 404, f"no route for {request.method} {request.path}"
-        )
-
-    async def _reply(self, writer, status: int, payload: dict) -> None:
-        writer.write(http.json_response(status, payload))
-        await writer.drain()
-
-    async def _send(self, writer, status: int, detail: str) -> None:
-        writer.write(http.error_response(status, detail))
-        await writer.drain()
-
-    # ------------------------------------------------------------------ #
-    # Endpoint handlers
+    # Endpoints (handler threads)
     # ------------------------------------------------------------------ #
 
     def _health(self) -> dict:
-        states: dict = {}
-        for job in self._jobs.values():
-            states[job.state.value] = states.get(job.state.value, 0) + 1
-        return {
-            "status": "ok",
-            "jobs": states,
-            "queued": len(self._queued),
-            "running": len(self._running),
-            "max_jobs": self.max_jobs,
-            "workers": self.workers,
-        }
+        with self._changed:
+            states: dict = {}
+            for job in self._jobs.values():
+                states[job.state.value] = states.get(job.state.value, 0) + 1
+            return {
+                "status": "ok",
+                "jobs": states,
+                "queued": len(self._queued),
+                "running": len(self._running),
+                "max_jobs": self.max_jobs,
+                "workers": self.workers,
+            }
 
-    async def _handle_submit(self, request: http.Request, writer) -> None:
-        try:
-            payload = request.json()
-            title, specs, assemble = build_specs(payload)
-        except (http.BadRequest, SpecError) as error:
-            return await self._send(writer, 400, str(error))
-
-        prune_finished(self._jobs, self._by_key, self.ttl_s)
+    def _submit(self, payload) -> tuple:
+        title, specs, assemble = build_specs(payload)
         key = job_key(specs)
-        existing_id = self._by_key.get(key)
-        if existing_id is not None:
-            existing = self._jobs[existing_id]
-            # Failed/cancelled jobs never dedup (they are dropped from
-            # the key map at finish time); live and done jobs do.
-            return await self._reply(
-                writer,
-                200,
-                {"job": existing.to_dict(), "deduplicated": True},
+        with self._changed:
+            prune_finished(self._jobs, self._by_key, self.ttl_s)
+            existing_id = self._by_key.get(key)
+            if existing_id is not None:
+                # Failed/cancelled jobs never dedup (they are dropped from
+                # the key map at finish time); live and done jobs do.
+                existing = self._jobs[existing_id]
+                return 200, {"job": existing.to_dict(), "deduplicated": True}
+            _, miss_indices = Executor(workers=1, cache=self.cache).scan_cache(
+                specs
+            )
+            job = Job(
+                job_id=new_job_id(),
+                key=key,
+                title=title,
+                specs=specs,
+                cost=expected_work(specs, miss_indices),
+                assemble=assemble,
+                submit_seq=self._submit_seq,
+            )
+            self._submit_seq += 1
+            self._jobs[job.job_id] = job
+            self._by_key[key] = job.job_id
+            self._queued.append(job.job_id)
+            self._emit(job, {"kind": "state", "state": JobState.QUEUED.value,
+                             "points": len(specs), "cost": job.cost})
+            self._maybe_start()
+            return 201, {"job": job.to_dict(), "deduplicated": False}
+
+    def _find(self, job_id: str) -> Job:
+        with self._changed:
+            job = self._jobs.get(job_id)
+        if job is None:
+            raise _Refusal(404, f"no job {job_id!r}")
+        return job
+
+    def _describe(self, job: Job) -> dict:
+        with self._changed:
+            return job.to_dict()
+
+    def _cancel(self, job: Job) -> tuple:
+        with self._changed:
+            if job.state is JobState.QUEUED:
+                self._queued.remove(job.job_id)
+                job.transition(JobState.CANCELLED)
+                if self._by_key.get(job.key) == job.job_id:
+                    del self._by_key[job.key]
+                self._emit(
+                    job, {"kind": "state", "state": JobState.CANCELLED.value}
+                )
+                return 200, {"job": job.to_dict()}
+            if job.state is JobState.RUNNING:
+                job.cancel_requested.set()
+                return 202, {"job": job.to_dict(), "cancelling": True}
+            raise _Refusal(
+                409, f"job {job.job_id} is already {job.state.value}"
             )
 
-        _, miss_indices = Executor(workers=1, cache=self.cache).scan_cache(
-            specs
-        )
-        job = Job(
-            job_id=new_job_id(),
-            key=key,
-            title=title,
-            specs=specs,
-            cost=expected_work(specs, miss_indices),
-            assemble=assemble,
-            submit_seq=self._submit_seq,
-        )
-        self._submit_seq += 1
-        job._waiter = self._loop.create_future()
-        self._jobs[job.job_id] = job
-        self._by_key[key] = job.job_id
-        self._queued.append(job.job_id)
-        self._emit(job, {"kind": "state", "state": JobState.QUEUED.value,
-                         "points": len(specs), "cost": job.cost})
-        self._maybe_start()
-        await self._reply(
-            writer, 201, {"job": job.to_dict(), "deduplicated": False}
-        )
-
-    async def _handle_cancel(self, job: Job, writer) -> None:
-        if job.state is JobState.QUEUED:
-            self._queued.remove(job.job_id)
-            job.transition(JobState.CANCELLED)
-            if self._by_key.get(job.key) == job.job_id:
-                del self._by_key[job.key]
-            self._emit(
-                job, {"kind": "state", "state": JobState.CANCELLED.value}
-            )
-            return await self._reply(writer, 200, {"job": job.to_dict()})
-        if job.state is JobState.RUNNING:
-            job.cancel_requested.set()
-            return await self._reply(
-                writer, 202, {"job": job.to_dict(), "cancelling": True}
-            )
-        return await self._send(
-            writer, 409, f"job {job.job_id} is already {job.state.value}"
-        )
-
-    async def _handle_events(
-        self, request: http.Request, job: Job, writer
-    ) -> None:
-        try:
-            index = int(request.query.get("from", "0"))
-            if index < 0:
-                raise ValueError(index)
-        except ValueError:
-            return await self._send(
-                writer, 400, f"bad 'from' value {request.query.get('from')!r}"
-            )
-        writer.write(http.stream_head())
-        await writer.drain()
+    def _event_lines(self, job: Job, index: int) -> Iterator[bytes]:
+        """NDJSON lines of ``job``'s events from ``index`` until it ends."""
         while True:
-            # Capture the waiter BEFORE scanning, so an event emitted
-            # between the scan and the await still wakes this stream.
-            waiter = job._waiter
-            while index < len(job.events):
-                line = json.dumps(job.events[index], sort_keys=True) + "\n"
-                writer.write(line.encode("utf-8"))
-                await writer.drain()
-                index += 1
-            if job.state.terminal:
+            with self._changed:
+                self._changed.wait_for(
+                    lambda: index < len(job.events)
+                    or job.state.terminal or self._stopping
+                )
+                events = job.events[index:]
+                ended = job.state.terminal or self._stopping
+            for event in events:
+                yield (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+            index += len(events)
+            if ended:
                 return
-            await waiter
 
-    async def _handle_result(self, key: str, writer) -> None:
+    def _result(self, key: str) -> bytes:
         if self.cache is None:
-            return await self._send(
-                writer, 404, "no cache backend attached (serve --cache ...)"
-            )
+            raise _Refusal(404, "no result cache attached (serve --cache ...)")
         value = self.cache.get(key)
         if value is MISS:
-            return await self._send(writer, 404, f"no cached result {key!r}")
-        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        writer.write(http.response(status=200, body=body,
-                                   content_type="application/octet-stream"))
-        await writer.drain()
+            raise _Refusal(404, f"no cached result {key!r}")
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
     # ------------------------------------------------------------------ #
-    # Queue + execution (loop thread unless noted)
+    # Queue + execution
     # ------------------------------------------------------------------ #
 
     def _maybe_start(self) -> None:
-        """Dispatch queued jobs while slots are free, cheapest job first."""
-        while self._queued and len(self._running) < self.max_jobs:
+        """Dispatch queued jobs while slots are free, cheapest job first.
+
+        Called with the lock held; a stopping service starts nothing.
+        """
+        while (
+            self._queued
+            and len(self._running) < self.max_jobs
+            and not self._stopping
+        ):
             ordered = sort_queued(
                 [self._jobs[job_id] for job_id in self._queued]
             )
@@ -508,81 +569,66 @@ class SweepService:
             thread.start()
 
     def _job_main(self, job: Job) -> None:
-        """Worker-thread body: run the sweep, marshal the outcome back."""
-        report = None
-        try:
+        """Job-thread body: run the sweep, then land its outcome."""
+        report = report_text = error = None
+
+        def progress(spec, value):
             if job.cancel_requested.is_set():
                 raise JobCancelled()
-            executor = Executor(workers=self.workers, cache=self.cache)
-
-            def progress(spec, value, job=job):
-                if job.cancel_requested.is_set():
-                    raise JobCancelled()
-                self._post_event(
+            with self._changed:
+                self._emit(
                     job,
                     {"kind": "point", "label": spec.label, "key": spec.key},
                 )
 
+        try:
+            if job.cancel_requested.is_set():
+                raise JobCancelled()
+            executor = Executor(workers=self.workers, cache=self.cache)
             results = executor.run(job.specs, progress)
             report = executor.last_report
             if job.cancel_requested.is_set():
                 raise JobCancelled()
-            report_text = None
             if job.assemble is not None:
                 report_text = job.assemble(job.specs, results).report()
-            self._post_finish(job, JobState.DONE, report, report_text, None)
+            state = JobState.DONE
         except JobCancelled:
-            self._post_finish(job, JobState.CANCELLED, report, None, None)
+            state = JobState.CANCELLED
         except BaseException:
-            self._post_finish(
-                job, JobState.FAILED, report, None, traceback.format_exc()
-            )
-
-    def _post_event(self, job: Job, payload: dict) -> None:
-        """Thread-safe event append (no-op once the loop is gone)."""
-        try:
-            self._loop.call_soon_threadsafe(self._emit, job, payload)
-        except RuntimeError:
-            pass  # service stopping; late events have nowhere to go
-
-    def _post_finish(self, job, state, report, report_text, error) -> None:
-        """Thread-safe completion marshalling (see :meth:`_finish`)."""
-        try:
-            self._loop.call_soon_threadsafe(
-                self._finish, job, state, report, report_text, error
-            )
-        except RuntimeError:
-            pass
+            state, error = JobState.FAILED, traceback.format_exc()
+        self._finish(job, state, report, report_text, error)
 
     def _emit(self, job: Job, payload: dict) -> None:
-        """Append one event and wake every waiting stream (loop thread)."""
+        """Append one event and wake every waiting stream (lock held)."""
         event = {"seq": len(job.events), "ts": round(time.time(), 3)}
         event.update(payload)
         job.events.append(event)
-        waiter, job._waiter = job._waiter, self._loop.create_future()
-        if not waiter.done():
-            waiter.set_result(None)
+        self._changed.notify_all()
 
     def _finish(self, job, state, report, report_text, error) -> None:
         """Land a job outcome: transition, final event, dispatch next."""
-        self._running.discard(job.job_id)
-        job.transition(state)
-        job.error = error
-        job.report_text = report_text
-        if report is not None:
-            job.cache_hits = report.cache_hits
-            job.computed = report.computed
-            job.elapsed_s = report.elapsed_s
-        if state is not JobState.DONE and self._by_key.get(job.key) == job.job_id:
-            # Failed/cancelled sweeps must not swallow a resubmission.
-            del self._by_key[job.key]
-        event = {"kind": "state", "state": state.value}
-        if report is not None:
-            event["summary"] = report.summary()
-        if error is not None:
-            event["error"] = error
-        self._emit(job, event)
-        self._maybe_start()
+        with self._changed:
+            self._running.discard(job.job_id)
+            job.transition(state)
+            job.error = error
+            job.report_text = report_text
+            if report is not None:
+                job.cache_hits = report.cache_hits
+                job.computed = report.computed
+                job.elapsed_s = report.elapsed_s
+            if (
+                state is not JobState.DONE
+                and self._by_key.get(job.key) == job.job_id
+            ):
+                # Failed/cancelled sweeps must not swallow a resubmission.
+                del self._by_key[job.key]
+            event = {"kind": "state", "state": state.value}
+            if report is not None:
+                event["summary"] = report.summary()
+            if error is not None:
+                event["error"] = error
+            self._emit(job, event)
+            self._maybe_start()
 
 
 __all__ = [

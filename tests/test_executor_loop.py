@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from executor_points import ERRORS, wait_for_files
-from repro.experiments import Executor, ExperimentSpec, MemoryCache, ResultCache
+from repro.experiments import Executor, ExperimentSpec, ResultCache
 
 #: Entry files of a ``ResultCache``, relative to its root.
 ENTRIES = "*/*.pkl"
@@ -144,13 +144,14 @@ class TestOverlap:
             multiply(3),
         ]
 
-        class LastLookupWaitsForFirstPoint(MemoryCache):
+        class LastLookupWaitsForFirstPoint(ResultCache):
             def get(self, key):
                 if key == specs[-1].key:
                     wait_for_files(str(tmp_path), flag.name)
                 return super().get(key)
 
-        executor = make_executor(workers, LastLookupWaitsForFirstPoint())
+        executor = make_executor(
+            workers, LastLookupWaitsForFirstPoint(tmp_path / "cache"))
         assert executor.run(specs) == [10, 20, 30]
 
     @WORKERS

@@ -14,13 +14,11 @@ from repro.experiments import (
     MISS,
     Executor,
     ExperimentSpec,
-    MemoryCache,
     ResultCache,
     Sweep,
     canonical_json,
     program_fingerprint,
     resolve_runner,
-    run_sweep,
 )
 from repro.experiments.cache import parse_cache_spec
 from repro.experiments.registry import EXPERIMENTS
@@ -247,37 +245,6 @@ class TestResultCache:
         assert cache.get(self.KEY) == 2
 
 
-class TestMemoryCache:
-    def test_lru_eviction_order(self):
-        cache = MemoryCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"
-        cache.put("c", 3)  # evicts "b", the least recently used
-        assert cache.get("b") is MISS
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MemoryCache(max_entries=0)
-
-    def test_concurrent_puts_stay_consistent(self):
-        cache = MemoryCache(max_entries=64)
-        threads = [
-            threading.Thread(
-                target=lambda base=base: [
-                    cache.put(f"k{base}-{i}", i) for i in range(50)
-                ]
-            )
-            for base in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(cache) == 64  # bounded, no corruption
-
-
 class TestParseCacheSpec:
     @pytest.mark.parametrize(
         "spec, kind, detail",
@@ -286,8 +253,6 @@ class TestParseCacheSpec:
             ("none", type(None), None),
             ("disk", ResultCache, "default"),
             ("disk:{tmp}", ResultCache, ""),
-            ("memory", MemoryCache, 1024),
-            ("memory:16", MemoryCache, 16),
         ],
     )
     def test_forms(self, spec, kind, detail, tmp_path, monkeypatch):
@@ -298,21 +263,15 @@ class TestParseCacheSpec:
         assert isinstance(cache, kind)
         if kind is ResultCache:
             assert cache.root == tmp_path / detail
-        if kind is MemoryCache:
-            assert cache.max_entries == detail
 
     @pytest.mark.parametrize(
-        "bad", ["tape", "memory:x", "memory:-3", "tcp://nohost", "tcp://h:1"]
+        "bad",
+        ["tape", "memory", "memory:16", "memory:x", "memory:-3",
+         "tcp://nohost", "tcp://h:1"],
     )
     def test_bad_specs_are_rejected_with_the_valid_forms(self, bad):
-        with pytest.raises(
-            ValueError, match=r"expected none, disk\[:dir\] or memory\[:n\]"
-        ):
+        with pytest.raises(ValueError, match=r"expected none or disk\[:dir\]"):
             parse_cache_spec(bad)
-
-    def test_memory_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            parse_cache_spec("memory:0")
 
 
 class TestExecutor:
@@ -350,7 +309,7 @@ class TestExecutor:
         assert seen == []  # everything was a cache hit
 
     def test_run_sweep_convenience(self):
-        assert run_sweep(self.sweep()) == [24, 36, 54]
+        assert Executor().run(self.sweep()) == [24, 36, 54]
 
     def test_report_summary_mentions_counts(self):
         executor = Executor(workers=1)
@@ -748,11 +707,11 @@ class TestExperimentsCli:
         assert stop.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("spec", ["tcp://h:1", "tape"])
+    @pytest.mark.parametrize("spec", ["tcp://h:1", "tape", "memory"])
     def test_serve_rejects_a_bad_cache_spec_with_the_valid_forms(
         self, spec, capsys
     ):
         from repro.experiments.__main__ import main
 
         assert main(["serve", "--cache", spec, "--port", "0"]) == 1
-        assert "expected none, disk[:dir] or memory[:n]" in capsys.readouterr().out
+        assert "expected none or disk[:dir]" in capsys.readouterr().out

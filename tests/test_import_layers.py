@@ -85,7 +85,7 @@ ENTRY_POINTS = (
      "assert Executor(workers=2).run(sweep) == [1, 2, 3]"),
     ("service-boot",
      "from repro.service import SweepService\n"
-     "service = SweepService(port=0, workers=1, cache='memory').start()\n"
+     "service = SweepService(port=0, workers=1, cache=None).start()\n"
      "service.stop()"),
     # The `python -m repro.evaluation` forwarder prints `run --help`.
     ("run-help",

@@ -12,6 +12,7 @@ import http.client
 import json
 import os
 import pickle
+import socket
 import subprocess
 import sys
 import threading
@@ -19,7 +20,7 @@ import time
 
 import pytest
 
-from repro.experiments.cache import MemoryCache
+from repro.experiments.cache import ResultCache
 from repro.experiments.executor import Executor
 from repro.experiments.spec import ExperimentSpec
 from repro.service import (
@@ -57,7 +58,7 @@ def test_client_import_does_not_load_the_server():
     script = (
         "import sys\n"
         "import repro.service.client\n"
-        "loaded = [name for name in ('repro.service.app', 'asyncio',\n"
+        "loaded = [name for name in ('repro.service.app', 'http.server',\n"
         "          'repro.experiments.executor') if name in sys.modules]\n"
         "assert not loaded, loaded\n"
         "from repro.service import ServiceClient, SweepService\n"
@@ -83,8 +84,8 @@ def test_client_import_does_not_load_the_server():
 
 
 @pytest.fixture(params=(1, 2), ids=("1-worker", "2-workers"))
-def service(request):
-    """A started in-memory service; stopped (with its jobs) on teardown.
+def service(request, tmp_path):
+    """A started service on a fresh disk cache; stopped (with its jobs) on teardown.
 
     Every test runs on a service whose jobs compute in their own thread
     and on one whose jobs compute on a two-process pool.
@@ -93,7 +94,7 @@ def service(request):
 
     def factory(**kwargs):
         kwargs.setdefault("workers", request.param)
-        kwargs.setdefault("cache", MemoryCache())
+        kwargs.setdefault("cache", ResultCache(tmp_path))
         instance = SweepService(**kwargs).start()
         started.append(instance)
         return instance
@@ -105,6 +106,22 @@ def service(request):
 
 def make_client(instance, timeout=30.0):
     return ServiceClient("127.0.0.1", instance.port, timeout=timeout)
+
+
+def raw_exchange(instance, request, timeout=5.0):
+    """Send raw request bytes; return ``(status, body)`` read until close."""
+    with socket.create_connection(
+        ("127.0.0.1", instance.port), timeout=timeout
+    ) as connection:
+        connection.sendall(request)
+        chunks = []
+        while True:
+            chunk = connection.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), body
 
 
 # --------------------------------------------------------------------- #
@@ -301,6 +318,50 @@ class TestEndpoints:
             assert json.loads(reply.read())["error"] == "bad_request"
         finally:
             connection.close()
+
+    def test_oversized_body_is_refused_unread(self, service):
+        instance = service()
+        # No body follows the head: reading the announced 8 MiB + 1 bytes
+        # would block until the socket timeout.
+        status, body = raw_exchange(
+            instance,
+            b"POST /sweeps HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % (8 * 1024 * 1024 + 1),
+        )
+        assert status == 400
+        assert json.loads(body)["error"] == "bad_request"
+
+    def test_chunked_body_without_length_is_a_400(self, service):
+        instance = service()
+        status, body = raw_exchange(
+            instance,
+            b"POST /sweeps HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n",
+        )
+        assert status == 400
+        assert "Content-Length" in json.loads(body)["detail"]
+
+    @pytest.mark.parametrize(
+        "line", [b"GARBAGE", b"GET /healthz", b"GET /healthz NOTHTTP/1.1"]
+    )
+    def test_malformed_request_line_is_a_structured_400(self, service, line):
+        instance = service()
+        status, body = raw_exchange(instance, line + b"\r\n\r\n")
+        assert status == 400
+        payload = json.loads(body)
+        assert payload["error"] == "bad_request" and payload["detail"]
+
+    def test_handler_exception_is_a_structured_500(self, service, tmp_path):
+        class BrokenCache(ResultCache):
+            def get(self, key):
+                raise RuntimeError("disk on fire")
+
+        instance = service(cache=BrokenCache(tmp_path))
+        with pytest.raises(ServiceError) as info:
+            make_client(instance).result("f" * 64)
+        assert info.value.status == 500
+        assert info.value.payload["error"] == "internal_server_error"
+        assert "disk on fire" in info.value.payload["detail"]
 
     def test_unknown_routes_and_methods(self, service):
         instance = service()
@@ -614,7 +675,7 @@ class TestDeadWorker:
     ):
         # The first run of a crash_once point SIGKILLs its process: a pool
         # worker here (on one worker it would be the service itself).
-        instance = SweepService(workers=2, cache=MemoryCache()).start()
+        instance = SweepService(workers=2, cache=ResultCache(tmp_path / "cache")).start()
         try:
             client = make_client(instance)
             payload = sweep_payload(

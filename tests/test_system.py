@@ -16,7 +16,6 @@ from repro.core.system import (
     GlobalBarrier,
     MemPoolSystem,
     SystemResult,
-    run_program,
 )
 from repro.kernels import PAPER_KERNELS, DctKernel
 
@@ -91,7 +90,7 @@ class TestSystemRun:
 
     def test_run_program_helper(self):
         cluster = MemPoolCluster(MemPoolConfig.tiny("topx"))
-        result = run_program(cluster, {0: TraceAgent([Compute(5)])})
+        result = MemPoolSystem(cluster, {0: TraceAgent([Compute(5)])}).run()
         assert result.cycles >= 5
 
     def test_result_counts_network_traffic(self, toph_tiny_cluster):

@@ -53,28 +53,41 @@ CANCELLED_SUBMISSION = {
 }
 
 
+#: The server's stderr, which :func:`fail` prints; set by :func:`start_server`.
+SERVER_LOG: Path | None = None
+
+
 def fail(message: str) -> None:
-    """Print a diagnostic and exit non-zero."""
+    """Print a diagnostic and the server's log, and exit non-zero."""
     print(f"service-smoke: FAIL: {message}")
+    if SERVER_LOG is not None and SERVER_LOG.exists():
+        print(f"service-smoke: server log ({SERVER_LOG}):")
+        print(SERVER_LOG.read_text(), end="")
     raise SystemExit(1)
 
 
-def start_server(cache_dir: str) -> tuple[subprocess.Popen, int, float]:
+def start_server(directory: Path) -> tuple[subprocess.Popen, int, float]:
     """Launch the serve subcommand on an ephemeral port.
 
-    Returns ``(process, port, spawned)``, ``spawned`` being the
-    ``time.perf_counter()`` reading just before the process was created.
+    The server's disk cache and its stderr log (``server.log``) go into
+    ``directory``.  Returns ``(process, port, spawned)``, ``spawned``
+    being the ``time.perf_counter()`` reading just before the process was
+    created.
     """
+    global SERVER_LOG
+    SERVER_LOG = directory / "server.log"
     spawned = time.perf_counter()
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.experiments", "serve",
-            "--port", "0", "--cache", f"disk:{cache_dir}", "--ttl", "0",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
+    with SERVER_LOG.open("w") as log:
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments", "serve",
+                "--port", "0", "--cache", f"disk:{directory / 'cache'}",
+                "--ttl", "0",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=log,
+            text=True,
+        )
     line = process.stdout.readline()
     match = re.search(r"http://[^:]+:(\d+)", line)
     if not match:
@@ -96,8 +109,8 @@ def main() -> int:
         for key, value in zip(keys, direct)
     }
 
-    with tempfile.TemporaryDirectory(prefix="service-smoke-") as cache_dir:
-        process, port, spawned = start_server(cache_dir)
+    with tempfile.TemporaryDirectory(prefix="service-smoke-") as directory:
+        process, port, spawned = start_server(Path(directory))
         try:
             client = ServiceClient("127.0.0.1", port, timeout=60.0)
             if client.healthz()["status"] != "ok":
@@ -208,6 +221,7 @@ def main() -> int:
                 process.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 process.kill()
+            process.stdout.close()
     print("service-smoke: OK")
     return 0
 
