@@ -83,7 +83,7 @@ bench-stack:
 bench-compare:
 	python3 bench/compare.py $(A) $(B)
 
-# The whole A/B procedure for a claimed gain: PARENT in a git worktree
+# The whole A/B procedure for a claimed gain: PARENT in a shared git clone
 # under bench/out/ab/, PAIRS interleaved `--trace 0` pairs (one seed per
 # pair, who-goes-first alternated), then bench/compare.py on the two sets;
 # PROFILE=N adds N traced passes per side and the per-layer before/after table.

@@ -140,7 +140,10 @@ class MemPoolCluster:
         once per point.  All simulation state stays in the per-cluster
         engine behind :attr:`network`.  The first request for a
         configuration builds and compiles a topology of the memo's own
-        (never this cluster's :attr:`topology`); later ones build neither.
+        (never this cluster's :attr:`topology`); later ones build neither
+        for as long as the memo keeps it — 256 cores' worth of
+        configurations, oldest evicted first, so four at the scaled size
+        and one at the paper's.
         """
         return shared_network(self.config)
 

@@ -44,6 +44,13 @@ The engine keeps each flit's *current* triple at hand, so advancing a flit
 never indexes back into per-path tables: one list read yields everything
 the hop needs, and the chain link yields the next hop on success.
 
+A compiled network is structure only, so :func:`shared_network` keeps one
+per configuration and process, up to 256 cores' worth of configurations:
+four at the 64-core scaled size, enough for Figure 5's three topologies,
+and one at the paper's 256 cores.  A sweep, a pool worker and the
+long-lived sweep service therefore compile each configuration once while
+it stays in the memo.
+
 The compiler also checks the *level monotonicity* invariant the vectorized
 level-ordered passes rely on: along every path, register-stage pipeline
 levels strictly increase.  Every topology of the paper satisfies this
@@ -87,19 +94,19 @@ class EngineCompileError(ValueError):
 #: Per-process memo of compiled networks, keyed on the whole frozen
 #: :class:`~repro.core.config.MemPoolConfig`: sweeps run many points over a
 #: handful of configurations, and compiling one costs as much as simulating
-#: a short point.  Bounded FIFO like ``repro.utils.rotation._pool_cache``;
-#: the bound is tiny because an entry retains the built topology and every
-#: compiled template (about 3 MB at 64 cores, 25 MB at 256).  One entry
-#: serves the sweeps it was measured on — fig5, fig7 and the traffic
-#: catalogues expand configuration-major (fig7: topology, scrambling, then
-#: kernel), so consecutive points share a configuration and a serial run
-#: compiles each one once.
+#: a short point.  Bounded like ``repro.utils.rotation._pool_cache``, but by
+#: cores rather than entries, because an entry retains the built topology
+#: and every compiled template, and both grow with the core count (about
+#: 2 MB at 64 cores, 16 MB at 256).  The budget holds four configurations
+#: at the 64-core scaled size — all three of Figure 5, so a long-lived
+#: ``serve`` process compiles them once — and one at the paper's 256 cores.
+#: Eviction is oldest-first.
 _network_memo: dict[MemPoolConfig, CompiledNetwork] = {}
-_NETWORK_MEMO_LIMIT = 1
-#: Serialises every *miss* — a memo insertion, a lazily compiled template
-#: row — across the threads of one process (the sweep service runs
-#: concurrent jobs on one shared network).  Hits never take it.  One lock
-#: for all networks: misses are rare and hold the GIL anyway.
+_NETWORK_MEMO_CORES = 256
+#: Serialises every *miss* — a memo insertion with its evictions, a lazily
+#: compiled template row — across the threads of one process (the sweep
+#: service runs concurrent jobs on one shared network).  Hits never take
+#: it.  One lock for all networks: misses are rare and hold the GIL anyway.
 _compile_lock = threading.RLock()
 
 
@@ -122,9 +129,12 @@ if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
 def shared_network(config: MemPoolConfig) -> CompiledNetwork:
     """The process-wide :class:`CompiledNetwork` of ``config``.
 
-    A miss builds ``config``'s topology and compiles it; a hit builds
-    neither.  Equal configurations always share one entry; configurations
-    differing in any field never do.
+    A miss builds ``config``'s topology and compiles it, then evicts the
+    oldest entries until the memo's cores fit :data:`_NETWORK_MEMO_CORES`
+    (a configuration larger than the budget still gets an entry of its
+    own); a hit builds neither and takes no lock.  Equal configurations
+    always share one entry; configurations differing in any field never
+    do.
     """
     network = _network_memo.get(config)
     if network is not None:
@@ -137,7 +147,10 @@ def shared_network(config: MemPoolConfig) -> CompiledNetwork:
             from repro.interconnect.topology import build_topology
 
             network = CompiledNetwork(build_topology(config))
-            while len(_network_memo) >= _NETWORK_MEMO_LIMIT:
+            budget = _NETWORK_MEMO_CORES - config.num_cores
+            while _network_memo and sum(
+                key.num_cores for key in _network_memo
+            ) > budget:
                 del _network_memo[next(iter(_network_memo))]
             _network_memo[config] = network
     return network
@@ -195,14 +208,15 @@ class CompiledNetwork:
     bank_stage_ids : list of int
         Stage id of every bank's register stage, indexed by global bank id —
         the resolution table for the :data:`BANK` placeholder.
-    level_orders_np : dict
-        ``level -> (pool size, stages at the level)`` NumPy index array:
-        row ``entry`` holds the *global stage ids* of the level in the
-        visiting order of pooled cycle ``entry``.
+    order_pool_size : int
+        Number of pooled cycles the visiting orders repeat over.
     full_orders : tuple of numpy.ndarray
-        One concatenated downstream-first visiting order per pooled cycle —
-        the index array behind the engine's single per-cycle occupancy
-        gather.
+        One visiting order per pooled cycle: the *global stage ids* of every
+        level, downstream-first, each level in its own permutation of that
+        cycle (``PermutationSchedule(stages at the level, seed=
+        arbitration_seed + level).order(cycle)``) — the index array behind
+        the engine's single per-cycle occupancy gather.  No per-level copy
+        is kept.
     path_moves : list
         Per-template move-chain heads (see the module docstring).
     path_stage_seq : list
@@ -232,8 +246,13 @@ class CompiledNetwork:
         # :mod:`repro.topologies` (mesh/torus rings allocate one level per
         # hop position, so a path's stages always sort downstream-first).
         self.levels = network.active_levels
-        self.level_orders_np: dict[int, np.ndarray] = {}
-        self.level_pool_size: dict[int, int] = {}
+        # Per level, the whole permutation pool in one gather: row
+        # ``entry`` is the level's visiting order of pooled cycle ``entry``.
+        # Only their concatenation below is kept; the permutations
+        # themselves stay in ``PermutationSchedule``'s process-wide pool
+        # cache, which every topology sharing a level size reuses.
+        level_orders: list[np.ndarray] = []
+        pool_sizes: set[int] = set()
         for level in self.levels:
             level_stages = network.stages_at_level(level)
             if not level_stages:
@@ -245,22 +264,21 @@ class CompiledNetwork:
             schedule = PermutationSchedule(
                 len(ids), seed=network.arbitration_seed + level
             )
-            # The whole pool in one gather: row ``entry`` is the level's
-            # visiting order of pooled cycle ``entry``.
-            self.level_orders_np[level] = ids[
-                np.array(
-                    [schedule.order(entry) for entry in range(schedule.pool_size)],
-                    dtype=np.intp,
-                )
-            ]
-            self.level_pool_size[level] = schedule.pool_size
+            level_orders.append(
+                ids[
+                    np.array(
+                        [schedule.order(entry) for entry in range(schedule.pool_size)],
+                        dtype=np.intp,
+                    )
+                ]
+            )
+            pool_sizes.add(schedule.pool_size)
 
         # One concatenated visiting order per pooled cycle, covering every
         # level downstream-first.  Advancing a cycle is then a single
         # occupancy gather over this array: the flattening is exact because
         # a stage pops only when visited and level monotonicity rules out
         # pushes into a not-yet-visited level (see VectorEngine.advance).
-        pool_sizes = set(self.level_pool_size.values())
         if len(pool_sizes) > 1:  # pragma: no cover - schedules share a pool
             raise EngineCompileError(
                 f"arbitration pools of different sizes {sorted(pool_sizes)} "
@@ -268,15 +286,8 @@ class CompiledNetwork:
             )
         self.order_pool_size = pool_sizes.pop() if pool_sizes else 1
         self.full_orders = tuple(
-            np.concatenate(
-                [
-                    self.level_orders_np[level]
-                    for level in self.levels
-                    if level in self.level_orders_np
-                ],
-                axis=1,
-            )
-            if self.level_orders_np
+            np.concatenate(level_orders, axis=1)
+            if level_orders
             else np.empty((self.order_pool_size, 0), dtype=np.intp)
         )
 

@@ -7,6 +7,7 @@ it.  Pinned here, with no wall clock: the keyed cache serves exactly the
 path a fresh construction yields — for every family and parameter selection
 of the registry, so a family that forgets its lane fails instead of
 aliasing — the linked templates equal a whole-path reference compile, the
+per-cycle visiting orders are the levels' own permutations, the
 number of half compiles is what the sharing promises, and block allocation
 still equals per-row allocation where the injection hop enters the bank.
 """
@@ -21,6 +22,7 @@ from repro.engine import CompiledNetwork, VectorEngine
 from repro.engine.compile import BANK, COMPLETE
 from repro.interconnect.resources import RegisterStage
 from repro.interconnect.topology import LOCAL_PATH, build_topology
+from repro.utils.rotation import PermutationSchedule
 from repro.validation.fuzz import topology_selections
 
 #: Every family of the registry under every valid parameter selection, at
@@ -139,6 +141,36 @@ class TestEveryRegisteredTopology:
                     ), (core, tile, needs_response)
         assert compiled.num_paths == 2 * config.num_cores * config.num_tiles
         assert set(compiled._half_pairs) == set(topology._path_cache)
+
+    def test_full_orders_concatenate_every_levels_permutation(self, name, params):
+        """``full_orders`` is the only copy of the per-level visiting orders.
+
+        Row ``k`` is, level by level downstream-first, the level's stage ids
+        in the order its own arbitration schedule visits them in cycle ``k``.
+        """
+        topology = build_topology(_tiny(name, params))
+        compiled = CompiledNetwork(topology)
+        network = topology.network
+        stage_id = {id(stage): index for index, stage in enumerate(network.stages)}
+        levels = [
+            (level, [stage_id[id(stage)] for stage in network.stages_at_level(level)])
+            for level in network.active_levels
+        ]
+        schedules = [
+            (ids, PermutationSchedule(len(ids), seed=network.arbitration_seed + level))
+            for level, ids in levels
+            if ids
+        ]
+        assert {schedule.pool_size for _, schedule in schedules} == {
+            compiled.order_pool_size
+        }
+        assert len(compiled.full_orders) == compiled.order_pool_size
+        for cycle, order in enumerate(compiled.full_orders):
+            assert order.tolist() == [
+                ids[position]
+                for ids, schedule in schedules
+                for position in schedule.order(cycle)
+            ], cycle
 
 
 class TestHalfCompileCounts:

@@ -51,6 +51,17 @@ def _cold(function, *args, **kwargs):
     return function(*args, **kwargs)
 
 
+def _count_compiles(monkeypatch) -> list:
+    """Record the configuration of every ``CompiledNetwork`` built from now on."""
+    compiles = []
+    compile_network = engine_compile.CompiledNetwork
+    monkeypatch.setattr(
+        engine_compile, "CompiledNetwork",
+        lambda topology: compiles.append(topology.config) or compile_network(topology),
+    )
+    return compiles
+
+
 # --------------------------------------------------------------------- #
 # (a) results do not depend on what warmed the network
 # --------------------------------------------------------------------- #
@@ -136,8 +147,7 @@ DIFFERENT_CONFIGS = {
 
 
 @pytest.mark.parametrize("field", sorted(DIFFERENT_CONFIGS))
-def test_configs_differing_in_one_field_never_share(field, monkeypatch):
-    monkeypatch.setattr(engine_compile, "_NETWORK_MEMO_LIMIT", 2)
+def test_configs_differing_in_one_field_never_share(field):
     other = DIFFERENT_CONFIGS[field]
     first, second = other if isinstance(other, tuple) else (_BASE, other)
     assert first != second
@@ -185,20 +195,15 @@ def test_a_memo_hit_builds_no_topology(monkeypatch):
 
 
 def test_a_serial_fig7_run_compiles_each_configuration_once(monkeypatch):
-    """fig7 expands configuration-major, so the 1-entry memo serves it.
+    """fig7 expands configuration-major: its 24 points compile 8 networks.
 
-    Kernel-major (the order before PR 16) compiled all 24 points: scrambling
-    is a config field and was the innermost axis.
+    Scrambling is a config field; were it the innermost axis, eight
+    configurations would cycle through the memo on every kernel.
     """
     from repro.evaluation.fig7 import fig7_sweep
     from repro.evaluation.settings import ExperimentSettings
 
-    compiles = []
-    compile_network = engine_compile.CompiledNetwork
-    monkeypatch.setattr(
-        engine_compile, "CompiledNetwork",
-        lambda topology: compiles.append(topology) or compile_network(topology),
-    )
+    compiles = _count_compiles(monkeypatch)
     settings = ExperimentSettings(full_scale=False, engine="vector")
     specs = fig7_sweep(settings).specs()
     for spec in specs:
@@ -221,26 +226,52 @@ def test_the_memo_never_holds_a_clusters_own_topology():
 # --------------------------------------------------------------------- #
 
 
+def test_a_second_fig5_sweep_in_one_process_compiles_nothing(monkeypatch):
+    """Figure 5's three topologies fit the cores budget together.
+
+    A long-lived process (the ``serve`` job loop) therefore compiles them
+    once; at the paper's 256 cores one configuration fills the budget.
+    """
+    from repro.evaluation.settings import ExperimentSettings
+    from repro.experiments.registry import EXPERIMENTS
+
+    compiles = _count_compiles(monkeypatch)
+    settings = ExperimentSettings(warmup_cycles=20, measure_cycles=60)
+    EXPERIMENTS["fig5"].run(settings)
+    assert len(compiles) == 3
+    EXPERIMENTS["fig5"].run(settings)
+    assert len(compiles) == 3
+    assert list(engine_compile._network_memo) == compiles
+    assert {config.num_cores for config in compiles} == {64}
+
+    full = MemPoolConfig.full("toph")
+    MemPoolCluster(full, engine="vector").compiled_network()
+    assert list(engine_compile._network_memo) == [full]
+
+
 def test_cycling_past_the_bound_evicts_the_oldest_and_recompiles_identically():
-    limit = engine_compile._NETWORK_MEMO_LIMIT
-    assert 1 <= limit <= 2  # sized by memory, see docs/architecture.md
     configs = [
-        MemPoolConfig.tiny(topology) for topology in ("top1", "top4", "toph")
-    ][: limit + 1]
+        MemPoolConfig.scaled(topology) for topology in ("top1", "top4", "toph", "topx")
+    ]
+    # Four 64-core configurations fill the budget (docs/architecture.md).
+    assert sum(config.num_cores for config in configs) == (
+        engine_compile._NETWORK_MEMO_CORES
+    )
+    configs.append(MemPoolConfig.scaled("top1", scrambling_enabled=False))
     logs = [_traffic(config, "vector", **POINT_A).flit_log for config in configs]
     oldest = configs[0]
-    assert oldest not in engine_compile._network_memo
     assert list(engine_compile._network_memo) == configs[1:]
 
     again = _traffic(oldest, "vector", **POINT_A)
     assert again.flit_log == logs[0]
-    assert oldest in engine_compile._network_memo
-    assert len(engine_compile._network_memo) == limit
+    assert list(engine_compile._network_memo) == [*configs[2:], oldest]
 
 
-def test_a_cluster_outlives_the_eviction_of_its_network():
+def test_a_cluster_outlives_the_eviction_of_its_network(monkeypatch):
     """Eviction drops the memo's reference, not the running engine's."""
     config = MemPoolConfig.tiny("toph")
+    # A budget of one tiny configuration: the next one evicts it.
+    monkeypatch.setattr(engine_compile, "_NETWORK_MEMO_CORES", config.num_cores)
     cluster = MemPoolCluster(config, engine="vector")
     simulation = TrafficSimulation(cluster, 0.5, seed=5)
     first = simulation.run(30, 90, record_flits=True)

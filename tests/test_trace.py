@@ -314,6 +314,34 @@ class TestGraphPatterns:
         draws_b = [second.destination(core % 16) for core in range(64)]
         assert draws_a == draws_b
 
+    def test_degree_skewed_cache_key_and_graph_follow_the_seed(self):
+        """Graphs with one degree sequence can behave differently
+        (arXiv:0908.0976), so the graph seed must reach the cache key."""
+        from repro.evaluation.settings import ExperimentSettings
+        from repro.evaluation.workloads import workloads_sweep
+
+        def point(seed):
+            (spec,) = workloads_sweep(
+                ExperimentSettings(seed=seed),
+                patterns=("degree_skewed",), injectors=("bernoulli",),
+            ).specs()
+            # The pattern the point function would drive.
+            simulation = TrafficSimulation(
+                MemPoolCluster(MemPoolConfig.scaled(spec.params["topology"])),
+                spec.params["load"], pattern=spec.params["pattern"],
+                seed=spec.params["seed"],
+            )
+            return spec, simulation.pattern.degrees
+
+        (one, one_graph), (two, two_graph) = point(1), point(2)
+        assert {
+            name for name in one.params if one.params[name] != two.params[name]
+        } == {"seed"}
+        assert one.key != two.key
+        assert one_graph != two_graph
+        again, again_graph = point(1)
+        assert again.key == one.key and again_graph == one_graph
+
 
 class TestEnergyAttach:
     """The wire-energy summary is deterministic and engine-independent."""

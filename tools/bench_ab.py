@@ -2,10 +2,11 @@
 
 ``python3 tools/bench_ab.py PARENT [--workload a,b] [--pairs 10] [--profile N]
 [--out DIR]`` runs the A/B procedure of ``bench/README.md`` without flipping
-the working tree: ``PARENT`` is checked out as a ``git worktree`` under the
-output directory (removed afterwards), each pair runs ``bench/run.py --trace
-0`` once per side with the pair's own seed, the side that goes first
-alternates from pair to pair, and ``bench/compare.py`` judges the two
+the working tree: ``PARENT`` is checked out under the output directory from a
+``git clone --shared --no-checkout`` of the repository (removed afterwards;
+nothing is written into the repository's own ``.git``), each pair runs
+``bench/run.py --trace 0`` once per side with the pair's own seed, the side
+that goes first alternates from pair to pair, and ``bench/compare.py`` judges the two
 ``results.json`` (``A`` = parent, ``B`` = working tree).  Each side runs the
 ``bench/run.py`` of its own checkout from inside that checkout, so it measures
 that source tree and nothing else.  ``--profile N`` then runs ``N`` traced
@@ -98,8 +99,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="pass --smoke to bench/run.py: checks the procedure, not speed")
     args = parser.parse_args(argv)
     out = args.out.resolve()
-    worktree = out / "parent"
-    checkouts = {"A": worktree, "B": ROOT}
+    checkout = out / "parent"
+    checkouts = {"A": checkout, "B": ROOT}
     results = {"A": out / "A", "B": out / "B"}
     profiles = {side: directory / "profile" for side, directory in results.items()}
     for stale in results.values():  # run.py appends: an old set would join this one
@@ -108,14 +109,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         options.append("--smoke")
     out.mkdir(parents=True, exist_ok=True)
-    subprocess.run(["git", "worktree", "add", "--detach", str(worktree), args.parent],
-                   cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+    # Resolved here: in the clone a branch name would only exist as origin/<name>.
+    revision = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    shutil.rmtree(checkout, ignore_errors=True)
     try:
+        subprocess.run(["git", "clone", "--quiet", "--shared", "--no-checkout",
+                        str(ROOT), str(checkout)], check=True)
+        subprocess.run(["git", "checkout", "--quiet", "--detach", revision],
+                       cwd=checkout, check=True)
         healthy = run_interleaved("pair", args.pairs, checkouts, results, 0, options)
         healthy &= run_interleaved("profile", args.profile, checkouts, profiles, 1, options)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)],
-                       cwd=ROOT, check=True)
+        shutil.rmtree(checkout, ignore_errors=True)
     verdict = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "compare.py"),
          *(str(directory / "results.json") for directory in results.values())]
