@@ -106,7 +106,7 @@ service-smoke:
 # Property-based differential fuzzing: FUZZ_BUDGET configurations sampled
 # from the registries' whole space, each run on both engines and
 # compared flit for flit.  Failures shrink and print a one-line
-# `python -m repro.validation --replay '<spec>'` reproducer.
+# `python -m repro.experiments validate --replay '<spec>'` reproducer.
 fuzz:
 	FUZZ_BUDGET=$(FUZZ_BUDGET) $(PYTHON) -m pytest -x -q \
 		tests/test_fuzz_differential.py

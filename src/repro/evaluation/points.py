@@ -461,37 +461,64 @@ def simulate_trace_point(
     )
 
 
+def record_traffic_trace(
+    settings: ExperimentSettings,
+    path: str,
+    load: float,
+    source: str,
+    force: bool = False,
+) -> tuple[str, TrafficResult]:
+    """Record one synthetic-traffic run of ``settings`` at ``load`` to ``path``.
+
+    The one recording sequence of ``trace record`` and of the default
+    trace: ``settings`` selects the cluster, topology, pattern, injector,
+    seed and windows, the recorded flit log is the measurement window's,
+    and ``source`` is the header's ``meta["source"]``.  The flit log is
+    engine-independent, so the recorded bytes do not depend on
+    ``settings.engine``.  Returns the content sha256 and the result.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    config = settings.config(
+        settings.topology, topology_params=settings.topology_params
+    )
+    simulation = TrafficSimulation(
+        MemPoolCluster(config, engine=settings.engine), load,
+        pattern=settings.pattern, injector=settings.injector, seed=settings.seed,
+    )
+    result = simulation.run(
+        warmup_cycles=settings.warmup_cycles,
+        measure_cycles=settings.measure_cycles,
+        record_flits=True,
+    )
+    sha = record_trace(
+        result, config, path,
+        meta={
+            "source": source,
+            "topology": settings.topology,
+            "pattern": settings.pattern,
+            "injector": settings.injector,
+            "load": load,
+            "seed": settings.seed,
+        },
+        force=force,
+    )
+    return sha, result
+
+
 def record_default_trace(
     settings: ExperimentSettings, path: str, force: bool = True
 ) -> str:
     """Record the deterministic default trace to ``path``; returns its sha.
 
-    A short uniform x poisson measurement on the paper's TopH cluster —
-    the flit log is engine-independent, so the recorded bytes (and the
-    content hash every cache key embeds) do not depend on which engine
-    ``settings`` selects.
+    A short uniform x poisson measurement on the paper's TopH cluster, at
+    the scale and seed of ``settings`` (its workload selection is not
+    used).
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    config = settings.config(DEFAULT_TRACE_TOPOLOGY)
-    cluster = MemPoolCluster(config, engine=settings.engine)
-    simulation = TrafficSimulation(
-        cluster, DEFAULT_TRACE_LOAD, pattern="uniform",
-        injector="poisson", seed=settings.seed,
+    default = ExperimentSettings(
+        full_scale=settings.full_scale, seed=settings.seed,
+        engine=settings.engine, topology=DEFAULT_TRACE_TOPOLOGY,
+        warmup_cycles=DEFAULT_TRACE_WARMUP, measure_cycles=DEFAULT_TRACE_MEASURE,
     )
-    result = simulation.run(
-        warmup_cycles=DEFAULT_TRACE_WARMUP,
-        measure_cycles=DEFAULT_TRACE_MEASURE,
-        record_flits=True,
-    )
-    return record_trace(
-        result, config, path,
-        meta={
-            "source": "default",
-            "topology": DEFAULT_TRACE_TOPOLOGY,
-            "pattern": "uniform",
-            "injector": "poisson",
-            "load": DEFAULT_TRACE_LOAD,
-            "seed": settings.seed,
-        },
-        force=force,
-    )
+    return record_traffic_trace(
+        default, path, DEFAULT_TRACE_LOAD, "default", force
+    )[0]

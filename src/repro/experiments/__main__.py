@@ -20,6 +20,7 @@ Usage::
     python -m repro.experiments topologies          # topology catalogue
     python -m repro.experiments validate            # check golden bands
     python -m repro.experiments validate --update   # re-commit the goldens
+    python -m repro.experiments validate --replay 'toph:seed=3'  # engines agree?
     python -m repro.experiments clean               # drop the result cache
 
 ``run`` executes the selected experiments through the shared
@@ -40,6 +41,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import sys
 
 # Module level holds what building the parser needs (the NumPy-free
 # catalogue included), plus the engine modules this package's `__init__`
@@ -296,8 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="validate results against the committed golden bands",
         description="Re-measure every golden case once per seed and "
-                    "classify each metric's deviation into severity bands "
-                    "(see repro.validation).",
+                    "classify each metric's deviation into the severity "
+                    "bands the golden file commits (see repro.validation); "
+                    "or, with --replay, run one differential-fuzz case "
+                    "on every engine.",
     )
     validate.add_argument(
         "--golden",
@@ -306,34 +310,25 @@ def build_parser() -> argparse.ArgumentParser:
              "benchmarks/GOLDEN_validation.json)",
     )
     validate.add_argument(
-        "--update",
-        action="store_true",
-        help="re-measure the default corpus and overwrite the golden file "
-             "instead of validating",
-    )
-    validate.add_argument(
         "--report",
         default=None,
         help="where to write the JSON report (default: "
              "benchmarks/VALIDATION_report.json; 'none' skips it)",
     )
-    validate.add_argument(
-        "--bands",
-        default=None,
-        metavar="OK,MINOR,MODERATE,SEVERE",
-        help="override the four band edges, e.g. '0.01,0.03,0.08,0.2'",
+    mode = validate.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--update",
+        action="store_true",
+        help="re-measure the default corpus and overwrite the golden file "
+             "(keeping its band policy) instead of validating",
     )
-    validate.add_argument(
-        "--warn-from",
+    mode.add_argument(
+        "--replay",
+        metavar="SPEC",
         default=None,
-        metavar="SEVERITY",
-        help="first severity that warns (default: from the golden file)",
-    )
-    validate.add_argument(
-        "--reject-from",
-        default=None,
-        metavar="SEVERITY",
-        help="first severity that rejects (default: from the golden file)",
+        help="replay one fuzz case spec (name:k=v,..., as a divergence "
+             "report prints it) across all engines: exit 0 if they agree, "
+             "1 if they diverge, 2 if the spec does not parse",
     )
 
     clean = commands.add_parser("clean", help="delete every cached result")
@@ -394,14 +389,12 @@ def _cache(args: argparse.Namespace) -> ResultCache | None:
 
 
 def _trace_record(args: argparse.Namespace) -> int:
-    from repro.core.cluster import MemPoolCluster
+    from repro.evaluation.points import record_traffic_trace
     from repro.evaluation.traces import (
         DEFAULT_TRACE_LOAD,
         DEFAULT_TRACE_MEASURE,
         DEFAULT_TRACE_WARMUP,
     )
-    from repro.traffic import TrafficSimulation
-    from repro.workloads.trace import record_trace
 
     fields = {
         "warmup_cycles": DEFAULT_TRACE_WARMUP if args.warmup is None else args.warmup,
@@ -413,43 +406,14 @@ def _trace_record(args: argparse.Namespace) -> int:
     if settings is None:
         return 1
     load = DEFAULT_TRACE_LOAD if args.load is None else args.load
-    config = settings.config(
-        settings.topology, topology_params=settings.topology_params
-    )
-    cluster = MemPoolCluster(config, engine=settings.engine)
     try:
-        result = TrafficSimulation(
-            cluster,
-            load,
-            pattern=settings.pattern,
-            injector=settings.injector,
-            seed=settings.seed,
-        ).run(
-            warmup_cycles=settings.warmup_cycles,
-            measure_cycles=settings.measure_cycles,
-            record_flits=True,
+        sha, result = record_traffic_trace(
+            settings, args.path, load, "cli", force=args.force
         )
-    except ValueError as error:
+    except (ValueError, FileExistsError) as error:
         # e.g. --pattern trace (replay components need a source trace) or
-        # --measure 0; both fail before a cycle is simulated.
-        print(error)
-        return 1
-    try:
-        sha = record_trace(
-            result,
-            config,
-            args.path,
-            meta={
-                "source": "cli",
-                "topology": settings.topology,
-                "pattern": settings.pattern,
-                "injector": settings.injector,
-                "load": load,
-                "seed": settings.seed,
-            },
-            force=args.force,
-        )
-    except FileExistsError as error:
+        # --measure 0 fail before a cycle is simulated; an existing file
+        # without --force fails after.
         print(error)
         return 1
     print(
@@ -523,24 +487,31 @@ def _command_clean(cache_dir: str | None) -> int:
     return 0
 
 
-def _band_policy(args: argparse.Namespace, golden_path):
-    """The golden file's band policy with the ``validate`` flags applied.
-
-    Starts from ``BandPolicy()`` when the file does not load (``--update``
-    of a new file), so a flag left out keeps what the file committed.
-    """
-    from repro.validation import BandPolicy, load_goldens
+def _replay(spec: str) -> int:
+    """Replay one fuzz case on every engine; print the verdict."""
+    from repro.validation import DivergenceError, FuzzCase, check_case
 
     try:
-        policy = load_goldens(golden_path)[1].to_dict()
-    except ValueError:
-        policy = BandPolicy().to_dict()
-    if args.bands is not None:
-        policy["bands"] = list(BandPolicy.from_spec(args.bands).edges)
-    for key in ("warn_from", "reject_from"):
-        if getattr(args, key) is not None:
-            policy[key] = getattr(args, key)
-    return BandPolicy.from_dict(policy)
+        case = FuzzCase.from_spec(spec)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    print(f"replaying: {case.to_spec()}")
+    try:
+        results = check_case(case)
+    except DivergenceError as error:
+        print(error, file=sys.stderr)
+        return 1
+    windows = results[ENGINES[0]]
+    print(
+        f"engines agree ({', '.join(ENGINES)}) over {len(windows)} windows: "
+        + "; ".join(
+            f"{window.completed_requests} completed requests, "
+            f"average latency {window.average_latency:.4f} cycles"
+            for window in windows
+        )
+    )
+    return 0
 
 
 def _command_validate(args: argparse.Namespace) -> int:
@@ -554,17 +525,18 @@ def _command_validate(args: argparse.Namespace) -> int:
         write_goldens,
     )
 
+    if args.replay is not None:
+        return _replay(args.replay)
     golden_path = Path(args.golden) if args.golden else GOLDEN_PATH
     try:
-        policy = _band_policy(args, golden_path)
         if args.update:
-            document = write_goldens(golden_path, policy=policy)
+            document = write_goldens(golden_path)
             print(
                 f"committed {len(document['cases'])} golden cases to "
                 f"{golden_path}"
             )
             return 0
-        report = validate_goldens(golden_path, policy=policy)
+        report = validate_goldens(golden_path)
     except ValueError as error:
         print(error)
         return 1
@@ -605,8 +577,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     port = DEFAULT_SERVICE_PORT if args.port is None else args.port
     ttl_s = DEFAULT_TTL_S if args.ttl is None else args.ttl
     try:
-        # A bad --cache spec or --max-jobs fails now, at startup, with a
-        # CLI-grade message.
+        # A bad --cache spec, --port or --max-jobs fails now, at startup,
+        # with a CLI-grade message.
         service = SweepService(
             host=args.host,
             port=port,

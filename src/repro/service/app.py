@@ -375,6 +375,8 @@ class SweepService:
     ) -> None:
         if max_jobs < 1:
             raise ValueError(f"max_jobs must be positive, got {max_jobs}")
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port must be in 0..65535, got {port}")
         self.host = host
         self.port = port  # replaced by the bound port after start()
         self.workers = workers

@@ -14,12 +14,14 @@ the two layers between them:
 - :mod:`repro.validation.golden` + :mod:`~repro.validation.bands` +
   :mod:`~repro.validation.bootstrap` — a **statistical result validator**
   that re-measures committed golden cases once per seed, attaches bootstrap confidence intervals, and
-  classifies deviations into configurable OK/minor/moderate/severe/
-  critical bands mapped to accept/warn/reject.
+  classifies deviations into OK/minor/moderate/severe/critical bands
+  mapped to accept/warn/reject.
 
-Entry points: ``python -m repro.validation`` (fuzz campaigns and replay),
-``python -m repro.experiments validate`` (golden validation), and the
-``make fuzz`` / ``make validate`` targets.
+Both halves describe a traffic configuration with one
+:class:`~repro.validation.fuzz.FuzzCase`.  Entry points: ``python -m
+repro.experiments validate`` (golden validation) and its ``--replay
+SPEC`` (one fuzz case across the engines), and the ``make fuzz`` /
+``make validate`` targets.
 """
 
 from repro.validation.bands import ACTIONS, BandPolicy, Severity
@@ -34,7 +36,6 @@ from repro.validation.fuzz import (
     degree_skewed_cases,
     fuzz_cases,
     run_case,
-    run_fuzz,
     system_cases,
     topology_selections,
 )
@@ -68,7 +69,6 @@ __all__ = [
     "degree_skewed_cases",
     "fuzz_cases",
     "run_case",
-    "run_fuzz",
     "system_cases",
     "topology_selections",
     "DEFAULT_CASES",

@@ -7,7 +7,8 @@ classified into one of five severity bands — ``OK`` / ``MINOR`` /
 action.  The idiom follows the severity-banded date validator of the
 retrieval corpus (OK/leve/medio/grave/critico): small deviations are
 accepted, mid-size ones accepted with a warning, large ones rejected —
-with every threshold configurable rather than hardwired into the gate.
+with every threshold read from the golden file's ``policy`` block rather
+than hardwired into the gate.
 
 Deviations here are *relative* (``|measured - golden| / |golden|``), so
 one policy covers latency in cycles, throughput in requests/core/cycle
@@ -151,41 +152,3 @@ class BandPolicy:
             reject_from=Severity.from_name(data["reject_from"]),
         )
 
-    @classmethod
-    def from_spec(
-        cls,
-        bands: str | None = None,
-        warn_from: str | None = None,
-        reject_from: str | None = None,
-    ) -> "BandPolicy":
-        """Build a policy from CLI-style overrides.
-
-        Parameters
-        ----------
-        bands : str, optional
-            Comma-separated band edges, e.g. ``"0.01,0.03,0.08,0.2"``.
-        warn_from, reject_from : str, optional
-            Severity names (see :meth:`Severity.from_name`).
-        """
-        kwargs: dict = {}
-        if bands is not None:
-            parts = [part.strip() for part in bands.split(",")]
-            if len(parts) != 4:
-                raise ValueError(
-                    f"--bands needs exactly 4 comma-separated edges "
-                    f"(ok,minor,moderate,severe), got {len(parts)}: {bands!r}"
-                )
-            try:
-                edges = [float(part) for part in parts]
-            except ValueError:
-                raise ValueError(
-                    f"--bands edges must be numbers, got {bands!r}"
-                ) from None
-            kwargs.update(
-                ok=edges[0], minor=edges[1], moderate=edges[2], severe=edges[3]
-            )
-        if warn_from is not None:
-            kwargs["warn_from"] = Severity.from_name(warn_from)
-        if reject_from is not None:
-            kwargs["reject_from"] = Severity.from_name(reject_from)
-        return cls(**kwargs)

@@ -11,9 +11,9 @@ point.
 Every failing sample is reported as a **replay spec**: a one-line
 ``name:k=v,...`` string (the topology-spec grammar extended with the
 workload and window knobs) that reconstructs the exact failing
-configuration via ``python -m repro.validation --replay '<spec>'`` — so a
-CI fuzz failure is reproducible on any machine without Hypothesis's
-example database.  Hypothesis still shrinks failures deterministically
+configuration via ``python -m repro.experiments validate --replay
+'<spec>'`` — so a CI fuzz failure is reproducible on any machine without
+Hypothesis's example database.  Hypothesis still shrinks failures deterministically
 first, so the emitted spec is the *minimal* failing configuration it
 found.
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from numbers import Real
 
 from repro.core.agents import Barrier, Compute, Load, Store, TraceAgent, Use
 from repro.core.cluster import MemPoolCluster
@@ -75,16 +76,17 @@ class FuzzCase:
 
     Component parameters are stored as sorted ``(key, value)`` tuples so
     cases are hashable and comparable (mirroring
-    :attr:`repro.core.config.MemPoolConfig.topology_params`).
+    :attr:`repro.core.config.MemPoolConfig.topology_params`).  The
+    defaults are those a replay spec leaves out.
     """
 
     topology: str
-    pattern: str
-    injector: str
-    seed: int
-    load: float
-    warmup: int
-    measure: int
+    pattern: str = "uniform"
+    injector: str = "poisson"
+    seed: int = 0
+    load: float = 0.3
+    warmup: int = 50
+    measure: int = 150
     topology_params: tuple = ()
     pattern_params: tuple = ()
     injector_params: tuple = ()
@@ -97,6 +99,15 @@ class FuzzCase:
             object.__setattr__(
                 self, name, tuple(sorted((str(key), value) for key, value in pairs))
             )
+        # A mistyped value is refused, not truncated: ``seed=1.7`` must
+        # not replay seed 1.
+        for name in ("seed", "warmup", "measure"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.load, bool) or not isinstance(self.load, Real):
+            raise ValueError(f"load must be a number, got {self.load!r}")
+        object.__setattr__(self, "load", float(self.load))
         if self.scale not in SCALES:
             raise ValueError(
                 f"unknown scale {self.scale!r}; valid: {', '.join(sorted(SCALES))}"
@@ -184,13 +195,12 @@ class FuzzCase:
         True
         """
         name, values = split_spec(spec, "replay spec", _RESERVED_KEYS)
-        pattern = str(values.pop("pattern", "uniform"))
-        injector = str(values.pop("injector", "poisson"))
-        seed = values.pop("seed", 0)
-        load = values.pop("load", 0.3)
-        warmup = values.pop("warmup", 50)
-        measure = values.pop("measure", 150)
-        scale = str(values.pop("scale", "tiny"))
+        reserved = {key: values.pop(key) for key in _RESERVED_KEYS if key in values}
+        for key in ("pattern", "injector", "scale"):
+            if key in reserved:
+                reserved[key] = str(reserved[key])
+        pattern = reserved.get("pattern", cls.pattern)
+        injector = reserved.get("injector", cls.injector)
         owners = (
             ("topology", set(TOPOLOGIES.lookup(name).params)),
             ("pattern", set(PATTERNS.lookup(pattern).params)),
@@ -215,22 +225,34 @@ class FuzzCase:
             routed[accepting[0]][key] = value
         return cls(
             topology=name,
-            pattern=pattern,
-            injector=injector,
-            seed=int(seed),
-            load=float(load),
-            warmup=int(warmup),
-            measure=int(measure),
             topology_params=tuple(routed["topology"].items()),
             pattern_params=tuple(routed["pattern"].items()),
             injector_params=tuple(routed["injector"].items()),
-            scale=scale,
+            **reserved,
         )
 
     def config(self) -> MemPoolConfig:
         """The cluster configuration this case runs on."""
         return SCALES[self.scale](
             self.topology, topology_params=self.topology_params
+        )
+
+    def simulation(self, engine: str, seed: int | None = None):
+        """A fresh cluster and traffic simulation of this case on ``engine``.
+
+        ``seed`` replaces the case's own: the golden validator measures
+        one case once per seed.
+        """
+        from repro.traffic.simulation import TrafficSimulation
+
+        return TrafficSimulation(
+            MemPoolCluster(self.config(), engine=engine),
+            self.load,
+            pattern=self.pattern,
+            seed=self.seed if seed is None else seed,
+            injector=self.injector,
+            pattern_params=dict(self.pattern_params) or None,
+            injector_params=dict(self.injector_params) or None,
         )
 
 
@@ -252,8 +274,8 @@ class DivergenceError(AssertionError):
     """Two engines disagreed on a sampled configuration.
 
     Carries the failing :class:`FuzzCase` and its replay spec; the
-    message embeds the exact ``python -m repro.validation --replay``
-    command that reproduces the divergence.
+    message embeds the exact ``python -m repro.experiments validate
+    --replay`` command that reproduces the divergence.
     """
 
     def __init__(
@@ -266,7 +288,8 @@ class DivergenceError(AssertionError):
             f"cross-engine divergence: {engine_a} vs {engine_b}\n"
             f"{detail}\n"
             "reproduce with:\n"
-            f"  python -m repro.validation --replay '{self.replay_spec}'"
+            "  python -m repro.experiments validate --replay "
+            f"'{self.replay_spec}'"
         )
 
 
@@ -282,18 +305,7 @@ def run_case(case: FuzzCase, engine: str) -> tuple:
     the flits still in the network — the hand-over a driver that draws a
     window at a time must get right.
     """
-    from repro.traffic.simulation import TrafficSimulation
-
-    cluster = MemPoolCluster(case.config(), engine=engine)
-    simulation = TrafficSimulation(
-        cluster,
-        case.load,
-        pattern=case.pattern,
-        seed=case.seed,
-        injector=case.injector,
-        pattern_params=dict(case.pattern_params) or None,
-        injector_params=dict(case.injector_params) or None,
-    )
+    simulation = case.simulation(engine)
     return tuple(
         simulation.run(case.warmup, case.measure, record_flits=True)
         for _ in range(2)
@@ -627,39 +639,3 @@ def system_cases():
         st.sampled_from((1, 2, 8)),
     )
 
-
-def run_fuzz(
-    budget: int,
-    engines=ENGINES,
-    scale: str = "tiny",
-    strategy=None,
-) -> int:
-    """Run a bounded differential-fuzz campaign; returns cases checked.
-
-    Drives :func:`check_case` under Hypothesis with ``max_examples=
-    budget``.  On divergence Hypothesis shrinks to a minimal failing case
-    deterministically, then the :class:`DivergenceError` (with its
-    ``--replay`` reproducer) propagates to the caller.  The pytest
-    entry point (``tests/test_fuzz_differential.py``) is the CI harness —
-    this function backs ``python -m repro.validation fuzz`` for local
-    exploration with an arbitrary budget.
-    """
-    from hypothesis import HealthCheck, given, settings
-
-    if budget < 1:
-        raise ValueError(f"fuzz budget must be positive, got {budget}")
-    checked = 0
-
-    @settings(
-        max_examples=budget,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-    )
-    @given(strategy if strategy is not None else fuzz_cases(scale))
-    def probe(case: FuzzCase) -> None:
-        nonlocal checked
-        checked += 1
-        check_case(case, engines=engines)
-
-    probe()
-    return checked

@@ -23,12 +23,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES
-from repro.core.cluster import MemPoolCluster
-from repro.traffic.simulation import TrafficSimulation
 from repro.validation.bands import BandPolicy, Severity
 from repro.validation.bootstrap import BootstrapSummary, bootstrap_mean
-from repro.validation.fuzz import SCALES
+from repro.validation.fuzz import FuzzCase
 
 #: Result metrics the validator pins for every golden case.
 METRICS = ("average_latency", "throughput", "p95_latency")
@@ -43,83 +40,64 @@ REPORT_PATH = Path("benchmarks") / "VALIDATION_report.json"
 
 @dataclass(frozen=True)
 class GoldenCase:
-    """One committed validation point: a workload measured over many seeds.
+    """One committed validation point: a traffic case measured over many seeds.
 
-    The statistical sibling of
-    :class:`repro.validation.fuzz.FuzzCase`: instead of one seed compared
-    across engines, one configuration is measured once per seed, and the
-    per-seed metric samples feed the bootstrap.  Component parameters are
-    stored as sorted ``(key, value)`` tuples (hashable, JSON-stable).
+    The statistical sibling of the differential fuzzer: instead of one
+    seed compared across engines, the :class:`~repro.validation.fuzz.FuzzCase`
+    ``traffic`` is measured once per seed of ``seeds`` (its own ``seed``
+    is not used), and the per-seed metric samples feed the bootstrap.
     """
 
     name: str
-    topology: str
-    pattern: str
-    injector: str
-    load: float
+    traffic: FuzzCase
     seeds: tuple = tuple(range(8))
-    warmup: int = 80
-    measure: int = 240
-    topology_params: tuple = ()
-    pattern_params: tuple = ()
-    injector_params: tuple = ()
-    scale: str = "tiny"
 
     def __post_init__(self) -> None:
-        for params_field in ("topology_params", "pattern_params", "injector_params"):
-            raw = getattr(self, params_field)
-            pairs = raw.items() if hasattr(raw, "items") else raw
-            object.__setattr__(
-                self,
-                params_field,
-                tuple(sorted((str(key), value) for key, value in pairs)),
-            )
-        object.__setattr__(self, "seeds", tuple(int(seed) for seed in self.seeds))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise ValueError(f"golden case {self.name!r} needs at least one seed")
-        if self.scale not in SCALES:
-            raise ValueError(
-                f"unknown scale {self.scale!r} in golden case {self.name!r}; "
-                f"valid: {', '.join(sorted(SCALES))}"
-            )
-        TOPOLOGIES.lookup(self.topology).validate(dict(self.topology_params))
-        PATTERNS.lookup(self.pattern).validate(dict(self.pattern_params))
-        INJECTORS.lookup(self.injector).validate(dict(self.injector_params))
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form (round-trips via :meth:`from_dict`)."""
+        """The golden-v1 JSON form (round-trips via :meth:`from_dict`)."""
+        traffic = self.traffic
         return {
             "name": self.name,
-            "topology": self.topology,
-            "topology_params": dict(self.topology_params),
-            "pattern": self.pattern,
-            "pattern_params": dict(self.pattern_params),
-            "injector": self.injector,
-            "injector_params": dict(self.injector_params),
-            "load": self.load,
+            "topology": traffic.topology,
+            "topology_params": dict(traffic.topology_params),
+            "pattern": traffic.pattern,
+            "pattern_params": dict(traffic.pattern_params),
+            "injector": traffic.injector,
+            "injector_params": dict(traffic.injector_params),
+            "load": traffic.load,
             "seeds": list(self.seeds),
-            "warmup": self.warmup,
-            "measure": self.measure,
-            "scale": self.scale,
+            "warmup": traffic.warmup,
+            "measure": traffic.measure,
+            "scale": traffic.scale,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "GoldenCase":
         """Rebuild a :class:`GoldenCase` from :meth:`to_dict` output."""
-        return cls(
-            name=data["name"],
+        traffic = FuzzCase(
             topology=data["topology"],
             pattern=data["pattern"],
             injector=data["injector"],
             load=data["load"],
-            seeds=tuple(data["seeds"]),
             warmup=data["warmup"],
             measure=data["measure"],
-            topology_params=tuple(data.get("topology_params", {}).items()),
-            pattern_params=tuple(data.get("pattern_params", {}).items()),
-            injector_params=tuple(data.get("injector_params", {}).items()),
+            topology_params=data.get("topology_params", {}),
+            pattern_params=data.get("pattern_params", {}),
+            injector_params=data.get("injector_params", {}),
             scale=data.get("scale", "tiny"),
         )
+        return cls(data["name"], traffic, data["seeds"])
+
+
+def _traffic(topology: str, pattern: str, injector: str, load: float, **params) -> FuzzCase:
+    """A :data:`DEFAULT_CASES` traffic case: its window is 80 + 240 cycles."""
+    return FuzzCase(
+        topology, pattern, injector, load=load, warmup=80, measure=240, **params
+    )
 
 
 #: The committed validation corpus: one case per structurally distinct
@@ -129,32 +107,30 @@ class GoldenCase:
 #: torus.  Small on purpose: each case re-measures in seconds, and the
 #: fuzzer (not this corpus) owns configuration-space coverage.
 DEFAULT_CASES = (
+    GoldenCase("toph-uniform-poisson", _traffic("toph", "uniform", "poisson", 0.30)),
+    GoldenCase("top1-uniform-heavy", _traffic("top1", "uniform", "poisson", 0.50)),
     GoldenCase(
-        name="toph-uniform-poisson", topology="toph",
-        pattern="uniform", injector="poisson", load=0.30,
+        "mesh-tornado-bernoulli",
+        _traffic(
+            "mesh", "tornado", "bernoulli", 0.40,
+            topology_params=(("width", 2), ("height", 2)),
+        ),
     ),
     GoldenCase(
-        name="top1-uniform-heavy", topology="top1",
-        pattern="uniform", injector="poisson", load=0.50,
+        "torus-hotspot-bursty",
+        _traffic(
+            "torus", "hotspot", "bursty", 0.35,
+            topology_params=(("width", 2), ("height", 2)),
+            pattern_params=(("p_hot", 0.7), ("num_hotspots", 2)),
+            injector_params=(("burst_len", 4.0), ("burst_rate", 0.8)),
+        ),
     ),
     GoldenCase(
-        name="mesh-tornado-bernoulli", topology="mesh",
-        topology_params=(("width", 2), ("height", 2)),
-        pattern="tornado", injector="bernoulli", load=0.40,
-    ),
-    GoldenCase(
-        name="torus-hotspot-bursty", topology="torus",
-        topology_params=(("width", 2), ("height", 2)),
-        pattern="hotspot",
-        pattern_params=(("p_hot", 0.7), ("num_hotspots", 2)),
-        injector="bursty",
-        injector_params=(("burst_len", 4.0), ("burst_rate", 0.8)),
-        load=0.35,
-    ),
-    GoldenCase(
-        name="toph-local-biased", topology="toph",
-        pattern="local_biased", pattern_params=(("p_local", 0.6),),
-        injector="poisson", load=0.45,
+        "toph-local-biased",
+        _traffic(
+            "toph", "local_biased", "poisson", 0.45,
+            pattern_params=(("p_local", 0.6),),
+        ),
     ),
 )
 
@@ -168,17 +144,9 @@ def measure_case(case: GoldenCase) -> dict:
     per-seed sample.  Returns ``{metric: BootstrapSummary}`` for
     :data:`METRICS`.
     """
-    config = SCALES[case.scale](case.topology, topology_params=case.topology_params)
+    traffic = case.traffic
     results = [
-        TrafficSimulation(
-            MemPoolCluster(config, engine="vector"),
-            case.load,
-            pattern=case.pattern,
-            seed=seed,
-            injector=case.injector,
-            pattern_params=dict(case.pattern_params) or None,
-            injector_params=dict(case.injector_params) or None,
-        ).run(case.warmup, case.measure)
+        traffic.simulation("vector", seed).run(traffic.warmup, traffic.measure)
         for seed in case.seeds
     ]
     return {
@@ -194,10 +162,15 @@ def write_goldens(
 
     The written document embeds the band policy alongside the measured
     bootstrap summaries, so ``validate`` applies the same thresholds the
-    goldens were committed under (CLI flags can still override them).
+    goldens were committed under.  Without a ``policy``, the one already
+    committed at ``path`` is kept (the default one for a new file).
     Returns the written document.
     """
-    policy = policy or BandPolicy()
+    if policy is None:
+        try:
+            policy = load_goldens(path)[1]
+        except ValueError:
+            policy = BandPolicy()
     if cases is None:
         cases = DEFAULT_CASES
     document = {
@@ -360,20 +333,13 @@ def relative_deviation(measured: float, golden: float) -> float:
     return abs(measured - golden) / abs(golden)
 
 
-def validate_goldens(
-    path=GOLDEN_PATH, policy: BandPolicy | None = None
-) -> ValidationReport:
-    """Re-measure every golden case and classify the deviations.
+def validate_goldens(path=GOLDEN_PATH) -> ValidationReport:
+    """Re-measure every golden case of ``path`` and classify the deviations.
 
-    Parameters
-    ----------
-    path : path-like
-        Golden file written by :func:`write_goldens`.
-    policy : BandPolicy, optional
-        Threshold override; defaults to the policy committed in the file.
+    The bands are the policy committed in the file (see
+    :func:`write_goldens`).
     """
-    records, file_policy = load_goldens(path)
-    policy = policy or file_policy
+    records, policy = load_goldens(path)
     rows = []
     for case, golden in records:
         fresh = measure_case(case)

@@ -232,12 +232,17 @@ BAD_NUMBERS = (
      "measure_cycles must be a non-negative integer, got -3"),
     (["serve", "--max-jobs", "0", "--port", "0"],
      "max_jobs must be positive, got 0"),
+    (["serve", "--port", "70000", "--cache", "none"],
+     "port must be in 0..65535, got 70000"),
+    (["serve", "--port", "-1", "--cache", "none"],
+     "port must be in 0..65535, got -1"),
 )
 
 
 @pytest.mark.parametrize(
     "argv, message", BAD_NUMBERS,
-    ids=["warmup-negative", "measure-zero", "measure-negative", "max-jobs-zero"],
+    ids=["warmup-negative", "measure-zero", "measure-negative", "max-jobs-zero",
+         "port-too-large", "port-negative"],
 )
 def test_bad_number_exits_one_with_a_message(argv, message, capsys, tmp_path):
     from repro.experiments.__main__ import main

@@ -8,7 +8,7 @@ property runs seeded random programs through ``MemPoolSystem`` the same
 way.  A failure
 shrinks deterministically and raises a
 :class:`~repro.validation.fuzz.DivergenceError` whose message embeds the
-one-line ``python -m repro.validation --replay`` reproducer (and, when
+one-line ``python -m repro.experiments validate --replay`` reproducer (and, when
 ``FUZZ_REPRODUCER_FILE`` is set, appends the spec there for the CI
 artifact upload).
 

@@ -657,6 +657,11 @@ class TestLifecycle:
         with pytest.raises(OSError):
             SweepService(port=instance.port, cache=None).start()
 
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_out_of_range_port_is_refused_before_binding(self, port):
+        with pytest.raises(ValueError, match=r"port must be in 0\.\.65535"):
+            SweepService(port=port)
+
     def test_service_without_cache_disables_results(self, service):
         instance = service(cache=None)
         client = make_client(instance)

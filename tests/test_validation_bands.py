@@ -20,6 +20,7 @@ from repro.traffic.simulation import TrafficSimulation
 from repro.validation import (
     METRICS,
     BandPolicy,
+    FuzzCase,
     GoldenCase,
     Severity,
     bootstrap_mean,
@@ -33,15 +34,18 @@ from repro.validation import (
 #: A fast golden corpus for the filesystem-round-trip tests.
 FAST_CASES = (
     GoldenCase(
-        name="toph-uniform-fast", topology="toph", pattern="uniform",
-        injector="poisson", load=0.3, seeds=(0, 1, 2), warmup=30, measure=100,
+        "toph-uniform-fast",
+        FuzzCase("toph", "uniform", "poisson", load=0.3, warmup=30, measure=100),
+        seeds=(0, 1, 2),
     ),
     GoldenCase(
-        name="mesh-hotspot-fast", topology="mesh",
-        topology_params=(("width", 2), ("height", 2)),
-        pattern="hotspot", pattern_params=(("p_hot", 0.6),),
-        injector="bernoulli", load=0.25, seeds=(0, 1, 2),
-        warmup=30, measure=100,
+        "mesh-hotspot-fast",
+        FuzzCase(
+            "mesh", "hotspot", "bernoulli", load=0.25, warmup=30, measure=100,
+            topology_params=(("width", 2), ("height", 2)),
+            pattern_params=(("p_hot", 0.6),),
+        ),
+        seeds=(0, 1, 2),
     ),
 )
 
@@ -99,21 +103,6 @@ class TestBandPolicy:
         )
         assert BandPolicy.from_dict(policy.to_dict()) == policy
 
-    def test_from_spec_overrides(self):
-        policy = BandPolicy.from_spec(
-            "0.005,0.02,0.05,0.1", warn_from="minor", reject_from="severe"
-        )
-        assert policy.edges == (0.005, 0.02, 0.05, 0.1)
-        assert policy.warn_from is Severity.MINOR
-
-    def test_from_spec_needs_four_edges(self):
-        with pytest.raises(ValueError, match="exactly 4"):
-            BandPolicy.from_spec("0.01,0.02")
-
-    def test_from_spec_rejects_non_numeric(self):
-        with pytest.raises(ValueError, match="must be numbers"):
-            BandPolicy.from_spec("a,b,c,d")
-
 
 class TestBootstrap:
     def test_interval_brackets_the_mean(self):
@@ -148,45 +137,53 @@ class TestGoldenCase:
         case = FAST_CASES[1]
         assert GoldenCase.from_dict(case.to_dict()) == case
 
+    def test_golden_v1_layout(self):
+        assert FAST_CASES[1].to_dict() == {
+            "name": "mesh-hotspot-fast",
+            "topology": "mesh",
+            "topology_params": {"height": 2, "width": 2},
+            "pattern": "hotspot",
+            "pattern_params": {"p_hot": 0.6},
+            "injector": "bernoulli",
+            "injector_params": {},
+            "load": 0.25,
+            "seeds": [0, 1, 2],
+            "warmup": 30,
+            "measure": 100,
+            "scale": "tiny",
+        }
+
     def test_validation_happens_at_construction(self):
         with pytest.raises(ValueError, match="at least one seed"):
-            GoldenCase(
-                name="empty", topology="toph", pattern="uniform",
-                injector="poisson", load=0.3, seeds=(),
-            )
-        with pytest.raises(ValueError, match="unknown scale"):
-            GoldenCase(
-                name="huge", topology="toph", pattern="uniform",
-                injector="poisson", load=0.3, scale="huge",
-            )
-        with pytest.raises(ValueError, match="unknown topology"):
-            GoldenCase(
-                name="warp", topology="warp", pattern="uniform",
-                injector="poisson", load=0.3,
-            )
-        with pytest.raises(ValueError, match="p_hot"):
-            GoldenCase(
-                name="hot", topology="toph", pattern="hotspot",
-                pattern_params=(("p_hot", 2.0),), injector="poisson", load=0.3,
-            )
+            GoldenCase("empty", FuzzCase("toph"), seeds=())
+        layout = FAST_CASES[0].to_dict()
+        for field_name, value, message in (
+            ("scale", "huge", "unknown scale"),
+            ("topology", "warp", "unknown topology"),
+            ("pattern_params", {"p_hot": 2.0}, "p_hot"),
+            ("warmup", 2.5, "warmup must be an integer"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                GoldenCase.from_dict({**layout, field_name: value})
 
 
 class TestPerSeedMeasurement:
     def test_measure_case_equals_per_seed_legacy_runs(self):
         """measure_case bootstraps exactly S independent per-seed runs."""
         case = FAST_CASES[1]
+        traffic = case.traffic
         config = MemPoolConfig.tiny(
-            case.topology, topology_params=case.topology_params
+            traffic.topology, topology_params=traffic.topology_params
         )
         results = [
             TrafficSimulation(
                 MemPoolCluster(config, engine="legacy"),
-                case.load,
-                pattern=case.pattern,
+                traffic.load,
+                pattern=traffic.pattern,
                 seed=seed,
-                injector=case.injector,
-                pattern_params=dict(case.pattern_params),
-            ).run(case.warmup, case.measure)
+                injector=traffic.injector,
+                pattern_params=dict(traffic.pattern_params),
+            ).run(traffic.warmup, traffic.measure)
             for seed in case.seeds
         ]
         assert measure_case(case) == {
@@ -314,26 +311,6 @@ class TestValidateCli:
         assert code == 1
         assert "verdict: reject" in capsys.readouterr().out
 
-    def test_validate_band_overrides_tighten_the_gate(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main
-
-        golden = self._write_fast_golden(tmp_path)
-        document = json.loads(golden.read_text())
-        entry = document["cases"][0]["golden"]["average_latency"]
-        entry["mean"] *= 1.02  # ~2% off: MINOR under the default bands
-        golden.write_text(json.dumps(document))
-        assert main(
-            ["validate", "--golden", str(golden), "--report", "none"]
-        ) == 0
-        capsys.readouterr()
-        # Tightened bands push the same deviation into reject territory.
-        code = main([
-            "validate", "--golden", str(golden), "--report", "none",
-            "--bands", "0.0001,0.001,0.005,0.01",
-        ])
-        assert code == 1
-        assert "verdict: reject" in capsys.readouterr().out
-
     def test_validate_update_writes_golden(self, tmp_path, capsys, monkeypatch):
         from repro.experiments.__main__ import main
         from repro.validation import golden as golden_module
@@ -345,28 +322,25 @@ class TestValidateCli:
         records, _ = load_goldens(target)
         assert records[0][0].name == FAST_CASES[0].name
 
-    @pytest.mark.parametrize(
-        "flags, warn_from",
-        [([], "moderate"), (["--warn-from", "severe"], "severe")],
-        ids=["plain", "warn-from"],
-    )
     def test_validate_update_keeps_the_committed_policy(
-        self, tmp_path, capsys, monkeypatch, flags, warn_from
+        self, tmp_path, capsys, monkeypatch
     ):
-        """``--update`` re-measures; the flags left out keep the file's bands."""
+        """``--update`` re-measures; the file's band policy stays."""
         from repro.experiments.__main__ import main
         from repro.validation import golden as golden_module
 
         mesh = FAST_CASES[1]
         monkeypatch.setattr(golden_module, "DEFAULT_CASES", (mesh,))
         target = tmp_path / "golden.json"
-        committed = BandPolicy(ok=0.02, minor=0.05, moderate=0.1, severe=0.3)
+        committed = BandPolicy(
+            ok=0.02, minor=0.05, moderate=0.1, severe=0.3,
+            warn_from=Severity.SEVERE, reject_from=Severity.CRITICAL,
+        )
         write_goldens(target, cases=(mesh,), policy=committed)
-        assert main(["validate", "--golden", str(target), "--update", *flags]) == 0
+        assert main(["validate", "--golden", str(target), "--update"]) == 0
         capsys.readouterr()
         _, policy = load_goldens(target)
-        assert policy.edges == committed.edges
-        assert policy.warn_from is Severity.from_name(warn_from)
+        assert policy == committed
 
     def test_validate_missing_golden_exits_one(self, tmp_path, capsys):
         from repro.experiments.__main__ import main

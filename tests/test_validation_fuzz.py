@@ -3,11 +3,13 @@
 Separate from ``test_fuzz_differential`` (the budgeted CI campaign):
 these tests pin the *harness* — replay-spec round trips, strategy
 validity, the divergence detector and its reproducer workflow, and the
-``python -m repro.validation`` CLI — with fixed inputs, so they are
-deterministic and budget-independent.
+``python -m repro.experiments validate --replay`` command — with fixed
+inputs, so they are deterministic and budget-independent.
 """
 
 from __future__ import annotations
+
+import shlex
 
 import pytest
 
@@ -103,6 +105,26 @@ class TestSpecRoundTrip:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="warmup >= 0"):
             FuzzCase.from_spec("toph:warmup=-1")
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ("seed=1.7", "seed must be an integer, got 1.7"),
+            ("seed=true", "seed must be an integer, got True"),
+            ("warmup=2.5", "warmup must be an integer, got 2.5"),
+            ("measure=long", "measure must be an integer, got 'long'"),
+            ("load=true", "load must be a number, got True"),
+            ("load=high", "load must be a number, got 'high'"),
+        ],
+        ids=["seed-float", "seed-bool", "warmup-float", "measure-word",
+             "load-bool", "load-word"],
+    )
+    def test_mistyped_reserved_value_is_refused_not_truncated(self, item, message):
+        with pytest.raises(ValueError, match=message):
+            FuzzCase.from_spec(f"toph:{item}")
+
+    def test_integer_load_is_a_float(self):
+        assert FuzzCase.from_spec("toph:load=1").load == 1.0
 
     def test_structurally_invalid_topology_rejected(self):
         # Every parameter passes its own validator; only the
@@ -278,51 +300,47 @@ class TestSeedSensitivity:
         assert logs[0] != logs[1]
 
 
-class TestValidationCli:
-    """``python -m repro.validation`` replay and fuzz paths."""
+class TestReplayCommand:
+    """``python -m repro.experiments validate --replay SPEC``."""
 
     def test_replay_agreeing_case_exits_zero(self, capsys):
-        from repro.validation.__main__ import main
+        from repro.experiments.__main__ import main
 
-        assert main(["--replay", BUSY_SPEC]) == 0
+        assert main(["validate", "--replay", BUSY_SPEC]) == 0
         out = capsys.readouterr().out
         assert "engines agree" in out and "over 2 windows" in out
 
-    def test_replay_bad_spec_exits_two(self, capsys):
-        from repro.validation.__main__ import main
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("warp:seed=1", "unknown topology"),
+            ("mesh:width=5,height=5", "do not tile"),
+            ("toph:seed=1.7", "seed must be an integer"),
+        ],
+        ids=["unknown-topology", "structural-error", "mistyped-seed"],
+    )
+    def test_unparsable_spec_exits_two(self, capsys, spec, message):
+        from repro.experiments.__main__ import main
 
-        assert main(["--replay", "warp:seed=1"]) == 2
-        assert "unknown topology" in capsys.readouterr().err
-
-    def test_replay_structural_error_exits_two(self, capsys):
-        from repro.validation.__main__ import main
-
-        assert main(["--replay", "mesh:width=5,height=5"]) == 2
-        assert "do not tile" in capsys.readouterr().err
+        assert main(["validate", "--replay", spec]) == 2
+        assert message in capsys.readouterr().err
 
     def test_replay_divergence_exits_one(self, capsys, monkeypatch):
-        from repro.validation.__main__ import main
+        from repro.experiments.__main__ import main
 
         _tampered_vector(monkeypatch)
-        assert main(["--replay", BUSY_SPEC]) == 1
+        assert main(["validate", "--replay", BUSY_SPEC]) == 1
         assert "--replay" in capsys.readouterr().err
 
-    def test_fuzz_command_runs_budget(self, capsys):
-        pytest.importorskip("hypothesis")
-        from repro.validation.__main__ import main
+    def test_the_printed_reproducer_runs(self, capsys, monkeypatch):
+        """The ``reproduce with:`` line is a working command, verbatim."""
+        from repro.experiments.__main__ import main
 
-        assert main(["fuzz", "--budget", "3"]) == 0
-        assert "3 configurations checked" in capsys.readouterr().out
-
-    def test_fuzz_command_rejects_bad_budget(self):
-        pytest.importorskip("hypothesis")
-        from repro.validation.__main__ import main
-
-        with pytest.raises(ValueError, match="budget must be positive"):
-            main(["fuzz", "--budget", "0"])
-
-    def test_no_arguments_prints_help(self, capsys):
-        from repro.validation.__main__ import main
-
-        assert main([]) == 2
-        assert "usage" in capsys.readouterr().out
+        _tampered_vector(monkeypatch)
+        with pytest.raises(DivergenceError) as excinfo:
+            check_case(FuzzCase.from_spec(BUSY_SPEC))
+        lines = str(excinfo.value).splitlines()
+        command = shlex.split(lines[lines.index("reproduce with:") + 1])
+        assert command[:3] == ["python", "-m", "repro.experiments"]
+        assert main(command[3:]) == 1
+        assert excinfo.value.replay_spec in capsys.readouterr().out
