@@ -35,10 +35,15 @@ per-path compilation cost about 14 and 270 ms (development host, best of
 seven, five alternations).
 
 A compiled template is a *move chain*: a singly linked chain of
-``(target, arbiters, next)`` triples, one per hop.  ``target`` is the next
+``(target, arbiter, next)`` triples, one per hop.  ``target`` is the next
 register stage to enter (:data:`BANK`, a stage id, or :data:`COMPLETE`),
-``arbiters`` the run of combinational arbitration points crossed on the
-way, and ``next`` the following hop's triple (``None`` past the end).
+``arbiter`` the combinational arbitration points crossed on the way as
+one int — :data:`NO_ARBITER` for none, the arbiter id for one, and
+``code <= -2`` for a run of two or more, held in
+``arbiter_runs[-2 - code]`` (:meth:`CompiledNetwork.link_arbiters`
+decodes a link) — and ``next`` the following hop's triple (``None`` past
+the end).  Most hops cross at most one arbiter, so the engine's hop loops
+test one int instead of iterating a tuple.
 ``path_moves[p]`` is the chain head — the injection hop from the core.
 The engine keeps each flit's *current* triple at hand, so advancing a flit
 never indexes back into per-path tables: one list read yields everything
@@ -85,6 +90,8 @@ COMPLETE = -1
 #: Move-chain target marking the destination bank's stage, resolved against
 #: the flit's ``bank_id`` at move time.
 BANK = -2
+#: Move-chain arbiter of a hop that crosses no arbitration point.
+NO_ARBITER = -1
 
 
 class EngineCompileError(ValueError):
@@ -164,7 +171,7 @@ class _HalfPair(NamedTuple):
     — the one per-core resource of a path, the core's response port.
     """
 
-    #: ``(target, arbiters)`` hops: request half, :data:`BANK`, response half.
+    #: ``(target, arbiter)`` hops: request half, :data:`BANK`, response half.
     moves: tuple
     #: ``moves``' targets: the register-stage sequence of a load.
     stages: tuple
@@ -222,6 +229,9 @@ class CompiledNetwork:
     path_stage_seq : list
         Per-template register-stage sequences (with the :data:`BANK`
         placeholder), used for introspection and latency book-keeping.
+    arbiter_runs : list of tuple of int
+        The distinct runs of two or more arbiters a hop crosses, indexed
+        by a link's ``-2 - arbiter`` (see :meth:`link_arbiters`).
     """
 
     def __init__(self, topology: ClusterTopology) -> None:
@@ -301,6 +311,8 @@ class CompiledNetwork:
         #: without materialising resource paths per flit.
         self.path_first_stage_pos: list[int] = []
         self.path_resource_len: list[int] = []
+        self.arbiter_runs: list[tuple[int, ...]] = []
+        self._run_codes: dict[tuple[int, ...], int] = {}
         #: Compiled remote halves, keyed like the topology's own
         #: :meth:`~repro.interconnect.topology.ClusterTopology.path_halves`.
         self._half_pairs: dict[tuple[int, int, int] | None, _HalfPair] = {}
@@ -414,13 +426,14 @@ class CompiledNetwork:
 
     def _compile_half(
         self, resources: list[Resource], after_bank: bool
-    ) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
         """Compile the resources on one side of the bank stage into hops.
 
-        Returns ``(moves, pending)``: one ``(stage id, arbiters crossed on
-        the way in)`` pair per register stage, and the arbiters behind the
-        last stage — they belong to the hop that leaves the half (into the
-        bank for a request half, to completion for a response half).
+        Returns ``(moves, pending)``: one ``(stage id, encoded arbiters
+        crossed on the way in)`` pair per register stage, and the arbiters
+        behind the last stage — they belong to the hop that leaves the half
+        (into the bank for a request half, to completion for a response
+        half).
 
         Raises
         ------
@@ -430,7 +443,7 @@ class CompiledNetwork:
             up to (``after_bank=False``) or on from (``after_bank=True``)
             the bank level.
         """
-        moves: list[tuple[int, tuple[int, ...]]] = []
+        moves: list[tuple[int, int]] = []
         pending: list[int] = []
         levels = [LEVEL_BANK] if after_bank else []
         for resource in resources:
@@ -441,7 +454,7 @@ class CompiledNetwork:
                         f"register stage {resource.name!r} is not part of the "
                         "compiled topology's stage network"
                     )
-                moves.append((stage_id, tuple(pending)))
+                moves.append((stage_id, self._arbiter_code(tuple(pending))))
                 pending.clear()
                 levels.append(self.stage_level[stage_id])
             else:
@@ -470,7 +483,8 @@ class CompiledNetwork:
         if pair is None:
             request_moves, into_bank = self._compile_half(request, after_bank=False)
             response_moves, pending = self._compile_half(response, after_bank=True)
-            moves = (*request_moves, (BANK, into_bank), *response_moves)
+            bank_hop = (BANK, self._arbiter_code(into_bank))
+            moves = (*request_moves, bank_hop, *response_moves)
             pair = self._half_pairs[key] = _HalfPair(
                 moves,
                 tuple([target for target, _ in moves]),
@@ -481,24 +495,41 @@ class CompiledNetwork:
             )
         return pair
 
+    def _arbiter_code(self, arbiters: tuple[int, ...]) -> int:
+        """Encode a hop's arbiter run as one int (see :meth:`link_arbiters`)."""
+        if len(arbiters) < 2:
+            return arbiters[0] if arbiters else NO_ARBITER
+        if arbiters not in self._run_codes:
+            self._run_codes[arbiters] = -2 - len(self.arbiter_runs)
+            self.arbiter_runs.append(arbiters)
+        return self._run_codes[arbiters]
+
+    def link_arbiters(self, link: tuple) -> tuple[int, ...]:
+        """The arbiter ids a move-chain ``link`` crosses, in path order."""
+        code = link[1]
+        if code >= 0:
+            return (code,)
+        return () if code == NO_ARBITER else self.arbiter_runs[-2 - code]
+
     def _link_template(self, core_id: int, tile: int, needs_response: bool) -> int:
         """Link one template from its shared halves; return its new id."""
         moves, stages, store_hops, pending, resource_len, load_len = (
             self._half_pair(core_id, tile)
         )
         if needs_response:
-            chain = (COMPLETE, (*pending, self._core_response[core_id]), None)
+            last = self._arbiter_code((*pending, self._core_response[core_id]))
+            chain = (COMPLETE, last, None)
             resource_len = load_len
         else:
             moves, stages = moves[:store_hops], stages[:store_hops]
-            chain = (COMPLETE, (), None)
-        for target, arbiters in reversed(moves):
-            chain = (target, arbiters, chain)
+            chain = (COMPLETE, NO_ARBITER, None)
+        for target, arbiter in reversed(moves):
+            chain = (target, arbiter, chain)
         path_id = len(self.path_moves)
         self.path_moves.append(chain)
         self.path_stage_seq.append(stages)
         # As many arbiters lead into the first register stage.
-        self.path_first_stage_pos.append(len(chain[1]))
+        self.path_first_stage_pos.append(len(self.link_arbiters(chain)))
         self.path_resource_len.append(resource_len)
         return path_id
 

@@ -74,13 +74,9 @@ def _allocate_window(simulation, engine, start: int, end: int):
         done = upto
     cores = np.asarray(sources, dtype=np.int64)
     config = simulation.cluster.config
-    core_tile = np.asarray(
-        [config.tile_of_core(core) for core in range(config.num_cores)]
-    )
-    bank_tile = np.asarray(engine.compiled.tile_of_bank)
-    simulation._local_requests += int(
-        np.count_nonzero(bank_tile[banks] == core_tile[cores])
-    )
+    simulation._local_requests += int(np.count_nonzero(
+        banks // config.banks_per_tile == cores // config.cores_per_tile
+    ))
     simulation._total_requests += len(sources)
     return engine.new_flits(cores, banks, created), sources, ends
 

@@ -10,17 +10,18 @@ permutations within each level — over flat arrays instead of object graphs.
 
 Each cycle is two steps:
 
-1. **Occupancy gather (vectorized).**  A NumPy boolean column tracks which
-   stages hold at least one flit; one boolean-mask index over the cycle's
-   concatenated downstream-first visiting order yields every candidate
-   stage of the cycle, in exact arbitration order, without visiting the
-   (mostly empty) remainder of the network.
+1. **Occupancy gather (vectorized).**  A ``bytearray`` marks the stages
+   holding at least one flit; one boolean-mask index through its NumPy
+   bool view, over the cycle's concatenated downstream-first visiting
+   order, yields every candidate stage of the cycle, in exact arbitration
+   order, without visiting the (mostly empty) remainder of the network.
 2. **Head-flit moves (per candidate).**  Each candidate stage's head row
-   carries its *resolved next hop* — the ``(target stage, arbiter run,
+   carries its *resolved next hop* — the ``(target stage, arbiter,
    following hop)`` triple of its move chain, with the bank-stage
    placeholder already substituted — so a hop attempt reads one list cell,
-   checks target space and arbiter grants, and either moves the row or
-   leaves every piece of state untouched.
+   checks target space and the grant of its one arbiter (a run of several
+   goes through :meth:`VectorEngine._grant_run`), and either moves the row
+   or leaves every piece of state untouched.
 
 The engine is *cycle-exact* with respect to the object engine: for the same
 topology and the same injection sequence it produces flit-for-flit identical
@@ -70,8 +71,10 @@ class VectorEngine:
         num_stages = compiled.num_stages
         #: Per-stage FIFO of buffered flit rows.
         self.queues: list[deque[int]] = [deque() for _ in range(num_stages)]
-        #: Vectorized occupancy column: True where a stage buffers >= 1 flit.
-        self.occupied = np.zeros(num_stages, dtype=bool)
+        #: Occupancy, 1 where a stage buffers >= 1 flit: the hop loops write
+        #: the bytes (no NumPy scalar store), the gather reads the bool view.
+        self._occupied_cells = bytearray(num_stages)
+        self.occupied = np.frombuffer(self._occupied_cells, dtype=bool)
         #: Free elastic-buffer slots per stage (depth minus queue length) —
         #: lets a blocked hop fail on one list read instead of a queue fetch.
         self.free_slots = list(compiled.stage_depth)
@@ -120,8 +123,8 @@ class VectorEngine:
         bank_stage = compiled.bank_stage_ids
         bank_rows = np.flatnonzero(bank_headed)
         for row, bank in zip(bank_rows.tolist(), banks[bank_rows].tolist()):
-            _, arbiters, following = moves[row]
-            moves[row] = (bank_stage[bank], arbiters, following)
+            _, arbiter, following = moves[row]
+            moves[row] = (bank_stage[bank], arbiter, following)
         self._next_move.extend(moves)
         return first
 
@@ -147,9 +150,11 @@ class VectorEngine:
         compiled = self.compiled
         queues = self.queues
         occupied = self.occupied
+        occupied_cells = self._occupied_cells
         free_slots = self.free_slots
         accepted = self.accepted_cycle
         granted = self.granted_cycle
+        grant_run = self._grant_run
         bank_stage = compiled.bank_stage_ids
         flits = self.flits
         bank_of = flits.bank
@@ -162,33 +167,29 @@ class VectorEngine:
 
         order = compiled.full_orders[cycle % compiled.order_pool_size]
         for stage in order[occupied[order]].tolist():
-            target, arbiters, following = head_move[stage]
+            target, arbiter, following = head_move[stage]
             if target >= 0 and (not free_slots[target] or accepted[target] == cycle):
                 continue
-            if arbiters:
-                blocked = False
-                for arbiter in arbiters:
-                    if granted[arbiter] == cycle:
-                        blocked = True
-                        break
-                if blocked:
+            if arbiter >= 0:
+                if granted[arbiter] == cycle:
                     continue
-                for arbiter in arbiters:
-                    granted[arbiter] = cycle
+                granted[arbiter] = cycle
+            elif arbiter < -1 and not grant_run(arbiter, cycle):
+                continue
             queue = queues[stage]
             row = queue.popleft()
             free_slots[stage] += 1
             if queue:
                 head_move[stage] = next_move[queue[0]]
             else:
-                occupied[stage] = False
+                occupied_cells[stage] = 0
             if target >= 0:
                 if following[0] == BANK:
                     following = (bank_stage[bank_of[row]], following[1], following[2])
                 next_move[row] = following
                 target_queue = queues[target]
                 if not target_queue:
-                    occupied[target] = True
+                    occupied_cells[target] = 1
                     head_move[target] = following
                 target_queue.append(row)
                 free_slots[target] -= 1
@@ -199,6 +200,17 @@ class VectorEngine:
                 self.total_completed += 1
                 completed.append(row)
         return completed
+
+    def _grant_run(self, code: int, cycle: int) -> bool:
+        """Grant every arbiter of a link's run ``code`` (``<= -2``), or none."""
+        granted = self.granted_cycle
+        run = self.compiled.arbiter_runs[-2 - code]
+        for arbiter in run:
+            if granted[arbiter] == cycle:
+                return False
+        for arbiter in run:
+            granted[arbiter] = cycle
+        return True
 
     def try_inject(self, row: int, cycle: int) -> bool:
         """Try to move ``row`` from its core into the first register stage.
@@ -215,18 +227,17 @@ class VectorEngine:
         """The injection hop of one row (inlined in :meth:`inject_queues`)."""
         flits = self.flits
         compiled = self.compiled
-        target, arbiters, following = self._next_move[row]
+        target, arbiter, following = self._next_move[row]
         if target >= 0 and (
             not self.free_slots[target] or self.accepted_cycle[target] == cycle
         ):
             return False
-        if arbiters:
-            granted = self.granted_cycle
-            for arbiter in arbiters:
-                if granted[arbiter] == cycle:
-                    return False
-            for arbiter in arbiters:
-                granted[arbiter] = cycle
+        if arbiter >= 0:
+            if self.granted_cycle[arbiter] == cycle:
+                return False
+            self.granted_cycle[arbiter] = cycle
+        elif arbiter < -1 and not self._grant_run(arbiter, cycle):
+            return False
         flits.injected_cycle[row] = cycle
         self.total_injected += 1
         if target >= 0:
@@ -239,7 +250,7 @@ class VectorEngine:
             self._next_move[row] = following
             queue = self.queues[target]
             if not queue:
-                self.occupied[target] = True
+                self._occupied_cells[target] = 1
                 self._head_move[target] = following
             queue.append(row)
             self.free_slots[target] -= 1
@@ -268,20 +279,19 @@ class VectorEngine:
         templates = self._write_templates if is_write else self._read_templates
         template_row = templates[core_id] or compiled.template_row(core_id, not is_write)
         path_id = template_row[compiled.tile_of_bank[bank_id]]
-        target, arbiters, following = compiled.path_moves[path_id]
+        target, arbiter, following = compiled.path_moves[path_id]
         if target == BANK:
             target = compiled.bank_stage_ids[bank_id]
         if target >= 0 and (
             not self.free_slots[target] or self.accepted_cycle[target] == cycle
         ):
             return None
-        if arbiters:
-            granted = self.granted_cycle
-            for arbiter in arbiters:
-                if granted[arbiter] == cycle:
-                    return None
-            for arbiter in arbiters:
-                granted[arbiter] = cycle
+        if arbiter >= 0:
+            if self.granted_cycle[arbiter] == cycle:
+                return None
+            self.granted_cycle[arbiter] = cycle
+        elif arbiter < -1 and not self._grant_run(arbiter, cycle):
+            return None
         # FlitTable.allocate, inlined: one call per accepted request shows here.
         flits = self.flits
         row = flits.count
@@ -303,7 +313,7 @@ class VectorEngine:
             self._next_move.append(following)
             queue = self.queues[target]
             if not queue:
-                self.occupied[target] = True
+                self._occupied_cells[target] = 1
                 self._head_move[target] = following
             queue.append(row)
             self.free_slots[target] -= 1
@@ -334,8 +344,9 @@ class VectorEngine:
         free_slots = self.free_slots
         accepted = self.accepted_cycle
         granted = self.granted_cycle
+        grant_run = self._grant_run
         queues = self.queues
-        occupied = self.occupied
+        occupied_cells = self._occupied_cells
         head_move = self._head_move
         bank_of = self.flits.bank
         bank_stage = self.compiled.bank_stage_ids
@@ -348,7 +359,7 @@ class VectorEngine:
             if not source:
                 continue
             row = source[0]
-            target, arbiters, following = next_move[row]
+            target, arbiter, following = next_move[row]
             if target < 0:
                 # Degenerate zero-register path: not worth a second copy.
                 if self._inject(row, cycle):
@@ -357,16 +368,12 @@ class VectorEngine:
                 continue
             if not free_slots[target] or accepted[target] == cycle:
                 continue
-            if arbiters:
-                blocked = False
-                for arbiter in arbiters:
-                    if granted[arbiter] == cycle:
-                        blocked = True
-                        break
-                if blocked:
+            if arbiter >= 0:
+                if granted[arbiter] == cycle:
                     continue
-                for arbiter in arbiters:
-                    granted[arbiter] = cycle
+                granted[arbiter] = cycle
+            elif arbiter < -1 and not grant_run(arbiter, cycle):
+                continue
             source.popleft()
             injected_cycle[row] = cycle
             entered += 1
@@ -375,7 +382,7 @@ class VectorEngine:
             next_move[row] = following
             queue = queues[target]
             if not queue:
-                occupied[target] = True
+                occupied_cells[target] = 1
                 head_move[target] = following
             queue.append(row)
             free_slots[target] -= 1
@@ -392,18 +399,6 @@ class VectorEngine:
         """Total number of flit rows buffered in register stages."""
         return sum(len(queue) for queue in self.queues)
 
-    def drain(self, max_cycles: int, start_cycle: int) -> int:
-        """Advance until the network is empty; return the cycle reached."""
-        cycle = start_cycle
-        while self.in_flight > 0:
-            if cycle - start_cycle > max_cycles:
-                raise RuntimeError(
-                    f"network failed to drain within {max_cycles} cycles "
-                    f"({self.in_flight} flits in flight)"
-                )
-            self.advance(cycle)
-            cycle += 1
-        return cycle
 
 
 class VectorStageNetwork:
@@ -498,7 +493,7 @@ class VectorStageNetwork:
         """Advance until the network is empty; return the cycle reached."""
         cycle = start_cycle
         while self.in_flight > 0:
-            if cycle - start_cycle > max_cycles:
+            if cycle - start_cycle >= max_cycles:
                 raise RuntimeError(
                     f"network failed to drain within {max_cycles} cycles "
                     f"({self.in_flight} flits in flight)"

@@ -407,7 +407,7 @@ class StageNetwork:
         """
         cycle = start_cycle
         while self.in_flight > 0:
-            if cycle - start_cycle > max_cycles:
+            if cycle - start_cycle >= max_cycles:
                 raise RuntimeError(
                     f"network failed to drain within {max_cycles} cycles "
                     f"({self.in_flight} flits in flight)"

@@ -99,6 +99,7 @@ class Histogram:
     counts: dict[int, int] = field(default_factory=dict)
 
     def add(self, value: int, weight: int = 1) -> None:
+        """Add ``weight`` samples of ``value``."""
         self.counts[value] = self.counts.get(value, 0) + weight
 
     def extend(self, values: Iterable[int]) -> None:
@@ -108,9 +109,11 @@ class Histogram:
 
     @property
     def total(self) -> int:
+        """Number of samples (the sum of all weights)."""
         return sum(self.counts.values())
 
     def mean(self) -> float:
+        """Weighted mean of the samples; 0.0 when there are none."""
         total = self.total
         if total == 0:
             return 0.0
@@ -132,6 +135,7 @@ class Histogram:
         return max(self.counts)
 
     def items(self):
+        """``(value, count)`` pairs in ascending value order."""
         return sorted(self.counts.items())
 
 

@@ -6,7 +6,10 @@ compiler compiles each half once and links every template of the key from
 it.  Pinned here, with no wall clock: the keyed cache serves exactly the
 path a fresh construction yields — for every family and parameter selection
 of the registry, so a family that forgets its lane fails instead of
-aliasing — the linked templates equal a whole-path reference compile, the
+aliasing — the linked templates, decoded through
+:meth:`~repro.engine.compile.CompiledNetwork.link_arbiters`, equal a
+whole-path reference compile that shares no encoding code with the
+compiler (arbiter runs included, on scaled ``hierarchical``), the
 per-cycle visiting orders are the levels' own permutations, the
 number of half compiles is what the sharing promises, and block allocation
 still equals per-row allocation where the injection hop enters the bank.
@@ -56,6 +59,14 @@ def _same_resources(first, second) -> bool:
     return len(first) == len(second) and all(a is b for a, b in zip(first, second))
 
 
+def _decoded_chain(compiled, link):
+    """``link``'s chain with every arbiter run decoded to a tuple of ids."""
+    if link is None:
+        return None
+    target, _, following = link
+    return (target, compiled.link_arbiters(link), _decoded_chain(compiled, following))
+
+
 def _reference_template(compiled, resources, bank_stage):
     """Whole-path compile: ``(chain, stage_seq, first_stage_pos, resource_len)``."""
     moves, stage_seq, pending, first_stage_pos = [], [], [], -1
@@ -74,6 +85,30 @@ def _reference_template(compiled, resources, bank_stage):
     for target, arbiters in reversed(moves):
         chain = (target, arbiters, chain)
     return chain, tuple(stage_seq), first_stage_pos, len(resources)
+
+
+def _assert_linked_templates_equal_a_whole_path_compile(config):
+    """Every template of ``config``, decoded, equals the whole-path reference."""
+    topology = build_topology(config)
+    compiled = CompiledNetwork(topology)
+    for needs_response in (True, False):
+        for core in range(config.num_cores):
+            for tile in range(config.num_tiles):
+                bank = tile * config.banks_per_tile
+                path_id = compiled.path_id(core, bank, needs_response)
+                assert (
+                    _decoded_chain(compiled, compiled.path_moves[path_id]),
+                    compiled.path_stage_seq[path_id],
+                    compiled.path_first_stage_pos[path_id],
+                    compiled.path_resource_len[path_id],
+                ) == _reference_template(
+                    compiled,
+                    _fresh_path(topology, core, bank, needs_response),
+                    compiled.bank_stage_ids[bank],
+                ), (core, tile, needs_response)
+    assert compiled.num_paths == 2 * config.num_cores * config.num_tiles
+    assert set(compiled._half_pairs) == set(topology._path_cache)
+    return compiled
 
 
 @pytest.mark.parametrize(("name", "params"), SELECTIONS, ids=SELECTION_IDS)
@@ -121,26 +156,7 @@ class TestEveryRegisteredTopology:
         assert len(owners) == len(lanes) * config.num_tiles * (config.num_tiles - 1)
 
     def test_linked_templates_equal_a_whole_path_compile(self, name, params):
-        topology = build_topology(_tiny(name, params))
-        compiled = CompiledNetwork(topology)
-        config = topology.config
-        for needs_response in (True, False):
-            for core in range(config.num_cores):
-                for tile in range(config.num_tiles):
-                    bank = tile * config.banks_per_tile
-                    path_id = compiled.path_id(core, bank, needs_response)
-                    assert (
-                        compiled.path_moves[path_id],
-                        compiled.path_stage_seq[path_id],
-                        compiled.path_first_stage_pos[path_id],
-                        compiled.path_resource_len[path_id],
-                    ) == _reference_template(
-                        compiled,
-                        _fresh_path(topology, core, bank, needs_response),
-                        compiled.bank_stage_ids[bank],
-                    ), (core, tile, needs_response)
-        assert compiled.num_paths == 2 * config.num_cores * config.num_tiles
-        assert set(compiled._half_pairs) == set(topology._path_cache)
+        _assert_linked_templates_equal_a_whole_path_compile(_tiny(name, params))
 
     def test_full_orders_concatenate_every_levels_permutation(self, name, params):
         """``full_orders`` is the only copy of the per-level visiting orders.
@@ -171,6 +187,18 @@ class TestEveryRegisteredTopology:
                 for ids, schedule in schedules
                 for position in schedule.order(cycle)
             ], cycle
+
+
+@pytest.mark.parametrize(
+    ("params", "run_length"),
+    [((("radix", 2),), 2), ((("groups", 2), ("radix", 2)), 3)],
+    ids=["radix=2", "groups=2,radix=2"],
+)
+def test_arbiter_runs_decode_to_the_whole_path_compile(params, run_length):
+    """Hops crossing several arbiters (no ``tiny`` selection has one)."""
+    config = MemPoolConfig.scaled("hierarchical", topology_params=params)
+    compiled = _assert_linked_templates_equal_a_whole_path_compile(config)
+    assert {len(run) for run in compiled.arbiter_runs} == {run_length}
 
 
 class TestHalfCompileCounts:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cluster import MemPoolCluster
-from repro.core.config import MemPoolConfig
+from repro.core.config import ENGINES, MemPoolConfig
 from repro.engine import (
     CompiledNetwork,
     EngineCompileError,
@@ -145,6 +145,27 @@ class TestVectorStageNetwork:
             cycles[engine] = network.drain(max_cycles=500, start_cycle=1)
             assert network.in_flight == 0
         assert cycles["legacy"] == cycles["vector"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_drain_allows_exactly_max_cycles_advances(self, toph_config, engine):
+        """A network that needs N cycles drains with N and raises with N - 1."""
+        flits = []
+
+        def loaded_network():
+            cluster = MemPoolCluster(toph_config, engine=engine)
+            flit = cluster.make_bank_flit(0, toph_config.num_banks - 1,
+                                          is_write=False, cycle=0)
+            assert cluster.network.try_inject(flit, 0)
+            flits.append(flit)
+            return cluster.network
+
+        assert loaded_network().drain(max_cycles=100, start_cycle=1)
+        # Injected in cycle 0, it completes in the advance of cycle N.
+        needed = flits[0].latency
+        assert needed > 1
+        assert loaded_network().drain(max_cycles=needed, start_cycle=1) == 1 + needed
+        with pytest.raises(RuntimeError, match="failed to drain"):
+            loaded_network().drain(max_cycles=needed - 1, start_cycle=1)
 
     def test_counters_track_lifecycle(self, toph_config):
         cluster = MemPoolCluster(toph_config, engine="vector")

@@ -17,6 +17,7 @@ import pytest
 from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig
+from repro.engine.compile import shared_network
 from repro.kernels import Conv2dKernel, DctKernel, MatmulKernel
 from repro.traffic.simulation import TrafficSimulation
 from repro.workloads import DestinationPattern
@@ -202,3 +203,40 @@ def test_point_function_equivalence_via_engine_flag():
     )
     for field in COMPARED_FIELDS:
         assert getattr(legacy, field) == getattr(vector, field), field
+
+
+#: Scaled hierarchical selections whose hops cross runs of several
+#: arbiters, with the run length: no ``tiny`` selection has such a hop.
+MULTI_ARBITER = {
+    "radix=2": ((("radix", 2),), 2),
+    "groups=2,radix=2": ((("groups", 2), ("radix", 2)), 3),
+}
+
+
+@pytest.mark.parametrize("selection", sorted(MULTI_ARBITER))
+def test_multi_arbiter_hops_are_cycle_exact(selection):
+    """Traffic and a kernel agree across engines where one hop crosses a run.
+
+    The vector engine encodes a hop's arbiters as one id, with a fallback
+    for runs of two or more; this is the tier-1 test that drives the
+    fallback, in ``advance`` (the runs sit past the injection hop), under
+    both the traffic driver and the execution-driven system.
+    """
+    params, run_length = MULTI_ARBITER[selection]
+    config = MemPoolConfig.scaled("hierarchical", topology_params=params)
+    compiled = shared_network(config)
+    for core in range(config.num_cores):
+        for needs_response in (True, False):
+            compiled.template_row(core, needs_response)
+    assert {len(run) for run in compiled.arbiter_runs} == {run_length}
+    legacy = _run(config, "legacy", "uniform", load=0.3)
+    assert legacy.flit_log  # the comparison must not be vacuous
+    vector = _run(config, "vector", "uniform", load=0.3)
+    assert legacy.flit_log == vector.flit_log
+    legacy, vector = (
+        SYSTEM_KERNELS["dct"](MemPoolCluster(config, engine=engine)).run(verify=True)
+        for engine in ENGINES
+    )
+    assert vector.correct
+    assert legacy.system.cycles == vector.system.cycles
+    assert legacy.system.core_stats == vector.system.core_stats
