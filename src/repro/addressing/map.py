@@ -55,6 +55,7 @@ class AddressMap:
         self._row_shift = self._tile_shift + self._tile_bits
         self._size = config.l1_bytes
         self._bank_mask = config.banks_per_tile - 1
+        self._tile_mask = config.num_tiles - 1
         #: The tile and bank fields are adjacent, so together they are the
         #: global bank index ``tile * banks_per_tile + bank``.
         self._global_bank_mask = config.num_banks - 1
@@ -81,9 +82,9 @@ class AddressMap:
     def locate(self, address: int) -> tuple[int, int]:
         """``(global bank, tile)`` addressed by the program-visible ``address``.
 
-        The one decode implementation: everything else that maps an address
-        to a place is built on it.  It returns plain ints because the core
-        model calls it once per memory operation.
+        The core model calls it once per memory operation, so it returns
+        plain ints and a map may fold :meth:`scramble` into it; it must
+        agree with :meth:`decode` on every address.
         """
         if not 0 <= address < self._size:  # inline: one call less per operation
             self.check_address(address)
@@ -91,12 +92,17 @@ class AddressMap:
         return global_bank, global_bank >> self._bank_bits
 
     def decode(self, address: int) -> BankLocation:
-        """Return the bank location addressed by the program-visible ``address``."""
-        global_bank, tile = self.locate(address)
+        """Return the bank location addressed by the program-visible ``address``.
+
+        The reference decode: all three fields come from one
+        :meth:`scramble` of the address.
+        """
+        self.check_address(address)
+        physical = self.scramble(address)
         return BankLocation(
-            tile=tile,
-            bank=global_bank & self._bank_mask,
-            row=self.scramble(address) >> self._row_shift,
+            tile=(physical >> self._tile_shift) & self._tile_mask,
+            bank=(physical >> self._bank_shift) & self._bank_mask,
+            row=physical >> self._row_shift,
         )
 
     def encode(self, location: BankLocation) -> int:
@@ -168,9 +174,13 @@ class HybridAddressMap(AddressMap):
         # (byte and bank offset below, the row bits above) stays put.  The
         # program sees rows below tiles, the banks see tiles below rows.
         s, t, low = self._seq_row_bits, self._tile_bits, self._tile_shift
+        #: Where the program sees the tile field inside the sequential
+        #: region; :meth:`locate` reads it there, so it is derived here with
+        #: the masks scramble/unscramble use.
+        self._seq_tile_shift = low + s
         self._row_low = ((1 << s) - 1) << low
-        self._tile_high = ((1 << t) - 1) << (low + s)
-        self._tile_low = ((1 << t) - 1) << low
+        self._tile_high = self._tile_mask << self._seq_tile_shift
+        self._tile_low = self._tile_mask << low
         self._row_high = ((1 << s) - 1) << (low + t)
         self._fixed_bits = ~(((1 << (s + t)) - 1) << low)
 
@@ -191,6 +201,20 @@ class HybridAddressMap(AddressMap):
             | ((address >> self._tile_bits) & self._row_low)
             | ((address << self._seq_row_bits) & self._tile_high)
         )
+
+    def locate(self, address: int) -> tuple[int, int]:
+        """:meth:`AddressMap.locate` with :meth:`scramble` folded in.
+
+        Only the bank and tile fields of the scrambled address count, and
+        scrambling moves the tile field alone: inside the sequential region
+        it is read from above the ``s`` sequential-row bits.
+        """
+        if not 0 <= address < self._size:
+            self.check_address(address)
+        tile = (
+            address >> (self._seq_tile_shift if address < self._seq_total else self._tile_shift)
+        ) & self._tile_mask
+        return (tile << self._bank_bits) | ((address >> self._bank_shift) & self._bank_mask), tile
 
     def sequential_base(self, tile: int) -> int:
         if not 0 <= tile < self.config.num_tiles:

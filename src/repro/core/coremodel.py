@@ -110,16 +110,21 @@ class CoreTimingModel:
     it, so loads retire in program order.
     """
 
-    def __init__(self, core_id: int, cluster, agent: CoreAgent, barrier) -> None:
+    def __init__(
+        self, core_id: int, cluster, agent: CoreAgent, barrier, load_rows: dict[int, int]
+    ) -> None:
         self.core_id = core_id
         self.agent = agent
         self.barrier = barrier
         config = cluster.config
         self.tile_id = config.tile_of_core(core_id)
         self._locate = cluster.address_map.locate
-        #: Issued requests not yet accepted by the interconnect, oldest first:
+        #: Issued requests the interconnect refused, oldest first:
         #: ``(bank_id, is_write, created_cycle, sequence)`` records.
         self.injection_queue: deque = deque()
+        #: Engine row -> sequence of the loads in flight; the system shares
+        #: one map among its cores and pops a row when it completes.
+        self.load_rows = load_rows
         self.injection_depth = config.timing.injection_queue_depth
         self.rob_depth = config.timing.max_outstanding_loads
         self.stats = CoreStats()
@@ -161,19 +166,19 @@ class CoreTimingModel:
             If load ``sequence`` already returned.
         """
         retired = self._retired
-        if not retired <= sequence < self._sequence:
-            raise KeyError(f"load {sequence} of core {self.core_id} is not outstanding")
-        returned = self._returned
-        if sequence == retired:
+        if sequence == retired and retired < self._sequence:
             retired += 1
+            returned = self._returned
             while retired in returned:
                 returned.remove(retired)
                 retired += 1
             self._retired = retired
-        elif sequence in returned:
+        elif not retired < sequence < self._sequence:
+            raise KeyError(f"load {sequence} of core {self.core_id} is not outstanding")
+        elif sequence in self._returned:
             raise ValueError(f"load {sequence} of core {self.core_id} returned twice")
         else:
-            returned.add(sequence)
+            self._returned.add(sequence)
         stats = self.stats
         stats.load_latency_sum += latency
         if latency > stats.load_latency_max:
@@ -197,16 +202,21 @@ class CoreTimingModel:
     # Per-cycle behaviour
     # ------------------------------------------------------------------ #
 
-    def step(self, cycle: int, inject) -> int:
+    def step(self, cycle: int, inject_new) -> int:
         """Advance the core by one cycle; returns ``RUNNING`` or a sleep status.
 
         Executes at most one cycle of the program — a ``Use`` of a returned
         load and a zero-cycle ``Compute`` take none, so the next operation
-        follows in the same step — then ``inject(core_id, request, cycle)``
-        offers the oldest queued request to the interconnect and returns
-        whether it was accepted.  A load or store locates its address once
-        and queues its request; a load also takes the next sequence number
-        and stalls while the window is full.
+        follows in the same step.  A load or store locates its address once;
+        a load also takes the next sequence number and stalls while the
+        window is full.  The core makes at most one injection attempt per
+        step, ``inject_new(core_id, bank_id, is_write, created_cycle,
+        cycle)``, which returns the accepted request's engine row or
+        ``None``.  A request that issues while the injection queue is empty
+        is offered at once and queued only if refused; one that issues
+        behind queued requests joins the queue; and a step that offered no
+        new request offers the queue's oldest.  An accepted load's sequence
+        is recorded under its row in :attr:`load_rows`.
         """
         queue = self.injection_queue
         if self.done:
@@ -228,7 +238,7 @@ class CoreTimingModel:
                 if kind is Load:
                     sequence = self._sequence
                     if (
-                        len(queue) >= self.injection_depth
+                        queue and len(queue) >= self.injection_depth
                         or sequence - self._retired >= self.rob_depth
                     ):
                         stats.structural_stalls += 1
@@ -238,20 +248,28 @@ class CoreTimingModel:
                         self._sequence = sequence + 1
                         if operation.tag is not None:
                             self._tag_to_sequence[operation.tag] = sequence
-                        queue.append((bank_id, False, cycle, sequence))
                         if tile == self.tile_id:
                             stats.local_loads += 1
                         else:
                             stats.remote_loads += 1
+                        if not queue:
+                            row = inject_new(self.core_id, bank_id, False, cycle, cycle)
+                            if row is None:
+                                queue.append((bank_id, False, cycle, sequence))
+                            else:
+                                self.load_rows[row] = sequence
+                            return RUNNING
+                        queue.append((bank_id, False, cycle, sequence))
                     status = RUNNING
                     break
                 if kind is Use:
-                    sequence = self._tag_to_sequence.get(operation.tag)
-                    if sequence is None:
+                    try:
+                        sequence = self._tag_to_sequence[operation.tag]
+                    except KeyError:
                         raise ValueError(
                             f"core {self.core_id} uses tag {operation.tag!r} "
                             "before any load produced it"
-                        )
+                        ) from None
                     if sequence >= self._retired and sequence not in self._returned:
                         stats.dependency_stalls += 1
                         self._pending = operation
@@ -266,16 +284,20 @@ class CoreTimingModel:
                         status = SLEEP_TIMER if operation.cycles > 1 else RUNNING
                         break
                 elif kind is Store:
-                    if len(queue) >= self.injection_depth:
+                    if queue and len(queue) >= self.injection_depth:
                         stats.structural_stalls += 1
                         self._pending = operation
                     else:
                         bank_id, tile = self._locate(operation.address)
-                        queue.append((bank_id, True, cycle, None))
                         if tile == self.tile_id:
                             stats.local_stores += 1
                         else:
                             stats.remote_stores += 1
+                        if not queue:
+                            if inject_new(self.core_id, bank_id, True, cycle, cycle) is None:
+                                queue.append((bank_id, True, cycle, None))
+                            return RUNNING
+                        queue.append((bank_id, True, cycle, None))
                     status = RUNNING
                     break
                 elif kind is Barrier:
@@ -293,8 +315,12 @@ class CoreTimingModel:
                     raise TypeError(f"unknown core operation {operation!r}")
                 operation = next(self._ops, None)
         if queue:
-            if inject(self.core_id, queue[0], cycle):
+            bank_id, is_write, created, sequence = queue[0]
+            row = inject_new(self.core_id, bank_id, is_write, created, cycle)
+            if row is not None:
                 queue.popleft()
+                if not is_write:
+                    self.load_rows[row] = sequence
             if queue:
                 return RUNNING
         if status == SLEEP_EVENT:

@@ -19,6 +19,7 @@ from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.agents import CoreAgent, IdleAgent
 from repro.core.cluster import MemPoolCluster
 from repro.core.coremodel import FINISHED, SLEEP_TIMER, CoreStats, CoreTimingModel
+from repro.interconnect.resources import Flit
 from repro.utils.rotation import PermutationSchedule
 
 
@@ -152,62 +153,64 @@ class SystemResult:
         return self.instructions / self.cycles
 
 
-def _engine_port(cluster: MemPoolCluster):
-    """The system's two calls into the timing engine, ``(inject, advance)``.
+class _StageNetworkRows:
+    """The row port of the SoA engine, over the ``legacy`` ``StageNetwork``.
 
-    ``inject(core_id, request, cycle)`` offers a core's oldest ``(bank_id,
-    is_write, created_cycle, sequence)`` request and returns whether it was
-    accepted; ``advance(cycle)`` moves the network one cycle and returns the
-    completed reads as ``(core_id, sequence, latency)``.  ``legacy`` gets a
-    ``Flit`` per request; the SoA engine gets flit rows and no object.
+    The system drives both engines through the same members: ``inject_new``
+    returns an accepted request's row (here the next row number, stored in
+    its ``Flit``'s tag) or ``None``, ``advance`` sets ``completed_rows``,
+    and ``core`` / ``created`` are indexed by row.  A refused request keeps
+    its ``Flit`` for the retry: each core offers only its oldest request,
+    so there is at most one per core.
     """
-    network = cluster.network
+
+    def __init__(self, cluster: MemPoolCluster) -> None:
+        self._cluster = cluster
+        self._network = cluster.network
+        self._blocked: dict[int, Flit] = {}
+        self.core: list[int] = []
+        self.created: list[int] = []
+        self.completed_rows: list[int] = []
+
+    def inject_new(
+        self, core_id: int, bank_id: int, is_write: bool,
+        created_cycle: int, cycle: int,
+    ) -> int | None:
+        """Offer a core's oldest request; its row if accepted, else ``None``."""
+        flit = self._blocked.pop(core_id, None)
+        if flit is None:
+            flit = self._cluster.make_bank_flit(core_id, bank_id, is_write, created_cycle)
+        if not self._network.try_inject(flit, cycle):
+            self._blocked[core_id] = flit
+            return None
+        row = flit.tag = len(self.core)
+        self.core.append(core_id)
+        self.created.append(created_cycle)
+        return row
+
+    def advance(self, cycle: int) -> None:
+        """Move the network one cycle; the completed flits' rows go to ``completed_rows``."""
+        self.completed_rows = [flit.tag for flit in self._network.advance(cycle)]
+
+
+def _engine_port(cluster: MemPoolCluster):
+    """The system's row port into the timing engine.
+
+    Returns ``(network, inject_new, core, created)``: ``network.advance(cycle)``
+    moves the network one cycle and leaves the completed rows in
+    ``network.completed_rows``; ``inject_new(core_id, bank_id, is_write,
+    created_cycle, cycle)`` returns an accepted request's row or ``None``
+    (a refused request allocates nothing); ``core`` and ``created`` give
+    each row's core and creation cycle.  On ``vector`` these are the
+    ``VectorStageNetwork`` facade and its engine's flit table, with no
+    object per request; ``legacy`` gets a :class:`_StageNetworkRows`.
+    """
     if cluster.engine_kind == "legacy":
-        blocked: dict[int, object] = {}  # core -> flit of its blocked head request
-
-        def inject(core_id, request, cycle):
-            flit = blocked.pop(core_id, None)
-            if flit is None:
-                bank_id, is_write, created, sequence = request
-                flit = cluster.make_bank_flit(
-                    core_id, bank_id, is_write, created, tag=sequence
-                )
-            if network.try_inject(flit, cycle):
-                return True
-            blocked[core_id] = flit
-            return False
-
-        def advance(cycle):
-            return [
-                (flit.core_id, flit.tag, flit.latency)
-                for flit in network.advance(cycle)
-                if flit.is_read
-            ]
-    else:
-        engine = network.engine
-        inject_new = engine.inject_new
-        sequence_of_row: dict[int, int] = {}  # loads in flight
-        take = sequence_of_row.pop
-
-        def inject(core_id, request, cycle):
-            bank_id, is_write, created, sequence = request
-            row = inject_new(core_id, bank_id, is_write, created, cycle)
-            if row is None:
-                return False
-            if not is_write:
-                sequence_of_row[row] = sequence
-            return True
-
-        def advance(cycle):
-            network.advance(cycle)
-            core, created = engine.flits.core, engine.flits.created
-            return [
-                (core[row], sequence, cycle - created[row])
-                for row in network.completed_rows
-                if (sequence := take(row, None)) is not None
-            ]
-
-    return inject, advance
+        port = _StageNetworkRows(cluster)
+        return port, port.inject_new, port.core, port.created
+    network = cluster.network
+    engine = network.engine
+    return network, engine.inject_new, engine.flits.core, engine.flits.created
 
 
 class MemPoolSystem:
@@ -232,12 +235,16 @@ class MemPoolSystem:
                 if not isinstance(agent, IdleAgent)
             }
         self.barrier = GlobalBarrier(barrier_participants)
+        #: Engine row -> sequence of every load in flight, filled by the cores.
+        self._load_rows: dict[int, int] = {}
         self.cores = [
-            CoreTimingModel(core_id, cluster, agent, self.barrier)
+            CoreTimingModel(core_id, cluster, agent, self.barrier, self._load_rows)
             for core_id, agent in enumerate(self.agents)
         ]
+        self._network, self._inject_new, self._core_of_row, self._created_of_row = (
+            _engine_port(cluster)
+        )
         self._step_schedule = PermutationSchedule(len(self.cores), seed=1)
-        self._inject, self._advance = _engine_port(cluster)
         #: Which cores the next cycle steps, how many have not finished, and
         #: the sleeping cores to wake at a given cycle.
         self._awake = [True] * len(self.cores)
@@ -312,15 +319,24 @@ class MemPoolSystem:
         cycle = self.cycle
         cores = self.cores
         awake = self._awake
-        for core_id, sequence, latency in self._advance(cycle):
-            if cores[core_id].on_response(sequence, latency, cycle):
-                awake[core_id] = True
+        network = self._network
+        network.advance(cycle)
+        rows = network.completed_rows
+        if rows:
+            take = self._load_rows.pop
+            core_of, created = self._core_of_row, self._created_of_row
+            for row in rows:
+                sequence = take(row, None)
+                if sequence is not None:
+                    core_id = core_of[row]
+                    if cores[core_id].on_response(sequence, cycle - created[row], cycle):
+                        awake[core_id] = True
         for core_id in self._timers.pop(cycle, ()):
             awake[core_id] = True
-        inject = self._inject
+        inject_new = self._inject_new
         for index in self._step_schedule.order(cycle):
             if awake[index]:
-                status = cores[index].step(cycle, inject)
+                status = cores[index].step(cycle, inject_new)
                 if status:
                     awake[index] = False
                     if status == SLEEP_TIMER:

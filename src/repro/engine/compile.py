@@ -45,6 +45,8 @@ decodes a link) — and ``next`` the following hop's triple (``None`` past
 the end).  Most hops cross at most one arbiter, so the engine's hop loops
 test one int instead of iterating a tuple.
 ``path_moves[p]`` is the chain head — the injection hop from the core.
+Every chain crosses its bank's stage, so a head's target is a stage id or
+:data:`BANK`, never :data:`COMPLETE`: no flit completes at injection.
 The engine keeps each flit's *current* triple at hand, so advancing a flit
 never indexes back into per-path tables: one list read yields everything
 the hop needs, and the chain link yields the next hop on success.

@@ -94,6 +94,11 @@ class VectorEngine:
         #: is None until that core's row is compiled).
         self._read_templates = compiled.template_table(True)
         self._write_templates = compiled.template_table(False)
+        #: The compiled tables :meth:`inject_new` reads, one attribute load
+        #: away (``path_moves`` is append-only, so holding it is safe).
+        self._tile_of_bank = compiled.tile_of_bank
+        self._path_moves = compiled.path_moves
+        self._bank_stage = compiled.bank_stage_ids
         self.in_flight = 0
         self.total_injected = 0
         self.total_completed = 0
@@ -224,13 +229,14 @@ class VectorEngine:
         return self._inject(row, cycle)
 
     def _inject(self, row: int, cycle: int) -> bool:
-        """The injection hop of one row (inlined in :meth:`inject_queues`)."""
+        """The injection hop of one row (inlined in :meth:`inject_queues`).
+
+        The hop always enters a register stage: a compiled path crosses at
+        least its bank's stage, so no row completes at injection.
+        """
         flits = self.flits
-        compiled = self.compiled
         target, arbiter, following = self._next_move[row]
-        if target >= 0 and (
-            not self.free_slots[target] or self.accepted_cycle[target] == cycle
-        ):
+        if not self.free_slots[target] or self.accepted_cycle[target] == cycle:
             return False
         if arbiter >= 0:
             if self.granted_cycle[arbiter] == cycle:
@@ -240,27 +246,17 @@ class VectorEngine:
             return False
         flits.injected_cycle[row] = cycle
         self.total_injected += 1
-        if target >= 0:
-            if following[0] == BANK:
-                following = (
-                    compiled.bank_stage_ids[flits.bank[row]],
-                    following[1],
-                    following[2],
-                )
-            self._next_move[row] = following
-            queue = self.queues[target]
-            if not queue:
-                self._occupied_cells[target] = 1
-                self._head_move[target] = following
-            queue.append(row)
-            self.free_slots[target] -= 1
-            self.accepted_cycle[target] = cycle
-            self.in_flight += 1
-        else:
-            # Degenerate zero-register path (not used by real topologies,
-            # but keeps counter semantics aligned with the object engine).
-            flits.completed_cycle[row] = cycle
-            self.total_completed += 1
+        if following[0] == BANK:
+            following = (self._bank_stage[flits.bank[row]], following[1], following[2])
+        self._next_move[row] = following
+        queue = self.queues[target]
+        if not queue:
+            self._occupied_cells[target] = 1
+            self._head_move[target] = following
+        queue.append(row)
+        self.free_slots[target] -= 1
+        self.accepted_cycle[target] = cycle
+        self.in_flight += 1
         return True
 
     def inject_new(
@@ -275,21 +271,22 @@ class VectorEngine:
         per failed attempt.  Returns the injected row id, or ``None`` when
         the first hop is blocked this cycle.
         """
-        compiled = self.compiled
-        templates = self._write_templates if is_write else self._read_templates
-        template_row = templates[core_id] or compiled.template_row(core_id, not is_write)
-        path_id = template_row[compiled.tile_of_bank[bank_id]]
-        target, arbiter, following = compiled.path_moves[path_id]
+        template_row = (
+            self._write_templates if is_write else self._read_templates
+        )[core_id] or self.compiled.template_row(core_id, not is_write)
+        path_id = template_row[self._tile_of_bank[bank_id]]
+        target, arbiter, following = self._path_moves[path_id]
         if target == BANK:
-            target = compiled.bank_stage_ids[bank_id]
-        if target >= 0 and (
-            not self.free_slots[target] or self.accepted_cycle[target] == cycle
-        ):
+            target = self._bank_stage[bank_id]
+        free_slots = self.free_slots
+        accepted = self.accepted_cycle
+        if not free_slots[target] or accepted[target] == cycle:
             return None
         if arbiter >= 0:
-            if self.granted_cycle[arbiter] == cycle:
+            granted = self.granted_cycle
+            if granted[arbiter] == cycle:
                 return None
-            self.granted_cycle[arbiter] = cycle
+            granted[arbiter] = cycle
         elif arbiter < -1 and not self._grant_run(arbiter, cycle):
             return None
         # FlitTable.allocate, inlined: one call per accepted request shows here.
@@ -305,25 +302,17 @@ class VectorEngine:
         flits.path_id.append(path_id)
         flits.injected_cycle[row] = cycle
         self.total_injected += 1
-        if target >= 0:
-            if following[0] == BANK:
-                following = (
-                    compiled.bank_stage_ids[bank_id], following[1], following[2]
-                )
-            self._next_move.append(following)
-            queue = self.queues[target]
-            if not queue:
-                self._occupied_cells[target] = 1
-                self._head_move[target] = following
-            queue.append(row)
-            self.free_slots[target] -= 1
-            self.accepted_cycle[target] = cycle
-            self.in_flight += 1
-        else:
-            # Degenerate zero-register path: completes at injection.
-            self._next_move.append(following)
-            flits.completed_cycle[row] = cycle
-            self.total_completed += 1
+        if following[0] == BANK:
+            following = (self._bank_stage[bank_id], following[1], following[2])
+        self._next_move.append(following)
+        queue = self.queues[target]
+        if not queue:
+            self._occupied_cells[target] = 1
+            self._head_move[target] = following
+        queue.append(row)
+        free_slots[target] -= 1
+        accepted[target] = cycle
+        self.in_flight += 1
         return row
 
     def inject_queues(self, source_queues, order, cycle: int) -> int:
@@ -353,19 +342,13 @@ class VectorEngine:
         # Safe to hold: rows are allocated (and columns replaced by growth)
         # only between calls.
         injected_cycle = self.flits.injected_cycle
-        entered = completed_at_injection = 0
+        entered = 0
         for index in order:
             source = source_queues[index]
             if not source:
                 continue
             row = source[0]
             target, arbiter, following = next_move[row]
-            if target < 0:
-                # Degenerate zero-register path: not worth a second copy.
-                if self._inject(row, cycle):
-                    source.popleft()
-                    completed_at_injection += 1
-                continue
             if not free_slots[target] or accepted[target] == cycle:
                 continue
             if arbiter >= 0:
@@ -389,7 +372,7 @@ class VectorEngine:
             accepted[target] = cycle
         self.total_injected += entered
         self.in_flight += entered
-        return entered + completed_at_injection
+        return entered
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 
 #: Magic string of the header's ``format`` field.
 TRACE_FORMAT = "mempool-trace"
@@ -36,7 +37,7 @@ def read_trace_lines(path: str) -> list[str]:
             return stream.read().split("\n")
     except FileNotFoundError:
         raise TraceFormatError(f"trace file {path!r} does not exist") from None
-    except (OSError, EOFError, UnicodeDecodeError) as error:
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as error:
         raise TraceFormatError(
             f"trace file {path!r} is not a readable gzip trace "
             f"({error}); expected the {TRACE_FORMAT!r} format written by "

@@ -205,7 +205,7 @@ def out_of_range_message(address_map, address):
 
 
 class TestLocate:
-    """``locate`` is the decode implementation; ``decode`` adds the row to it."""
+    """``locate`` (the per-operation fast path) agrees with the reference ``decode``."""
 
     def test_every_word_agrees_with_decode_and_round_trips(self, any_map):
         banks_per_tile = any_map.config.banks_per_tile

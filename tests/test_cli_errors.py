@@ -10,6 +10,10 @@ through.
 
 from __future__ import annotations
 
+import gzip
+import struct
+import zlib
+
 import pytest
 
 from repro.catalogue import INJECTORS, PATTERNS, TOPOLOGIES
@@ -251,3 +255,45 @@ def test_bad_number_exits_one_with_a_message(argv, message, capsys, tmp_path):
     assert main([arg.format(trace=trace) for arg in argv]) == 1
     assert message in capsys.readouterr().out
     assert not trace.exists()
+
+
+def write_damaged_trace(path):
+    """A gzip trace whose header line inflates but whose body does not.
+
+    The header line is deflated on its own; the body is deflated against a
+    preset dictionary holding the body itself, so it inflates to
+    back-references past the start of the stream ("invalid distance too
+    far back").  The gzip trailer keeps the intact text's CRC and length.
+    """
+    from repro.workloads.trace import write_trace
+
+    write_trace(str(path), [(cycle, cycle % 16, cycle % 64) for cycle in range(200)],
+                num_cores=16, num_banks=64)
+    text = gzip.decompress(path.read_bytes())
+    split = text.index(b"\n")
+    head = zlib.compressobj(9, zlib.DEFLATED, -15)
+    body = zlib.compressobj(9, zlib.DEFLATED, -15, zdict=text[split:])
+    raw = (head.compress(text[:split]) + head.flush(zlib.Z_FULL_FLUSH)
+           + body.compress(text[split:]) + body.flush())
+    path.write_bytes(
+        b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff" + raw
+        + struct.pack("<II", zlib.crc32(text), len(text))
+    )
+    inflate, inflated = zlib.decompressobj(-15), b""
+    with pytest.raises(zlib.error, match="too far back"):
+        for start in range(len(raw)):
+            inflated += inflate.decompress(raw[start:start + 1])
+    assert inflated.startswith(text[:split])
+
+
+@pytest.mark.parametrize("command", [["trace", "info"], ["trace", "replay", "--no-cache"]],
+                         ids=["info", "replay"])
+def test_damaged_gzip_body_exits_one_with_a_message(command, capsys, tmp_path):
+    from repro.experiments.__main__ import main
+
+    trace = tmp_path / "t.trace.gz"
+    write_damaged_trace(trace)
+    assert main([*command[:2], str(trace), *command[2:]]) == 1
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 1 and "is not a readable gzip trace" in out[0], out
+    assert "too far back" in out[0]

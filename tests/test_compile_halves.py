@@ -106,6 +106,9 @@ def _assert_linked_templates_equal_a_whole_path_compile(config):
                     _fresh_path(topology, core, bank, needs_response),
                     compiled.bank_stage_ids[bank],
                 ), (core, tile, needs_response)
+                # The engine's injection hops rely on it: no flit completes
+                # at injection.
+                assert compiled.path_moves[path_id][0] != COMPLETE
     assert compiled.num_paths == 2 * config.num_cores * config.num_tiles
     assert set(compiled._half_pairs) == set(topology._path_cache)
     return compiled

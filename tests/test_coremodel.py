@@ -1,5 +1,6 @@
 """Tests of the core timing model (operation semantics, stalls, latency hiding)."""
 
+import itertools
 import random
 from collections import deque
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.agents import Barrier, Compute, Load, Store, TraceAgent, Use
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig, TimingParameters
-from repro.core.coremodel import RUNNING, SLEEP_EVENT, CoreTimingModel
+from repro.core.coremodel import RUNNING, SLEEP_EVENT, SLEEP_TIMER, CoreTimingModel
 from repro.core.system import GlobalBarrier, MemPoolSystem
 
 
@@ -223,24 +224,29 @@ class WindowDriver:
     """One core of a tiny cluster whose program and responses come from the test.
 
     Load ``n`` carries tag ``n``, so a tag is also the load's sequence
-    number; the interconnect accepts every request at once, and the clock
-    moves one cycle per step.
+    number; the interconnect (``port``, the core's ``inject_new``) accepts
+    every request at once, as the next row, unless the test passes its own,
+    and the clock moves one cycle per step.  ``load_rows`` is the core's
+    row -> sequence map of the loads the port accepted.
     """
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, port=None):
         timing = TimingParameters(max_outstanding_loads=capacity)
         cluster = MemPoolCluster(MemPoolConfig.tiny("toph", timing=timing))
         self.address = local_address(cluster)
         self.program = deque()
         agent = TraceAgent(iter(self.program.popleft, None))
-        self.core = CoreTimingModel(0, cluster, agent, GlobalBarrier({0}))
+        self.load_rows = {}
+        self.core = CoreTimingModel(0, cluster, agent, GlobalBarrier({0}), self.load_rows)
         self.cycle = 0
         self.issued = 0
+        rows = itertools.count()
+        self.port = port or (lambda core_id, bank_id, is_write, created, cycle: next(rows))
 
     def step(self, *operations):
         """Append ``operations`` to the program and step the core one cycle."""
         self.program.extend(operations)
-        status = self.core.step(self.cycle, lambda core_id, request, cycle: True)
+        status = self.core.step(self.cycle, self.port)
         self.cycle += 1
         return status
 
@@ -470,3 +476,85 @@ class TestLoadWindow:
             assert core._returned == {done for done in returned if done > oldest}
         assert driver.step(*(Use(tag) for tag in range(8)), Compute(1)) == RUNNING
         assert core.stats.dependency_stalls == 0
+
+
+class RefusingPort:
+    """A request port that refuses every offer made in one of ``refused`` cycles.
+
+    It logs each offer as ``(cycle, created cycle, is_write)``.
+    """
+
+    def __init__(self, refused):
+        self.refused = set(refused)
+        self.offers = []
+
+    def __call__(self, core_id, bank_id, is_write, created, cycle):
+        self.offers.append((cycle, created, is_write))
+        return None if cycle in self.refused else len(self.offers)
+
+
+class TestInjectionQueue:
+    """Issued requests the interconnect refused wait in a FIFO queue."""
+
+    def test_a_request_refused_at_issue_is_not_offered_again_that_cycle(self):
+        port = RefusingPort({0})
+        driver = WindowDriver(4, port)
+        assert driver.step(Load(driver.address, tag=0)) == RUNNING
+        assert port.offers == [(0, 0, False)]
+        assert len(driver.core.injection_queue) == 1
+        driver.step(Compute(1))
+        assert port.offers == [(0, 0, False), (1, 0, False)]
+        assert not driver.core.injection_queue
+
+    def test_a_newer_request_never_overtakes_a_queued_one(self):
+        port = RefusingPort({0, 1, 2})
+        driver = WindowDriver(4, port)
+        driver.step(Load(driver.address, tag=0))
+        driver.step(Store(driver.address))
+        driver.step(Load(driver.address, tag=1))
+        for _ in range(3):
+            driver.step(Compute(1))
+        assert port.offers == [
+            (0, 0, False), (1, 0, False), (2, 0, False), (3, 0, False),
+            (4, 1, True), (5, 2, False),
+        ]
+        assert not driver.core.injection_queue
+
+    def test_accepted_loads_are_recorded_under_their_rows(self):
+        """A load's sequence goes under the row the port returned; a store's does not."""
+        port = RefusingPort({0, 1})
+        driver = WindowDriver(4, port)
+        driver.step(Load(driver.address, tag=0))
+        driver.step(Store(driver.address))
+        driver.step(Load(driver.address, tag=1))
+        driver.step(Load(driver.address, tag=2))
+        driver.step(Compute(1))
+        driver.step(Compute(1))
+        # Load 0 is offered at cycles 0, 1 (refused) and 2 (row 3); the
+        # store and loads 1 and 2 queue behind it and go at 3, 4 and 5.
+        assert driver.load_rows == {3: 0, 5: 1, 6: 2}
+
+        driver = WindowDriver(4)
+        for tag in range(3):
+            driver.step(Load(driver.address, tag=tag))
+            driver.step(Store(driver.address))
+        assert driver.load_rows == {0: 0, 2: 1, 4: 2}
+
+    def test_a_core_with_a_queued_request_reports_running(self):
+        port = RefusingPort({0, 1})
+        driver = WindowDriver(4, port)
+        assert driver.step(Load(driver.address, tag=0)) == RUNNING
+        # A stall on the queued load would sleep the core, but not while
+        # the load still waits for the interconnect.
+        assert driver.step(Use(0)) == RUNNING
+        assert driver.step() == SLEEP_EVENT
+        assert not driver.core.injection_queue
+
+        # Likewise a core busy for several cycles.
+        port = RefusingPort({1, 2})
+        driver = WindowDriver(4, port)
+        driver.step(Store(driver.address))
+        driver.step(Store(driver.address))
+        assert driver.step(Compute(5)) == RUNNING
+        assert driver.step() == SLEEP_TIMER
+        assert port.offers == [(0, 0, True), (1, 1, True), (2, 1, True), (3, 1, True)]

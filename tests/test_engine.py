@@ -17,6 +17,7 @@ from repro.engine import (
     CompiledNetwork,
     EngineCompileError,
     FlitTable,
+    VectorEngine,
     VectorStageNetwork,
 )
 from repro.engine.compile import BANK, COMPLETE
@@ -195,6 +196,47 @@ class TestVectorStageNetwork:
         assert {f.flit_id for f in completed} == {store.flit_id, load.flit_id}
         # The store's one-way trip is strictly shorter than the round trip.
         assert store.completed_cycle < load.completed_cycle
+
+
+class TestInjectionArbiterRun:
+    """``inject_new`` on an injection hop that crosses a run of arbiters.
+
+    No catalogue topology has one, so the run is installed by hand on a
+    private compiled network (never the process-shared one).
+    """
+
+    @pytest.fixture
+    def engine(self, toph_config):
+        compiled = CompiledNetwork(MemPoolCluster(toph_config).topology)
+        bank = toph_config.banks_per_tile  # tile 1: a remote access of core 0
+        path_id = compiled.path_id(0, bank, True)
+        target, _, following = compiled.path_moves[path_id]
+        assert target >= 0
+        self.run = (0, 1)
+        compiled.path_moves[path_id] = (target, compiled._arbiter_code(self.run), following)
+        assert compiled.path_moves[path_id][1] <= -2
+        self.bank = bank
+        return VectorEngine(compiled)
+
+    def attempt(self, engine, cycle):
+        return engine.inject_new(0, self.bank, False, cycle, cycle)
+
+    def test_a_free_run_is_granted_whole(self, engine):
+        assert self.attempt(engine, 0) == 0
+        assert [engine.granted_cycle[arbiter] for arbiter in self.run] == [0, 0]
+
+    @pytest.mark.parametrize("taken", [0, 1])
+    def test_a_run_with_one_arbiter_taken_grants_none(self, engine, taken):
+        engine.granted_cycle[self.run[taken]] = 5
+        assert self.attempt(engine, 5) is None
+        assert [engine.granted_cycle[arbiter] for arbiter in self.run] == [
+            5 if index == taken else -1 for index in range(2)
+        ]
+        assert (engine.flits.count, engine.total_injected, engine.in_flight) == (0, 0, 0)
+        assert engine._next_move == [] and engine.occupancy() == 0
+        # The next cycle the run is free again, and the row is the first one.
+        assert self.attempt(engine, 6) == 0
+        assert engine.flits.count == 1
 
 
 class TestClusterEngineSelection:
