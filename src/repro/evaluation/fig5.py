@@ -87,11 +87,19 @@ def fig5_sweep(
     loads: tuple[float, ...] = DEFAULT_LOADS,
     topologies: tuple[str, ...] = FIG5_TOPOLOGIES,
 ) -> Sweep:
-    """The (topology x load) parameter grid of Figure 5 as a :class:`Sweep`."""
+    """The (load x topology) grid of Figure 5 as a :class:`Sweep`.
+
+    Load-major: a load's topologies run back to back and replay one drawn
+    window (see :mod:`repro.engine.traffic`), and progress lines and the
+    service's ``point`` events follow that order.  At 256 cores the grid
+    stays topology-major: a process keeps one compiled 256-core network,
+    and recompiling it per point costs more than the replays save.
+    """
     settings = settings or ExperimentSettings()
+    axes = [("load", tuple(loads)), ("topology", tuple(topologies))]
     return Sweep(
         runner="repro.evaluation.points:simulate_fig5_point",
-        grid={"topology": tuple(topologies), "load": tuple(loads)},
+        grid=dict(axes[::-1] if settings.full_scale else axes),
         base=settings.as_params(),
         name="fig5",
     )

@@ -46,9 +46,9 @@ def collect_series(
     grouped: dict[Hashable, list[Any]] = {}
     for spec, result in zip(specs, results):
         grouped.setdefault(spec.params[group_key], []).append(result)
-    # The grid is (group x load), so the specs of any one group list the
-    # load axis verbatim — including repeated values, which de-duplication
-    # would desynchronise from the per-group series lengths.
+    # The grid is (group x load), nested either way, so the specs of any
+    # one group list the load axis verbatim — including repeated values,
+    # which de-duplication would desynchronise from the series lengths.
     if specs:
         first_group = specs[0].params[group_key]
         loads = tuple(

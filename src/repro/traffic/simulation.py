@@ -19,8 +19,6 @@ from repro.engine import traffic as engine_traffic
 from repro.utils.rotation import PermutationSchedule
 from repro.utils.stats import Histogram, OnlineStats
 from repro.workloads.base import DestinationPattern, InjectionProcess
-from repro.workloads.injection import PoissonInjector
-from repro.workloads.patterns import UniformRandomPattern
 
 
 @dataclass
@@ -127,6 +125,22 @@ class TrafficSimulation:
         injector_params: dict | None = None,
     ) -> None:
         self.cluster = cluster
+        pattern = "uniform" if pattern is None else pattern
+        injector = "poisson" if injector is None else injector
+        #: What the offered traffic depends on when both components are
+        #: catalogue names that read no file (not the topology): equal keys
+        #: draw equal windows, which :mod:`repro.engine.traffic` replays.
+        self._workload_key = None
+        if isinstance(pattern, str) and isinstance(injector, str) and not (
+            PATTERNS.lookup(pattern).required or INJECTORS.lookup(injector).required
+        ):
+            self._workload_key = (
+                pattern, pattern_params or {}, injector, injector_params or {},
+                seed, injection_rate,
+                {**vars(cluster.config), "topology": None, "topology_params": None},
+            )
+        #: End of a replayed first window the components have not drawn (or 0).
+        self._replayed_until = 0
         if isinstance(pattern, str):
             pattern = PATTERNS.lookup(pattern).build(
                 cluster.config, seed=seed, **(pattern_params or {})
@@ -136,7 +150,7 @@ class TrafficSimulation:
                 "pattern_params only apply when the pattern is given by "
                 "catalogue name; got an already-built pattern instance"
             )
-        self.pattern = pattern or UniformRandomPattern(cluster.config, seed=seed)
+        self.pattern = pattern
         self.injection_rate = injection_rate
         if isinstance(injector, str):
             injector = INJECTORS.lookup(injector).build(
@@ -150,15 +164,13 @@ class TrafficSimulation:
                 "injector_params only apply when the injector is given by "
                 "catalogue name; got an already-built injector instance"
             )
-        if injector is not None and injector.injection_rate != injection_rate:
+        if injector.injection_rate != injection_rate:
             raise ValueError(
                 f"injector rate {injector.injection_rate} disagrees with the "
                 f"simulation's injection_rate {injection_rate}; the result "
                 "would be labelled with the wrong offered load"
             )
-        self.injector = injector or PoissonInjector(
-            cluster.config.num_cores, injection_rate, seed=seed
-        )
+        self.injector = injector
         self._queues: list[deque] = [deque() for _ in range(cluster.config.num_cores)]
         #: Source queues of engine rows used by the SoA-engine fast path —
         #: persistent across run() calls, mirroring ``self._queues`` on the

@@ -12,10 +12,11 @@ contract: ``arrivals_batch(start, end)`` consumes exactly the same draws as
 ``arrivals(core, cycle)`` called cycle-major over the window, all cores
 ascending within a cycle, which is what keeps the vector fast path
 cycle-exact with the legacy loop.  The window form is the only batched
-form: the traffic driver makes one call per ``run()`` window (12 calls on
-the 64-core Figure 5 sweep where the per-cycle form made 15,600) and gets
-the flat source list it allocates rows from, with no per-cycle
-``(core, count)`` tuples to re-expand.
+form: the traffic driver makes at most one call per ``run()`` window —
+none when it replays a first window another topology drew under the same
+workload (4 calls on the 64-core Figure 5 sweep, where the per-cycle form
+made 15,600) — and gets the flat source list it allocates rows from, with
+no per-cycle ``(core, count)`` tuples to re-expand.
 """
 
 from __future__ import annotations

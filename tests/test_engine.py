@@ -8,6 +8,7 @@ engine selector on the cluster.
 
 from __future__ import annotations
 
+from collections import deque
 
 import pytest
 
@@ -199,7 +200,7 @@ class TestVectorStageNetwork:
 
 
 class TestInjectionArbiterRun:
-    """``inject_new`` on an injection hop that crosses a run of arbiters.
+    """Injection hops that cross a run of arbiters: ``inject_new`` and ``inject_queues``.
 
     No catalogue topology has one, so the run is installed by hand on a
     private compiled network (never the process-shared one).
@@ -215,6 +216,9 @@ class TestInjectionArbiterRun:
         self.run = (0, 1)
         compiled.path_moves[path_id] = (target, compiled._arbiter_code(self.run), following)
         assert compiled.path_moves[path_id][1] <= -2
+        # The block tables cached core 0's heads: new_flits reads them.
+        tile = compiled.tile_of_bank[bank]
+        compiled._block_tables[True][1][0, tile] = compiled.path_moves[path_id]
         self.bank = bank
         return VectorEngine(compiled)
 
@@ -237,6 +241,34 @@ class TestInjectionArbiterRun:
         # The next cycle the run is free again, and the row is the first one.
         assert self.attempt(engine, 6) == 0
         assert engine.flits.count == 1
+
+    def queued(self, engine, count):
+        """``count`` rows of core 0 to the run's bank, queued in its source."""
+        first = engine.new_flits([0] * count, [self.bank] * count, [0] * count)
+        queues = [deque() for _ in range(engine.compiled.topology.config.num_cores)]
+        queues[0].extend(range(first, first + count))
+        return queues
+
+    def test_inject_queues_grants_a_free_run_whole(self, engine):
+        queues = self.queued(engine, 1)
+        assert engine.inject_queues(queues, [0], 0) == 1
+        assert [engine.granted_cycle[arbiter] for arbiter in self.run] == [0, 0]
+        assert not queues[0] and (engine.total_injected, engine.in_flight) == (1, 1)
+
+    @pytest.mark.parametrize("taken", [0, 1])
+    def test_inject_queues_refuses_a_run_with_one_arbiter_taken(self, engine, taken):
+        queues = self.queued(engine, 2)
+        engine.granted_cycle[self.run[taken]] = 5
+        assert engine.inject_queues(queues, [0], 5) == 0
+        assert [engine.granted_cycle[arbiter] for arbiter in self.run] == [
+            5 if index == taken else -1 for index in range(2)
+        ]
+        assert list(queues[0]) == [0, 1]  # the refused head stays in front
+        assert (engine.total_injected, engine.in_flight, engine.occupancy()) == (0, 0, 0)
+        # The next cycle the run is free again and the head goes first.
+        assert engine.inject_queues(queues, [0], 6) == 1
+        assert list(queues[0]) == [1] and engine.flits.injected_cycle[0] == 6
+        assert (engine.total_injected, engine.in_flight) == (1, 1)
 
 
 class TestClusterEngineSelection:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.evaluation import ExperimentSettings
+from repro.evaluation.fig5 import Fig5Result, assemble_fig5, fig5_sweep
 from repro.evaluation.fig7 import Fig7Result
 from repro.experiments.registry import EXPERIMENTS
 
@@ -129,6 +130,38 @@ class TestFig5Driver:
         text = result.plot()
         assert "legend:" in text
         assert "top1" in text and "toph" in text
+
+    LOADS, TOPOLOGIES = (0.05, 0.2, 0.3), ("top1", "top4", "toph")
+
+    def test_the_grid_is_load_major(self):
+        """Each load's topologies run back to back, so they replay one window."""
+        specs = fig5_sweep(ExperimentSettings(), self.LOADS, self.TOPOLOGIES).specs()
+        assert [(spec.params["load"], spec.params["topology"]) for spec in specs] == [
+            (load, topology) for load in self.LOADS for topology in self.TOPOLOGIES
+        ]
+
+    def test_the_full_scale_grid_is_topology_major(self):
+        """One 256-core network stays compiled per process: no replays there."""
+        settings = ExperimentSettings(full_scale=True)
+        specs = fig5_sweep(settings, self.LOADS, self.TOPOLOGIES).specs()
+        assert [(spec.params["load"], spec.params["topology"]) for spec in specs] == [
+            (load, topology) for topology in self.TOPOLOGIES for load in self.LOADS
+        ]
+
+    def test_assembly_does_not_depend_on_the_sweep_order(self):
+        specs = fig5_sweep(ExperimentSettings(), self.LOADS, self.TOPOLOGIES).specs()
+        labels = [f"{spec.params['topology']}@{spec.params['load']}" for spec in specs]
+        assembled = assemble_fig5(specs, labels)
+        assert assembled == Fig5Result(
+            loads=self.LOADS,
+            results={t: [f"{t}@{load}" for load in self.LOADS] for t in self.TOPOLOGIES},
+        )
+        assert list(assembled.results) == list(self.TOPOLOGIES)
+        topology_major = sorted(
+            zip(specs, labels),
+            key=lambda pair: self.TOPOLOGIES.index(pair[0].params["topology"]),
+        )
+        assert assemble_fig5(*map(list, zip(*topology_major))) == assembled
 
 
 class TestFig6Driver:

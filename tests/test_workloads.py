@@ -10,6 +10,7 @@ from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
 from repro.core.system import MemPoolSystem
+from repro.engine import traffic as engine_traffic
 from repro.evaluation.settings import ExperimentSettings
 from repro.experiments.spec import ExperimentSpec
 from repro.traffic import TrafficSimulation
@@ -348,6 +349,109 @@ class TestInjectionProcesses:
         bursty = INJECTORS.lookup("bursty").build(4, 0.2, seed=9, burst_len=16.0)
         bernoulli = INJECTORS.lookup("bernoulli").build(4, 0.2, seed=9)
         assert window_variance(bursty) > 1.5 * window_variance(bernoulli)
+
+
+def _first_window(config, pattern, injector):
+    """A catalogue workload's first window on ``config``, and the state it leaves."""
+    built_pattern = PATTERNS.lookup(pattern).build(config, seed=5)
+    built_injector = INJECTORS.lookup(injector).build(config.num_cores, 0.3, seed=5)
+    sources, ends = built_injector.arrivals_batch(0, 60)
+    banks = built_pattern.destinations(sources).tolist() if sources else []
+    return (sources, ends, banks), (_draw_state(built_pattern), _draw_state(built_injector))
+
+
+class TestTheWorkloadKeyLeavesTheTopologyOut:
+    """What lets the vector driver replay a window across topologies.
+
+    Its workload key (``TrafficSimulation._workload_key``) leaves
+    ``topology`` out, so no catalogue workload may read it, while a
+    different geometry must draw a different window.
+    """
+
+    @pytest.mark.parametrize("pattern", DEFAULT_PATTERNS)
+    @pytest.mark.parametrize("injector", DEFAULT_INJECTORS)
+    def test_only_the_geometry_reaches_the_draws(self, pattern, injector):
+        reference = _first_window(MemPoolConfig.scaled("toph"), pattern, injector)
+        assert reference[0][0]
+        for topology in ("top1", "top4", "topx"):
+            assert _first_window(MemPoolConfig.scaled(topology), pattern, injector) == reference
+        assert _first_window(MemPoolConfig.tiny("toph"), pattern, injector)[0] != reference[0]
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """No window in the vector driver's slot, whatever ran before."""
+    monkeypatch.setattr(engine_traffic, "_last_window", None)
+
+
+def _simulation(topology, config=MemPoolConfig.tiny, load=0.3, seed=4, **workload):
+    cluster = MemPoolCluster(config(topology), engine="vector")
+    return TrafficSimulation(cluster, load, seed=seed, **workload)
+
+
+@pytest.mark.usefixtures("empty_slot")
+class TestWindowSlot:
+    """One drawn window per process: an equal first window is replayed."""
+
+    def test_a_hit_equals_a_cold_draw(self):
+        cold = _simulation("toph").run(20, 60, record_flits=True)
+        engine_traffic._last_window = None
+        _simulation("top1").run(20, 60)
+        hit = _simulation("toph")
+        assert hit.run(20, 60, record_flits=True) == cold
+        assert hit._replayed_until == 80
+        assert _draw_state(hit.injector) == _draw_state(_simulation("toph").injector)
+
+    def test_windows_after_a_hit_continue_exactly(self):
+        _simulation("top1").run(10, 40)
+        hit = _simulation("toph")
+        windows = [hit.run(10, 40, record_flits=True)]
+        assert hit._replayed_until == 50
+        windows.append(hit.run(5, 30, record_flits=True))
+        assert hit._replayed_until == 0
+        engine_traffic._last_window = None
+        fresh = _simulation("toph")
+        assert [fresh.run(10, 40, record_flits=True), fresh.run(5, 30, record_flits=True)] == windows
+        for component in ("pattern", "injector"):
+            assert _draw_state(getattr(hit, component)) == _draw_state(getattr(fresh, component))
+
+    @pytest.mark.parametrize("built", ["pattern", "injector"])
+    def test_built_components_never_hit(self, built):
+        _simulation("top1").run(10, 40)
+        slot = engine_traffic._last_window
+        config = MemPoolConfig.tiny("toph")
+        component = (
+            PATTERNS.lookup("uniform").build(config, seed=4) if built == "pattern"
+            else INJECTORS.lookup("poisson").build(config.num_cores, 0.3, seed=4)
+        )
+        simulation = _simulation("toph", **{built: component})
+        assert simulation._workload_key is None
+        simulation.run(10, 40)
+        assert simulation._replayed_until == 0 and engine_traffic._last_window is slot
+
+    def test_file_backed_components_have_no_key(self, recording):
+        simulation = _simulation("toph", injector="trace", injector_params=recording)
+        assert simulation._workload_key is None
+
+    def test_the_key_leaves_only_the_topology_out(self):
+        key = _simulation("toph")._workload_key
+        assert all(_simulation(name)._workload_key == key for name in ("top1", "topx"))
+        others = [
+            _simulation("toph", config=MemPoolConfig.scaled),
+            _simulation("toph", seed=5),
+            _simulation("toph", load=0.31),
+            _simulation("toph", injector="bernoulli"),
+            _simulation("toph", pattern="local_biased"),
+            _simulation("toph", pattern="local_biased", pattern_params={"p_local": 0.5}),
+        ]
+        keys = [key] + [simulation._workload_key for simulation in others]
+        assert all(a != b for index, a in enumerate(keys) for b in keys[index + 1:])
+
+    def test_a_different_window_length_misses(self):
+        _simulation("top1").run(10, 40)
+        simulation = _simulation("toph")
+        simulation.run(10, 41)
+        assert simulation._replayed_until == 0
 
 
 class TestWorkloadBearingSettings:
