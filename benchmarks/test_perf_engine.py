@@ -26,7 +26,6 @@ import time
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
-from repro.engine import VectorStageNetwork
 from repro.traffic.simulation import TrafficSimulation
 
 #: Injected loads of the benchmark sweep (request/core/cycle); spans the
@@ -65,11 +64,9 @@ def _sweep_once(engine: str) -> tuple[float, float, int]:
     total_cycles = 0
     for load in BENCH_LOADS:
         cluster = MemPoolCluster(MemPoolConfig.scaled(BENCH_TOPOLOGY), engine=engine)
-        network = cluster.network  # build the facade/compile outside the timing
-        # The vector traffic driver calls the SoA engine directly; time the
-        # engine's own advance there, the stage network's otherwise.
-        target = network.engine if isinstance(network, VectorStageNetwork) else network
-        spent = _timed_advance(target)
+        # Build/compile outside the timing; the traffic driver advances the
+        # row engine on both engines (the stage network's advance on legacy).
+        spent = _timed_advance(cluster.engine)
         simulation = TrafficSimulation(cluster, load, seed=SEED)
         started = time.perf_counter()
         simulation.run(warmup_cycles=WARMUP_CYCLES, measure_cycles=MEASURE_CYCLES)

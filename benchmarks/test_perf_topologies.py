@@ -23,7 +23,7 @@ import time
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
-from repro.engine import CompiledNetwork, VectorStageNetwork
+from repro.engine import CompiledNetwork
 from repro.interconnect.topology import build_topology
 from repro.traffic.simulation import TrafficSimulation
 
@@ -61,9 +61,7 @@ def _sweep_once(name: str, engine: str) -> tuple[float, int]:
     total_cycles = 0
     for load in BENCH_LOADS:
         cluster = MemPoolCluster(_config(name), engine=engine)
-        network = cluster.network  # build the facade/compile outside the timing
-        target = network.engine if isinstance(network, VectorStageNetwork) else network
-        spent = _timed_advance(target)
+        spent = _timed_advance(cluster.engine)  # build/compile outside the timing
         simulation = TrafficSimulation(cluster, load, seed=SEED)
         simulation.run(warmup_cycles=WARMUP_CYCLES, measure_cycles=MEASURE_CYCLES)
         advance_seconds += spent[0]

@@ -16,9 +16,8 @@ from repro.addressing.layout import MemoryLayout
 from repro.addressing.map import AddressMap, make_address_map
 from repro.core.config import DEFAULT_ENGINE, ENGINES, MemPoolConfig
 from repro.core.memory import SharedL1Memory
-from repro.engine import VectorStageNetwork
+from repro.engine import LegacyEngine, VectorStageNetwork
 from repro.engine.compile import shared_network
-from repro.interconnect.resources import Flit
 from repro.interconnect.topology import ClusterTopology, build_topology
 
 # The families the topology rows of repro.catalogue name, loaded with the
@@ -73,8 +72,6 @@ class MemPoolCluster:
         self.memory = SharedL1Memory(self.config)
         self.layout = MemoryLayout(self.config)
         self.tiles = self._build_tiles()
-        self._next_flit_id = 0
-        self._vector_network = None
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -106,28 +103,36 @@ class MemPoolCluster:
             )
         return tuple(tiles)
 
-    @property
+    @cached_property
     def network(self):
-        """The cycle engine flits travel through.
+        """The network object the simulators advance (built on first access).
 
-        For ``engine="legacy"`` this is the topology's per-object
-        :class:`~repro.interconnect.resources.StageNetwork`; for
-        ``engine="vector"`` it is a
-        :class:`~repro.engine.vector.VectorStageNetwork` over the
-        structure-of-arrays engine, built lazily on first access.  Both
-        expose the same ``advance`` / ``try_inject`` / ``drain`` interface
-        over ``Flit`` objects; the simulators use that interface on
-        ``legacy`` only and drive the SoA engine behind ``network.engine``
-        in rows.
+        For ``engine="vector"`` a
+        :class:`~repro.engine.vector.VectorStageNetwork` facade over the
+        structure-of-arrays engine; for ``engine="legacy"`` the
+        :class:`~repro.engine.legacy.LegacyEngine` that is also
+        :attr:`engine`.  Both give ``advance(cycle)``, which leaves the
+        completed rows in ``completed_rows``, and the ``in_flight`` /
+        ``total_injected`` / ``total_completed`` counters.
         """
-        if self.engine_kind != "legacy":
-            if self._vector_network is None:
-                compiled = self.compiled_network()
-                self._vector_network = VectorStageNetwork(
-                    compiled.topology, compiled=compiled
-                )
-            return self._vector_network
-        return self.topology.network
+        if self.engine_kind == "legacy":
+            return LegacyEngine(self.topology)
+        compiled = self.compiled_network()
+        return VectorStageNetwork(compiled.topology, compiled=compiled)
+
+    @property
+    def engine(self):
+        """The row engine both simulators drive.
+
+        A :class:`~repro.engine.vector.VectorEngine` (the one behind
+        :attr:`network`) on ``vector``; on ``legacy`` a
+        :class:`~repro.engine.legacy.LegacyEngine` serving the same
+        ``flits`` / ``new_flits`` / ``inject_new`` / ``inject_queues`` /
+        ``advance`` members over the topology's per-object
+        :class:`~repro.interconnect.resources.StageNetwork`.
+        """
+        network = self.network
+        return network if self.engine_kind == "legacy" else network.engine
 
     def compiled_network(self):
         """This configuration's topology compiled for the SoA engine.
@@ -138,7 +143,7 @@ class MemPoolCluster:
         object through :func:`repro.engine.compile.shared_network`, so a
         sweep compiles each configuration's path tables once instead of
         once per point.  All simulation state stays in the per-cluster
-        engine behind :attr:`network`.  The first request for a
+        engine behind :attr:`engine`.  The first request for a
         configuration builds and compiles a topology of the memo's own
         (never this cluster's :attr:`topology`); later ones build neither
         for as long as the memo keeps it — 256 cores' worth of
@@ -152,52 +157,8 @@ class MemPoolCluster:
         return self.tiles[self.config.tile_of_core(core_id)]
 
     # ------------------------------------------------------------------ #
-    # Request construction
+    # Introspection
     # ------------------------------------------------------------------ #
-
-    def _allocate_flit_id(self) -> int:
-        flit_id = self._next_flit_id
-        self._next_flit_id += 1
-        return flit_id
-
-    def make_bank_flit(
-        self,
-        core_id: int,
-        bank_id: int,
-        is_write: bool,
-        cycle: int,
-        tag: object = None,
-    ) -> Flit:
-        """Build the flit for a memory access targeting a specific bank.
-
-        On a vector-engine cluster the resource path is left empty: the
-        engine routes by its compiled path tables, so materialising the
-        per-flit resource list would be pure overhead on the hot path
-        (``Flit.position`` bookkeeping comes from the same tables).
-        """
-        if self.engine_kind == "legacy":
-            path: list | tuple = self.topology.build_path(
-                core_id, bank_id, needs_response=not is_write
-            )
-        else:
-            path = ()
-        return Flit(
-            flit_id=self._allocate_flit_id(),
-            core_id=core_id,
-            bank_id=bank_id,
-            path=path,
-            is_write=is_write,
-            created_cycle=cycle,
-            tag=tag,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Locality helpers
-    # ------------------------------------------------------------------ #
-
-    def is_local_bank(self, core_id: int, bank_id: int) -> bool:
-        """True if ``bank_id`` belongs to ``core_id``'s own tile."""
-        return self.config.tile_of_bank(bank_id) == self.config.tile_of_core(core_id)
 
     def zero_load_latency(self, core_id: int, bank_id: int) -> int:
         """Round-trip latency of an uncontended load from ``core_id`` to ``bank_id``."""

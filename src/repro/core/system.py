@@ -19,7 +19,6 @@ from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.agents import CoreAgent, IdleAgent
 from repro.core.cluster import MemPoolCluster
 from repro.core.coremodel import FINISHED, SLEEP_TIMER, CoreStats, CoreTimingModel
-from repro.interconnect.resources import Flit
 from repro.utils.rotation import PermutationSchedule
 
 
@@ -153,66 +152,6 @@ class SystemResult:
         return self.instructions / self.cycles
 
 
-class _StageNetworkRows:
-    """The row port of the SoA engine, over the ``legacy`` ``StageNetwork``.
-
-    The system drives both engines through the same members: ``inject_new``
-    returns an accepted request's row (here the next row number, stored in
-    its ``Flit``'s tag) or ``None``, ``advance`` sets ``completed_rows``,
-    and ``core`` / ``created`` are indexed by row.  A refused request keeps
-    its ``Flit`` for the retry: each core offers only its oldest request,
-    so there is at most one per core.
-    """
-
-    def __init__(self, cluster: MemPoolCluster) -> None:
-        self._cluster = cluster
-        self._network = cluster.network
-        self._blocked: dict[int, Flit] = {}
-        self.core: list[int] = []
-        self.created: list[int] = []
-        self.completed_rows: list[int] = []
-
-    def inject_new(
-        self, core_id: int, bank_id: int, is_write: bool,
-        created_cycle: int, cycle: int,
-    ) -> int | None:
-        """Offer a core's oldest request; its row if accepted, else ``None``."""
-        flit = self._blocked.pop(core_id, None)
-        if flit is None:
-            flit = self._cluster.make_bank_flit(core_id, bank_id, is_write, created_cycle)
-        if not self._network.try_inject(flit, cycle):
-            self._blocked[core_id] = flit
-            return None
-        row = flit.tag = len(self.core)
-        self.core.append(core_id)
-        self.created.append(created_cycle)
-        return row
-
-    def advance(self, cycle: int) -> None:
-        """Move the network one cycle; the completed flits' rows go to ``completed_rows``."""
-        self.completed_rows = [flit.tag for flit in self._network.advance(cycle)]
-
-
-def _engine_port(cluster: MemPoolCluster):
-    """The system's row port into the timing engine.
-
-    Returns ``(network, inject_new, core, created)``: ``network.advance(cycle)``
-    moves the network one cycle and leaves the completed rows in
-    ``network.completed_rows``; ``inject_new(core_id, bank_id, is_write,
-    created_cycle, cycle)`` returns an accepted request's row or ``None``
-    (a refused request allocates nothing); ``core`` and ``created`` give
-    each row's core and creation cycle.  On ``vector`` these are the
-    ``VectorStageNetwork`` facade and its engine's flit table, with no
-    object per request; ``legacy`` gets a :class:`_StageNetworkRows`.
-    """
-    if cluster.engine_kind == "legacy":
-        port = _StageNetworkRows(cluster)
-        return port, port.inject_new, port.core, port.created
-    network = cluster.network
-    engine = network.engine
-    return network, engine.inject_new, engine.flits.core, engine.flits.created
-
-
 class MemPoolSystem:
     """Event-driven cycle simulator of agents (programs) running on the cluster."""
 
@@ -241,9 +180,13 @@ class MemPoolSystem:
             CoreTimingModel(core_id, cluster, agent, self.barrier, self._load_rows)
             for core_id, agent in enumerate(self.agents)
         ]
-        self._network, self._inject_new, self._core_of_row, self._created_of_row = (
-            _engine_port(cluster)
-        )
+        # The row port: advance through ``cluster.network`` (on ``vector`` the
+        # facade, whose advance leaves the rows in ``completed_rows``) and
+        # inject, and look rows up, on ``cluster.engine``.
+        engine = cluster.engine
+        self._network = cluster.network
+        self._inject_new = engine.inject_new
+        self._core_of_row, self._created_of_row = engine.flits.core, engine.flits.created
         self._step_schedule = PermutationSchedule(len(self.cores), seed=1)
         #: Which cores the next cycle steps, how many have not finished, and
         #: the sleeping cores to wake at a given cycle.

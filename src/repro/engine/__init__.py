@@ -19,9 +19,11 @@ the system goldens and cross-checks::
 
 Both the open-loop traffic simulator (through
 :mod:`repro.engine.traffic`) and the execution-driven system simulator
-(through the row port of :mod:`repro.core.system`) run on the vector engine
-unchanged; :class:`~repro.engine.vector.VectorStageNetwork` keeps the
-``StageNetwork`` object interface for tests and tracing.  Every traffic
+(:mod:`repro.core.system`) drive one row API, ``MemPoolCluster.engine``:
+a :class:`VectorEngine`, or on ``legacy`` a
+:class:`~repro.engine.legacy.LegacyEngine` serving the same members over
+the per-object network.  :class:`~repro.engine.vector.VectorStageNetwork`
+keeps the ``StageNetwork`` object interface for tests and tracing.  Every traffic
 point is one engine instance driven by one loop — there is no batched
 multi-simulation path and no compiled-kernel engine
 (``docs/architecture.md``, "Why there is no sim axis" and "Why there is no
@@ -32,6 +34,7 @@ import importlib.util
 
 from repro.core.config import ENGINES
 from repro.engine.compile import CompiledNetwork, EngineCompileError
+from repro.engine.legacy import LegacyEngine
 from repro.engine.soa import FlitTable
 from repro.engine.vector import VectorEngine, VectorStageNetwork
 
@@ -46,6 +49,7 @@ __all__ = [
     "CompiledNetwork",
     "EngineCompileError",
     "FlitTable",
+    "LegacyEngine",
     "VectorEngine",
     "VectorStageNetwork",
 ]

@@ -1,11 +1,14 @@
-"""Open-loop traffic measurement running natively on the SoA engine.
+"""Open-loop traffic measurement over the row API of either engine.
 
-This is the fast path behind :meth:`repro.traffic.simulation.TrafficSimulation.run`
-when the cluster was built with ``engine="vector"``: the
-same warm-up / measure window, the same random streams (arrival process,
-destination pattern, injection permutation — drawn in exactly the legacy
-order, so results are flit-for-flit identical), but no :class:`Flit`
-objects anywhere.
+This is the one driver behind
+:meth:`repro.traffic.simulation.TrafficSimulation.run`.  It talks to
+``cluster.engine`` in rows — the structure-of-arrays
+:class:`~repro.engine.vector.VectorEngine` on ``vector``, the
+:class:`~repro.engine.legacy.LegacyEngine` over the per-object
+``StageNetwork`` on ``legacy`` — so the window, the random streams
+(arrival process, destination pattern, injection permutation) and the
+statistics are the same code on both, and engine equivalence compares
+the transport alone.
 
 The experiment is *open loop*: the offered traffic never observes the
 network (see :mod:`repro.workloads.base`).  The driver relies on that to
@@ -16,10 +19,11 @@ take request generation out of the per-cycle transport loop:
    the window's cycles, then — when anything arrived — one
    :meth:`~repro.workloads.base.DestinationPattern.destinations` call over
    all of its sources.  A pattern and an injector never share a random
-   stream, and each batched call equals its scalar calls in sequence, so
-   every stream is consumed exactly as the legacy loop's per-cycle calls
-   consume it and any registered pattern/injector pair (trace replay
-   included) runs here unchanged.  No per-cycle call, tuple or array is
+   stream, and each batched call equals its scalar calls in sequence
+   (``tests/test_workloads.py`` pins that for every catalogue pattern and
+   injector), so every stream is consumed exactly as per-cycle scalar
+   calls would consume it and any registered pattern/injector pair (trace
+   replay included) runs here unchanged.  No per-cycle call, tuple or array is
    left.  A first window depends only on the simulation's workload key,
    so the process keeps the last one drawn and an equal key replays it
    (:func:`_allocate_window`): the load-major 64-core Figure 5 sweep
@@ -27,10 +31,11 @@ take request generation out of the per-cycle transport loop:
    the per-cycle form 15,600 + 15,429.
 2. **Allocate the window.**  One ``engine.new_flits`` call turns the drawn
    requests into consecutive rows of the engine's
-   :class:`~repro.engine.soa.FlitTable`, in generation order — the row ids
-   the legacy loop's per-request allocation hands out.  Template ids and
-   chain heads come out of three table gathers; only the rows whose
-   injection hop enters the bank stage are touched one by one.
+   :class:`~repro.engine.soa.FlitTable`, in generation order.  On
+   ``vector`` template ids and chain heads come out of three table
+   gathers, and only the rows whose injection hop enters the bank stage
+   are touched one by one; on ``legacy`` a row gets its ``Flit`` when it
+   first reaches the head of its source queue.
 3. **Transport.**  Per cycle: the engine's level-ordered ``advance``, the
    cycle's new rows appended to their cores' source queues, one
    ``inject_queues`` pass.  Latency statistics are replayed once after the
@@ -56,7 +61,7 @@ def _draw_window(simulation, start: int, end: int) -> tuple:
 
     One ``arrivals_batch`` call and — when anything arrived — one
     ``destinations`` call over all of its sources, each component in its
-    legacy draw order (see :mod:`repro.workloads.base`).  Returns
+    scalar draw order (see :mod:`repro.workloads.base`).  Returns
     ``(sources, ends, banks, cores, created, local)``: the banks and
     issuing cores as read-only arrays, each request's creation cycle and
     the number of requests to the issuing core's own tile.
@@ -126,21 +131,21 @@ def run_vector_traffic(
     measure_cycles: int,
     record_flits: bool = False,
 ):
-    """Run one open-loop traffic measurement on an SoA engine.
+    """Run one open-loop traffic measurement on the cluster's row engine.
 
     The window starts at the simulation's clock and leaves it at the
     window's end.  Relying on the open-loop contract (patterns and
     injectors never observe the network), the whole window is drawn before
     its first cycle is transported — each component in its documented
-    draw order, so the draws are those of the legacy loop.
+    draw order, so the draws are those of per-cycle scalar calls.
 
     Parameters
     ----------
     simulation : repro.traffic.simulation.TrafficSimulation
-        The configured simulation; its cluster must have been built with
-        ``engine="vector"``.  The driver reuses the
-        simulation's injector, pattern, injection schedule, source queues
-        and clock so repeated windows match the legacy loop call for call.
+        The configured simulation, on a cluster of either engine.  The
+        driver reuses the simulation's injector, pattern, injection
+        schedule, source queues and clock, so a second window continues
+        the first exactly.
     warmup_cycles, measure_cycles : int
         Warm-up and measurement windows.
     record_flits : bool
@@ -150,13 +155,12 @@ def run_vector_traffic(
     Returns
     -------
     repro.traffic.simulation.TrafficResult
-        Identical, field for field, to what the legacy object loop returns
-        for the same seeds.
+        Identical, field for field, on both engines for the same seeds.
     """
     from repro.traffic.simulation import TrafficResult
 
     config = simulation.cluster.config
-    engine = simulation.cluster.network.engine
+    engine = simulation.cluster.engine
     flits = engine.flits
     start = simulation._cycle
     end = start + warmup_cycles + measure_cycles
@@ -165,9 +169,9 @@ def run_vector_traffic(
     advance = engine.advance
     inject_queues = engine.inject_queues
     order = simulation._injection_schedule.order
-    # The simulation-owned row queues: persistent across run() calls, like
-    # the legacy loop's Flit queues, so repeated windows stay cycle-exact.
-    queues = simulation._row_queues
+    # The simulation-owned row queues: persistent across run() calls, so
+    # repeated windows stay cycle-exact.
+    queues = simulation._queues
     measure_start = start + warmup_cycles
     #: Completed rows in completion order (packed: holds no int objects).
     completed = array("q")

@@ -41,13 +41,15 @@ per-resource utilisation counters (``RegisterStage.accepts`` and friends):
 they exist for structural statistics on the object model and would cost two
 extra writes per hop here.
 
-:class:`VectorStageNetwork` wraps the engine in the ``StageNetwork`` call
-interface (``advance`` / ``try_inject`` / ``drain`` over
-:class:`~repro.interconnect.resources.Flit` objects) for object-model
-callers: tests and the benchmark's tracer.  The simulators do not build
-objects — the traffic driver and the execution-driven system
-(:class:`repro.core.system.MemPoolSystem`) both talk to :attr:`engine` in
-rows.
+The simulators talk to the engine in rows (``new_flits``,
+``inject_queues``, ``inject_new``, ``advance``), the API that
+:class:`~repro.engine.legacy.LegacyEngine` serves over the per-object
+network on ``legacy``.  :class:`VectorStageNetwork` wraps the engine in the
+``StageNetwork`` call interface (``advance`` / ``try_inject`` / ``drain``
+over :class:`~repro.interconnect.resources.Flit` objects) for tests and
+the benchmark's tracer; the execution-driven system
+(:class:`repro.core.system.MemPoolSystem`) advances through it and reads
+its ``completed_rows``.
 """
 
 from __future__ import annotations
@@ -217,48 +219,6 @@ class VectorEngine:
             granted[arbiter] = cycle
         return True
 
-    def try_inject(self, row: int, cycle: int) -> bool:
-        """Try to move ``row`` from its core into the first register stage.
-
-        Mirrors :meth:`StageNetwork.try_inject`: called after
-        :meth:`advance` so a slot freed this cycle can receive the new flit,
-        while the one-accept-per-cycle rule keeps it from moving twice.
-        """
-        if self.flits.injected_cycle[row] != -1:
-            raise ValueError("flit was already injected")
-        return self._inject(row, cycle)
-
-    def _inject(self, row: int, cycle: int) -> bool:
-        """The injection hop of one row (inlined in :meth:`inject_queues`).
-
-        The hop always enters a register stage: a compiled path crosses at
-        least its bank's stage, so no row completes at injection.
-        """
-        flits = self.flits
-        target, arbiter, following = self._next_move[row]
-        if not self.free_slots[target] or self.accepted_cycle[target] == cycle:
-            return False
-        if arbiter >= 0:
-            if self.granted_cycle[arbiter] == cycle:
-                return False
-            self.granted_cycle[arbiter] = cycle
-        elif arbiter < -1 and not self._grant_run(arbiter, cycle):
-            return False
-        flits.injected_cycle[row] = cycle
-        self.total_injected += 1
-        if following[0] == BANK:
-            following = (self._bank_stage[flits.bank[row]], following[1], following[2])
-        self._next_move[row] = following
-        queue = self.queues[target]
-        if not queue:
-            self._occupied_cells[target] = 1
-            self._head_move[target] = following
-        queue.append(row)
-        self.free_slots[target] -= 1
-        self.accepted_cycle[target] = cycle
-        self.in_flight += 1
-        return True
-
     def inject_new(
         self, core_id: int, bank_id: int, is_write: bool,
         created_cycle: int, cycle: int,
@@ -324,10 +284,14 @@ class VectorEngine:
         row attempts the injection hop, and accepted heads are popped.
         Returns the number of injected rows.
 
-        The hop is :meth:`_inject` inlined over locally bound state — most
+        Called after :meth:`advance`, so a slot freed this cycle can
+        receive a head row while the one-accept-per-cycle rule keeps it
+        from moving twice.  The hop runs over locally bound state — most
         attempts of a saturated network are blocked, and a blocked attempt
-        is then two list reads instead of a method call — with the
-        counter updates deferred to one per call.
+        is then two list reads — with the counter updates deferred to one
+        per call.  It always enters a register stage: a compiled path
+        crosses at least its bank's stage, so no row completes at
+        injection.
         """
         next_move = self._next_move
         free_slots = self.free_slots

@@ -17,7 +17,6 @@ from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.engine import traffic as engine_traffic
 from repro.utils.rotation import PermutationSchedule
-from repro.utils.stats import Histogram, OnlineStats
 from repro.workloads.base import DestinationPattern, InjectionProcess
 
 
@@ -171,16 +170,9 @@ class TrafficSimulation:
                 "would be labelled with the wrong offered load"
             )
         self.injector = injector
+        #: Per-core source queues of engine rows, persistent across run()
+        #: calls, so back-to-back measurement windows see the same backlog.
         self._queues: list[deque] = [deque() for _ in range(cluster.config.num_cores)]
-        #: Source queues of engine rows used by the SoA-engine fast path —
-        #: persistent across run() calls, mirroring ``self._queues`` on the
-        #: legacy path, so back-to-back measurement windows see the same
-        #: backlog on every engine.
-        self._row_queues: list[deque] | None = (
-            [deque() for _ in range(cluster.config.num_cores)]
-            if cluster.engine_kind != "legacy"
-            else None
-        )
         self._injection_schedule = PermutationSchedule(
             cluster.config.num_cores, seed=seed + 1
         )
@@ -190,37 +182,6 @@ class TrafficSimulation:
         #: every run() window, because source queues, stage stamps and the
         #: injector's pending arrivals all carry absolute cycles.
         self._cycle = 0
-
-    # ------------------------------------------------------------------ #
-    # Per-cycle behaviour
-    # ------------------------------------------------------------------ #
-
-    def _generate(self, cycle: int) -> int:
-        cluster = self.cluster
-        generated = 0
-        for core_id, queue in enumerate(self._queues):
-            for _ in range(self.injector.arrivals(core_id, cycle)):
-                bank_id = self.pattern.destination(core_id)
-                flit = cluster.make_bank_flit(
-                    core_id, bank_id, is_write=False, cycle=cycle
-                )
-                queue.append(flit)
-                generated += 1
-                self._total_requests += 1
-                if cluster.is_local_bank(core_id, bank_id):
-                    self._local_requests += 1
-        return generated
-
-    def _inject(self, cycle: int) -> int:
-        network = self.cluster.network
-        injected = 0
-        queues = self._queues
-        for index in self._injection_schedule.order(cycle):
-            queue = queues[index]
-            if queue and network.try_inject(queue[0], cycle):
-                queue.popleft()
-                injected += 1
-        return injected
 
     # ------------------------------------------------------------------ #
     # Measurement
@@ -234,11 +195,13 @@ class TrafficSimulation:
     ) -> TrafficResult:
         """Warm the network up, then measure throughput and latency.
 
-        On a cluster built with ``engine="vector"`` the whole loop runs on
-        the structure-of-arrays engine (:mod:`repro.engine.traffic`) — same
-        random streams, flit-for-flit identical results, several times
-        faster.  ``record_flits`` attaches the per-flit completion log to
-        the result (see :attr:`TrafficResult.flit_log`).
+        One driver, :func:`repro.engine.traffic.run_vector_traffic`, runs
+        the window on the cluster's row engine
+        (:attr:`repro.core.cluster.MemPoolCluster.engine`): the
+        structure-of-arrays engine on ``vector``, the per-object oracle on
+        ``legacy`` — same random streams, flit-for-flit identical results.  ``record_flits``
+        attaches the per-flit completion log to the result (see
+        :attr:`TrafficResult.flit_log`).
 
         A second call continues where the first stopped: same clock, same
         backlog, same random streams.
@@ -260,60 +223,7 @@ class TrafficSimulation:
                 "measure_cycles must be positive (the measurement window "
                 f"normalises throughput), got {measure_cycles}"
             )
-        if self.cluster.engine_kind != "legacy":
-            # Through the module: bench/spans.py wraps the function there.
-            return engine_traffic.run_vector_traffic(
-                self, warmup_cycles, measure_cycles, record_flits=record_flits
-            )
-        network = self.cluster.network
-        latency = OnlineStats()
-        histogram = Histogram()
-        flit_log: list[tuple[int, int, int, int, int, int]] = []
-        completed_in_window = 0
-        generated_in_window = 0
-        injected_in_window = 0
-        start = self._cycle
-        end = start + warmup_cycles + measure_cycles
-        for cycle in range(start, end):
-            completions = network.advance(cycle)
-            measuring = cycle >= start + warmup_cycles
-            if measuring:
-                completed_in_window += len(completions)
-                for flit in completions:
-                    latency.add(flit.latency)
-                    histogram.add(flit.latency)
-            if record_flits:
-                for flit in completions:
-                    flit_log.append(
-                        (
-                            flit.flit_id,
-                            flit.core_id,
-                            flit.bank_id,
-                            flit.created_cycle,
-                            flit.injected_cycle,
-                            flit.completed_cycle,
-                        )
-                    )
-            generated = self._generate(cycle)
-            injected = self._inject(cycle)
-            if measuring:
-                generated_in_window += generated
-                injected_in_window += injected
-        self._cycle = end
-        local_fraction = (
-            self._local_requests / self._total_requests if self._total_requests else 0.0
-        )
-        return TrafficResult(
-            topology=self.cluster.config.topology,
-            injected_load=self.injection_rate,
-            measured_cycles=measure_cycles,
-            num_cores=self.cluster.config.num_cores,
-            generated_requests=generated_in_window,
-            injected_requests=injected_in_window,
-            completed_requests=completed_in_window,
-            average_latency=latency.mean,
-            p95_latency=histogram.percentile(0.95),
-            max_latency=int(latency.maximum) if latency.count else 0,
-            local_fraction=local_fraction,
-            flit_log=flit_log if record_flits else None,
+        # Through the module: bench/spans.py wraps the function there.
+        return engine_traffic.run_vector_traffic(
+            self, warmup_cycles, measure_cycles, record_flits=record_flits
         )

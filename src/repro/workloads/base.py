@@ -4,8 +4,9 @@ A *workload* is the pair of questions the synthetic-traffic layer asks the
 environment every cycle: **when** does each core generate a request
 (:class:`InjectionProcess`) and **where** does that request go
 (:class:`DestinationPattern`).  Both abstractions expose a scalar API (one
-core at a time — what the legacy object engine consumes) and a batched API
-(whole arrays of cores — what the vector engine's fast path consumes).
+core at a time — what the execution-driven workload agents consume) and a
+batched API (whole windows — what the open-loop traffic driver consumes on
+either engine).
 
 The batched APIs are contractually equivalent to the scalar ones: calling
 ``destinations(cores)`` must consume exactly the same random draws, in the
@@ -15,9 +16,9 @@ cycle-major — every cycle of ``[start, end)`` ascending, all cores
 ascending within it.  Two consequences the vector driver relies on: one
 ``destinations`` call over a whole window's sources equals the per-cycle
 calls concatenated (and leaves every stream where they leave it), and the
-windows ``[a, b)`` then ``[b, c)`` equal the window ``[a, c)``.  The vector
-engine depends on this equivalence for cycle-exactness with the legacy
-engine; ``tests/test_workloads.py`` asserts it property-style for every
+windows ``[a, b)`` then ``[b, c)`` equal the window ``[a, c)``.  The traffic
+driver depends on this equivalence to draw exactly what per-cycle calls
+would draw; ``tests/test_workloads.py`` asserts it property-style for every
 registered component.
 
 Both abstractions are **open loop**: patterns and injectors never observe
@@ -100,7 +101,7 @@ class DestinationPattern:
         raise NotImplementedError
 
     def destinations(self, core_ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Destination banks of many requests at once (vector fast path).
+        """Destination banks of many requests at once (the traffic driver).
 
         The default implementation loops :meth:`destination` in order, so
         the scalar/batched equivalence contract holds for any subclass;
@@ -177,7 +178,7 @@ class InjectionProcess:
 
         Equivalent to calling :meth:`arrivals` cycle-major — cycles
         ascending, every core ascending within a cycle (the contract the
-        vector fast path depends on).  Subclasses may override this with a
+        traffic driver depends on).  Subclasses may override this with a
         faster loop but must preserve the draw order.
 
         Returns

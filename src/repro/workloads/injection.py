@@ -10,8 +10,8 @@ processes draw from per-core RNG substreams.
 All processes share the :class:`~repro.workloads.base.InjectionProcess`
 contract: ``arrivals_batch(start, end)`` consumes exactly the same draws as
 ``arrivals(core, cycle)`` called cycle-major over the window, all cores
-ascending within a cycle, which is what keeps the vector fast path
-cycle-exact with the legacy loop.  The window form is the only batched
+ascending within a cycle, which is what lets the traffic driver draw a
+whole window at once with the draws of per-cycle calls.  The window form is the only batched
 form: the traffic driver makes at most one call per ``run()`` window —
 none when it replays a first window another topology drew under the same
 workload (4 calls on the 64-core Figure 5 sweep, where the per-cycle form

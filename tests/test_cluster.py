@@ -1,8 +1,8 @@
-"""Tests of the MemPoolCluster container (tiles, flit construction, locality)."""
+"""Tests of the MemPoolCluster container (tiles, bank paths, locality)."""
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
-from repro.interconnect.resources import RegisterStage
+from repro.interconnect.resources import Flit, RegisterStage
 
 
 class TestTiles:
@@ -35,16 +35,16 @@ class TestFlitConstruction:
         bank_id = cluster.address_map.global_bank_of(address)
         assert cluster.config.tile_of_bank(bank_id) == 0
 
-    def test_make_bank_flit_paths_end_properly(self, tiny_config):
-        # Only the legacy engine materialises a flit's resource path.
+    def test_bank_paths_end_properly(self, tiny_config):
         cluster = MemPoolCluster(tiny_config, engine="legacy")
-        read = cluster.make_bank_flit(0, 1, is_write=False, cycle=0)
-        write = cluster.make_bank_flit(0, 1, is_write=True, cycle=0)
+        read = Flit(0, 0, 1, cluster.topology.build_path(0, 1, needs_response=True))
+        write = Flit(1, 0, 1, cluster.topology.build_path(0, 1, needs_response=False),
+                     is_write=True)
         assert len(read.path) >= len(write.path)
         assert isinstance(write.path[-1], RegisterStage)
 
     def test_flit_ids_are_unique(self, tiny_cluster):
-        ids = {tiny_cluster.make_bank_flit(0, 0, False, 0).flit_id for _ in range(10)}
+        ids = {tiny_cluster.engine.new_flits([0], [0], [0]) for _ in range(10)}
         assert len(ids) == 10
 
     def test_scrambling_changes_where_stacks_land(self):
@@ -56,10 +56,10 @@ class TestFlitConstruction:
         assert scrambled.address_map.is_local(address, tile)
         assert not interleaved.address_map.is_local(address, tile)
 
-    def test_is_local_bank(self, tiny_cluster):
+    def test_bank_locality_is_by_tile(self, tiny_cluster):
         config = tiny_cluster.config
-        assert tiny_cluster.is_local_bank(0, 0)
-        assert not tiny_cluster.is_local_bank(0, config.banks_per_tile)
+        assert config.tile_of_bank(0) == config.tile_of_core(0)
+        assert config.tile_of_bank(config.banks_per_tile) != config.tile_of_core(0)
 
 
 class TestDescriptions:

@@ -8,8 +8,10 @@ engine selector on the cluster.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from repro.core.cluster import MemPoolCluster
@@ -18,11 +20,21 @@ from repro.engine import (
     CompiledNetwork,
     EngineCompileError,
     FlitTable,
+    LegacyEngine,
     VectorEngine,
     VectorStageNetwork,
 )
 from repro.engine.compile import BANK, COMPLETE
-from repro.interconnect.resources import LEVEL_BANK, RegisterStage
+from repro.interconnect.resources import (
+    LEVEL_BANK,
+    LEVEL_MASTER_REQ,
+    LEVEL_MASTER_RESP,
+    ArbitrationPoint,
+    Flit,
+    RegisterStage,
+)
+from repro.interconnect.topology import ClusterTopology
+from repro.utils.rotation import PermutationSchedule
 
 
 @pytest.fixture
@@ -128,10 +140,21 @@ class TestFlitTable:
             FlitTable(capacity=0)
 
 
+def _flit(cluster, flit_id, core, bank, is_write=False):
+    """One request ``Flit`` created in cycle 0, its path on ``cluster``'s topology."""
+    path = cluster.topology.build_path(core, bank, needs_response=not is_write)
+    return Flit(flit_id, core, bank, path, is_write=is_write, created_cycle=0)
+
+
+def _object_network(cluster):
+    """The ``StageNetwork`` interface of either engine: the facade on ``vector``."""
+    return cluster.topology.network if cluster.engine_kind == "legacy" else cluster.network
+
+
 class TestVectorStageNetwork:
     def test_double_injection_is_rejected(self, toph_config):
         cluster = MemPoolCluster(toph_config, engine="vector")
-        flit = cluster.make_bank_flit(0, 0, is_write=False, cycle=0)
+        flit = _flit(cluster, 0, 0, 0)
         assert cluster.network.try_inject(flit, 0)
         with pytest.raises(ValueError, match="already injected"):
             cluster.network.try_inject(flit, 1)
@@ -140,10 +163,9 @@ class TestVectorStageNetwork:
         cycles = {}
         for engine in ("legacy", "vector"):
             cluster = MemPoolCluster(toph_config, engine=engine)
-            network = cluster.network
+            network = _object_network(cluster)
             for core in range(cluster.config.num_cores):
-                flit = cluster.make_bank_flit(core, 17, is_write=False, cycle=0)
-                network.try_inject(flit, 0)
+                network.try_inject(_flit(cluster, core, core, 17), 0)
             cycles[engine] = network.drain(max_cycles=500, start_cycle=1)
             assert network.in_flight == 0
         assert cycles["legacy"] == cycles["vector"]
@@ -155,11 +177,11 @@ class TestVectorStageNetwork:
 
         def loaded_network():
             cluster = MemPoolCluster(toph_config, engine=engine)
-            flit = cluster.make_bank_flit(0, toph_config.num_banks - 1,
-                                          is_write=False, cycle=0)
-            assert cluster.network.try_inject(flit, 0)
+            flit = _flit(cluster, 0, 0, toph_config.num_banks - 1)
+            network = _object_network(cluster)
+            assert network.try_inject(flit, 0)
             flits.append(flit)
-            return cluster.network
+            return network
 
         assert loaded_network().drain(max_cycles=100, start_cycle=1)
         # Injected in cycle 0, it completes in the advance of cycle N.
@@ -172,8 +194,7 @@ class TestVectorStageNetwork:
     def test_counters_track_lifecycle(self, toph_config):
         cluster = MemPoolCluster(toph_config, engine="vector")
         network = cluster.network
-        flit = cluster.make_bank_flit(0, cluster.config.num_banks - 1,
-                                      is_write=False, cycle=0)
+        flit = _flit(cluster, 0, 0, cluster.config.num_banks - 1)
         assert network.try_inject(flit, 0)
         assert network.in_flight == 1
         assert network.total_injected == 1
@@ -186,8 +207,8 @@ class TestVectorStageNetwork:
     def test_completed_write_does_not_return_response(self, toph_config):
         cluster = MemPoolCluster(toph_config, engine="vector")
         network = cluster.network
-        store = cluster.make_bank_flit(0, 20, is_write=True, cycle=0)
-        load = cluster.make_bank_flit(0, 20, is_write=False, cycle=0)
+        store = _flit(cluster, 0, 0, 20, is_write=True)
+        load = _flit(cluster, 1, 0, 20)
         assert network.try_inject(store, 0)
         completed = []
         for cycle in range(1, 50):
@@ -271,6 +292,121 @@ class TestInjectionArbiterRun:
         assert (engine.total_injected, engine.in_flight) == (1, 1)
 
 
+class _TwoArbiterInjection(ClusterTopology):
+    """A remote request crosses two arbiters, then its first register stage.
+
+    The source tile's output and the destination tile's input are
+    combinational, so a remote injection hop is a run of two arbiters:
+    cores of one tile contend on the first, cores aiming at one tile on
+    the second.  The register behind them is per tile pair, so either
+    arbiter can refuse a hop whose target stage is free.
+    """
+
+    name = "two-arbiter-injection"
+
+    def __init__(self, config):
+        super().__init__(config)
+        tiles = range(config.num_tiles)
+        self.tile_out = [self.network.add_arbiter(ArbitrationPoint(f"tile{t}.out")) for t in tiles]
+        self.tile_in = [self.network.add_arbiter(ArbitrationPoint(f"tile{t}.in")) for t in tiles]
+        self.request = [
+            [self._add_stage(f"tile{s}to{t}.req", LEVEL_MASTER_REQ) for t in tiles]
+            for s in tiles
+        ]
+        self.response = [self._add_stage(f"tile{t}.resp", LEVEL_MASTER_RESP) for t in tiles]
+
+    def _remote_request_path(self, core_id, src_tile, dst_tile):
+        return [
+            self.tile_out[src_tile], self.tile_in[dst_tile], self.request[src_tile][dst_tile]
+        ]
+
+    def _remote_response_path(self, core_id, src_tile, dst_tile):
+        return [self.response[src_tile]]
+
+
+class TestInjectionArbiterRunOnBothEngines:
+    """A multi-arbiter *injection* hop on the vector and the legacy row engine."""
+
+    config = MemPoolConfig.tiny("topx")
+
+    def engines(self):
+        """``(vector, legacy)`` on two builds of the hand-made topology."""
+        compiled = CompiledNetwork(_TwoArbiterInjection(self.config))
+        # Not vacuous: a remote injection hop compiles to a run of two.
+        code = compiled.path_moves[compiled.path_id(0, self.config.banks_per_tile, True)][1]
+        assert code <= -2 and len(compiled.arbiter_runs[-2 - code]) == 2
+        return VectorEngine(compiled), LegacyEngine(_TwoArbiterInjection(self.config))
+
+    def requests(self, count):
+        rng = random.Random(11)
+        config = self.config
+        return [
+            (rng.randrange(config.num_cores), rng.randrange(config.num_banks),
+             rng.random() < 0.25)
+            for _ in range(count)
+        ]
+
+    def assert_same_rows(self, vector, legacy):
+        assert vector.flits.count == legacy.flits.count > 0
+        for column in ("injected_cycle", "completed_cycle"):
+            assert np.array_equal(
+                getattr(vector.flits, column), getattr(legacy.flits, column)
+            ), column
+        assert (vector.flits.completed_cycle[: vector.flits.count] >= 0).all()
+
+    def test_inject_new(self):
+        vector, legacy = self.engines()
+        pending = [deque() for _ in range(self.config.num_cores)]
+        for core, bank, is_write in self.requests(400):
+            pending[core].append((bank, is_write))
+        schedule = PermutationSchedule(self.config.num_cores, seed=2)
+        refused = cycle = 0
+        while any(pending) or vector.in_flight:
+            assert vector.advance(cycle) == legacy.advance(cycle)
+            for core in schedule.order(cycle):
+                if pending[core]:
+                    bank, is_write = pending[core][0]
+                    row = vector.inject_new(core, bank, is_write, 0, cycle)
+                    assert legacy.inject_new(core, bank, is_write, 0, cycle) == row
+                    if row is None:
+                        refused += 1
+                    else:
+                        pending[core].popleft()
+            assert (vector.in_flight, vector.total_injected) == (
+                legacy.in_flight, legacy.total_injected
+            )
+            cycle += 1
+        assert refused > 100
+        self.assert_same_rows(vector, legacy)
+
+    def test_inject_queues(self):
+        vector, legacy = self.engines()
+        requests = self.requests(400)
+        sources = {}
+        for engine in (vector, legacy):
+            for is_write in (False, True):
+                block = [request for request in requests if request[2] == is_write]
+                engine.new_flits(
+                    [core for core, _, _ in block], [bank for _, bank, _ in block],
+                    [0] * len(block), is_write,
+                )
+            sources[engine] = [deque() for _ in range(self.config.num_cores)]
+            for row in range(engine.flits.count):
+                sources[engine][engine.flits.core[row]].append(row)
+        schedule = PermutationSchedule(self.config.num_cores, seed=2)
+        refused = cycle = 0
+        while any(sources[vector]) or vector.in_flight:
+            assert vector.advance(cycle) == legacy.advance(cycle)
+            waiting = sum(1 for source in sources[vector] if source)
+            entered = vector.inject_queues(sources[vector], schedule.order(cycle), cycle)
+            assert legacy.inject_queues(sources[legacy], schedule.order(cycle), cycle) == entered
+            assert sources[vector] == sources[legacy]
+            refused += waiting - entered
+            cycle += 1
+        assert refused > 100
+        self.assert_same_rows(vector, legacy)
+
+
 class TestClusterEngineSelection:
     def test_unknown_engine_rejected(self, toph_config):
         for name in ("warp", "batch", "compiled"):
@@ -285,8 +421,11 @@ class TestClusterEngineSelection:
         cluster = MemPoolCluster(toph_config)
         assert cluster.engine_kind == "vector"
         assert isinstance(cluster.network, VectorStageNetwork)
+        assert cluster.engine is cluster.network.engine
         legacy = MemPoolCluster(toph_config, engine="legacy")
-        assert legacy.network is legacy.topology.network
+        assert isinstance(legacy.engine, LegacyEngine)
+        assert legacy.network is legacy.engine
+        assert legacy.engine.network is legacy.topology.network
 
     def test_vector_network_is_lazy_and_cached(self, toph_config):
         cluster = MemPoolCluster(toph_config, engine="vector")

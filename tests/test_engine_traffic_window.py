@@ -1,12 +1,13 @@
 """The pre-drawn traffic window: draw once, allocate one block, then transport.
 
-:func:`repro.engine.traffic.run_vector_traffic` relies on the open-loop
-contract (workloads never observe the network) to draw a whole window
-before transporting it.  Pinned here: the driver stays flit-for-flit equal
-to the legacy loop over windows that chain, block allocation equals
-per-row allocation, the batched workload draws leave the random streams
-where the scalar draws leave them, the inlined injection pass equals
-per-row ``try_inject``, and the simulation clock survives a second
+:func:`repro.engine.traffic.run_vector_traffic`, the one traffic driver of
+both engines, relies on the open-loop contract (workloads never observe
+the network) to draw a whole window before transporting it.  Pinned here:
+the driver stays flit-for-flit equal across the engines over windows that
+chain, block allocation equals per-row allocation, the batched workload
+draws leave the random streams where the scalar draws leave them, the
+vector injection pass equals the ``legacy`` row engine's pass over the
+per-object ``StageNetwork``, and the simulation clock survives a second
 ``run()``.
 """
 
@@ -21,9 +22,10 @@ import pytest
 from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig
-from repro.engine import VectorEngine
+from repro.engine import LegacyEngine, VectorEngine
 from repro.engine.compile import shared_network
 from repro.engine.soa import DEFAULT_CAPACITY, FlitTable
+from repro.interconnect.topology import build_topology
 from repro.traffic.simulation import TrafficSimulation
 from repro.utils.rotation import PermutationSchedule
 from repro.utils.stats import Histogram, OnlineStats
@@ -231,14 +233,15 @@ class TestBatchedDrawsLeaveTheStreamsAlone:
 
 
 class TestInjectQueues:
-    def test_equals_per_row_try_inject_on_saturated_top1(self):
+    def test_equals_the_legacy_engine_on_saturated_top1(self):
+        """``VectorEngine.inject_queues`` against ``StageNetwork``, in rows."""
         config = MemPoolConfig.tiny("top1")
-        network = shared_network(config)
         cores, banks, created = _random_block(config, 40 * config.num_cores, seed=9)
         schedule = PermutationSchedule(config.num_cores, seed=1)
-        batched, per_row = VectorEngine(network), VectorEngine(network)
+        vector = VectorEngine(shared_network(config))
+        legacy = LegacyEngine(build_topology(config))
         sources = {}
-        for engine in (batched, per_row):
+        for engine in (vector, legacy):
             first = engine.new_flits(cores, banks, [0] * len(cores))
             sources[engine] = [deque() for _ in range(config.num_cores)]
             for offset, core in enumerate(cores):
@@ -246,26 +249,20 @@ class TestInjectQueues:
 
         blocked = 0
         for cycle in range(30):
-            assert batched.advance(cycle) == per_row.advance(cycle)
+            assert vector.advance(cycle) == legacy.advance(cycle)
             order = schedule.order(cycle)
-            injected = batched.inject_queues(sources[batched], order, cycle)
-            expected = 0
-            for index in order:
-                queue = sources[per_row][index]
-                if queue and per_row.try_inject(queue[0], cycle):
-                    queue.popleft()
-                    expected += 1
-            assert injected == expected
+            injected = vector.inject_queues(sources[vector], order, cycle)
+            assert legacy.inject_queues(sources[legacy], order, cycle) == injected
             blocked += config.num_cores - injected
             for counter in ("in_flight", "total_injected", "total_completed"):
-                assert getattr(batched, counter) == getattr(per_row, counter), counter
-            assert sources[batched] == sources[per_row]
+                assert getattr(vector, counter) == getattr(legacy, counter), counter
+            assert sources[vector] == sources[legacy]
+            assert vector.occupancy() == legacy.network.occupancy()
         assert blocked > 15 * config.num_cores  # saturated: most attempts refused
-        assert np.array_equal(
-            batched.flits.injected_cycle, per_row.flits.injected_cycle
-        )
-        assert batched._next_move == per_row._next_move
-        assert batched.queues == per_row.queues
+        for column in ("injected_cycle", "completed_cycle"):
+            assert np.array_equal(
+                getattr(vector.flits, column), getattr(legacy.flits, column)
+            ), column
 
 
 class TestStatsReplay:

@@ -3,9 +3,9 @@
 The CI entry point of :mod:`repro.validation.fuzz`: Hypothesis samples
 ``FUZZ_BUDGET`` configurations from the registries' full space (plus a
 degree-skewed hotspot slice) and every sample must produce flit-for-flit
-identical results on the legacy and vector engines — the vector engine
-twice, cold and then replaying its first window from the driver's slot
-(see :mod:`repro.engine.traffic`); a third property runs seeded random
+identical results on the legacy and vector engines — legacy drawing its
+windows cold, the vector engine twice replaying the first window from
+the driver's slot (see :mod:`repro.engine.traffic`); a third property runs seeded random
 programs through ``MemPoolSystem`` the same way.  A failure
 shrinks deterministically and raises a
 :class:`~repro.validation.fuzz.DivergenceError` whose message embeds the
@@ -47,9 +47,10 @@ _SETTINGS = dict(
 def check_case_and_replay(case):
     """:func:`check_case` from a cold slot, then the vector engine replaying.
 
-    The cold vector run leaves its first window in the driver's slot, so
-    the second one replays it and draws only its second window (after
-    catching its own components up); both must match legacy's flit logs.
+    The one traffic driver serves both engines, so the cold legacy run
+    leaves its first window in the driver's slot and every vector run
+    replays it, drawing only its second window (after catching its own
+    components up); all must match legacy's flit logs.
     """
     engine_traffic._last_window = None
     results = check_case(case)
@@ -66,7 +67,7 @@ def check_case_and_replay(case):
 @settings(max_examples=FUZZ_BUDGET, **_SETTINGS)
 @given(fuzz_cases())
 def test_engines_agree_on_sampled_configurations(case):
-    """legacy == vector on every sampled configuration, cold and replayed."""
+    """legacy (cold) == vector (replayed) on every sampled configuration."""
     check_case_and_replay(case)
 
 

@@ -180,15 +180,19 @@ class TestStrategies:
 def _tampered_vector(monkeypatch, first_window=True):
     """Patch the vector engine to corrupt its last completed flit.
 
-    With ``first_window=False`` only windows that do not start at cycle 0
-    are corrupted: the first ``run()`` of a simulation stays clean.
+    The traffic driver is shared by both engines, so only windows run on a
+    ``vector`` cluster are corrupted.  With ``first_window=False`` only
+    windows that do not start at cycle 0 are: the first ``run()`` of a
+    simulation stays clean.
     """
     import repro.engine.traffic as traffic_module
 
     real = traffic_module.run_vector_traffic
 
     def tampered(simulation, warmup_cycles, measure_cycles, record_flits=False):
-        tamper = first_window or simulation._cycle > 0
+        tamper = simulation.cluster.engine_kind == "vector" and (
+            first_window or simulation._cycle > 0
+        )
         result = real(
             simulation, warmup_cycles, measure_cycles, record_flits=record_flits
         )
