@@ -12,6 +12,7 @@
 #   make fuzz       bounded differential fuzz of the two engines
 #   make validate   statistical golden-band validation (repro.validation)
 #   make validate-update  re-measure and re-commit the golden bands
+#   make reach      reachability census: src/repro lines no command calls (docs/reach.md)
 #   make lint       ruff (pyproject.toml config) when available, else docs-lint
 #   make docs-lint  docstring lint over the public API
 #   make figures    regenerate all paper figures through the sweep engine
@@ -32,7 +33,7 @@ FUZZ_BUDGET ?= 25
 COV_MIN ?= 92
 
 .PHONY: test ci coverage bench bench-engine bench-stack bench-compare bench-ab \
-	service-smoke fuzz validate validate-update lint docs-lint figures clean-cache
+	service-smoke fuzz validate validate-update reach lint docs-lint figures clean-cache
 
 # The trailing bench report is informational in the test flow: it runs
 # whether or not pytest passed, but the target's exit status is always
@@ -119,6 +120,15 @@ validate:
 
 validate-update:
 	$(PYTHON) -m repro.experiments validate --update
+
+# Reachability census (tools/reach.py): every user-visible entry point
+# (the nine experiments, --full, legacy, a pool and a warm run, clean,
+# trace, validate, serve, fuzz) in one process under the stdlib
+# profiler; prints per module of src/repro its lines and the lines of
+# functions nothing called.  A few minutes; docs/reach.md holds the
+# committed table.
+reach:
+	$(PYTHON) tools/reach.py
 
 # Full ruff lint (E/F + the D1 docstring rules, configured in
 # pyproject.toml); falls back to the docstring subset on machines

@@ -22,7 +22,6 @@ from __future__ import annotations
 import sys
 
 from repro.catalogue import TOPOLOGIES
-from repro.core.config import MemPoolConfig
 from repro.evaluation import ExperimentSettings
 from repro.experiments.registry import EXPERIMENTS
 from repro.interconnect.topology import build_topology
@@ -66,11 +65,6 @@ def main(full_scale: bool = False) -> None:
         load=0.15,
     )
     print(catalogue.report())
-    print()
-
-    config = MemPoolConfig.scaled("mesh", topology_params={"width": 8, "height": 2})
-    print(f"Config round trip intact: "
-          f"{MemPoolConfig.from_dict(config.to_dict()) == config}")
 
 
 if __name__ == "__main__":

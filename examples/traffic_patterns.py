@@ -6,8 +6,7 @@ Demonstrates the pluggable workload subsystem (`repro.workloads`):
 1. enumerate the registered destination patterns and injection processes;
 2. sweep the full pattern catalogue through the `repro.experiments`
    engine on the vector timing core and print the comparison table;
-3. drive one pattern directly — open-loop through `TrafficSimulation`
-   and closed-loop through `MemPoolSystem.synthetic` — with the same
+3. drive one pattern directly through `TrafficSimulation` with the same
    registry names.
 
 Run with::
@@ -22,7 +21,6 @@ import sys
 
 from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
-from repro.core.system import MemPoolSystem
 from repro.evaluation import ExperimentSettings
 from repro.experiments.registry import EXPERIMENTS
 from repro.traffic import TrafficSimulation
@@ -47,7 +45,7 @@ def main(full_scale: bool = False) -> None:
     print(catalogue.report())
     print()
 
-    print("== One workload, both simulators ==")
+    print("== One workload, driven directly ==")
     config = settings.config("toph")
     cluster = MemPoolCluster(config, engine="vector")
     open_loop = TrafficSimulation(
@@ -55,20 +53,9 @@ def main(full_scale: bool = False) -> None:
         pattern_params={"p_hot": 0.3, "num_hotspots": 4},
     ).run(warmup_cycles=200, measure_cycles=600)
     print(
-        f"  open-loop   hotspot/bursty: throughput "
+        f"  hotspot/bursty: throughput "
         f"{open_loop.throughput:.3f} request/core/cycle, "
         f"avg latency {open_loop.average_latency:.1f} cycles"
-    )
-
-    closed = MemPoolSystem.synthetic(
-        MemPoolCluster(config, engine="vector"),
-        0.2, pattern="hotspot", injector="bursty", requests_per_core=16,
-        seed=0, pattern_params={"p_hot": 0.3, "num_hotspots": 4},
-    ).run()
-    print(
-        f"  closed-loop hotspot/bursty: {closed.completed_requests} requests "
-        f"in {closed.cycles} cycles "
-        f"({closed.completed_requests / closed.cycles:.1f} request/cycle)"
     )
 
 

@@ -221,11 +221,6 @@ class HybridAddressMap(AddressMap):
             raise ValueError(f"tile {tile} out of range")
         return tile * self.config.seq_region_bytes_per_tile
 
-    @property
-    def sequential_region_bytes(self) -> int:
-        """Size of each tile's sequential region in bytes."""
-        return self.config.seq_region_bytes_per_tile
-
 
 def make_address_map(config: MemPoolConfig) -> AddressMap:
     """Build the address map selected by ``config.scrambling_enabled``."""

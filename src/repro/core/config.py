@@ -10,9 +10,7 @@ mechanism in place.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from repro.catalogue import TOPOLOGIES
 from repro.utils.validation import (
@@ -66,15 +64,6 @@ class TimingParameters:
         check_positive("max_outstanding_loads", self.max_outstanding_loads)
         check_positive("injection_queue_depth", self.injection_queue_depth)
         check_positive("icache_refill_cycles", self.icache_refill_cycles)
-
-    def to_dict(self) -> dict:
-        """Plain-primitive representation (JSON-serialisable)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimingParameters":
-        """Rebuild :class:`TimingParameters` from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -280,74 +269,6 @@ class MemPoolConfig:
     def _check_bank(self, bank_id: int) -> None:
         if not 0 <= bank_id < self.num_banks:
             raise ValueError(f"bank_id {bank_id} out of range [0, {self.num_banks})")
-
-    # ------------------------------------------------------------------ #
-    # Serialisation and hashing
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> dict:
-        """Plain-primitive representation of the configuration.
-
-        The returned dictionary contains only JSON-serialisable values
-        (``timing`` becomes a nested dictionary) and round-trips through
-        :meth:`from_dict`.  It is the canonical form used by
-        :meth:`stable_hash` and by the result cache of
-        :mod:`repro.experiments`.
-
-        Examples
-        --------
-        >>> config = MemPoolConfig.tiny()
-        >>> MemPoolConfig.from_dict(config.to_dict()) == config
-        True
-        """
-        data = asdict(self)
-        # Canonical JSON form: topology parameters as a plain mapping (the
-        # sorted-pairs tuple is an internal hashability detail).
-        data["topology_params"] = dict(self.topology_params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemPoolConfig":
-        """Rebuild a :class:`MemPoolConfig` from :meth:`to_dict` output.
-
-        Parameters
-        ----------
-        data : dict
-            A dictionary produced by :meth:`to_dict` (or hand-written with
-            the same keys; missing keys fall back to the defaults).
-        """
-        payload = dict(data)
-        timing = payload.pop("timing", None)
-        if isinstance(timing, dict):
-            timing = TimingParameters.from_dict(timing)
-        if timing is not None:
-            payload["timing"] = timing
-        return cls(**payload)
-
-    def stable_hash(self) -> str:
-        """Content hash of the configuration, stable across processes.
-
-        Unlike :func:`hash`, the value does not depend on
-        ``PYTHONHASHSEED`` or the interpreter session, so it can key
-        on-disk caches.  Two configurations hash equally iff their
-        :meth:`to_dict` forms are equal.
-
-        Returns
-        -------
-        str
-            A 64-character hexadecimal SHA-256 digest.
-
-        Examples
-        --------
-        >>> a = MemPoolConfig.tiny("top1")
-        >>> b = MemPoolConfig.tiny("top1")
-        >>> a.stable_hash() == b.stable_hash()
-        True
-        >>> a.stable_hash() == MemPoolConfig.tiny("toph").stable_hash()
-        False
-        """
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------ #
     # Convenience constructors

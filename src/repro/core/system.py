@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.agents import CoreAgent, IdleAgent
 from repro.core.cluster import MemPoolCluster
 from repro.core.coremodel import FINISHED, SLEEP_TIMER, CoreStats, CoreTimingModel
@@ -194,60 +193,6 @@ class MemPoolSystem:
         self._unfinished = len(self.cores)
         self._timers: dict[int, list[int]] = {}
         self.cycle = 0
-
-    @classmethod
-    def synthetic(
-        cls,
-        cluster: MemPoolCluster,
-        injection_rate: float,
-        pattern: str = "uniform",
-        injector: str = "poisson",
-        requests_per_core: int = 32,
-        seed: int = 0,
-        pattern_params: dict | None = None,
-        injector_params: dict | None = None,
-    ) -> "MemPoolSystem":
-        """A system whose cores run a catalogued workload closed-loop.
-
-        Builds one :class:`repro.workloads.agents.WorkloadAgent` per core
-        from the named destination pattern and injection process, so any
-        workload of :mod:`repro.catalogue` also runs through the
-        execution-driven simulator — reorder buffers, outstanding-load
-        limits and barriers included — on either timing engine.  The
-        agents are imported lazily because the workload layer sits above
-        the core layer.
-
-        Parameters
-        ----------
-        cluster : MemPoolCluster
-            The cluster to run on (its ``engine`` choice is honoured).
-        injection_rate : float
-            Offered load in requests per core per cycle (must be > 0).
-        pattern, injector : str
-            Catalogue names (:data:`repro.catalogue.PATTERNS` /
-            :data:`~repro.catalogue.INJECTORS`).
-        requests_per_core : int
-            Loads each core issues before finishing.
-        seed : int
-            Experiment seed the workload substreams derive from.
-        pattern_params, injector_params : dict, optional
-            Catalogue parameters (e.g. ``{"p_local": 0.25}``).
-        """
-        from repro.workloads.agents import build_synthetic_agents
-
-        config = cluster.config
-        agents = build_synthetic_agents(
-            cluster,
-            PATTERNS.lookup(pattern).build(config, seed=seed, **(pattern_params or {})),
-            INJECTORS.lookup(injector).build(
-                config.num_cores,
-                injection_rate,
-                seed=seed,
-                **(injector_params or {}),
-            ),
-            requests_per_core,
-        )
-        return cls(cluster, agents=agents)
 
     # ------------------------------------------------------------------ #
     # Simulation loop

@@ -73,11 +73,6 @@ class TraceCatalogueResult:
         """Average round-trip latency of one topology under the trace."""
         return self.results[topology].average_latency
 
-    def energy_per_request(self, topology: str) -> float:
-        """Wire-energy per completed request (pJ) of one topology."""
-        energy = self.results[topology].energy
-        return energy.per_request_pj if energy is not None else 0.0
-
     def report(self) -> str:
         """One row per topology family: latency, throughput and energy."""
         header = (

@@ -9,8 +9,7 @@ hashed into stable cache keys.
 The cache key of a spec (:attr:`ExperimentSpec.key`) is a SHA-256 digest of
 
 * the runner path,
-* the canonical JSON form of the parameters (``MemPoolConfig`` and any
-  object exposing ``to_dict()`` are canonicalised through it), and
+* the canonical JSON form of the parameters, and
 * a fingerprint of the *program*: the source of the runner's whole
   top-level package (the entire ``repro`` tree for the built-in
   experiments), since a point's result depends on the full simulator
@@ -134,8 +133,6 @@ def program_fingerprint(runner: str) -> str:
 
 def _canonical(value: Any) -> Any:
     """Reduce ``value`` to JSON-serialisable primitives for hashing."""
-    if hasattr(value, "to_dict"):
-        return _canonical(value.to_dict())
     if isinstance(value, Mapping):
         return {str(key): _canonical(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -172,8 +169,7 @@ class ExperimentSpec:
         ``"module:function"`` path of a module-level function.
     params : dict
         Keyword arguments passed to the runner.  Values must be JSON
-        primitives, (nested) lists/dicts of primitives, or objects with a
-        ``to_dict()`` method (e.g. :class:`repro.core.config.MemPoolConfig`).
+        primitives or (nested) lists/dicts of primitives.
     name : str
         Optional display name of the sweep the spec belongs to.
 

@@ -24,7 +24,7 @@ flit behind it within the same cycle (store-and-forward pipelining).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.utils.rotation import PermutationSchedule
 
@@ -416,11 +416,3 @@ class StageNetwork:
             cycle += 1
         return cycle
 
-
-def make_completion_callback(sink: list[Flit]) -> Callable[[Flit], None]:
-    """Small helper returning a callback that appends completed flits to ``sink``."""
-
-    def _on_complete(flit: Flit) -> None:
-        sink.append(flit)
-
-    return _on_complete

@@ -4,19 +4,12 @@ from repro.kernels.runtime import Kernel, KernelResult, split_evenly
 from repro.kernels.matmul import MatmulKernel
 from repro.kernels.conv2d import Conv2dKernel
 from repro.kernels.dct import DctKernel
-from repro.kernels.vecops import AxpyKernel, DotProductKernel
 
 #: The three benchmarks of Figure 7, keyed by their paper names.
 PAPER_KERNELS = {
     "matmul": MatmulKernel,
     "2dconv": Conv2dKernel,
     "dct": DctKernel,
-}
-
-#: Additional vector kernels shipped with the library (not in the paper).
-EXTRA_KERNELS = {
-    "axpy": AxpyKernel,
-    "dotprod": DotProductKernel,
 }
 
 __all__ = [
@@ -26,8 +19,5 @@ __all__ = [
     "MatmulKernel",
     "Conv2dKernel",
     "DctKernel",
-    "AxpyKernel",
-    "DotProductKernel",
     "PAPER_KERNELS",
-    "EXTRA_KERNELS",
 ]

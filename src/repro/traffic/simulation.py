@@ -72,11 +72,6 @@ class TrafficResult:
         """Accepted throughput in requests per core per cycle."""
         return self.completed_requests / (self.num_cores * self.measured_cycles)
 
-    @property
-    def offered_load(self) -> float:
-        """Offered load in requests per core per cycle (alias of injected_load)."""
-        return self.injected_load
-
     def as_row(self) -> list[float]:
         """Row used by the textual figure reports."""
         return [

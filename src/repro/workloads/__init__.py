@@ -2,12 +2,12 @@
 
 This package is the single home of *what the cluster is asked to do*:
 destination patterns (where requests go) and injection processes (when
-they are generated), each exposing both a scalar API (consumed by the
-execution-driven workload agents) and a batched API (consumed by the
-open-loop traffic driver).  Every consumer — the open-loop traffic
-simulation, the execution-driven system, the evaluation drivers and the
-CLI — selects workloads by name through the tables of
-:mod:`repro.catalogue` (``PATTERNS.lookup(name).build(config, seed=...)``).
+they are generated), each exposing both a scalar API (the reference the
+batched API is held to) and a batched API (consumed by the open-loop
+traffic driver).  Every consumer — the open-loop traffic simulation, the
+evaluation drivers and the CLI — selects workloads by name through the
+tables of :mod:`repro.catalogue`
+(``PATTERNS.lookup(name).build(config, seed=...)``).
 To add a component, write its class here and add a row to
 ``repro/catalogue.py``; it is then runnable everywhere at once.  Importing
 this package loads every catalogued class, which is how the benchmark

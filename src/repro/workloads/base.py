@@ -4,9 +4,9 @@ A *workload* is the pair of questions the synthetic-traffic layer asks the
 environment every cycle: **when** does each core generate a request
 (:class:`InjectionProcess`) and **where** does that request go
 (:class:`DestinationPattern`).  Both abstractions expose a scalar API (one
-core at a time — what the execution-driven workload agents consume) and a
-batched API (whole windows — what the open-loop traffic driver consumes on
-either engine).
+core at a time — the reference the batched API is held to) and a batched
+API (whole windows — what the open-loop traffic driver consumes on either
+engine).
 
 The batched APIs are contractually equivalent to the scalar ones: calling
 ``destinations(cores)`` must consume exactly the same random draws, in the
@@ -33,9 +33,7 @@ does: one ``arrivals_batch`` call, then one ``destinations`` call), as
 long as *each* component sees its own calls in the documented order:
 arrivals cycle-major with cores ascending, one destination per arrival in
 that same order.  A component that consulted network state, or drew from
-the other component's stream, would break that driver silently;
-closed-loop traffic belongs in the execution-driven simulator
-(:mod:`repro.workloads.agents`), not here.
+the other component's stream, would break that driver silently.
 
 Randomness comes from the per-core substreams of :mod:`repro.workloads.rng`
 (see the reproducibility contract there): component- and core-disjoint

@@ -188,64 +188,3 @@ class TestCopies:
             config.num_tiles = 8  # type: ignore[misc]
         assert hash(config) == hash(MemPoolConfig.tiny())
 
-
-class TestSerialisationAndHashing:
-    def test_to_dict_round_trips(self):
-        config = MemPoolConfig.scaled("top4", scrambling_enabled=False)
-        clone = MemPoolConfig.from_dict(config.to_dict())
-        assert clone == config
-        assert clone.timing == config.timing
-
-    def test_to_dict_is_json_serialisable(self):
-        import json
-
-        json.dumps(MemPoolConfig.tiny().to_dict())
-
-    def test_stable_hash_is_deterministic_and_content_addressed(self):
-        assert MemPoolConfig.tiny("top1").stable_hash() == MemPoolConfig.tiny(
-            "top1"
-        ).stable_hash()
-        assert (
-            MemPoolConfig.tiny("top1").stable_hash()
-            != MemPoolConfig.tiny("toph").stable_hash()
-        )
-        assert len(MemPoolConfig.tiny().stable_hash()) == 64
-
-    def test_stable_hash_sees_timing_changes(self):
-        from repro.core.config import TimingParameters
-
-        base = MemPoolConfig.tiny()
-        tweaked = MemPoolConfig.tiny(timing=TimingParameters(max_outstanding_loads=2))
-        assert base.stable_hash() != tweaked.stable_hash()
-
-    def test_from_dict_with_missing_keys_uses_defaults(self):
-        config = MemPoolConfig.from_dict({"num_tiles": 4, "topology": "top1"})
-        assert config == MemPoolConfig.tiny("top1")
-
-    def test_non_default_timing_round_trips_with_identical_hash(self):
-        from repro.core.config import TimingParameters
-
-        config = MemPoolConfig.tiny(
-            timing=TimingParameters(
-                elastic_buffer_depth=3,
-                max_outstanding_loads=4,
-                injection_queue_depth=2,
-                icache_refill_cycles=30,
-            )
-        )
-        clone = MemPoolConfig.from_dict(config.to_dict())
-        assert clone == config
-        assert clone.stable_hash() == config.stable_hash()
-
-    def test_stable_hash_equal_iff_to_dict_equal(self):
-        a = MemPoolConfig.tiny("toph")
-        b = MemPoolConfig.tiny("toph", scrambling_enabled=False)
-        assert (a.to_dict() == b.to_dict()) == (a.stable_hash() == b.stable_hash())
-        c = MemPoolConfig.from_dict(a.to_dict())
-        assert a.to_dict() == c.to_dict() and a.stable_hash() == c.stable_hash()
-
-    def test_timing_parameters_round_trip(self):
-        from repro.core.config import TimingParameters
-
-        timing = TimingParameters(elastic_buffer_depth=4)
-        assert TimingParameters.from_dict(timing.to_dict()) == timing

@@ -9,7 +9,6 @@ import threading
 
 import pytest
 
-from repro.core.config import MemPoolConfig
 from repro.experiments import (
     MISS,
     Executor,
@@ -76,12 +75,6 @@ class TestSpec:
         assert program_fingerprint(
             "repro.evaluation.points:simulate_fig5_point"
         ) == program_fingerprint("repro.evaluation.points:simulate_fig7_point")
-
-    def test_config_objects_canonicalise_via_to_dict(self):
-        tiny = MemPoolConfig.tiny()
-        assert canonical_json({"config": tiny}) == canonical_json(
-            {"config": tiny.to_dict()}
-        )
 
     def test_unhashable_param_values_are_rejected(self):
         with pytest.raises(TypeError):

@@ -1,4 +1,4 @@
-"""Pinned operation streams of the five kernels: the programs, not just their timing.
+"""Pinned operation streams of the three kernels: the programs, not just their timing.
 
 ``tests/data/kernel_streams.json`` was recorded at commit 330b9a1 — the last
 one whose kernels built every address through per-element method calls, read
@@ -28,13 +28,7 @@ from repro.core.agents import Barrier, Compute, Load, Store, TraceAgent, Use
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import WORD_BYTES, MemPoolConfig
 from repro.core.system import MemPoolSystem
-from repro.kernels import (
-    AxpyKernel,
-    Conv2dKernel,
-    DctKernel,
-    DotProductKernel,
-    MatmulKernel,
-)
+from repro.kernels import Conv2dKernel, DctKernel, MatmulKernel
 from repro.kernels.runtime import load_use_block
 
 STREAMS_PATH = Path(__file__).parent / "data" / "kernel_streams.json"
@@ -45,15 +39,11 @@ KERNELS = {
     "matmul": lambda cluster: MatmulKernel(cluster, size=8),
     "2dconv": lambda cluster: Conv2dKernel(cluster, width=16),
     "dct": lambda cluster: DctKernel(cluster, blocks_per_core=1),
-    "axpy": lambda cluster: AxpyKernel(cluster, length=250),
-    "dotprod": lambda cluster: DotProductKernel(cluster, length=250),
 }
 LARGER = {
     "matmul": lambda cluster: MatmulKernel(cluster, size=16),
     "2dconv": lambda cluster: Conv2dKernel(cluster, width=24),
     "dct": lambda cluster: DctKernel(cluster, blocks_per_core=2),
-    "axpy": lambda cluster: AxpyKernel(cluster, length=500),
-    "dotprod": lambda cluster: DotProductKernel(cluster, length=500),
 }
 CASES = [
     f"{name}-{'scrambled' if scrambling else 'interleaved'}"

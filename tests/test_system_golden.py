@@ -8,16 +8,17 @@ cycle, one ``Flit`` per request, ``legacy`` engine); every engine must
 reproduce them exactly: cycle count, barrier episodes, request counts and
 every ``CoreStats`` field of every core.  The two ``snitch-stack-spill``
 cases were added at commit f889595 (``legacy`` engine, the commit before the
-core model stopped building an object per address decode) and the two
-``axpy`` cases at commit 330b9a1 (``legacy`` engine, the commit before the
-kernels built their programs a loop body at a time); the forty-eight
+core model stopped building an object per address decode); the forty-eight
 ``random-<selection>-<layout>`` cases, one random program per valid tiny
 topology selection and address layout, at commit e816df7 (``legacy`` engine;
 ``vector`` and the since-deleted ``compiled`` engine reproduced every one);
 the three ``fig7-*`` cases, the benchmark's own Figure 7 configuration, at
 commit 9cd151e (``legacy`` engine, the commit before the core model folded
-its reorder buffer into a window of sequence numbers); the fifty original
-entries are byte-for-byte the first recording.
+its reorder buffer into a window of sequence numbers); the twenty-four
+``grid-*`` cases, one random program per paper topology, ROB depth and
+address layout, on top of commit 2592b0a (``legacy`` engine; ``vector``
+reproduced every one); the forty-three remaining original entries are
+byte-for-byte the first recording.
 
 ``PYTHONPATH=src python tests/test_system_golden.py --write`` re-records them
 (only when the *model* changes on purpose).
@@ -26,6 +27,7 @@ entries are byte-for-byte the first recording.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -39,13 +41,7 @@ from repro.core.coremodel import CoreStats
 from repro.core.system import MemPoolSystem
 from repro.evaluation.fig7 import FIG7_KERNELS
 from repro.evaluation.points import simulate_fig7_point
-from repro.kernels import (
-    AxpyKernel,
-    Conv2dKernel,
-    DctKernel,
-    DotProductKernel,
-    MatmulKernel,
-)
+from repro.kernels import Conv2dKernel, DctKernel, MatmulKernel
 from repro.snitch import assemble
 from repro.snitch.agent import make_snitch_agents
 from repro.validation.fuzz import SystemCase, run_system_case, topology_selections
@@ -57,8 +53,6 @@ KERNELS = {
     "matmul": lambda cluster: MatmulKernel(cluster, size=8),
     "2dconv": lambda cluster: Conv2dKernel(cluster, width=16),
     "dct": lambda cluster: DctKernel(cluster, blocks_per_core=1),
-    # The paper's three never synchronise; this one reduces behind a barrier.
-    "dotprod": lambda cluster: DotProductKernel(cluster, length=256),
 }
 
 #: Every core sums a strided slice of a shared buffer into its own slot.
@@ -116,22 +110,27 @@ SELECTION_CASES = [
 ]
 
 
+#: Every paper topology x the fuzz campaign's ROB depths x both address
+#: layouts, one random program each (23 of the 24 hold barrier episodes):
+#: the barrier coverage on the paper topologies that the deleted
+#: ``dotprod`` rows gave, from programs instead of a kernel.
+GRID_CASES = {
+    f"grid-{topology}-rob{rob_depth}-{'scrambled' if scrambling else 'interleaved'}":
+        SystemCase(topology, seed=3000 + index, scrambling=scrambling, rob_depth=rob_depth)
+    for index, (topology, rob_depth, scrambling) in enumerate(
+        itertools.product(("top1", "top4", "toph", "topx"), (1, 2, 8), (True, False))
+    )
+}
+
+
 def _selection_name(case):
     params = "".join(f"-{key}{value}" for key, value in case.topology_params)
     layout = "scrambled" if case.scrambling else "interleaved"
     return f"random-{case.topology}{params}-{layout}"
 
 
-def _selection_case(case):
+def _system_case(case):
     return lambda engine: run_system_case(case, engine)
-
-
-def _synthetic_case(engine):
-    cluster = MemPoolCluster(MemPoolConfig.tiny("toph"), engine=engine)
-    return MemPoolSystem.synthetic(
-        cluster, 0.3, pattern="hotspot", injector="bursty",
-        requests_per_core=12, seed=5,
-    ).run()
 
 
 #: Spill and reload the core id through the stack: the one access of the
@@ -165,16 +164,9 @@ CASES = {
         for topology in ("top1", "toph", "topx")
         for scrambling in (True, False)
     },
-    # Streaming, no reuse, ragged last chunks (250 elements on 16 cores).
-    **{
-        f"axpy-{'scrambled' if scrambling else 'interleaved'}": _kernel_case(
-            lambda cluster: AxpyKernel(cluster, length=250), "toph", scrambling
-        )
-        for scrambling in (True, False)
-    },
     **{f"random-{index:02d}": _random_case(index) for index in range(24)},
-    **{_selection_name(case): _selection_case(case) for case in SELECTION_CASES},
-    "synthetic-hotspot-bursty": _synthetic_case,
+    **{_selection_name(case): _system_case(case) for case in SELECTION_CASES},
+    **{name: _system_case(case) for name, case in GRID_CASES.items()},
     "snitch-strided-sum": _snitch_case,
     **{
         f"snitch-stack-spill-{'scrambled' if scrambling else 'interleaved'}":

@@ -1,11 +1,12 @@
-"""The CI gate's own tooling: bench_report regression math and docs_lint.
+"""The CI gate's own tooling: bench_report regression math, docs_lint and reach.
 
 ``tools/bench_report.py`` decides whether a benchmark run fails CI and
 ``tools/docs_lint.py`` is the offline docstring linter behind
 ``make docs-lint`` — neither had tests, so a bug in the *gate* (a wrong
 regression floor, a swallowed exit code) could silently wave regressions
 through.  These tests pin the gate math, the missing-file behaviour and
-the exit codes of both tools.
+the exit codes of both tools.  ``tools/reach.py``, the reachability
+census behind ``make reach``, is run over one cheap entry point.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_ab  # noqa: E402  (tools/ is not a package)
 import bench_report  # noqa: E402
 import docs_lint  # noqa: E402
+import reach  # noqa: E402
 
 
 def _engine_payload(speedup, end_to_end=2.0):
@@ -351,8 +353,32 @@ def test_bench_ab_runs_the_interleaved_procedure(tmp_path, capfd):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["A", "B"]
 
 
-@pytest.mark.parametrize("tool", ["bench_ab", "bench_report", "docs_lint"])
+def test_reach_reports_what_one_entry_point_calls(tmp_path):
+    """``tools/reach.py`` over ``list``: the listing is reached, a fig7 point is not."""
+    census = tmp_path / "reach.json"
+    completed = subprocess.run(
+        [sys.executable, str(reach.ROOT / "tools" / "reach.py"), "--entry", "list",
+         "--json", str(census)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "| `repro/evaluation/points.py` |" in completed.stdout
+    data = json.loads(census.read_text())
+    assert data["entries"] == {"list": 0}
+    main_module = data["modules"]["repro/experiments/__main__.py"]
+    points = data["modules"]["repro/evaluation/points.py"]
+    assert main_module["functions"]["_command_list"]["reached"]
+    assert main_module["imported"]
+    assert not points["functions"]["simulate_fig7_point"]["reached"]
+    assert not points["imported"]
+    assert points["unreached_lines"] >= points["functions"]["simulate_fig7_point"]["lines"]
+
+
+@pytest.mark.parametrize("tool", ["bench_ab", "bench_report", "docs_lint", "reach"])
 def test_tools_have_module_docstrings(tool):
     """The linting tools hold themselves to their own standard."""
-    module = {"bench_ab": bench_ab, "bench_report": bench_report, "docs_lint": docs_lint}[tool]
+    module = {
+        "bench_ab": bench_ab, "bench_report": bench_report, "docs_lint": docs_lint,
+        "reach": reach,
+    }[tool]
     assert module.__doc__ and module.__doc__.strip()

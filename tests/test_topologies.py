@@ -262,22 +262,11 @@ class TestCrossEngineEquivalence:
 
 
 class TestConfigIntegration:
-    def test_params_round_trip_through_to_dict(self):
-        config = MemPoolConfig.tiny("mesh", topology_params={"width": 4, "height": 1})
-        clone = MemPoolConfig.from_dict(config.to_dict())
-        assert clone == config
-        assert clone.topology_param_dict == {"width": 4, "height": 1}
-
     def test_params_are_order_insensitive(self):
         a = MemPoolConfig.tiny("mesh", topology_params={"width": 2, "height": 2})
         b = MemPoolConfig.tiny("mesh", topology_params={"height": 2, "width": 2})
         assert a == b
-        assert a.stable_hash() == b.stable_hash()
-
-    def test_stable_hash_sees_param_changes(self):
-        a = MemPoolConfig.tiny("mesh", topology_params={"width": 4, "height": 1})
-        b = MemPoolConfig.tiny("mesh", topology_params={"width": 1, "height": 4})
-        assert a.stable_hash() != b.stable_hash()
+        assert hash(a) == hash(b)
 
     def test_with_topology_resets_stale_params(self):
         config = MemPoolConfig.tiny("mesh", topology_params={"width": 4, "height": 1})

@@ -11,6 +11,7 @@ the band its deviation calls for.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,12 @@ from repro.validation import (
     relative_deviation,
     validate_goldens,
     write_goldens,
+)
+
+#: The committed corpus, absolute: ``GOLDEN_PATH`` is relative to the
+#: repository root.
+COMMITTED_GOLDEN = (
+    Path(__file__).resolve().parent.parent / "benchmarks" / "GOLDEN_validation.json"
 )
 
 #: A fast golden corpus for the filesystem-round-trip tests.
@@ -256,6 +263,17 @@ class TestGoldenValidation:
         payload = report.to_dict()
         assert payload["verdict"] == "accept"
         assert len(payload["rows"]) == len(report.rows)
+
+    def test_committed_golden_corpus_is_reproduced_exactly(self):
+        """``make validate`` on the committed corpus: every row exact.
+
+        The report file it writes is git-ignored, so this test, not
+        ``git status``, is what shows the committed goldens still hold.
+        """
+        report = validate_goldens(COMMITTED_GOLDEN)
+        assert report.exit_code == 0
+        assert len(report.rows) == 15
+        assert all(row.deviation == 0.0 for row in report.rows)
 
     def test_missing_golden_file_points_at_update(self, tmp_path):
         with pytest.raises(ValueError, match="--update"):

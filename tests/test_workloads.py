@@ -9,7 +9,6 @@ import pytest
 from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
-from repro.core.system import MemPoolSystem
 from repro.engine import traffic as engine_traffic
 from repro.evaluation.settings import ExperimentSettings
 from repro.experiments.spec import ExperimentSpec
@@ -569,28 +568,6 @@ class TestWorkloadsThroughEverySurface:
             cluster, 0.2, pattern="shuffle", injector="poisson", seed=4
         ).run(50, 150)
         assert result.completed_requests > 0
-
-    def test_synthetic_system_is_engine_exact(self):
-        outcomes = {}
-        for engine in ("legacy", "vector"):
-            cluster = MemPoolCluster(MemPoolConfig.tiny("toph"), engine=engine)
-            system = MemPoolSystem.synthetic(
-                cluster, 0.25, pattern="bit_reverse", injector="bernoulli",
-                requests_per_core=6, seed=8,
-            )
-            result = system.run()
-            outcomes[engine] = (
-                result.cycles,
-                result.injected_requests,
-                result.completed_requests,
-            )
-        assert outcomes["legacy"] == outcomes["vector"]
-        assert outcomes["legacy"][1] == 6 * 16  # every load issued
-
-    def test_synthetic_system_rejects_zero_rate(self):
-        cluster = MemPoolCluster(MemPoolConfig.tiny("toph"))
-        with pytest.raises(ValueError, match="positive injection rate"):
-            MemPoolSystem.synthetic(cluster, 0.0)
 
     def test_workload_catalogue_runs_through_sweep_engine(self):
         from repro.experiments.registry import EXPERIMENTS
