@@ -16,11 +16,34 @@ Both feed :class:`repro.core.coremodel.CoreTimingModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from collections.abc import Iterator
+from typing import Union
 
 
-@dataclass(frozen=True, slots=True)
+def _slotted(cls: type) -> type:
+    """Rebuild the dataclass ``cls`` with ``__slots__`` naming its fields.
+
+    What ``dataclass(slots=True)`` does, on Pythons older than 3.10 too:
+    an operation carries no ``__dict__``.  A frozen instance cannot be
+    rebuilt attribute by attribute, so copies and pickles go through the
+    constructor.
+    """
+    names = tuple(item.name for item in fields(cls))
+    namespace = {
+        key: value
+        for key, value in vars(cls).items()
+        if key not in names and key not in ("__dict__", "__weakref__")
+    }
+    namespace["__slots__"] = names
+    namespace["__reduce__"] = lambda self: (
+        type(self), tuple(getattr(self, name) for name in names)
+    )
+    return type(cls)(cls.__name__, cls.__bases__, namespace)
+
+
+@_slotted
+@dataclass(frozen=True)
 class Compute:
     """``cycles`` cycles of in-core computation (``muls`` of them multiplies).
 
@@ -39,7 +62,8 @@ class Compute:
             raise ValueError("muls must be between 0 and cycles")
 
 
-@dataclass(frozen=True, slots=True)
+@_slotted
+@dataclass(frozen=True)
 class Load:
     """A 32-bit load from ``address``; ``tag`` names the result for `Use`."""
 
@@ -47,14 +71,16 @@ class Load:
     tag: object = None
 
 
-@dataclass(frozen=True, slots=True)
+@_slotted
+@dataclass(frozen=True)
 class Store:
     """A 32-bit store to ``address`` (posted: no response is awaited)."""
 
     address: int
 
 
-@dataclass(frozen=True, slots=True)
+@_slotted
+@dataclass(frozen=True)
 class Use:
     """Consume the result of the load previously issued with ``tag``.
 
@@ -66,7 +92,8 @@ class Use:
     tag: object
 
 
-@dataclass(frozen=True, slots=True)
+@_slotted
+@dataclass(frozen=True)
 class Barrier:
     """Synchronise with all other participating cores."""
 
@@ -76,7 +103,7 @@ class Barrier:
 #: Union of every operation a core agent may yield.  The five classes are
 #: final: the timing model dispatches on the exact type, so an instance of a
 #: subclass is rejected with the same ``TypeError`` as any foreign object.
-Operation = Compute | Load | Store | Use | Barrier
+Operation = Union[Compute, Load, Store, Use, Barrier]
 
 
 class CoreAgent:

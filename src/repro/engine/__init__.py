@@ -4,7 +4,7 @@ The packages above this one describe *what* to simulate (topologies,
 programs, traffic); :mod:`repro.engine` is an alternative implementation of
 *how* the cycle-level transport is executed.  It compiles a built topology
 into flat integer tables (:mod:`repro.engine.compile`), keeps every flit as
-a row across preallocated NumPy columns (:mod:`repro.engine.soa`), and
+a row across plain list columns (:mod:`repro.engine.soa`), and
 advances all of them with level-ordered passes over dense lists
 (:mod:`repro.engine.vector`) — several times faster than the per-object
 legacy engine, and cycle-exact with it for fixed seeds.

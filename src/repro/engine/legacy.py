@@ -65,8 +65,8 @@ class LegacyEngine:
 
         The rows are consecutive, in entry order, as on ``VectorEngine``.
         """
-        cores = np.asarray(cores, dtype=np.int64)
-        banks = np.asarray(banks, dtype=np.int64)
+        cores = np.asarray(cores, dtype=np.int64).tolist()
+        banks = np.asarray(banks, dtype=np.int64).tolist()
         return self.flits.allocate_block(cores, banks, [-1] * len(cores), is_write, created)
 
     def inject_new(
@@ -114,6 +114,7 @@ class LegacyEngine:
     def advance(self, cycle: int) -> list[int]:
         """Advance the network one cycle; return (and keep) the completed rows."""
         rows = self.completed_rows = [flit.flit_id for flit in self.network.advance(cycle)]
-        if rows:
-            self.flits.completed_cycle[rows] = cycle
+        completed_cycle = self.flits.completed_cycle
+        for row in rows:
+            completed_cycle[row] = cycle
         return rows

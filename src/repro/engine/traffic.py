@@ -189,9 +189,8 @@ def run_vector_traffic(
     simulation._cycle = end
 
     # Statistics, replayed in completion order (Welford's mean depends on it).
-    measured = np.frombuffer(completed, dtype=np.int64)[completed_before:]
-    flits.sync()
-    latencies = (flits.completed_cycle[measured] - flits.created_cycle[measured]).tolist()
+    completed_cycle, created = flits.completed_cycle, flits.created
+    latencies = [completed_cycle[row] - created[row] for row in completed[completed_before:]]
     latency = OnlineStats()
     latency.extend(latencies)
     histogram = Histogram()
@@ -208,7 +207,7 @@ def run_vector_traffic(
         num_cores=config.num_cores,
         generated_requests=len(sources) - (ends[warmup_cycles - 1] if warmup_cycles else 0),
         injected_requests=engine.total_injected - injected_before,
-        completed_requests=len(measured),
+        completed_requests=len(latencies),
         average_latency=latency.mean,
         p95_latency=histogram.percentile(0.95),
         max_latency=int(latency.maximum) if latency.count else 0,

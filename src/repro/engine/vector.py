@@ -124,7 +124,9 @@ class VectorEngine:
         path_ids, moves, bank_headed = compiled.block_templates(
             cores, banks, not is_write
         )
-        first = self.flits.allocate_block(cores, banks, path_ids, is_write, created)
+        first = self.flits.allocate_block(
+            cores.tolist(), banks.tolist(), path_ids, is_write, created
+        )
         # Only a row that enters its bank on the injection hop resolves the
         # placeholder now; the others carry their template's own head.
         bank_stage = compiled.bank_stage_ids
@@ -167,8 +169,6 @@ class VectorEngine:
         bank_of = flits.bank
         next_move = self._next_move
         head_move = self._head_move
-        # Safe to hold for the duration of this call: rows are allocated
-        # (and columns replaced by growth) only between advance calls.
         completed_column = flits.completed_cycle
         completed: list[int] = []
 
@@ -251,16 +251,14 @@ class VectorEngine:
             return None
         # FlitTable.allocate, inlined: one call per accepted request shows here.
         flits = self.flits
-        row = flits.count
-        if row == flits.capacity:
-            flits._grow(row + 1)
-        flits.count = row + 1
+        row = len(flits.core)
         flits.core.append(core_id)
         flits.bank.append(bank_id)
         flits.created.append(created_cycle)
         flits.write_flag.append(is_write)
         flits.path_id.append(path_id)
-        flits.injected_cycle[row] = cycle
+        flits.injected_cycle.append(cycle)
+        flits.completed_cycle.append(-1)
         self.total_injected += 1
         if following[0] == BANK:
             following = (self._bank_stage[bank_id], following[1], following[2])
@@ -303,8 +301,6 @@ class VectorEngine:
         head_move = self._head_move
         bank_of = self.flits.bank
         bank_stage = self.compiled.bank_stage_ids
-        # Safe to hold: rows are allocated (and columns replaced by growth)
-        # only between calls.
         injected_cycle = self.flits.injected_cycle
         entered = 0
         for index in order:

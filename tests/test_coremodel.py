@@ -1,6 +1,8 @@
 """Tests of the core timing model (operation semantics, stalls, latency hiding)."""
 
+import copy
 import itertools
+import pickle
 import random
 from collections import deque
 
@@ -213,6 +215,18 @@ class TestOperationDispatch:
         assert not hasattr(load, "__dict__")
         assert load == Load(64, tag="x") and hash(load) == hash(Load(64, tag="x"))
         assert load != Store(64)
+
+    @pytest.mark.parametrize(
+        "operation", [Load(64, tag="x"), Store(64), Use("x"), Compute(3, muls=1), Barrier(2)]
+    )
+    def test_operations_copy_and_pickle_by_value(self, operation):
+        for clone in (
+            copy.copy(operation),
+            copy.deepcopy(operation),
+            pickle.loads(pickle.dumps(operation)),
+        ):
+            assert type(clone) is type(operation) and clone == operation
+            assert not hasattr(clone, "__dict__")
 
     def test_none_ends_the_program_like_exhaustion(self):
         """``next(ops, None)`` is the end-of-program test, so a yielded None ends it."""

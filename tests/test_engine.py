@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from collections import deque
 
-import numpy as np
 import pytest
 
 from repro.core.cluster import MemPoolCluster
@@ -119,25 +118,15 @@ class TestCompiledNetwork:
 
 
 class TestFlitTable:
-    def test_grows_past_initial_capacity(self):
-        table = FlitTable(capacity=2)
-        rows = [table.allocate(core, 0, 0, False, cycle=core) for core in range(5)]
-        assert rows == [0, 1, 2, 3, 4]
-        assert table.capacity >= 5
-        table.sync()
-        assert table.created_cycle[:5].tolist() == [0, 1, 2, 3, 4]
-        assert table.injected_cycle[:5].tolist() == [-1] * 5
-
-    def test_latencies_only_covers_completed_rows(self):
-        table = FlitTable()
-        first = table.allocate(0, 0, 0, False, cycle=2)
-        table.allocate(1, 0, 0, False, cycle=3)  # never completes
-        table.completed_cycle[first] = 9
-        assert table.latencies().tolist() == [7]
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            FlitTable(capacity=0)
+    def test_a_block_equals_rows_allocated_one_by_one(self):
+        block, rows = FlitTable(), FlitTable()
+        for table in (block, rows):
+            assert table.allocate(9, 9, 9, True, 1) == 0
+        assert block.allocate_block([1, 2], [7, 8], [4, 5], False, [5, 6]) == 1
+        assert [rows.allocate(*row) for row in ((1, 7, 4, False, 5), (2, 8, 5, False, 6))] == [1, 2]
+        assert vars(block) == vars(rows)
+        assert block.count == 3 and block.completed_cycle == [-1] * 3
+        assert block.row_record(2) == (2, 2, 8, 6, -1, -1)
 
 
 def _flit(cluster, flit_id, core, bank, is_write=False):
@@ -349,10 +338,8 @@ class TestInjectionArbiterRunOnBothEngines:
     def assert_same_rows(self, vector, legacy):
         assert vector.flits.count == legacy.flits.count > 0
         for column in ("injected_cycle", "completed_cycle"):
-            assert np.array_equal(
-                getattr(vector.flits, column), getattr(legacy.flits, column)
-            ), column
-        assert (vector.flits.completed_cycle[: vector.flits.count] >= 0).all()
+            assert getattr(vector.flits, column) == getattr(legacy.flits, column), column
+        assert all(cycle >= 0 for cycle in vector.flits.completed_cycle)
 
     def test_inject_new(self):
         vector, legacy = self.engines()
