@@ -14,29 +14,36 @@ Every path of every topology has the shape ``request resources + bank stage
 request/response halves depend only on the *lane* of the issuing core (its
 parallel remote network: 0 everywhere but Top4 and the ``butterfly``
 family), its tile and the *tile* of the destination bank.  The compiler
-exploits that twice.  It compiles one **path template** per ``(core,
-destination tile, direction)`` triple — about ``num_cores * num_tiles * 2``
-templates, versus ``num_cores * num_banks * 2`` concrete paths — and marks
-the bank stage with the :data:`BANK` placeholder, which the engine
-resolves against the flit's destination bank at move time, so no per-bank
-instantiation ever happens.  And it *compiles* — resource lookups,
-membership and level checks — only the halves, once per ``(lane, source
-tile, destination tile)`` as keyed by
-:meth:`~repro.interconnect.topology.ClusterTopology.path_halves`; a
-template is then *linked* from its half pair's moves under the one
-per-core hop of a path, the completing hop of a load through
-``core{c}.resp`` (a store template has no per-core part).  That is about
-``lanes * num_tiles**2`` half compiles, not ``num_cores * num_tiles`` path
-compiles: 241 half pairs for the 1,024 read templates of 64-core TopH
-(961 on Top4, where every core is its own lane), 4,033 for the 16,384 of
-the 256-core cluster.  A cold configuration — ``CompiledNetwork()`` plus
-every read template — costs about 7 ms at 64 cores and 125 ms at 256 where
-per-path compilation cost about 14 and 270 ms (development host, best of
-seven, five alternations).
+exploits that twice.  It compiles one **path template** per ``(lane,
+source tile, destination tile, direction)`` — a *half pair* and a
+direction, shared by every core of the lane and tile, versus
+``num_cores * num_banks * 2`` concrete paths — and marks the two
+per-path resources with placeholders the engine resolves at move time:
+the bank stage with :data:`BANK`, against the flit's destination bank,
+and a load's completing hop through ``core{c}.resp`` with :data:`PORT`,
+against the flit's core (a store has no per-core part).  No per-bank or
+per-core instantiation ever happens.  And it *compiles* — resource
+lookups, membership and level checks — each half once, as keyed by
+:meth:`~repro.interconnect.topology.ClusterTopology.path_halves`, and
+links the load's chain from them; a store's chain relinks the load's
+prefix up to the bank.  That is about ``lanes * num_tiles**2`` templates
+per direction, not ``num_cores * num_tiles``: 241 for the 1,024 per-core
+read cells of 64-core TopH (961 on Top4, where every core is its own
+lane), 4,033 for the 16,384 of the 256-core cluster.  The per-core
+``[core, tile]`` tables (:meth:`CompiledNetwork.template_row`,
+:meth:`CompiledNetwork.block_templates`) hand out the shared ids and
+chain objects.  A cold configuration — ``CompiledNetwork()`` plus every
+read template — costs 6–10 ms at 64 cores and 81–129 ms at 256, where
+one chain per core cost 7–13 and 118–188 ms (development host, best of
+seven, five alternations); topology, network and read templates take
+1.6 MB at 64 cores and 10.1 MB at 256 (tracemalloc; 2.0 and 16.6 MB with
+one chain per core).
 
 A compiled template is a *move chain*: a singly linked chain of
 ``(target, arbiter, next)`` triples, one per hop.  ``target`` is the next
-register stage to enter (:data:`BANK`, a stage id, or :data:`COMPLETE`),
+register stage to enter (:data:`BANK`, a stage id, or :data:`COMPLETE`;
+a :data:`PORT` link carries its :attr:`CompiledNetwork.port_links` row in
+place of an arbiter and resolves to a :data:`COMPLETE` link),
 ``arbiter`` the combinational arbitration points crossed on the way as
 one int — :data:`NO_ARBITER` for none, the arbiter id for one, and
 ``code <= -2`` for a run of two or more, held in
@@ -49,7 +56,8 @@ Every chain crosses its bank's stage, so a head's target is a stage id or
 :data:`BANK`, never :data:`COMPLETE`: no flit completes at injection.
 The engine keeps each flit's *current* triple at hand, so advancing a flit
 never indexes back into per-path tables: one list read yields everything
-the hop needs, and the chain link yields the next hop on success.
+the hop needs, and the chain link yields the next hop on success — after
+one ``target < COMPLETE`` compare, which catches either placeholder.
 
 A compiled network is structure only, so :func:`shared_network` keeps one
 per configuration and process, up to 256 cores' worth of configurations:
@@ -92,6 +100,10 @@ COMPLETE = -1
 #: Move-chain target marking the destination bank's stage, resolved against
 #: the flit's ``bank_id`` at move time.
 BANK = -2
+#: Move-chain target of a load's completing hop through the issuing core's
+#: response port: ``(PORT, run, None)`` is resolved against the flit's core
+#: at move time, to ``CompiledNetwork.port_links[run][core]``.
+PORT = -3
 #: Move-chain arbiter of a hop that crosses no arbitration point.
 NO_ARBITER = -1
 
@@ -106,7 +118,7 @@ class EngineCompileError(ValueError):
 #: a short point.  Bounded like ``repro.utils.rotation._pool_cache``, but by
 #: cores rather than entries, because an entry retains the built topology
 #: and every compiled template, and both grow with the core count (about
-#: 2 MB at 64 cores, 16 MB at 256).  The budget holds four configurations
+#: 1.6 MB at 64 cores, 10 MB at 256).  The budget holds four configurations
 #: at the 64-core scaled size — all three of Figure 5, so a long-lived
 #: ``serve`` process compiles them once — and one at the paper's 256 cores.
 #: Eviction is oldest-first.
@@ -168,18 +180,16 @@ def shared_network(config: MemPoolConfig) -> CompiledNetwork:
 class _HalfPair(NamedTuple):
     """What the paths of one ``(lane, source tile, destination tile)`` share.
 
-    Everything of a template but its completing hop: a store is the first
-    ``store_hops`` moves, a load all of them and then — behind ``pending``
-    — the one per-core resource of a path, the core's response port.
+    The load's move chain — request half, :data:`BANK`, response half, then
+    the :data:`PORT` placeholder for the one per-core resource of a path,
+    the core's response port — of which a store is the first
+    ``store_hops`` links.
     """
 
-    #: ``(target, arbiter)`` hops: request half, :data:`BANK`, response half.
-    moves: tuple
-    #: ``moves``' targets: the register-stage sequence of a load.
+    load_chain: tuple
+    #: The register-stage sequence of a load.
     stages: tuple
     store_hops: int
-    #: Arbiters behind the last response stage, ahead of the core's port.
-    pending: tuple
     #: Lengths of the whole resource lists, response port included.
     store_len: int
     load_len: int
@@ -203,9 +213,11 @@ class CompiledNetwork:
     state lives in the engines built on it — so one instance is shared by
     every cluster of the same configuration in the process (see
     :func:`shared_network`), across simulations and threads.
-    Templates are compiled lazily and append-only: ids handed out stay
-    valid forever, a *hit* is a plain list or dict read, and only a *miss*
-    (a row or template not compiled yet) takes the module's compile lock.
+    Templates are compiled lazily and append-only, one per half pair and
+    direction: every core whose paths into a tile share their halves gets
+    the same template id and chain object.  Ids handed out stay valid
+    forever, a *hit* is a plain list or dict read, and only a *miss* (a row
+    or template not compiled yet) takes the module's compile lock.
     Template ids therefore depend on which points ran before; nothing
     observable does.
 
@@ -234,6 +246,10 @@ class CompiledNetwork:
     arbiter_runs : list of tuple of int
         The distinct runs of two or more arbiters a hop crosses, indexed
         by a link's ``-2 - arbiter`` (see :meth:`link_arbiters`).
+    port_links : list of list of tuple
+        The resolution table for the :data:`PORT` placeholder: one list per
+        distinct run of arbiters ahead of the core's response port, holding
+        every core's completing link through its own port.
     """
 
     def __init__(self, topology: ClusterTopology) -> None:
@@ -303,8 +319,8 @@ class CompiledNetwork:
             else np.empty((self.order_pool_size, 0), dtype=np.intp)
         )
 
-        # Path-template tables, appended to lazily as (core, tile,
-        # direction) triples are first requested.
+        # Path-template tables, appended to lazily as (half pair,
+        # direction) pairs are first requested.
         self.path_moves: list[tuple] = []
         self.path_stage_seq: list[tuple[int, ...]] = []
         #: Index (within the original resource list) of each template's
@@ -318,11 +334,18 @@ class CompiledNetwork:
         #: Compiled remote halves, keyed like the topology's own
         #: :meth:`~repro.interconnect.topology.ClusterTopology.path_halves`.
         self._half_pairs: dict[tuple[int, int, int] | None, _HalfPair] = {}
+        #: Per direction, the template id of every half pair key linked.
+        self._templates: dict[bool, dict[tuple[int, int, int] | None, int]] = {
+            True: {}, False: {}
+        }
         #: Arbiter id of every core's response port: the one per-core
         #: resource of a path, crossed on a load's completing hop.
         self._core_response = [
             self._arbiter_index[id(port)] for port in topology.core_response_ports
         ]
+        self.port_links: list[list[tuple]] = []
+        #: The :data:`PORT` link of each distinct run ahead of the port.
+        self._port_placeholders: dict[tuple[int, ...], tuple] = {}
         config = topology.config
         self._template_tables: dict[bool, list[list[int] | None]] = {
             needs_response: [None] * config.num_cores
@@ -354,8 +377,9 @@ class CompiledNetwork:
     def path_id(self, core_id: int, bank_id: int, needs_response: bool) -> int:
         """The path-template id for a ``core_id`` -> ``bank_id`` transaction.
 
-        Templates are shared by every bank of the destination tile; the
-        core's whole row is compiled on first use.
+        Templates are shared by every bank of the destination tile and
+        every core of the half pair; the core's whole row is compiled on
+        first use.
         """
         return self.template_row(core_id, needs_response)[self.tile_of_bank[bank_id]]
 
@@ -381,7 +405,7 @@ class CompiledNetwork:
             row = table[core_id]
             if row is None:
                 row = [
-                    self._link_template(core_id, tile, needs_response)
+                    self._template(core_id, tile, needs_response)
                     for tile in range(self.topology.config.num_tiles)
                 ]
                 ids, heads, bank_headed = self._block_tables[needs_response]
@@ -410,7 +434,7 @@ class CompiledNetwork:
             ``template_row(core, needs_response)[tile_of_bank[bank]]`` per
             entry.
         heads : list of tuple
-            ``path_moves[path_id]`` per entry, placeholder unresolved.
+            ``path_moves[path_id]`` per entry, placeholders unresolved.
         bank_headed : numpy.ndarray of bool
             Per entry, whether the head's target is :data:`BANK` — a
             same-tile access, and *every* access of a topology with no
@@ -478,20 +502,25 @@ class CompiledNetwork:
             )
         return tuple(moves), tuple(pending)
 
-    def _half_pair(self, core_id: int, tile: int) -> _HalfPair:
-        """The compiled halves ``core_id``'s paths into ``tile`` share."""
-        key, request, response = self.topology.path_halves(core_id, tile)
+    def _half_pair(
+        self,
+        key: tuple[int, int, int] | None,
+        request: list[Resource],
+        response: list[Resource],
+    ) -> _HalfPair:
+        """The compiled halves of the paths ``key`` stands for."""
         pair = self._half_pairs.get(key)
         if pair is None:
             request_moves, into_bank = self._compile_half(request, after_bank=False)
             response_moves, pending = self._compile_half(response, after_bank=True)
-            bank_hop = (BANK, self._arbiter_code(into_bank))
-            moves = (*request_moves, bank_hop, *response_moves)
+            moves = (*request_moves, (BANK, self._arbiter_code(into_bank)), *response_moves)
+            chain = self._port_placeholder(pending)
+            for target, arbiter in reversed(moves):
+                chain = (target, arbiter, chain)
             pair = self._half_pairs[key] = _HalfPair(
-                moves,
+                chain,
                 tuple([target for target, _ in moves]),
                 len(request_moves) + 1,
-                pending,
                 len(request) + 1,
                 len(request) + 1 + len(response) + 1,
             )
@@ -507,26 +536,59 @@ class CompiledNetwork:
         return self._run_codes[arbiters]
 
     def link_arbiters(self, link: tuple) -> tuple[int, ...]:
-        """The arbiter ids a move-chain ``link`` crosses, in path order."""
+        """The arbiter ids a move-chain ``link`` crosses, in path order.
+
+        A :data:`PORT` link holds a :attr:`port_links` row, not arbiters:
+        resolve it for a core (``port_links[run][core]``) first.
+        """
         code = link[1]
         if code >= 0:
             return (code,)
         return () if code == NO_ARBITER else self.arbiter_runs[-2 - code]
 
-    def _link_template(self, core_id: int, tile: int, needs_response: bool) -> int:
-        """Link one template from its shared halves; return its new id."""
-        moves, stages, store_hops, pending, resource_len, load_len = (
-            self._half_pair(core_id, tile)
-        )
+    def _port_placeholder(self, pending: tuple[int, ...]) -> tuple:
+        """The :data:`PORT` link completing a load behind ``pending``.
+
+        The first use of a run builds its row of :attr:`port_links`: every
+        core's completing link, the run followed by the core's own port.
+        """
+        link = self._port_placeholders.get(pending)
+        if link is None:
+            link = self._port_placeholders[pending] = (PORT, len(self.port_links), None)
+            self.port_links.append([
+                (COMPLETE, self._arbiter_code((*pending, port)), None)
+                for port in self._core_response
+            ])
+        return link
+
+    def _template(self, core_id: int, tile: int, needs_response: bool) -> int:
+        """The id of ``core_id``'s template into ``tile``, linked on first use."""
+        key, request, response = self.topology.path_halves(core_id, tile)
+        templates = self._templates[needs_response]
+        path_id = templates.get(key)
+        if path_id is None:
+            path_id = templates[key] = self._link_template(
+                self._half_pair(key, request, response), needs_response
+            )
+        return path_id
+
+    def _link_template(self, pair: _HalfPair, needs_response: bool) -> int:
+        """Register one template of a half pair; return its new id.
+
+        A load is the pair's own chain; a store relinks its first
+        ``store_hops`` links to complete behind the bank.
+        """
+        chain, stages, store_hops, resource_len, load_len = pair
         if needs_response:
-            last = self._arbiter_code((*pending, self._core_response[core_id]))
-            chain = (COMPLETE, last, None)
             resource_len = load_len
         else:
-            moves, stages = moves[:store_hops], stages[:store_hops]
-            chain = (COMPLETE, NO_ARBITER, None)
-        for target, arbiter in reversed(moves):
-            chain = (target, arbiter, chain)
+            hops = []
+            for _ in range(store_hops):
+                hops.append(chain)
+                chain = chain[2]
+            chain, stages = (COMPLETE, NO_ARBITER, None), stages[:store_hops]
+            for target, arbiter, _ in reversed(hops):
+                chain = (target, arbiter, chain)
         path_id = len(self.path_moves)
         self.path_moves.append(chain)
         self.path_stage_seq.append(stages)

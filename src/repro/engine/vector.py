@@ -17,8 +17,11 @@ Each cycle is two steps:
    order, without visiting the (mostly empty) remainder of the network.
 2. **Head-flit moves (per candidate).**  Each candidate stage's head row
    carries its *resolved next hop* — the ``(target stage, arbiter,
-   following hop)`` triple of its move chain, with the bank-stage
-   placeholder already substituted — so a hop attempt reads one list cell,
+   following hop)`` triple of its move chain, with the bank-stage and
+   response-port placeholders already substituted (a chain is shared by
+   every core of its half pair, so the hop that enters the stage before
+   the bank, or before completion, resolves the next one against the
+   row's bank or core) — so a hop attempt reads one list cell,
    checks target space and the grant of its one arbiter (a run of several
    goes through :meth:`VectorEngine._grant_run`), and either moves the row
    or leaves every piece of state untouched.
@@ -58,7 +61,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.engine.compile import BANK, CompiledNetwork
+from repro.engine.compile import BANK, COMPLETE, CompiledNetwork
 from repro.engine.soa import FlitTable
 from repro.interconnect.resources import Flit
 from repro.interconnect.topology import ClusterTopology
@@ -101,6 +104,7 @@ class VectorEngine:
         self._tile_of_bank = compiled.tile_of_bank
         self._path_moves = compiled.path_moves
         self._bank_stage = compiled.bank_stage_ids
+        self._port_links = compiled.port_links
         self.in_flight = 0
         self.total_injected = 0
         self.total_completed = 0
@@ -128,7 +132,9 @@ class VectorEngine:
             cores.tolist(), banks.tolist(), path_ids, is_write, created
         )
         # Only a row that enters its bank on the injection hop resolves the
-        # placeholder now; the others carry their template's own head.
+        # placeholder now; the others carry their template's own head.  The
+        # head's following hop — a load's port placeholder, on a path with
+        # no response stage — is resolved at injection, like any other.
         bank_stage = compiled.bank_stage_ids
         bank_rows = np.flatnonzero(bank_headed)
         for row, bank in zip(bank_rows.tolist(), banks[bank_rows].tolist()):
@@ -165,8 +171,10 @@ class VectorEngine:
         granted = self.granted_cycle
         grant_run = self._grant_run
         bank_stage = compiled.bank_stage_ids
+        port_links = compiled.port_links
         flits = self.flits
         bank_of = flits.bank
+        core_of = flits.core
         next_move = self._next_move
         head_move = self._head_move
         completed_column = flits.completed_cycle
@@ -191,8 +199,11 @@ class VectorEngine:
             else:
                 occupied_cells[stage] = 0
             if target >= 0:
-                if following[0] == BANK:
-                    following = (bank_stage[bank_of[row]], following[1], following[2])
+                if following[0] < COMPLETE:
+                    if following[0] == BANK:
+                        following = (bank_stage[bank_of[row]], following[1], following[2])
+                    else:
+                        following = port_links[following[1]][core_of[row]]
                 next_move[row] = following
                 target_queue = queues[target]
                 if not target_queue:
@@ -260,8 +271,11 @@ class VectorEngine:
         flits.injected_cycle.append(cycle)
         flits.completed_cycle.append(-1)
         self.total_injected += 1
-        if following[0] == BANK:
-            following = (self._bank_stage[bank_id], following[1], following[2])
+        if following[0] < COMPLETE:
+            if following[0] == BANK:
+                following = (self._bank_stage[bank_id], following[1], following[2])
+            else:
+                following = self._port_links[following[1]][core_id]
         self._next_move.append(following)
         queue = self.queues[target]
         if not queue:
@@ -300,7 +314,9 @@ class VectorEngine:
         occupied_cells = self._occupied_cells
         head_move = self._head_move
         bank_of = self.flits.bank
+        core_of = self.flits.core
         bank_stage = self.compiled.bank_stage_ids
+        port_links = self.compiled.port_links
         injected_cycle = self.flits.injected_cycle
         entered = 0
         for index in order:
@@ -320,8 +336,11 @@ class VectorEngine:
             source.popleft()
             injected_cycle[row] = cycle
             entered += 1
-            if following[0] == BANK:
-                following = (bank_stage[bank_of[row]], following[1], following[2])
+            if following[0] < COMPLETE:
+                if following[0] == BANK:
+                    following = (bank_stage[bank_of[row]], following[1], following[2])
+                else:
+                    following = port_links[following[1]][core_of[row]]
             next_move[row] = following
             queue = queues[target]
             if not queue:

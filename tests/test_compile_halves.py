@@ -2,17 +2,20 @@
 
 A path's remote request and response halves depend only on ``(lane, source
 tile, destination tile)``; the topology caches them under that key and the
-compiler compiles each half once and links every template of the key from
-it.  Pinned here, with no wall clock: the keyed cache serves exactly the
-path a fresh construction yields — for every family and parameter selection
-of the registry, so a family that forgets its lane fails instead of
-aliasing — the linked templates, decoded through
+compiler compiles each half once and links one template per key and
+direction from it, shared by every core of the key.  Pinned here, with no
+wall clock: the keyed cache serves exactly the path a fresh construction
+yields — for every family and parameter selection of the registry, so a
+family that forgets its lane fails instead of aliasing — the linked
+templates, with the response-port placeholder resolved for each core and
+decoded through
 :meth:`~repro.engine.compile.CompiledNetwork.link_arbiters`, equal a
 whole-path reference compile that shares no encoding code with the
 compiler (arbiter runs included, on scaled ``hierarchical``), the
 per-cycle visiting orders are the levels' own permutations, the
-number of half compiles is what the sharing promises, and block allocation
-still equals per-row allocation where the injection hop enters the bank.
+number of half compiles and templates is what the sharing promises, and
+block allocation still equals per-row allocation where the injection hop
+enters the bank.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import pytest
 
 from repro.core.config import MemPoolConfig
 from repro.engine import CompiledNetwork, VectorEngine
-from repro.engine.compile import BANK, COMPLETE
+from repro.engine.compile import BANK, COMPLETE, PORT
 from repro.interconnect.resources import RegisterStage
 from repro.interconnect.topology import LOCAL_PATH, build_topology
 from repro.utils.rotation import PermutationSchedule
@@ -59,12 +62,14 @@ def _same_resources(first, second) -> bool:
     return len(first) == len(second) and all(a is b for a, b in zip(first, second))
 
 
-def _decoded_chain(compiled, link):
-    """``link``'s chain with every arbiter run decoded to a tuple of ids."""
+def _decoded_chain(compiled, link, core):
+    """``link``'s chain for ``core``: its port resolved, every arbiter run decoded."""
     if link is None:
         return None
+    if link[0] == PORT:
+        link = compiled.port_links[link[1]][core]
     target, _, following = link
-    return (target, compiled.link_arbiters(link), _decoded_chain(compiled, following))
+    return (target, compiled.link_arbiters(link), _decoded_chain(compiled, following, core))
 
 
 def _reference_template(compiled, resources, bank_stage):
@@ -97,7 +102,7 @@ def _assert_linked_templates_equal_a_whole_path_compile(config):
                 bank = tile * config.banks_per_tile
                 path_id = compiled.path_id(core, bank, needs_response)
                 assert (
-                    _decoded_chain(compiled, compiled.path_moves[path_id]),
+                    _decoded_chain(compiled, compiled.path_moves[path_id], core),
                     compiled.path_stage_seq[path_id],
                     compiled.path_first_stage_pos[path_id],
                     compiled.path_resource_len[path_id],
@@ -109,7 +114,8 @@ def _assert_linked_templates_equal_a_whole_path_compile(config):
                 # The engine's injection hops rely on it: no flit completes
                 # at injection.
                 assert compiled.path_moves[path_id][0] != COMPLETE
-    assert compiled.num_paths == 2 * config.num_cores * config.num_tiles
+    # One template per half pair and direction, not per core.
+    assert compiled.num_paths == 2 * len(topology._path_cache)
     assert set(compiled._half_pairs) == set(topology._path_cache)
     return compiled
 
@@ -205,7 +211,7 @@ def test_arbiter_runs_decode_to_the_whole_path_compile(params, run_length):
 
 
 class TestHalfCompileCounts:
-    """About ``lanes * tiles**2`` half compiles, not ``cores * tiles``."""
+    """About ``lanes * tiles**2`` half compiles and templates, not ``cores * tiles``."""
 
     @pytest.mark.parametrize(
         ("topology", "remote_pairs"),
@@ -223,13 +229,28 @@ class TestHalfCompileCounts:
         )
         for core in range(config.num_cores):
             compiled.template_row(core, True)
-        assert compiled.num_paths == 1024
-        assert len(compiled._half_pairs) == remote_pairs + 1  # plus the local one
+        # 241 read templates on TopH, 961 on Top4 (every core its own lane).
+        assert compiled.num_paths == remote_pairs + 1  # plus the local one
+        assert len(compiled._half_pairs) == remote_pairs + 1
         assert calls.count(False) == calls.count(True) == remote_pairs + 1
         # The store templates link from the same halves: nothing compiles.
         for core in range(config.num_cores):
             compiled.template_row(core, False)
-        assert compiled.num_paths == 2048 and len(calls) == 2 * (remote_pairs + 1)
+        assert compiled.num_paths == 2 * (remote_pairs + 1)
+        assert len(calls) == 2 * (remote_pairs + 1)
+
+
+@pytest.mark.parametrize("needs_response", [True, False])
+def test_cores_of_a_half_pair_share_one_chain_object(needs_response):
+    """Cores 0 and 1 of 64-core TopH (one tile, one lane): one chain per tile."""
+    config = MemPoolConfig.scaled("toph")
+    compiled = CompiledNetwork(build_topology(config))
+    first, second = (compiled.template_row(core, needs_response) for core in (0, 1))
+    _, heads, _ = compiled._block_tables[needs_response]
+    for tile in range(config.num_tiles):
+        assert first[tile] == second[tile], tile
+        assert compiled.path_moves[first[tile]] is compiled.path_moves[second[tile]]
+        assert heads[0, tile] is heads[1, tile], tile
 
 
 class TestBankHeadedBlocks:

@@ -23,7 +23,7 @@ from repro.engine import (
     VectorEngine,
     VectorStageNetwork,
 )
-from repro.engine.compile import BANK, COMPLETE
+from repro.engine.compile import BANK, COMPLETE, PORT
 from repro.interconnect.resources import (
     LEVEL_BANK,
     LEVEL_MASTER_REQ,
@@ -72,13 +72,18 @@ class TestCompiledNetwork:
             if stage != BANK:
                 assert compiled.stage_level[stage] != LEVEL_BANK
 
-    def test_move_chain_ends_in_completion(self, toph_config):
+    @pytest.mark.parametrize("core", [0, 1])
+    def test_move_chain_ends_in_completion(self, toph_config, core):
         topology = MemPoolCluster(toph_config).topology
         compiled = CompiledNetwork(topology)
-        path_id = compiled.path_id(0, 0, True)
+        path_id = compiled.path_id(core, 0, True)
         entry = compiled.path_moves[path_id]
         hops = 0
         while entry is not None:
+            if entry[0] == PORT:  # the load's last hop, through the core's port
+                entry = compiled.port_links[entry[1]][core]
+                assert entry[2] is None
+                assert compiled.link_arbiters(entry)[-1] == compiled._core_response[core]
             target = entry[0]
             hops += 1
             entry = entry[2]
@@ -213,23 +218,34 @@ class TestInjectionArbiterRun:
     """Injection hops that cross a run of arbiters: ``inject_new`` and ``inject_queues``.
 
     No catalogue topology has one, so the run is installed by hand on a
-    private compiled network (never the process-shared one).
+    private compiled network (never the process-shared one).  Core 0's
+    template is shared by every core of its half pair, so the run is
+    installed for all of them: the template's head and each sharer's
+    block-table head.
     """
 
     @pytest.fixture
     def engine(self, toph_config):
         compiled = CompiledNetwork(MemPoolCluster(toph_config).topology)
         bank = toph_config.banks_per_tile  # tile 1: a remote access of core 0
+        tile = compiled.tile_of_bank[bank]
         path_id = compiled.path_id(0, bank, True)
         target, _, following = compiled.path_moves[path_id]
         assert target >= 0
         self.run = (0, 1)
-        compiled.path_moves[path_id] = (target, compiled._arbiter_code(self.run), following)
-        assert compiled.path_moves[path_id][1] <= -2
-        # The block tables cached core 0's heads: new_flits reads them.
-        tile = compiled.tile_of_bank[bank]
-        compiled._block_tables[True][1][0, tile] = compiled.path_moves[path_id]
-        self.bank = bank
+        head = compiled.path_moves[path_id] = (
+            target, compiled._arbiter_code(self.run), following
+        )
+        assert head[1] <= -2
+        # The block tables cached the sharers' heads: new_flits reads them.
+        sharers = [
+            core for core in range(toph_config.num_cores)
+            if compiled.template_row(core, True)[tile] == path_id
+        ]
+        assert 0 in sharers and len(sharers) > 1  # the chain is shared
+        for core in sharers:
+            compiled._block_tables[True][1][core, tile] = head
+        self.bank, self.sharer = bank, sharers[-1]
         return VectorEngine(compiled)
 
     def attempt(self, engine, cycle):
@@ -238,6 +254,11 @@ class TestInjectionArbiterRun:
     def test_a_free_run_is_granted_whole(self, engine):
         assert self.attempt(engine, 0) == 0
         assert [engine.granted_cycle[arbiter] for arbiter in self.run] == [0, 0]
+
+    def test_every_sharer_crosses_the_run(self, engine):
+        """Another core of core 0's half pair is granted the whole run too."""
+        assert engine.inject_new(self.sharer, self.bank, False, 3, 3) == 0
+        assert [engine.granted_cycle[arbiter] for arbiter in self.run] == [3, 3]
 
     @pytest.mark.parametrize("taken", [0, 1])
     def test_a_run_with_one_arbiter_taken_grants_none(self, engine, taken):

@@ -27,6 +27,7 @@ from repro.workloads import DestinationPattern
 # tests/test_trace.py over real recordings instead.
 DEFAULT_PATTERNS = PATTERNS.defaults()
 DEFAULT_INJECTORS = INJECTORS.defaults()
+PAPER_TOPOLOGIES = ["top1", "top4", "toph", "topx"]
 
 COMPARED_FIELDS = (
     "topology",
@@ -117,7 +118,7 @@ def test_workload_equivalence_every_pattern_and_injector(pattern, injector):
     assert logs["legacy"] == logs["vector"]
 
 
-@pytest.mark.parametrize("topology", ["top1", "top4", "toph", "topx"])
+@pytest.mark.parametrize("topology", PAPER_TOPOLOGIES)
 def test_traffic_equivalence_every_topology_smoke(topology):
     """Short smoke run covering all four topologies, high load."""
     config = MemPoolConfig.tiny(topology)
@@ -133,13 +134,18 @@ SYSTEM_KERNELS = {
 
 
 @pytest.mark.parametrize("kernel", sorted(SYSTEM_KERNELS))
-@pytest.mark.parametrize("topology", ["top1", "toph"])
-def test_system_equivalence_on_kernel(topology, kernel):
-    """The execution-driven simulator is cycle-exact across engines too."""
+@pytest.mark.parametrize("scrambling", [True, False], ids=["scrambled", "interleaved"])
+@pytest.mark.parametrize("topology", PAPER_TOPOLOGIES)
+def test_system_equivalence_on_kernel(topology, scrambling, kernel):
+    """The execution-driven simulator is cycle-exact across engines too.
+
+    Scrambled local accesses inject straight into their bank's stage, so
+    the load's port placeholder is resolved on the injection hop; Top4 is
+    the topology whose lanes, and hence chains, are per core.
+    """
+    config = MemPoolConfig.tiny(topology, scrambling_enabled=scrambling)
     legacy, vector = (
-        SYSTEM_KERNELS[kernel](
-            MemPoolCluster(MemPoolConfig.tiny(topology), engine=engine)
-        ).run(verify=True)
+        SYSTEM_KERNELS[kernel](MemPoolCluster(config, engine=engine)).run(verify=True)
         for engine in ENGINES
     )
     assert vector.correct
@@ -173,13 +179,15 @@ def test_back_to_back_runs_stay_equivalent():
     reason="paper-scale smoke equivalence runs in the nightly job "
     "(set MEMPOOL_NIGHTLY=1 to run locally)",
 )
-def test_full_scale_256_core_equivalence_smoke():
+@pytest.mark.parametrize("topology", PAPER_TOPOLOGIES)
+def test_full_scale_256_core_equivalence_smoke(topology):
     """256-core paper-scale cluster: both engines agree.
 
     A short window (the per-cycle work at 256 cores is what matters, not
-    the horizon); one topology keeps the nightly cost bounded.
+    the horizon), on each of the paper's topologies; TopH's two-arbiter
+    hops exist only at this size.
     """
-    config = MemPoolConfig.full("toph")
+    config = MemPoolConfig.full(topology)
     assert config.num_cores == 256
     legacy = _run(config, "legacy", "uniform", load=0.2)
     assert legacy.flit_log  # the comparison must not be vacuous

@@ -345,12 +345,52 @@ def test_bench_ab_runs_the_interleaved_procedure(tmp_path, capfd):
     assert "wall_s" in printed and "sweep_warm" in printed
     # The per-layer table comes last: an exact count reads the same on both sides.
     table = printed[printed.index("layer metric"):].splitlines()
-    assert table[0].split()[-3:] == ["A", "B", "B/A"]
+    assert table[0].split()[-5:] == ["A", "iqr", "B", "iqr", "B/A"]
     [keys] = [line.split() for line in table if "experiments.spec_keys" in line]
-    assert keys[-3] == keys[-2] != "0" and keys[-1] == "1.000"
+    assert keys[-5] == keys[-3] != "0" and keys[-4] == keys[-2] == "0"
+    assert keys[-1] == "1.000"
     assert not any("engine.advance_s" in line for line in table)  # zero on both sides
     # No checkout left behind: only the two result sets remain.
     assert sorted(path.name for path in tmp_path.iterdir()) == ["A", "B"]
+
+
+def _profile(directory: Path, values: dict[str, list[float]]) -> Path:
+    """A ``results.json`` of one run per sample, ``metric -> samples``."""
+    directory.mkdir()
+    count = len(next(iter(values.values())))
+    runs = [
+        {"workload": "w", "seed": index + 1, "correct": True,
+         "metrics": {name: {"value": samples[index], "unit": "s"}
+                     for name, samples in values.items()}}
+        for index in range(count)
+    ]
+    (directory / "results.json").write_text(json.dumps({"runs": runs}))
+    return directory
+
+
+def test_layer_table_marks_rows_the_spread_cannot_resolve(tmp_path):
+    """Quartile distances beside medians; ``unresolved`` under the larger one."""
+    profiles = {
+        "A": _profile(tmp_path / "A", {
+            "moved": [1.0, 1.0, 1.0, 1.0],  # no spread, a clear shift
+            "noisy": [1.0, 1.4, 1.0, 1.4],  # median 1.2, q3 - q1 = 0.4
+            "wide_b": [1.0, 1.0, 1.0, 1.0],
+            "count": [5, 5, 5, 5],
+        }),
+        "B": _profile(tmp_path / "B", {
+            "moved": [0.9, 0.9, 0.9, 0.9],
+            "noisy": [1.0, 1.0, 1.0, 1.0],  # 0.2 below A, inside A's 0.4
+            "wide_b": [0.8, 1.2, 0.8, 1.2],  # inside B's own spread
+            "count": [5, 5, 5, 5],
+        }),
+    }
+    table = bench_ab.layer_table(profiles).splitlines()
+    assert table[0].split()[-5:] == ["A", "iqr", "B", "iqr", "B/A"]
+    rows = {line.split()[1]: line.split()[3:] for line in table[1:]}
+    assert rows["moved"] == ["1", "0", "0.9", "0", "0.900"]
+    assert rows["noisy"] == ["1.2", "0.4", "1", "0", "0.833", "unresolved"]
+    assert rows["wide_b"] == ["1", "0", "1", "0.4", "1.000", "unresolved"]
+    assert rows["count"] == ["5", "0", "5", "0", "1.000"]
 
 
 def test_reach_reports_what_one_entry_point_calls(tmp_path):

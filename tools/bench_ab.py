@@ -11,8 +11,10 @@ that goes first alternates from pair to pair, and ``bench/compare.py`` judges th
 ``bench/run.py`` of its own checkout from inside that checkout, so it measures
 that source tree and nothing else.  ``--profile N`` then runs ``N`` traced
 passes (``--trace 1``) per side, interleaved the same way, and prints the
-per-layer medians of the two sides next to each other: the layer profile
-before and after that every perf PR quotes.  The exit code is ``compare.py``'s,
+per-layer medians and quartile distances of the two sides next to each
+other, marking ``unresolved`` the rows whose medians differ by less than
+the larger quartile distance: the layer profile before and after that
+every perf PR quotes.  The exit code is ``compare.py``'s,
 or 1 when a run produced wrong simulated outputs.
 """
 
@@ -55,33 +57,46 @@ def run_interleaved(
     return healthy
 
 
-def layer_medians(results_json: Path) -> dict[tuple[str, str], float]:
-    """``(workload, "metric [unit]") -> median`` over the runs of one results file."""
+def layer_summaries(results_json: Path) -> dict[tuple[str, str], tuple[float, float]]:
+    """``(workload, "metric [unit]") -> (median, q3 - q1)`` over one results file.
+
+    Quartiles as ``bench/compare.py`` takes them; one run is its own quartiles.
+    """
     samples: dict[tuple[str, str], list[float]] = {}
     for run in json.loads(results_json.read_text())["runs"]:
         for name, entry in run["metrics"].items():
             key = (run["workload"], f"{name} [{entry['unit']}]")
             samples.setdefault(key, []).append(entry["value"])
-    return {key: statistics.median(values) for key, values in samples.items()}
+    summaries = {}
+    for key, values in samples.items():
+        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (0, 0, 0)
+        summaries[key] = (statistics.median(values), q3 - q1)
+    return summaries
 
 
 def layer_table(profiles: dict[str, Path]) -> str:
-    """The traced runs' per-layer medians, parent beside working tree.
+    """The traced runs' per-layer medians and quartile distances, side by side.
 
     One row per workload and metric that is non-zero on either side, in the
-    order the runs report them; the ratio is blank where the parent reads zero.
+    order the runs report them; the ratio is blank where the parent reads
+    zero.  A row whose medians differ by less than the larger of the two
+    quartile distances ends in ``unresolved``: its runs are too spread to
+    tell the sides apart, so its ratio points nowhere.
     """
     (first, before), (second, after) = (
-        (side, layer_medians(directory / "results.json"))
+        (side, layer_summaries(directory / "results.json"))
         for side, directory in profiles.items()
     )
-    lines = [f"{'workload':<18} {'layer metric':<42} {first:>12} {second:>12} "
-             f"{second + '/' + first:>7}"]
+    lines = [f"{'workload':<18} {'layer metric':<42} {first:>12} {'iqr':>10} "
+             f"{second:>12} {'iqr':>10} {second + '/' + first:>7}"]
     for workload, metric in {**before, **after}:
-        a, b = before.get((workload, metric), 0), after.get((workload, metric), 0)
+        a, a_iqr = before.get((workload, metric), (0, 0))
+        b, b_iqr = after.get((workload, metric), (0, 0))
         if a or b:
             ratio = f"{b / a:.3f}" if a else ""
-            lines.append(f"{workload:<18} {metric:<42} {a:>12.6g} {b:>12.6g} {ratio:>7}")
+            unresolved = "unresolved" if abs(b - a) < max(a_iqr, b_iqr) else ""
+            lines.append(f"{workload:<18} {metric:<42} {a:>12.6g} {a_iqr:>10.3g} "
+                         f"{b:>12.6g} {b_iqr:>10.3g} {ratio:>7} {unresolved}".rstrip())
     return "\n".join(lines)
 
 
