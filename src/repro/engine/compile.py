@@ -50,7 +50,14 @@ one int — :data:`NO_ARBITER` for none, the arbiter id for one, and
 ``arbiter_runs[-2 - code]`` (:meth:`CompiledNetwork.link_arbiters`
 decodes a link) — and ``next`` the following hop's triple (``None`` past
 the end).  Most hops cross at most one arbiter, so the engine's hop loops
-test one int instead of iterating a tuple.
+test one int instead of iterating a tuple.  Runs are rare and short: at
+their default parameters no catalogue row has one at scaled size, and at
+the paper's 256 cores only TopH and ``hierarchical`` do — 1,536 distinct
+runs each, every one a pair (the two layers of a group pair's
+butterfly), and none on an injection hop or a :data:`PORT` row.  So
+:meth:`~repro.engine.vector.VectorEngine.advance` grants a pair inline,
+and only longer runs and the injection sites go through
+:meth:`~repro.engine.vector.VectorEngine._grant_run`.
 ``path_moves[p]`` is the chain head — the injection hop from the core.
 Every chain crosses its bank's stage, so a head's target is a stage id or
 :data:`BANK`, never :data:`COMPLETE`: no flit completes at injection.
@@ -245,7 +252,9 @@ class CompiledNetwork:
         placeholder), used for introspection and latency book-keeping.
     arbiter_runs : list of tuple of int
         The distinct runs of two or more arbiters a hop crosses, indexed
-        by a link's ``-2 - arbiter`` (see :meth:`link_arbiters`).
+        by a link's ``-2 - arbiter`` (see :meth:`link_arbiters`).  Empty on
+        every catalogue row at scaled size; 1,536 pairs on 256-core TopH
+        and ``hierarchical``.
     port_links : list of list of tuple
         The resolution table for the :data:`PORT` placeholder: one list per
         distinct run of arbiters ahead of the core's response port, holding

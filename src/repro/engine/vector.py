@@ -22,9 +22,13 @@ Each cycle is two steps:
    every core of its half pair, so the hop that enters the stage before
    the bank, or before completion, resolves the next one against the
    row's bank or core) — so a hop attempt reads one list cell,
-   checks target space and the grant of its one arbiter (a run of several
-   goes through :meth:`VectorEngine._grant_run`), and either moves the row
-   or leaves every piece of state untouched.
+   checks target space and the grant of its one arbiter, and either moves
+   the row or leaves every piece of state untouched.  A run of two
+   arbiters — the hop through a group pair's two-layer butterfly on the
+   paper's 256-core TopH — is granted inline in
+   :meth:`VectorEngine.advance` too; a longer run, and any run on an
+   injection hop (no catalogue row has one), goes through
+   :meth:`VectorEngine._grant_run`.
 
 The engine is *cycle-exact* with respect to the object engine: for the same
 topology and the same injection sequence it produces flit-for-flit identical
@@ -170,6 +174,7 @@ class VectorEngine:
         accepted = self.accepted_cycle
         granted = self.granted_cycle
         grant_run = self._grant_run
+        arbiter_runs = compiled.arbiter_runs
         bank_stage = compiled.bank_stage_ids
         port_links = compiled.port_links
         flits = self.flits
@@ -189,8 +194,19 @@ class VectorEngine:
                 if granted[arbiter] == cycle:
                     continue
                 granted[arbiter] = cycle
-            elif arbiter < -1 and not grant_run(arbiter, cycle):
-                continue
+            elif arbiter < -1:
+                # A pair — every run of a catalogue row at its defaults — is
+                # granted inline; a longer run does not unpack, so it takes
+                # the method.
+                try:
+                    first, second = arbiter_runs[-2 - arbiter]
+                except ValueError:
+                    if not grant_run(arbiter, cycle):
+                        continue
+                else:
+                    if granted[first] == cycle or granted[second] == cycle:
+                        continue
+                    granted[first] = granted[second] = cycle
             queue = queues[stage]
             row = queue.popleft()
             free_slots[stage] += 1
@@ -214,13 +230,18 @@ class VectorEngine:
                 accepted[target] = cycle
             else:
                 completed_column[row] = cycle
-                self.in_flight -= 1
-                self.total_completed += 1
                 completed.append(row)
+        self.in_flight -= len(completed)
+        self.total_completed += len(completed)
         return completed
 
     def _grant_run(self, code: int, cycle: int) -> bool:
-        """Grant every arbiter of a link's run ``code`` (``<= -2``), or none."""
+        """Grant every arbiter of a link's run ``code`` (``<= -2``), or none.
+
+        The path of runs :meth:`advance` does not inline (three or more
+        arbiters) and of the injection sites, :meth:`inject_new` and
+        :meth:`inject_queues`, where no catalogue row has a run.
+        """
         granted = self.granted_cycle
         run = self.compiled.arbiter_runs[-2 - code]
         for arbiter in run:

@@ -40,12 +40,21 @@ class PermutationSchedule:
         key = (count, seed, pool_size)
         permutations = _pool_cache.get(key)
         if permutations is None:
-            rng = random.Random(seed)
+            # ``random.shuffle`` inlined: the same Fisher-Yates swaps over
+            # the same ``getrandbits`` draws (CPython's ``_randbelow``
+            # rejection loop: ``k = n.bit_length()``, redraw while the
+            # draw is ``>= n``), without a ``_randbelow`` call per element.
+            getrandbits = random.Random(seed).getrandbits
+            swaps = [(i, i + 1, (i + 1).bit_length()) for i in range(count - 1, 0, -1)]
             base = list(range(count))
             generated = []
             for _ in range(pool_size):
                 order = base[:]
-                rng.shuffle(order)
+                for i, bound, bits in swaps:
+                    j = getrandbits(bits)
+                    while j >= bound:
+                        j = getrandbits(bits)
+                    order[i], order[j] = order[j], order[i]
                 generated.append(tuple(order))
             while len(_pool_cache) >= _POOL_CACHE_LIMIT:
                 del _pool_cache[next(iter(_pool_cache))]

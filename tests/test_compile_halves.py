@@ -20,9 +20,13 @@ enters the bank.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.catalogue import TOPOLOGIES
 from repro.core.config import MemPoolConfig
 from repro.engine import CompiledNetwork, VectorEngine
 from repro.engine.compile import BANK, COMPLETE, PORT
@@ -208,6 +212,45 @@ def test_arbiter_runs_decode_to_the_whole_path_compile(params, run_length):
     config = MemPoolConfig.scaled("hierarchical", topology_params=params)
     compiled = _assert_linked_templates_equal_a_whole_path_compile(config)
     assert {len(run) for run in compiled.arbiter_runs} == {run_length}
+
+
+@pytest.mark.parametrize("size", [
+    "scaled",
+    pytest.param("full", marks=pytest.mark.skipif(
+        not os.environ.get("MEMPOOL_NIGHTLY"),
+        reason="the 256-core census (~4 s) runs in the nightly job "
+        "(set MEMPOOL_NIGHTLY=1 to run locally)",
+    )),
+])
+def test_arbiter_run_census(size):
+    """Which catalogue rows, at their default parameters, cross arbiter runs.
+
+    This is why only ``VectorEngine.advance`` grants a pair inline: no
+    scaled row has a run; at the paper's 256 cores only TopH and
+    ``hierarchical`` (TopH's generalisation) have runs, 1,536 each and
+    every one a pair (the two layers of a group pair's butterfly); and no
+    row has a run on an injection hop or on a response-port link, so
+    ``inject_new`` and ``inject_queues`` meet runs only on hand-made
+    topologies.
+    """
+    run_lengths = {}
+    for name in TOPOLOGIES:
+        config = getattr(MemPoolConfig, size)(name)
+        compiled = CompiledNetwork(build_topology(config))
+        for core in range(config.num_cores):
+            for needs_response in (True, False):
+                compiled.template_row(core, needs_response)
+        for head in compiled.path_moves:
+            assert len(compiled.link_arbiters(head)) <= 1, name
+        for row in compiled.port_links:
+            for link in row:
+                assert len(compiled.link_arbiters(link)) <= 1, name
+        lengths = Counter(len(run) for run in compiled.arbiter_runs)
+        if lengths:
+            run_lengths[name] = dict(lengths)
+    assert run_lengths == (
+        {} if size == "scaled" else {"toph": {2: 1536}, "hierarchical": {2: 1536}}
+    )
 
 
 class TestHalfCompileCounts:

@@ -302,6 +302,62 @@ class TestInjectionArbiterRun:
         assert (engine.total_injected, engine.in_flight) == (1, 1)
 
 
+class TestAdvancePairRun:
+    """A hop past injection that crosses a pair of arbiters, granted in ``advance``.
+
+    Scaled ``hierarchical:radix=2`` compiles such hops (as the paper's
+    256-core TopH does); ``advance`` grants a pair inline, without
+    :meth:`VectorEngine._grant_run`.
+    """
+
+    config = MemPoolConfig.scaled("hierarchical", topology_params=(("radix", 2),))
+
+    def pending_pair(self):
+        """An engine with one row whose pending hop crosses a pair, and the cycle."""
+        compiled = CompiledNetwork(MemPoolCluster(self.config).topology)
+
+        def pair_of(link):
+            code = link[1]  # a PORT link's is a port_links row, never <= -2
+            if code >= -1:
+                return None
+            run = compiled.arbiter_runs[-2 - code]
+            return run if len(run) == 2 else None
+
+        def crosses_a_pair(link):
+            return link is not None and (pair_of(link) or crosses_a_pair(link[2]))
+
+        bank = next(
+            bank for bank in range(self.config.num_banks)
+            if crosses_a_pair(compiled.path_moves[compiled.path_id(0, bank, True)][2])
+        )
+        engine = VectorEngine(compiled)
+        row = engine.inject_new(0, bank, False, 0, 0)
+        assert row == 0
+        cycle = 1
+        while pair_of(engine._next_move[row]) is None:
+            engine.advance(cycle)
+            cycle += 1
+        return engine, row, pair_of(engine._next_move[row]), cycle
+
+    @staticmethod
+    def stage_of(engine, row):
+        return next(stage for stage, queue in enumerate(engine.queues) if row in queue)
+
+    @pytest.mark.parametrize("taken", [0, 1])
+    def test_a_pair_with_one_arbiter_taken_holds_the_row(self, taken, monkeypatch):
+        engine, row, pair, cycle = self.pending_pair()
+        monkeypatch.setattr(engine, "_grant_run", None)  # a pair never calls it
+        stage, move = self.stage_of(engine, row), engine._next_move[row]
+        engine.granted_cycle[pair[taken]] = cycle
+        assert engine.advance(cycle) == []
+        assert self.stage_of(engine, row) == stage and engine._next_move[row] == move
+        assert engine.granted_cycle[pair[1 - taken]] != cycle
+        # The next cycle both arbiters are free, both are stamped, the row moves.
+        engine.advance(cycle + 1)
+        assert [engine.granted_cycle[arbiter] for arbiter in pair] == [cycle + 1] * 2
+        assert self.stage_of(engine, row) == move[0]
+
+
 class _TwoArbiterInjection(ClusterTopology):
     """A remote request crosses two arbiters, then its first register stage.
 

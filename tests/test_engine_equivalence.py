@@ -17,6 +17,7 @@ import pytest
 from repro.catalogue import INJECTORS, PATTERNS
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import ENGINES, MemPoolConfig
+from repro.engine import VectorEngine
 from repro.engine.compile import shared_network
 from repro.kernels import Conv2dKernel, DctKernel, MatmulKernel
 from repro.traffic.simulation import TrafficSimulation
@@ -174,18 +175,24 @@ def test_back_to_back_runs_stay_equivalent():
     assert results["legacy"] == results["vector"]
 
 
-@pytest.mark.skipif(
+NIGHTLY_ONLY = pytest.mark.skipif(
     not os.environ.get("MEMPOOL_NIGHTLY"),
     reason="paper-scale smoke equivalence runs in the nightly job "
     "(set MEMPOOL_NIGHTLY=1 to run locally)",
 )
-@pytest.mark.parametrize("topology", PAPER_TOPOLOGIES)
+
+
+@pytest.mark.parametrize("topology", [
+    topology if topology == "toph" else pytest.param(topology, marks=NIGHTLY_ONLY)
+    for topology in PAPER_TOPOLOGIES
+])
 def test_full_scale_256_core_equivalence_smoke(topology):
     """256-core paper-scale cluster: both engines agree.
 
     A short window (the per-cycle work at 256 cores is what matters, not
-    the horizon), on each of the paper's topologies; TopH's two-arbiter
-    hops exist only at this size.
+    the horizon), on each of the paper's topologies.  TopH runs in tier-1:
+    its two-arbiter hops, which ``advance`` grants inline, exist only at
+    this size; the other three run in the nightly job.
     """
     config = MemPoolConfig.full(topology)
     assert config.num_cores == 256
@@ -222,15 +229,24 @@ MULTI_ARBITER = {
 
 
 @pytest.mark.parametrize("selection", sorted(MULTI_ARBITER))
-def test_multi_arbiter_hops_are_cycle_exact(selection):
+def test_multi_arbiter_hops_are_cycle_exact(selection, monkeypatch):
     """Traffic and a kernel agree across engines where one hop crosses a run.
 
-    The vector engine encodes a hop's arbiters as one id, with a fallback
-    for runs of two or more; this is the tier-1 test that drives the
-    fallback, in ``advance`` (the runs sit past the injection hop), under
-    both the traffic driver and the execution-driven system.
+    The vector engine encodes a hop's arbiters as one id, with a code for
+    runs of two or more.  ``advance`` grants a pair inline and a longer
+    run through ``VectorEngine._grant_run``; this is the tier-1 test that
+    drives both in ``advance`` (the runs sit past the injection hop),
+    under both the traffic driver and the execution-driven system.
     """
     params, run_length = MULTI_ARBITER[selection]
+    grant_run_calls = []
+    grant_run = VectorEngine._grant_run
+
+    def counted_grant_run(engine, code, cycle):
+        grant_run_calls.append(code)
+        return grant_run(engine, code, cycle)
+
+    monkeypatch.setattr(VectorEngine, "_grant_run", counted_grant_run)
     config = MemPoolConfig.scaled("hierarchical", topology_params=params)
     compiled = shared_network(config)
     for core in range(config.num_cores):
@@ -248,3 +264,5 @@ def test_multi_arbiter_hops_are_cycle_exact(selection):
     assert vector.correct
     assert legacy.system.cycles == vector.system.cycles
     assert legacy.system.core_stats == vector.system.core_stats
+    # A pair never reaches the method; a run of three does.
+    assert bool(grant_run_calls) == (run_length > 2)

@@ -1,5 +1,7 @@
 """Tests of the shared utility helpers (stats, tables, validation, rotation)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,6 +162,19 @@ class TestPermutationSchedule:
 
     def test_empty_schedule(self):
         assert PermutationSchedule(0).order(3) == ()
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 16, 64, 256, 320, 1024, 1920])
+    def test_pool_equals_random_shuffle(self, count):
+        """The inlined Fisher-Yates draws exactly what ``Random.shuffle`` draws."""
+        for seed in (0, 1, 7, 1234):
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(97):
+                order = list(range(count))
+                rng.shuffle(order)
+                expected.append(tuple(order))
+            schedule = PermutationSchedule(count, seed=seed)
+            assert [schedule.order(cycle) for cycle in range(97)] == expected, seed
 
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):
