@@ -26,6 +26,7 @@ from repro.core.config import MemPoolConfig
 from repro.engine import CompiledNetwork
 from repro.interconnect.topology import build_topology
 from repro.traffic.simulation import TrafficSimulation
+from test_perf_engine import _timed_advance
 
 #: Topology points under the gate: name -> family parameters.
 TOPOLOGY_POINTS = {"mesh": {}, "torus": {}}
@@ -38,21 +39,6 @@ SEED = 0
 
 def _config(name: str) -> MemPoolConfig:
     return MemPoolConfig.scaled(name, topology_params=TOPOLOGY_POINTS[name])
-
-
-def _timed_advance(network):
-    """Wrap ``network.advance`` on the instance; return the accumulator."""
-    spent = [0.0]
-    inner = network.advance
-
-    def advance(cycle):
-        start = time.perf_counter()
-        result = inner(cycle)
-        spent[0] += time.perf_counter() - start
-        return result
-
-    network.advance = advance
-    return spent
 
 
 def _sweep_once(name: str, engine: str) -> tuple[float, int]:

@@ -3,8 +3,9 @@
 :class:`LegacyEngine` serves the members of
 :class:`~repro.engine.vector.VectorEngine` that the simulators drive —
 ``flits``, ``new_flits``, ``inject_new``, ``inject_queues``, ``advance``
-and the ``in_flight`` / ``total_injected`` / ``total_completed`` counters
-— over a topology's untouched per-object
+(one cycle, or a traffic window as the plain per-cycle composition) and
+the ``in_flight`` / ``total_injected`` / ``total_completed`` counters —
+over a topology's untouched per-object
 :class:`~repro.interconnect.resources.StageNetwork`.  The traffic driver
 (:func:`repro.engine.traffic.run_vector_traffic`) and the execution-driven
 system (:class:`repro.core.system.MemPoolSystem`) therefore have one body
@@ -19,6 +20,8 @@ window holds objects for its queue heads and in-flight requests only.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -38,7 +41,7 @@ class LegacyEngine:
         self._offered: dict[int, Flit] = {}
         #: Each core's last refused ``inject_new`` flit, for its retry.
         self._refused: dict[int, Flit] = {}
-        #: The rows the last :meth:`advance` completed.
+        #: The rows the last :meth:`advance` call completed.
         self.completed_rows: list[int] = []
 
     @property
@@ -111,10 +114,30 @@ class LegacyEngine:
                 offered[row] = flit
         return entered
 
-    def advance(self, cycle: int) -> list[int]:
-        """Advance the network one cycle; return (and keep) the completed rows."""
-        rows = self.completed_rows = [flit.flit_id for flit in self.network.advance(cycle)]
+    def advance(self, cycle: int, stop: int | None = None, arrivals: tuple | None = None):
+        """Advance cycles ``cycle .. stop - 1``; return (and keep) the completed rows.
+
+        The plain per-cycle composition behind ``VectorEngine.advance``'s
+        signature: per cycle the network's ``advance``, then — with a
+        traffic window in ``arrivals`` — the cycle's new rows appended to
+        their cores' source queues and one :meth:`inject_queues` call.  A
+        list for one cycle, an ``array('q')`` for a window, as on
+        ``vector``.
+        """
+        completed = [] if stop is None else array("q")
         completed_cycle = self.flits.completed_cycle
-        for row in rows:
-            completed_cycle[row] = cycle
-        return rows
+        if arrivals is not None:
+            source_queues, order, first, sources, ends, start = arrivals
+            done = ends[cycle - start - 1] if cycle > start else 0
+        for now in range(cycle, cycle + 1 if stop is None else stop):
+            for flit in self.network.advance(now):
+                completed_cycle[flit.flit_id] = now
+                completed.append(flit.flit_id)
+            if arrivals is not None:
+                upto = ends[now - start]
+                for core_id, row in zip(sources[done:upto], range(first + done, first + upto)):
+                    source_queues[core_id].append(row)
+                done = upto
+                self.inject_queues(source_queues, order(now), now)
+        self.completed_rows = completed
+        return completed

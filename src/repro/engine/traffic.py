@@ -36,15 +36,19 @@ take request generation out of the per-cycle transport loop:
    gathers, and only the rows whose injection hop enters the bank stage
    are touched one by one; on ``legacy`` a row gets its ``Flit`` when it
    first reaches the head of its source queue.
-3. **Transport.**  Per cycle: the engine's level-ordered ``advance``, the
-   cycle's new rows appended to their cores' source queues, one
-   ``inject_queues`` pass.  Latency statistics are replayed once after the
-   loop, over the completions in completion order.
+3. **Transport.**  Two engine calls, ``advance(start, stop, arrivals)``
+   over the warm-up and then over the measurement cycles; the counters
+   that split them are read in between.  Per cycle the engine runs its
+   level-ordered pass, appends the cycle's new rows to their cores' source
+   queues and makes one ``inject_queues`` pass, so the driver keeps no
+   per-cycle loop of its own.  Latency statistics are replayed once
+   afterwards, over the completions in completion order.
 """
 
 from __future__ import annotations
 
-from array import array
+import operator
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -71,11 +75,9 @@ def _draw_window(simulation, start: int, end: int) -> tuple:
         banks = simulation.pattern.destinations(sources)
     else:
         banks = np.zeros(0, dtype=np.int64)
-    created: list[int] = []
-    done = 0
-    for cycle, upto in zip(range(start, end), ends):
-        created += [cycle] * (upto - done)
-        done = upto
+    # Cycle ``start + k`` once per request it issued: one int per cycle.
+    counts = map(operator.sub, ends, [0, *ends[:-1]])
+    created = list(chain.from_iterable(map(repeat, range(start, end), counts)))
     cores = np.asarray(sources, dtype=np.int64)
     config = simulation.cluster.config
     local = int(np.count_nonzero(
@@ -166,26 +168,17 @@ def run_vector_traffic(
     end = start + warmup_cycles + measure_cycles
     first, sources, ends = _allocate_window(simulation, engine, start, end)
 
-    advance = engine.advance
-    inject_queues = engine.inject_queues
-    order = simulation._injection_schedule.order
-    # The simulation-owned row queues: persistent across run() calls, so
+    # The simulation-owned row queues persist across run() calls, so
     # repeated windows stay cycle-exact.
-    queues = simulation._queues
+    arrivals = (
+        simulation._queues, simulation._injection_schedule.order, first, sources, ends, start,
+    )
     measure_start = start + warmup_cycles
     #: Completed rows in completion order (packed: holds no int objects).
-    completed = array("q")
-    completed_before = injected_before = 0
-    done = 0
-    for cycle, upto in zip(range(start, end), ends):
-        if cycle == measure_start:
-            completed_before = len(completed)
-            injected_before = engine.total_injected
-        completed.extend(advance(cycle))
-        for core_id, row in zip(sources[done:upto], range(first + done, first + upto)):
-            queues[core_id].append(row)
-        done = upto
-        inject_queues(queues, order(cycle), cycle)
+    completed = engine.advance(start, measure_start, arrivals)
+    completed_before = len(completed)
+    injected_before = engine.total_injected
+    completed += engine.advance(measure_start, end, arrivals)
     simulation._cycle = end
 
     # Statistics, replayed in completion order (Welford's mean depends on it).

@@ -3,10 +3,15 @@
 :class:`VectorEngine` is the structure-of-arrays re-implementation of
 :class:`repro.interconnect.resources.StageNetwork`: flits are integer rows
 of a :class:`~repro.engine.soa.FlitTable`, resource paths are the compiled
-move chains of a :class:`~repro.engine.compile.CompiledNetwork`, and one
-call to :meth:`VectorEngine.advance` performs the same level-ordered passes
-as the object engine — downstream levels first, per-cycle arbitration
-permutations within each level — over flat arrays instead of object graphs.
+move chains of a :class:`~repro.engine.compile.CompiledNetwork`, and
+:meth:`VectorEngine.advance` performs the same level-ordered passes as the
+object engine — downstream levels first, per-cycle arbitration permutations
+within each level — over flat arrays instead of object graphs: one cycle
+per call (``advance(cycle)``), or a whole window of cycles per call
+(``advance(start, stop, arrivals)``), which also appends each cycle's new
+traffic rows to their source queues and makes the cycle's
+:meth:`VectorEngine.inject_queues` call, so an open-loop traffic window
+costs two engine calls instead of one per cycle.
 
 Each cycle is two steps:
 
@@ -22,7 +27,8 @@ Each cycle is two steps:
    every core of its half pair, so the hop that enters the stage before
    the bank, or before completion, resolves the next one against the
    row's bank or core) — so a hop attempt reads one list cell,
-   checks target space and the grant of its one arbiter, and either moves
+   checks its target's queue length against the stage's buffer depth and
+   the target's and arbiter's last accept/grant cycles, and either moves
    the row or leaves every piece of state untouched.  A run of two
    arbiters — the hop through a group pair's two-layer butterfly on the
    paper's 256-core TopH — is granted inline in
@@ -49,7 +55,7 @@ they exist for structural statistics on the object model and would cost two
 extra writes per hop here.
 
 The simulators talk to the engine in rows (``new_flits``,
-``inject_queues``, ``inject_new``, ``advance``), the API that
+``inject_queues``, ``inject_new``, ``advance`` in both forms), the API that
 :class:`~repro.engine.legacy.LegacyEngine` serves over the per-object
 network on ``legacy``.  :class:`VectorStageNetwork` wraps the engine in the
 ``StageNetwork`` call interface (``advance`` / ``try_inject`` / ``drain``
@@ -61,6 +67,7 @@ its ``completed_rows``.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 import numpy as np
@@ -84,9 +91,6 @@ class VectorEngine:
         #: the bytes (no NumPy scalar store), the gather reads the bool view.
         self._occupied_cells = bytearray(num_stages)
         self.occupied = np.frombuffer(self._occupied_cells, dtype=bool)
-        #: Free elastic-buffer slots per stage (depth minus queue length) —
-        #: lets a blocked hop fail on one list read instead of a queue fetch.
-        self.free_slots = list(compiled.stage_depth)
         #: Resolved next hop of each stage's *head* row (None when empty).
         #: A head changes only when its stage pops or an empty stage is
         #: pushed, so keeping the head's hop at hand turns every attempt —
@@ -109,6 +113,9 @@ class VectorEngine:
         self._path_moves = compiled.path_moves
         self._bank_stage = compiled.bank_stage_ids
         self._port_links = compiled.port_links
+        #: Elastic-buffer depth per stage: a hop's target is full when its
+        #: queue is this long.
+        self._stage_depth = compiled.stage_depth
         self.in_flight = 0
         self.total_injected = 0
         self.total_completed = 0
@@ -151,26 +158,44 @@ class VectorEngine:
     # Per-cycle operation
     # ------------------------------------------------------------------ #
 
-    def advance(self, cycle: int) -> list[int]:
-        """Advance all buffered flits by one cycle; return completed rows.
+    def advance(self, cycle: int, stop: int | None = None, arrivals: tuple | None = None):
+        """Advance all buffered flits through cycles ``cycle .. stop - 1``.
 
-        The pass structure mirrors the object engine exactly: levels from
+        Returns the rows the call completed, in completion order: a list
+        for one cycle (``stop`` omitted), a packed ``array('q')`` for a
+        window, so a window's completions hold no int objects.
+
+        Each cycle's pass mirrors the object engine exactly: levels from
         most downstream to most upstream, stages within a level in the
-        pooled permutation order for ``cycle``, one head-flit move attempt
+        pooled permutation order for the cycle, one head-flit move attempt
         per non-empty stage.  The candidates of the *whole cycle* are
         gathered in one vectorized occupancy index over the concatenated
         downstream-first visiting order: the single gather is exact because
         a stage pops only when visited, and a stage that fills *during* the
         cycle can only be downstream of the filler — i.e. in a level the
         object engine had already finished before the push happened.
+
+        ``arrivals`` is an open-loop traffic window ``(source_queues,
+        order, first, sources, ends, start)``: request ``i`` is row
+        ``first + i``, issued by core ``sources[i]``, and cycle ``start + k``
+        issued the requests before offset ``ends[k]``.  With it, each
+        cycle's pass is followed by the cycle's new rows appended to their
+        cores' source queues and one :meth:`inject_queues` call in
+        ``order(cycle)``, so one call runs a traffic window, or any part
+        of one, exactly as the per-cycle composition of the three would.
         """
-        if not self.in_flight:
-            return []
+        if stop is None:
+            if not self.in_flight:
+                return []
+            stop = cycle + 1
+            completed = []
+        else:
+            completed = array("q")
         compiled = self.compiled
         queues = self.queues
         occupied = self.occupied
         occupied_cells = self._occupied_cells
-        free_slots = self.free_slots
+        stage_depth = self._stage_depth
         accepted = self.accepted_cycle
         granted = self.granted_cycle
         grant_run = self._grant_run
@@ -183,54 +208,66 @@ class VectorEngine:
         next_move = self._next_move
         head_move = self._head_move
         completed_column = flits.completed_cycle
-        completed: list[int] = []
+        full_orders = compiled.full_orders
+        pool_size = compiled.order_pool_size
+        if arrivals is not None:
+            source_queues, injection_order, first_row, sources, ends, start = arrivals
+            inject_queues = self.inject_queues
+            done = ends[cycle - start - 1] if cycle > start else 0
 
-        order = compiled.full_orders[cycle % compiled.order_pool_size]
-        for stage in order[occupied[order]].tolist():
-            target, arbiter, following = head_move[stage]
-            if target >= 0 and (not free_slots[target] or accepted[target] == cycle):
-                continue
-            if arbiter >= 0:
-                if granted[arbiter] == cycle:
-                    continue
-                granted[arbiter] = cycle
-            elif arbiter < -1:
-                # A pair — every run of a catalogue row at its defaults — is
-                # granted inline; a longer run does not unpack, so it takes
-                # the method.
-                try:
-                    first, second = arbiter_runs[-2 - arbiter]
-                except ValueError:
-                    if not grant_run(arbiter, cycle):
+        for now in range(cycle, stop):
+            order = full_orders[now % pool_size]
+            for stage in order[occupied[order]].tolist():
+                target, arbiter, following = head_move[stage]
+                if target >= 0:
+                    target_queue = queues[target]
+                    if accepted[target] == now or len(target_queue) == stage_depth[target]:
                         continue
-                else:
-                    if granted[first] == cycle or granted[second] == cycle:
+                if arbiter >= 0:
+                    if granted[arbiter] == now:
                         continue
-                    granted[first] = granted[second] = cycle
-            queue = queues[stage]
-            row = queue.popleft()
-            free_slots[stage] += 1
-            if queue:
-                head_move[stage] = next_move[queue[0]]
-            else:
-                occupied_cells[stage] = 0
-            if target >= 0:
-                if following[0] < COMPLETE:
-                    if following[0] == BANK:
-                        following = (bank_stage[bank_of[row]], following[1], following[2])
+                    granted[arbiter] = now
+                elif arbiter < -1:
+                    # A pair — every run of a catalogue row at its defaults — is
+                    # granted inline; a longer run does not unpack, so it takes
+                    # the method.
+                    try:
+                        first, second = arbiter_runs[-2 - arbiter]
+                    except ValueError:
+                        if not grant_run(arbiter, now):
+                            continue
                     else:
-                        following = port_links[following[1]][core_of[row]]
-                next_move[row] = following
-                target_queue = queues[target]
-                if not target_queue:
-                    occupied_cells[target] = 1
-                    head_move[target] = following
-                target_queue.append(row)
-                free_slots[target] -= 1
-                accepted[target] = cycle
-            else:
-                completed_column[row] = cycle
-                completed.append(row)
+                        if granted[first] == now or granted[second] == now:
+                            continue
+                        granted[first] = granted[second] = now
+                queue = queues[stage]
+                row = queue.popleft()
+                if queue:
+                    head_move[stage] = next_move[queue[0]]
+                else:
+                    occupied_cells[stage] = 0
+                if target >= 0:
+                    if following[0] < COMPLETE:
+                        if following[0] == BANK:
+                            following = (bank_stage[bank_of[row]], following[1], following[2])
+                        else:
+                            following = port_links[following[1]][core_of[row]]
+                    next_move[row] = following
+                    if not target_queue:
+                        occupied_cells[target] = 1
+                        head_move[target] = following
+                    target_queue.append(row)
+                    accepted[target] = now
+                else:
+                    completed_column[row] = now
+                    completed.append(row)
+            if arrivals is not None:
+                upto = ends[now - start]
+                rows = range(first_row + done, first_row + upto)
+                for core_id, row in zip(sources[done:upto], rows):
+                    source_queues[core_id].append(row)
+                done = upto
+                inject_queues(source_queues, injection_order(now), now)
         self.in_flight -= len(completed)
         self.total_completed += len(completed)
         return completed
@@ -270,9 +307,11 @@ class VectorEngine:
         target, arbiter, following = self._path_moves[path_id]
         if target == BANK:
             target = self._bank_stage[bank_id]
-        free_slots = self.free_slots
         accepted = self.accepted_cycle
-        if not free_slots[target] or accepted[target] == cycle:
+        if accepted[target] == cycle:
+            return None
+        queue = self.queues[target]
+        if len(queue) == self._stage_depth[target]:
             return None
         if arbiter >= 0:
             granted = self.granted_cycle
@@ -298,12 +337,10 @@ class VectorEngine:
             else:
                 following = self._port_links[following[1]][core_id]
         self._next_move.append(following)
-        queue = self.queues[target]
         if not queue:
             self._occupied_cells[target] = 1
             self._head_move[target] = following
         queue.append(row)
-        free_slots[target] -= 1
         accepted[target] = cycle
         self.in_flight += 1
         return row
@@ -317,17 +354,17 @@ class VectorEngine:
         row attempts the injection hop, and accepted heads are popped.
         Returns the number of injected rows.
 
-        Called after :meth:`advance`, so a slot freed this cycle can
-        receive a head row while the one-accept-per-cycle rule keeps it
-        from moving twice.  The hop runs over locally bound state — most
-        attempts of a saturated network are blocked, and a blocked attempt
-        is then two list reads — with the counter updates deferred to one
-        per call.  It always enters a register stage: a compiled path
-        crosses at least its bank's stage, so no row completes at
-        injection.
+        Called after the cycle's :meth:`advance` pass (by that pass itself
+        on a traffic window), so a slot freed this cycle can receive a head
+        row while the one-accept-per-cycle rule keeps it from moving twice.
+        The hop runs over locally bound state — most attempts of a
+        saturated network are blocked, and a blocked attempt is then a few
+        list reads — with the counter updates deferred to one per call.
+        It always enters a register stage: a compiled path crosses at least
+        its bank's stage, so no row completes at injection.
         """
         next_move = self._next_move
-        free_slots = self.free_slots
+        stage_depth = self._stage_depth
         accepted = self.accepted_cycle
         granted = self.granted_cycle
         grant_run = self._grant_run
@@ -346,7 +383,8 @@ class VectorEngine:
                 continue
             row = source[0]
             target, arbiter, following = next_move[row]
-            if not free_slots[target] or accepted[target] == cycle:
+            queue = queues[target]
+            if accepted[target] == cycle or len(queue) == stage_depth[target]:
                 continue
             if arbiter >= 0:
                 if granted[arbiter] == cycle:
@@ -363,12 +401,10 @@ class VectorEngine:
                 else:
                     following = port_links[following[1]][core_of[row]]
             next_move[row] = following
-            queue = queues[target]
             if not queue:
                 occupied_cells[target] = 1
                 head_move[target] = following
             queue.append(row)
-            free_slots[target] -= 1
             accepted[target] = cycle
         self.total_injected += entered
         self.in_flight += entered

@@ -11,6 +11,7 @@ against the legacy engine.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -155,6 +156,48 @@ def test_system_equivalence_on_kernel(topology, scrambling, kernel):
     assert legacy.system.injected_requests == vector.system.injected_requests
     assert legacy.system.completed_requests == vector.system.completed_requests
     assert legacy.system.core_stats == vector.system.core_stats
+
+
+def _depth(config: MemPoolConfig, depth: int) -> MemPoolConfig:
+    return replace(config, timing=replace(config.timing, elastic_buffer_depth=depth))
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("topology, load", [("top1", 0.6), ("toph", 0.5), ("top4", 0.4)])
+def test_buffer_depths_other_than_two(topology, load, depth):
+    """A register stage is full at its configured depth, on both engines.
+
+    Two chained windows on the scaled cluster, so the second starts on the
+    first's backlog; the depth must change the flit log, or the
+    comparison would not exercise the full-stage check.
+    """
+    config = _depth(MemPoolConfig.scaled(topology), depth)
+    logs = {}
+    for engine in ENGINES:
+        simulation = TrafficSimulation(MemPoolCluster(config, engine=engine), load, seed=11)
+        logs[engine] = [
+            simulation.run(warmup, measure, record_flits=True).flit_log
+            for warmup, measure in ((40, 110), (0, 100))
+        ]
+    assert logs["legacy"][0] and logs["legacy"][1]
+    assert logs["vector"] == logs["legacy"]
+    default = TrafficSimulation(
+        MemPoolCluster(MemPoolConfig.scaled(topology)), load, seed=11
+    ).run(40, 110, record_flits=True)
+    assert default.flit_log != logs["vector"][0]
+
+
+def test_system_equivalence_at_buffer_depth_one():
+    """A fig7 kernel through ``MemPoolSystem`` with single-slot stages."""
+    config = _depth(MemPoolConfig.scaled("toph"), 1)
+    legacy, vector = (
+        SYSTEM_KERNELS["matmul"](MemPoolCluster(config, engine=engine)).run(verify=True)
+        for engine in ENGINES
+    )
+    assert vector.correct
+    assert legacy.system == vector.system
+    default = SYSTEM_KERNELS["matmul"](MemPoolCluster(MemPoolConfig.scaled("toph"))).run()
+    assert default.system.cycles != vector.system.cycles
 
 
 def test_back_to_back_runs_stay_equivalent():

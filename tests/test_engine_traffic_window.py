@@ -7,14 +7,16 @@ the driver stays flit-for-flit equal across the engines over windows that
 chain, block allocation equals per-row allocation, the batched workload
 draws leave the random streams where the scalar draws leave them, the
 vector injection pass equals the ``legacy`` row engine's pass over the
-per-object ``StageNetwork``, and the simulation clock survives a second
-``run()``.
+per-object ``StageNetwork``, the window form of ``advance`` equals the
+per-cycle composition it replaces, and the simulation clock survives a
+second ``run()``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import deque
 
 import pytest
@@ -250,6 +252,113 @@ class TestInjectQueues:
         assert {record[0] for record in records if record[4:] == (-1, -1)} == queued
         in_flight = [record for record in records if record[4] >= 0 > record[5]]
         assert len(in_flight) == vector.in_flight
+
+
+def _engine(config, kind):
+    if kind == "legacy":
+        return LegacyEngine(build_topology(config))
+    return VectorEngine(shared_network(config))
+
+
+def _arrivals(config, engine, load, cycles, seed=21):
+    """A random open-loop window allocated on ``engine``, as ``advance`` takes it."""
+    rng = random.Random(seed)
+    sources, banks, created, ends = [], [], [], []
+    for cycle in range(cycles):
+        for core in range(config.num_cores):
+            if rng.random() < load:
+                sources.append(core)
+                banks.append(rng.randrange(config.num_banks))
+                created.append(cycle)
+        ends.append(len(sources))
+    first = engine.new_flits(sources, banks, created)
+    queues = [deque() for _ in range(config.num_cores)]
+    order = PermutationSchedule(config.num_cores, seed=1).order
+    return queues, order, first, sources, ends, 0
+
+
+def _composed(engine, arrivals, start, stop):
+    """The per-cycle composition the window form replaces."""
+    queues, order, first, sources, ends, base = arrivals
+    completed = []
+    done = ends[start - base - 1] if start > base else 0
+    for cycle in range(start, stop):
+        completed += engine.advance(cycle)
+        for offset in range(done, ends[cycle - base]):
+            queues[sources[offset]].append(first + offset)
+        done = ends[cycle - base]
+        engine.inject_queues(queues, order(cycle), cycle)
+    return completed
+
+
+def _state(engine, arrivals, completed):
+    """Everything a window leaves behind, for comparison across runs."""
+    return (
+        [engine.flits.row_record(row) for row in range(engine.flits.count)],
+        list(completed),
+        [engine.in_flight, engine.total_injected, engine.total_completed],
+        [list(queue) for queue in arrivals[0]],
+    )
+
+
+#: (config, load, cycles) of the windows: saturated Top1 and a loaded TopH.
+WINDOWS = {
+    "top1": (MemPoolConfig.tiny("top1"), 0.7, 60),
+    "toph": (MemPoolConfig.scaled("toph"), 0.3, 50),
+}
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+class TestWindowForm:
+    """``advance(start, stop, arrivals)``: a traffic window in one engine call."""
+
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_equals_the_per_cycle_composition(self, kind, window):
+        config, load, cycles = WINDOWS[window]
+        states = []
+        for call in (_composed, lambda engine, arrivals, start, stop: engine.advance(
+            start, stop, arrivals
+        )):
+            engine = _engine(config, kind)
+            arrivals = _arrivals(config, engine, load, cycles)
+            states.append(_state(engine, arrivals, call(engine, arrivals, 0, cycles)))
+        assert states[0] == states[1]
+        records, completed, counters, queues = states[0]
+        assert completed and counters[0] > 0  # completions, and more in flight
+        if window == "top1":  # saturated: a backlog is left in the source queues
+            assert sum(map(len, queues)) > config.num_cores
+
+    def test_a_split_window_equals_one_call(self, kind):
+        config, load, cycles = MemPoolConfig.tiny("top1"), 0.7, 30
+        engine = _engine(config, kind)
+        arrivals = _arrivals(config, engine, load, cycles)
+        whole = _state(engine, arrivals, engine.advance(0, cycles, arrivals))
+        for split in range(cycles + 1):
+            engine = _engine(config, kind)
+            arrivals = _arrivals(config, engine, load, cycles)
+            completed = engine.advance(0, split, arrivals)
+            completed += engine.advance(split, cycles, arrivals)
+            assert _state(engine, arrivals, completed) == whole, split
+
+    def test_each_call_returns_its_own_completions(self, kind):
+        config, load, cycles = MemPoolConfig.tiny("toph"), 0.4, 90
+        engine = _engine(config, kind)
+        arrivals = _arrivals(config, engine, load, cycles)
+        for start, stop in ((0, 0), (0, 30), (30, 31), (31, 90)):
+            before = engine.total_completed
+            result = engine.advance(start, stop, arrivals)
+            assert isinstance(result, array) and result.typecode == "q"
+            assert len(result) == engine.total_completed - before
+            assert all(engine.flits.completed_cycle[row] in range(start, stop) for row in result)
+        assert engine.total_completed > 0
+
+    def test_nothing_in_flight_completes_nothing(self, kind):
+        config = MemPoolConfig.tiny("toph")
+        engine = _engine(config, kind)
+        assert len(engine.advance(0)) == 0
+        arrivals = _arrivals(config, engine, 0.0, 20)
+        assert len(engine.advance(0, 20, arrivals)) == 0
+        assert engine.total_injected == engine.total_completed == engine.in_flight == 0
 
 
 class TestStatsReplay:

@@ -12,6 +12,7 @@ census behind ``make reach``, is run over one cheap entry point.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -393,6 +394,39 @@ def test_layer_table_marks_rows_the_spread_cannot_resolve(tmp_path):
     assert rows["count"] == ["5", "0", "5", "0", "1.000"]
 
 
+def test_bench_ab_profile_alone_skips_the_comparison(tmp_path, monkeypatch, capsys):
+    """``--pairs 0 --profile 1``: no pair ran, so no verdict; the table still prints."""
+    real_run = subprocess.run
+    git_calls = []
+
+    def run(command, *args, **kwargs):
+        if command[0] != "git":  # bench/compare.py would run for real
+            return real_run(command, *args, **kwargs)
+        git_calls.append(command[1])
+        return subprocess.CompletedProcess(command, 0, stdout="0" * 40 + "\n", stderr="")
+
+    def run_side(checkout, out, seed, trace, options):
+        assert trace == 1 and out.name == "profile"
+        out.parent.mkdir()
+        _profile(out, {"engine.advance_calls": [24.0 if checkout == bench_ab.ROOT else 15600.0]})
+        return True
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", run)
+    monkeypatch.setattr(bench_ab, "run_side", run_side)
+    code = bench_ab.main(["HEAD", "--pairs", "0", "--profile", "1", "--out", str(tmp_path)])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    assert git_calls == ["rev-parse", "clone", "checkout"]
+    assert [line.split()[:3] for line in printed.splitlines() if line.startswith("profile")] == [
+        ["profile", "1/1:", "A"], ["profile", "1/1:", "B"]
+    ]
+    [row] = [line.split() for line in printed.splitlines() if "engine.advance_calls" in line]
+    assert row[-5:] == ["15600", "0", "24", "0", "0.002"]
+    # A failed traced run still fails the command.
+    monkeypatch.setattr(bench_ab, "run_side", lambda *args: run_side(*args) and False)
+    assert bench_ab.main(["HEAD", "--pairs", "0", "--profile", "1", "--out", str(tmp_path)]) == 1
+
+
 def test_reach_reports_what_one_entry_point_calls(tmp_path):
     """``tools/reach.py`` over ``list``: the listing is reached, a fig7 point is not."""
     census = tmp_path / "reach.json"
@@ -412,6 +446,30 @@ def test_reach_reports_what_one_entry_point_calls(tmp_path):
     assert not points["functions"]["simulate_fig7_point"]["reached"]
     assert not points["imported"]
     assert points["unreached_lines"] >= points["functions"]["simulate_fig7_point"]["lines"]
+
+
+@pytest.mark.parametrize("outside", [None, "/nonexistent/host-cache"])
+def test_reach_points_the_default_cache_into_its_scratch(monkeypatch, outside):
+    """Entries see a scratch default cache; the caller's setting comes back after."""
+    from repro.experiments.cache import default_cache_dir
+
+    if outside is None:
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_CACHE_DIR", outside)
+    seen = []
+
+    def stub(scratch):
+        seen.append((scratch, default_cache_dir()))
+        return 0
+
+    monkeypatch.setattr(reach, "ENTRIES", {"stub": stub, "again": stub})
+    _, codes = reach.trace_entries(["stub", "again"])
+    assert codes == {"stub": 0, "again": 0}
+    [(scratch, cache), again] = seen
+    assert cache.parent == scratch and again == (scratch, cache)
+    assert not scratch.exists()  # removed with the census
+    assert os.environ.get("REPRO_CACHE_DIR") == outside
 
 
 @pytest.mark.parametrize("tool", ["bench_ab", "bench_report", "docs_lint", "reach"])

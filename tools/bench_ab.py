@@ -14,8 +14,9 @@ passes (``--trace 1``) per side, interleaved the same way, and prints the
 per-layer medians and quartile distances of the two sides next to each
 other, marking ``unresolved`` the rows whose medians differ by less than
 the larger quartile distance: the layer profile before and after that
-every perf PR quotes.  The exit code is ``compare.py``'s,
-or 1 when a run produced wrong simulated outputs.
+every perf PR quotes.  ``--pairs 0 --profile N`` runs the traced passes
+alone and skips the comparison.  The exit code is ``compare.py``'s, or 1
+when a run failed or produced wrong simulated outputs.
 """
 
 from __future__ import annotations
@@ -139,10 +140,12 @@ def main(argv: list[str] | None = None) -> int:
         healthy &= run_interleaved("profile", args.profile, checkouts, profiles, 1, options)
     finally:
         shutil.rmtree(checkout, ignore_errors=True)
-    verdict = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "compare.py"),
-         *(str(directory / "results.json") for directory in results.values())]
-    ).returncode
+    verdict = 0
+    if args.pairs:  # with no pair run there is no results.json to judge
+        verdict = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "compare.py"),
+             *(str(directory / "results.json") for directory in results.values())]
+        ).returncode
     if args.profile:
         print(layer_table(profiles))
     return verdict or int(not healthy)

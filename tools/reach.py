@@ -44,7 +44,10 @@ Usage::
     python tools/reach.py --json reach.json   # also write the per-function data
 
 The entry points' own output goes to stderr, the table to stdout.  Exits
-1 if any entry point exits non-zero.
+1 if any entry point exits non-zero.  The entry points run with
+``REPRO_CACHE_DIR`` pointed into a fresh scratch directory, so the
+census neither reads nor writes the host's default cache: the default
+trace is recorded (and ``record_default_trace`` reached) on every run.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -206,7 +210,11 @@ def trace_entries(names: list[str]) -> tuple[dict[int, object], dict[str, int]]:
                 called[id(code)] = code
 
     codes: dict[str, int] = {}
-    with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="reach-") as scratch, mock.patch.dict(
+        # The default cache (and the default trace recorded into it) starts
+        # empty on every census and never touches the host's own cache.
+        os.environ, {"REPRO_CACHE_DIR": str(Path(scratch) / "default-cache")}
+    ):
         for name in names:
             started = time.perf_counter()
             threading.setprofile(profile)
