@@ -1,10 +1,9 @@
 # Developer entry points for the MemPool reproduction.
 #
-#   make test       unit/integration tests (tier-1 verify)
-#   make ci         the full CI gate: tests + docs-lint + enforced bench report
+#   make test       the tier-1 suite (tests/, benchmarks/ and bench/)
+#   make ci         the full CI gate: tests + docs-lint
 #   make coverage   tier-1 suite under pytest-cov with an enforced threshold
 #   make bench      benchmark harness (regenerates every figure/table)
-#   make bench-engine  engine + workload + topology benchmarks + enforced report
 #   make bench-stack  the repository benchmark (bench/run.py, see bench/README.md)
 #   make bench-compare A=a/results.json B=b/results.json  A/B verdict per metric
 #   make bench-ab PARENT=<rev> [WORKLOAD=a,b] [PAIRS=10] [PROFILE=N]  interleaved A/B of the working tree
@@ -32,26 +31,17 @@ FUZZ_BUDGET ?= 25
 # make a failing build pass.
 COV_MIN ?= 92
 
-.PHONY: test ci coverage bench bench-engine bench-stack bench-compare bench-ab \
+.PHONY: test ci coverage bench bench-stack bench-compare bench-ab \
 	service-smoke fuzz validate validate-update reach lint docs-lint figures clean-cache
 
-# The trailing bench report is informational in the test flow: it runs
-# whether or not pytest passed, but the target's exit status is always
-# pytest's, so a test failure can never be masked by the report (and a
-# perf regression alone never fails the tier-1 gate — the enforcing runs
-# are `make bench-engine` and `make ci`).
 test:
-	@$(PYTHON) -m pytest -x -q tests; status=$$?; \
-	$(PYTHON) tools/bench_report.py || true; \
-	exit $$status
+	$(PYTHON) -m pytest -x -q
 
 # One entry point shared by .github/workflows/ci.yml and local runs: the
-# tier-1 suite, the docstring lint and the *enforced* benchmark report —
-# no `-` suppression anywhere, every step's failure fails the target.
+# tier-1 suite and the docstring lint, every step's failure fails the target.
 ci:
-	$(PYTHON) -m pytest -x -q tests
+	$(MAKE) test
 	$(MAKE) docs-lint
-	$(PYTHON) tools/bench_report.py
 
 # Enforced coverage run (the CI coverage job): fails below COV_MIN and
 # always leaves coverage.xml for the artifact upload.  Requires
@@ -67,12 +57,6 @@ coverage:
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks
-
-bench-engine:
-	$(PYTHON) -m pytest -q benchmarks/test_perf_engine.py \
-		benchmarks/test_perf_workloads.py \
-		benchmarks/test_perf_topologies.py
-	$(PYTHON) tools/bench_report.py
 
 # The benchmark of record (BENCHMARK.json): six workloads, end-to-end and
 # per-layer metrics, appended to bench/out/results.json.  bench/ sets its

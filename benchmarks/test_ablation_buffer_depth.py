@@ -32,12 +32,8 @@ def _throughput_for_depth(settings, depth: int):
 
 
 @pytest.mark.experiment
-def test_ablation_elastic_buffer_depth(benchmark, settings, report_sink):
-    results = benchmark.pedantic(
-        lambda: {depth: _throughput_for_depth(settings, depth) for depth in DEPTHS},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_elastic_buffer_depth(settings, report_sink):
+    results = {depth: _throughput_for_depth(settings, depth) for depth in DEPTHS}
     rows = [
         [depth, results[depth].throughput, results[depth].average_latency]
         for depth in DEPTHS

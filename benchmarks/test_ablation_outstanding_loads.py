@@ -28,12 +28,8 @@ def _matmul_cycles(settings, outstanding: int) -> int:
 
 
 @pytest.mark.experiment
-def test_ablation_outstanding_loads(benchmark, settings, report_sink):
-    cycles = benchmark.pedantic(
-        lambda: {count: _matmul_cycles(settings, count) for count in OUTSTANDING},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_outstanding_loads(settings, report_sink):
+    cycles = {count: _matmul_cycles(settings, count) for count in OUTSTANDING}
     baseline = cycles[8]
     rows = [[count, cycles[count], cycles[count] / baseline] for count in OUTSTANDING]
     report_sink.append(

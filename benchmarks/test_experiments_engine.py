@@ -1,6 +1,6 @@
-"""Benchmarks of the experiment-orchestration engine on the fig7 sweep.
+"""Checks of the experiment-orchestration engine on the fig7 sweep.
 
-Measures the engine itself rather than a figure: that a multi-process
+Checks the engine itself rather than a figure: that a multi-process
 executor produces bit-identical results to the serial path, and that a
 warm result cache answers a full sweep without touching the simulator.
 On multi-core machines ``workers=cpu_count`` also yields a wall-clock
@@ -11,7 +11,6 @@ equality so the harness stays green on single-core CI boxes.
 from __future__ import annotations
 
 import multiprocessing
-import time
 
 import pytest
 
@@ -20,16 +19,14 @@ from repro.experiments import Executor, ResultCache
 
 
 @pytest.mark.experiment
-def test_parallel_engine_matches_serial(benchmark, settings, report_sink):
+def test_parallel_engine_matches_serial(settings, report_sink):
     sweep = fig7_sweep(settings, kernels=("dct",))
     specs = sweep.specs()
 
     serial = Executor(workers=1).run(specs)
     workers = max(2, multiprocessing.cpu_count())
     executor = Executor(workers=workers)
-    parallel = benchmark.pedantic(
-        lambda: executor.run(specs), rounds=1, iterations=1
-    )
+    parallel = executor.run(specs)
 
     assert assemble_fig7(specs, serial).cycles == assemble_fig7(specs, parallel).cycles
     report_sink.append(
@@ -48,14 +45,13 @@ def test_warm_cache_serves_the_sweep_instantly(tmp_path, settings, report_sink):
     cold = executor.last_report.elapsed_s
     assert executor.last_report.computed == len(specs)
 
-    started = time.perf_counter()
     warm_results = executor.run(specs)
-    warm = time.perf_counter() - started
+    warm = executor.last_report.elapsed_s
+    # The warm run only deserialises pickles: every point is a hit and
+    # none reaches the simulator.
     assert executor.last_report.cache_hits == len(specs)
+    assert executor.last_report.computed == 0
     assert [r.cycles for r in warm_results] == [r.cycles for r in cold_results]
-    # The warm run deserialises a handful of pickles; "near-instant"
-    # compared to the seconds of simulation behind the cold run.
-    assert warm < max(1.0, cold / 10)
     report_sink.append(
         f"experiments cache (fig7/dct): cold {cold:.2f} s -> warm {warm:.3f} s"
     )

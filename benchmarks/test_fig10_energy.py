@@ -10,10 +10,8 @@ from repro.experiments.registry import EXPERIMENTS
 
 
 @pytest.mark.experiment
-def test_fig10_energy_per_instruction(benchmark, settings, report_sink):
-    result = benchmark.pedantic(
-        lambda: EXPERIMENTS["fig10"].run(settings), rounds=1, iterations=1
-    )
+def test_fig10_energy_per_instruction(settings, report_sink):
+    result = EXPERIMENTS["fig10"].run(settings)
     report_sink.append(result.report())
 
     add = result.entry("add")

@@ -14,10 +14,8 @@ LOADS = (0.05, 0.1, 0.2, 0.3, 0.33, 0.4, 0.5)
 
 
 @pytest.mark.experiment
-def test_fig5_network_analysis(benchmark, settings, report_sink):
-    result = benchmark.pedantic(
-        lambda: EXPERIMENTS["fig5"].run(settings, loads=LOADS), rounds=1, iterations=1
-    )
+def test_fig5_network_analysis(settings, report_sink):
+    result = EXPERIMENTS["fig5"].run(settings, loads=LOADS)
     report_sink.append(result.report())
 
     top1 = result.saturation_throughput("top1")

@@ -15,12 +15,8 @@ P_LOCALS = (0.0, 0.25, 0.5, 1.0)
 
 
 @pytest.mark.experiment
-def test_fig6_hybrid_addressing(benchmark, settings, report_sink):
-    result = benchmark.pedantic(
-        lambda: EXPERIMENTS["fig6"].run(settings, loads=LOADS, p_locals=P_LOCALS),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig6_hybrid_addressing(settings, report_sink):
+    result = EXPERIMENTS["fig6"].run(settings, loads=LOADS, p_locals=P_LOCALS)
     report_sink.append(result.report())
 
     saturation = {p: result.saturation_throughput(p) for p in P_LOCALS}

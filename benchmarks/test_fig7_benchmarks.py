@@ -14,10 +14,9 @@ import pytest
 
 
 @pytest.mark.experiment
-def test_fig7_kernel_performance(benchmark, settings, fig7_result, report_sink):
-    # The session-wide result the seed regression of tests/ reads too; the
-    # timing is the simulation's only when this test asks first.
-    result = benchmark.pedantic(lambda: fig7_result(settings), rounds=1, iterations=1)
+def test_fig7_kernel_performance(settings, fig7_result, report_sink):
+    # The session-wide result the seed regression of tests/ reads too.
+    result = fig7_result(settings)
     report_sink.append(result.report())
 
     # Functional correctness of every (kernel, topology, scrambling) run.

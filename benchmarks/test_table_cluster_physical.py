@@ -14,10 +14,8 @@ from repro.physical.timing import CLUSTER_CRITICAL_PATH
 
 
 @pytest.mark.experiment
-def test_cluster_implementation_table(benchmark, settings, report_sink):
-    result = benchmark.pedantic(
-        lambda: EXPERIMENTS["physical"].run(settings), rounds=1, iterations=1
-    )
+def test_cluster_implementation_table(settings, report_sink):
+    result = EXPERIMENTS["physical"].run(settings)
     report_sink.append(result.report())
 
     assert result.cluster.cluster_side_mm == pytest.approx(4.6, abs=0.2)

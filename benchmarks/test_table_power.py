@@ -13,10 +13,8 @@ from repro.experiments.registry import EXPERIMENTS
 
 
 @pytest.mark.experiment
-def test_power_breakdown_table(benchmark, settings, report_sink):
-    result = benchmark.pedantic(
-        lambda: EXPERIMENTS["power"].run(settings), rounds=1, iterations=1
-    )
+def test_power_breakdown_table(settings, report_sink):
+    result = EXPERIMENTS["power"].run(settings)
     report_sink.append(result.report())
 
     breakdown = result.breakdown

@@ -12,10 +12,8 @@ from repro.physical.timing import TILE_CRITICAL_PATH
 
 
 @pytest.mark.experiment
-def test_tile_implementation_table(benchmark, settings, report_sink):
-    result = benchmark.pedantic(
-        lambda: EXPERIMENTS["physical"].run(settings), rounds=1, iterations=1
-    )
+def test_tile_implementation_table(settings, report_sink):
+    result = EXPERIMENTS["physical"].run(settings)
     report_sink.append(result.report())
 
     tile = result.tile

@@ -80,9 +80,14 @@ def _run(config: MemPoolConfig, engine: str, pattern_name: str, load: float):
 
 @pytest.mark.parametrize("cores", [16, 64])
 @pytest.mark.parametrize("pattern_name", ["uniform", "permutation"])
-@pytest.mark.parametrize("topology", ["top1", "toph"])
+@pytest.mark.parametrize("topology", ["top1", "toph", "mesh", "torus"])
 def test_traffic_equivalence(cores, pattern_name, topology):
-    """Identical per-flit lifecycles on {16, 64}-core clusters."""
+    """Identical per-flit lifecycles on {16, 64}-core clusters.
+
+    ``mesh`` and ``torus`` are the multi-hop families: their per-hop
+    register chains stress the level-ordered passes unlike the shallow
+    butterflies, and only here do they run at 64 cores.
+    """
     config = (
         MemPoolConfig.tiny(topology) if cores == 16 else MemPoolConfig.scaled(topology)
     )

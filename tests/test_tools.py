@@ -1,12 +1,12 @@
-"""The CI gate's own tooling: bench_report regression math, docs_lint and reach.
+"""The repository's own tooling: docs_lint, bench_ab and reach.
 
-``tools/bench_report.py`` decides whether a benchmark run fails CI and
 ``tools/docs_lint.py`` is the offline docstring linter behind
-``make docs-lint`` — neither had tests, so a bug in the *gate* (a wrong
-regression floor, a swallowed exit code) could silently wave regressions
-through.  These tests pin the gate math, the missing-file behaviour and
-the exit codes of both tools.  ``tools/reach.py``, the reachability
-census behind ``make reach``, is run over one cheap entry point.
+``make docs-lint``; a bug in it (a swallowed exit code, a drifted
+generated table waved through) would let the lint gate pass silently,
+so these tests pin its checks and exit codes.  ``tools/bench_ab.py``,
+the interleaved A/B driver behind ``make bench-ab``, and
+``tools/reach.py``, the reachability census behind ``make reach``, are
+each run over one cheap case.
 """
 
 from __future__ import annotations
@@ -22,164 +22,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import bench_ab  # noqa: E402  (tools/ is not a package)
-import bench_report  # noqa: E402
 import docs_lint  # noqa: E402
 import reach  # noqa: E402
-
-
-def _engine_payload(speedup, end_to_end=2.0):
-    return {
-        "benchmark": "test sweep",
-        "speedup": speedup,
-        "end_to_end_speedup": end_to_end,
-        "legacy": {"advance_cycles_per_sec": 100},
-        "vector": {"advance_cycles_per_sec": 300},
-    }
-
-
-class TestBenchReportCompare:
-    """The speedup-regression comparison itself."""
-
-    def test_equal_speedup_passes(self):
-        ok, report = bench_report.compare(
-            _engine_payload(3.0), _engine_payload(3.0), threshold=0.2
-        )
-        assert ok
-        assert "OK" in report
-
-    def test_regression_beyond_threshold_fails(self):
-        # Baseline 3.0, floor at 20% is 2.4 — a 2.3 measurement regressed.
-        ok, report = bench_report.compare(
-            _engine_payload(2.3), _engine_payload(3.0), threshold=0.2
-        )
-        assert not ok
-        assert "REGRESSION" in report
-
-    def test_regression_floor_is_inclusive(self):
-        # Exactly at the floor (4.0 * (1 - 0.25) == 3.0, exact in binary).
-        ok, _ = bench_report.compare(
-            _engine_payload(3.0), _engine_payload(4.0), threshold=0.25
-        )
-        assert ok
-
-    def test_improvement_passes(self):
-        ok, _ = bench_report.compare(
-            _engine_payload(4.0), _engine_payload(3.0), threshold=0.2
-        )
-        assert ok
-
-
-class TestTopologiesReport:
-    """The per-topology section of the report."""
-
-    def test_absent_section_is_none(self):
-        assert bench_report.topologies_report(_engine_payload(3.0), None, 0.2) is None
-
-    def test_no_baseline_entry_is_informational(self):
-        current = {"topologies": {"mesh": {"speedup": 2.5, "compile_seconds": 0.1}}}
-        ok, report = bench_report.topologies_report(current, _engine_payload(3.0), 0.2)
-        assert ok
-        assert "informational" in report
-
-    def test_each_family_is_gated_independently(self):
-        current = {
-            "topologies": {
-                "mesh": {"speedup": 2.5},
-                "torus": {"speedup": 1.0},
-            }
-        }
-        baseline = {
-            "topologies": {
-                "mesh": {"speedup": 2.6},
-                "torus": {"speedup": 3.0},
-            }
-        }
-        ok, report = bench_report.topologies_report(current, baseline, 0.2)
-        assert not ok  # torus regressed even though mesh is fine
-        assert "REGRESSION" in report
-        assert "OK" in report
-
-    def test_benchmark_key_is_not_a_family(self):
-        current = {"topologies": {"benchmark": "sweep", "mesh": {"speedup": 2.5}}}
-        baseline = {"topologies": {"mesh": {"speedup": 2.5}}}
-        ok, report = bench_report.topologies_report(current, baseline, 0.2)
-        assert ok
-        assert "sweep" in report
-
-
-class TestBenchReportMain:
-    """Exit codes of the command-line entry point."""
-
-    def test_missing_current_is_not_an_error(self, tmp_path, capsys):
-        code = bench_report.main(
-            ["--current", str(tmp_path / "missing.json"),
-             "--baseline", str(tmp_path / "also-missing.json")]
-        )
-        assert code == 0
-        assert "nothing to compare" in capsys.readouterr().out
-
-    def test_missing_baseline_fails(self, tmp_path, capsys):
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps(_engine_payload(3.0)))
-        code = bench_report.main(
-            ["--current", str(current),
-             "--baseline", str(tmp_path / "missing.json")]
-        )
-        assert code == 1
-        assert "no committed baseline" in capsys.readouterr().out
-
-    def test_ok_run_exits_zero(self, tmp_path):
-        current = tmp_path / "current.json"
-        baseline = tmp_path / "baseline.json"
-        current.write_text(json.dumps(_engine_payload(3.1)))
-        baseline.write_text(json.dumps(_engine_payload(3.0)))
-        assert bench_report.main(
-            ["--current", str(current), "--baseline", str(baseline)]
-        ) == 0
-
-    def test_engine_regression_exits_one(self, tmp_path):
-        current = tmp_path / "current.json"
-        baseline = tmp_path / "baseline.json"
-        current.write_text(json.dumps(_engine_payload(2.0)))
-        baseline.write_text(json.dumps(_engine_payload(3.0)))
-        assert bench_report.main(
-            ["--current", str(current), "--baseline", str(baseline)]
-        ) == 1
-
-    def test_topology_regression_alone_exits_one(self, tmp_path):
-        current = tmp_path / "current.json"
-        baseline = tmp_path / "baseline.json"
-        current_payload = _engine_payload(3.0)
-        current_payload["topologies"] = {"mesh": {"speedup": 1.0}}
-        baseline_payload = _engine_payload(3.0)
-        baseline_payload["topologies"] = {"mesh": {"speedup": 2.6}}
-        current.write_text(json.dumps(current_payload))
-        baseline.write_text(json.dumps(baseline_payload))
-        assert bench_report.main(
-            ["--current", str(current), "--baseline", str(baseline)]
-        ) == 1
-
-    def test_threshold_flag_is_honoured(self, tmp_path):
-        current = tmp_path / "current.json"
-        baseline = tmp_path / "baseline.json"
-        current.write_text(json.dumps(_engine_payload(2.0)))
-        baseline.write_text(json.dumps(_engine_payload(3.0)))
-        args = ["--current", str(current), "--baseline", str(baseline)]
-        assert bench_report.main(args + ["--threshold", "0.5"]) == 0
-        assert bench_report.main(args + ["--threshold", "0.1"]) == 1
-
-    def test_workloads_only_results_exit_zero(self, tmp_path, capsys):
-        """A results file without an engine speedup has nothing to gate on."""
-        current = tmp_path / "current.json"
-        baseline = tmp_path / "baseline.json"
-        current.write_text(json.dumps(
-            {"workloads": {"patterns": {"uniform": {"cycles_per_sec": 100}}}}
-        ))
-        baseline.write_text(json.dumps(_engine_payload(3.0)))
-        assert bench_report.main(
-            ["--current", str(current), "--baseline", str(baseline)]
-        ) == 0
-        assert "no engine speedup yet" in capsys.readouterr().out
 
 
 class TestDocsLint:
@@ -472,11 +316,10 @@ def test_reach_points_the_default_cache_into_its_scratch(monkeypatch, outside):
     assert os.environ.get("REPRO_CACHE_DIR") == outside
 
 
-@pytest.mark.parametrize("tool", ["bench_ab", "bench_report", "docs_lint", "reach"])
+@pytest.mark.parametrize("tool", ["bench_ab", "docs_lint", "reach"])
 def test_tools_have_module_docstrings(tool):
     """The linting tools hold themselves to their own standard."""
     module = {
-        "bench_ab": bench_ab, "bench_report": bench_report, "docs_lint": docs_lint,
-        "reach": reach,
+        "bench_ab": bench_ab, "docs_lint": docs_lint, "reach": reach,
     }[tool]
     assert module.__doc__ and module.__doc__.strip()
