@@ -83,7 +83,8 @@ bench-ab:
 # the moment its point event arrives and byte-compare it against a direct
 # Executor run, prove an identical resubmission is served from the cache
 # with zero recomputes, then cancel a second sweep mid-run and prove its
-# resubmission reuses the points the cancelled job had reported.
+# resubmission reuses the points the cancelled job had reported; last,
+# boot a server from a copy of src/, edit the copy and expect a 409.
 service-smoke:
 	$(PYTHON) -m pytest -x -q tests/test_service.py
 	$(PYTHON) tools/service_smoke.py

@@ -18,6 +18,24 @@ The cache key of a spec (:attr:`ExperimentSpec.key`) is a SHA-256 digest of
 Hashing the program source means that editing the simulation code
 invalidates previously cached results automatically — the cache is
 content-addressed, never trusted across code changes.
+
+Two rules decide *when* the program is fingerprinted:
+
+* **Pinned** (the sweep service).  :func:`pin_program` fingerprints a
+  top-level package or module once; from then on every key of that
+  package uses the digest taken at pin time, with no glob, ``stat`` or
+  read.  The pin describes the code the process loaded, so a long-lived
+  server whose sources change on disk (a ``git pull`` under a running
+  ``serve``) cannot store old-code results under the new code's
+  fingerprint: it re-reads the sources once per submission and refuses
+  the submission once they differ from the pin.
+* **Per key** (everything else, the CLI included).  An unpinned package
+  is fingerprinted from disk for every key, through a memo keyed on each
+  file's ``(path, mtime, size)``, so a notebook or REPL that edits source
+  between two keys gets a fresh digest.  Pinning every process would make
+  a warm CLI sweep ~20x faster, but the benchmark harness keeps ~0.2 MB
+  per timed pass, so the extra passes would read as a memory regression;
+  the CLI keeps this rule until the harness stops retaining them.
 """
 
 from __future__ import annotations
@@ -106,6 +124,47 @@ def _package_fingerprint(package_name: str) -> str:
     return fingerprint
 
 
+#: Pinned program fingerprints: top-level package or module name -> the
+#: digest taken when :func:`pin_program` first saw it.  Never unpinned: a
+#: process keeps the code it loaded.
+_pinned_programs: dict[str, str] = {}
+
+
+def _source_fingerprint(name: str) -> str:
+    """SHA-256 of the sources of the top-level package or module ``name``, read now."""
+    try:
+        if hasattr(importlib.import_module(name), "__path__"):
+            return _package_fingerprint(name)
+        source = inspect.getsource(importlib.import_module(name))
+    except (OSError, TypeError):
+        source = name
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+def pin_program(name: str) -> str:
+    """Pin the program fingerprint of a top-level package or module.
+
+    The first call for ``name`` fingerprints its sources and pins that
+    digest: :func:`program_fingerprint` returns it for every runner of
+    ``name`` from then on.  Every call reads the sources afresh and returns
+    their digest, so ``pin_program(name) != pinned_programs()[name]``
+    means they changed since the pin.
+    """
+    on_disk = _source_fingerprint(name)
+    _pinned_programs.setdefault(name, on_disk)
+    return on_disk
+
+
+def pinned_programs() -> dict[str, str]:
+    """The pinned digests, by top-level package or module name."""
+    return dict(_pinned_programs)
+
+
+def program_package(runner: str) -> str:
+    """The top-level package or module a ``"module:function"`` runner lives in."""
+    return runner.partition(":")[0].partition(".")[0]
+
+
 def program_fingerprint(runner: str) -> str:
     """SHA-256 digest of the *program* behind ``runner``.
 
@@ -118,17 +177,20 @@ def program_fingerprint(runner: str) -> str:
     invalidates cached results computed with the old code.  Runners from
     non-package modules hash that module's source; modules whose source
     is unavailable (builtins, frozen modules) fall back to hashing the
-    runner path itself.
+    module name itself.
+
+    A package pinned by :func:`pin_program` (the sweep service pins
+    ``repro`` at start-up) returns its pinned digest without touching the
+    disk.  Any other package is re-checked on every call, through the
+    stat-signature memo of its files: that keeps edit detection per key
+    for the CLI and for notebooks (see the module docstring for why the
+    CLI does not pin).
     """
-    module_name = runner.partition(":")[0]
-    top_package = module_name.partition(".")[0]
-    try:
-        if hasattr(importlib.import_module(top_package), "__path__"):
-            return _package_fingerprint(top_package)
-        source = inspect.getsource(importlib.import_module(module_name))
-    except (OSError, TypeError):
-        source = runner
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+    name = program_package(runner)
+    pinned = _pinned_programs.get(name)
+    if pinned is not None:
+        return pinned
+    return _source_fingerprint(name)
 
 
 def _canonical(value: Any) -> Any:

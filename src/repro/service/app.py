@@ -18,7 +18,8 @@ method      path                       behaviour
 ``DELETE``  ``/sweeps/{id}``           cancel (immediate when queued,
                                        at the next point when running)
 ``GET``     ``/results/{key}``         pickled result bytes by cache key
-``GET``     ``/healthz``               liveness + queue counters
+``GET``     ``/healthz``               liveness, queue counters, pinned
+                                       program digests
 ==========  =========================  =======================================
 
 Submission bodies name either a registered experiment
@@ -30,6 +31,15 @@ the dedup identity: resubmitting an identical sweep joins the live job
 (or the finished one), and after the finished job ages out of the
 registry a resubmission is served entirely from the result cache — the
 engine never computes the same point twice.
+
+The service keys every result by the sources it loaded, not by the
+sources on disk: :meth:`SweepService.start` pins the program fingerprint
+of ``repro`` (:func:`~repro.experiments.spec.pin_program`), and a raw
+sweep's runner package is pinned at its first submission.  Each
+submission then reads each of its packages from disk once; if the
+sources changed since the pin (a ``git pull`` under a running server)
+it is refused with ``409`` and nothing is queued — restart the server to
+load the new code.  ``/healthz`` reports the pinned digests.
 
 The HTTP side is the standard library's
 :class:`~http.server.ThreadingHTTPServer`: one thread per connection, one
@@ -56,6 +66,12 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.experiments.cache import MISS, ResultCache
 from repro.experiments.executor import Executor
+from repro.experiments.spec import (
+    canonical_json,
+    pin_program,
+    pinned_programs,
+    program_package,
+)
 from repro.service.jobs import (
     Job,
     JobCancelled,
@@ -154,7 +170,7 @@ def build_specs(payload) -> tuple:
             )
             specs = sweep.specs()
             for spec in specs:
-                spec.key  # noqa: B018 — force key hashing to validate params
+                canonical_json(spec.params)  # raises on unhashable params
         except TypeError as error:
             raise SpecError(str(error)) from error
         if not specs:
@@ -403,8 +419,11 @@ class SweepService:
         """Bind, then serve on a background thread; returns self.
 
         A bind error (e.g. ``OSError`` for a taken port) raises here, in
-        the calling thread.
+        the calling thread.  Pins the program fingerprint of ``repro``
+        first: every result this server stores is keyed by the sources it
+        started with.
         """
+        pin_program("repro")
         self._server = _Server(self)
         self.port = self._server.server_address[1]
         threading.Thread(
@@ -450,11 +469,25 @@ class SweepService:
                 "running": len(self._running),
                 "max_jobs": self.max_jobs,
                 "workers": self.workers,
+                "programs": pinned_programs(),
             }
 
     def _submit(self, payload) -> tuple:
         title, specs, assemble = build_specs(payload)
+        changed = [
+            name
+            for name in sorted({program_package(spec.runner) for spec in specs})
+            if pin_program(name) != pinned_programs()[name]
+        ]
+        if changed:
+            raise _Refusal(
+                409,
+                f"the sources of {', '.join(changed)} changed since this "
+                f"server loaded them; restart the server",
+            )
         key = job_key(specs)
+        # Outside the lock: one cache read per spec, for a cost estimate.
+        _, miss_indices = Executor(workers=1, cache=self.cache).scan_cache(specs)
         with self._changed:
             prune_finished(self._jobs, self._by_key, self.ttl_s)
             existing_id = self._by_key.get(key)
@@ -463,9 +496,6 @@ class SweepService:
                 # the key map at finish time); live and done jobs do.
                 existing = self._jobs[existing_id]
                 return 200, {"job": existing.to_dict(), "deduplicated": True}
-            _, miss_indices = Executor(workers=1, cache=self.cache).scan_cache(
-                specs
-            )
             job = Job(
                 job_id=new_job_id(),
                 key=key,

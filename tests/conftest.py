@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import uuid
+
 import pytest
 
 from repro.core.cluster import MemPoolCluster
@@ -38,3 +41,22 @@ def toph_tiny_cluster() -> MemPoolCluster:
 def scaled_toph_cluster() -> MemPoolCluster:
     """A 16-tile / 64-core TopH cluster (the benchmark-harness default)."""
     return MemPoolCluster(MemPoolConfig.scaled("toph"))
+
+
+@pytest.fixture
+def source_package(tmp_path, monkeypatch):
+    """A fresh importable package ``<name>`` with ``points.double(a)``.
+
+    Returns ``(name, points_path)``.  The name is unique per test, so a
+    program fingerprint pinned for it cannot leak into another test.
+    """
+    name = f"scratch_pkg_{uuid.uuid4().hex[:12]}"
+    package = tmp_path / name
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    points = package / "points.py"
+    points.write_text("def double(a):\n    return 2 * a\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    yield name, points
+    for module in [m for m in sys.modules if m.partition(".")[0] == name]:
+        del sys.modules[module]

@@ -76,6 +76,19 @@ class TestSpec:
             "repro.evaluation.points:simulate_fig5_point"
         ) == program_fingerprint("repro.evaluation.points:simulate_fig7_point")
 
+    def test_editing_an_unpinned_package_changes_its_cli_key(
+        self, source_package
+    ):
+        # The CLI never pins: an edit between two keys of one process (a
+        # notebook, a REPL) must still change the key.
+        name, points = source_package
+        runner = f"{name}.points:double"
+        before = ExperimentSpec(runner, {"a": 3}).key
+        assert ExperimentSpec(runner, {"a": 3}).key == before
+        with points.open("a") as handle:
+            handle.write("# edited\n")
+        assert ExperimentSpec(runner, {"a": 3}).key != before
+
     def test_unhashable_param_values_are_rejected(self):
         with pytest.raises(TypeError):
             canonical_json({"bad": object()})

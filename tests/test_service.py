@@ -20,8 +20,11 @@ import time
 
 import pytest
 
+from repro.evaluation.settings import ExperimentSettings
+from repro.experiments import spec as spec_module
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import Executor
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.spec import ExperimentSpec
 from repro.service import (
     IllegalTransition,
@@ -51,10 +54,15 @@ def sweep_payload(runner=MULTIPLY, grid=None, base=None, name=""):
     }
 
 
-def test_client_import_does_not_load_the_server():
-    """A client script pays for ``http.client``, not for the service stack."""
+def source_root() -> str:
+    """The directory ``repro`` is imported from, for a child's PYTHONPATH."""
     import repro
 
+    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def test_client_import_does_not_load_the_server():
+    """A client script pays for ``http.client``, not for the service stack."""
     script = (
         "import sys\n"
         "import repro.service.client\n"
@@ -74,10 +82,9 @@ def test_client_import_does_not_load_the_server():
         "else:\n"
         "    raise AssertionError('unknown names must raise AttributeError')\n"
     )
-    source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     done = subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": source_root},
+        env={**os.environ, "PYTHONPATH": source_root()},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -672,6 +679,87 @@ class TestLifecycle:
         with pytest.raises(ServiceError) as info:
             client.result(job["result_keys"][0])
         assert info.value.status == 404
+
+
+class TestProgramPin:
+    SETTINGS = {"engine": "vector", "warmup_cycles": 20, "measure_cycles": 60}
+
+    def test_fig5_submission_reads_the_sources_once(self, service, monkeypatch):
+        instance = service()
+        client = make_client(instance)
+        reads = []
+        read = spec_module._package_fingerprint
+
+        def counted(name):
+            reads.append(name)
+            return read(name)
+
+        monkeypatch.setattr(spec_module, "_package_fingerprint", counted)
+        job = client.submit({"experiment": "fig5", "settings": self.SETTINGS})["job"]
+        assert reads == ["repro"]  # not one per point
+        local = EXPERIMENTS["fig5"].build_sweep(
+            ExperimentSettings(**self.SETTINGS)
+        ).specs()
+        assert job["result_keys"] == [spec.key for spec in local]
+        assert client.wait(job["id"], timeout_s=60)["state"] == "done"
+
+    def test_healthz_reports_the_pinned_digest(self, service):
+        health = make_client(service()).healthz()
+        # A fresh, unpinned process reads the same digest off the same tree.
+        script = (
+            "from repro.experiments import program_fingerprint\n"
+            "print(program_fingerprint('repro.experiments.demo:multiply'))\n"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": source_root()},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert health["programs"]["repro"] == fresh.stdout.strip()
+
+    def test_changed_sources_refuse_the_submission(self, service, source_package):
+        name, points = source_package
+        client = make_client(service())
+        payload = sweep_payload(runner=f"{name}.points:double", base={})
+        job = client.wait(client.submit(payload)["job"]["id"], timeout_s=30)
+        assert job["state"] == "done"
+        with points.open("a") as handle:
+            handle.write("# edited after the server loaded it\n")
+        before = client.healthz()
+        with pytest.raises(ServiceError) as info:
+            client.submit(payload)
+        assert info.value.status == 409
+        assert "restart the server" in info.value.payload["detail"]
+        after = client.healthz()
+        assert after["jobs"] == before["jobs"] == {"done": 1}
+        assert after["queued"] == after["running"] == 0
+
+    def test_healthz_answers_while_a_submission_reads_the_cache(self, tmp_path):
+        class HeldCache(ResultCache):
+            def __init__(self, directory):
+                super().__init__(directory)
+                self.reading = threading.Event()
+                self.release = threading.Event()
+
+            def get(self, key):
+                self.reading.set()
+                self.release.wait(timeout=30)
+                return super().get(key)
+
+        cache = HeldCache(tmp_path)
+        instance = SweepService(workers=1, cache=cache).start()
+        submitter = threading.Thread(
+            target=make_client(instance).submit, args=(sweep_payload(),)
+        )
+        try:
+            submitter.start()
+            assert cache.reading.wait(timeout=10)
+            health = make_client(instance, timeout=3.0).healthz()
+            assert health["status"] == "ok" and health["jobs"] == {}
+        finally:
+            cache.release.set()
+            submitter.join(timeout=30)
+            instance.stop()
 
 
 class TestDeadWorker:

@@ -14,7 +14,16 @@ in-process run:
    zero recomputed points, every point a cache hit;
 4. submit the same sweep under another seed, cancel it at its first
    ``point`` event, resubmit it and assert the new job finds the cancelled
-   one's points in the cache (``cache_hits > 0``).
+   one's points in the cache (``cache_hits > 0``);
+5. boot a second server from a throwaway copy of ``src/``, run a
+   one-point sweep on it, append a comment line to one module of the copy
+   and assert the resubmission is refused with ``409``: a server keys
+   results by the sources it started with, so once they change on disk it
+   must be restarted.
+
+The first submission's ``result_keys`` must equal the direct run's
+``spec.key``\ s before any result is fetched, so a key mismatch fails by
+name rather than as a ``404``.
 
 The server runs with ``--ttl 0`` so the resubmission exercises the
 cache-hit path as a *fresh* job (the finished job is pruned immediately)
@@ -30,20 +39,23 @@ second that deferring the import did not move the first result.
 
 from __future__ import annotations
 
+import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SOURCE_ROOT))
 
 from repro.evaluation.settings import ExperimentSettings  # noqa: E402
 from repro.experiments.executor import Executor  # noqa: E402
 from repro.experiments.registry import EXPERIMENTS  # noqa: E402
-from repro.service.client import ServiceClient  # noqa: E402
+from repro.service.client import ServiceClient, ServiceError  # noqa: E402
 
 SMOKE_SETTINGS = {"engine": "vector", "warmup_cycles": 20, "measure_cycles": 60}
 SUBMISSION = {"experiment": "fig5", "settings": SMOKE_SETTINGS}
@@ -66,8 +78,10 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def start_server(directory: Path) -> tuple[subprocess.Popen, int, float]:
-    """Launch the serve subcommand on an ephemeral port.
+def start_server(
+    directory: Path, source: Path = SOURCE_ROOT
+) -> tuple[subprocess.Popen, int, float]:
+    """Launch the serve subcommand on an ephemeral port, importing ``source``.
 
     The server's disk cache and its stderr log (``server.log``) go into
     ``directory``.  Returns ``(process, port, spawned)``, ``spawned``
@@ -87,6 +101,7 @@ def start_server(directory: Path) -> tuple[subprocess.Popen, int, float]:
             stdout=subprocess.PIPE,
             stderr=log,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(source)},
         )
     line = process.stdout.readline()
     match = re.search(r"http://[^:]+:(\d+)", line)
@@ -94,6 +109,48 @@ def start_server(directory: Path) -> tuple[subprocess.Popen, int, float]:
         process.kill()
         fail(f"server did not announce a port: {line!r}")
     return process, int(match.group(1)), spawned
+
+
+def stop_server(process: subprocess.Popen) -> None:
+    """Terminate a server started by :func:`start_server` and reap it."""
+    process.terminate()
+    try:
+        process.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        process.kill()
+    process.stdout.close()
+
+
+def check_stale_server() -> None:
+    """A server whose sources change on disk refuses the next submission."""
+    payload = {
+        "runner": "repro.experiments.demo:multiply",
+        "grid": {"a": [6]}, "base": {"b": 7},
+    }
+    with tempfile.TemporaryDirectory(prefix="service-smoke-stale-") as directory:
+        copy = Path(directory) / "src"
+        shutil.copytree(
+            SOURCE_ROOT / "repro", copy / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        process, port, _ = start_server(Path(directory), source=copy)
+        try:
+            client = ServiceClient("127.0.0.1", port, timeout=60.0)
+            job = client.wait(client.submit(payload)["job"]["id"], timeout_s=60)
+            if job["state"] != "done":
+                fail(f"one-point sweep on the copied sources ended {job['state']!r}")
+            with (copy / "repro" / "experiments" / "demo.py").open("a") as handle:
+                handle.write("# edited under a running server\n")
+            try:
+                client.submit(payload)
+            except ServiceError as error:
+                if error.status != 409:
+                    fail(f"stale server answered {error.status}, expected 409")
+            else:
+                fail("server accepted a submission after its sources changed")
+        finally:
+            stop_server(process)
+    print("service-smoke: server refused a submission after its sources changed (409)")
 
 
 def main() -> int:
@@ -122,6 +179,8 @@ def main() -> int:
             if reply["deduplicated"]:
                 fail("first submission claimed to be a duplicate")
             job_id = reply["job"]["id"]
+            if reply["job"]["result_keys"] != keys:
+                fail("service result keys differ from the direct run's spec keys")
 
             events = []
             fetched = set()
@@ -160,8 +219,6 @@ def main() -> int:
             job = client.job(job_id)
             if job["computed"] != len(specs) or job["cache_hits"] != 0:
                 fail(f"cold job miscounted: {job}")
-            if job["result_keys"] != keys:
-                fail("service result keys differ from local spec keys")
             print(
                 f"service-smoke: {len(specs)} results fetched on their point "
                 f"events, byte-identical to the direct run"
@@ -216,12 +273,8 @@ def main() -> int:
                 f"{resumed['computed']}"
             )
         finally:
-            process.terminate()
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
-            process.stdout.close()
+            stop_server(process)
+    check_stale_server()
     print("service-smoke: OK")
     return 0
 
