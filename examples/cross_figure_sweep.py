@@ -65,7 +65,6 @@ def main() -> None:
     # from the cache (same parameters, same code, same key).
     executor.run(specs)
     print(f"warm run: {executor.last_report.summary()}")
-    print(cache.stats.as_line())
 
 
 if __name__ == "__main__":

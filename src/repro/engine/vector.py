@@ -49,11 +49,6 @@ The per-hop rules it replays are:
   same :class:`~repro.utils.rotation.PermutationSchedule` stream), which is
   what makes the arbitration decisions reproducible across engines.
 
-What the vector engine deliberately does **not** replicate are the
-per-resource utilisation counters (``RegisterStage.accepts`` and friends):
-they exist for structural statistics on the object model and would cost two
-extra writes per hop here.
-
 The simulators talk to the engine in rows (``new_flits``,
 ``inject_queues``, ``inject_new``, ``advance`` in both forms), the API that
 :class:`~repro.engine.legacy.LegacyEngine` serves over the per-object

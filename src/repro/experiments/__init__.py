@@ -31,7 +31,6 @@ Examples
 
 from repro.experiments.cache import (
     MISS,
-    CacheStats,
     ResultCache,
     default_cache_dir,
 )
@@ -47,7 +46,6 @@ from repro.experiments.sweep import Sweep
 
 __all__ = [
     "MISS",
-    "CacheStats",
     "ResultCache",
     "default_cache_dir",
     "ExecutionReport",

@@ -40,20 +40,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "experiments"
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/store counters of one :class:`ResultCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    def as_line(self) -> str:
-        """One-line summary, e.g. ``"cache: 3 hits, 1 miss"``."""
-        noun = "miss" if self.misses == 1 else "misses"
-        return f"cache: {self.hits} hits, {self.misses} {noun}"
-
-
 #: Process-wide counter that makes concurrent temporary-file names unique:
 #: two threads of one process share a pid, so the pid alone is not enough
 #: to keep their in-flight writes to the same key from colliding.
@@ -84,7 +70,6 @@ class ResultCache:
     """
 
     root: Path = field(default_factory=default_cache_dir)
-    stats: CacheStats = field(default_factory=CacheStats)
     #: Shard directories this instance has already created: ``put`` runs
     #: once per computed point, so re-``mkdir``-ing an existing directory
     #: on every store is pure hot-path overhead.
@@ -110,16 +95,13 @@ class ResultCache:
         try:
             handle = path.open("rb")
         except FileNotFoundError:
-            self.stats.misses += 1
             return MISS
         with handle:
             try:
                 value = pickle.load(handle)
             except Exception:
                 path.unlink(missing_ok=True)
-                self.stats.misses += 1
                 return MISS
-        self.stats.hits += 1
         return value
 
     def put(self, key: str, value: Any) -> None:
@@ -148,7 +130,6 @@ class ResultCache:
             with temporary.open("wb") as handle:
                 pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(temporary, path)
-        self.stats.stores += 1
 
     def clear(self) -> int:
         """Delete every cache entry; return the number removed.
@@ -174,7 +155,7 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*/*.pkl"))
 
     def __contains__(self, key: str) -> bool:
-        """Whether ``key`` has an entry on disk (does not touch stats)."""
+        """Whether ``key`` has an entry on disk: a ``stat``, the entry is not read."""
         return self._path(key).exists()
 
 

@@ -293,25 +293,17 @@ class Executor:
         )
         return results
 
-    def scan_cache(
-        self, spec_list: Sequence[ExperimentSpec]
-    ) -> tuple[list[Any], list[int]]:
-        """Partition specs into cached results and cache-miss indices.
+    def scan_cache(self, spec_list: Sequence[ExperimentSpec]) -> list[int]:
+        """Indices of the specs that have no cache entry, in input order.
 
-        Returns ``(results, miss_indices)``: one slot per spec, filled for
-        hits and ``None`` for misses (every index, when no cache is
-        attached).  For front-ends that need the partition before anything
-        runs — the service costs a submission by its misses; :meth:`run`
-        itself looks specs up as it goes.
+        An existence check per key (:meth:`ResultCache.__contains__`), so
+        no entry is read; every index misses when no cache is attached.
+        For front-ends that need the misses before anything runs — the
+        service costs a submission by them; :meth:`run` itself looks specs
+        up as it goes.
         """
-        results: list[Any] = [None] * len(spec_list)
         if self.cache is None:
-            return results, list(range(len(spec_list)))
-        miss_indices: list[int] = []
-        for index, spec in enumerate(spec_list):
-            value = self.cache.get(spec.key)
-            if value is MISS:
-                miss_indices.append(index)
-            else:
-                results[index] = value
-        return results, miss_indices
+            return list(range(len(spec_list)))
+        return [
+            index for index, spec in enumerate(spec_list) if spec.key not in self.cache
+        ]

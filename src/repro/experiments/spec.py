@@ -101,23 +101,27 @@ _package_fingerprints: dict[str, tuple[tuple, str]] = {}
 
 
 def _package_fingerprint(package_name: str) -> str:
-    """SHA-256 over every ``.py`` source file of a package tree."""
+    """SHA-256 over every ``.py`` source file of a package tree.
+
+    Each file is hashed under its path relative to the package directory,
+    so two copies of one tree at two places give one digest.
+    """
     package = importlib.import_module(package_name)
     files = [
-        path
-        for root in getattr(package, "__path__", [])
-        for path in sorted(Path(root).rglob("*.py"))
+        (root, path)
+        for root in map(Path, getattr(package, "__path__", []))
+        for path in sorted(root.rglob("*.py"))
     ]
     signature = tuple(
         (str(path), stat.st_mtime_ns, stat.st_size)
-        for path, stat in ((path, path.stat()) for path in files)
+        for path, stat in ((path, path.stat()) for _, path in files)
     )
     cached = _package_fingerprints.get(package_name)
     if cached is not None and cached[0] == signature:
         return cached[1]
     digest = hashlib.sha256()
-    for path in files:
-        digest.update(str(path).encode("utf-8"))
+    for root, path in files:
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
         digest.update(path.read_bytes())
     fingerprint = digest.hexdigest()
     _package_fingerprints[package_name] = (signature, fingerprint)

@@ -29,13 +29,11 @@ class ButterflyNetwork:
         registered_layers: tuple[int, ...] = (),
         buffer_depth: int = 2,
         registered_level: int = 0,
-        data_width_bits: int = 32,
     ) -> None:
         self.name = name
         self.num_ports = num_ports
         self.radix = radix
         self.registered_layers = tuple(sorted(set(registered_layers)))
-        self.data_width_bits = data_width_bits
         if num_ports == 1:
             # Degenerate single-port network: a plain wire, no switches.
             self.num_layers = 0
@@ -58,7 +56,6 @@ class ButterflyNetwork:
                         registered_outputs=layer in self.registered_layers,
                         buffer_depth=buffer_depth,
                         level=registered_level,
-                        data_width_bits=data_width_bits,
                     )
                     for switch in range(switches_per_layer)
                 ]

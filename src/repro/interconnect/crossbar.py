@@ -10,8 +10,8 @@ The timing behaviour of a crossbar is fully captured by its per-output
 resources: a :class:`~repro.interconnect.resources.RegisterStage` when the
 output carries an elastic buffer (registered output), otherwise an
 :class:`~repro.interconnect.resources.ArbitrationPoint`.  The switch object
-itself records the structural information (port counts, data width) that the
-area, power and congestion models consume.
+itself records the structural information (port counts) that the area, power
+and congestion models consume.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class CrossbarSwitch:
         registered_outputs: bool = False,
         buffer_depth: int = 2,
         level: int = 0,
-        data_width_bits: int = 32,
     ) -> None:
         if num_inputs < 1 or num_outputs < 1:
             raise ValueError(
@@ -42,7 +41,6 @@ class CrossbarSwitch:
         self.num_outputs = num_outputs
         self.registered_outputs = registered_outputs
         self.buffer_depth = buffer_depth
-        self.data_width_bits = data_width_bits
         self._outputs: list[Resource] = []
         for index in range(num_outputs):
             output_name = f"{name}.out{index}"
@@ -75,23 +73,6 @@ class CrossbarSwitch:
     def crosspoints(self) -> int:
         """Number of input-to-output crosspoints (area/congestion proxy)."""
         return self.num_inputs * self.num_outputs
-
-    @property
-    def wire_bits(self) -> int:
-        """Total number of data wires entering and leaving the switch."""
-        return (self.num_inputs + self.num_outputs) * self.data_width_bits
-
-    def utilisation(self, cycles: int) -> float:
-        """Average fraction of output capacity used over ``cycles`` cycles."""
-        if cycles <= 0:
-            raise ValueError("cycles must be positive")
-        total = 0
-        for resource in self._outputs:
-            if isinstance(resource, RegisterStage):
-                total += resource.accepts
-            else:
-                total += resource.grants
-        return total / (cycles * self.num_outputs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         kind = "registered" if self.registered_outputs else "combinational"

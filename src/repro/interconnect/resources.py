@@ -73,13 +73,11 @@ class Resource:
 class ArbitrationPoint(Resource):
     """A combinational arbitration point granting at most one flit per cycle."""
 
-    __slots__ = ("_granted_cycle", "grants")
+    __slots__ = ("_granted_cycle",)
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self._granted_cycle = -1
-        #: Total number of grants issued (for utilisation statistics).
-        self.grants = 0
 
     def available(self, cycle: int) -> bool:
         """True if this point has not yet granted a flit during ``cycle``."""
@@ -88,13 +86,12 @@ class ArbitrationPoint(Resource):
     def grant(self, cycle: int) -> None:
         """Consume this cycle's grant."""
         self._granted_cycle = cycle
-        self.grants += 1
 
 
 class RegisterStage(Resource):
     """A registered pipeline stage with a small elastic buffer."""
 
-    __slots__ = ("depth", "level", "queue", "_accepted_cycle", "accepts", "releases")
+    __slots__ = ("depth", "level", "queue", "_accepted_cycle")
 
     def __init__(self, name: str, level: int, depth: int = 2) -> None:
         super().__init__(name)
@@ -104,10 +101,6 @@ class RegisterStage(Resource):
         self.level = level
         self.queue: deque[Flit] = deque()
         self._accepted_cycle = -1
-        #: Total number of flits accepted (for utilisation statistics).
-        self.accepts = 0
-        #: Total number of flits released downstream.
-        self.releases = 0
 
     @property
     def occupancy(self) -> int:
@@ -122,7 +115,6 @@ class RegisterStage(Resource):
         """Buffer ``flit``; the caller must have checked :meth:`can_accept`."""
         self.queue.append(flit)
         self._accepted_cycle = cycle
-        self.accepts += 1
 
     def head(self) -> "Flit | None":
         """The flit next in line to leave this stage, if any."""
@@ -130,7 +122,6 @@ class RegisterStage(Resource):
 
     def release_head(self) -> "Flit":
         """Remove and return the head flit."""
-        self.releases += 1
         return self.queue.popleft()
 
 

@@ -37,7 +37,6 @@ _EXPORTS = {
     "SpecError": "app",
     "SweepService": "app",
     "build_specs": "app",
-    "expected_work": "jobs",
     "job_key": "jobs",
 }
 

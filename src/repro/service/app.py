@@ -76,7 +76,6 @@ from repro.service.jobs import (
     Job,
     JobCancelled,
     JobState,
-    expected_work,
     job_key,
     new_job_id,
     prune_finished,
@@ -486,8 +485,8 @@ class SweepService:
                 f"server loaded them; restart the server",
             )
         key = job_key(specs)
-        # Outside the lock: one cache read per spec, for a cost estimate.
-        _, miss_indices = Executor(workers=1, cache=self.cache).scan_cache(specs)
+        # Outside the lock: one existence check per spec, for the job's cost.
+        misses = Executor(workers=1, cache=self.cache).scan_cache(specs)
         with self._changed:
             prune_finished(self._jobs, self._by_key, self.ttl_s)
             existing_id = self._by_key.get(key)
@@ -501,7 +500,7 @@ class SweepService:
                 key=key,
                 title=title,
                 specs=specs,
-                cost=expected_work(specs, miss_indices),
+                cost=len(misses),
                 assemble=assemble,
                 submit_seq=self._submit_seq,
             )

@@ -1,4 +1,4 @@
-"""The job layer of the sweep service: state machine, cost model, registry types.
+"""The job layer of the sweep service: state machine, queue order, registry types.
 
 A :class:`Job` is one submitted sweep travelling through the service's
 queue.  Its lifecycle is a strict state machine::
@@ -13,8 +13,8 @@ a terminal job, completing a job that never ran) raises
 impossible lifecycle, because an impossible lifecycle means a scheduler
 bug.
 
-Queue ordering is *shortest expected work first*: :func:`expected_work`
-counts the points a job still has to compute, so a one-point probe
+Queue ordering is *shortest expected work first*: a job's ``cost`` is
+the number of its points without a cache entry, so a one-point probe
 submitted behind a 500-point catalogue sweep is answered first — the
 classical weighted single-machine scheduling result that minimises mean
 job turnaround.
@@ -97,27 +97,6 @@ def job_key(specs: Sequence[ExperimentSpec]) -> str:
     return digest.hexdigest()
 
 
-def expected_work(
-    specs: Sequence[ExperimentSpec],
-    miss_indices: Optional[Sequence[int]] = None,
-) -> int:
-    """Expected compute cost of a job, in sweep points still to run.
-
-    Cached points cost nothing — pass the cache scan's ``miss_indices``
-    so a fully warm resubmission sorts ahead of every cold job.
-
-    Examples
-    --------
-    >>> specs = [ExperimentSpec("repro.experiments.demo:multiply", {"a": a})
-    ...          for a in range(4)]
-    >>> expected_work(specs)
-    4
-    >>> expected_work(specs, miss_indices=[2])
-    1
-    """
-    return len(specs) if miss_indices is None else len(miss_indices)
-
-
 @dataclass
 class Job:
     """One submitted sweep: specs, lifecycle state, and its event log.
@@ -133,8 +112,8 @@ class Job:
     specs : list of ExperimentSpec
         The expanded points, in sweep order.
     cost : int
-        Expected work from :func:`expected_work`; the queue runs
-        shortest-cost-first.
+        Points still to compute (the specs without a cache entry); the
+        queue runs shortest-cost-first.
     assemble : callable, optional
         Registry assembler producing the figure result object (whose
         ``report()`` text is attached to the finished job), or ``None``
@@ -265,7 +244,6 @@ __all__ = [
     "JobCancelled",
     "JobState",
     "LEGAL_TRANSITIONS",
-    "expected_work",
     "job_key",
     "new_job_id",
     "prune_finished",

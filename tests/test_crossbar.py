@@ -35,26 +35,3 @@ class TestConstruction:
         switch = CrossbarSwitch("xbar", 2, 2)
         with pytest.raises(ValueError):
             switch.output(2)
-
-    def test_wire_bits(self):
-        switch = CrossbarSwitch("xbar", 4, 4, data_width_bits=32)
-        assert switch.wire_bits == 8 * 32
-
-
-class TestUtilisation:
-    def test_utilisation_counts_grants(self):
-        switch = CrossbarSwitch("xbar", 2, 2)
-        output = switch.output(0)
-        output.grant(0)
-        output.grant(1)
-        assert switch.utilisation(cycles=4) == pytest.approx(2 / 8)
-
-    def test_utilisation_counts_register_accepts(self):
-        switch = CrossbarSwitch("xbar", 2, 2, registered_outputs=True, level=1)
-        output = switch.output(1)
-        output.accept(object(), 0)
-        assert switch.utilisation(cycles=2) == pytest.approx(1 / 4)
-
-    def test_utilisation_requires_positive_cycles(self):
-        with pytest.raises(ValueError):
-            CrossbarSwitch("xbar", 2, 2).utilisation(0)

@@ -3,6 +3,7 @@
 import io
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import threading
@@ -89,6 +90,22 @@ class TestSpec:
             handle.write("# edited\n")
         assert ExperimentSpec(runner, {"a": 3}).key != before
 
+    def test_two_copies_of_a_package_give_one_key(
+        self, source_package, tmp_path, monkeypatch
+    ):
+        # A moved checkout or a second clone keys its points as the first.
+        name, points = source_package
+        runner = f"{name}.points:double"
+        first = (program_fingerprint(runner), ExperimentSpec(runner, {"a": 3}).key)
+        copy = tmp_path / "copy" / name
+        shutil.copytree(points.parent, copy)
+        for module in [m for m in sys.modules if m.partition(".")[0] == name]:
+            del sys.modules[module]
+        monkeypatch.syspath_prepend(str(copy.parent))
+        assert resolve_runner(runner).__module__ == f"{name}.points"
+        assert sys.modules[name].__path__ == [str(copy)]
+        assert (program_fingerprint(runner), ExperimentSpec(runner, {"a": 3}).key) == first
+
     def test_unhashable_param_values_are_rejected(self):
         with pytest.raises(TypeError):
             canonical_json({"bad": object()})
@@ -139,10 +156,9 @@ class TestResultCache:
 
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get(self.KEY) is MISS
+        assert cache.get(self.KEY) is MISS and self.KEY not in cache
         cache.put(self.KEY, {"cycles": 99})
-        assert cache.get(self.KEY) == {"cycles": 99}
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert cache.get(self.KEY) == {"cycles": 99} and self.KEY in cache
 
     def test_none_is_a_cacheable_value(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -305,6 +321,30 @@ class TestExecutor:
         assert second == first
         assert executor.last_report.cache_hits == 3
         assert executor.last_report.computed == 0
+
+    def test_scan_cache_lists_the_misses_in_input_order(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        specs = list(self.sweep())
+        cache.put(specs[1].key, 36)
+        assert Executor(workers=1, cache=cache).scan_cache(specs) == [0, 2]
+
+    def test_scan_cache_without_a_cache_misses_every_point(self):
+        assert Executor(workers=1).scan_cache(list(self.sweep())) == [0, 1, 2]
+
+    def test_scan_cache_checks_existence_without_reading(self, tmp_path):
+        class UnreadableCache(ResultCache):
+            def get(self, key):
+                raise AssertionError("scan_cache read an entry")
+
+        cache = UnreadableCache(tmp_path)
+        specs = list(self.sweep())
+        cache.put(specs[0].key, 24)
+        # A corrupt entry exists, so it is not a miss, and it stays on disk
+        # until a read drops it.
+        cache.put(specs[2].key, 54)
+        cache._path(specs[2].key).write_bytes(b"not a pickle")
+        assert Executor(workers=1, cache=cache).scan_cache(specs) == [1]
+        assert cache._path(specs[2].key).exists()
 
     def test_progress_callback_reports_computed_points_only(self, tmp_path):
         cache = ResultCache(tmp_path)

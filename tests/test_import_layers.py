@@ -189,7 +189,7 @@ LAZY_PACKAGES = {
     "repro": (4, "MemPoolCluster", "repro.core.cluster"),
     "repro.core": (5, "Tile", "repro.core.cluster"),
     "repro.evaluation": (17, "fig5_sweep", "repro.evaluation.fig5"),
-    "repro.service": (14, "SweepService", "repro.service.app"),
+    "repro.service": (13, "SweepService", "repro.service.app"),
 }
 
 

@@ -59,12 +59,6 @@ class TestArbitrationPoint:
         assert not point.available(0)
         assert point.available(1)
 
-    def test_grant_counter(self):
-        point = ArbitrationPoint("a")
-        point.grant(0)
-        point.grant(1)
-        assert point.grants == 2
-
 
 class TestFlit:
     def test_latency_requires_completion(self):

@@ -36,7 +36,6 @@ from repro.service import (
     SpecError,
     SweepService,
     build_specs,
-    expected_work,
     job_key,
 )
 from repro.service.jobs import prune_finished, sort_queued
@@ -73,7 +72,7 @@ def test_client_import_does_not_load_the_server():
         "import repro.service\n"
         "assert SweepService is repro.service.app.SweepService\n"
         "assert ServiceClient is repro.service.client.ServiceClient\n"
-        "assert len(repro.service.__all__) == 14\n"
+        "assert len(repro.service.__all__) == 13\n"
         "assert all(hasattr(repro.service, name) for name in repro.service.__all__)\n"
         "try:\n"
         "    repro.service.no_such_name\n"
@@ -178,12 +177,6 @@ class TestJobHelpers:
         assert job_key(specs) == job_key(list(specs))
         assert job_key(specs) != job_key(specs[::-1])
         assert job_key(specs) != job_key(specs[:2])
-
-    def test_expected_work_counts_only_misses(self):
-        specs = self.specs(4)
-        assert expected_work(specs) == 4
-        assert expected_work(specs, miss_indices=[1, 3]) == 2
-        assert expected_work(specs, miss_indices=[]) == 0
 
     def test_sort_queued_is_sjf_with_fifo_ties(self):
         jobs = [
@@ -459,6 +452,44 @@ class TestDedupAndQueue:
         assert second["computed"] == 0  # every point came from the cache
         assert second["cache_hits"] == 2
         assert second["result_keys"] == first["result_keys"]
+
+    def test_cost_counts_only_the_points_without_a_cache_entry(self, service):
+        client = make_client(service(ttl_s=0.0))
+        cold = client.submit(sweep_payload())["job"]
+        assert cold["cost"] == 2
+        client.wait(cold["id"], timeout_s=30)
+        # a=2 and a=3 are cached now: only a=4 is still to compute.
+        wider = client.submit(sweep_payload(grid={"a": [2, 3, 4]}))["job"]
+        assert wider["cost"] == 1
+        client.wait(wider["id"], timeout_s=30)
+        warm = client.submit(sweep_payload())
+        assert warm["deduplicated"] is False and warm["job"]["cost"] == 0
+
+    def test_each_submission_reads_each_result_once(self, service, tmp_path):
+        class CountedCache(ResultCache):
+            def __init__(self, directory):
+                super().__init__(directory)
+                self.gets = []
+
+            def get(self, key):
+                self.gets.append((key, threading.current_thread().name))
+                return super().get(key)
+
+        cache = CountedCache(tmp_path / "counted")
+        client = make_client(service(cache=cache, ttl_s=0.0))
+        payload = {
+            "experiment": "fig5",
+            "settings": {"engine": "vector", "warmup_cycles": 5, "measure_cycles": 15},
+        }
+        for warm in (False, True):
+            cache.gets.clear()
+            job = client.wait(client.submit(payload)["job"]["id"], timeout_s=60)
+            assert job["state"] == "done"
+            assert job["cache_hits"] == (len(job["result_keys"]) if warm else 0)
+            # One read per key, all by the job: the submission only checks
+            # which keys exist.
+            assert sorted(key for key, _ in cache.gets) == sorted(job["result_keys"])
+            assert all(thread.startswith("sweep-job-") for _, thread in cache.gets)
 
     def test_queue_runs_shortest_expected_work_first(self, service):
         instance = service(max_jobs=1)
@@ -741,10 +772,10 @@ class TestProgramPin:
                 self.reading = threading.Event()
                 self.release = threading.Event()
 
-            def get(self, key):
+            def __contains__(self, key):
                 self.reading.set()
                 self.release.wait(timeout=30)
-                return super().get(key)
+                return super().__contains__(key)
 
         cache = HeldCache(tmp_path)
         instance = SweepService(workers=1, cache=cache).start()
