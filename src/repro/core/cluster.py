@@ -69,13 +69,24 @@ class MemPoolCluster:
         self.config = config or MemPoolConfig()
         self.engine_kind = engine
         self.address_map: AddressMap = make_address_map(self.config)
-        self.memory = SharedL1Memory(self.config)
-        self.layout = MemoryLayout(self.config)
-        self.tiles = self._build_tiles()
 
     # ------------------------------------------------------------------ #
     # Structure
     # ------------------------------------------------------------------ #
+
+    # The functional and structural views are built on first access: only
+    # the execution-driven path (kernels, Snitch programs) reads them, and
+    # a synthetic-traffic point never does.
+
+    @cached_property
+    def memory(self) -> SharedL1Memory:
+        """The shared L1 word array."""
+        return SharedL1Memory(self.config)
+
+    @cached_property
+    def layout(self) -> MemoryLayout:
+        """The L1 allocator: per-core stacks, shared and tile-local regions."""
+        return MemoryLayout(self.config)
 
     @cached_property
     def topology(self) -> ClusterTopology:
@@ -87,7 +98,9 @@ class MemPoolCluster:
         """
         return build_topology(self.config)
 
-    def _build_tiles(self) -> tuple[Tile, ...]:
+    @cached_property
+    def tiles(self) -> tuple[Tile, ...]:
+        """Structural description of every tile, by tile id."""
         config = self.config
         tiles = []
         for tile_id in range(config.num_tiles):

@@ -42,8 +42,13 @@ it is refused with ``409`` and nothing is queued — restart the server to
 load the new code.  ``/healthz`` reports the pinned digests.
 
 The HTTP side is the standard library's
-:class:`~http.server.ThreadingHTTPServer`: one thread per connection, one
-request per connection.  All service state sits behind one
+:class:`~http.server.ThreadingHTTPServer`, one thread per connection.  A
+connection is persistent (HTTP/1.1 keep-alive): it carries one request
+after another for as long as each reply has a ``Content-Length``.  An
+error reply closes it, since the request it answers may be unread, and
+so does the NDJSON event stream, whose body ends at close.
+:meth:`SweepService.stop` ends the idle connections too.  All service
+state sits behind one
 :class:`threading.Condition`, which event streams wait on.  Each job runs
 on its own thread through the
 :class:`~repro.experiments.executor.Executor` every CLI run uses — in
@@ -183,12 +188,19 @@ def build_specs(payload) -> tuple:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One request per connection: check, route to the service, reply, close."""
+    """Requests of one kept-alive connection: check, route, reply.
+
+    Closes after an error reply or an event stream; keeps the connection
+    for the next request after any other reply.
+    """
 
     protocol_version = "HTTP/1.1"
     # Also the version of a reply sent before the request line is parsed,
     # so that every error reply carries a status line.
     default_request_version = "HTTP/1.1"
+    # Head and body go out in two writes; with Nagle's algorithm the body
+    # would wait for the client's delayed ACK of the head (40 ms a reply).
+    disable_nagle_algorithm = True
 
     def __getattr__(self, name: str):
         # Every method reaches the router, which answers 404/405 itself.
@@ -211,7 +223,14 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
     def parse_request(self) -> bool:
-        """The stdlib's parse, minus HTTP/0.9's two-word request line."""
+        """The stdlib's parse, minus HTTP/0.9's two-word request line.
+
+        A request read after the server began closing gets no reply: the
+        connection closes, and the client's retry finds no listener.
+        """
+        if self.server.closing:
+            self.close_connection = True
+            return False
         if not super().parse_request():
             return False
         if len(self.requestline.split()) != 3:
@@ -314,7 +333,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.send_header("Connection", "close")
+        if status >= 400:
+            # The request may be unread (an oversized or truncated body).
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -342,7 +363,39 @@ class _Server(ThreadingHTTPServer):
 
     def __init__(self, service: "SweepService") -> None:
         self.service = service
+        #: Open connections, so that closing the server can end idle ones.
+        self.connections: set = set()
+        #: Set by :meth:`server_close`; no request is answered after it.
+        self.closing = False
         super().__init__((service.host, service.port), _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        """Track the connection, then serve it on its own thread."""
+        self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        """Forget the connection, then close it."""
+        self.connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener and end the idle kept connections.
+
+        Shutting a connection's read side wakes a handler waiting for its
+        next request with end-of-file, and a reply being written still goes
+        out.  A request that arrives before the handler wakes is read but
+        not answered (``closing``).
+        """
+        self.closing = True
+        # list() copies the set in one step, while handler threads remove
+        # the connections they close.
+        for request in list(self.connections):
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its client
+        super().server_close()
 
 
 class SweepService:
@@ -376,6 +429,7 @@ class SweepService:
     ...                      "grid": {"a": [2, 3]}, "base": {"b": 10}})["job"]
     >>> client.wait(job["id"])["state"]
     'done'
+    >>> client.close()
     >>> service.stop()
     """
 
@@ -485,16 +539,16 @@ class SweepService:
                 f"server loaded them; restart the server",
             )
         key = job_key(specs)
+        with self._changed:
+            joined = self._join(key)
+        if joined is not None:
+            return joined
         # Outside the lock: one existence check per spec, for the job's cost.
         misses = Executor(workers=1, cache=self.cache).scan_cache(specs)
         with self._changed:
-            prune_finished(self._jobs, self._by_key, self.ttl_s)
-            existing_id = self._by_key.get(key)
-            if existing_id is not None:
-                # Failed/cancelled jobs never dedup (they are dropped from
-                # the key map at finish time); live and done jobs do.
-                existing = self._jobs[existing_id]
-                return 200, {"job": existing.to_dict(), "deduplicated": True}
+            joined = self._join(key)  # an identical submission raced the scan
+            if joined is not None:
+                return joined
             job = Job(
                 job_id=new_job_id(),
                 key=key,
@@ -512,6 +566,18 @@ class SweepService:
                              "points": len(specs), "cost": job.cost})
             self._maybe_start()
             return 201, {"job": job.to_dict(), "deduplicated": False}
+
+    def _join(self, key: str) -> Optional[tuple]:
+        """The dedup reply for a registered job with ``key`` (lock held).
+
+        Failed/cancelled jobs never dedup (they are dropped from the key
+        map at finish time); live and done jobs do.
+        """
+        prune_finished(self._jobs, self._by_key, self.ttl_s)
+        existing_id = self._by_key.get(key)
+        if existing_id is None:
+            return None
+        return 200, {"job": self._jobs[existing_id].to_dict(), "deduplicated": True}
 
     def _find(self, job_id: str) -> Job:
         with self._changed:

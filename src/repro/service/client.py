@@ -8,17 +8,27 @@ reasonable starting point for scripting against a long-running service::
     for event in client.events(job["id"]):
         print(event)
     blob = client.result(job["result_keys"][0])
+    client.close()  # or: with ServiceClient(...) as client: ...
 
-:meth:`ServiceClient.events` resumes after a dropped connection using the
-``?from=N`` cursor, so a stream survives a mid-flight disconnect — the
-reconnect path the job-layer tests exercise explicitly.
+Every call but :meth:`~ServiceClient.events` goes over one persistent
+connection per calling thread, so a client shared by several threads
+stays concurrent and a sweep's result fetches cost no TCP handshake each.
+When the server closed a kept connection before answering (it was idle
+or restarted), the request goes once more over a fresh one.
+:meth:`ServiceClient.events` opens a connection of its own per stream,
+since an NDJSON stream ends at close, and resumes after a dropped
+connection using the ``?from=N`` cursor, so a stream survives a
+mid-flight disconnect — the reconnect path the job-layer tests exercise
+explicitly.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
+import weakref
 from typing import Iterator, Optional
 
 
@@ -33,12 +43,34 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Blocking HTTP client bound to one service ``host:port``."""
+    """Blocking HTTP client bound to one service ``host:port``.
+
+    Keeps one connection per calling thread; :meth:`close` (or leaving a
+    ``with`` block) closes them all.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
+        #: Every thread's kept connection, for :meth:`close`; a thread's
+        #: own drops out when the thread ends.
+        self._kept = weakref.WeakSet()
+        self._kept_lock = threading.Lock()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every kept connection; a later call opens a new one."""
+        with self._kept_lock:
+            kept = list(self._kept)
+        for connection in kept:
+            connection.close()
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -49,24 +81,44 @@ class ServiceClient:
             self.host, self.port, timeout=self.timeout
         )
 
+    def _exchange(self, method: str, path: str, body=None, headers=None) -> tuple:
+        """``(status, body)`` of one request on this thread's kept connection."""
+        headers = headers or {}
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+            with self._kept_lock:
+                self._kept.add(connection)
+        reused = connection.sock is not None
+        try:
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                reply = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed the kept connection before answering
+                # (idle, or restarted): once more on a fresh one.
+                connection.close()
+                connection.request(method, path, body=body, headers=headers)
+                reply = connection.getresponse()
+            return reply.status, reply.read()
+        except BaseException:
+            connection.close()  # the next call starts on a clean connection
+            raise
+
     def _request_json(self, method: str, path: str, payload=None):
         """One request/response cycle; raises :class:`ServiceError` on 4xx/5xx."""
-        connection = self._connect()
-        try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=body, headers=headers)
-            reply = connection.getresponse()
-            raw = reply.read()
-            decoded = json.loads(raw.decode("utf-8")) if raw else None
-            if reply.status >= 400:
-                raise ServiceError(reply.status, decoded)
-            return decoded
-        finally:
-            connection.close()
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        status, raw = self._exchange(method, path, body, headers)
+        decoded = json.loads(raw.decode("utf-8")) if raw else None
+        if status >= 400:
+            raise ServiceError(status, decoded)
+        return decoded
 
     # ------------------------------------------------------------------ #
     # Endpoints
@@ -90,16 +142,10 @@ class ServiceClient:
 
     def result(self, key: str) -> bytes:
         """``GET /results/{key}`` — the pickled result bytes by content hash."""
-        connection = self._connect()
-        try:
-            connection.request("GET", f"/results/{key}")
-            reply = connection.getresponse()
-            raw = reply.read()
-            if reply.status >= 400:
-                raise ServiceError(reply.status, json.loads(raw.decode("utf-8")))
-            return raw
-        finally:
-            connection.close()
+        status, raw = self._exchange("GET", f"/results/{key}")
+        if status >= 400:
+            raise ServiceError(status, json.loads(raw.decode("utf-8")))
+        return raw
 
     def events(
         self,

@@ -1,7 +1,11 @@
 """Tests of the MemPoolCluster container (tiles, bank paths, locality)."""
 
+import collections
+
+from repro.core import cluster as cluster_module
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
+from repro.evaluation.points import simulate_fig5_point
 from repro.interconnect.resources import Flit, RegisterStage
 
 
@@ -26,6 +30,28 @@ class TestTiles:
 
     def test_tile_of_core(self, tiny_cluster):
         assert tiny_cluster.tile_of_core(5).tile_id == tiny_cluster.config.tile_of_core(5)
+
+
+class TestLazyState:
+    def test_a_traffic_point_builds_no_memory_or_layout(self, monkeypatch):
+        built = collections.Counter()
+        for name in ("SharedL1Memory", "MemoryLayout"):
+            cls = getattr(cluster_module, name)
+
+            def counted(config, name=name, cls=cls):
+                built[name] += 1
+                return cls(config)
+
+            monkeypatch.setattr(cluster_module, name, counted)
+        result = simulate_fig5_point(
+            topology="toph", load=0.2, warmup_cycles=20, measure_cycles=60
+        )
+        assert result.completed_requests > 0
+        assert not built
+        # What reads them builds each once.
+        cluster = MemPoolCluster(MemPoolConfig.scaled("toph"))
+        assert cluster.layout is cluster.layout and cluster.memory is cluster.memory
+        assert built == {"SharedL1Memory": 1, "MemoryLayout": 1}
 
 
 class TestFlitConstruction:

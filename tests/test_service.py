@@ -8,6 +8,7 @@ and malformed submissions answered with structured 4xx errors.
 
 from __future__ import annotations
 
+import collections
 import http.client
 import json
 import os
@@ -38,6 +39,7 @@ from repro.service import (
     build_specs,
     job_key,
 )
+from repro.service.app import _Handler
 from repro.service.jobs import prune_finished, sort_queued
 
 MULTIPLY = "repro.experiments.demo:multiply"
@@ -112,6 +114,30 @@ def service(request, tmp_path):
 
 def make_client(instance, timeout=30.0):
     return ServiceClient("127.0.0.1", instance.port, timeout=timeout)
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """Requests each connection carried, keyed by the client's address.
+
+    Counted as each request line is parsed, so before its reply is sent.
+    """
+    counts = collections.Counter()
+    parse = _Handler.parse_request
+
+    def counted(handler):
+        counts[handler.client_address] += 1
+        return parse(handler)
+
+    monkeypatch.setattr(_Handler, "parse_request", counted)
+    return counts
+
+
+def wait_until(condition, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.01)
 
 
 def raw_exchange(instance, request, timeout=5.0):
@@ -491,6 +517,31 @@ class TestDedupAndQueue:
             assert sorted(key for key, _ in cache.gets) == sorted(job["result_keys"])
             assert all(thread.startswith("sweep-job-") for _, thread in cache.gets)
 
+    def test_deduplicated_resubmission_scans_no_cache_entry(self, tmp_path):
+        class CountedCache(ResultCache):
+            def __init__(self, directory):
+                super().__init__(directory)
+                self.scanned = 0
+
+            def __contains__(self, key):
+                self.scanned += 1
+                return super().__contains__(key)
+
+        cache = CountedCache(tmp_path)
+        instance = SweepService(workers=1, cache=cache).start()
+        try:
+            with make_client(instance) as client:
+                payload = sweep_payload(grid={"a": list(range(33))})
+                first = client.submit(payload)
+                assert cache.scanned == 33  # the new job's cost
+                second = client.submit(payload)
+                assert second["deduplicated"] is True
+                assert second["job"]["id"] == first["job"]["id"]
+                assert cache.scanned == 33  # the dedup needed no scan
+                assert client.wait(first["job"]["id"], timeout_s=30)["state"] == "done"
+        finally:
+            instance.stop()
+
     def test_queue_runs_shortest_expected_work_first(self, service):
         instance = service(max_jobs=1)
         client = make_client(instance)
@@ -682,6 +733,102 @@ class TestEventStream:
         with pytest.raises(ServiceError) as info:
             list(client._stream_once(job_id, "wat"))
         assert info.value.status == 400
+
+
+# --------------------------------------------------------------------- #
+# Persistent connections
+# --------------------------------------------------------------------- #
+
+
+class TestKeepAlive:
+    def test_one_client_carries_a_sweep_on_one_connection(self, service, served):
+        client = make_client(service())
+        job = client.submit(sweep_payload(grid={"a": list(range(33))}))["job"]
+        assert list(client.events(job["id"]))[-1]["state"] == "done"
+        job = client.job(job["id"])
+        blobs = [client.result(key) for key in job["result_keys"]]
+        assert [pickle.loads(blob) for blob in blobs] == [10 * a for a in range(33)]
+        # submit, job and 33 results on the kept connection; the event
+        # stream on one of its own.
+        assert sorted(served.values()) == [1, 35]
+
+    def test_replies_keep_the_connection_and_error_replies_close_it(
+        self, service, served
+    ):
+        instance = service()
+        connection = http.client.HTTPConnection("127.0.0.1", instance.port, timeout=5)
+        try:
+            for _ in range(2):
+                connection.request("GET", "/healthz")
+                reply = connection.getresponse()
+                assert reply.status == 200 and reply.getheader("Connection") is None
+                reply.read()
+        finally:
+            connection.close()
+        assert list(served.values()) == [2]
+        # Read until close: a kept connection would time out here.
+        status, body = raw_exchange(
+            instance, b"GET /sweeps/nope HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert status == 404 and json.loads(body)["error"] == "not_found"
+
+    def test_a_connection_the_server_closed_is_reopened(self):
+        first = SweepService(workers=1, cache=None).start()
+        client = make_client(first)
+        assert client.healthz()["status"] == "ok"
+        first.stop()  # ends the kept connection
+        second = SweepService(port=first.port, workers=1, cache=None).start()
+        try:
+            assert client.healthz()["status"] == "ok"
+        finally:
+            second.stop()
+        # Reopened once, not retried: no server is left to answer.
+        with pytest.raises(ConnectionRefusedError):
+            client.healthz()
+
+    def test_threads_sharing_a_client_get_a_connection_each(self, service, served):
+        client = make_client(service())
+        threads, calls = 8, 10  # more threads than cores
+        all_connected = threading.Barrier(threads)
+        errors = []
+
+        def poll():
+            try:
+                client.healthz()
+                all_connected.wait(timeout=10)
+                for _ in range(calls - 1):
+                    client.healthz()
+            except Exception as error:  # pragma: no cover - diagnostic
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pollers = [threading.Thread(target=poll) for _ in range(threads)]
+            for poller in pollers:
+                poller.start()
+            for poller in pollers:
+                poller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(poller.is_alive() for poller in pollers)
+        assert not errors
+        assert sorted(served.values()) == [calls] * threads
+
+    def test_close_and_with_release_the_connection(self, service):
+        instance = service()
+        connections = instance._server.connections
+        client = make_client(instance)
+        client.healthz()
+        assert len(connections) == 1
+        client.close()
+        wait_until(lambda: not connections)
+        assert client.healthz()["status"] == "ok"  # a closed client reopens
+        client.close()
+        with make_client(instance) as scoped:
+            scoped.healthz()
+            assert len(connections) == 1
+        wait_until(lambda: not connections)
 
 
 # --------------------------------------------------------------------- #
