@@ -111,7 +111,9 @@ class ResultCache:
         temporary file name carries the pid *and* a process-wide counter
         (two threads of one process share a pid), and the final
         :func:`os.replace` is atomic, so the last writer wins and readers
-        only ever see complete entries.
+        only ever see complete entries.  A write that fails (a value that
+        does not pickle, a full disk) removes its temporary file before
+        the exception propagates, so it leaves no entry and no orphan.
         """
         path = self._path(key)
         parent = path.parent
@@ -119,17 +121,23 @@ class ResultCache:
             parent.mkdir(parents=True, exist_ok=True)
             self._made_dirs.add(str(parent))
         temporary = path.with_suffix(f".tmp.{os.getpid()}.{next(_temp_counter)}")
+
+        def write() -> None:
+            with temporary.open("wb") as handle:
+                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(temporary, path)
+
         try:
-            with temporary.open("wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temporary, path)
-        except FileNotFoundError:
-            # A concurrent clear() removed the shard directory between the
-            # memoised mkdir and the write; recreate it and retry once.
-            parent.mkdir(parents=True, exist_ok=True)
-            with temporary.open("wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(temporary, path)
+            try:
+                write()
+            except FileNotFoundError:
+                # A concurrent clear() removed the shard directory between
+                # the memoised mkdir and the write; recreate it and retry once.
+                parent.mkdir(parents=True, exist_ok=True)
+                write()
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
 
     def clear(self) -> int:
         """Delete every cache entry; return the number removed.

@@ -18,7 +18,7 @@ input order:
 3. *collect* whatever has finished, in completion order, after every
    dispatch and then until nothing is pending.
 
-Three properties are contract:
+Four properties are contract:
 
 * **Store, then report.**  A finished point is written to its result slot,
   then ``cache.put``, then handed to ``progress`` — so whoever is told
@@ -32,6 +32,13 @@ Three properties are contract:
   point fails, and :meth:`Executor.run` raises a ``RuntimeError`` naming
   the first lost point.  What was stored before stays cached, so a rerun
   resumes from it.
+* **A pool run reads the program's sources once.**  With ``workers > 1``
+  every key of the run is made inside one
+  :func:`~repro.experiments.spec.program_snapshot`: each unpinned program
+  package is fingerprinted from disk at the first lookup and that digest
+  serves the rest of the run, since the forked workers run the code they
+  inherited, not what is on disk now.  A serial run re-checks the
+  sources for every key.
 
 Immediately before the fork the parent resolves the sweep's runners
 (:func:`import_runners`): resolving a runner imports everything its points
@@ -48,11 +55,17 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.experiments.cache import MISS, ResultCache
-from repro.experiments.spec import ExperimentSpec, execute_spec, resolve_runner
+from repro.experiments.spec import (
+    ExperimentSpec,
+    execute_spec,
+    program_snapshot,
+    resolve_runner,
+)
 
 
 def import_runners(specs: Iterable[ExperimentSpec]) -> None:
@@ -248,37 +261,39 @@ class Executor:
                 progress(spec_list[index], value)
 
         pool = None
+        snapshot = program_snapshot() if self.workers > 1 else nullcontext()
         try:
-            for index, spec in enumerate(spec_list):
-                if cache is not None:
-                    value = cache.get(spec.key)
-                    if value is not MISS:
-                        results[index] = value
-                        continue
-                misses.append(index)
-                if self.workers > 1 and pool is None:
-                    if len(misses) == 1:
-                        continue  # held back: one miss is not worth a fork
-                    # Forked between two lookups, never from inside one: a
-                    # worker must not inherit the cache mid-call (an open
-                    # entry), and it is this frame an outside-in profiler
-                    # finds the workers under.  The
-                    # runners are imported first, for the workers to inherit.
-                    import_runners(spec_list)
-                    from concurrent.futures import ProcessPoolExecutor
+            with snapshot:
+                for index, spec in enumerate(spec_list):
+                    if cache is not None:
+                        value = cache.get(spec.key)
+                        if value is not MISS:
+                            results[index] = value
+                            continue
+                    misses.append(index)
+                    if self.workers > 1 and pool is None:
+                        if len(misses) == 1:
+                            continue  # held back: one miss is not worth a fork
+                        # Forked between two lookups, never from inside one:
+                        # a worker must not inherit the cache mid-call (an
+                        # open entry), and it is this frame an outside-in
+                        # profiler finds the workers under.  The runners
+                        # are imported first, for the workers to inherit.
+                        import_runners(spec_list)
+                        from concurrent.futures import ProcessPoolExecutor
 
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(self.workers, len(spec_list) - index + 1),
-                        mp_context=self._mp_context,
-                    )
-                    dispatch(misses[0], pool)
-                dispatch(index, pool)
-                while not finished.empty():
+                        pool = ProcessPoolExecutor(
+                            max_workers=min(self.workers, len(spec_list) - index + 1),
+                            mp_context=self._mp_context,
+                        )
+                        dispatch(misses[0], pool)
+                    dispatch(index, pool)
+                    while not finished.empty():
+                        collect()
+                if self.workers > 1 and len(misses) == 1:
+                    dispatch(misses[0])  # the only miss: run it in this process
+                while pending:
                     collect()
-            if self.workers > 1 and len(misses) == 1:
-                dispatch(misses[0])  # the only miss: run it in this process
-            while pending:
-                collect()
         finally:
             if pool is not None:
                 # After a failure, points still queued are dropped and a

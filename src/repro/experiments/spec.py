@@ -19,7 +19,7 @@ Hashing the program source means that editing the simulation code
 invalidates previously cached results automatically — the cache is
 content-addressed, never trusted across code changes.
 
-Two rules decide *when* the program is fingerprinted:
+Three rules decide *when* the program is fingerprinted:
 
 * **Pinned** (the sweep service).  :func:`pin_program` fingerprints a
   top-level package or module once; from then on every key of that
@@ -29,13 +29,21 @@ Two rules decide *when* the program is fingerprinted:
   ``serve``) cannot store old-code results under the new code's
   fingerprint: it re-reads the sources once per submission and refuses
   the submission once they differ from the pin.
-* **Per key** (everything else, the CLI included).  An unpinned package
-  is fingerprinted from disk for every key, through a memo keyed on each
-  file's ``(path, mtime, size)``, so a notebook or REPL that edits source
-  between two keys gets a fresh digest.  Pinning every process would make
-  a warm CLI sweep ~20x faster, but the benchmark harness keeps ~0.2 MB
-  per timed pass, so the extra passes would read as a memory regression;
-  the CLI keeps this rule until the harness stops retaining them.
+* **Once per pool run** (:meth:`Executor.run
+  <repro.experiments.executor.Executor.run>` with ``workers > 1``).
+  Inside :func:`program_snapshot` an unpinned package is read from disk
+  for the first key that needs it, and that digest serves every later
+  key of the scope.  The forked workers run the code they inherited, so
+  a per-key check could only key their points by sources they never
+  ran.  The scope belongs to the thread that opened it.
+* **Per key** (everything else: serial runs, the default CLI).  An
+  unpinned package is fingerprinted from disk for every key, through a
+  memo keyed on each file's ``(path, mtime, size)``, so a notebook or
+  REPL that edits source between two keys gets a fresh digest.  Pinning
+  every process would make a warm CLI sweep ~20x faster, but the
+  benchmark harness keeps ~0.2 MB per timed pass, so the extra passes
+  would read as a memory regression; serial runs keep this rule until
+  the harness stops retaining them.
 """
 
 from __future__ import annotations
@@ -44,10 +52,12 @@ import hashlib
 import importlib
 import inspect
 import json
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 
 def resolve_runner(runner: str) -> Callable[..., Any]:
@@ -164,6 +174,33 @@ def pinned_programs() -> dict[str, str]:
     return dict(_pinned_programs)
 
 
+#: The open :func:`program_snapshot` of each thread: ``digests`` maps a
+#: top-level package or module name to the digest its first key read.
+_snapshots = threading.local()
+
+
+@contextmanager
+def program_snapshot() -> Iterator[None]:
+    """Read each unpinned program package at most once inside the block.
+
+    While the block runs in this thread, :func:`program_fingerprint`
+    fingerprints an unpinned package from disk the first time a key needs
+    it and returns that digest for every later key; a source edit made
+    meanwhile reaches only the keys made after the block.  A nested block
+    shares the outer one's digests, and other threads are unaffected.
+    The digest is the one a read outside the block returns for the same
+    tree, so the keys are too.
+    """
+    if getattr(_snapshots, "digests", None) is not None:
+        yield
+        return
+    _snapshots.digests = {}
+    try:
+        yield
+    finally:
+        _snapshots.digests = None
+
+
 def program_package(runner: str) -> str:
     """The top-level package or module a ``"module:function"`` runner lives in."""
     return runner.partition(":")[0].partition(".")[0]
@@ -185,16 +222,24 @@ def program_fingerprint(runner: str) -> str:
 
     A package pinned by :func:`pin_program` (the sweep service pins
     ``repro`` at start-up) returns its pinned digest without touching the
-    disk.  Any other package is re-checked on every call, through the
-    stat-signature memo of its files: that keeps edit detection per key
-    for the CLI and for notebooks (see the module docstring for why the
-    CLI does not pin).
+    disk.  Inside a :func:`program_snapshot` of the calling thread (a pool
+    run), any other package is read on its first call and its digest
+    reused after that.  Outside one, it is re-checked on every call,
+    through the stat-signature memo of its files: that keeps edit
+    detection per key for serial runs and for notebooks (see the module
+    docstring for why they do not read once).
     """
     name = program_package(runner)
     pinned = _pinned_programs.get(name)
     if pinned is not None:
         return pinned
-    return _source_fingerprint(name)
+    digests = getattr(_snapshots, "digests", None)
+    if digests is None:
+        return _source_fingerprint(name)
+    digest = digests.get(name)
+    if digest is None:
+        digest = digests[name] = _source_fingerprint(name)
+    return digest
 
 
 def _canonical(value: Any) -> Any:

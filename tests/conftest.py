@@ -60,3 +60,23 @@ def source_package(tmp_path, monkeypatch):
     yield name, points
     for module in [m for m in sys.modules if m.partition(".")[0] == name]:
         del sys.modules[module]
+
+
+@pytest.fixture
+def package_reads(monkeypatch):
+    """The package names read from disk for a program fingerprint, in order.
+
+    Wraps ``repro.experiments.spec._package_fingerprint``, which runs once
+    per check of a package tree (the stat-signature memo sits inside it).
+    """
+    from repro.experiments import spec as spec_module
+
+    reads = []
+    read = spec_module._package_fingerprint
+
+    def counted(name):
+        reads.append(name)
+        return read(name)
+
+    monkeypatch.setattr(spec_module, "_package_fingerprint", counted)
+    return reads

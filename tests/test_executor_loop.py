@@ -1,4 +1,4 @@
-"""The executor's one loop: store-then-report, resume, overlap, lazy fork, inherited imports, dead workers.
+"""The executor's one loop: store-then-report, resume, overlap, lazy fork, inherited imports, source reads, dead workers.
 
 ``Executor.run`` looks up, dispatches, collects and stores in a single pass
 (see the ``repro.experiments.executor`` module docstring).  Nothing here
@@ -13,12 +13,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import repro
 from executor_points import ERRORS, wait_for_files
 from repro.experiments import Executor, ExperimentSpec, ResultCache
+from repro.experiments import spec as spec_module
 
 #: Entry files of a ``ResultCache``, relative to its root.
 ENTRIES = "*/*.pkl"
@@ -236,6 +238,100 @@ class TestWorkersInheritTheRunnerImport:
         # ... and so is the contract: what was reported is stored.
         assert len(cache) == len(reported)
         assert all(key in cache for key in reported)
+
+
+class TestPoolRunReadsTheSourcesOnce:
+    """Every key of a pool run names one read of each program package.
+
+    The forked workers run the code they inherited, so a source edit made
+    during a pool run reaches the keys of the next run, not of this one.
+    A serial run still re-checks the sources for every key.
+    """
+
+    @staticmethod
+    def specs(name, values=(1, 2, 3, 4)):
+        return [ExperimentSpec(f"{name}.points:double", {"a": a}) for a in values]
+
+    def test_a_pool_run_reads_its_package_once(
+        self, source_package, package_reads, tmp_path
+    ):
+        name, _ = source_package
+        executor = Executor(workers=2, cache=ResultCache(tmp_path))
+        assert executor.run(self.specs(name)) == [2, 4, 6, 8]
+        assert executor.last_report.computed == 4
+        assert package_reads == [name]
+
+    def test_a_serial_run_rechecks_every_key(
+        self, source_package, package_reads, tmp_path
+    ):
+        name, _ = source_package
+        executor = Executor(workers=1, cache=ResultCache(tmp_path))
+        assert executor.run(self.specs(name)) == [2, 4, 6, 8]
+        assert package_reads == [name] * 4
+
+    def test_an_edit_during_a_pool_run_reaches_only_the_next_run(
+        self, source_package, tmp_path
+    ):
+        name, points = source_package
+        # Made outside any run: the run's keys must equal them.
+        before = [spec.key for spec in self.specs(name, (1, 2, 3, 4, 0))]
+        seen = []
+
+        def progress(spec, value):
+            if not seen:
+                with points.open("a") as handle:
+                    handle.write("# edited\n")
+            seen.append(self.specs(name, (0,))[0].key)
+
+        cache = ResultCache(tmp_path)
+        specs = self.specs(name)
+        Executor(workers=2, cache=cache).run(specs, progress)
+        assert seen == [before[-1]] * 4
+        assert [spec.key for spec in specs] == before[:4]
+        assert all(key in cache for key in before[:4])
+        rerun = Executor(workers=2, cache=cache)
+        again = self.specs(name)
+        assert rerun.run(again) == [2, 4, 6, 8]
+        assert rerun.last_report.computed == 4
+        assert not {spec.key for spec in again} & set(before)
+
+    def test_two_pool_runs_in_two_threads_read_for_themselves(
+        self, source_package, tmp_path, monkeypatch
+    ):
+        # The first run's progress edits the sources and runs a second
+        # pool run in another thread, while its own run is still open.
+        name, points = source_package
+        before = [spec.key for spec in self.specs(name, (1, 2, 3, 4, 5, 6, 7))]
+        reads = []
+        read = spec_module._package_fingerprint
+
+        def counted(package):
+            reads.append((threading.current_thread().name, package))
+            return read(package)
+
+        monkeypatch.setattr(spec_module, "_package_fingerprint", counted)
+        second = self.specs(name, (5, 6, 7))
+
+        threads = []
+
+        def second_run():
+            Executor(workers=2, cache=ResultCache(tmp_path / "second")).run(second)
+
+        def progress(spec, value):
+            if not threads:
+                with points.open("a") as handle:
+                    handle.write("# edited\n")
+                threads.append(threading.Thread(target=second_run, name="second"))
+                threads[0].start()
+                threads[0].join(timeout=60)
+                assert not threads[0].is_alive()
+
+        first = self.specs(name)
+        Executor(workers=2, cache=ResultCache(tmp_path / "first")).run(first, progress)
+        assert reads == [(threading.current_thread().name, name), ("second", name)]
+        assert [spec.key for spec in first] == before[:4]
+        edited = [spec.key for spec in self.specs(name, (5, 6, 7))]
+        assert [spec.key for spec in second] == edited != before[4:]
 
 
 class TestResultsAndReport:

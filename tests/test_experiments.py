@@ -20,7 +20,9 @@ from repro.experiments import (
     program_fingerprint,
     resolve_runner,
 )
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import parse_cache_spec
+from repro.experiments.spec import pin_program, program_snapshot
 from repro.experiments.registry import EXPERIMENTS
 
 
@@ -121,6 +123,73 @@ class TestSpec:
         spec = ExperimentSpec(
             "repro.experiments.demo:multiply", {"a": 12}, name="demo")
         assert spec.label == "demo[a=12]"
+
+
+class TestProgramSnapshot:
+    """Inside ``program_snapshot`` each unpinned package is read once, per thread."""
+
+    def test_keys_inside_equal_keys_outside(self, source_package):
+        name, _ = source_package
+        runners = (f"{name}.points:double", "repro.experiments.demo:multiply")
+        outside = [ExperimentSpec(runner, {"a": 3}).key for runner in runners]
+        with program_snapshot():
+            inside = [ExperimentSpec(runner, {"a": 3}).key for runner in runners]
+        assert inside == outside
+
+    def test_one_read_per_block_and_nested_blocks_share_it(
+        self, source_package, package_reads
+    ):
+        name, points = source_package
+        runner = f"{name}.points:double"
+        with program_snapshot():
+            first = ExperimentSpec(runner, {"a": 1}).key
+            with points.open("a") as handle:
+                handle.write("# edited\n")
+            with program_snapshot():
+                assert ExperimentSpec(runner, {"a": 2}).key != first
+                assert ExperimentSpec(runner, {"a": 1}).key == first
+            assert ExperimentSpec(runner, {"a": 1}).key == first
+        assert package_reads == [name]
+        # Closed: the next key re-checks the sources and sees the edit.
+        assert ExperimentSpec(runner, {"a": 1}).key != first
+        assert package_reads == [name, name]
+
+    def test_a_block_that_raises_is_closed(self, source_package, package_reads):
+        name, points = source_package
+        runner = f"{name}.points:double"
+        with pytest.raises(RuntimeError):
+            with program_snapshot():
+                first = ExperimentSpec(runner, {"a": 1}).key
+                raise RuntimeError()
+        with points.open("a") as handle:
+            handle.write("# edited\n")
+        assert ExperimentSpec(runner, {"a": 1}).key != first
+
+    def test_a_block_belongs_to_its_thread(self, source_package, package_reads):
+        name, points = source_package
+        runner = f"{name}.points:double"
+        other = []
+        with program_snapshot():
+            first = ExperimentSpec(runner, {"a": 1}).key
+            with points.open("a") as handle:
+                handle.write("# edited\n")
+            thread = threading.Thread(
+                target=lambda: other.append(ExperimentSpec(runner, {"a": 1}).key)
+            )
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert ExperimentSpec(runner, {"a": 1}).key == first
+        assert other != [first] and len(other) == 1
+        assert package_reads == [name, name]
+
+    def test_a_pin_comes_first(self, source_package, package_reads):
+        name, _ = source_package
+        pinned = pin_program(name)
+        package_reads.clear()
+        with program_snapshot():
+            assert program_fingerprint(f"{name}.points:double") == pinned
+        assert package_reads == []
 
 
 class TestSweep:
@@ -254,6 +323,27 @@ class TestResultCache:
         assert value is not MISS
         assert value in [bytes([seed]) * 8192 for seed in range(4)]
         assert not list(tmp_path.glob("*/*.tmp.*"))
+
+    @pytest.mark.parametrize("failure", ("unpicklable", "disk full"))
+    def test_a_failed_put_leaves_no_temporary_file(
+        self, tmp_path, monkeypatch, failure
+    ):
+        value = [1, 2, threading.Lock()]  # pickles part-way, then fails
+        error = TypeError
+        if failure == "disk full":
+            value, error = [1, 2, 3], OSError
+
+            def dump(value, handle, protocol):
+                handle.write(b"\x80partial")
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(cache_module.pickle, "dump", dump)
+        cache = ResultCache(tmp_path)
+        with pytest.raises(error):
+            cache.put(self.KEY, value)
+        monkeypatch.undo()
+        assert not list(tmp_path.glob("*/*.tmp.*"))
+        assert cache.get(self.KEY) is MISS
 
     def test_put_survives_losing_its_memoised_shard_directory(self, tmp_path):
         # A concurrent cleanup may remove the shard directory after this
