@@ -132,6 +132,7 @@ lint:
 # tables of README.md / docs/architecture.md are checked against the live
 # catalogue (`tools/docs_lint.py --tables --write` regenerates them).
 DOCS_LINT_DIRS := src/repro/core src/repro/experiments src/repro/evaluation src/repro/traffic \
+	src/repro/energy src/repro/physical \
 	src/repro/kernels src/repro/engine src/repro/workloads src/repro/topologies \
 	src/repro/interconnect src/repro/validation src/repro/service src/repro/utils tools \
 	src/repro/catalogue.py src/repro/tracefile.py

@@ -4,13 +4,13 @@ Regenerates the cluster-level physical table: a 4.6 mm x 4.6 mm macro with
 55 % tile coverage, 700 MHz in typical conditions and ~480-500 MHz in the
 worst case, a critical path of 36 gates (27 of them buffers) with ~37 % wire
 delay — and the congestion comparison that makes Top4 infeasible while TopH
-distributes its wiring.
+distributes its wiring.  The coverage, the frequencies and the critical
+path's shape are calibrated numbers, graded by ``tests/test_provenance.py``.
 """
 
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS
-from repro.physical.timing import CLUSTER_CRITICAL_PATH
 
 
 @pytest.mark.experiment
@@ -19,16 +19,6 @@ def test_cluster_implementation_table(settings, report_sink):
     report_sink.append(result.report())
 
     assert result.cluster.cluster_side_mm == pytest.approx(4.6, abs=0.2)
-    assert result.cluster.tile_coverage == pytest.approx(0.55, abs=0.02)
-
-    # Frequencies: 700 MHz typical, 480 MHz worst case (500 MHz sign-off target).
-    assert result.frequencies_mhz["typical"] == pytest.approx(700, abs=30)
-    assert result.frequencies_mhz["worst"] == pytest.approx(490, abs=30)
-
-    # Critical-path structure: 36 gates, 27 buffers, ~37 % wire delay.
-    assert CLUSTER_CRITICAL_PATH.total_gates == 36
-    assert CLUSTER_CRITICAL_PATH.buffer_gates == 27
-    assert result.wire_fraction == pytest.approx(0.37, abs=0.05)
 
     # Congestion: Top4 is ~4x as centre-congested as Top1 and infeasible;
     # Top1 and TopH close timing.

@@ -1,10 +1,11 @@
 """Section VI-D: tile and cluster power while running matmul at 500 MHz.
 
 Regenerates the power-breakdown table.  The absolute figures depend on the
-access mix of the matmul kernel (see EXPERIMENTS.md for the deviations), so
-the assertions focus on the structure the paper reports: the instruction
-cache is the largest consumer, followed by the cores; the tiles dominate the
-cluster power (86 %).
+access mix of the matmul kernel (the model's interconnect draws about three
+times the paper's 1.7 mW per tile), so the assertions focus on the structure
+the paper reports: the instruction cache is the largest consumer, followed
+by the cores.  The tiles' 86 % of the cluster power is a calibrated number,
+graded by ``tests/test_provenance.py``.
 """
 
 import pytest
@@ -27,9 +28,6 @@ def test_power_breakdown_table(settings, report_sink):
 
     # The cores draw roughly a quarter of the tile power.
     assert breakdown.component_share(breakdown.cores_mw) == pytest.approx(0.27, abs=0.08)
-
-    # 86 % of the cluster power is consumed inside the tiles.
-    assert breakdown.tiles_fraction == pytest.approx(0.86, abs=0.03)
 
     # The tile average sits in the tens of milliwatts (paper: 20.9 mW).
     assert 10.0 < breakdown.tile_total_mw < 40.0

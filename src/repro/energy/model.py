@@ -11,18 +11,20 @@ local load            1.8    4.5           2.1     8.4
 remote load           1.8    13.0          2.1     16.9
 ====================  =====  ============  ======  =====
 
-The core and bank energies are calibrated constants.  The interconnect energy
-is *derived from the structure of the access path*: a local access only pays
-the tile's local request/response crossbars; a remote access additionally
-pays for every register boundary and switch stage it crosses (plus the longer
-wires they imply).  With the default coefficients the derived numbers
-reproduce the figure (4.5 pJ local, ~13 pJ for a TopH remote-group access,
-ratio ~2.9x) and generalise to the other topologies.
+Most of that table is calibrated, not reproduced: ``add``, ``mul``, the core
+and bank parts of both loads and the local interconnect (4.5 pJ, the tile
+crossbars) are each one :class:`EnergyParameters` field, so the local load's
+8.4 pJ is too.  The one number built from structure is a remote load's
+interconnect energy: every register boundary and switch stage its path
+crosses costs ``register_crossing_pj`` or ``switch_traversal_pj``.  Those two
+constants were fitted to the paper's 13.0 pJ for TopH (the model gives
+12.96 pJ); on another topology the same constants price another path.
+``tests/test_provenance.py`` computes which printed number is which.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.cluster import MemPoolCluster
 from repro.interconnect.resources import RegisterStage
@@ -48,8 +50,6 @@ class EnergyParameters:
     switch_traversal_pj: float = 1.0
     #: Energy of one instruction fetch from the shared L1 instruction cache.
     icache_fetch_pj: float = 6.4
-    #: Energy of one instruction-cache refill from L2.
-    icache_refill_pj: float = 60.0
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,7 @@ class InstructionEnergy:
 
     @property
     def total_pj(self) -> float:
+        """Energy of the whole instruction."""
         return self.core_pj + self.interconnect_pj + self.bank_pj
 
 
@@ -74,14 +75,15 @@ class EnergyBreakdown:
     interconnect_pj: float = 0.0
     bank_pj: float = 0.0
     icache_pj: float = 0.0
-    details: dict[str, float] = field(default_factory=dict)
 
     @property
     def total_pj(self) -> float:
+        """Energy of the whole program."""
         return self.core_pj + self.interconnect_pj + self.bank_pj + self.icache_pj
 
     @property
     def total_uj(self) -> float:
+        """Energy of the whole program in microjoules."""
         return self.total_pj * 1e-6
 
 
@@ -114,22 +116,18 @@ class EnergyModel:
         energy -= parameters.switch_traversal_pj
         return energy
 
-    def average_remote_interconnect_pj(self, core_id: int = 0) -> float:
-        """Average interconnect energy of a remote access (uniform destinations)."""
-        config = self.cluster.config
-        own_tile = config.tile_of_core(core_id)
+    def average_remote_interconnect_pj(self) -> float:
+        """Average interconnect energy of a remote access from core 0 (uniform destinations)."""
+        banks_per_tile = self.cluster.config.banks_per_tile
         energies = [
-            self.interconnect_energy_pj(core_id, tile * config.banks_per_tile)
-            for tile in range(config.num_tiles)
-            if tile != own_tile
+            self.interconnect_energy_pj(0, tile * banks_per_tile)
+            for tile in range(1, self.cluster.config.num_tiles)
         ]
         return sum(energies) / len(energies) if energies else 0.0
 
-    def local_interconnect_pj(self, core_id: int = 0) -> float:
-        """Interconnect energy of an access to the core's own tile."""
-        config = self.cluster.config
-        own_tile = config.tile_of_core(core_id)
-        return self.interconnect_energy_pj(core_id, own_tile * config.banks_per_tile)
+    def local_interconnect_pj(self) -> float:
+        """Interconnect energy of an access from core 0 to its own tile."""
+        return self.interconnect_energy_pj(0, 0)
 
     # ------------------------------------------------------------------ #
     # Figure 10: energy per instruction
@@ -159,41 +157,25 @@ class EnergyModel:
     # Whole-program energy from activity counters
     # ------------------------------------------------------------------ #
 
-    def program_energy(self, total_stats, icache_fetches: int | None = None,
-                       icache_misses: int = 0) -> EnergyBreakdown:
+    def program_energy(self, total_stats) -> EnergyBreakdown:
         """Energy of a program run described by aggregated ``CoreStats``."""
         parameters = self.parameters
         adds = total_stats.compute_cycles - total_stats.mul_instructions
-        muls = total_stats.mul_instructions
         memory_ops = total_stats.loads + total_stats.stores
         local_ops = total_stats.local_loads + total_stats.local_stores
         remote_ops = total_stats.remote_loads + total_stats.remote_stores
-        if icache_fetches is None:
-            icache_fetches = total_stats.instructions
         core = (
             adds * parameters.core_alu_pj
-            + muls * parameters.core_mul_pj
+            + total_stats.mul_instructions * parameters.core_mul_pj
             + memory_ops * parameters.core_memory_pj
         )
         interconnect = (
             local_ops * self.local_interconnect_pj()
             + remote_ops * self.average_remote_interconnect_pj()
         )
-        banks = memory_ops * parameters.bank_access_pj
-        icache = (
-            icache_fetches * parameters.icache_fetch_pj
-            + icache_misses * parameters.icache_refill_pj
-        )
         return EnergyBreakdown(
             core_pj=core,
             interconnect_pj=interconnect,
-            bank_pj=banks,
-            icache_pj=icache,
-            details={
-                "adds": adds,
-                "muls": muls,
-                "local_accesses": local_ops,
-                "remote_accesses": remote_ops,
-                "icache_fetches": icache_fetches,
-            },
+            bank_pj=memory_ops * parameters.bank_access_pj,
+            icache_pj=total_stats.instructions * parameters.icache_fetch_pj,
         )

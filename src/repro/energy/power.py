@@ -137,11 +137,3 @@ class PowerModel:
             num_tiles=config.num_tiles,
             cluster_overhead_mw=cluster_overhead,
         )
-
-    def energy_per_instruction_pj(self, result: SystemResult) -> float:
-        """Average energy per executed instruction, including background power."""
-        breakdown = self.breakdown(result)
-        seconds = result.cycles / self.frequency_hz
-        total_joules = breakdown.cluster_total_w * seconds
-        instructions = max(result.instructions, 1)
-        return total_joules / instructions * 1e12

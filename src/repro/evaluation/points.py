@@ -28,7 +28,9 @@ import os
 
 from repro.core.cluster import MemPoolCluster
 from repro.core.config import MemPoolConfig
-from repro.energy import EnergyModel, InstructionEnergy, PowerModel
+from repro.energy import (
+    EnergyModel, EnergyParameters, InstructionEnergy, PowerModel, PowerParameters,
+)
 from repro.energy.traffic import attach_energy
 from repro.evaluation.physical_tables import PhysicalTablesResult
 from repro.evaluation.power_table import PowerTableResult
@@ -48,8 +50,9 @@ from repro.evaluation.workloads import (
     DEFAULT_CATALOGUE_TOPOLOGY,
 )
 from repro.kernels import Conv2dKernel, DctKernel, KernelResult, MatmulKernel
-from repro.physical import AreaModel, FloorplanModel, TimingModel
-from repro.physical.timing import CLUSTER_CRITICAL_PATH
+from repro.physical import AreaModel, AreaParameters, FloorplanModel, TimingModel
+from repro.physical import timing as physical_timing
+from repro.physical.timing import TimingParametersPhysical
 from repro.traffic import TrafficResult, TrafficSimulation
 from repro.workloads import LocalBiasedPattern
 from repro.workloads.trace import record_trace
@@ -236,17 +239,12 @@ def simulate_fig7_point(
     return _build_kernel(kernel, cluster, settings).run(verify=verify)
 
 
-def compute_fig10_point(*, topology: str = "toph") -> list[InstructionEnergy]:
-    """Compute the per-instruction energy entries for one topology.
+def compute_fig10_point() -> list[InstructionEnergy]:
+    """Compute the per-instruction energy entries of the TopH cluster.
 
     The energy figures always refer to the full 64-tile cluster (the
     remote-access mix depends on the cluster size), so the simulation
     scale is not a parameter.
-
-    Parameters
-    ----------
-    topology : str
-        Interconnect topology to evaluate.
 
     Returns
     -------
@@ -255,12 +253,11 @@ def compute_fig10_point(*, topology: str = "toph") -> list[InstructionEnergy]:
 
     Examples
     --------
-    >>> entries = compute_fig10_point(topology="toph")
+    >>> entries = compute_fig10_point()
     >>> any(entry.name == "remote load" for entry in entries)
     True
     """
-    cluster = MemPoolCluster(MemPoolConfig.full(topology))
-    return EnergyModel(cluster).instruction_energies()
+    return EnergyModel(MemPoolCluster(MemPoolConfig.full("toph"))).instruction_energies()
 
 
 def compute_power_point(
@@ -291,25 +288,26 @@ def compute_power_point(
     settings = _settings(settings, KERNEL_FIELDS)
     cluster = MemPoolCluster(settings.config("toph"), engine=settings.engine)
     kernel = MatmulKernel(cluster, size=settings.matmul_size, seed=settings.seed)
-    result = kernel.run(verify=False)
-    model = PowerModel(cluster, frequency_hz=frequency_hz)
-    return PowerTableResult(
-        breakdown=model.breakdown(result.system),
-        kernel=result,
-        frequency_hz=frequency_hz,
-    )
+    return evaluate_power(cluster, kernel.run(verify=False), frequency_hz)
 
 
-def compute_physical_point(*, topology: str = "toph") -> PhysicalTablesResult:
-    """Evaluate the physical models on the full-size cluster.
+def evaluate_power(
+    cluster: MemPoolCluster,
+    kernel: KernelResult,
+    frequency_hz: float,
+    energy: EnergyParameters | None = None,
+    power: PowerParameters | None = None,
+) -> PowerTableResult:
+    """The power model on ``kernel``'s activity, with the given constants."""
+    model = PowerModel(cluster, frequency_hz, energy, power)
+    return PowerTableResult(breakdown=model.breakdown(kernel.system), kernel=kernel)
+
+
+def compute_physical_point() -> PhysicalTablesResult:
+    """Evaluate the physical models on the full-size TopH cluster.
 
     Physical figures always refer to the full 64-tile cluster, regardless
     of the simulation scale used for the performance experiments.
-
-    Parameters
-    ----------
-    topology : str
-        Topology whose tile/cluster macros are evaluated.
 
     Returns
     -------
@@ -318,20 +316,34 @@ def compute_physical_point(*, topology: str = "toph") -> PhysicalTablesResult:
 
     Examples
     --------
-    >>> result = compute_physical_point(topology="toph")
+    >>> result = compute_physical_point()
     >>> result.congestion["toph"].feasible
     True
     """
-    cluster = MemPoolCluster(MemPoolConfig.full(topology))
-    area = AreaModel(cluster)
-    timing = TimingModel()
-    floorplan = FloorplanModel(cluster)
+    return evaluate_physical(MemPoolCluster(MemPoolConfig.full("toph")))
+
+
+def evaluate_physical(
+    cluster: MemPoolCluster,
+    area: AreaParameters | None = None,
+    timing: TimingParametersPhysical | None = None,
+) -> PhysicalTablesResult:
+    """The area, timing and floorplan models on ``cluster``, with the given constants.
+
+    The two critical paths are read when called, as
+    :meth:`TimingModel.cluster_frequencies` reads them.
+    """
+    area_model = AreaModel(cluster, area)
+    timing_model = TimingModel(timing)
+    cluster_path = physical_timing.CLUSTER_CRITICAL_PATH
     return PhysicalTablesResult(
-        tile=area.tile_breakdown(),
-        cluster=area.cluster_report(),
-        frequencies_mhz=timing.cluster_frequencies(),
-        wire_fraction=timing.wire_fraction(CLUSTER_CRITICAL_PATH, "worst"),
-        congestion=floorplan.compare_topologies(),
+        tile=area_model.tile_breakdown(),
+        cluster=area_model.cluster_report(),
+        tile_path=physical_timing.TILE_CRITICAL_PATH,
+        cluster_path=cluster_path,
+        frequencies_mhz=timing_model.cluster_frequencies(),
+        wire_fraction=timing_model.wire_fraction(cluster_path, "worst"),
+        congestion=FloorplanModel(cluster, area).compare_topologies(),
     )
 
 

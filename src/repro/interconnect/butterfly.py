@@ -118,18 +118,13 @@ class ButterflyNetwork:
             )
 
     # ------------------------------------------------------------------ #
-    # Structural figures used by the physical models
+    # Structural figures
     # ------------------------------------------------------------------ #
 
     @property
     def num_switches(self) -> int:
         """Number of radix x radix switches over all layers."""
         return sum(len(layer) for layer in self.switches)
-
-    @property
-    def crosspoints(self) -> int:
-        """Total crosspoints of every switch (area proxy)."""
-        return sum(switch.crosspoints for layer in self.switches for switch in layer)
 
     @property
     def all_switches(self) -> list[CrossbarSwitch]:

@@ -65,15 +65,6 @@ class CrossbarSwitch:
         """The timing resource of every output port, in port order."""
         return tuple(self._outputs)
 
-    # ------------------------------------------------------------------ #
-    # Structural figures used by the physical models
-    # ------------------------------------------------------------------ #
-
-    @property
-    def crosspoints(self) -> int:
-        """Number of input-to-output crosspoints (area/congestion proxy)."""
-        return self.num_inputs * self.num_outputs
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         kind = "registered" if self.registered_outputs else "combinational"
         return (

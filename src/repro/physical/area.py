@@ -8,10 +8,12 @@ being consumed by the global interconnect and the congestion-driven
 whitespace around the centre of the design.
 
 The model computes component areas bottom-up — SRAM macros from their
-capacity, logic blocks from gate-equivalent counts, interconnect from the
-crosspoint counts of the instantiated topology — and derives the same summary
-figures the paper reports.  The technology coefficients are calibrated for
-GLOBALFOUNDRIES 22FDX.
+capacity, logic blocks from gate-equivalent counts, the tile's crossbars from
+the remote ports of the instantiated topology — and derives the tile side,
+complexity and area shares and the cluster side from them.  The technology
+coefficients are calibrated for GLOBALFOUNDRIES 22FDX.  Two reported numbers
+are calibrated outright: the utilisation is ``tile_utilisation`` and the
+tile coverage is ``cluster_tile_coverage``, whatever the topology.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.cluster import MemPoolCluster
-from repro.topologies.families import ButterflyTopology, HierarchicalTopology
 
 
 @dataclass(frozen=True)
@@ -44,19 +45,8 @@ class AreaParameters:
     tile_misc_kge: float = 110.0
     #: Standard-cell utilisation achieved inside the tile macro.
     tile_utilisation: float = 0.728
-    #: Fraction of the cluster area the tiles cover (congestion-driven).
-    cluster_tile_coverage: dict[str, float] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.cluster_tile_coverage is None:
-            # Calibrated per topology: TopH is the physically feasible design
-            # with 55 % coverage; Top1 routes everything through the centre;
-            # Top4 is four times as congested and infeasible at speed.
-            object.__setattr__(
-                self,
-                "cluster_tile_coverage",
-                {"top1": 0.58, "top4": 0.42, "toph": 0.55, "topx": 0.70},
-            )
+    #: Fraction of the cluster area the tiles cover (TopH's, congestion-driven).
+    cluster_tile_coverage: float = 0.55
 
 
 @dataclass
@@ -73,6 +63,7 @@ class TileAreaBreakdown:
 
     @property
     def placed_um2(self) -> float:
+        """Standard-cell area placed inside the macro."""
         return (
             self.cores_um2
             + self.spm_um2
@@ -83,50 +74,45 @@ class TileAreaBreakdown:
 
     @property
     def macro_um2(self) -> float:
+        """Macro area: the placed area at the tile's utilisation."""
         return self.placed_um2 / self.utilisation
 
     @property
     def macro_side_um(self) -> float:
+        """Side of the square tile macro."""
         return self.macro_um2**0.5
 
     @property
     def total_kge(self) -> float:
+        """Macro complexity in thousands of gate equivalents."""
         return self.macro_um2 / self.ge_um2 / 1000.0
 
     def share(self, component_um2: float) -> float:
         """Fraction of the *placed* area used by one component."""
         return component_um2 / self.placed_um2 if self.placed_um2 else 0.0
 
-    def rows(self) -> list[tuple[str, float, float]]:
-        return [
-            ("snitch cores (4x)", self.cores_um2, self.share(self.cores_um2)),
-            ("l1 spm (16 banks)", self.spm_um2, self.share(self.spm_um2)),
-            ("instruction cache", self.icache_um2, self.share(self.icache_um2)),
-            ("tile interconnect", self.interconnect_um2, self.share(self.interconnect_um2)),
-            ("other logic", self.misc_um2, self.share(self.misc_um2)),
-        ]
-
 
 @dataclass
 class ClusterAreaReport:
     """Cluster-level area summary."""
 
-    topology: str
     num_tiles: int
     tile_macro_um2: float
     tile_coverage: float
-    global_interconnect_um2: float
 
     @property
     def tiles_um2(self) -> float:
+        """Area of every tile macro together."""
         return self.tile_macro_um2 * self.num_tiles
 
     @property
     def cluster_um2(self) -> float:
+        """Cluster macro area: the tiles at their coverage."""
         return self.tiles_um2 / self.tile_coverage
 
     @property
     def cluster_side_mm(self) -> float:
+        """Side of the square cluster macro."""
         return (self.cluster_um2**0.5) / 1000.0
 
 
@@ -161,6 +147,7 @@ class AreaModel:
         return 2 * self.cluster.topology.remote_ports_per_tile()
 
     def tile_breakdown(self) -> TileAreaBreakdown:
+        """Component areas of one tile of this configuration."""
         parameters = self.parameters
         config = self.cluster.config
         cores_um2 = (
@@ -191,35 +178,10 @@ class AreaModel:
     # Cluster
     # ------------------------------------------------------------------ #
 
-    def _global_interconnect_crosspoints(self) -> int:
-        """Crosspoints of the cluster-level networks (outside the tiles)."""
-        topology = self.cluster.topology
-        if isinstance(topology, ButterflyTopology):
-            networks = topology.request_butterflies + topology.response_butterflies
-        elif isinstance(topology, HierarchicalTopology):
-            networks = [
-                *topology.local_request_xbars,
-                *topology.local_response_xbars,
-                *topology.group_request_butterflies.values(),
-                *topology.group_response_butterflies.values(),
-            ]
-        else:
-            networks = []
-        return sum(network.crosspoints for network in networks)
-
     def cluster_report(self) -> ClusterAreaReport:
-        parameters = self.parameters
-        config = self.cluster.config
-        tile = self.tile_breakdown()
-        coverage = parameters.cluster_tile_coverage.get(config.topology, 0.55)
-        global_ic_um2 = (
-            self._global_interconnect_crosspoints() * parameters.crosspoint_ge
-            * parameters.ge_um2
-        )
+        """The cluster macro: every tile at the calibrated coverage."""
         return ClusterAreaReport(
-            topology=config.topology,
-            num_tiles=config.num_tiles,
-            tile_macro_um2=tile.macro_um2,
-            tile_coverage=coverage,
-            global_interconnect_um2=global_ic_um2,
+            num_tiles=self.cluster.config.num_tiles,
+            tile_macro_um2=self.tile_breakdown().macro_um2,
+            tile_coverage=self.parameters.cluster_tile_coverage,
         )

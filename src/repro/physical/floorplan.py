@@ -31,8 +31,6 @@ from repro.physical.area import AreaModel, AreaParameters
 class CongestionReport:
     """Wiring demand summary of one topology."""
 
-    topology: str
-    num_tiles: int
     total_wire_mm: float
     centre_crossing_wires: int
     centre_channel_capacity: int
@@ -68,11 +66,7 @@ class FloorplanModel:
         self.area_model = AreaModel(cluster, area_parameters)
         tile = self.area_model.tile_breakdown()
         self.tile_pitch_mm = tile.macro_side_um / 1000.0
-        side = int(round(self.config.num_tiles**0.5))
-        if side * side != self.config.num_tiles:
-            # Fall back to the closest rectangular grid.
-            side = max(1, side)
-        self.grid_side = side
+        self.grid_side = int(round(self.config.num_tiles**0.5))
 
     # ------------------------------------------------------------------ #
     # Placement helpers
@@ -132,6 +126,7 @@ class FloorplanModel:
     # ------------------------------------------------------------------ #
 
     def congestion(self) -> CongestionReport:
+        """Top-level wire length and centre-channel demand of this topology."""
         topology = self.config.topology
         num_tiles = self.config.num_tiles
         centre = self._centre_mm()
@@ -168,21 +163,12 @@ class FloorplanModel:
                     if self._is_diagonal_pair(src_group, dst_group):
                         centre_wires += tiles_per_group * channel_bits
         else:  # topx: the idealised crossbar has no physical implementation
-            for tile in range(num_tiles):
-                distance = self._manhattan(self.tile_position_mm(tile), centre)
-                total_wire_mm += (
-                    distance * self.config.cores_per_tile * channel_bits / 1000.0
-                ) * self.config.banks_per_tile
-                centre_wires += (
-                    self.config.cores_per_tile * self.config.banks_per_tile * channel_bits
-                )
+            raise ValueError(f"no floorplan for topology {topology!r}")
 
         capacity = int(
             self.grid_side * self.tile_pitch_mm * self.TRACKS_PER_MM * self.ROUTING_LAYERS
         )
         return CongestionReport(
-            topology=topology,
-            num_tiles=num_tiles,
             total_wire_mm=total_wire_mm,
             centre_crossing_wires=centre_wires,
             centre_channel_capacity=capacity,
@@ -196,12 +182,10 @@ class FloorplanModel:
 
     def compare_topologies(self) -> dict[str, CongestionReport]:
         """Congestion reports of every implementable topology at this size."""
-        from repro.core.cluster import MemPoolCluster as _Cluster
-
-        reports = {}
-        for topology in ("top1", "top4", "toph"):
-            config = self.config.with_topology(topology)
-            reports[topology] = FloorplanModel(
-                _Cluster(config), self.area_model.parameters
+        return {
+            topology: FloorplanModel(
+                MemPoolCluster(self.config.with_topology(topology)),
+                self.area_model.parameters,
             ).congestion()
-        return reports
+            for topology in ("top1", "top4", "toph")
+        }

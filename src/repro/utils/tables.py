@@ -8,6 +8,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+#: The source of a reported number the model computes from the design, as
+#: opposed to the names of the constants a calibrated number comes from.
+DERIVED: tuple[str, ...] = ()
+
+
+def provenance(source: tuple[str, ...]) -> str:
+    """The label of a reported number: ``calibrated`` or ``derived``."""
+    return "calibrated" if source else "derived"
+
 
 def _format_cell(value: object, precision: int) -> str:
     if isinstance(value, bool):

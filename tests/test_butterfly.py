@@ -40,10 +40,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             ButterflyNetwork("b", 16, radix=4, registered_layers=(5,))
 
-    def test_crosspoint_count(self):
-        butterfly = ButterflyNetwork("b", 16, radix=4)
-        assert butterfly.crosspoints == 8 * 16
-
 
 class TestRouting:
     @pytest.mark.parametrize("ports,radix", [(16, 4), (64, 4), (16, 2), (8, 2)])

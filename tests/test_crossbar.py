@@ -25,7 +25,6 @@ class TestConstruction:
         switch = CrossbarSwitch("concentrator", 4, 1)
         assert switch.num_inputs == 4
         assert switch.num_outputs == 1
-        assert switch.crosspoints == 4
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,8 @@ class TestPointKeywords:
                  "measure_cycles": 10},
             ),
             ("compute_power_point", {"topology": "toph"}),
+            ("compute_fig10_point", {"topology": "toph"}),
+            ("compute_physical_point", {"topology": "toph"}),
             (
                 "simulate_workload_point",
                 {"pattern": "uniform", "injector": "poisson", "trace": "t"},
@@ -186,11 +188,10 @@ class TestFig6Driver:
 
 class TestFig10Driver:
     def test_paper_ratios(self, settings):
-        result = EXPERIMENTS["fig10"].run(settings)
-        assert result.remote_over_local == pytest.approx(2.0, abs=0.3)
-        assert result.local_over_add == pytest.approx(2.3, abs=0.3)
-        assert result.remote_over_add == pytest.approx(4.5, abs=0.6)
-        assert result.interconnect_remote_over_local == pytest.approx(2.9, abs=0.4)
+        ratios = EXPERIMENTS["fig10"].run(settings).ratios()
+        assert ratios["remote/local load energy"] == pytest.approx(2.0, abs=0.3)
+        assert ratios["remote-load/add"] == pytest.approx(4.5, abs=0.6)
+        assert ratios["interconnect remote/local"] == pytest.approx(2.9, abs=0.4)
 
     def test_report_lists_all_instructions(self, settings):
         text = EXPERIMENTS["fig10"].run(settings).report()
@@ -238,3 +239,10 @@ class TestPowerDriver:
         result = EXPERIMENTS["power"].run(settings)
         assert result.breakdown.tile_total_mw > 0
         assert "Section VI-D" in result.report()
+
+    def test_scaled_report_prints_no_nan_and_names_its_tile_count(self):
+        result = EXPERIMENTS["power"].run(ExperimentSettings(full_scale=False))
+        text = result.report()
+        assert "nan" not in text
+        assert f"W for {result.breakdown.num_tiles} tiles" in text
+        assert result.breakdown.num_tiles != 64

@@ -2,7 +2,8 @@
 
 Only the imports and module-level definitions run: each module is loaded
 under its own name, so its ``if __name__ == "__main__"`` block (the slow
-part) does not.
+part) does not.  The quickstart, the README's first example and well under
+a second, also runs whole.
 """
 
 from __future__ import annotations
@@ -21,7 +22,17 @@ def test_examples_are_found():
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
 def test_example_imports(path):
+    assert callable(_load(path).main)
+
+
+def test_quickstart_runs_whole(capsys):
+    (path,) = [path for path in EXAMPLES if path.stem == "quickstart"]
+    _load(path).main()
+    assert "estimated energy:" in capsys.readouterr().out
+
+
+def _load(path):
     spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
